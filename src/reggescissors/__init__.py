@@ -8,7 +8,7 @@ from .exceptions import (
     NonUnitRootError,
     QuadratureError,
 )
-from .lobachevsky import LobachevskyEval, lobachevsky, lobachevsky_quadrature
+from .lobachevsky import lobachevsky, lobachevsky_quadrature
 from .tetra import (
     IdealTetAngles,
     PrimeAngles,

@@ -13,7 +13,6 @@ adaptive quadrature of the defining integral (oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -22,7 +21,6 @@ from .exceptions import QuadratureError
 
 __all__ = [
     "LOBACHEVSKY_MAX_ARG",
-    "LobachevskyEval",
     "lobachevsky",
     "lobachevsky_quadrature",
 ]
@@ -38,18 +36,11 @@ _PI = math.pi
 # whose terms decay at least like 4^-m.  48 terms reach full double precision.
 _M = np.arange(1, 49)
 _SERIES_COEF = special.zeta(2 * _M) / (_M * (2 * _M + 1))
+# Horner order, as Python floats for the scalar path
+_SERIES_COEF_DESC = tuple(_SERIES_COEF[::-1].tolist())
 
 #: Location of the global maximum of the Lobachevsky function.
 LOBACHEVSKY_MAX_ARG = _PI / 6
-
-
-@dataclass(frozen=True)
-class LobachevskyEval:
-    """One evaluation record: argument, value, and the route that produced it."""
-
-    theta: float
-    value: float
-    method: str  # "series" or "quadrature"
 
 
 def _reduce_mod_pi(theta: np.ndarray) -> np.ndarray:
@@ -58,12 +49,43 @@ def _reduce_mod_pi(theta: np.ndarray) -> np.ndarray:
     return np.where(r <= -_PI / 2, r + _PI, r)
 
 
+def _lobachevsky_float(theta: float) -> float:
+    """The series for one Python float, bit-identical to the 0-d array route.
+
+    Every step repeats the array route's IEEE operations on plain floats:
+    ``round`` rounds half to even like ``np.round``, and a zero ``r`` gives
+    +0.0 there whatever the sign of theta.  Two steps must not be
+    simplified.  ``q`` stays ``(x / pi) ** 2``, because ``pow`` is what a
+    0-d ``**`` calls, while ``y * y`` differs from it by 1 ulp at some
+    points.  The logarithm comes from ``np.log``, because ``math.log``
+    differs from numpy's in about 0.2% of arguments.
+    """
+    if not math.isfinite(theta):
+        raise ValueError("lobachevsky: argument must be finite")
+    r = theta - _PI * round(theta / _PI)
+    if r <= -_PI / 2:
+        r += _PI
+    x = abs(r)
+    if x == 0.0:
+        return 0.0
+    q = (x / _PI) ** 2
+    h = 0.0
+    for c in _SERIES_COEF_DESC:
+        h = h * q + c
+    val = x * (1.0 - float(np.log(2.0 * x))) + x * q * h
+    return val if r > 0 else -val
+
+
 def lobachevsky(theta):
     """Evaluate the Lobachevsky function (absolute error below 1e-12).
 
     Accepts a float or an ndarray; returns the same shape.  Non-finite
-    input raises ``GeometryDomainError``-compatible ``ValueError``.
+    input raises ``GeometryDomainError``-compatible ``ValueError``.  A
+    Python float takes a plain-float path with the same result bits;
+    numpy scalars and arrays take the array route.
     """
+    if type(theta) is float:
+        return _lobachevsky_float(theta)
     arr = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("lobachevsky: argument must be finite")
@@ -128,11 +150,3 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-10) -> float:
         )
     return sign * float(value)
 
-
-def evaluate(theta: float, method: str = "series", tol: float = 1e-10) -> LobachevskyEval:
-    """Evaluate by the requested route, returning a record."""
-    if method == "series":
-        return LobachevskyEval(float(theta), lobachevsky(float(theta)), "series")
-    if method == "quadrature":
-        return LobachevskyEval(float(theta), lobachevsky_quadrature(theta, tol), "quadrature")
-    raise ValueError(f"unknown method {method!r}")

@@ -30,6 +30,7 @@ hyperideal regime it coincides with all slots lying in (0, pi)).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -126,13 +127,6 @@ class BarSolution:
     def minus(self):
         return (self.BA, self.CB, self.DC, self.AD)
 
-    def shifted(self, delta: float) -> "BarSolution":
-        """Another member of the one-parameter solution family."""
-        vals = {}
-        for s in SLOT_ORDER:
-            vals[s] = getattr(self, s) + (delta if s in PLUS_SLOTS else -delta)
-        return BarSolution(**vals)
-
 
 @dataclass(frozen=True)
 class HolonomyRoots:
@@ -216,8 +210,6 @@ def _alphas_betas(bars: BarSolution):
 def _elementary(vals, k):
     total = 0j
     n = len(vals)
-    import itertools
-
     for comb in itertools.combinations(range(n), k):
         p = 1.0 + 0j
         for i in comb:

@@ -145,10 +145,6 @@ class LPiece:
     def signed_volume(self) -> float:
         return lobachevsky(self.canonical_angle)
 
-    @property
-    def is_null(self) -> bool:
-        return self.canonical_angle == 0.0
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -377,12 +373,14 @@ class OrbitResult:
     truncated: bool
 
 
-def _equivalent(t1: TetAngles, t2: TetAngles, tol: float = 1e-10) -> bool:
-    a2 = np.array(t2.as_tuple())
-    for sigma in tetra_symmetries():
-        if np.max(np.abs(np.array(relabel(t1, sigma).as_tuple()) - a2)) < tol:
-            return True
-    return False
+#: Row k holds the angle indices that relabel() reads for the k-th vertex
+#: permutation: relabel(t, sigma_k).as_tuple() == angles[_RELABEL_INDEX[k]].
+_RELABEL_INDEX = np.array(
+    [relabel(TetAngles(*range(6)), sigma).as_tuple() for sigma in tetra_symmetries()],
+    dtype=np.intp,
+)
+#: Orbit members this close (max-norm) after some relabeling are the same.
+ORBIT_MATCH_TOL = 1e-10
 
 
 def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
@@ -391,6 +389,7 @@ def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
     if max_size < 1:
         raise GeometryDomainError("max_size must be at least 1")
     members: list[TetAngles] = [t]
+    member_angles = np.array([t.as_tuple()])
     frontier = [t]
     truncated = False
     while frontier:
@@ -398,12 +397,15 @@ def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
         for cur in frontier:
             for which in ("a", "b", "c"):
                 img = regge(cur, which)
-                if any(_equivalent(img, m) for m in members):
+                angles = np.array(img.as_tuple())
+                gaps = np.abs(angles[_RELABEL_INDEX][:, None, :] - member_angles)
+                if np.any(np.max(gaps, axis=2) < ORBIT_MATCH_TOL):
                     continue
                 if len(members) >= max_size:
                     truncated = True
                     break
                 members.append(img)
+                member_angles = np.vstack([member_angles, angles])
                 nxt.append(img)
             if truncated:
                 break

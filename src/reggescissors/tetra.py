@@ -235,7 +235,19 @@ def angles_from_gram(G: GramMatrix) -> TetAngles:
 
 
 def classify(t: TetAngles) -> TetraClass:
-    """Classify the angle data as Finite / Ideal / Hyperideal / Invalid."""
+    """Classify the angle data as Finite / Ideal / Hyperideal / Invalid.
+
+    A frozen TetAngles keeps its class, computed on the first call, outside
+    its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
+    """
+    cached = t.__dict__.get("_tetra_class")
+    if cached is None:
+        cached = _classify(t)
+        object.__setattr__(t, "_tetra_class", cached)
+    return cached
+
+
+def _classify(t: TetAngles) -> TetraClass:
     G = gram_matrix(t)
     eig = np.linalg.eigvalsh(G)
     det = float(np.prod(eig))

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from reggescissors.exceptions import QuadratureError
 from reggescissors.lobachevsky import (
     LOBACHEVSKY_MAX_ARG,
-    LobachevskyEval,
-    evaluate,
     lobachevsky,
     lobachevsky_quadrature,
 )
@@ -100,13 +98,38 @@ def test_quadrature_reports_achieved_error():
     assert exc.value.achieved > 0
 
 
-def test_evaluate_record():
-    rec = evaluate(PI / 6)
-    assert isinstance(rec, LobachevskyEval)
-    assert rec.method == "series"
-    assert rec.value == pytest.approx(LOB_PI_6, abs=1e-13)
-    rec_q = evaluate(PI / 6, method="quadrature")
-    assert rec_q.method == "quadrature"
-    assert rec_q.value == pytest.approx(rec.value, abs=1e-10)
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_float_path_bit_identical_to_array_route():
+    # a Python float takes the plain-float path; a 0-d array the numpy route
+    rng = np.random.default_rng(20240607)
+    points = rng.uniform(-50.0, 50.0, 100_000).tolist()
+    mismatched = [x for x in points if not _same_bits(lobachevsky(x), float(lobachevsky(np.asarray(x))))]
+    assert mismatched == []
+
+
+def test_float_path_edge_values():
+    multiples = [k * PI for k in range(-16, 17)]
+    edges = [0.0, -0.0, PI / 2, -PI / 2, 1e-300, -1e-300, 5e-324, -5e-324, *multiples]
+    edges += [x + d for x in (*multiples, PI / 2, -PI / 2) for d in (1e-6, -1e-6)]
+    for x in edges:
+        fast = lobachevsky(x)
+        assert type(fast) is float
+        assert _same_bits(fast, float(lobachevsky(np.asarray(x)))), x
+
+
+def test_numpy_scalar_keeps_array_route():
+    x = np.float64(0.7)
+    assert lobachevsky(x) == lobachevsky(np.asarray(0.7)) == lobachevsky(0.7)
+    assert type(lobachevsky(x)) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_path_rejects_non_finite(bad):
     with pytest.raises(ValueError):
-        evaluate(1.0, method="montecarlo")
+        lobachevsky(bad)
+    with pytest.raises(ValueError):
+        lobachevsky(np.asarray(bad))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from reggescissors.exceptions import GeometryDomainError, NonUnitRootError
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import (
+    PLUS_SLOTS,
     OctSide,
     SLOT_ORDER,
     base_angles,
@@ -130,7 +132,8 @@ class TestHolonomy:
         a1 = octahedron_angles(generic, bars=bars).as_array()
         c1 = np.array([canonical_angle(x) for x in a1])
         for delta in (-0.4, 0.17, 0.9):
-            shifted = bars.shifted(delta)
+            shifted = replace(bars, **{s: getattr(bars, s) + (delta if s in PLUS_SLOTS else -delta)
+                                       for s in SLOT_ORDER})
             a2 = octahedron_angles(generic, bars=shifted).as_array()
             c2 = np.array([canonical_angle(x) for x in a2])
             assert np.max(np.abs(c1 - c2)) < 1e-10

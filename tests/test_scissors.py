@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
+from reggescissors.klein import KleinTetra, dihedral_angles
 from reggescissors.octahedron import tet_volume
 from reggescissors.scissors import (
     DUAL_SIDE,
@@ -28,6 +29,7 @@ from reggescissors.tetra import (
     TetraKind,
     classify,
     relabel,
+    tetra_symmetries,
 )
 
 PI = math.pi
@@ -256,3 +258,59 @@ class TestOrbit:
     def test_max_size_validation(self, generic):
         with pytest.raises(GeometryDomainError):
             regge_orbit(generic, max_size=0)
+
+
+def _pairwise_orbit(t, max_size=64):
+    """Reference closure that dedups with one relabel() per permutation and member."""
+
+    def equivalent(t1, t2, tol=1e-10):
+        a2 = np.array(t2.as_tuple())
+        return any(np.max(np.abs(np.array(relabel(t1, s).as_tuple()) - a2)) < tol
+                   for s in tetra_symmetries())
+
+    members, frontier = [t], [t]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for which in ("a", "b", "c"):
+                img = regge(cur, which)
+                if any(equivalent(img, m) for m in members):
+                    continue
+                if len(members) >= max_size:
+                    return members, True
+                members.append(img)
+                nxt.append(img)
+        frontier = nxt
+    return members, False
+
+
+def _klein_uniform(rng, n):
+    out = []
+    while len(out) < n:
+        direction = rng.normal(size=(4, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        verts = 0.95 * direction * rng.uniform(size=(4, 1)) ** (1 / 3)
+        t = dihedral_angles(KleinTetra(verts))
+        if classify(t).kind is TetraKind.FINITE:
+            out.append(t)
+    return out
+
+
+class TestOrbitDedupMatchesPairwise:
+    SYMMETRIC = (
+        TetAngles(*(1.2,) * 6),  # regular
+        TetAngles(*(1.1,) * 6),  # regular
+        TetAngles(1.1, 1.15, 1.2, 1.25, 1.2, 1.15),  # A+A' = B+B' = C+C'
+    )
+
+    @pytest.mark.parametrize("max_size", [64, 5, 2, 1])
+    def test_members_and_flag_equal(self, max_size, generic):
+        cases = [*_klein_uniform(np.random.default_rng(77), 50), *self.SYMMETRIC, generic]
+        truncated_seen = False
+        for t in cases:
+            orbit = regge_orbit(t, max_size=max_size)
+            members, truncated = _pairwise_orbit(t, max_size)
+            assert [m.as_tuple() for m in orbit.members] == [m.as_tuple() for m in members]
+            assert orbit.truncated is truncated
+            truncated_seen |= truncated
+        assert truncated_seen is (max_size < 64)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.lobachevsky import lobachevsky
+from reggescissors.octahedron import tet_volume
+from reggescissors.scissors import decompose, verify_scissors
 from reggescissors.tetra import (
     IDENTITY_RELABEL,
     SWAP_AB_PAIRS,
@@ -166,6 +169,56 @@ class TestClassify:
         assert cls.det < 0
         assert len(cls.vertex_cofactors) == 4
         assert all(c > 0 for c in cls.vertex_cofactors)
+
+
+class TestClassifyOnce:
+    ANGLES = (1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+
+    @pytest.fixture
+    def uncached(self, monkeypatch):
+        """Counts the classifications that are computed, not read back."""
+        from reggescissors import tetra
+
+        calls = []
+        compute = tetra._classify
+        monkeypatch.setattr(tetra, "_classify", lambda t: calls.append(t) or compute(t))
+        return calls
+
+    @pytest.mark.parametrize(
+        "call,count",
+        [
+            # tet_volume and solve_holonomy share the source's class
+            (lambda t: tet_volume(t), 1),
+            (lambda t: decompose(t), 1),
+            # source, R_b image, and the relabeled image it is aligned with
+            (lambda t: verify_scissors(t, "b"), 3),
+        ],
+    )
+    def test_pinned_counts(self, uncached, call, count):
+        call(TetAngles(*self.ANGLES))
+        assert len(uncached) == count
+
+    def test_memo_is_invisible(self, uncached):
+        t, fresh = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
+        before = (hash(t), repr(t))
+        first = classify(t)
+        assert classify(t) is first
+        assert len(uncached) == 1
+        assert (hash(t), repr(t)) == before
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
+        assert dataclasses.replace(t) == t
+
+    def test_replaced_copy_is_classified_afresh(self, uncached):
+        t = TetAngles(*self.ANGLES)
+        classify(t)
+        moved = dataclasses.replace(t, A=PI / 2)
+        assert classify(moved) == classify(TetAngles(PI / 2, *self.ANGLES[1:]))
+        assert uncached[1] is moved
+        same = dataclasses.replace(t)
+        assert classify(same) == classify(t)
+        assert uncached[-1] is same
+        assert len(uncached) == 4
 
 
 class TestEdgeLengths:
