@@ -19,6 +19,7 @@ import numpy as np
 from .exceptions import GeometryDomainError, QuadratureError
 from .octahedron import tet_volume
 from .tetra import (
+    _EDGE_OF,
     TetAngles,
     TetraKind,
     classify,
@@ -40,9 +41,6 @@ __all__ = [
 
 _MINK = np.diag([1.0, 1.0, 1.0, -1.0])
 _ROUND_TRIP_TOL = 1e-8
-
-# edge label -> vertex pair, matching the conventions in tetra.py
-_EDGE_OF = {"A": (0, 1), "B": (0, 2), "C": (0, 3), "Ap": (2, 3), "Bp": (1, 3), "Cp": (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,26 @@ def _gauge_fix(lift: np.ndarray) -> np.ndarray:
     return new
 
 
+def _gram_vertices(G: np.ndarray) -> np.ndarray:
+    """Unnormalized vertex vectors of the tetrahedron with face Gram matrix G.
+
+    G is factored through its (3,1) eigendecomposition into face normals;
+    row k is the Minkowski-orthogonal complement of the three normals other
+    than normal k, signed so that its last coordinate is >= 0.
+    """
+    lam, P = np.linalg.eigh(G)
+    order = [1, 2, 3, 0]  # three positive eigenvalues first, negative last
+    lam, P = lam[order], P[:, order]
+    normals = np.diag(np.sqrt(np.abs(lam))) @ P.T  # columns: normals with N^T M N = G
+    verts = []
+    for k in range(4):
+        others = [i for i in range(4) if i != k]
+        _, _, vt = np.linalg.svd((_MINK @ normals[:, others]).T)
+        v = vt[-1]
+        verts.append(-v if v[3] < 0 else v)
+    return np.array(verts)
+
+
 def klein_vertices(t: TetAngles) -> KleinTetra:
     """Realize a Finite tetrahedron in the Klein ball from its Gram matrix.
 
@@ -130,24 +148,12 @@ def klein_vertices(t: TetAngles) -> KleinTetra:
     cls = classify(t)
     if cls.kind is not TetraKind.FINITE:
         raise GeometryDomainError(f"Klein realization requires a Finite tetrahedron (got {cls.kind.value})")
-    G = gram_matrix(t)
-    lam, P = np.linalg.eigh(G)
-    order = [1, 2, 3, 0]  # three positive eigenvalues first, negative last
-    lam, P = lam[order], P[:, order]
-    normals = np.diag(np.sqrt(np.abs(lam))) @ P.T  # columns: normals with N^T M N = G
     verts = []
-    for k in range(4):
-        others = [i for i in range(4) if i != k]
-        system = (_MINK @ normals[:, others]).T
-        _, _, vt = np.linalg.svd(system)
-        v = vt[-1]
+    for v in _gram_vertices(gram_matrix(t)):
         q = v @ _MINK @ v
         if q >= 0:
             raise GeometryDomainError("vertex is not timelike; realization failed")
-        v = v / math.sqrt(-q)
-        if v[3] < 0:
-            v = -v
-        verts.append(v)
+        verts.append(v / math.sqrt(-q))
     lift = _gauge_fix(np.array(verts))
     klein = lift[:, :3] / lift[:, 3:4]
     kt = KleinTetra(vertices=klein, source=t)
@@ -196,35 +202,84 @@ _RULE_WTS = (np.einsum("i,j,k->ijk", _glw, _glw, _glw) * (1 - _U) ** 2 * (1 - _V
 _RULE_BARY = np.stack(
     [_U.ravel(), (_V * (1 - _U)).ravel(), (_W * (1 - _U) * (1 - _V)).ravel()], axis=1
 )
+_B0, _B1, _B2 = (np.ascontiguousarray(_RULE_BARY[:, k]) for k in range(3))
+
+# red refinement: the 8 children as rows into the 4 vertices followed by the
+# 6 edge midpoints m01, m02, m03, m12, m13, m23
+_MID_I = np.array([0, 0, 0, 1, 1, 2])
+_MID_J = np.array([1, 2, 3, 2, 3, 3])
+_CHILDREN = np.array(
+    [[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],  # corners
+     [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]]  # inner octahedron, cut along m02-m13
+)
 
 
 def _rule_batch(verts: np.ndarray) -> np.ndarray:
     """Fixed-order quadrature of the hyperbolic volume element over a batch
-    of Euclidean tetrahedra, shape (m, 4, 3) -> (m,)."""
+    of Euclidean tetrahedra, shape (m, 4, 3) -> (m,).
+
+    A batch of 8k tetrahedra gives each one the bits of k batches of 8.
+    """
     v0 = verts[:, 0, :]
-    edges = verts[:, 1:, :] - v0[:, None, :]
-    det = np.abs(np.linalg.det(edges))
-    pts = v0[:, None, :] + np.einsum("nk,mkd->mnd", _RULE_BARY, edges)
-    r2 = np.sum(pts**2, axis=2)
+    edges = verts[:, 1:, :, None] - v0[:, None, :, None]
+    det = np.abs(np.linalg.det(edges[..., 0]))
+    # points (m, 3, 64): the products are added as (b0 e0 + b1 e1) + b2 e2,
+    # the order einsum("nk,mkd->mnd") accumulates in, written out because
+    # einsum costs far more than the arithmetic at this size
+    pts = v0[:, :, None] + ((edges[:, 0] * _B0 + edges[:, 1] * _B1) + edges[:, 2] * _B2)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    # (x x + y y) + z z is the order np.sum(pts**2, axis=-1) adds in
+    r2 = (x * x + y * y) + z * z
     vals = 1.0 / (1.0 - r2) ** 2
-    return det * (vals @ _RULE_WTS)
+    # BLAS gets the weights' dot products in blocks of 8 rows, one leaf's
+    # children, because a BLAS may round a row differently in another block
+    # size (with numpy's OpenBLAS a lone row can differ from a row of 8)
+    return det * (vals.reshape(-1, min(len(vals), 8), _RULE_WTS.size) @ _RULE_WTS).ravel()
 
 
 def _split8(v: np.ndarray) -> np.ndarray:
-    """Red refinement of one tetrahedron into eight, fixed interior diagonal."""
-    m = {(i, j): (v[i] + v[j]) / 2 for i in range(4) for j in range(i + 1, 4)}
-    return np.array(
-        [
-            [v[0], m[(0, 1)], m[(0, 2)], m[(0, 3)]],
-            [m[(0, 1)], v[1], m[(1, 2)], m[(1, 3)]],
-            [m[(0, 2)], m[(1, 2)], v[2], m[(2, 3)]],
-            [m[(0, 3)], m[(1, 3)], m[(2, 3)], v[3]],
-            [m[(0, 1)], m[(0, 2)], m[(0, 3)], m[(1, 3)]],
-            [m[(0, 1)], m[(0, 2)], m[(1, 2)], m[(1, 3)]],
-            [m[(0, 2)], m[(0, 3)], m[(1, 3)], m[(2, 3)]],
-            [m[(0, 2)], m[(1, 2)], m[(1, 3)], m[(2, 3)]],
-        ]
-    )
+    """Red refinement of k tetrahedra into eight each, (k, 4, 3) -> (k, 8, 4, 3)."""
+    points = np.concatenate([v, (v[:, _MID_I] + v[:, _MID_J]) / 2], axis=1)
+    return points[:, _CHILDREN]
+
+
+def _sum8(f: np.ndarray) -> np.ndarray:
+    """Row sums of f, shape (k, 8), each equal bit for bit to f[i].sum()."""
+    # numpy's pairwise summation adds 8 terms in exactly this order
+    return ((f[:, 0] + f[:, 1]) + (f[:, 2] + f[:, 3])) + ((f[:, 4] + f[:, 5]) + (f[:, 6] + f[:, 7]))
+
+
+def _refine(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Children (k, 8, 4, 3), their rule values (k, 8) and each tetrahedron's
+    sum over its children (k,)."""
+    children = _split8(tets)
+    fine = _rule_batch(children.reshape(-1, 4, 3)).reshape(-1, 8)
+    return children, fine, _sum8(fine)
+
+
+def _units(x: float) -> int:
+    """A finite float as an exact integer multiple of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _sum_below(exact: int, n: int, half: float, float_sum) -> bool:
+    """Whether float_sum(), a left-to-right float sum of n nonnegative finite
+    terms, is below `half`, given the terms' exact total S in units of 2**-1074.
+
+    Such a float sum lies within (n - 1) 2**-53 S / (1 - (n - 1) 2**-53) of S,
+    which is less than the slack n 2**-52 S + 1 unit.  So the integers decide
+    unless `half` falls within the slack of S, and only then is float_sum()
+    called.
+    """
+    if math.isfinite(half):
+        slack = ((exact * n) >> 52) + 1
+        h = _units(half)
+        if exact + slack < h:
+            return True
+        if exact - slack >= h:
+            return False
+    return float_sum() < half
 
 
 def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -> float:
@@ -234,37 +289,44 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
     the worst leaf is split until the total estimate drops below tol/2.
     Raises QuadratureError (with the achieved estimate) when the refinement
     budget runs out first.
+
+    A popped leaf's eight children are refined in one batch, and the total
+    error is kept exactly, but the leaves, their order and every bit of the
+    result are those of refining one child at a time and summing the heap's
+    errors in heap order at each step.
     """
     if not tol > 0:
         raise GeometryDomainError("tol must be positive")
     verts = np.asarray(kt.vertices, dtype=float)
-    if np.any(np.linalg.norm(verts, axis=1) >= 1.0 - 1e-12):
+    if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
         raise GeometryDomainError("vertices must lie strictly inside the unit ball")
     heap: list = []
     counter = 0
+    exact = 0  # total leaf error in units of 2**-1074
 
-    def push(tet: np.ndarray, coarse: float):
-        nonlocal counter
-        children = _split8(tet)
-        fine = _rule_batch(children)
-        err = abs(coarse - float(fine.sum()))
-        heapq.heappush(heap, (-err, counter, children, fine))
-        counter += 1
+    def heap_err() -> float:
+        return sum(-item[0] for item in heap)
 
-    push(verts, float(_rule_batch(verts[None])[0]))
-    while True:
-        total_err = sum(-item[0] for item in heap)
-        if total_err < tol / 2:
-            break
+    children, fine, sums = _refine(verts[None])
+    err = abs(float(_rule_batch(verts[None])[0]) - float(sums[0]))
+    heapq.heappush(heap, (-err, counter, children[0], fine[0]))
+    counter += 1
+    exact += _units(err)
+    while not _sum_below(exact, len(heap), tol / 2, heap_err):
         if counter >= max_refine:
+            total_err = heap_err()
             raise QuadratureError(
                 f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
                 achieved=total_err,
             )
-        _, _, children, fine = heapq.heappop(heap)
-        for j in range(8):
-            push(children[j], float(fine[j]))
-    return float(sum(float(item[3].sum()) for item in heap))
+        neg_err, _, children, fine = heapq.heappop(heap)
+        exact -= _units(-neg_err)
+        grand, grand_fine, sums = _refine(children)
+        for j, err in enumerate(np.abs(fine - sums).tolist()):
+            heapq.heappush(heap, (-err, counter, grand[j], grand_fine[j]))
+            counter += 1
+            exact += _units(err)
+    return float(sum(_sum8(np.array([item[3] for item in heap])).tolist()))
 
 
 # --- Schlafli differential check --------------------------------------------
@@ -363,19 +425,8 @@ def three_quarter_volume_numeric(A: float, B: float, C: float) -> float:
         raise GeometryDomainError("3/4-ideal tetrahedron requires A + B + C > pi")
     p = prime_angles(A, B, C)
     t = TetAngles(A, B, C, p.Aprime, p.Bprime, p.Cprime)
-    G = gram_matrix(t)
-    lam, P = np.linalg.eigh(G)
-    order = [1, 2, 3, 0]
-    lam, P = lam[order], P[:, order]
-    normals = np.diag(np.sqrt(np.abs(lam))) @ P.T
     verts = []
-    for k in range(4):
-        others = [i for i in range(4) if i != k]
-        system = (_MINK @ normals[:, others]).T
-        _, _, vt = np.linalg.svd(system)
-        v = vt[-1]
-        if v[3] < 0:
-            v = -v
+    for k, v in enumerate(_gram_vertices(gram_matrix(t))):
         q = v @ _MINK @ v
         if k == 0:
             if q >= -1e-12:

@@ -1,8 +1,10 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from reggescissors import klein
 from reggescissors.exceptions import GeometryDomainError, QuadratureError
 from reggescissors.klein import (
     KleinTetra,
@@ -16,7 +18,7 @@ from reggescissors.klein import (
 )
 from reggescissors.octahedron import tet_volume
 from reggescissors.scissors import regge
-from reggescissors.tetra import TetAngles, edge_lengths, three_quarter_volume
+from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, three_quarter_volume
 
 PI = math.pi
 
@@ -98,10 +100,207 @@ class TestVolumeNumeric:
         with pytest.raises(GeometryDomainError):
             volume_numeric(KleinTetra(verts), 1e-6)
 
+    def test_rejects_nan_vertex(self):
+        verts = np.array([[0.0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, math.nan]])
+        with pytest.raises(GeometryDomainError):
+            volume_numeric(KleinTetra(verts), 1e-6)
+
     def test_non_lorentz_matrix_rejected(self, generic):
         kt = klein_vertices(generic)
         with pytest.raises(GeometryDomainError):
             apply_isometry(kt, np.eye(4) * 2)
+
+
+# --- one-leaf-at-a-time reference quadrature --------------------------------
+# The adaptive quadrature as it was before children were refined in batches:
+# one _split8 and one 8-tetrahedron rule per pushed leaf, and the stopping
+# total re-added over the whole heap at every step.  The batched code must
+# reproduce it bit for bit.
+
+
+def _ref_rule_batch(verts):
+    v0 = verts[:, 0, :]
+    edges = verts[:, 1:, :] - v0[:, None, :]
+    det = np.abs(np.linalg.det(edges))
+    pts = v0[:, None, :] + np.einsum("nk,mkd->mnd", klein._RULE_BARY, edges)
+    r2 = np.sum(pts**2, axis=2)
+    vals = 1.0 / (1.0 - r2) ** 2
+    return det * (vals @ klein._RULE_WTS)
+
+
+def _ref_split8(v):
+    m = {(i, j): (v[i] + v[j]) / 2 for i in range(4) for j in range(i + 1, 4)}
+    return np.array(
+        [
+            [v[0], m[(0, 1)], m[(0, 2)], m[(0, 3)]],
+            [m[(0, 1)], v[1], m[(1, 2)], m[(1, 3)]],
+            [m[(0, 2)], m[(1, 2)], v[2], m[(2, 3)]],
+            [m[(0, 3)], m[(1, 3)], m[(2, 3)], v[3]],
+            [m[(0, 1)], m[(0, 2)], m[(0, 3)], m[(1, 3)]],
+            [m[(0, 1)], m[(0, 2)], m[(1, 2)], m[(1, 3)]],
+            [m[(0, 2)], m[(0, 3)], m[(1, 3)], m[(2, 3)]],
+            [m[(0, 2)], m[(1, 2)], m[(1, 3)], m[(2, 3)]],
+        ]
+    )
+
+
+def _ref_volume_numeric(kt, tol=1e-6, max_refine=60000):
+    verts = np.asarray(kt.vertices, dtype=float)
+    heap = []
+    counter = 0
+
+    def push(tet, coarse):
+        nonlocal counter
+        children = _ref_split8(tet)
+        fine = _ref_rule_batch(children)
+        err = abs(coarse - float(fine.sum()))
+        heapq.heappush(heap, (-err, counter, children, fine))
+        counter += 1
+
+    push(verts, float(_ref_rule_batch(verts[None])[0]))
+    while True:
+        total_err = sum(-item[0] for item in heap)
+        if total_err < tol / 2:
+            break
+        if counter >= max_refine:
+            raise QuadratureError(
+                f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
+                achieved=total_err,
+            )
+        _, _, children, fine = heapq.heappop(heap)
+        for j in range(8):
+            push(children[j], float(fine[j]))
+    return float(sum(float(item[3].sum()) for item in heap))
+
+
+def _outcome(fn, kt, tol, max_refine=60000):
+    """float.hex of the volume, or the QuadratureError text and achieved."""
+    try:
+        return ("volume", fn(kt, tol, max_refine).hex())
+    except QuadratureError as exc:
+        return ("error", str(exc), exc.achieved.hex())
+
+
+def _klein_uniform(n, rmax=0.9, seed=20260):
+    """n Finite tetrahedra with vertices uniform in the Klein ball of radius
+    rmax, as their gauge-fixed realizations."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        direction = rng.normal(size=(4, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        verts = direction * rmax * rng.uniform(size=(4, 1)) ** (1 / 3)
+        t = dihedral_angles(KleinTetra(verts))
+        if classify(t).kind is TetraKind.FINITE:
+            out.append(klein_vertices(t))
+    return out
+
+
+class TestBatchedQuadratureMatchesReference:
+    @pytest.fixture(scope="class")
+    def uniform(self):
+        return _klein_uniform(60)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-7])
+    def test_klein_uniform(self, uniform, tol):
+        for kt in uniform:
+            assert _outcome(volume_numeric, kt, tol) == _outcome(_ref_volume_numeric, kt, tol)
+
+    def test_fixtures(self, finite_batch, generic, equiangular):
+        kts = [klein_vertices(t) for t in [generic, equiangular, *finite_batch[:5]]]
+        kts.append(apply_isometry(kts[0], lorentz_boost(0.3, axis=0)))
+        kts.append(KleinTetra(1e-3 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])))
+        for kt in kts:
+            for tol in (1e-6, 1e-7):
+                assert _outcome(volume_numeric, kt, tol) == _outcome(_ref_volume_numeric, kt, tol)
+        tiny = kts[-1]
+        assert _outcome(volume_numeric, tiny, 1e-15) == _outcome(_ref_volume_numeric, tiny, 1e-15)
+
+    @pytest.mark.parametrize("max_refine", [8, 40])
+    def test_budget_exhaustion(self, uniform, generic, max_refine):
+        for kt in [klein_vertices(generic), *uniform[:10]]:
+            new = _outcome(volume_numeric, kt, 1e-14, max_refine)
+            assert new[0] == "error"
+            assert new == _outcome(_ref_volume_numeric, kt, 1e-14, max_refine)
+
+    def test_rule_bits_do_not_depend_on_batch_size(self):
+        rng = np.random.default_rng(7)
+        verts = rng.uniform(-0.55, 0.55, size=(64, 4, 3))
+        whole = klein._rule_batch(verts)
+        assert np.array_equal(whole, np.concatenate([_ref_rule_batch(verts[i : i + 8]) for i in range(0, 64, 8)]))
+        assert np.array_equal(klein._rule_batch(verts[:1]), _ref_rule_batch(verts[:1]))
+
+    def test_split8_matches_reference(self):
+        rng = np.random.default_rng(8)
+        verts = rng.uniform(-0.55, 0.55, size=(5, 4, 3))
+        batched = klein._split8(verts)
+        for k in range(5):
+            assert np.array_equal(batched[k], _ref_split8(verts[k]))
+
+    def test_sum8_is_numpy_sum(self):
+        rng = np.random.default_rng(9)
+        f = rng.lognormal(-12, 4, size=(500, 8))
+        assert [x.hex() for x in klein._sum8(f).tolist()] == [float(row.sum()).hex() for row in f]
+
+
+class TestStoppingDecision:
+    """_sum_below(exact total, n, half, float_sum) must equal float_sum() < half,
+    where float_sum is Python's sum in list order."""
+
+    @staticmethod
+    def _halves(errs):
+        fl = sum(errs)
+        exact = math.fsum(errs)
+        out = {0.0, math.inf, fl, exact, float(np.nextafter(fl, 0)), float(np.nextafter(fl, math.inf))}
+        lo, hi = sorted((fl, exact))
+        out.update(float(x) for x in np.linspace(lo, hi, 33))
+        for x in (lo, hi):
+            for _ in range(3):
+                x = float(np.nextafter(x, math.inf))
+                out.add(x)
+        for x in (lo, hi):
+            for _ in range(3):
+                x = float(np.nextafter(x, 0))
+                out.add(x)
+        return sorted(out)
+
+    def _check(self, errs):
+        exact = sum(klein._units(e) for e in errs)
+        for half in self._halves(errs):
+            got = klein._sum_below(exact, len(errs), half, lambda: sum(errs))
+            assert got == (sum(errs) < half), (half, sum(errs), math.fsum(errs))
+
+    def test_units_exact(self):
+        for x in (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.5, 1e300):
+            num, den = x.as_integer_ratio()
+            assert klein._units(x) * den == num * 2**1074
+
+    def test_one_large_many_tiny(self):
+        self._check([1.0] + [2.0**-54] * 1000)
+        self._check([1.0] + [2.0**-53 * (1 - 2.0**-50)] * 500)
+        self._check([2.0**-54] * 1000 + [1.0])
+        self._check([3e-7] + [1e-23] * 4000 + [2e-7])
+
+    def test_sums_rounding_across_half(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            errs = (rng.uniform(0.5, 1.0, size=rng.integers(2, 300)) * 2.0 ** rng.integers(-60, 0)).tolist()
+            self._check(errs)
+        self._check([0.1] * 10)
+        self._check([1e-7 / 3] * 3)
+
+    def test_zeros_and_subnormals(self):
+        self._check([0.0])
+        self._check([0.0] * 17)
+        self._check([5e-324] * 1000 + [0.0] * 10)
+        self._check([2.2250738585072014e-308, 5e-324, 0.0, 1e-310] * 50)
+        self._check([1e-300, 5e-324] * 100)
+
+    def test_hundred_thousand_terms(self):
+        rng = np.random.default_rng(12)
+        self._check(rng.exponential(1e-9, size=100_000).tolist())
+        self._check((rng.lognormal(-25, 6, size=100_000)).tolist())
+        self._check([1.0] + [2.0**-53 * (1 - 2.0**-50)] * 99_999)
 
 
 class TestSchlafli:
