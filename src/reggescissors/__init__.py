@@ -43,7 +43,6 @@ from .scissors import (
     Decomposition,
     HalfDecomposition,
     LPiece,
-    ReggeTransform,
     ScissorsReport,
     decompose,
     halve,

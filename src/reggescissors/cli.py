@@ -101,18 +101,17 @@ def cmd_volume(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
     _require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
     roots = solve_holonomy(t)
-    v = tet_volume(t, roots=roots)
     payload = {
         "command": "volume",
         "angles": _angles_payload(t),
         "classification": classify(t).kind.value,
-        "volume": v,
+        "volume": roots.volume_minus,
         "holonomy": {
             "Z_minus": roots.Z_minus,
             "Z_plus": roots.Z_plus,
             "unit_defect": roots.unit_defect,
             "discriminant": [roots.discriminant.real, roots.discriminant.imag],
-            "volume_plus_root": tet_volume(t, "plus", roots=roots),
+            "volume_plus_root": roots.volume_plus,
         },
     }
     _emit(payload, args)

@@ -118,8 +118,10 @@ class BarSolution:
     DA: float
     AD: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, s) for s in SLOT_ORDER])
+    def slots(self, Z: float) -> tuple[float, ...]:
+        """The eight slot angles at offset Z, in SLOT_ORDER: bar + Z on the
+        PLUS_SLOTS, bar - Z on the others."""
+        return tuple(getattr(self, s) + (Z if s in PLUS_SLOTS else -Z) for s in SLOT_ORDER)
 
     def plus(self):
         return (self.AB, self.BC, self.CD, self.DA)
@@ -130,19 +132,22 @@ class BarSolution:
 
 @dataclass(frozen=True)
 class HolonomyRoots:
-    """Both roots of the holonomy quadratic with semantic labels.
+    """The solved angle system of one tetrahedron: the bar solution and both
+    roots of the holonomy quadratic with semantic labels.
 
     z_minus is the root whose assembled tetrahedron volume is positive;
     z_plus gives the negative of the volume.  Z_minus / Z_plus are the
-    half-arguments (the additive angle offsets), fixed mod pi.
+    half-arguments (the additive angle offsets), fixed mod pi, and
+    volume_minus / volume_plus the assembled volumes at each offset.
     """
 
+    bars: BarSolution
     z_minus: complex
     z_plus: complex
     Z_minus: float
     Z_plus: float
-    alphas: tuple[complex, complex, complex, complex]
-    betas: tuple[complex, complex, complex, complex]
+    volume_minus: float
+    volume_plus: float
     quad_coeffs: tuple[complex, complex, complex]  # (w^2, w^1, w^0)
     discriminant: complex
     unit_defect: float
@@ -201,12 +206,6 @@ def bar_solution(t: TetAngles) -> BarSolution:
     )
 
 
-def _alphas_betas(bars: BarSolution):
-    alphas = tuple(cmath.exp(1j * x) for x in bars.plus())
-    betas = tuple(cmath.exp(1j * x) for x in bars.minus())
-    return alphas, betas
-
-
 def _elementary(vals, k):
     total = 0j
     n = len(vals)
@@ -223,7 +222,8 @@ def holonomy_polynomial(bars: BarSolution) -> np.ndarray:
     w = z^2.  The w^4 and w^0 coefficients vanish identically because the
     plus bars sum to 0 and the minus bars to 2*pi, leaving a quadratic.
     """
-    alphas, betas = _alphas_betas(bars)
+    alphas = [cmath.exp(1j * x) for x in bars.plus()]
+    betas = [cmath.exp(1j * x) for x in bars.minus()]
     a2 = [a * a for a in alphas]
     b2 = [b * b for b in betas]
     pa = alphas[0] * alphas[1] * alphas[2] * alphas[3]
@@ -267,12 +267,12 @@ def volume_remainder(t: TetAngles) -> float:
 def _slot_sum(bars: BarSolution, Z: float) -> float:
     """Sum of the eight Lobachevsky slot terms at angle offset Z."""
     total = 0.0
-    for s in SLOT_ORDER:
-        total += lobachevsky(getattr(bars, s) + (Z if s in PLUS_SLOTS else -Z))
+    for x in bars.slots(Z):
+        total += lobachevsky(x)
     return total
 
 
-def solve_holonomy(t: TetAngles, bars: BarSolution | None = None) -> HolonomyRoots:
+def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     """Solve the holonomy quadratic and label the roots semantically.
 
     Accepts Finite and Ideal tetrahedra; Hyperideal input is solved as well
@@ -280,12 +280,22 @@ def solve_holonomy(t: TetAngles, bars: BarSolution | None = None) -> HolonomyRoo
     Invalid input raises GeometryDomainError.  Roots off the unit circle
     beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic or a
     failed sign test raises DegenerateSystemError with diagnostics.
+
+    A frozen TetAngles keeps its roots, solved on the first call, outside
+    its dataclass fields, as it keeps its class (see classify).  A raised
+    error is not kept: the next call solves again and raises again.
     """
+    cached = t.__dict__.get("_holonomy_roots")
+    if cached is None:
+        cached = _solve_holonomy(t, bar_solution(t))
+        object.__setattr__(t, "_holonomy_roots", cached)
+    return cached
+
+
+def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:
     kind = classify(t).kind
     if kind is TetraKind.INVALID:
         raise GeometryDomainError("holonomy system requires a valid hyperbolic tetrahedron")
-    if bars is None:
-        bars = bar_solution(t)
     poly = holonomy_polynomial(bars)
     q2, q1, q0 = poly[1], poly[2], poly[3]
     scale = max(abs(q2), abs(q1), abs(q0))
@@ -316,14 +326,14 @@ def solve_holonomy(t: TetAngles, bars: BarSolution | None = None) -> HolonomyRoo
             {"volume_candidates": tuple(vols), "class": kind.value},
         )
     ip = 1 - im
-    alphas, betas = _alphas_betas(bars)
     return HolonomyRoots(
+        bars=bars,
         z_minus=cmath.exp(1j * Zs[im]),
         z_plus=cmath.exp(1j * Zs[ip]),
         Z_minus=Zs[im],
         Z_plus=Zs[ip],
-        alphas=alphas,
-        betas=betas,
+        volume_minus=vols[im],
+        volume_plus=vols[ip],
         quad_coeffs=(q2, q1, q0),
         discriminant=disc,
         unit_defect=defect,
@@ -331,9 +341,7 @@ def solve_holonomy(t: TetAngles, bars: BarSolution | None = None) -> HolonomyRoo
     )
 
 
-def octahedron_angles(t: TetAngles, which: OctSide = OctSide.O,
-                      bars: BarSolution | None = None,
-                      roots: HolonomyRoots | None = None) -> OctAngles:
+def octahedron_angles(t: TetAngles, which: OctSide = OctSide.O) -> OctAngles:
     """Slot angles of the octahedron (which = O) or its dual.
 
     The dual octahedron has supplementary dihedral angles; its slot seed is
@@ -341,16 +349,12 @@ def octahedron_angles(t: TetAngles, which: OctSide = OctSide.O,
     other root (the dual quadratic is the reciprocal of the original, so its
     geometric root is the inverse of z_plus, i.e. the offset is -Z_plus).
     """
-    if bars is None:
-        bars = bar_solution(t)
-    if roots is None:
-        roots = solve_holonomy(t, bars)
-    vals = {}
+    roots = solve_holonomy(t)
+    bars = roots.bars
     if which is OctSide.O:
-        Z = roots.Z_minus
-        for s in SLOT_ORDER:
-            vals[s] = wrap_angle(getattr(bars, s) + (Z if s in PLUS_SLOTS else -Z))
+        vals = {s: wrap_angle(x) for s, x in zip(SLOT_ORDER, bars.slots(roots.Z_minus))}
     else:
+        vals = {}
         Zp = roots.Z_plus
         for s in SLOT_ORDER:
             if s in PLUS_SLOTS:
@@ -428,17 +432,15 @@ def octahedron_volume(oct_angles: OctAngles, base: BaseAngles) -> float:
     return float(total)
 
 
-def u_volume(t: TetAngles, roots: HolonomyRoots | None = None) -> float:
+def u_volume(t: TetAngles) -> float:
     """Volume of the fully extended polyhedron (all edges pushed to infinity).
 
     Octahedron slot terms plus the Lobachevsky terms of the six original
     angles and the eight prism/tetra correction terms, exactly as the
     construction regroups them.
     """
-    if roots is None:
-        roots = solve_holonomy(t)
+    roots = solve_holonomy(t)
     A, B, C, Ap, Bp, Cp = t.as_tuple()
-    bars = bar_solution(t)
     extra = (
         (+1, (_PI - A - Bp - Cp) / 2),
         (+1, (_PI + Ap - B - Cp) / 2),
@@ -449,16 +451,16 @@ def u_volume(t: TetAngles, roots: HolonomyRoots | None = None) -> float:
         (+1, (_PI + Bp - Ap - C) / 2),
         (-1, (_PI + Ap + Bp + C) / 2),
     )
-    total = _slot_sum(bars, roots.Z_minus)
+    total = _slot_sum(roots.bars, roots.Z_minus)
     total += sum(lobachevsky(x) for x in (A, Ap, B, Bp, C, Cp))
     total += sum(s * lobachevsky(x) for s, x in extra)
     return float(total)
 
 
-def tet_volume(t: TetAngles, root: str = "minus",
-               roots: HolonomyRoots | None = None) -> float:
+def tet_volume(t: TetAngles, root: str = "minus") -> float:
     """Hyperbolic volume of the tetrahedron (root="minus"), or its negative
-    (root="plus", the dual-route identity)."""
+    (root="plus", the dual-route identity): the volume that solve_holonomy
+    assembled to label the roots."""
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
     kind = classify(t).kind
@@ -466,8 +468,5 @@ def tet_volume(t: TetAngles, root: str = "minus",
         raise GeometryDomainError(
             f"volume formula applies to Finite (or Ideal-limit) tetrahedra, got {kind.value}"
         )
-    bars = bar_solution(t)
-    if roots is None:
-        roots = solve_holonomy(t, bars)
-    Z = roots.Z_minus if root == "minus" else roots.Z_plus
-    return _slot_sum(bars, Z) + volume_remainder(t)
+    roots = solve_holonomy(t)
+    return roots.volume_minus if root == "minus" else roots.volume_plus

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import lobachevsky
-from .octahedron import SLOT_ORDER, PLUS_SLOTS, bar_solution, solve_holonomy, tet_volume
+from .octahedron import SLOT_ORDER, solve_holonomy, tet_volume
 from .tetra import (
     SWAP_AB_PAIRS,
     SWAP_BC_PAIRS,
@@ -45,7 +45,6 @@ __all__ = [
     "LPiece",
     "OrbitResult",
     "REGGE_B_IMAGE_RELABEL",
-    "ReggeTransform",
     "ScissorsReport",
     "canonical_angle",
     "decompose",
@@ -94,23 +93,6 @@ def regge(t: TetAngles, which: str) -> TetAngles:
     if which == "b":
         return TetAngles(s - t.A, t.B, s - t.C, s - t.Ap, t.Bp, s - t.Cp)
     return TetAngles(s - t.A, s - t.B, t.C, s - t.Ap, s - t.Bp, t.Cp)
-
-
-@dataclass(frozen=True)
-class ReggeTransform:
-    """One of the three generating transforms, as a value object."""
-
-    which: str
-
-    def __post_init__(self):
-        if self.which not in ("a", "b", "c"):
-            raise GeometryDomainError(f"transform must be 'a', 'b' or 'c', got {self.which!r}")
-
-    def s(self, t: TetAngles) -> float:
-        return s_value(t, self.which)
-
-    def apply(self, t: TetAngles) -> TetAngles:
-        return regge(t, self.which)
 
 
 def canonical_angle(x: float) -> float:
@@ -215,17 +197,11 @@ def decompose(t: TetAngles) -> Decomposition:
     kind = classify(t).kind
     if kind not in (TetraKind.FINITE, TetraKind.IDEAL):
         raise GeometryDomainError(f"decompose requires a Finite or Ideal tetrahedron, got {kind.value}")
-    bars = bar_solution(t)
-    roots = solve_holonomy(t, bars)
-    pieces = []
-    for slot in SLOT_ORDER:
-        sign = 1.0 if slot in PLUS_SLOTS else -1.0
-        raw = getattr(bars, slot) + sign * roots.Z_minus
-        pieces.append(LPiece(O_SIDE, slot, raw, canonical_angle(raw)))
-    for slot in SLOT_ORDER:
-        sign = 1.0 if slot in PLUS_SLOTS else -1.0
-        raw = -(getattr(bars, slot) + sign * roots.Z_plus)
-        pieces.append(LPiece(DUAL_SIDE, slot, raw, canonical_angle(raw)))
+    roots = solve_holonomy(t)
+    pieces = [LPiece(O_SIDE, slot, raw, canonical_angle(raw))
+              for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_minus))]
+    pieces += [LPiece(DUAL_SIDE, slot, -raw, canonical_angle(-raw))
+               for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_plus))]
     return Decomposition(tuple(pieces), t, kind)
 
 

@@ -18,7 +18,6 @@ from .lobachevsky import LOBACHEVSKY_MAX_ARG, lobachevsky, lobachevsky_quadratur
 from .octahedron import (
     OctSide,
     base_angles,
-    bar_solution,
     holonomy_polynomial,
     holonomy_residual,
     linear_residuals,
@@ -180,15 +179,14 @@ def criterion_3(config: SuiteConfig) -> CriterionResult:
     batch = _tetra_batch(config, 3, config.count)
     w_lin = w_hol = w_unit = w_ends = 0.0
     for t in batch:
-        bars = bar_solution(t)
         base = base_angles(t)
-        roots = solve_holonomy(t, bars)
+        roots = solve_holonomy(t)
         for side in (OctSide.O, OctSide.DUAL):
-            oa = octahedron_angles(t, side, bars=bars, roots=roots)
+            oa = octahedron_angles(t, side)
             w_lin = max(w_lin, float(np.max(linear_residuals(oa, base))))
             w_hol = max(w_hol, holonomy_residual(oa))
         w_unit = max(w_unit, roots.unit_defect)
-        poly = holonomy_polynomial(bars)
+        poly = holonomy_polynomial(roots.bars)
         w_ends = max(w_ends, abs(poly[0]), abs(poly[4]))
     checks = (
         Check("max linear-constraint residual", w_lin, 1e-10),
@@ -205,13 +203,11 @@ def criterion_4(config: SuiteConfig) -> CriterionResult:
     batch = _tetra_batch(config, 4, config.count)
     w_routes = w_negation = 0.0
     for t in batch:
-        bars = bar_solution(t)
         base = base_angles(t)
-        roots = solve_holonomy(t, bars)
-        v = tet_volume(t, roots=roots)
+        v = tet_volume(t)
         per_octa = 0.5 * (
-            octahedron_volume(octahedron_angles(t, OctSide.O, bars=bars, roots=roots), base)
-            + octahedron_volume(octahedron_angles(t, OctSide.DUAL, bars=bars, roots=roots), base)
+            octahedron_volume(octahedron_angles(t, OctSide.O), base)
+            + octahedron_volume(octahedron_angles(t, OctSide.DUAL), base)
         )
         clean = 0.5 * decompose(t).total_volume()
         prisms = [
@@ -220,10 +216,10 @@ def criterion_4(config: SuiteConfig) -> CriterionResult:
             prism_volume(t.Ap, t.B, t.Cp),
             prism_volume(t.Ap, t.Bp, t.C),
         ]
-        via_u = u_volume(t, roots=roots) - 0.5 * sum(prisms)
+        via_u = u_volume(t) - 0.5 * sum(prisms)
         routes = [v, per_octa, clean, via_u]
         w_routes = max(w_routes, max(routes) - min(routes))
-        w_negation = max(w_negation, abs(tet_volume(t, "plus", roots=roots) + v))
+        w_negation = max(w_negation, abs(tet_volume(t, "plus") + v))
     checks = (
         Check("max pairwise route disagreement", w_routes, 1e-9),
         Check("max |V(plus root) + V|", w_negation, 1e-9),

@@ -37,7 +37,6 @@ from .lobachevsky import lobachevsky
 __all__ = [
     "IDENTITY_RELABEL",
     "SWAP_AB_PAIRS",
-    "SWAP_AC_PAIRS",
     "SWAP_BC_PAIRS",
     "GramMatrix",
     "IdealTetAngles",
@@ -296,8 +295,6 @@ IDENTITY_RELABEL = (0, 1, 2, 3)
 SWAP_AB_PAIRS = (0, 2, 1, 3)
 #: Exchanges the roles of the (B, B') and (C, C') edge pairs.
 SWAP_BC_PAIRS = (0, 1, 3, 2)
-#: Exchanges the roles of the (A, A') and (C, C') edge pairs.
-SWAP_AC_PAIRS = (0, 3, 2, 1)
 
 
 def tetra_symmetries() -> list[tuple[int, int, int, int]]:

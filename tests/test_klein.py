@@ -16,8 +16,16 @@ from reggescissors.klein import (
     three_quarter_volume_numeric,
     volume_numeric,
 )
-from reggescissors.octahedron import tet_volume
-from reggescissors.scissors import regge
+from reggescissors.lobachevsky import lobachevsky
+from reggescissors.octahedron import (
+    PLUS_SLOTS,
+    SLOT_ORDER,
+    bar_solution,
+    solve_holonomy,
+    tet_volume,
+    volume_remainder,
+)
+from reggescissors.scissors import decompose, regge
 from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, three_quarter_volume
 
 PI = math.pi
@@ -181,9 +189,9 @@ def _outcome(fn, kt, tol, max_refine=60000):
         return ("error", str(exc), exc.achieved.hex())
 
 
-def _klein_uniform(n, rmax=0.9, seed=20260):
+def _klein_uniform_angles(n, rmax=0.9, seed=20260):
     """n Finite tetrahedra with vertices uniform in the Klein ball of radius
-    rmax, as their gauge-fixed realizations."""
+    rmax."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -192,8 +200,13 @@ def _klein_uniform(n, rmax=0.9, seed=20260):
         verts = direction * rmax * rng.uniform(size=(4, 1)) ** (1 / 3)
         t = dihedral_angles(KleinTetra(verts))
         if classify(t).kind is TetraKind.FINITE:
-            out.append(klein_vertices(t))
+            out.append(t)
     return out
+
+
+def _klein_uniform(n, rmax=0.9, seed=20260):
+    """The same tetrahedra as their gauge-fixed realizations."""
+    return [klein_vertices(t) for t in _klein_uniform_angles(n, rmax, seed)]
 
 
 class TestBatchedQuadratureMatchesReference:
@@ -241,6 +254,38 @@ class TestBatchedQuadratureMatchesReference:
         rng = np.random.default_rng(9)
         f = rng.lognormal(-12, 4, size=(500, 8))
         assert [x.hex() for x in klein._sum8(f).tolist()] == [float(row.sum()).hex() for row in f]
+
+
+def _ref_slot_sum(bars, Z):
+    """Reference slot sum: the eight terms bar +- Z added in SLOT_ORDER,
+    written out without BarSolution.slots."""
+    total = 0.0
+    for s in SLOT_ORDER:
+        total += lobachevsky(getattr(bars, s) + (Z if s in PLUS_SLOTS else -Z))
+    return total
+
+
+class TestSolvedRecordMatchesReference:
+    """tet_volume and the decompose raw angles, read from the record that
+    solve_holonomy keeps, against the expressions that computed them afresh."""
+
+    def check(self, t):
+        bars = bar_solution(t)
+        roots = solve_holonomy(t)
+        for root, Z in (("minus", roots.Z_minus), ("plus", roots.Z_plus)):
+            assert tet_volume(t, root).hex() == (_ref_slot_sum(bars, Z) + volume_remainder(t)).hex()
+        signs = [1.0 if s in PLUS_SLOTS else -1.0 for s in SLOT_ORDER]
+        raw = [getattr(bars, s) + k * roots.Z_minus for s, k in zip(SLOT_ORDER, signs)]
+        raw += [-(getattr(bars, s) + k * roots.Z_plus) for s, k in zip(SLOT_ORDER, signs)]
+        assert [p.raw_angle.hex() for p in decompose(t).pieces] == [x.hex() for x in raw]
+
+    def test_finite_batch(self, finite_batch):
+        for t in finite_batch:
+            self.check(t)
+
+    def test_klein_uniform(self):
+        for t in _klein_uniform_angles(50, rmax=0.998):
+            self.check(t)
 
 
 class TestStoppingDecision:

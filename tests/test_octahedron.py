@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reggescissors.exceptions import GeometryDomainError, NonUnitRootError
+from reggescissors import octahedron, scissors
+from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import (
     PLUS_SLOTS,
@@ -25,7 +26,9 @@ from reggescissors.octahedron import (
     tet_volume,
     u_volume,
     wrap_angle,
+    _solve_holonomy,
 )
+from reggescissors.scissors import decompose, regge_orbit, verify_scissors
 from reggescissors.tetra import TetAngles, prism_volume
 
 PI = math.pi
@@ -129,13 +132,13 @@ class TestHolonomy:
         from reggescissors.scissors import canonical_angle
 
         bars = bar_solution(generic)
-        a1 = octahedron_angles(generic, bars=bars).as_array()
+        a1 = octahedron_angles(generic).as_array()
         c1 = np.array([canonical_angle(x) for x in a1])
         for delta in (-0.4, 0.17, 0.9):
             shifted = replace(bars, **{s: getattr(bars, s) + (delta if s in PLUS_SLOTS else -delta)
                                        for s in SLOT_ORDER})
-            a2 = octahedron_angles(generic, bars=shifted).as_array()
-            c2 = np.array([canonical_angle(x) for x in a2])
+            roots = _solve_holonomy(generic, shifted)
+            c2 = np.array([canonical_angle(x) for x in shifted.slots(roots.Z_minus)])
             assert np.max(np.abs(c1 - c2)) < 1e-10
 
     def test_invalid_input_rejected(self):
@@ -254,3 +257,75 @@ class TestVolumes:
         v = tet_volume(generic)
         for sigma in tetra_symmetries():
             assert tet_volume(relabel(generic, sigma)) == pytest.approx(v, abs=1e-9)
+
+
+class TestSolveOnce:
+    ANGLES = (1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+
+    @pytest.fixture
+    def uncached(self, monkeypatch):
+        """Counts the holonomy solves that are computed, not read back."""
+        calls = []
+        compute = octahedron._solve_holonomy
+        monkeypatch.setattr(octahedron, "_solve_holonomy",
+                            lambda t, bars: calls.append(t) or compute(t, bars))
+        return calls
+
+    def test_every_reader_shares_one_solve(self, uncached):
+        t = TetAngles(*self.ANGLES)
+        tet_volume(t)
+        tet_volume(t, "plus")
+        decompose(t)
+        u_volume(t)
+        octahedron_angles(t, OctSide.O)
+        octahedron_angles(t, OctSide.DUAL)
+        assert uncached == [t]
+
+    def test_verify_scissors_solves_three(self, uncached):
+        # source, R_b image, and the relabeled image it is aligned with
+        verify_scissors(TetAngles(*self.ANGLES), "b")
+        assert len(uncached) == 3
+
+    @pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError])
+    def test_raised_error_is_not_kept(self, monkeypatch, error):
+        calls = []
+        compute = octahedron._solve_holonomy
+
+        def fail_once(t, bars):
+            calls.append(t)
+            if len(calls) == 1:
+                raise error("injected")
+            return compute(t, bars)
+
+        monkeypatch.setattr(octahedron, "_solve_holonomy", fail_once)
+        t = TetAngles(*self.ANGLES)
+        with pytest.raises(error):
+            solve_holonomy(t)
+        roots = solve_holonomy(t)
+        assert solve_holonomy(t) is roots
+        assert len(calls) == 2 and calls[1] is t
+
+
+class TestLobachevskyEvaluations:
+    """Evaluations per call on a fresh instance: one solve is 8 + 8 slot terms
+    and the 16-term remainder."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        for module in (octahedron, scissors):
+            monkeypatch.setattr(module, "lobachevsky", lambda x: calls.append(x) or lobachevsky(x))
+        return calls
+
+    def test_tet_volume(self, generic, evaluations):
+        tet_volume(TetAngles(*generic.as_tuple()))
+        assert len(evaluations) == 32
+
+    def test_verify_scissors_b(self, generic, evaluations):
+        verify_scissors(TetAngles(*generic.as_tuple()), "b")
+        assert len(evaluations) <= 96
+
+    def test_regge_orbit(self, generic, evaluations):
+        orbit = regge_orbit(TetAngles(*generic.as_tuple()))
+        assert len(orbit.members) == 6
+        assert len(evaluations) == 192

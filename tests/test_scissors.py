@@ -12,7 +12,6 @@ from reggescissors.scissors import (
     DUAL_SIDE,
     O_SIDE,
     REGGE_B_IMAGE_RELABEL,
-    ReggeTransform,
     canonical_angle,
     decompose,
     halve,
@@ -62,12 +61,6 @@ class TestReggeMap:
         assert s_value(t, "c") == (t.A + t.B + t.Ap + t.Bp) / 2
         with pytest.raises(GeometryDomainError):
             s_value(t, "d")
-
-    def test_transform_object(self, generic):
-        r = ReggeTransform("b")
-        assert r.apply(generic) == regge(generic, "b")
-        with pytest.raises(GeometryDomainError):
-            ReggeTransform("x")
 
     def test_preserves_classification_empirically(self, finite_batch):
         # not a theorem we rely on; checked on the sampled population

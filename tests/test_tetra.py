@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.lobachevsky import lobachevsky
-from reggescissors.octahedron import tet_volume
+from reggescissors.octahedron import solve_holonomy, tet_volume
 from reggescissors.scissors import decompose, verify_scissors
 from reggescissors.tetra import (
     IDENTITY_RELABEL,
@@ -199,15 +199,18 @@ class TestClassifyOnce:
         assert len(uncached) == count
 
     def test_memo_is_invisible(self, uncached):
-        t, fresh = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
-        before = (hash(t), repr(t))
-        first = classify(t)
-        assert classify(t) is first
-        assert len(uncached) == 1
-        assert (hash(t), repr(t)) == before
-        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
-        assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
-        assert dataclasses.replace(t) == t
+        # the class, and the holonomy roots that solve_holonomy keeps the same way
+        for memo in (classify, solve_holonomy):
+            t, fresh = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
+            before = (hash(t), repr(t))
+            first = memo(t)
+            assert memo(t) is first
+            assert uncached[-1] is t
+            assert (hash(t), repr(t)) == before
+            assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+            assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
+            assert dataclasses.replace(t) == t
+        assert len(uncached) == 2
 
     def test_replaced_copy_is_classified_afresh(self, uncached):
         t = TetAngles(*self.ANGLES)
