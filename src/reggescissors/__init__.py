@@ -30,7 +30,6 @@ from .octahedron import (
     BaseAngles,
     HolonomyRoots,
     OctAngles,
-    OctSide,
     base_angles,
     bar_solution,
     octahedron_angles,

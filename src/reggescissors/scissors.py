@@ -27,15 +27,15 @@ import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import lobachevsky
-from .octahedron import SLOT_ORDER, solve_holonomy, tet_volume
+from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, solve_holonomy, tet_volume, wrap_angle
 from .tetra import (
+    _RELABEL_ROWS,
     SWAP_AB_PAIRS,
     SWAP_BC_PAIRS,
     TetAngles,
     TetraKind,
     classify,
     relabel,
-    tetra_symmetries,
 )
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
 ]
 
 _PI = math.pi
-
-O_SIDE = "O"
-DUAL_SIDE = "O'"
 
 #: Vertex relabeling of the R_b image that aligns its default octahedron
 #: construction with the permuted construction of the source: the crossed
@@ -102,9 +99,7 @@ def canonical_angle(x: float) -> float:
     printed minus signs are folded in through oddness before calling this.
     Values within NULL_PIECE_TOL of zero collapse to exactly 0.0.
     """
-    r = x - _PI * math.floor(x / _PI + 0.5)
-    if r <= -_PI / 2:
-        r += _PI
+    r = wrap_angle(x, _PI)
     if abs(r) < NULL_PIECE_TOL:
         return 0.0
     return r
@@ -135,7 +130,6 @@ class Decomposition:
     pieces: tuple[LPiece, ...]
     source: TetAngles
     source_kind: TetraKind
-    firepole: str = "AA'"
     mirrored: bool = False
 
     def canonical_angles(self) -> np.ndarray:
@@ -210,8 +204,6 @@ def permute_for_regge_b(d: Decomposition) -> Decomposition:
     then mirror.  The mirror is an isometry of every piece (each L(theta) is
     bilaterally symmetric), so only the flag changes; the piece multiset is
     exactly preserved."""
-    if d.firepole != "AA'":
-        raise GeometryDomainError(f"the b-move needs the AA' firepole, got {d.firepole!r}")
     by_key = {(p.side, p.slot): p for p in d.pieces}
     swapped = []
     for p in d.pieces:
@@ -351,10 +343,7 @@ class OrbitResult:
 
 #: Row k holds the angle indices that relabel() reads for the k-th vertex
 #: permutation: relabel(t, sigma_k).as_tuple() == angles[_RELABEL_INDEX[k]].
-_RELABEL_INDEX = np.array(
-    [relabel(TetAngles(*range(6)), sigma).as_tuple() for sigma in tetra_symmetries()],
-    dtype=np.intp,
-)
+_RELABEL_INDEX = np.array(list(_RELABEL_ROWS.values()), dtype=np.intp)
 #: Orbit members this close (max-norm) after some relabeling are the same.
 ORBIT_MATCH_TOL = 1e-10
 

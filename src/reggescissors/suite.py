@@ -16,8 +16,8 @@ import numpy as np
 from . import klein
 from .lobachevsky import LOBACHEVSKY_MAX_ARG, lobachevsky, lobachevsky_quadrature
 from .octahedron import (
-    OctSide,
-    base_angles,
+    DUAL_SIDE,
+    O_SIDE,
     holonomy_polynomial,
     holonomy_residual,
     linear_residuals,
@@ -179,11 +179,10 @@ def criterion_3(config: SuiteConfig) -> CriterionResult:
     batch = _tetra_batch(config, 3, config.count)
     w_lin = w_hol = w_unit = w_ends = 0.0
     for t in batch:
-        base = base_angles(t)
         roots = solve_holonomy(t)
-        for side in (OctSide.O, OctSide.DUAL):
+        for side in (O_SIDE, DUAL_SIDE):
             oa = octahedron_angles(t, side)
-            w_lin = max(w_lin, float(np.max(linear_residuals(oa, base))))
+            w_lin = max(w_lin, float(np.max(linear_residuals(oa))))
             w_hol = max(w_hol, holonomy_residual(oa))
         w_unit = max(w_unit, roots.unit_defect)
         poly = holonomy_polynomial(roots.bars)
@@ -203,11 +202,10 @@ def criterion_4(config: SuiteConfig) -> CriterionResult:
     batch = _tetra_batch(config, 4, config.count)
     w_routes = w_negation = 0.0
     for t in batch:
-        base = base_angles(t)
         v = tet_volume(t)
         per_octa = 0.5 * (
-            octahedron_volume(octahedron_angles(t, OctSide.O), base)
-            + octahedron_volume(octahedron_angles(t, OctSide.DUAL), base)
+            octahedron_volume(octahedron_angles(t, O_SIDE))
+            + octahedron_volume(octahedron_angles(t, DUAL_SIDE))
         )
         clean = 0.5 * decompose(t).total_volume()
         prisms = [

@@ -64,7 +64,7 @@ EIGENVALUE_TOL = 1e-10
 #: A vertex cofactor this close to zero is classified as an ideal vertex.
 IDEAL_COFACTOR_TOL = 1e-8
 
-# angle label -> vertex pair of its edge
+# angle label -> vertex pair of its edge, in _ANGLE_ORDER
 _EDGE_OF = {
     "A": (0, 1),
     "B": (0, 2),
@@ -74,7 +74,8 @@ _EDGE_OF = {
     "Cp": (1, 2),
 }
 _ANGLE_ORDER = ("A", "B", "C", "Ap", "Bp", "Cp")
-_LABEL_OF_EDGE = {edge: name for name, edge in _EDGE_OF.items()}
+# angle label -> the two faces meeting on its edge (those opposite the other two vertices)
+_FACES_OF = {name: tuple(m for m in range(4) if m not in edge) for name, edge in _EDGE_OF.items()}
 
 GramMatrix = np.ndarray  # 4x4 symmetric, unit diagonal; see module docstring
 
@@ -217,20 +218,15 @@ def three_quarter_volume(A: float, B: float, C: float) -> float:
 def gram_matrix(t: TetAngles) -> GramMatrix:
     """Gram matrix of face normals; see the module docstring for conventions."""
     G = np.eye(4)
-    angles = dict(zip(_ANGLE_ORDER, t.as_tuple()))
-    for name, (i, j) in _EDGE_OF.items():
-        k, l = (m for m in range(4) if m not in (i, j))
-        G[k, l] = G[l, k] = -math.cos(angles[name])
+    for (k, l), x in zip(_FACES_OF.values(), t.as_tuple()):
+        G[k, l] = G[l, k] = -math.cos(x)
     return G
 
 
 def angles_from_gram(G: GramMatrix) -> TetAngles:
     """Invert :func:`gram_matrix` (exact arccos round trip)."""
-    vals = {}
-    for name, (i, j) in _EDGE_OF.items():
-        k, l = (m for m in range(4) if m not in (i, j))
-        vals[name] = math.acos(float(np.clip(-G[k, l], -1.0, 1.0)))
-    return TetAngles(**vals)
+    return TetAngles(**{name: math.acos(float(np.clip(-G[k, l], -1.0, 1.0)))
+                        for name, (k, l) in _FACES_OF.items()})
 
 
 def classify(t: TetAngles) -> TetraClass:
@@ -297,9 +293,21 @@ SWAP_AB_PAIRS = (0, 2, 1, 3)
 SWAP_BC_PAIRS = (0, 1, 3, 2)
 
 
+def _relabel_row(sigma: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """Angle indices read by relabel(., sigma): edge {i, j} takes the angle
+    of edge {sigma(i), sigma(j)}."""
+    edges = list(_EDGE_OF.values())
+    return tuple(edges.index(tuple(sorted((sigma[i], sigma[j])))) for i, j in edges)
+
+
+#: Vertex permutation -> angle indices: relabel(t, sigma).as_tuple() is
+#: t.as_tuple() read at _RELABEL_ROWS[sigma].  Keys in itertools order.
+_RELABEL_ROWS = {sigma: _relabel_row(sigma) for sigma in itertools.permutations(range(4))}
+
+
 def tetra_symmetries() -> list[tuple[int, int, int, int]]:
     """All 24 vertex permutations, i.e. all relabeling symmetries."""
-    return list(itertools.permutations(range(4)))
+    return list(_RELABEL_ROWS)
 
 
 def relabel(t: TetAngles, sigma) -> TetAngles:
@@ -309,9 +317,5 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
     sigma = tuple(sigma)
     if sorted(sigma) != [0, 1, 2, 3]:
         raise GeometryDomainError(f"not a vertex permutation: {sigma!r}")
-    angles = dict(zip(_ANGLE_ORDER, t.as_tuple()))
-    new = {}
-    for name, (i, j) in _EDGE_OF.items():
-        image = tuple(sorted((sigma[i], sigma[j])))
-        new[name] = angles[_LABEL_OF_EDGE[image]]
-    return TetAngles(**new)
+    angles = t.as_tuple()
+    return TetAngles(*(angles[k] for k in _RELABEL_ROWS[sigma]))

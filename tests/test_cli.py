@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from reggescissors import cli
+
 ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
 
@@ -131,6 +133,14 @@ def test_suite_small_deterministic():
     payload = json.loads(first.stdout)
     assert payload["passed"] is True
     assert len(payload["criteria"]) == 9
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_suite_count_below_one_is_input_error(count, capsys):
+    assert cli.main(["suite", "--count", count]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert "--count must be at least 1" in json.loads(out)["error"]
+    assert err.startswith("input error:")
 
 
 def test_suite_env_seed():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import QuadratureError
 from reggescissors.lobachevsky import (
+    _SERIES_COEF,
     LOBACHEVSKY_MAX_ARG,
     lobachevsky,
     lobachevsky_quadrature,
@@ -103,28 +104,58 @@ def _same_bits(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def test_float_path_bit_identical_to_array_route():
-    # a Python float takes the plain-float path; a 0-d array the numpy route
-    rng = np.random.default_rng(20240607)
-    points = rng.uniform(-50.0, 50.0, 100_000).tolist()
-    mismatched = [x for x in points if not _same_bits(lobachevsky(x), float(lobachevsky(np.asarray(x))))]
-    assert mismatched == []
+def _array_route_0d(theta) -> float:
+    """The numpy series on a 0-d array, the route numpy scalars took before
+    every scalar went to the plain-float path: the reference that path must
+    match bit for bit."""
+    arr = np.asarray(theta, dtype=float)
+    r = arr - PI * np.round(arr / PI)
+    r = np.where(r <= -PI / 2, r + PI, r)
+    x = np.abs(r)
+    q = (x / PI) ** 2
+    h = np.zeros_like(q)
+    for c in _SERIES_COEF[::-1]:
+        h = h * q + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = x * (1.0 - np.log(2.0 * x)) + x * q * h
+    return float(np.sign(r) * np.where(x > 0, val, 0.0))
 
 
-def test_float_path_edge_values():
-    multiples = [k * PI for k in range(-16, 17)]
-    edges = [0.0, -0.0, PI / 2, -PI / 2, 1e-300, -1e-300, 5e-324, -5e-324, *multiples]
-    edges += [x + d for x in (*multiples, PI / 2, -PI / 2) for d in (1e-6, -1e-6)]
-    for x in edges:
-        fast = lobachevsky(x)
-        assert type(fast) is float
-        assert _same_bits(fast, float(lobachevsky(np.asarray(x)))), x
+SEEDED_POINTS = np.random.default_rng(20240607).uniform(-50.0, 50.0, 100_000).tolist()
+_MULTIPLES = [k * PI for k in range(-16, 17)]
+EDGE_POINTS = [0.0, -0.0, PI / 2, -PI / 2, 1e-300, -1e-300, 5e-324, -5e-324, *_MULTIPLES]
+EDGE_POINTS += [x + d for x in (*_MULTIPLES, PI / 2, -PI / 2) for d in (1e-6, -1e-6)]
 
 
-def test_numpy_scalar_keeps_array_route():
-    x = np.float64(0.7)
-    assert lobachevsky(x) == lobachevsky(np.asarray(0.7)) == lobachevsky(0.7)
-    assert type(lobachevsky(x)) is float
+@pytest.fixture(scope="module")
+def array_route_0d():
+    """_array_route_0d on SEEDED_POINTS and EDGE_POINTS, computed once."""
+    return {"seeded": [_array_route_0d(x) for x in SEEDED_POINTS],
+            "edges": [_array_route_0d(x) for x in EDGE_POINTS]}
+
+
+def _mismatches(points, expected, scalar=float):
+    """Points where lobachevsky(scalar(x)) is not a float with the expected bits."""
+    out = []
+    for x, want in zip(points, expected, strict=True):
+        value = lobachevsky(scalar(x))
+        if type(value) is not float or not _same_bits(value, want):
+            out.append(x)
+    return out
+
+
+def test_float_path_bit_identical_to_array_route(array_route_0d):
+    assert _mismatches(SEEDED_POINTS, array_route_0d["seeded"]) == []
+
+
+def test_float_path_edge_values(array_route_0d):
+    assert _mismatches(EDGE_POINTS, array_route_0d["edges"]) == []
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.asarray], ids=["float64", "0-d"])
+def test_numpy_scalar_matches_array_route_0d(scalar, array_route_0d):
+    assert _mismatches(SEEDED_POINTS, array_route_0d["seeded"], scalar) == []
+    assert _mismatches(EDGE_POINTS, array_route_0d["edges"], scalar) == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

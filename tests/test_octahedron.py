@@ -10,12 +10,13 @@ from reggescissors import octahedron, scissors
 from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import (
+    DUAL_SIDE,
+    O_SIDE,
     PLUS_SLOTS,
-    OctSide,
     SLOT_ORDER,
+    BaseAngles,
     base_angles,
     bar_solution,
-    dual_base,
     full_dihedral_angles,
     holonomy_polynomial,
     holonomy_residual,
@@ -28,7 +29,7 @@ from reggescissors.octahedron import (
     wrap_angle,
     _solve_holonomy,
 )
-from reggescissors.scissors import decompose, regge_orbit, verify_scissors
+from reggescissors.scissors import canonical_angle, decompose, regge_orbit, verify_scissors
 from reggescissors.tetra import TetAngles, prism_volume
 
 PI = math.pi
@@ -129,8 +130,6 @@ class TestHolonomy:
         # member must produce the same octahedron angles (mod pi: a large
         # shift can wrap the half-argument branch of the root, which moves
         # every slot by pi without changing the solution)
-        from reggescissors.scissors import canonical_angle
-
         bars = bar_solution(generic)
         a1 = octahedron_angles(generic).as_array()
         c1 = np.array([canonical_angle(x) for x in a1])
@@ -154,10 +153,9 @@ class TestHolonomy:
 class TestOctAngles:
     def test_linear_constraints_solved(self, finite_batch):
         for t in finite_batch:
-            base = base_angles(t)
-            for side in (OctSide.O, OctSide.DUAL):
+            for side in (O_SIDE, DUAL_SIDE):
                 oa = octahedron_angles(t, side)
-                assert np.max(linear_residuals(oa, base)) < 1e-10
+                assert np.max(linear_residuals(oa)) < 1e-10
 
     def test_equiangular_slot_coincidences(self, equiangular):
         # equal opposite pairs force BA=DC, CB=AD, BC=DA exactly
@@ -168,9 +166,8 @@ class TestOctAngles:
 
     def test_supplementary_duals(self, finite_batch):
         for t in finite_batch[:5]:
-            base = base_angles(t)
-            full_o = full_dihedral_angles(octahedron_angles(t, OctSide.O), base)
-            full_d = full_dihedral_angles(octahedron_angles(t, OctSide.DUAL), base)
+            full_o = full_dihedral_angles(octahedron_angles(t, O_SIDE))
+            full_d = full_dihedral_angles(octahedron_angles(t, DUAL_SIDE))
             for key in full_o:
                 gap = abs(wrap_angle(full_o[key] + full_d[key] - PI))
                 assert gap < 1e-9, key
@@ -183,6 +180,68 @@ class TestOctAngles:
         assert np.all(oa.as_array() < PI)
 
 
+class TestSides:
+    # float.hex of octahedron_angles(GENERIC_FINITE, side) in SLOT_ORDER, as
+    # the enum sides OctSide.O and OctSide.DUAL gave them before the string
+    # labels replaced the enum
+    ENUM_O = ("0x1.3a7558e7968dcp+1", "0x1.cee4e831d9806p-1", "0x1.46d636ede56d8p+0",
+              "-0x1.e324b1241f1d8p-3", "0x1.4eab1cf2d1b90p-4", "0x1.ba6a06ea2b6bep-1",
+              "0x1.481de502604ecp+0", "-0x1.62362f9c4cff0p-2")
+    ENUM_DUAL = ("0x1.47508e188a2a0p-4", "-0x1.324b1104736d8p-2", "0x1.428983c2d050cp+0",
+                 "0x1.ae888bf8a7910p-1", "0x1.3a3a8470c4515p+1", "-0x1.09554e7517448p-2",
+                 "0x1.4141d5ae556f8p+0", "0x1.e6da777dc6494p-1")
+
+    @pytest.mark.parametrize("side,expected", [("O", ENUM_O), ("O'", ENUM_DUAL)])
+    def test_string_side_gives_enum_angles(self, generic, side, expected):
+        oa = octahedron_angles(TetAngles(*generic.as_tuple()), side)
+        assert oa.which == side
+        assert tuple(x.hex() for x in oa.as_array().tolist()) == expected
+
+    def test_default_side_is_o(self, generic):
+        assert octahedron_angles(generic) == octahedron_angles(generic, O_SIDE)
+
+    @pytest.mark.parametrize("side", ["o", "O''", "dual", "", None, 0])
+    def test_unknown_side_rejected(self, generic, side):
+        with pytest.raises(GeometryDomainError):
+            octahedron_angles(generic, side)
+
+
+class TestOneReducerKeepsBits:
+    """wrap_angle and canonical_angle against the separate floor formulas they
+    replaced, bit for bit (float.hex, which also tells -0.0 from 0.0)."""
+
+    @staticmethod
+    def old_wrap_angle(x):
+        r = x - 2 * PI * math.floor(x / (2 * PI) + 0.5)
+        if r <= -PI:
+            r += 2 * PI
+        return r
+
+    @staticmethod
+    def old_canonical_angle(x):
+        r = x - PI * math.floor(x / PI + 0.5)
+        if r <= -PI / 2:
+            r += PI
+        if abs(r) < 1e-12:
+            return 0.0
+        return r
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        seeded = np.random.default_rng(20261018).uniform(-50.0, 50.0, 200_000).tolist()
+        halves = [k * PI / 2 for k in range(-40, 41)]
+        edges = [y for x in halves
+                 for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))]
+        return seeded + edges + [0.0, -0.0]
+
+    def test_wrap_angle(self, points):
+        assert [wrap_angle(x).hex() for x in points] == [self.old_wrap_angle(x).hex() for x in points]
+
+    def test_canonical_angle(self, points):
+        assert ([canonical_angle(x).hex() for x in points]
+                == [self.old_canonical_angle(x).hex() for x in points])
+
+
 class TestVolumes:
     def test_equiangular_frozen_value(self, equiangular):
         assert tet_volume(equiangular) == pytest.approx(EQUIANGULAR_12_VOLUME, abs=1e-12)
@@ -193,23 +252,21 @@ class TestVolumes:
 
     def test_octahedron_pair_reconstructs_volume(self, finite_batch):
         for t in finite_batch:
-            base = base_angles(t)
-            vo = octahedron_volume(octahedron_angles(t, OctSide.O), base)
-            vd = octahedron_volume(octahedron_angles(t, OctSide.DUAL), base)
+            vo = octahedron_volume(octahedron_angles(t, O_SIDE))
+            vd = octahedron_volume(octahedron_angles(t, DUAL_SIDE))
             assert (vo + vd) / 2 == pytest.approx(tet_volume(t), abs=1e-10)
 
     def test_octahedron_volume_regroups_as_four_ideal_tetra(self, generic):
-        base = base_angles(generic)
         oa = octahedron_angles(generic)
         by_tetra = sum(
             lobachevsky(x) + lobachevsky(y) + lobachevsky(r)
             for x, y, r in zip(
                 (oa.AB, oa.BC, oa.CD, oa.DA),
                 (oa.BA, oa.CB, oa.DC, oa.AD),
-                base.ring(),
+                base_angles(generic).ring(),
             )
         )
-        assert octahedron_volume(oa, base) == pytest.approx(by_tetra, abs=1e-12)
+        assert octahedron_volume(oa) == pytest.approx(by_tetra, abs=1e-12)
 
     def test_u_volume_route(self, finite_batch):
         for t in finite_batch:
@@ -244,11 +301,12 @@ class TestVolumes:
         with pytest.raises(GeometryDomainError):
             tet_volume(generic, root="best")
 
-    def test_dual_base_supplementary(self, generic):
-        base = base_angles(generic)
-        dual = dual_base(base)
-        assert dual.a == pytest.approx(PI - base.a, abs=1e-15)
-        assert dual.h == pytest.approx(PI - base.h, abs=1e-15)
+    def test_dual_base_supplementary(self, finite_batch):
+        for t in finite_batch:
+            base = octahedron_angles(t, O_SIDE).base
+            dual = octahedron_angles(t, DUAL_SIDE).base
+            assert base == base_angles(t)
+            assert dual == BaseAngles(*(PI - getattr(base, k) for k in "abcdefgh"))
 
     def test_volume_invariant_under_all_relabelings(self, generic):
         # the construction singles out the (A, A') pair; the volume must not
@@ -277,8 +335,8 @@ class TestSolveOnce:
         tet_volume(t, "plus")
         decompose(t)
         u_volume(t)
-        octahedron_angles(t, OctSide.O)
-        octahedron_angles(t, OctSide.DUAL)
+        octahedron_angles(t, O_SIDE)
+        octahedron_angles(t, DUAL_SIDE)
         assert uncached == [t]
 
     def test_verify_scissors_solves_three(self, uncached):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.sampling import SampleBox, random_finite_tetra, sample_finite
-from reggescissors.tetra import TetraKind, classify
+from reggescissors.sampling import SampleBox, _accept, random_finite_tetra, sample_finite
+from reggescissors.tetra import TetAngles, TetraKind, classify
 
 
 def test_samples_are_finite_and_seeded():
@@ -30,6 +30,39 @@ def test_single_draw():
     rng = np.random.default_rng(0)
     t = random_finite_tetra(rng)
     assert classify(t).kind is TetraKind.FINITE
+
+
+def _loop_draw(rng, box=SampleBox(), require_finite_images=(), max_tries=100000):
+    """random_finite_tetra as its own loop, before it became sample_finite(rng, 1, ...)."""
+    lo, hi = box.center - box.half_width, box.center + box.half_width
+    for _ in range(max_tries):
+        t = TetAngles.of(rng.uniform(lo, hi, size=6))
+        if _accept(t, require_finite_images):
+            return t
+    raise GeometryDomainError("rejection sampling failed; box too wide?")
+
+
+@pytest.mark.parametrize("images", [(), ("a", "b", "c")])
+def test_single_draw_matches_loop(images):
+    for seed in range(5):
+        rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            drawn = random_finite_tetra(rng1, require_finite_images=images)
+            assert drawn == _loop_draw(rng2, require_finite_images=images)
+        assert rng1.bit_generator.state == rng2.bit_generator.state
+
+
+@pytest.mark.parametrize("max_tries", [0, 50])
+def test_single_draw_same_error(max_tries):
+    box = SampleBox(center=0.3, half_width=0.05)
+    rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
+    messages = []
+    for fn, rng in ((random_finite_tetra, rng1), (_loop_draw, rng2)):
+        with pytest.raises(GeometryDomainError) as exc:
+            fn(rng, box, max_tries=max_tries)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
 def test_hopeless_box_raises():

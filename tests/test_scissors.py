@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import KleinTetra, dihedral_angles
-from reggescissors.octahedron import tet_volume
+from reggescissors.octahedron import DUAL_SIDE, O_SIDE, tet_volume
 from reggescissors.scissors import (
-    DUAL_SIDE,
-    O_SIDE,
     REGGE_B_IMAGE_RELABEL,
     canonical_angle,
     decompose,
@@ -144,13 +142,6 @@ class TestPermutation:
             assert moved.piece(side, "BA").canonical_angle == d.piece(side, "DC").canonical_angle
             assert moved.piece(side, "DC").canonical_angle == d.piece(side, "BA").canonical_angle
             assert moved.piece(side, "AB").canonical_angle == d.piece(side, "AB").canonical_angle
-
-    def test_requires_default_firepole(self, generic):
-        import dataclasses
-
-        d = dataclasses.replace(decompose(generic), firepole="BB'")
-        with pytest.raises(GeometryDomainError):
-            permute_for_regge_b(d)
 
     def test_aligned_image_matches_slot_for_slot(self, finite_batch):
         # the central mechanism: conjugating the b-image by the crossed pair

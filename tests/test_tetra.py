@@ -269,6 +269,46 @@ class TestRelabel:
             relabel(generic, (0, 1, 2, 2))
 
 
+class TestRelabelTableKeepsBits:
+    """relabel and tetra_symmetries, now read from one permutation table,
+    against the per-call dict construction they replaced."""
+
+    EDGE_OF = {"A": (0, 1), "B": (0, 2), "C": (0, 3), "Ap": (2, 3), "Bp": (1, 3), "Cp": (1, 2)}
+
+    @classmethod
+    def dict_relabel(cls, t, sigma):
+        sigma = tuple(sigma)
+        if sorted(sigma) != [0, 1, 2, 3]:
+            raise GeometryDomainError(f"not a vertex permutation: {sigma!r}")
+        label_of_edge = {edge: name for name, edge in cls.EDGE_OF.items()}
+        angles = dict(zip(("A", "B", "C", "Ap", "Bp", "Cp"), t.as_tuple()))
+        new = {}
+        for name, (i, j) in cls.EDGE_OF.items():
+            new[name] = angles[label_of_edge[tuple(sorted((sigma[i], sigma[j])))]]
+        return TetAngles(**new)
+
+    def test_symmetries_in_itertools_order(self):
+        assert tetra_symmetries() == list(itertools.permutations(range(4)))
+
+    def test_all_permutations(self, finite_batch):
+        for t in finite_batch:
+            for sigma in itertools.permutations(range(4)):
+                got = relabel(t, sigma).as_tuple()
+                want = self.dict_relabel(t, sigma).as_tuple()
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("sigma", [(0.0, 2.0, 1.0, 3.0), np.array([3, 1, 0, 2]), [1, 0, 3, 2],
+                                       (False, True, 3, 2)])
+    def test_same_accepted_inputs(self, generic, sigma):
+        assert relabel(generic, sigma) == self.dict_relabel(generic, sigma)
+
+    @pytest.mark.parametrize("sigma", [(0, 0, 1, 2), (0, 1, 2), (1, 2, 3, 4), ("0", "1", "2", "3")])
+    def test_same_rejected_inputs(self, generic, sigma):
+        for fn in (relabel, self.dict_relabel):
+            with pytest.raises(GeometryDomainError):
+                fn(generic, sigma)
+
+
 def test_tetangles_validation():
     with pytest.raises(GeometryDomainError):
         TetAngles(float("nan"), 1, 1, 1, 1, 1)
