@@ -4,13 +4,15 @@
     python3 scripts/bench_record.py 6
 
 Runs `perfbench/run.py --seconds 30 --trace 0` on the `formula`, `oracle`
-and `suite` workloads for seeds 1-5, one run at a time, then the tier-1 test
-command once, all from the root of the checkout (about 10 minutes).  Writes
-BENCH_<pr>.json there with, per workload, the median, q1 and q3 of every
-end-to-end metric over the seeds and each run's `attempted`, `failed` and
-`correct`; and the tier-1 wall time, exit code and summary line.  Times of
-the workloads are perfbench's, scaled to its reference machine speed; the
-tier-1 wall time is not scaled.
+and `suite` workloads for seeds 1-5, one run at a time, then 10 CLI cold
+starts (`python -m reggescissors volume` on the README angles, each a fresh
+subprocess) and the tier-1 test command once, all from the root of the
+checkout (about 10 minutes).  Writes BENCH_<pr>.json there with, per
+workload, the median, q1 and q3 of every end-to-end metric over the seeds and
+each run's `attempted`, `failed` and `correct`; the median, q1 and q3 of the
+cold-start wall times; and the tier-1 wall time, exit code and summary line.
+Times of the workloads are perfbench's, scaled to its reference machine
+speed; the cold-start and tier-1 wall times are not scaled.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ WORKLOADS = ("formula", "oracle", "suite")
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 30
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+COLD_START = ("-m", "reggescissors", "volume", "1.15", "1.2", "1.1", "1.22", "1.18", "1.25")
+COLD_START_RUNS = 10
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -51,12 +55,29 @@ def summarize(results: list[dict]) -> dict:
     return out
 
 
-def run_tier1() -> dict:
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cold_start() -> dict:
+    """Unscaled wall times of COLD_START_RUNS fresh CLI subprocesses."""
+    times = []
+    for _ in range(COLD_START_RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *COLD_START], cwd=ROOT, env=src_env(),
+                       capture_output=True, check=True)
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"command": "python " + " ".join(COLD_START), "runs": COLD_START_RUNS,
+            "scaled": False, "unit": "s", "median": median, "q1": q1, "q3": q3}
+
+
+def run_tier1() -> dict:
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True)
     wall_s = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall_s, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
@@ -79,6 +100,7 @@ def main() -> int:
             print(f"{workload} seed {seed}: {result['failed']}/{result['attempted']} failed",
                   file=sys.stderr)
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
+    entry["cli_cold_start"] = run_cold_start()
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
 
     path = ROOT / f"BENCH_{args.pr}.json"

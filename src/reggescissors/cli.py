@@ -173,6 +173,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.tol > 0:
+        raise GeometryDomainError(f"--tol must be positive, got {args.tol}")
     t = _parse_angles(args.angles, args.degrees)
     _require_kind(t, TetraKind.FINITE)
     report = verify_scissors(t, args.which, tol_volume=args.tol, tol_match=args.tol)
@@ -205,11 +207,25 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _suite_seed(args) -> int:
+    """The seed from --seed, else from REGGE_SUITE_SEED, else 7."""
+    source, raw = "--seed", args.seed
+    if raw is None:
+        source, raw = "REGGE_SUITE_SEED", os.environ.get("REGGE_SUITE_SEED", "7")
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise GeometryDomainError(f"{source}: could not parse {raw!r} as an integer") from None
+    if seed < 0:
+        raise GeometryDomainError(f"{source} must be non-negative, got {seed}")
+    return seed
+
+
 def cmd_suite(args) -> int:
     if args.count < 1:
         raise GeometryDomainError(f"--count must be at least 1, got {args.count}")
     config = SuiteConfig(
-        seed=args.seed,
+        seed=_suite_seed(args),
         count=args.count,
         oracle_count=max(1, args.count // 4),
         box=SampleBox(),
@@ -264,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
 
     p = sub.add_parser("suite", help="run the acceptance battery")
-    default_seed = int(os.environ.get("REGGE_SUITE_SEED", "7"))
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", help="default: $REGGE_SUITE_SEED, else 7")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_suite)

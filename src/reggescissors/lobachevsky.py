@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 from .exceptions import QuadratureError
 
@@ -34,8 +33,27 @@ _PI = math.pi
 #   lob(x) = x (1 - log 2x) + x * sum_{m>=1} c_m (x/pi)^(2m),   0 < x <= pi/2,
 #
 # whose terms decay at least like 4^-m.  48 terms reach full double precision.
-_M = np.arange(1, 49)
-_SERIES_COEF = special.zeta(2 * _M) / (_M * (2 * _M + 1))
+# The table holds, bit for bit, the doubles that scipy.special.zeta(2m) /
+# (m (2m+1)) gives for m = 1..48 (tests/test_lobachevsky.py checks it), so
+# importing this module does not load scipy.
+_SERIES_COEF = np.array([
+    0.5483113556160755, 0.10823232337111381, 0.048444907713545204,
+    0.027891037672165123, 0.018199901365960326, 0.012823667776324462,
+    0.009524392839381512, 0.007353053546025064, 0.0058479755397266965,
+    0.004761909304581114, 0.00395257011245258, 0.0033333335320272967,
+    0.002849002891457421, 0.002463054196367818, 0.002150537636411457,
+    0.001893939394380362, 0.0016806722690053911, 0.0015015015015233512,
+    0.0013495276653220486, 0.0012195121951230604, 0.0011074197120711266,
+    0.0010101010101010676, 0.0009250693802035284, 0.0008503401360544248,
+    0.0007843137254901968, 0.0007256894049346882, 0.0006734006734006734,
+    0.0006265664160401002, 0.0005844535359438924, 0.000546448087431694,
+    0.0005120327700972862, 0.0004807692307692308, 0.0004522840343735866,
+    0.00042625745950554135, 0.00040241448692152917, 0.000380517503805175,
+    0.00036036036036036037, 0.0003417634996582365, 0.0003245699448231094,
+    0.00030864197530864197, 0.0002938583602703497, 0.00028011204481792715,
+    0.0002673082063619353, 0.0002553626149131767, 0.0002442002442002442,
+    0.0002337540906965872, 0.00022396416573348266, 0.0002147766323024055,
+])
 # Horner order, as Python floats for the scalar path
 _SERIES_COEF_DESC = tuple(_SERIES_COEF[::-1].tolist())
 
@@ -130,6 +148,8 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-10) -> float:
 
     def integrand(u):
         return -np.log(2.0 * np.abs(np.sin(u)))
+
+    from scipy import integrate  # here, so that the formula path never loads scipy
 
     # interior singularities at multiples of pi; endpoints are handled by
     # the adaptive subdivision itself

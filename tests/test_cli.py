@@ -77,6 +77,14 @@ def test_regge_command():
     assert payload["transformed"]["B"] == pytest.approx(1.2, abs=1e-15)
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_verify_non_positive_tol_is_input_error(tol, capsys):
+    assert cli.main(["verify", *ANGLES_GENERIC, "--which", "b", "--tol", tol]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert "--tol must be positive" in json.loads(out)["error"]
+    assert err.startswith("input error:")
+
+
 def test_verify_fixed_point():
     result = run_cli("verify", "1.21", "1.1", "1.1", "1.13", "1.1", "1.1", "--which", "a")
     assert result.returncode == 0
@@ -150,3 +158,26 @@ def test_suite_env_seed():
     via_env = run_cli("suite", "--count", "4", env=env)
     via_flag = run_cli("suite", "--count", "4", "--seed", "11")
     assert via_env.stdout == via_flag.stdout
+
+
+def test_bad_env_seed_leaves_other_commands_alone(monkeypatch, capsys):
+    monkeypatch.setenv("REGGE_SUITE_SEED", "abc")
+    assert cli.main(["volume", *ANGLES_GENERIC]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["classification"] == "Finite"
+
+
+@pytest.mark.parametrize(
+    "env,argv,message",
+    [
+        ("abc", [], "REGGE_SUITE_SEED: could not parse 'abc'"),
+        ("-1", [], "REGGE_SUITE_SEED must be non-negative"),
+        ("11", ["--seed", "-1"], "--seed must be non-negative"),
+        ("11", ["--seed", "x"], "--seed: could not parse 'x'"),
+    ],
+)
+def test_suite_bad_seed_is_input_error(env, argv, message, monkeypatch, capsys):
+    monkeypatch.setenv("REGGE_SUITE_SEED", env)
+    assert cli.main(["suite", "--count", "1", *argv]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert message in json.loads(out)["error"]
+    assert err.startswith("input error:")

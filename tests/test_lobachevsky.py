@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from reggescissors.exceptions import QuadratureError
 from reggescissors.lobachevsky import (
     _SERIES_COEF,
+    _SERIES_COEF_DESC,
     LOBACHEVSKY_MAX_ARG,
     lobachevsky,
     lobachevsky_quadrature,
@@ -91,6 +94,41 @@ def test_domain_errors():
         lobachevsky_quadrature(1.0, tol=0.0)
     with pytest.raises(ValueError):
         lobachevsky_quadrature(float("nan"))
+
+
+def test_series_table_is_scipy_zeta_bit_for_bit():
+    from scipy import special
+
+    m = np.arange(1, 49)
+    expected = special.zeta(2 * m) / (m * (2 * m + 1))
+    assert [c.hex() for c in _SERIES_COEF.tolist()] == [e.hex() for e in expected.tolist()]
+    assert _SERIES_COEF_DESC == tuple(_SERIES_COEF[::-1].tolist())
+
+
+# Runs in a fresh interpreter: the formula commands and the Klein oracle must
+# not load scipy, and the Lobachevsky quadrature must, with the same value.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from reggescissors import cli
+from reggescissors.lobachevsky import lobachevsky_quadrature
+angles = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
+for command in (["volume"], ["decompose"], ["verify", "--which", "b"], ["orbit"], ["oracle"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command[0], *angles, *command[1:]])
+    print(command[0], code, "scipy" in sys.modules)
+value = lobachevsky_quadrature(1.0)
+print("quadrature", repr(value), "scipy" in sys.modules)
+"""
+
+
+def test_scipy_loaded_only_by_quadrature():
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *commands, quadrature = [line.split() for line in proc.stdout.splitlines()]
+    assert commands == [[name, "0", "False"]
+                        for name in ("volume", "decompose", "verify", "orbit", "oracle")]
+    assert quadrature[0] == "quadrature" and quadrature[2] == "True"
+    assert float(quadrature[1]) == pytest.approx(0.3635730254316396, abs=1e-15)
 
 
 def test_quadrature_reports_achieved_error():
