@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the user-visible output of the CLI, to show that a change moved no byte.
 
-    python3 scripts/output_digest.py
+    python3 scripts/output_digest.py [--check]
 
 Runs `reggescissors.cli.main` in-process and prints one sha256 per line:
 
@@ -13,10 +13,15 @@ Runs `reggescissors.cli.main` in-process and prints one sha256 per line:
 
 Only the CLI contract is used, so two checkouts can be compared by running
 the script of either one against each `src/`.  It takes about half a minute.
+
+With `--check` it also compares each digest with the value pinned in
+`PINNED`, names the digests that moved, and exits 1 if any did.  A change
+that moves output on purpose re-pins the values and says which moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -30,6 +35,15 @@ from inputs import TetStream  # noqa: E402
 from worker import RMAX, STREAM  # noqa: E402
 
 from reggescissors import cli  # noqa: E402
+
+#: The expected digest of each output, compared by --check.
+PINNED = {
+    "suite_seed7": "48f584fcc0e7ba4a75186f243c78625d6b749ea8f91f31415d507ea90095bad8",
+    "suite_seed2": "23a78f2d4bc403a9077f8a01c2eea4d833f1663ae89ceae7d52d755a0e1dfd32",
+    "formula_seed1": "fa39e36d6f0f3f4af2de719e2d5c7a5622a7193cc18da07ee1056de1216f1ecd",
+    "formula_seed2": "18b9b8ea55634cb88d0ead3f0ba6b57a6f833cd7a0c5d12f5f72825624edb219",
+    "formula_seed3": "ca973aa879478468bd54097910807ca740395bcf9363a1380b4b10d2e4a44914",
+}
 
 FORMULA_INPUTS = 300
 FORMULA_SEEDS = (1, 2, 3)
@@ -70,14 +84,38 @@ def formula_digest(seed: int) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def digests():
+    """(name, sha256) pairs, in the order they are printed."""
     out, _, _ = run(["suite", "--count", "100", "--seed", "7"])
-    print(f"suite_seed7 {hashlib.sha256(out.encode('utf-8')).hexdigest()}")
+    yield "suite_seed7", hashlib.sha256(out.encode("utf-8")).hexdigest()
     out, err, code = run(["suite", "--seed", "2"])
-    print(f"suite_seed2 {sha256(out, err, str(code))}")
+    yield "suite_seed2", sha256(out, err, str(code))
     for seed in FORMULA_SEEDS:
-        print(f"formula_seed{seed} {formula_digest(seed)}")
-    return 0
+        yield f"formula_seed{seed}", formula_digest(seed)
+
+
+def moved(found: dict[str, str], pinned: dict[str, str] = PINNED) -> list[str]:
+    """Names of the pinned digests that `found` lacks or gives another value."""
+    return [name for name, digest in pinned.items() if found.get(name) != digest]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the CLI's user-visible output.")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if any digest differs from its pinned value")
+    args = parser.parse_args(argv)
+    found = {}
+    for name, digest in digests():
+        print(f"{name} {digest}", flush=True)
+        found[name] = digest
+    if not args.check:
+        return 0
+    changed = moved(found)
+    for name in changed:
+        print(f"moved: {name} (pinned {PINNED[name]})")
+    if not changed:
+        print(f"all {len(PINNED)} digests match their pinned values")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -40,11 +40,9 @@ from .octahedron import (
 )
 from .scissors import (
     Decomposition,
-    HalfDecomposition,
     LPiece,
     ScissorsReport,
     decompose,
-    halve,
     permute_for_regge_b,
     regge,
     regge_orbit,

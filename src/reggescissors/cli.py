@@ -23,7 +23,6 @@ from .exceptions import (
 )
 from . import klein
 from .octahedron import solve_holonomy, tet_volume
-from .sampling import SampleBox
 from .scissors import decompose, regge, regge_orbit, s_value, verify_scissors
 from .suite import SuiteConfig, report_json, run_suite
 from .tetra import TetAngles, TetraKind, classify, edge_lengths
@@ -173,11 +172,11 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.tol > 0:
-        raise GeometryDomainError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise GeometryDomainError(f"--tol must be positive and finite, got {args.tol}")
     t = _parse_angles(args.angles, args.degrees)
     _require_kind(t, TetraKind.FINITE)
-    report = verify_scissors(t, args.which, tol_volume=args.tol, tol_match=args.tol)
+    report = verify_scissors(t, args.which, args.tol)
     payload = {"command": "verify", **report.to_payload()}
     _emit(payload, args)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -228,7 +227,6 @@ def cmd_suite(args) -> int:
         seed=_suite_seed(args),
         count=args.count,
         oracle_count=max(1, args.count // 4),
-        box=SampleBox(),
     )
     report = run_suite(config)
     text = report_json(report)
@@ -245,7 +243,9 @@ def cmd_suite(args) -> int:
 
 def _add_angle_command(sub, name, fn, help_text):
     p = sub.add_parser(name, help=help_text)
-    p.add_argument("angles", nargs=6, metavar=("A", "B", "C", "Ap", "Bp", "Cp"))
+    # a tuple metavar on a positional crashes argparse's --help and its
+    # missing-argument error
+    p.add_argument("angles", nargs=6, metavar="ANGLE", help="the dihedral angles A B C A' B' C'")
     p.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
     p.add_argument("--table", action="store_true", help="human-readable output instead of JSON")
     p.add_argument("--out", metavar="FILE", help="also write the JSON report to FILE")
@@ -253,8 +253,16 @@ def _add_angle_command(sub, name, fn, help_text):
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1, JSON on stdout)
+    instead of argparse's exit 2, the verification-failure code."""
+
+    def error(self, message):
+        raise GeometryDomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reggescissors",
         description="Hyperbolic tetrahedron volumes, scissors decompositions, "
                     "and Regge-congruence verification.",
@@ -289,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except GeometryDomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)

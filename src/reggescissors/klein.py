@@ -48,7 +48,6 @@ class KleinTetra:
     """Four Klein-ball vertex coordinates realizing a finite tetrahedron."""
 
     vertices: np.ndarray  # shape (4, 3), all |v| < 1
-    source: TetAngles | None = None
 
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.vertices, axis=1)
@@ -151,7 +150,7 @@ def klein_vertices(t: TetAngles) -> KleinTetra:
         verts.append(v / math.sqrt(-q))
     lift = _gauge_fix(np.array(verts))
     klein = lift[:, :3] / lift[:, 3:4]
-    kt = KleinTetra(vertices=klein, source=t)
+    kt = KleinTetra(vertices=klein)
     back = dihedral_angles(kt)
     err = max(abs(a - b) for a, b in zip(t.as_tuple(), back.as_tuple()))
     if err > _ROUND_TRIP_TOL:
@@ -182,7 +181,7 @@ def apply_isometry(kt: KleinTetra, L: np.ndarray) -> KleinTetra:
     lift = _hyperboloid_lift(np.asarray(kt.vertices, dtype=float)) @ L.T
     if np.any(lift[:, 3] <= 0):
         lift = -lift
-    return KleinTetra(vertices=lift[:, :3] / lift[:, 3:4], source=kt.source)
+    return KleinTetra(vertices=lift[:, :3] / lift[:, 3:4])
 
 
 # --- deterministic adaptive volume quadrature -------------------------------

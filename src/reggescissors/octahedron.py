@@ -38,7 +38,7 @@ import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import lobachevsky
-from .tetra import TetAngles, TetraKind, classify
+from .tetra import TetAngles, TetraKind, _memo, classify
 
 __all__ = [
     "BaseAngles",
@@ -276,15 +276,10 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic or a
     failed sign test raises DegenerateSystemError with diagnostics.
 
-    A frozen TetAngles keeps its roots, solved on the first call, outside
-    its dataclass fields, as it keeps its class (see classify).  A raised
-    error is not kept: the next call solves again and raises again.
+    A TetAngles keeps its roots, solved on the first call, as it keeps its
+    class (see tetra._memo).
     """
-    cached = t.__dict__.get("_holonomy_roots")
-    if cached is None:
-        cached = _solve_holonomy(t, bar_solution(t))
-        object.__setattr__(t, "_holonomy_roots", cached)
-    return cached
+    return _memo(t, "_holonomy_roots", lambda t: _solve_holonomy(t, bar_solution(t)))
 
 
 def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:

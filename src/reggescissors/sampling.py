@@ -10,7 +10,7 @@ from .exceptions import GeometryDomainError
 from .scissors import regge
 from .tetra import TetAngles, TetraKind, classify
 
-__all__ = ["SampleBox", "SampleStats", "random_finite_tetra", "sample_finite"]
+__all__ = ["SampleBox", "SampleStats", "sample_finite"]
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,6 @@ def _accept(t: TetAngles, require_finite_images: tuple[str, ...]) -> bool:
         if classify(regge(t, which)).kind is not TetraKind.FINITE:
             return False
     return True
-
-
-def random_finite_tetra(rng: np.random.Generator, box: SampleBox = SampleBox(),
-                        require_finite_images: tuple[str, ...] = (),
-                        max_tries: int = 100000) -> TetAngles:
-    """Draw one finite tetrahedron: the single member of sample_finite(rng, 1, ...)."""
-    return sample_finite(rng, 1, box, require_finite_images, max_tries)[0][0]
 
 
 def sample_finite(rng: np.random.Generator, count: int, box: SampleBox = SampleBox(),

@@ -40,15 +40,12 @@ from .tetra import (
 
 __all__ = [
     "Decomposition",
-    "HalfDecomposition",
-    "HalfPiece",
     "LPiece",
     "OrbitResult",
     "REGGE_B_IMAGE_RELABEL",
     "ScissorsReport",
     "canonical_angle",
     "decompose",
-    "halve",
     "permute_for_regge_b",
     "regge",
     "regge_orbit",
@@ -69,27 +66,37 @@ PAIR_CONJUGATION = {"a": SWAP_AB_PAIRS, "b": None, "c": SWAP_BC_PAIRS}
 #: Canonical angles closer to zero than this are null pieces.
 NULL_PIECE_TOL = 1e-12
 
+#: Piece order of a decomposition (O, then O', each in SLOT_ORDER) with the
+#: BA and DC pieces exchanged on both sides: the congruence move of R_b.
+_REGGE_B_EXCHANGE = np.array(
+    [side + SLOT_ORDER.index({"BA": "DC", "DC": "BA"}.get(slot, slot))
+     for side in (0, len(SLOT_ORDER)) for slot in SLOT_ORDER],
+    dtype=np.intp,
+)
+
+#: as_tuple() indices of the four angles each transform moves; the opposite
+#: pair it fixes keeps its two angles.
+_MOVED = {"a": (1, 2, 4, 5), "b": (0, 2, 3, 5), "c": (0, 1, 3, 4)}
+
 
 def s_value(t: TetAngles, which: str) -> float:
     """The half-sum s_a, s_b, or s_c of the four angles moved by the transform."""
-    if which == "a":
-        return (t.B + t.C + t.Bp + t.Cp) / 2
-    if which == "b":
-        return (t.A + t.C + t.Ap + t.Cp) / 2
-    if which == "c":
-        return (t.A + t.B + t.Ap + t.Bp) / 2
-    raise GeometryDomainError(f"transform must be one of 'a', 'b', 'c', got {which!r}")
+    if which not in _MOVED:
+        raise GeometryDomainError(f"transform must be one of 'a', 'b', 'c', got {which!r}")
+    x = t.as_tuple()
+    i, j, k, m = _MOVED[which]
+    return (x[i] + x[j] + x[k] + x[m]) / 2
 
 
 def regge(t: TetAngles, which: str) -> TetAngles:
-    """Apply one Regge transform.  Total affine involution; validity of the
-    output is a separate question answered by classify()."""
+    """Apply one Regge transform: s - x on the moved angles.  Total affine
+    involution; validity of the output is a separate question answered by
+    classify()."""
     s = s_value(t, which)
-    if which == "a":
-        return TetAngles(t.A, s - t.B, s - t.C, t.Ap, s - t.Bp, s - t.Cp)
-    if which == "b":
-        return TetAngles(s - t.A, t.B, s - t.C, s - t.Ap, t.Bp, s - t.Cp)
-    return TetAngles(s - t.A, s - t.B, t.C, s - t.Ap, s - t.Bp, t.Cp)
+    x = list(t.as_tuple())
+    for k in _MOVED[which]:
+        x[k] = s - x[k]
+    return TetAngles(*x)
 
 
 def canonical_angle(x: float) -> float:
@@ -128,7 +135,6 @@ class Decomposition:
     """The sixteen-piece decomposition of two copies of the source tetrahedron."""
 
     pieces: tuple[LPiece, ...]
-    source: TetAngles
     source_kind: TetraKind
     mirrored: bool = False
 
@@ -143,42 +149,6 @@ class Decomposition:
             if p.side == side and p.slot == slot:
                 return p
         raise KeyError((side, slot))
-
-
-@dataclass(frozen=True)
-class HalfPiece:
-    side: str
-    slot: str
-    half: int  # 0 or 1
-    canonical_angle: float
-
-    @property
-    def signed_volume(self) -> float:
-        return lobachevsky(self.canonical_angle) / 2.0
-
-
-@dataclass(frozen=True)
-class HalfDecomposition:
-    """Dupont halving: each of the 16 pieces split along its symmetry plane
-    into two congruent halves.  The 32 halves fall into two congruent
-    16-half families (half index 0 and 1); either family reassembles one
-    copy of the source tetrahedron, so each family sums to V and the whole
-    collection still sums to 2V."""
-
-    pieces: tuple[HalfPiece, ...]
-    source: TetAngles
-
-    def canonical_angles(self) -> np.ndarray:
-        return np.array([p.canonical_angle for p in self.pieces])
-
-    def total_volume(self) -> float:
-        return float(sum(p.signed_volume for p in self.pieces))
-
-    def copy_volume(self, half: int) -> float:
-        """Signed volume of one congruent 16-half family (equals V)."""
-        if half not in (0, 1):
-            raise GeometryDomainError("half must be 0 or 1")
-        return float(sum(p.signed_volume for p in self.pieces if p.half == half))
 
 
 def decompose(t: TetAngles) -> Decomposition:
@@ -196,7 +166,7 @@ def decompose(t: TetAngles) -> Decomposition:
               for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_minus))]
     pieces += [LPiece(DUAL_SIDE, slot, -raw, canonical_angle(-raw))
                for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_plus))]
-    return Decomposition(tuple(pieces), t, kind)
+    return Decomposition(tuple(pieces), kind)
 
 
 def permute_for_regge_b(d: Decomposition) -> Decomposition:
@@ -204,24 +174,8 @@ def permute_for_regge_b(d: Decomposition) -> Decomposition:
     then mirror.  The mirror is an isometry of every piece (each L(theta) is
     bilaterally symmetric), so only the flag changes; the piece multiset is
     exactly preserved."""
-    by_key = {(p.side, p.slot): p for p in d.pieces}
-    swapped = []
-    for p in d.pieces:
-        if p.slot in ("BA", "DC"):
-            other = by_key[(p.side, "DC" if p.slot == "BA" else "BA")]
-            swapped.append(replace(other, slot=p.slot))
-        else:
-            swapped.append(p)
-    return replace(d, pieces=tuple(swapped), mirrored=not d.mirrored)
-
-
-def halve(d: Decomposition) -> HalfDecomposition:
-    """Split every piece along its symmetry plane into two congruent halves."""
-    halves = []
-    for p in d.pieces:
-        for k in (0, 1):
-            halves.append(HalfPiece(p.side, p.slot, k, p.canonical_angle))
-    return HalfDecomposition(tuple(halves), d.source)
+    pieces = tuple(replace(d.pieces[k], slot=p.slot) for p, k in zip(d.pieces, _REGGE_B_EXCHANGE))
+    return replace(d, pieces=pieces, mirrored=not d.mirrored)
 
 
 @dataclass(frozen=True)
@@ -242,8 +196,7 @@ class ScissorsReport:
     slot_gap: float
     slot_permutation: tuple[int, ...]
     conjugation: tuple[int, ...] | None
-    tol_volume: float
-    tol_match: float
+    tol: float
     volume: float
     volume_image: float
     transformed: TetAngles
@@ -258,8 +211,8 @@ class ScissorsReport:
             "slot_gap": self.slot_gap,
             "slot_permutation": list(self.slot_permutation),
             "conjugation": list(self.conjugation) if self.conjugation else None,
-            "tol_volume": self.tol_volume,
-            "tol_match": self.tol_match,
+            "tol_volume": self.tol,
+            "tol_match": self.tol,
             "volume": self.volume,
             "volume_image": self.volume_image,
             "transformed_angles": list(self.transformed.as_tuple()),
@@ -277,25 +230,22 @@ def _match_permutation(target: np.ndarray, values: np.ndarray) -> tuple[int, ...
     return tuple(perm)
 
 
-def verify_scissors(t: TetAngles, which: str,
-                    tol_volume: float = 1e-9, tol_match: float = 1e-9) -> ScissorsReport:
-    """Check numerically that 2T and 2R(T) decompose into the same pieces.
+def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsReport:
+    """Check numerically that 2T and 2R(T) decompose into the same pieces:
+    the volume gap and the piece-angle gaps must each be at most tol.
 
     For which='b' the check is direct; 'a' and 'c' are conjugated through
     the corresponding pair swap first.  Invalid or degenerate configurations
     produce a failed report rather than an exception.
     """
-    if which not in ("a", "b", "c"):
-        raise GeometryDomainError(f"transform must be 'a', 'b' or 'c', got {which!r}")
+    transformed = regge(t, which)  # raises for an unknown transform
     conj = PAIR_CONJUGATION[which]
-    transformed = regge(t, which)
 
     def failed(reason: str) -> ScissorsReport:
         return ScissorsReport(
             which=which, passed=False, volume_gap=math.inf, multiset_gap=math.inf,
-            slot_gap=math.inf, slot_permutation=(), conjugation=conj,
-            tol_volume=tol_volume, tol_match=tol_match, volume=math.nan,
-            volume_image=math.nan, transformed=transformed, failure=reason,
+            slot_gap=math.inf, slot_permutation=(), conjugation=conj, tol=tol,
+            volume=math.nan, volume_image=math.nan, transformed=transformed, failure=reason,
         )
 
     t0 = relabel(t, conj) if conj else t
@@ -307,30 +257,29 @@ def verify_scissors(t: TetAngles, which: str,
     if kind_i is not TetraKind.FINITE:
         return failed(f"transform image is {kind_i.value}, not Finite")
     try:
-        moved = permute_for_regge_b(decompose(t0))
+        source = decompose(t0)
         aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL))
         v_src = tet_volume(t0)
         v_img = tet_volume(image)
     except (DegenerateSystemError, NonUnitRootError) as exc:
         return failed(f"angle system degenerate: {exc}")
 
-    c_moved = moved.canonical_angles()
+    c_moved = source.canonical_angles()[_REGGE_B_EXCHANGE]
     c_image = aligned.canonical_angles()
     slot_gap = float(np.max(np.abs(c_moved - c_image)))
     multiset_gap = float(np.max(np.abs(np.sort(c_moved) - np.sort(c_image))))
-    if slot_gap <= tol_match:
+    if slot_gap <= tol:
         permutation = tuple(range(16))
     else:
         # fall back to reporting the discovered sort-and-pair matching
         permutation = _match_permutation(c_image, c_moved)
     volume_gap = abs(v_src - v_img)
-    passed = volume_gap <= tol_volume and multiset_gap <= tol_match
+    passed = volume_gap <= tol and multiset_gap <= tol
     return ScissorsReport(
         which=which, passed=passed, volume_gap=volume_gap,
         multiset_gap=multiset_gap, slot_gap=slot_gap,
         slot_permutation=permutation, conjugation=conj,
-        tol_volume=tol_volume, tol_match=tol_match,
-        volume=v_src, volume_image=v_img, transformed=transformed,
+        tol=tol, volume=v_src, volume_image=v_img, transformed=transformed,
     )
 
 

@@ -229,17 +229,23 @@ def angles_from_gram(G: GramMatrix) -> TetAngles:
                         for name, (k, l) in _FACES_OF.items()})
 
 
+def _memo(t: TetAngles, key: str, compute):
+    """compute(t), kept on the frozen instance after the first call, outside
+    its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
+    A raised error is not kept: the next call computes again."""
+    value = t.__dict__.get(key)
+    if value is None:
+        value = compute(t)
+        object.__setattr__(t, key, value)
+    return value
+
+
 def classify(t: TetAngles) -> TetraClass:
     """Classify the angle data as Finite / Ideal / Hyperideal / Invalid.
 
-    A frozen TetAngles keeps its class, computed on the first call, outside
-    its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
+    A TetAngles keeps its class, computed on the first call (see _memo).
     """
-    cached = t.__dict__.get("_tetra_class")
-    if cached is None:
-        cached = _classify(t)
-        object.__setattr__(t, "_tetra_class", cached)
-    return cached
+    return _memo(t, "_tetra_class", _classify)
 
 
 def _classify(t: TetAngles) -> TetraClass:

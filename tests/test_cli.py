@@ -77,12 +77,41 @@ def test_regge_command():
     assert payload["transformed"]["B"] == pytest.approx(1.2, abs=1e-15)
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf", "-inf"])
 def test_verify_non_positive_tol_is_input_error(tol, capsys):
-    assert cli.main(["verify", *ANGLES_GENERIC, "--which", "b", "--tol", tol]) == cli.EXIT_INPUT
+    # "--tol=" because argparse reads a bare "-inf" as an option
+    assert cli.main(["verify", *ANGLES_GENERIC, "--which", "b", f"--tol={tol}"]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
     assert "--tol must be positive" in json.loads(out)["error"]
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", *ANGLES_GENERIC, "--which", "b", "--tol", "abc"],
+         "reggescissors verify: argument --tol: invalid float value: 'abc'"),
+        (["suite", "--count", "x"], "reggescissors suite: argument --count: invalid int value: 'x'"),
+        (["orbit", *ANGLES_GENERIC, "--max-size", "x"],
+         "reggescissors orbit: argument --max-size: invalid int value: 'x'"),
+        ([], "reggescissors: the following arguments are required: command"),
+        (["volume", "1.2"], "reggescissors volume: the following arguments are required: ANGLE"),
+    ],
+    ids=["tol", "count", "max-size", "no-command", "missing-angles"],
+)
+def test_usage_error_is_input_error(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == message
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: reggescissors")
 
 
 def test_verify_fixed_point():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.sampling import SampleBox, _accept, random_finite_tetra, sample_finite
+from reggescissors.sampling import SampleBox, _accept, sample_finite
 from reggescissors.tetra import TetAngles, TetraKind, classify
 
 
@@ -26,14 +26,20 @@ def test_image_requirement():
             assert classify(regge(t, which)).kind is TetraKind.FINITE
 
 
+def _single_draw(rng, box=SampleBox(), require_finite_images=(), max_tries=100000):
+    batch, stats = sample_finite(rng, 1, box, require_finite_images, max_tries)
+    assert len(batch) == 1 and stats.requested == 1
+    return batch[0]
+
+
 def test_single_draw():
     rng = np.random.default_rng(0)
-    t = random_finite_tetra(rng)
+    t = _single_draw(rng)
     assert classify(t).kind is TetraKind.FINITE
 
 
 def _loop_draw(rng, box=SampleBox(), require_finite_images=(), max_tries=100000):
-    """random_finite_tetra as its own loop, before it became sample_finite(rng, 1, ...)."""
+    """One finite draw as its own rejection loop: the reference for sample_finite(rng, 1, ...)."""
     lo, hi = box.center - box.half_width, box.center + box.half_width
     for _ in range(max_tries):
         t = TetAngles.of(rng.uniform(lo, hi, size=6))
@@ -47,7 +53,7 @@ def test_single_draw_matches_loop(images):
     for seed in range(5):
         rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            drawn = random_finite_tetra(rng1, require_finite_images=images)
+            drawn = _single_draw(rng1, require_finite_images=images)
             assert drawn == _loop_draw(rng2, require_finite_images=images)
         assert rng1.bit_generator.state == rng2.bit_generator.state
 
@@ -57,7 +63,7 @@ def test_single_draw_same_error(max_tries):
     box = SampleBox(center=0.3, half_width=0.05)
     rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
     messages = []
-    for fn, rng in ((random_finite_tetra, rng1), (_loop_draw, rng2)):
+    for fn, rng in ((_single_draw, rng1), (_loop_draw, rng2)):
         with pytest.raises(GeometryDomainError) as exc:
             fn(rng, box, max_tries=max_tries)
         messages.append(str(exc.value))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import KleinTetra, dihedral_angles
+from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import DUAL_SIDE, O_SIDE, tet_volume
 from reggescissors.scissors import (
+    _REGGE_B_EXCHANGE,
     REGGE_B_IMAGE_RELABEL,
     canonical_angle,
     decompose,
-    halve,
     permute_for_regge_b,
     regge,
     regge_orbit,
@@ -190,27 +192,9 @@ class TestVerify:
     def test_report_payload_round_trips(self, generic):
         payload = verify_scissors(generic, "b").to_payload()
         assert payload["passed"] is True
+        assert payload["tol_volume"] == payload["tol_match"] == 1e-9
         assert len(payload["slot_permutation"]) == 16
         assert payload["failure"] is None
-
-
-class TestHalve:
-    def test_halves_reassemble_single_copies(self, finite_batch):
-        for t in finite_batch[:6]:
-            d = decompose(t)
-            h = halve(d)
-            v = tet_volume(t)
-            assert len(h.pieces) == 32
-            # each congruent 16-half family is one copy of T
-            assert h.copy_volume(0) == pytest.approx(v, abs=1e-10)
-            assert h.copy_volume(1) == pytest.approx(v, abs=1e-10)
-            assert h.total_volume() == pytest.approx(2 * v, abs=1e-10)
-
-    def test_commutes_with_permutation(self, generic):
-        d = decompose(generic)
-        first = sorted(halve(permute_for_regge_b(d)).canonical_angles())
-        second = sorted(halve(d).canonical_angles())
-        assert first == pytest.approx(second, abs=0)
 
 
 class TestOrbit:
@@ -298,3 +282,80 @@ class TestOrbitDedupMatchesPairwise:
             assert orbit.truncated is truncated
             truncated_seen |= truncated
         assert truncated_seen is (max_size < 64)
+
+
+# --- bit identity with the three-branch moves, the dict swap and the halving layer
+
+def _s_value_branches(t, which):
+    """s_value as three branches, before the moves became one index table."""
+    if which == "a":
+        return (t.B + t.C + t.Bp + t.Cp) / 2
+    if which == "b":
+        return (t.A + t.C + t.Ap + t.Cp) / 2
+    return (t.A + t.B + t.Ap + t.Bp) / 2
+
+
+def _regge_branches(t, which):
+    s = _s_value_branches(t, which)
+    if which == "a":
+        return TetAngles(t.A, s - t.B, s - t.C, t.Ap, s - t.Bp, s - t.Cp)
+    if which == "b":
+        return TetAngles(s - t.A, t.B, s - t.C, s - t.Ap, t.Bp, s - t.Cp)
+    return TetAngles(s - t.A, s - t.B, t.C, s - t.Ap, s - t.Bp, t.Cp)
+
+
+def _permute_by_dict(d):
+    """permute_for_regge_b as a keyed swap, before it became one index."""
+    by_key = {(p.side, p.slot): p for p in d.pieces}
+    swapped = []
+    for p in d.pieces:
+        if p.slot in ("BA", "DC"):
+            other = by_key[(p.side, "DC" if p.slot == "BA" else "BA")]
+            swapped.append(replace(other, slot=p.slot))
+        else:
+            swapped.append(p)
+    return replace(d, pieces=tuple(swapped), mirrored=not d.mirrored)
+
+
+def _halved_copy_volumes(d):
+    """copy_volume(0) and copy_volume(1) of the removed 32-half layer: each
+    piece split into halves 0 and 1 of volume lob(theta) / 2, in piece order."""
+    halves = [(k, lobachevsky(p.canonical_angle) / 2.0) for p in d.pieces for k in (0, 1)]
+    return tuple(float(sum(v for half, v in halves if half == k)) for k in (0, 1))
+
+
+def _hex(values):
+    return [float.hex(float(x)) for x in values]
+
+
+class TestMovesKeepBits:
+    def test_moves_match_branches(self, finite_batch):
+        rng = np.random.default_rng(20261018)
+        cases = [*finite_batch, *(TetAngles.of(row) for row in rng.uniform(0.0, PI, size=(10_000, 6)))]
+        for t in cases:
+            for which in ("a", "b", "c"):
+                assert float.hex(s_value(t, which)) == float.hex(_s_value_branches(t, which))
+                assert _hex(regge(t, which).as_tuple()) == _hex(_regge_branches(t, which).as_tuple())
+
+    def test_exchange_index(self):
+        assert tuple(_REGGE_B_EXCHANGE) == (0, 5, 2, 3, 4, 1, 6, 7, 8, 13, 10, 11, 12, 9, 14, 15)
+
+    def test_permutation_matches_dict_swap(self, finite_batch):
+        for t in [*finite_batch, *_klein_uniform(np.random.default_rng(77), 50)]:
+            d = decompose(t)
+            for before in (d, permute_for_regge_b(d)):
+                new, old = permute_for_regge_b(before), _permute_by_dict(before)
+                assert [(p.side, p.slot) for p in new.pieces] == [(p.side, p.slot) for p in old.pieces]
+                assert _hex(p.raw_angle for p in new.pieces) == _hex(p.raw_angle for p in old.pieces)
+                assert _hex(new.canonical_angles()) == _hex(old.canonical_angles())
+                assert new.mirrored is old.mirrored is not before.mirrored
+            # verify_scissors reads the exchanged angles without the permuted copy
+            assert _hex(d.canonical_angles()[_REGGE_B_EXCHANGE]) == _hex(_permute_by_dict(d).canonical_angles())
+
+    def test_half_of_total_is_halved_copy(self, finite_batch):
+        for t in [*finite_batch, *_klein_uniform(np.random.default_rng(77), 50)]:
+            d = decompose(t)
+            half = float.hex(0.5 * d.total_volume())
+            assert _hex(_halved_copy_volumes(d)) == [half, half]
+            moved = permute_for_regge_b(d)
+            assert float.hex(0.5 * moved.total_volume()) == float.hex(_halved_copy_volumes(_permute_by_dict(d))[0])

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -11,3 +12,38 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 def test_script_runs(name):
     result = subprocess.run([sys.executable, str(SCRIPTS / name)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture
+def output_digest(monkeypatch):
+    """scripts/output_digest.py as a module; it extends sys.path on import."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_check_names_what_moved(output_digest, monkeypatch, capsys):
+    pinned = dict(output_digest.PINNED)
+    assert list(pinned) == ["suite_seed7", "suite_seed2", "formula_seed1", "formula_seed2", "formula_seed3"]
+    assert output_digest.moved(pinned) == []
+    fake = {**pinned, "formula_seed2": "0" * 64}
+    del fake["suite_seed7"]
+    assert output_digest.moved(fake) == ["suite_seed7", "formula_seed2"]
+
+    # the flag only adds the comparison; the digest lines are printed either way
+    monkeypatch.setattr(output_digest, "digests", lambda: iter(fake.items()))
+    assert output_digest.main([]) == 0
+    plain = capsys.readouterr().out
+    assert plain == "".join(f"{name} {digest}\n" for name, digest in fake.items())
+    assert output_digest.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(plain)
+    assert out[len(plain):].splitlines() == [
+        f"moved: suite_seed7 (pinned {pinned['suite_seed7']})",
+        f"moved: formula_seed2 (pinned {pinned['formula_seed2']})",
+    ]
+    monkeypatch.setattr(output_digest, "digests", lambda: iter(pinned.items()))
+    assert output_digest.main(["--check"]) == 0
+    assert capsys.readouterr().out.endswith("all 5 digests match their pinned values\n")
