@@ -9,7 +9,9 @@ Runs `reggescissors.cli.main` in-process and prints one sha256 per line:
 * `suite_seed2`: the stdout, stderr and exit code of `suite --seed 2`;
 * `formula_seed<k>`, k = 1..3: the stdout and exit code of `volume`,
   `decompose`, `verify --which a|b|c` and `orbit` on the first 300
-  tetrahedra of the benchmark's `formula` input stream for seed k.
+  tetrahedra of the benchmark's `formula` input stream for seed k;
+* `oracle_seed1`: the stdout and exit code of `oracle` on the first 100
+  tetrahedra of the benchmark's `oracle` input stream for seed 1.
 
 Only the CLI contract is used, so two checkouts can be compared by running
 the script of either one against each `src/`.  It takes about half a minute.
@@ -43,6 +45,7 @@ PINNED = {
     "formula_seed1": "fa39e36d6f0f3f4af2de719e2d5c7a5622a7193cc18da07ee1056de1216f1ecd",
     "formula_seed2": "18b9b8ea55634cb88d0ead3f0ba6b57a6f833cd7a0c5d12f5f72825624edb219",
     "formula_seed3": "ca973aa879478468bd54097910807ca740395bcf9363a1380b4b10d2e4a44914",
+    "oracle_seed1": "d81bbf1f954b509784dd695a7b6710af53e68f158e634bb276053bccc2829099",
 }
 
 FORMULA_INPUTS = 300
@@ -55,6 +58,7 @@ ANGLE_COMMANDS = (
     ("verify", "--which", "c"),
     ("orbit",),
 )
+ORACLE_INPUTS = 100
 
 
 def run(argv: list[str]) -> tuple[str, str, int]:
@@ -73,15 +77,25 @@ def sha256(*parts: str) -> str:
     return h.hexdigest()
 
 
-def formula_digest(seed: int) -> str:
-    angles, _ = TetStream(seed, STREAM["formula"], RMAX["formula"]).take(FORMULA_INPUTS)
+def stream_digest(workload: str, seed: int, count: int, commands) -> str:
+    """sha256 of the stdout and exit code of each command on each of the
+    first `count` tetrahedra of the benchmark's input stream."""
+    angles, _ = TetStream(seed, STREAM[workload], RMAX[workload]).take(count)
     h = hashlib.sha256()
     for row in angles:
         tokens = [repr(float(x)) for x in row]
-        for command in ANGLE_COMMANDS:
+        for command in commands:
             out, _, code = run([command[0], *tokens, *command[1:]])
             h.update(f"{code}\n{out}\0".encode("utf-8"))
     return h.hexdigest()
+
+
+def formula_digest(seed: int) -> str:
+    return stream_digest("formula", seed, FORMULA_INPUTS, ANGLE_COMMANDS)
+
+
+def oracle_digest(seed: int) -> str:
+    return stream_digest("oracle", seed, ORACLE_INPUTS, [("oracle",)])
 
 
 def digests():
@@ -92,6 +106,7 @@ def digests():
     yield "suite_seed2", sha256(out, err, str(code))
     for seed in FORMULA_SEEDS:
         yield f"formula_seed{seed}", formula_digest(seed)
+    yield "oracle_seed1", oracle_digest(1)
 
 
 def moved(found: dict[str, str], pinned: dict[str, str] = PINNED) -> list[str]:

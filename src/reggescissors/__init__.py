@@ -10,8 +10,6 @@ from .exceptions import (
 )
 from .lobachevsky import lobachevsky, lobachevsky_quadrature
 from .tetra import (
-    IdealTetAngles,
-    PrimeAngles,
     TetAngles,
     TetraClass,
     TetraKind,
@@ -23,7 +21,6 @@ from .tetra import (
     prism_volume,
     relabel,
     tetra_symmetries,
-    three_quarter_volume,
 )
 from .octahedron import (
     BarSolution,

@@ -24,7 +24,7 @@ from .exceptions import (
 from . import klein
 from .octahedron import solve_holonomy, tet_volume
 from .scissors import decompose, regge, regge_orbit, s_value, verify_scissors
-from .suite import SuiteConfig, report_json, run_suite
+from .suite import SuiteConfig, run_suite
 from .tetra import TetAngles, TetraKind, classify, edge_lengths
 
 EXIT_OK = 0
@@ -36,16 +36,14 @@ _ANGLE_NAMES = ("A", "B", "C", "A'", "B'", "C'")
 
 
 def _emit(payload: dict, args) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2)
     if getattr(args, "table", False):
         _print_table(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2)
         print(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2))
-            fh.write("\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _print_table(payload: dict, indent: int = 0) -> None:
@@ -229,12 +227,7 @@ def cmd_suite(args) -> int:
         oracle_count=max(1, args.count // 4),
     )
     report = run_suite(config)
-    text = report_json(report)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _emit(report.to_payload(), args)
     for result in report.results:
         status = "PASS" if result.passed else "FAIL"
         print(f"criterion {result.cid} [{status}] {result.name}", file=sys.stderr)

@@ -49,23 +49,27 @@ class KleinTetra:
 
     vertices: np.ndarray  # shape (4, 3), all |v| < 1
 
-    def radii(self) -> np.ndarray:
-        return np.linalg.norm(self.vertices, axis=1)
-
 
 def _hyperboloid_lift(klein_pts: np.ndarray) -> np.ndarray:
     t = 1.0 / np.sqrt(1.0 - np.sum(klein_pts**2, axis=1))
     return np.hstack([klein_pts * t[:, None], t[:, None]])
 
 
+def _minkowski_complements(columns: np.ndarray) -> np.ndarray:
+    """Row k: a Euclidean unit vector Minkowski-orthogonal to the columns of
+    the 4x4 `columns` other than column k, of either sign."""
+    rows = []
+    for k in range(4):
+        others = [i for i in range(4) if i != k]
+        _, _, vt = np.linalg.svd((_MINK @ columns[:, others]).T)
+        rows.append(vt[-1])
+    return np.array(rows)
+
+
 def _face_normals(lift: np.ndarray) -> np.ndarray:
     """Outward unit spacelike normals; row i is the face opposite vertex i."""
     normals = []
-    for i in range(4):
-        others = [j for j in range(4) if j != i]
-        system = (_MINK @ lift[others].T).T
-        _, _, vt = np.linalg.svd(system)
-        n = vt[-1]
+    for i, n in enumerate(_minkowski_complements(lift.T)):
         norm2 = n @ _MINK @ n
         if norm2 <= 0:
             raise GeometryDomainError("degenerate face: normal is not spacelike")
@@ -122,13 +126,7 @@ def _gram_vertices(G: np.ndarray) -> np.ndarray:
     order = [1, 2, 3, 0]  # three positive eigenvalues first, negative last
     lam, P = lam[order], P[:, order]
     normals = np.diag(np.sqrt(np.abs(lam))) @ P.T  # columns: normals with N^T M N = G
-    verts = []
-    for k in range(4):
-        others = [i for i in range(4) if i != k]
-        _, _, vt = np.linalg.svd((_MINK @ normals[:, others]).T)
-        v = vt[-1]
-        verts.append(-v if v[3] < 0 else v)
-    return np.array(verts)
+    return np.array([-v if v[3] < 0 else v for v in _minkowski_complements(normals)])
 
 
 def klein_vertices(t: TetAngles) -> KleinTetra:
@@ -289,8 +287,8 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
     result are those of refining one child at a time and summing the heap's
     errors in heap order at each step.
     """
-    if not tol > 0:
-        raise GeometryDomainError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise GeometryDomainError("tol must be positive and finite")
     verts = np.asarray(kt.vertices, dtype=float)
     if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
         raise GeometryDomainError("vertices must lie strictly inside the unit ball")
@@ -417,8 +415,7 @@ def three_quarter_volume_numeric(A: float, B: float, C: float) -> float:
     """
     if A + B + C <= math.pi:
         raise GeometryDomainError("3/4-ideal tetrahedron requires A + B + C > pi")
-    p = prime_angles(A, B, C)
-    t = TetAngles(A, B, C, p.Aprime, p.Bprime, p.Cprime)
+    t = TetAngles(A, B, C, *prime_angles(A, B, C))
     verts = []
     for k, v in enumerate(_gram_vertices(gram_matrix(t))):
         q = v @ _MINK @ v

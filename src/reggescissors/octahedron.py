@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -134,23 +134,20 @@ class HolonomyRoots:
     """The solved angle system of one tetrahedron: the bar solution and both
     roots of the holonomy quadratic with semantic labels.
 
-    z_minus is the root whose assembled tetrahedron volume is positive;
-    z_plus gives the negative of the volume.  Z_minus / Z_plus are the
-    half-arguments (the additive angle offsets), fixed mod pi, and
-    volume_minus / volume_plus the assembled volumes at each offset.
+    Z_minus / Z_plus are the angle offsets, fixed mod pi: z = exp(i Z) are
+    the two unit-circle roots, of which z_minus assembles the positive
+    tetrahedron volume and z_plus its negative.  volume_minus / volume_plus
+    are the assembled volumes at each offset.  The quadratic itself is
+    holonomy_polynomial(bars)[1:4]; the class is classify(t).
     """
 
     bars: BarSolution
-    z_minus: complex
-    z_plus: complex
     Z_minus: float
     Z_plus: float
     volume_minus: float
     volume_plus: float
-    quad_coeffs: tuple[complex, complex, complex]  # (w^2, w^1, w^0)
     discriminant: complex
     unit_defect: float
-    tet_class: TetraKind
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,7 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     """Solve the holonomy quadratic and label the roots semantically.
 
     Accepts Finite and Ideal tetrahedra; Hyperideal input is solved as well
-    (there the octahedron is honestly embedded) and flagged via tet_class.
+    (there the octahedron is honestly embedded); classify(t) tells it apart.
     Invalid input raises GeometryDomainError.  Roots off the unit circle
     beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic or a
     failed sign test raises DegenerateSystemError with diagnostics.
@@ -318,16 +315,12 @@ def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:
     ip = 1 - im
     return HolonomyRoots(
         bars=bars,
-        z_minus=cmath.exp(1j * Zs[im]),
-        z_plus=cmath.exp(1j * Zs[ip]),
         Z_minus=Zs[im],
         Z_plus=Zs[ip],
         volume_minus=vols[im],
         volume_plus=vols[ip],
-        quad_coeffs=(q2, q1, q0),
         discriminant=disc,
         unit_defect=defect,
-        tet_class=kind,
     )
 
 
@@ -348,8 +341,7 @@ def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
     if which == O_SIDE:
         vals = {s: wrap_angle(x) for s, x in zip(SLOT_ORDER, bars.slots(roots.Z_minus))}
     else:
-        base = BaseAngles(*(_PI - x for x in (base.a, base.b, base.c, base.d,
-                                              base.e, base.f, base.g, base.h)))
+        base = BaseAngles(*(_PI - x for x in astuple(base)))
         vals = {}
         Zp = roots.Z_plus
         for s in SLOT_ORDER:

@@ -135,7 +135,6 @@ class Decomposition:
     """The sixteen-piece decomposition of two copies of the source tetrahedron."""
 
     pieces: tuple[LPiece, ...]
-    source_kind: TetraKind
     mirrored: bool = False
 
     def canonical_angles(self) -> np.ndarray:
@@ -154,9 +153,8 @@ class Decomposition:
 def decompose(t: TetAngles) -> Decomposition:
     """Decompose 2T into sixteen signed pieces (firepole on the (A,A') pair).
 
-    Finite sources are the main case; Ideal sources are accepted (the kind
-    is recorded so callers can see the degeneracy); Hyperideal and Invalid
-    raise.
+    Finite sources are the main case; Ideal sources are accepted (classify(t)
+    shows the degeneracy); Hyperideal and Invalid raise.
     """
     kind = classify(t).kind
     if kind not in (TetraKind.FINITE, TetraKind.IDEAL):
@@ -166,7 +164,7 @@ def decompose(t: TetAngles) -> Decomposition:
               for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_minus))]
     pieces += [LPiece(DUAL_SIDE, slot, -raw, canonical_angle(-raw))
                for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_plus))]
-    return Decomposition(tuple(pieces), kind)
+    return Decomposition(tuple(pieces))
 
 
 def permute_for_regge_b(d: Decomposition) -> Decomposition:

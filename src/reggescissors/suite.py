@@ -30,7 +30,6 @@ from .octahedron import (
 from .sampling import SampleBox, sample_finite
 from .scissors import decompose, permute_for_regge_b, regge, verify_scissors
 from .tetra import (
-    IdealTetAngles,
     SWAP_AB_PAIRS,
     SWAP_BC_PAIRS,
     TetAngles,
@@ -301,13 +300,13 @@ def criterion_7(config: SuiteConfig) -> CriterionResult:
 
 def criterion_8(config: SuiteConfig) -> CriterionResult:
     """Spot values: regular ideal volume; the half-tetra piece identity."""
-    regular = ideal_volume(IdealTetAngles(_PI / 3, _PI / 3, _PI / 3))
+    regular = ideal_volume(_PI / 3, _PI / 3, _PI / 3)
     oracle = 3 * lobachevsky_quadrature(_PI / 3, 1e-12)
     gap_regular = abs(regular - oracle)
     thetas = np.linspace(0.05, _PI / 2 - 0.05, 40)
     w_piece = 0.0
     for theta in thetas:
-        vol = ideal_volume(IdealTetAngles(2 * theta, _PI / 2 - theta, _PI / 2 - theta))
+        vol = ideal_volume(2 * theta, _PI / 2 - theta, _PI / 2 - theta)
         w_piece = max(w_piece, abs(vol - 2 * lobachevsky(theta)))
     checks = (
         Check("|regular ideal volume - quadrature oracle|", gap_regular, 1e-9),

@@ -35,12 +35,9 @@ from .exceptions import GeometryDomainError
 from .lobachevsky import lobachevsky
 
 __all__ = [
-    "IDENTITY_RELABEL",
     "SWAP_AB_PAIRS",
     "SWAP_BC_PAIRS",
     "GramMatrix",
-    "IdealTetAngles",
-    "PrimeAngles",
     "TetAngles",
     "TetraClass",
     "TetraKind",
@@ -54,7 +51,6 @@ __all__ = [
     "prism_volume_by_tetrahedra",
     "relabel",
     "tetra_symmetries",
-    "three_quarter_volume",
 ]
 
 _PI = math.pi
@@ -115,28 +111,6 @@ class TetAngles:
         return all(0.0 < x < _PI for x in self.as_tuple())
 
 
-@dataclass(frozen=True)
-class PrimeAngles:
-    Aprime: float
-    Bprime: float
-    Cprime: float
-
-    def as_tuple(self):
-        return (self.Aprime, self.Bprime, self.Cprime)
-
-
-@dataclass(frozen=True)
-class IdealTetAngles:
-    """Dihedral angles of an ideal tetrahedron; opposite edges share an angle."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.gamma)
-
-
 class TetraKind(Enum):
     FINITE = "Finite"
     IDEAL = "Ideal"
@@ -152,26 +126,27 @@ class TetraClass:
     eigenvalues: tuple[float, float, float, float]
 
 
-def prime_angles(A: float, B: float, C: float) -> PrimeAngles:
-    """Angles on the far edges of the prism over a vertex with angles (A, B, C).
+def prime_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
+    """Angles (A', B', C') on the far edges of the prism over a vertex with
+    angles (A, B, C).
 
     Each ideal vertex forces its three dihedral angles to sum to pi, which
     pins the primes as exact affine combinations.
     """
-    return PrimeAngles(
+    return (
         (_PI + A - B - C) / 2,
         (_PI + B - A - C) / 2,
         (_PI + C - A - B) / 2,
     )
 
 
-def ideal_volume(t: IdealTetAngles) -> float:
-    """Volume of an ideal tetrahedron: lob(alpha) + lob(beta) + lob(gamma).
+def ideal_volume(a: float, b: float, c: float) -> float:
+    """Volume of the ideal tetrahedron with dihedral angles (a, b, c) on its
+    opposite edge pairs: lob(a) + lob(b) + lob(c).
 
     Angles may be negative (signed pieces of a non-convex object); only the
     angle sum pi is required.
     """
-    a, b, c = t.as_tuple()
     if abs(a + b + c - _PI) > 1e-9:
         raise GeometryDomainError(
             f"ideal tetrahedron angles must sum to pi (got {a + b + c:.12f})"
@@ -186,8 +161,8 @@ def prism_volume(A: float, B: float, C: float) -> float:
     point-symmetric non-convex continuation, twice the 3/4-ideal tetrahedron.
     Both regimes share one formula.
     """
-    p = prime_angles(A, B, C)
-    terms = [A, p.Aprime, B, p.Bprime, C, p.Cprime]
+    Ap, Bp, Cp = prime_angles(A, B, C)
+    terms = [A, Ap, B, Bp, C, Cp]
     return float(sum(lobachevsky(x) for x in terms) - lobachevsky((_PI + A + B + C) / 2))
 
 
@@ -199,20 +174,8 @@ def prism_volume_by_tetrahedra(A: float, B: float, C: float) -> float:
     triples (A', B', C), (A, B', C') and (C'-C, B, pi-B'), the last one
     signed in the non-convex regime.
     """
-    p = prime_angles(A, B, C)
-    t1 = IdealTetAngles(p.Aprime, p.Bprime, C)
-    t2 = IdealTetAngles(A, p.Bprime, p.Cprime)
-    t3 = IdealTetAngles(p.Cprime - C, B, _PI - p.Bprime)
-    return ideal_volume(t1) + ideal_volume(t2) + ideal_volume(t3)
-
-
-def three_quarter_volume(A: float, B: float, C: float) -> float:
-    """Volume of the 3/4-ideal tetrahedron with finite-apex angles (A, B, C)."""
-    if A + B + C <= _PI:
-        raise GeometryDomainError(
-            "3/4-ideal tetrahedron requires A + B + C > pi (finite apex)"
-        )
-    return prism_volume(A, B, C) / 2.0
+    Ap, Bp, Cp = prime_angles(A, B, C)
+    return ideal_volume(Ap, Bp, C) + ideal_volume(A, Bp, Cp) + ideal_volume(Cp - C, B, _PI - Bp)
 
 
 def gram_matrix(t: TetAngles) -> GramMatrix:
@@ -292,7 +255,6 @@ def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float
 
 # --- tetrahedral relabeling symmetries ------------------------------------
 
-IDENTITY_RELABEL = (0, 1, 2, 3)
 #: Exchanges the roles of the (A, A') and (B, B') edge pairs.
 SWAP_AB_PAIRS = (0, 2, 1, 3)
 #: Exchanges the roles of the (B, B') and (C, C') edge pairs.

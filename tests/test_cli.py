@@ -162,6 +162,28 @@ def test_out_file(tmp_path):
     assert on_disk == json.loads(result.stdout)
 
 
+def test_suite_out_file_is_stdout(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    argv = ["suite", "--count", "4", "--seed", "11", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("}\n")
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
+def test_oracle_tol_outside_positive_finite_is_input_error(tol, capsys):
+    # "--tol=" because argparse reads a bare "-inf" as an option
+    assert cli.main(["oracle", *ANGLES_GENERIC, f"--tol={tol}"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    assert json.loads(out, parse_constant=reject)["error"] == "tol must be positive and finite"
+    assert err.startswith("input error:")
+
+
 def test_suite_small_deterministic():
     first = run_cli("suite", "--count", "4", "--seed", "11")
     second = run_cli("suite", "--count", "4", "--seed", "11")

@@ -1,5 +1,7 @@
 import heapq
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from reggescissors.octahedron import (
     volume_remainder,
 )
 from reggescissors.scissors import decompose, regge
-from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, three_quarter_volume
+from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, gram_matrix, prism_volume
 
 PI = math.pi
 
@@ -48,7 +50,7 @@ class TestRealization:
 
     def test_vertices_inside_ball(self, finite_batch):
         for t in finite_batch[:8]:
-            assert np.all(klein_vertices(t).radii() < 1.0)
+            assert np.all(np.linalg.norm(klein_vertices(t).vertices, axis=1) < 1.0)
 
     def test_equiangular_is_regular(self, equiangular):
         # all six hyperbolic edge lengths computed from coordinates agree
@@ -107,6 +109,11 @@ class TestVolumeNumeric:
         verts = np.array([[0.0, 0, 0], [1.2, 0, 0], [0, 0.5, 0], [0, 0, 0.5]])
         with pytest.raises(GeometryDomainError):
             volume_numeric(KleinTetra(verts), 1e-6)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-6])
+    def test_rejects_tol_outside_positive_finite(self, generic, tol):
+        with pytest.raises(GeometryDomainError, match="tol must be positive and finite"):
+            volume_numeric(klein_vertices(generic), tol)
 
     def test_rejects_nan_vertex(self):
         verts = np.array([[0.0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, math.nan]])
@@ -378,10 +385,88 @@ class TestSchlafli:
 class TestThreeQuarterOracle:
     @pytest.mark.parametrize("abc", [(2.0, 0.8, 0.9), (1.2, 1.2, 1.2), (1.5, 1.0, 0.9)])
     def test_matches_formula(self, abc):
+        # the 3/4-ideal tetrahedron is half the doubled solid over its apex
         assert three_quarter_volume_numeric(*abc) == pytest.approx(
-            three_quarter_volume(*abc), abs=1e-5
+            prism_volume(*abc) / 2, abs=1e-5
         )
 
     def test_rejects_ideal_apex(self):
         with pytest.raises(GeometryDomainError):
             three_quarter_volume_numeric(1.0, 1.0, 1.0)
+
+
+def _ref_face_normals(lift):
+    """_face_normals as written before the Minkowski complement had its own
+    helper: the reference its bits must match."""
+    normals = []
+    for i in range(4):
+        others = [j for j in range(4) if j != i]
+        system = (klein._MINK @ lift[others].T).T
+        _, _, vt = np.linalg.svd(system)
+        n = vt[-1]
+        norm2 = n @ klein._MINK @ n
+        if norm2 <= 0:
+            raise GeometryDomainError("degenerate face: normal is not spacelike")
+        n = n / math.sqrt(norm2)
+        if n @ klein._MINK @ lift[i] > 0:
+            n = -n
+        normals.append(n)
+    return np.array(normals)
+
+
+def _ref_gram_vertices(G):
+    """_gram_vertices as written before the helper, likewise."""
+    lam, P = np.linalg.eigh(G)
+    order = [1, 2, 3, 0]
+    lam, P = lam[order], P[:, order]
+    normals = np.diag(np.sqrt(np.abs(lam))) @ P.T
+    verts = []
+    for k in range(4):
+        others = [i for i in range(4) if i != k]
+        _, _, vt = np.linalg.svd((klein._MINK @ normals[:, others]).T)
+        v = vt[-1]
+        verts.append(-v if v[3] < 0 else v)
+    return np.array(verts)
+
+
+def _ref_dihedral_angles(kt):
+    normals = _ref_face_normals(klein._hyperboloid_lift(np.asarray(kt.vertices, dtype=float)))
+
+    def ang(i, j):
+        c = -(normals[i] @ klein._MINK @ normals[j])
+        return math.acos(max(-1.0, min(1.0, c)))
+
+    return TetAngles(**{name: ang(k, l) for name, (k, l) in klein._FACES_OF.items()})
+
+
+def _benchmark_stream(seed, count, rmax=0.998):
+    """The first `count` (angles, vertices) of the benchmark's `formula`
+    input stream (stream 1, Klein radius <= 0.998) for `seed`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.TetStream(seed, 1, rmax).take(count)
+
+
+def _hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+class TestMinkowskiComplementKeepsBits:
+    """Both realizations share one complement helper; their bits are those
+    of the two loops it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_stream(self, seed):
+        angles, verts = _benchmark_stream(seed, 400)
+        for a, v in zip(angles, verts):
+            kt = KleinTetra(v)
+            assert _hexes(dihedral_angles(kt).as_tuple()) == _hexes(_ref_dihedral_angles(kt).as_tuple())
+            G = gram_matrix(TetAngles.of(a))
+            assert _hexes(klein._gram_vertices(G)) == _hexes(_ref_gram_vertices(G))
+
+    def test_realizations(self, finite_batch):
+        for t in finite_batch:
+            kt = klein_vertices(t)
+            assert _hexes(dihedral_angles(kt).as_tuple()) == _hexes(_ref_dihedral_angles(kt).as_tuple())

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from reggescissors.octahedron import (
     _solve_holonomy,
 )
 from reggescissors.scissors import canonical_angle, decompose, regge_orbit, verify_scissors
-from reggescissors.tetra import TetAngles, prism_volume
+from reggescissors.tetra import TetAngles, TetraKind, classify, prism_volume
 
 PI = math.pi
 
@@ -108,16 +109,13 @@ class TestHolonomy:
 
     def test_roots_on_unit_circle(self, finite_batch):
         for t in finite_batch:
-            roots = solve_holonomy(t)
-            assert abs(abs(roots.z_minus) - 1) < 1e-9
-            assert abs(abs(roots.z_plus) - 1) < 1e-9
-            assert roots.unit_defect < 1e-9
+            assert solve_holonomy(t).unit_defect < 1e-9
 
     def test_quadratic_residual_at_roots(self, generic):
         roots = solve_holonomy(generic)
-        q2, q1, q0 = roots.quad_coeffs
-        for z in (roots.z_minus, roots.z_plus):
-            w = z * z
+        q2, q1, q0 = holonomy_polynomial(roots.bars)[1:4]
+        for Z in (roots.Z_minus, roots.Z_plus):
+            w = cmath.exp(2j * Z)
             assert abs(q2 * w * w + q1 * w + q0) < 1e-10
 
     def test_holonomy_product(self, finite_batch):
@@ -145,9 +143,9 @@ class TestHolonomy:
             solve_holonomy(TetAngles(*(1.5,) * 6))
 
     def test_hyperideal_accepted_and_flagged(self):
-        roots = solve_holonomy(TetAngles(*(1.0,) * 6))
-        assert roots.tet_class.value == "Hyperideal"
-        assert roots.unit_defect < 1e-9
+        t = TetAngles(*(1.0,) * 6)
+        assert solve_holonomy(t).unit_defect < 1e-9
+        assert classify(t).kind is TetraKind.HYPERIDEAL
 
 
 class TestOctAngles:

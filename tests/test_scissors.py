@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.klein import KleinTetra, dihedral_angles
+from reggescissors.klein import KleinTetra, dihedral_angles, klein_vertices
 from reggescissors.lobachevsky import lobachevsky
-from reggescissors.octahedron import DUAL_SIDE, O_SIDE, tet_volume
+from reggescissors.octahedron import DUAL_SIDE, O_SIDE, solve_holonomy, tet_volume
 from reggescissors.scissors import (
     _REGGE_B_EXCHANGE,
     REGGE_B_IMAGE_RELABEL,
@@ -117,14 +117,42 @@ class TestDecomposition:
                 d.piece(side, "DA").canonical_angle, abs=1e-12
             )
 
-    def test_ideal_source_accepted_with_flag(self):
-        d = decompose(TetAngles(*(PI / 3,) * 6))
-        assert d.source_kind is TetraKind.IDEAL
-        assert d.total_volume() == pytest.approx(2 * 1.0149416064096539, abs=1e-10)
-
     def test_hyperideal_rejected(self):
         with pytest.raises(GeometryDomainError):
             decompose(TetAngles(*(1.0,) * 6))
+
+
+class TestFiniteRegionEdges:
+    """The two ends of the Finite region: the regular ideal tetrahedron, and
+    the collapse V -> 0 toward the flat regular Euclidean tetrahedron."""
+
+    def test_ideal_limit(self):
+        t = TetAngles(*(PI / 3,) * 6)
+        assert classify(t).kind is TetraKind.IDEAL
+        v = tet_volume(t)
+        assert v == pytest.approx(1.0149416064096539, abs=1e-12)  # 3 lob(pi/3)
+        assert decompose(t).total_volume() == pytest.approx(2 * v, abs=1e-12)
+        report = verify_scissors(t, "b")
+        assert not report.passed
+        assert report.failure == "source tetrahedron is Ideal, not Finite"
+        with pytest.raises(GeometryDomainError):
+            klein_vertices(t)
+
+    def test_roots_keep_their_labels_as_volume_vanishes(self):
+        # equiangular tetrahedra at theta = arccos(1/3) - d: Finite for d > 0,
+        # the flat Euclidean regular tetrahedron at d = 0
+        vols = []
+        for k in range(2, 9):
+            d = 10.0**-k
+            t = TetAngles(*(math.acos(1 / 3) - d,) * 6)
+            assert classify(t).kind is TetraKind.FINITE
+            roots = solve_holonomy(t)
+            assert roots.volume_minus > 0
+            assert abs(roots.volume_minus + roots.volume_plus) <= 1e-12
+            # edge lengths shrink like sqrt(d), so V like d**1.5
+            assert 8.0 < roots.volume_minus / d**1.5 < 8.5
+            vols.append(roots.volume_minus)
+        assert all(v2 < v1 for v1, v2 in zip(vols, vols[1:]))
 
 
 class TestPermutation:

@@ -26,7 +26,8 @@ def output_digest(monkeypatch):
 
 def test_digest_check_names_what_moved(output_digest, monkeypatch, capsys):
     pinned = dict(output_digest.PINNED)
-    assert list(pinned) == ["suite_seed7", "suite_seed2", "formula_seed1", "formula_seed2", "formula_seed3"]
+    assert list(pinned) == ["suite_seed7", "suite_seed2", "formula_seed1", "formula_seed2",
+                            "formula_seed3", "oracle_seed1"]
     assert output_digest.moved(pinned) == []
     fake = {**pinned, "formula_seed2": "0" * 64}
     del fake["suite_seed7"]
@@ -46,4 +47,4 @@ def test_digest_check_names_what_moved(output_digest, monkeypatch, capsys):
     ]
     monkeypatch.setattr(output_digest, "digests", lambda: iter(pinned.items()))
     assert output_digest.main(["--check"]) == 0
-    assert capsys.readouterr().out.endswith("all 5 digests match their pinned values\n")
+    assert capsys.readouterr().out.endswith("all 6 digests match their pinned values\n")

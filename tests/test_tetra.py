@@ -12,9 +12,7 @@ from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import solve_holonomy, tet_volume
 from reggescissors.scissors import decompose, verify_scissors
 from reggescissors.tetra import (
-    IDENTITY_RELABEL,
     SWAP_AB_PAIRS,
-    IdealTetAngles,
     TetAngles,
     TetraKind,
     angles_from_gram,
@@ -27,7 +25,6 @@ from reggescissors.tetra import (
     prism_volume_by_tetrahedra,
     relabel,
     tetra_symmetries,
-    three_quarter_volume,
 )
 
 PI = math.pi
@@ -40,16 +37,14 @@ angle_triple = st.tuples(
 
 class TestPrimeAngles:
     def test_symmetric_fixed_point(self):
-        p = prime_angles(PI / 3, PI / 3, PI / 3)
-        assert p.as_tuple() == pytest.approx((PI / 3,) * 3, abs=1e-15)
+        assert prime_angles(PI / 3, PI / 3, PI / 3) == pytest.approx((PI / 3,) * 3, abs=1e-15)
 
     def test_direct_substitution(self):
         p = prime_angles(PI / 2, PI / 4, PI / 4)
-        assert p.as_tuple() == pytest.approx((PI / 2, PI / 4, PI / 4), abs=1e-15)
+        assert p == pytest.approx((PI / 2, PI / 4, PI / 4), abs=1e-15)
 
     def test_affine_evaluation(self):
-        p = prime_angles(0.9, 0.8, 0.7)
-        assert p.as_tuple() == pytest.approx(
+        assert prime_angles(0.9, 0.8, 0.7) == pytest.approx(
             ((PI - 0.6) / 2, (PI - 0.8) / 2, (PI - 1.0) / 2), abs=1e-15
         )
 
@@ -58,28 +53,53 @@ class TestPrimeAngles:
     def test_sum_identities(self, abc):
         A, B, C = abc
         p = prime_angles(A, B, C)
-        total = sum(p.as_tuple())
+        total = sum(p)
         assert total == pytest.approx((3 * PI - A - B - C) / 2, abs=1e-12)
         # per-angle identity: A' + (B + C)/2 - A/2 = pi/2
-        assert p.Aprime + (B + C) / 2 - A / 2 == pytest.approx(PI / 2, abs=1e-12)
+        assert p[0] + (B + C) / 2 - A / 2 == pytest.approx(PI / 2, abs=1e-12)
+
+    def test_tuple_is_the_old_record_bit_for_bit(self):
+        # the Aprime, Bprime, Cprime fields of the record prime_angles
+        # returned before it returned a tuple, as that code computed them
+        def record_fields(A, B, C):
+            return ((PI + A - B - C) / 2, (PI + B - A - C) / 2, (PI + C - A - B) / 2)
+
+        rng = np.random.default_rng(12)
+        for A, B, C in rng.uniform(0.0, PI, size=(2000, 3)).tolist():
+            got = prime_angles(A, B, C)
+            assert type(got) is tuple
+            assert [x.hex() for x in got] == [x.hex() for x in record_fields(A, B, C)]
+
+    def test_triangulation_keeps_its_bits(self):
+        # prism_volume_by_tetrahedra as written over the removed three-angle
+        # record: three ideal_volume calls, each lob(a) + lob(b) + lob(c)
+        def old_by_tetrahedra(A, B, C):
+            Ap, Bp, Cp = ((PI + A - B - C) / 2, (PI + B - A - C) / 2, (PI + C - A - B) / 2)
+            triples = ((Ap, Bp, C), (A, Bp, Cp), (Cp - C, B, PI - Bp))
+            vols = [float(lobachevsky(a) + lobachevsky(b) + lobachevsky(c)) for a, b, c in triples]
+            return vols[0] + vols[1] + vols[2]
+
+        rng = np.random.default_rng(13)
+        for A, B, C in rng.uniform(0.05, 1.5, size=(300, 3)).tolist():
+            assert prism_volume_by_tetrahedra(A, B, C).hex() == old_by_tetrahedra(A, B, C).hex()
 
 
 class TestIdealVolume:
     def test_regular(self):
-        v = ideal_volume(IdealTetAngles(PI / 3, PI / 3, PI / 3))
+        v = ideal_volume(PI / 3, PI / 3, PI / 3)
         assert v == pytest.approx(REGULAR_IDEAL_VOLUME, abs=1e-12)
 
     def test_degenerate_edge(self):
         for x in (0.3, 1.0, 1.5):
-            assert ideal_volume(IdealTetAngles(0.0, x, PI - x)) == pytest.approx(0.0, abs=1e-14)
+            assert ideal_volume(0.0, x, PI - x) == pytest.approx(0.0, abs=1e-14)
 
     def test_half_square_case(self):
-        v = ideal_volume(IdealTetAngles(PI / 2, PI / 4, PI / 4))
+        v = ideal_volume(PI / 2, PI / 4, PI / 4)
         assert v == pytest.approx(2 * lobachevsky(PI / 4), abs=1e-13)
 
     def test_angle_sum_enforced(self):
         with pytest.raises(GeometryDomainError):
-            ideal_volume(IdealTetAngles(1.0, 1.0, 1.0))
+            ideal_volume(1.0, 1.0, 1.0)
 
 
 class TestPrism:
@@ -91,10 +111,8 @@ class TestPrism:
 
     def test_flat_sum_case(self):
         A, B, C = 1.1, 0.9, PI - 2.0
-        p = prime_angles(A, B, C)
-        expected = ideal_volume(IdealTetAngles(p.Aprime, p.Bprime, C)) + ideal_volume(
-            IdealTetAngles(A, p.Bprime, p.Cprime)
-        )
+        Ap, Bp, Cp = prime_angles(A, B, C)
+        expected = ideal_volume(Ap, Bp, C) + ideal_volume(A, Bp, Cp)
         assert prism_volume(A, B, C) == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_equals_triangulation(self):
@@ -115,15 +133,6 @@ class TestPrism:
             assert prism_volume(*abc) == pytest.approx(
                 prism_volume_by_tetrahedra(*abc), abs=1e-10
             )
-
-    def test_three_quarter_is_half(self):
-        assert three_quarter_volume(1.2, 1.2, 1.2) == pytest.approx(
-            prism_volume(1.2, 1.2, 1.2) / 2, abs=1e-15
-        )
-
-    def test_three_quarter_needs_finite_apex(self):
-        with pytest.raises(GeometryDomainError):
-            three_quarter_volume(0.5, 0.5, 0.5)
 
 
 class TestGram:
@@ -247,7 +256,7 @@ class TestEdgeLengths:
 
 class TestRelabel:
     def test_identity(self, generic):
-        assert relabel(generic, IDENTITY_RELABEL) == generic
+        assert relabel(generic, (0, 1, 2, 3)) == generic
 
     def test_pair_swap(self, generic):
         t = relabel(generic, SWAP_AB_PAIRS)
