@@ -25,7 +25,7 @@ from . import klein
 from .octahedron import solve_holonomy, tet_volume
 from .scissors import decompose, regge, regge_orbit, s_value, verify_scissors
 from .suite import SuiteConfig, run_suite
-from .tetra import TetAngles, TetraKind, classify, edge_lengths
+from .tetra import TetAngles, TetraKind, classify, edge_lengths, require_kind
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -36,14 +36,19 @@ _ANGLE_NAMES = ("A", "B", "C", "A'", "B'", "C'")
 
 
 def _emit(payload: dict, args) -> None:
+    """Write --out first, so that a path that cannot be written is an input
+    error before anything is printed."""
     text = json.dumps(payload, sort_keys=True, indent=2)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise GeometryDomainError(f"--out: {exc}") from None
     if getattr(args, "table", False):
         _print_table(payload)
     else:
         print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
 
 
 def _print_table(payload: dict, indent: int = 0) -> None:
@@ -83,21 +88,14 @@ def _angles_payload(t: TetAngles) -> dict:
     return dict(zip(("A", "B", "C", "Ap", "Bp", "Cp"), t.as_tuple()))
 
 
-def _require_kind(t: TetAngles, *kinds: TetraKind) -> None:
-    kind = classify(t).kind
-    if kind not in kinds:
-        wanted = " or ".join(k.value for k in kinds)
-        raise GeometryDomainError(f"requires a {wanted} tetrahedron; classification: {kind.value}")
-
-
 def cmd_volume(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
+    kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind
     roots = solve_holonomy(t)
     payload = {
         "command": "volume",
         "angles": _angles_payload(t),
-        "classification": classify(t).kind.value,
+        "classification": kind.value,
         "volume": roots.volume_minus,
         "holonomy": {
             "Z_minus": roots.Z_minus,
@@ -113,7 +111,6 @@ def cmd_volume(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
     d = decompose(t)
     payload = {
         "command": "decompose",
@@ -154,7 +151,7 @@ def cmd_regge(args) -> int:
 
 def cmd_orbit(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_kind(t, TetraKind.FINITE)
+    require_kind(t, TetraKind.FINITE)
     orbit = regge_orbit(t, max_size=args.max_size)
     payload = {
         "command": "orbit",
@@ -170,10 +167,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 0 < args.tol < math.inf:
-        raise GeometryDomainError(f"--tol must be positive and finite, got {args.tol}")
     t = _parse_angles(args.angles, args.degrees)
-    _require_kind(t, TetraKind.FINITE)
+    require_kind(t, TetraKind.FINITE)
     report = verify_scissors(t, args.which, args.tol)
     payload = {"command": "verify", **report.to_payload()}
     _emit(payload, args)
@@ -182,7 +177,6 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
-    _require_kind(t, TetraKind.FINITE)
     kt = klein.klein_vertices(t)
     v_quad = klein.volume_numeric(kt, tol=args.tol)
     v_formula = tet_volume(t)
@@ -219,8 +213,6 @@ def _suite_seed(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.count < 1:
-        raise GeometryDomainError(f"--count must be at least 1, got {args.count}")
     config = SuiteConfig(
         seed=_suite_seed(args),
         count=args.count,

@@ -26,6 +26,7 @@ from .tetra import (
     edge_lengths,
     gram_matrix,
     prime_angles,
+    require_kind,
 )
 
 __all__ = [
@@ -137,9 +138,7 @@ def klein_vertices(t: TetAngles) -> KleinTetra:
     each normal triple, and the gauge is fixed by vertex order.  The
     realization is verified by recomputing the angles (round-trip < 1e-8).
     """
-    cls = classify(t)
-    if cls.kind is not TetraKind.FINITE:
-        raise GeometryDomainError(f"Klein realization requires a Finite tetrahedron (got {cls.kind.value})")
+    require_kind(t, TetraKind.FINITE)
     verts = []
     for v in _gram_vertices(gram_matrix(t)):
         q = v @ _MINK @ v
@@ -174,7 +173,7 @@ def lorentz_boost(rapidity: float, axis: int = 0) -> np.ndarray:
 def apply_isometry(kt: KleinTetra, L: np.ndarray) -> KleinTetra:
     """Apply a Lorentz matrix to the realization (volume must be invariant)."""
     L = np.asarray(L, dtype=float)
-    if np.max(np.abs(L.T @ _MINK @ L - _MINK)) > 1e-9:
+    if not (np.all(np.isfinite(L)) and np.max(np.abs(L.T @ _MINK @ L - _MINK)) <= 1e-9):
         raise GeometryDomainError("matrix is not a Lorentz isometry")
     lift = _hyperboloid_lift(np.asarray(kt.vertices, dtype=float)) @ L.T
     if np.any(lift[:, 3] <= 0):
@@ -255,37 +254,18 @@ def _units(x: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _sum_below(exact: int, n: int, half: float, float_sum) -> bool:
-    """Whether float_sum(), a left-to-right float sum of n nonnegative finite
-    terms, is below `half`, given the terms' exact total S in units of 2**-1074.
-
-    Such a float sum lies within (n - 1) 2**-53 S / (1 - (n - 1) 2**-53) of S,
-    which is less than the slack n 2**-52 S + 1 unit.  So the integers decide
-    unless `half` falls within the slack of S, and only then is float_sum()
-    called.
-    """
-    if math.isfinite(half):
-        slack = ((exact * n) >> 52) + 1
-        h = _units(half)
-        if exact + slack < h:
-            return True
-        if exact - slack >= h:
-            return False
-    return float_sum() < half
-
-
 def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -> float:
     """Hyperbolic volume by deterministic adaptive subdivision quadrature.
 
     Each leaf tetrahedron carries the error estimate |coarse - sum(children)|;
-    the worst leaf is split until the total estimate drops below tol/2.
-    Raises QuadratureError (with the achieved estimate) when the refinement
-    budget runs out first.
+    the worst leaf is split until the exact sum of the estimates (kept as an
+    integer count of 2**-1074, with no rounding) is below tol/2.  Raises
+    QuadratureError (with the achieved estimate, the leaf estimates summed
+    in heap order) when the refinement budget runs out first.
 
-    A popped leaf's eight children are refined in one batch, and the total
-    error is kept exactly, but the leaves, their order and every bit of the
-    result are those of refining one child at a time and summing the heap's
-    errors in heap order at each step.
+    A popped leaf's eight children are refined in one batch, but the leaves,
+    their order and every bit of the result are those of refining one child
+    at a time.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
@@ -295,18 +275,15 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
     heap: list = []
     counter = 0
     exact = 0  # total leaf error in units of 2**-1074
-
-    def heap_err() -> float:
-        return sum(-item[0] for item in heap)
-
+    half = _units(tol / 2)
     children, fine, sums = _refine(verts[None])
     err = abs(float(_rule_batch(verts[None])[0]) - float(sums[0]))
     heapq.heappush(heap, (-err, counter, children[0], fine[0]))
     counter += 1
     exact += _units(err)
-    while not _sum_below(exact, len(heap), tol / 2, heap_err):
+    while exact >= half:
         if counter >= max_refine:
-            total_err = heap_err()
+            total_err = sum(-item[0] for item in heap)
             raise QuadratureError(
                 f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
                 achieved=total_err,
@@ -334,8 +311,7 @@ def schlafli_residual(t: TetAngles, h: float = 1e-5) -> np.ndarray:
     """
     if not 1e-7 <= h <= 1e-3:
         raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
-    if classify(t).kind is not TetraKind.FINITE:
-        raise GeometryDomainError("Schlafli check requires a Finite tetrahedron")
+    require_kind(t, TetraKind.FINITE)
 
     def try_residuals(step: float) -> np.ndarray | None:
         base = np.array(t.as_tuple())

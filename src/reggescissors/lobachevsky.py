@@ -132,14 +132,14 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-10) -> float:
     singularities of log|2 sin u|.
 
     Raises ``QuadratureError`` (carrying the achieved error estimate) if
-    the requested tolerance is not met, ``ValueError`` for tol <= 0 or a
-    non-finite argument.
+    the requested tolerance is not met, ``ValueError`` for a tol outside
+    (0, inf) or a non-finite argument.
     """
     th = float(theta)
     if not math.isfinite(th):
         raise ValueError("lobachevsky_quadrature: argument must be finite")
-    if not tol > 0:
-        raise ValueError("lobachevsky_quadrature: tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("lobachevsky_quadrature: tol must be positive and finite")
     sign = 1.0
     if th < 0:  # integrand is even, so the integral is odd
         sign, th = -1.0, -th

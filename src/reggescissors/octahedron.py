@@ -38,7 +38,7 @@ import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import lobachevsky
-from .tetra import TetAngles, TetraKind, _memo, classify
+from .tetra import TetAngles, TetraKind, _memo, require_kind
 
 __all__ = [
     "BaseAngles",
@@ -280,9 +280,7 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
 
 
 def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:
-    kind = classify(t).kind
-    if kind is TetraKind.INVALID:
-        raise GeometryDomainError("holonomy system requires a valid hyperbolic tetrahedron")
+    kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL, TetraKind.HYPERIDEAL).kind
     poly = holonomy_polynomial(bars)
     q2, q1, q0 = poly[1], poly[2], poly[3]
     scale = max(abs(q2), abs(q1), abs(q0))
@@ -440,13 +438,9 @@ def u_volume(t: TetAngles) -> float:
 def tet_volume(t: TetAngles, root: str = "minus") -> float:
     """Hyperbolic volume of the tetrahedron (root="minus"), or its negative
     (root="plus", the dual-route identity): the volume that solve_holonomy
-    assembled to label the roots."""
+    assembled to label the roots.  Finite or Ideal input only; others raise."""
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
-    kind = classify(t).kind
-    if kind not in (TetraKind.FINITE, TetraKind.IDEAL):
-        raise GeometryDomainError(
-            f"volume formula applies to Finite (or Ideal-limit) tetrahedra, got {kind.value}"
-        )
+    require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
     roots = solve_holonomy(t)
     return roots.volume_minus if root == "minus" else roots.volume_plus

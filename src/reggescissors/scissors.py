@@ -36,6 +36,7 @@ from .tetra import (
     TetraKind,
     classify,
     relabel,
+    require_kind,
 )
 
 __all__ = [
@@ -156,9 +157,7 @@ def decompose(t: TetAngles) -> Decomposition:
     Finite sources are the main case; Ideal sources are accepted (classify(t)
     shows the degeneracy); Hyperideal and Invalid raise.
     """
-    kind = classify(t).kind
-    if kind not in (TetraKind.FINITE, TetraKind.IDEAL):
-        raise GeometryDomainError(f"decompose requires a Finite or Ideal tetrahedron, got {kind.value}")
+    require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
     roots = solve_holonomy(t)
     pieces = [LPiece(O_SIDE, slot, raw, canonical_angle(raw))
               for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_minus))]
@@ -234,8 +233,11 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
 
     For which='b' the check is direct; 'a' and 'c' are conjugated through
     the corresponding pair swap first.  Invalid or degenerate configurations
-    produce a failed report rather than an exception.
+    produce a failed report rather than an exception; a tol outside
+    (0, inf) raises GeometryDomainError.
     """
+    if not 0 < tol < math.inf:
+        raise GeometryDomainError("tol must be positive and finite")
     transformed = regge(t, which)  # raises for an unknown transform
     conj = PAIR_CONJUGATION[which]
 

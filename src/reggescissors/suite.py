@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import klein
+from .exceptions import GeometryDomainError
 from .lobachevsky import LOBACHEVSKY_MAX_ARG, lobachevsky, lobachevsky_quadrature
 from .octahedron import (
     DUAL_SIDE,
@@ -92,6 +93,13 @@ class SuiteConfig:
     oracle_count: int = 25
     grid_points: int = 1000
     include_determinism: bool = True
+
+    def __post_init__(self):
+        # criterion 1 reads the grid spacing as grid[1] - grid[0]
+        for name, least in (("count", 1), ("oracle_count", 1), ("grid_points", 2)):
+            value = getattr(self, name)
+            if value < least:
+                raise GeometryDomainError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

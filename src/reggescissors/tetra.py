@@ -50,6 +50,7 @@ __all__ = [
     "prism_volume",
     "prism_volume_by_tetrahedra",
     "relabel",
+    "require_kind",
     "tetra_symmetries",
 ]
 
@@ -235,15 +236,26 @@ def _classify(t: TetAngles) -> TetraClass:
     return TetraClass(kind, det, cof, tuple(float(x) for x in eig))
 
 
+def require_kind(t: TetAngles, *kinds: TetraKind) -> TetraClass:
+    """classify(t), or GeometryDomainError when its kind is not one of kinds.
+
+    The one class gate of the package: every function that needs a Finite
+    (or Ideal, or non-Invalid) tetrahedron calls it.
+    """
+    cls = classify(t)
+    if cls.kind not in kinds:
+        wanted = " or ".join(k.value for k in kinds)
+        raise GeometryDomainError(f"requires a {wanted} tetrahedron; classification: {cls.kind.value}")
+    return cls
+
+
 def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float]:
     """Edge lengths (A, B, C, A', B', C' order) of a Finite tetrahedron.
 
     cosh(len of edge {i,j}) = adj(G)[i][j] / sqrt(adj(G)[i][i] adj(G)[j][j]).
     Non-finite tetrahedra (infinite or undefined lengths) raise.
     """
-    cls = classify(t)
-    if cls.kind is not TetraKind.FINITE:
-        raise GeometryDomainError(f"edge lengths require a Finite tetrahedron (got {cls.kind.value})")
+    require_kind(t, TetraKind.FINITE)
     G = gram_matrix(t)
     adj = np.linalg.det(G) * np.linalg.inv(G)
     out = []

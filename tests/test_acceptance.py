@@ -6,6 +6,7 @@ visible in the pytest output (-s or on failure).
 
 import pytest
 
+from reggescissors.exceptions import GeometryDomainError
 from reggescissors.suite import SuiteConfig, run_suite
 
 
@@ -54,3 +55,18 @@ def test_criterion(report, cid, name):
 
 def test_full_report_passes(report):
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("count", 0, "count must be at least 1, got 0"),
+        ("oracle_count", 0, "oracle_count must be at least 1, got 0"),
+        ("grid_points", 1, "grid_points must be at least 2, got 1"),
+    ],
+)
+def test_config_rejects_empty_batches(field, value, message):
+    # zero samples would pass every criterion vacuously
+    with pytest.raises(GeometryDomainError) as exc:
+        SuiteConfig(**{field: value})
+    assert str(exc.value) == message

@@ -82,7 +82,7 @@ def test_verify_non_positive_tol_is_input_error(tol, capsys):
     # "--tol=" because argparse reads a bare "-inf" as an option
     assert cli.main(["verify", *ANGLES_GENERIC, "--which", "b", f"--tol={tol}"]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
-    assert "--tol must be positive" in json.loads(out)["error"]
+    assert json.loads(out)["error"] == "tol must be positive and finite"
     assert err.startswith("input error:")
 
 
@@ -162,6 +162,16 @@ def test_out_file(tmp_path):
     assert on_disk == json.loads(result.stdout)
 
 
+def test_out_under_missing_directory_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert cli.main(["volume", *ANGLES_FINITE, "--out", str(target)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error.startswith("--out: ") and str(target) in error
+    assert err.startswith("input error:")
+    assert not target.parent.exists()
+
+
 def test_suite_out_file_is_stdout(tmp_path, capsys):
     out = tmp_path / "suite.json"
     argv = ["suite", "--count", "4", "--seed", "11", "--out", str(out)]
@@ -198,7 +208,7 @@ def test_suite_small_deterministic():
 def test_suite_count_below_one_is_input_error(count, capsys):
     assert cli.main(["suite", "--count", count]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
-    assert "--count must be at least 1" in json.loads(out)["error"]
+    assert json.loads(out)["error"] == f"count must be at least 1, got {count}"
     assert err.startswith("input error:")
 
 

@@ -125,12 +125,20 @@ class TestVolumeNumeric:
         with pytest.raises(GeometryDomainError):
             apply_isometry(kt, np.eye(4) * 2)
 
+    @pytest.mark.parametrize("L", [np.full((4, 4), math.nan), lorentz_boost(math.inf)],
+                             ids=["nan", "infinite-boost"])
+    def test_non_finite_matrix_rejected(self, generic, L):
+        with pytest.raises(GeometryDomainError, match="not a Lorentz isometry"):
+            apply_isometry(klein_vertices(generic), L)
+
 
 # --- one-leaf-at-a-time reference quadrature --------------------------------
 # The adaptive quadrature as it was before children were refined in batches:
 # one _split8 and one 8-tetrahedron rule per pushed leaf, and the stopping
-# total re-added over the whole heap at every step.  The batched code must
-# reproduce it bit for bit.
+# total re-added in float over the whole heap at every step.  The batched
+# code stops on the exact total instead, which decides the same way unless
+# the float sum rounds across tol/2; on these inputs it must reproduce the
+# reference bit for bit.
 
 
 def _ref_rule_batch(verts):
@@ -296,63 +304,12 @@ class TestSolvedRecordMatchesReference:
 
 
 class TestStoppingDecision:
-    """_sum_below(exact total, n, half, float_sum) must equal float_sum() < half,
-    where float_sum is Python's sum in list order."""
-
-    @staticmethod
-    def _halves(errs):
-        fl = sum(errs)
-        exact = math.fsum(errs)
-        out = {0.0, math.inf, fl, exact, float(np.nextafter(fl, 0)), float(np.nextafter(fl, math.inf))}
-        lo, hi = sorted((fl, exact))
-        out.update(float(x) for x in np.linspace(lo, hi, 33))
-        for x in (lo, hi):
-            for _ in range(3):
-                x = float(np.nextafter(x, math.inf))
-                out.add(x)
-        for x in (lo, hi):
-            for _ in range(3):
-                x = float(np.nextafter(x, 0))
-                out.add(x)
-        return sorted(out)
-
-    def _check(self, errs):
-        exact = sum(klein._units(e) for e in errs)
-        for half in self._halves(errs):
-            got = klein._sum_below(exact, len(errs), half, lambda: sum(errs))
-            assert got == (sum(errs) < half), (half, sum(errs), math.fsum(errs))
+    """_units gives the exact integer that volume_numeric's stop rule compares."""
 
     def test_units_exact(self):
         for x in (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.5, 1e300):
             num, den = x.as_integer_ratio()
             assert klein._units(x) * den == num * 2**1074
-
-    def test_one_large_many_tiny(self):
-        self._check([1.0] + [2.0**-54] * 1000)
-        self._check([1.0] + [2.0**-53 * (1 - 2.0**-50)] * 500)
-        self._check([2.0**-54] * 1000 + [1.0])
-        self._check([3e-7] + [1e-23] * 4000 + [2e-7])
-
-    def test_sums_rounding_across_half(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            errs = (rng.uniform(0.5, 1.0, size=rng.integers(2, 300)) * 2.0 ** rng.integers(-60, 0)).tolist()
-            self._check(errs)
-        self._check([0.1] * 10)
-        self._check([1e-7 / 3] * 3)
-
-    def test_zeros_and_subnormals(self):
-        self._check([0.0])
-        self._check([0.0] * 17)
-        self._check([5e-324] * 1000 + [0.0] * 10)
-        self._check([2.2250738585072014e-308, 5e-324, 0.0, 1e-310] * 50)
-        self._check([1e-300, 5e-324] * 100)
-
-    def test_hundred_thousand_terms(self):
-        rng = np.random.default_rng(12)
-        self._check(rng.exponential(1e-9, size=100_000).tolist())
-        self._check((rng.lognormal(-25, 6, size=100_000)).tolist())
-        self._check([1.0] + [2.0**-53 * (1 - 2.0**-50)] * 99_999)
 
 
 class TestSchlafli:

@@ -96,6 +96,13 @@ def test_domain_errors():
         lobachevsky_quadrature(float("nan"))
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
+def test_quadrature_rejects_tol_outside_positive_finite(tol):
+    # with tol = inf, quad would accept its first estimate: 0.36315 for lob(1) = 0.36357
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        lobachevsky_quadrature(1.0, tol=tol)
+
+
 def test_series_table_is_scipy_zeta_bit_for_bit():
     from scipy import special
 

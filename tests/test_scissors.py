@@ -217,6 +217,11 @@ class TestVerify:
         with pytest.raises(GeometryDomainError):
             verify_scissors(generic, "q")
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_tol_outside_positive_finite(self, generic, tol):
+        with pytest.raises(GeometryDomainError, match="^tol must be positive and finite$"):
+            verify_scissors(generic, "b", tol)
+
     def test_report_payload_round_trips(self, generic):
         payload = verify_scissors(generic, "b").to_payload()
         assert payload["passed"] is True

@@ -48,3 +48,13 @@ def test_digest_check_names_what_moved(output_digest, monkeypatch, capsys):
     monkeypatch.setattr(output_digest, "digests", lambda: iter(pinned.items()))
     assert output_digest.main(["--check"]) == 0
     assert capsys.readouterr().out.endswith("all 6 digests match their pinned values\n")
+
+
+def test_stream_digests_keep_their_bytes(output_digest):
+    # a quick slice of the formula and oracle digests; inputs 28 and 4 are
+    # classified Ideal, so the class gate's error output is covered too.  A
+    # change that moves output on purpose re-pins these with PINNED.
+    formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
+    assert formula == "89cf30d08d51a28baebfd0dd44128a1874903b8c913e34be7c13456651ffeea5"
+    oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
+    assert oracle == "a81d65b5f9ea8a1793ebf405055d326ff5ceda24e618f41bfd0d226ffca8658e"

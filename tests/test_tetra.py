@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
+from reggescissors.klein import klein_vertices, schlafli_residual
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import solve_holonomy, tet_volume
 from reggescissors.scissors import decompose, verify_scissors
@@ -24,6 +25,7 @@ from reggescissors.tetra import (
     prism_volume,
     prism_volume_by_tetrahedra,
     relabel,
+    require_kind,
     tetra_symmetries,
 )
 
@@ -231,6 +233,33 @@ class TestClassifyOnce:
         assert classify(same) == classify(t)
         assert uncached[-1] is same
         assert len(uncached) == 4
+
+
+class TestRequireKind:
+    FINITE_OR_IDEAL = "requires a Finite or Ideal tetrahedron; classification: Hyperideal"
+    FINITE = "requires a Finite tetrahedron; classification: Hyperideal"
+
+    @pytest.mark.parametrize(
+        "call,theta,message",
+        [
+            (tet_volume, 1.0, FINITE_OR_IDEAL),
+            (decompose, 1.0, FINITE_OR_IDEAL),
+            (edge_lengths, 1.0, FINITE),
+            (klein_vertices, 1.0, FINITE),
+            (schlafli_residual, 1.0, FINITE),
+            (solve_holonomy, 1.5,
+             "requires a Finite or Ideal or Hyperideal tetrahedron; classification: Invalid"),
+        ],
+        ids=["tet_volume", "decompose", "edge_lengths", "klein_vertices", "schlafli_residual",
+             "solve_holonomy"],
+    )
+    def test_every_layer_raises_the_one_message(self, call, theta, message):
+        with pytest.raises(GeometryDomainError) as exc:
+            call(TetAngles(*(theta,) * 6))
+        assert str(exc.value) == message
+
+    def test_returns_the_class(self, generic):
+        assert require_kind(generic, TetraKind.FINITE) is classify(generic)
 
 
 class TestEdgeLengths:
