@@ -40,12 +40,12 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "48f584fcc0e7ba4a75186f243c78625d6b749ea8f91f31415d507ea90095bad8",
-    "suite_seed2": "23a78f2d4bc403a9077f8a01c2eea4d833f1663ae89ceae7d52d755a0e1dfd32",
+    "suite_seed7": "d5c0570e540c4e559b83851015ad78ccfa388e560a4753ae94c6950ea0da2cc2",
+    "suite_seed2": "9f12cd52ef24005903bf0db0df46eb65b436c134a91aef12298b50605d9d7ddf",
     "formula_seed1": "fa39e36d6f0f3f4af2de719e2d5c7a5622a7193cc18da07ee1056de1216f1ecd",
     "formula_seed2": "18b9b8ea55634cb88d0ead3f0ba6b57a6f833cd7a0c5d12f5f72825624edb219",
     "formula_seed3": "ca973aa879478468bd54097910807ca740395bcf9363a1380b4b10d2e4a44914",
-    "oracle_seed1": "d81bbf1f954b509784dd695a7b6710af53e68f158e634bb276053bccc2829099",
+    "oracle_seed1": "6e06c57f0de8d0b823e480dec97849b918f561480b80ece9aa63f0ae7286bb95",
 }
 
 FORMULA_INPUTS = 300

@@ -3,9 +3,11 @@ the Schlafli differential check.
 
 Everything here is independent of the Lobachevsky-sum volume formulas: a
 tetrahedron is realized from its Gram matrix inside the projective ball
-model, its volume is integrated numerically against the hyperbolic volume
-element dV = dx dy dz / (1 - |x|^2)^2, and the derivative of the formula
-volume is compared against edge lengths through dV = -1/2 sum l_i d(theta_i).
+model, centred by one Lorentz boost so that its vertices keep away from the
+sphere at infinity, its volume is integrated numerically against the
+hyperbolic volume element dV = dx dy dz / (1 - |x|^2)^2, and the derivative
+of the formula volume is compared against edge lengths through
+dV = -1/2 sum l_i d(theta_i).
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
 
 _MINK = np.diag([1.0, 1.0, 1.0, -1.0])
 _ROUND_TRIP_TOL = 1e-8
+# sinh(350)^2 is about 3e303, so every entry of the boost and of L^T M L is finite
+_MAX_RAPIDITY = 350.0
 
 
 @dataclass(frozen=True)
@@ -93,29 +97,6 @@ def dihedral_angles(kt: KleinTetra) -> TetAngles:
     return TetAngles(**{name: ang(k, l) for name, (k, l) in _FACES_OF.items()})
 
 
-def _gauge_fix(lift: np.ndarray) -> np.ndarray:
-    """Minkowski Gram-Schmidt: vertex 0 to the origin, vertex 1 onto +x,
-    vertex 2 into the upper xy half-plane.  Deterministic."""
-    u0 = lift[0]
-
-    def perp(x):
-        return x + (x @ _MINK @ u0) * u0
-
-    basis = []
-    for cand in (lift[1], lift[2], lift[3]):
-        v = perp(cand)
-        for e in basis:
-            v = v - (v @ _MINK @ e) * e
-        norm2 = v @ _MINK @ v
-        if norm2 <= 1e-14:
-            raise GeometryDomainError("degenerate vertex configuration")
-        basis.append(v / math.sqrt(norm2))
-    rows = np.vstack([basis[0], basis[1], basis[2], -u0])  # -u0: <x,u0> has the wrong sign
-    new = (rows @ _MINK @ lift.T).T
-    new[:, 3] = np.abs(new[:, 3])
-    return new
-
-
 def _gram_vertices(G: np.ndarray) -> np.ndarray:
     """Unnormalized vertex vectors of the tetrahedron with face Gram matrix G.
 
@@ -134,9 +115,10 @@ def klein_vertices(t: TetAngles) -> KleinTetra:
     """Realize a Finite tetrahedron in the Klein ball from its Gram matrix.
 
     The Gram matrix is factored through its (3,1) eigendecomposition into
-    face normals, the vertices are the Minkowski-orthogonal complements of
-    each normal triple, and the gauge is fixed by vertex order.  The
-    realization is verified by recomputing the angles (round-trip < 1e-8).
+    face normals, and the vertices are the Minkowski-orthogonal complements
+    of each normal triple.  The boost taking the normalized sum of the four
+    lifted vertices to (0, 0, 0, 1) centres the realization, which is
+    verified by recomputing the angles (round-trip < 1e-8).
     """
     require_kind(t, TetraKind.FINITE)
     verts = []
@@ -145,9 +127,10 @@ def klein_vertices(t: TetAngles) -> KleinTetra:
         if q >= 0:
             raise GeometryDomainError("vertex is not timelike; realization failed")
         verts.append(v / math.sqrt(-q))
-    lift = _gauge_fix(np.array(verts))
-    klein = lift[:, :3] / lift[:, 3:4]
-    kt = KleinTetra(vertices=klein)
+    lift = np.array(verts)
+    centre = lift.sum(axis=0)
+    lift = lift @ _boost(-centre[:3] / math.sqrt(-(centre @ _MINK @ centre)))
+    kt = KleinTetra(vertices=lift[:, :3] / lift[:, 3:4])
     back = dihedral_angles(kt)
     err = max(abs(a - b) for a, b in zip(t.as_tuple(), back.as_tuple()))
     if err > _ROUND_TRIP_TOL:
@@ -158,16 +141,24 @@ def klein_vertices(t: TetAngles) -> KleinTetra:
 # --- isometries -------------------------------------------------------------
 
 
+def _boost(p: np.ndarray) -> np.ndarray:
+    """The pure (symmetric) boost taking (0, 0, 0, 1) to (p, sqrt(1 + |p|^2));
+    its inverse is _boost(-p)."""
+    t = math.sqrt(1.0 + float(p @ p))
+    L = np.eye(4)
+    L[:3, :3] += np.outer(p, p) / (1.0 + t)
+    L[:3, 3] = L[3, :3] = p
+    L[3, 3] = t
+    return L
+
+
 def lorentz_boost(rapidity: float, axis: int = 0) -> np.ndarray:
     """Pure boost along a coordinate axis of the hyperboloid model."""
     if axis not in (0, 1, 2):
         raise GeometryDomainError("axis must be 0, 1 or 2")
-    L = np.eye(4)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    L[axis, axis] = c
-    L[3, 3] = c
-    L[axis, 3] = L[3, axis] = s
-    return L
+    if not abs(rapidity) <= _MAX_RAPIDITY:
+        raise GeometryDomainError(f"rapidity must be finite with magnitude at most {_MAX_RAPIDITY:g}")
+    return _boost(math.sinh(rapidity) * np.eye(3)[axis])
 
 
 def apply_isometry(kt: KleinTetra, L: np.ndarray) -> KleinTetra:

@@ -7,7 +7,7 @@ visible in the pytest output (-s or on failure).
 import pytest
 
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.suite import SuiteConfig, run_suite
+from reggescissors.suite import SuiteConfig, criterion_5, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +70,10 @@ def test_config_rejects_empty_batches(field, value, message):
     with pytest.raises(GeometryDomainError) as exc:
         SuiteConfig(**{field: value})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_oracle_criterion_passes_on_near_regular_seeds(seed):
+    # with vertex 0 at the origin the far vertices sat at Klein radius 0.9999
+    # and the quadrature budget ran out on these benign inputs
+    assert criterion_5(SuiteConfig(seed=seed)).passed

@@ -41,12 +41,14 @@ class TestRealization:
             for a, b in zip(t.as_tuple(), back.as_tuple()):
                 assert a == pytest.approx(b, abs=1e-10)
 
-    def test_gauge_fixing(self, generic):
-        v = klein_vertices(generic).vertices
-        assert np.linalg.norm(v[0]) < 1e-12          # vertex 0 at the origin
-        assert abs(v[1][1]) < 1e-12 and abs(v[1][2]) < 1e-12
-        assert v[1][0] > 0                            # vertex 1 on +x
-        assert abs(v[2][2]) < 1e-12 and v[2][1] > 0   # vertex 2 in upper xy
+    def test_centred_gauge(self, finite_batch, generic):
+        for t in [generic, *finite_batch[:8]]:
+            v = klein_vertices(t).vertices
+            total = klein._hyperboloid_lift(v).sum(axis=0)
+            assert np.linalg.norm(total[:3]) <= 1e-12 * total[3]   # barycentre over the origin
+            assert np.array_equal(klein_vertices(t).vertices, v)     # deterministic, bit for bit
+            back = dihedral_angles(KleinTetra(v))
+            assert max(abs(a - b) for a, b in zip(t.as_tuple(), back.as_tuple())) < 1e-10
 
     def test_vertices_inside_ball(self, finite_batch):
         for t in finite_batch[:8]:
@@ -67,6 +69,26 @@ class TestRealization:
     def test_ideal_input_rejected(self):
         with pytest.raises(GeometryDomainError):
             klein_vertices(TetAngles(*(PI / 3,) * 6))
+
+
+class TestLorentzBoost:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_is_the_coordinate_boost(self, axis):
+        L = lorentz_boost(0.3, axis)
+        c, s = math.cosh(0.3), math.sinh(0.3)
+        expected = np.eye(4)
+        expected[axis, axis] = expected[3, 3] = c
+        expected[axis, 3] = expected[3, axis] = s
+        assert np.allclose(L, expected, rtol=0, atol=1e-15)
+        assert np.allclose(L @ lorentz_boost(-0.3, axis), np.eye(4), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rapidity", [1000.0, -1000.0, 400.0, math.nan, math.inf, -math.inf])
+    def test_rejects_rapidity_without_finite_boost(self, rapidity):
+        with pytest.raises(GeometryDomainError, match="rapidity must be finite"):
+            lorentz_boost(rapidity)
+
+    def test_largest_rapidity_gives_finite_matrix(self):
+        assert np.all(np.isfinite(lorentz_boost(klein._MAX_RAPIDITY)))
 
 
 class TestVolumeNumeric:
@@ -125,7 +147,7 @@ class TestVolumeNumeric:
         with pytest.raises(GeometryDomainError):
             apply_isometry(kt, np.eye(4) * 2)
 
-    @pytest.mark.parametrize("L", [np.full((4, 4), math.nan), lorentz_boost(math.inf)],
+    @pytest.mark.parametrize("L", [np.full((4, 4), math.nan), np.diag([math.inf, 1, 1, math.inf])],
                              ids=["nan", "infinite-boost"])
     def test_non_finite_matrix_rejected(self, generic, L):
         with pytest.raises(GeometryDomainError, match="not a Lorentz isometry"):
@@ -220,7 +242,7 @@ def _klein_uniform_angles(n, rmax=0.9, seed=20260):
 
 
 def _klein_uniform(n, rmax=0.9, seed=20260):
-    """The same tetrahedra as their gauge-fixed realizations."""
+    """The same tetrahedra as their centred realizations."""
     return [klein_vertices(t) for t in _klein_uniform_angles(n, rmax, seed)]
 
 

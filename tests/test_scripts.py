@@ -57,4 +57,4 @@ def test_stream_digests_keep_their_bytes(output_digest):
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
     assert formula == "89cf30d08d51a28baebfd0dd44128a1874903b8c913e34be7c13456651ffeea5"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
-    assert oracle == "a81d65b5f9ea8a1793ebf405055d326ff5ceda24e618f41bfd0d226ffca8658e"
+    assert oracle == "ae511ead43d27b868cf12a7b66f7a4ca34b038ac45c1c07a967748ba3b5e33a3"
