@@ -10,8 +10,8 @@ import argparse
 
 import numpy as np
 
-from reggescissors import TetAngles, classify, decompose, regge, tet_volume
-from reggescissors.scissors import REGGE_B_IMAGE_RELABEL, permute_for_regge_b
+from reggescissors import TetAngles, classify, decompose, lobachevsky, regge, tet_volume
+from reggescissors.scissors import PIECE_LABELS, REGGE_B_IMAGE_RELABEL, permute_for_regge_b
 from reggescissors.tetra import relabel
 
 
@@ -31,9 +31,8 @@ def main():
 
     d = decompose(t)
     print(f"{'side':4s} {'slot':4s} {'raw':>12s} {'canonical':>12s} {'volume':>14s}")
-    for p in d.pieces:
-        print(f"{p.side:4s} {p.slot:4s} {p.raw_angle:12.6f} {p.canonical_angle:12.6f} "
-              f"{p.signed_volume:14.10f}")
+    for (side, slot), raw, c in zip(PIECE_LABELS, d.raw_angles, d.canonical_angles()):
+        print(f"{side:4s} {slot:4s} {raw:12.6f} {c:12.6f} {lobachevsky(c):14.10f}")
     print(f"sum = {d.total_volume():.12f}  (2V = {2 * v:.12f})\n")
 
     image = regge(t, "b")
@@ -42,11 +41,11 @@ def main():
 
     moved = permute_for_regge_b(d)
     aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL))
-    gaps = np.abs(moved.canonical_angles() - aligned.canonical_angles())
+    c_moved, c_aligned = moved.canonical_angles(), aligned.canonical_angles()
+    gaps = np.abs(c_moved - c_aligned)
     print("\nslot-by-slot match after the BA/DC exchange (aligned image):")
-    for p_m, p_a, gap in zip(moved.pieces, aligned.pieces, gaps):
-        print(f"  {p_m.side:3s}{p_m.slot:3s}: {p_m.canonical_angle:+.9f} vs "
-              f"{p_a.canonical_angle:+.9f}   gap {gap:.2e}")
+    for (side, slot), c_m, c_a, gap in zip(PIECE_LABELS, c_moved, c_aligned, gaps):
+        print(f"  {side:3s}{slot:3s}: {c_m:+.9f} vs {c_a:+.9f}   gap {gap:.2e}")
     print(f"\nworst slot gap: {gaps.max():.3e}")
 
 

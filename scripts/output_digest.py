@@ -14,7 +14,8 @@ Runs `reggescissors.cli.main` in-process and prints one sha256 per line:
   tetrahedra of the benchmark's `oracle` input stream for seed 1.
 
 Only the CLI contract is used, so two checkouts can be compared by running
-the script of either one against each `src/`.  It takes about half a minute.
+the script of either one against each `src/`.  It takes about ten seconds
+on a 2-vCPU Xeon.
 
 With `--check` it also compares each digest with the value pinned in
 `PINNED`, names the digests that moved, and exits 1 if any did.  A change

@@ -37,7 +37,6 @@ from .octahedron import (
 )
 from .scissors import (
     Decomposition,
-    LPiece,
     ScissorsReport,
     decompose,
     permute_for_regge_b,

@@ -22,8 +22,9 @@ from .exceptions import (
     QuadratureError,
 )
 from . import klein
+from .lobachevsky import lobachevsky
 from .octahedron import solve_holonomy, tet_volume
-from .scissors import decompose, regge, regge_orbit, s_value, verify_scissors
+from .scissors import PIECE_LABELS, decompose, regge, regge_orbit, s_value, verify_scissors
 from .suite import SuiteConfig, run_suite
 from .tetra import TetAngles, TetraKind, classify, edge_lengths, require_kind
 
@@ -118,13 +119,13 @@ def cmd_decompose(args) -> int:
         "firepole": "AA'",
         "pieces": [
             {
-                "side": p.side,
-                "slot": p.slot,
-                "raw_angle": p.raw_angle,
-                "canonical_angle": p.canonical_angle,
-                "signed_volume": p.signed_volume,
+                "side": side,
+                "slot": slot,
+                "raw_angle": raw,
+                "canonical_angle": c,
+                "signed_volume": lobachevsky(c),
             }
-            for p in d.pieces
+            for (side, slot), raw, c in zip(PIECE_LABELS, d.raw_angles, d.canonical_angles().tolist())
         ],
         "total_volume": d.total_volume(),
         "twice_tet_volume": 2 * tet_volume(t),
@@ -204,12 +205,9 @@ def _suite_seed(args) -> int:
     if raw is None:
         source, raw = "REGGE_SUITE_SEED", os.environ.get("REGGE_SUITE_SEED", "7")
     try:
-        seed = int(raw)
+        return int(raw)
     except ValueError:
         raise GeometryDomainError(f"{source}: could not parse {raw!r} as an integer") from None
-    if seed < 0:
-        raise GeometryDomainError(f"{source} must be non-negative, got {seed}")
-    return seed
 
 
 def cmd_suite(args) -> int:

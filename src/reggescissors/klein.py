@@ -54,6 +54,10 @@ class KleinTetra:
 
     vertices: np.ndarray  # shape (4, 3), all |v| < 1
 
+    def __post_init__(self):
+        if np.shape(self.vertices) != (4, 3):
+            raise GeometryDomainError(f"vertices must have shape (4, 3), got {np.shape(self.vertices)}")
+
 
 def _hyperboloid_lift(klein_pts: np.ndarray) -> np.ndarray:
     t = 1.0 / np.sqrt(1.0 - np.sum(klein_pts**2, axis=1))

@@ -99,11 +99,13 @@ def lobachevsky(theta):
     """Evaluate the Lobachevsky function (absolute error below 1e-12).
 
     Accepts a float or an ndarray; returns the same shape.  Non-finite
-    input raises ``GeometryDomainError``-compatible ``ValueError``.  Any
-    scalar (a Python float, a numpy scalar or a 0-d array) takes the
-    plain-float series path and returns a float; arrays take the array
-    route, whose vectorized arithmetic can differ from the scalar path in
-    the last bit (about 1 point in 4000).
+    input raises a plain ``ValueError``, which ``except GeometryDomainError``
+    does not catch.  Any scalar (a Python float, a numpy scalar or a 0-d
+    array) takes the plain-float series path and returns a float; arrays
+    take the array route, whose vectorized arithmetic rounds differently
+    at a few points in 10**5 (16 of the 10**5 seeded test points), by at
+    most 2**-54 in absolute terms so far.  Near a zero of lob that is up
+    to 32 ulps of the result, not only its last bit.
     """
     if type(theta) is float:
         return _lobachevsky_float(theta)

@@ -21,7 +21,7 @@ into the other.  R_a and R_c reduce to R_b by conjugation with pair swaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .tetra import (
 
 __all__ = [
     "Decomposition",
-    "LPiece",
     "OrbitResult",
+    "PIECE_LABELS",
     "REGGE_B_IMAGE_RELABEL",
     "ScissorsReport",
     "canonical_angle",
@@ -67,11 +67,12 @@ PAIR_CONJUGATION = {"a": SWAP_AB_PAIRS, "b": None, "c": SWAP_BC_PAIRS}
 #: Canonical angles closer to zero than this are null pieces.
 NULL_PIECE_TOL = 1e-12
 
-#: Piece order of a decomposition (O, then O', each in SLOT_ORDER) with the
-#: BA and DC pieces exchanged on both sides: the congruence move of R_b.
+#: (side, slot) of each decomposition position: O, then O', each in SLOT_ORDER.
+PIECE_LABELS = tuple((side, slot) for side in (O_SIDE, DUAL_SIDE) for slot in SLOT_ORDER)
+
+#: Piece order with BA and DC exchanged on both sides: the congruence move of R_b.
 _REGGE_B_EXCHANGE = np.array(
-    [side + SLOT_ORDER.index({"BA": "DC", "DC": "BA"}.get(slot, slot))
-     for side in (0, len(SLOT_ORDER)) for slot in SLOT_ORDER],
+    [PIECE_LABELS.index((side, {"BA": "DC", "DC": "BA"}.get(slot, slot))) for side, slot in PIECE_LABELS],
     dtype=np.intp,
 )
 
@@ -114,41 +115,22 @@ def canonical_angle(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class LPiece:
-    """Half of an isosceles ideal tetrahedron with apex angle 2*theta.
+class Decomposition:
+    """The sixteen-piece decomposition of two copies of the source tetrahedron.
 
-    The signed volume is lob(canonical_angle); raw_angle keeps the slot
-    expression before reduction (sign already folded for dual pieces).
+    raw_angles[k] is the slot expression of piece PIECE_LABELS[k] before
+    reduction (sign folded for dual pieces).  A piece with canonical angle
+    theta is half an isosceles ideal tetrahedron of apex angle 2*theta and
+    has signed volume lob(theta).
     """
 
-    side: str  # O_SIDE or DUAL_SIDE
-    slot: str  # one of SLOT_ORDER
-    raw_angle: float
-    canonical_angle: float
-
-    @property
-    def signed_volume(self) -> float:
-        return lobachevsky(self.canonical_angle)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """The sixteen-piece decomposition of two copies of the source tetrahedron."""
-
-    pieces: tuple[LPiece, ...]
-    mirrored: bool = False
+    raw_angles: tuple[float, ...]
 
     def canonical_angles(self) -> np.ndarray:
-        return np.array([p.canonical_angle for p in self.pieces])
+        return np.array([canonical_angle(x) for x in self.raw_angles])
 
     def total_volume(self) -> float:
-        return float(sum(p.signed_volume for p in self.pieces))
-
-    def piece(self, side: str, slot: str) -> LPiece:
-        for p in self.pieces:
-            if p.side == side and p.slot == slot:
-                return p
-        raise KeyError((side, slot))
+        return float(sum(lobachevsky(canonical_angle(x)) for x in self.raw_angles))
 
 
 def decompose(t: TetAngles) -> Decomposition:
@@ -159,20 +141,16 @@ def decompose(t: TetAngles) -> Decomposition:
     """
     require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
     roots = solve_holonomy(t)
-    pieces = [LPiece(O_SIDE, slot, raw, canonical_angle(raw))
-              for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_minus))]
-    pieces += [LPiece(DUAL_SIDE, slot, -raw, canonical_angle(-raw))
-               for slot, raw in zip(SLOT_ORDER, roots.bars.slots(roots.Z_plus))]
-    return Decomposition(tuple(pieces))
+    dual = roots.bars.slots(roots.Z_plus)
+    return Decomposition(roots.bars.slots(roots.Z_minus) + tuple(-x for x in dual))
 
 
 def permute_for_regge_b(d: Decomposition) -> Decomposition:
     """The congruence move: exchange the BA and DC pieces on both octahedra,
     then mirror.  The mirror is an isometry of every piece (each L(theta) is
-    bilaterally symmetric), so only the flag changes; the piece multiset is
-    exactly preserved."""
-    pieces = tuple(replace(d.pieces[k], slot=p.slot) for p, k in zip(d.pieces, _REGGE_B_EXCHANGE))
-    return replace(d, pieces=pieces, mirrored=not d.mirrored)
+    bilaterally symmetric), so it moves no volume and leaves no trace in the
+    angles; the piece multiset is exactly preserved."""
+    return Decomposition(tuple(d.raw_angles[k] for k in _REGGE_B_EXCHANGE))
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,9 @@ class SuiteConfig:
     include_determinism: bool = True
 
     def __post_init__(self):
-        # criterion 1 reads the grid spacing as grid[1] - grid[0]
-        for name, least in (("count", 1), ("oracle_count", 1), ("grid_points", 2)):
+        # criterion 1 reads the grid spacing as grid[1] - grid[0]; numpy
+        # seeds its generators from non-negative integers only
+        for name, least in (("seed", 0), ("count", 1), ("oracle_count", 1), ("grid_points", 2)):
             value = getattr(self, name)
             if value < least:
                 raise GeometryDomainError(f"{name} must be at least {least}, got {value}")

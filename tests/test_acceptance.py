@@ -60,6 +60,7 @@ def test_full_report_passes(report):
 @pytest.mark.parametrize(
     "field,value,message",
     [
+        ("seed", -1, "seed must be at least 0, got -1"),
         ("count", 0, "count must be at least 1, got 0"),
         ("oracle_count", 0, "oracle_count must be at least 1, got 0"),
         ("grid_points", 1, "grid_points must be at least 2, got 1"),

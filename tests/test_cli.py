@@ -231,8 +231,8 @@ def test_bad_env_seed_leaves_other_commands_alone(monkeypatch, capsys):
     "env,argv,message",
     [
         ("abc", [], "REGGE_SUITE_SEED: could not parse 'abc'"),
-        ("-1", [], "REGGE_SUITE_SEED must be non-negative"),
-        ("11", ["--seed", "-1"], "--seed must be non-negative"),
+        ("-1", [], "seed must be at least 0, got -1"),
+        ("11", ["--seed", "-1"], "seed must be at least 0, got -1"),
         ("11", ["--seed", "x"], "--seed: could not parse 'x'"),
     ],
 )

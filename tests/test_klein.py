@@ -70,6 +70,18 @@ class TestRealization:
         with pytest.raises(GeometryDomainError):
             klein_vertices(TetAngles(*(PI / 3,) * 6))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("call", [
+        volume_numeric,
+        dihedral_angles,
+        lambda kt: apply_isometry(kt, np.eye(4)),
+    ], ids=["volume_numeric", "dihedral_angles", "apply_isometry"])
+    def test_rejects_vertices_not_four_by_three(self, shape, call):
+        verts = 0.1 * np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / np.prod(shape)
+        with pytest.raises(GeometryDomainError) as exc:
+            call(KleinTetra(verts))
+        assert str(exc.value) == f"vertices must have shape (4, 3), got {shape}"
+
 
 class TestLorentzBoost:
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -314,7 +326,7 @@ class TestSolvedRecordMatchesReference:
         signs = [1.0 if s in PLUS_SLOTS else -1.0 for s in SLOT_ORDER]
         raw = [getattr(bars, s) + k * roots.Z_minus for s, k in zip(SLOT_ORDER, signs)]
         raw += [-(getattr(bars, s) + k * roots.Z_plus) for s, k in zip(SLOT_ORDER, signs)]
-        assert [p.raw_angle.hex() for p in decompose(t).pieces] == [x.hex() for x in raw]
+        assert [x.hex() for x in decompose(t).raw_angles] == [x.hex() for x in raw]
 
     def test_finite_batch(self, finite_batch):
         for t in finite_batch:

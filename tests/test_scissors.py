@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +8,12 @@ from hypothesis import strategies as st
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import KleinTetra, dihedral_angles, klein_vertices
 from reggescissors.lobachevsky import lobachevsky
-from reggescissors.octahedron import DUAL_SIDE, O_SIDE, solve_holonomy, tet_volume
+from reggescissors.octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, solve_holonomy, tet_volume
 from reggescissors.scissors import (
     _REGGE_B_EXCHANGE,
+    PIECE_LABELS,
     REGGE_B_IMAGE_RELABEL,
+    Decomposition,
     canonical_angle,
     decompose,
     permute_for_regge_b,
@@ -88,34 +89,34 @@ class TestCanonicalAngle:
 class TestDecomposition:
     def test_piece_count_and_slots(self, generic):
         d = decompose(generic)
-        assert len(d.pieces) == 16
-        assert {p.side for p in d.pieces} == {O_SIDE, DUAL_SIDE}
+        assert len(d.raw_angles) == len(PIECE_LABELS) == 16
+        assert PIECE_LABELS[:8] == tuple((O_SIDE, slot) for slot in SLOT_ORDER)
+        assert PIECE_LABELS[8:] == tuple((DUAL_SIDE, slot) for slot in SLOT_ORDER)
         # the ring pieces (the e, f, g, h tetrahedra) cancel between the two
         # octahedra and never appear as decomposition slots
-        assert {p.slot for p in d.pieces} == {"AB", "BA", "BC", "CB", "CD", "DC", "DA", "AD"}
+        assert set(SLOT_ORDER) == {"AB", "BA", "BC", "CB", "CD", "DC", "DA", "AD"}
 
     def test_sums_to_twice_volume(self, finite_batch):
         for t in finite_batch:
             d = decompose(t)
             assert d.total_volume() == pytest.approx(2 * tet_volume(t), abs=1e-10)
 
-    def test_signed_volume_consistency(self, generic):
-        for p in decompose(generic).pieces:
-            assert p.canonical_angle == pytest.approx(canonical_angle(p.raw_angle), abs=0)
+    def test_signed_volume_consistency(self, finite_batch):
+        # each piece's canonical angle is its raw angle mod pi, and its
+        # signed volume lob(canonical) adds into total_volume in piece order
+        for t in finite_batch:
+            d = decompose(t)
+            c = d.canonical_angles()
+            assert all(-PI / 2 < x <= PI / 2 for x in c)
+            assert np.max(np.abs(np.sin(np.array(d.raw_angles) - c))) < 1e-12
+            assert d.total_volume() == float(sum(lobachevsky(x) for x in c))
 
     def test_equiangular_slot_coincidences(self, equiangular):
         # equal opposite pairs force the BA/DC, CB/AD, BC/DA piece pairs equal
-        d = decompose(equiangular)
+        c = dict(zip(PIECE_LABELS, decompose(equiangular).canonical_angles()))
         for side in (O_SIDE, DUAL_SIDE):
-            assert d.piece(side, "BA").canonical_angle == pytest.approx(
-                d.piece(side, "DC").canonical_angle, abs=1e-12
-            )
-            assert d.piece(side, "CB").canonical_angle == pytest.approx(
-                d.piece(side, "AD").canonical_angle, abs=1e-12
-            )
-            assert d.piece(side, "BC").canonical_angle == pytest.approx(
-                d.piece(side, "DA").canonical_angle, abs=1e-12
-            )
+            for slot, partner in (("BA", "DC"), ("CB", "AD"), ("BC", "DA")):
+                assert c[side, slot] == pytest.approx(c[side, partner], abs=1e-12)
 
     def test_hyperideal_rejected(self):
         with pytest.raises(GeometryDomainError):
@@ -159,19 +160,17 @@ class TestPermutation:
     def test_multiset_preserved_exactly(self, generic):
         d = decompose(generic)
         moved = permute_for_regge_b(d)
-        assert sorted(p.canonical_angle for p in moved.pieces) == sorted(
-            p.canonical_angle for p in d.pieces
-        )
+        assert sorted(moved.canonical_angles()) == sorted(d.canonical_angles())
         assert moved.total_volume() == d.total_volume()
-        assert moved.mirrored and not d.mirrored
 
     def test_swaps_both_sides(self, generic):
         d = decompose(generic)
-        moved = permute_for_regge_b(d)
+        c = dict(zip(PIECE_LABELS, d.canonical_angles()))
+        c_moved = dict(zip(PIECE_LABELS, permute_for_regge_b(d).canonical_angles()))
         for side in (O_SIDE, DUAL_SIDE):
-            assert moved.piece(side, "BA").canonical_angle == d.piece(side, "DC").canonical_angle
-            assert moved.piece(side, "DC").canonical_angle == d.piece(side, "BA").canonical_angle
-            assert moved.piece(side, "AB").canonical_angle == d.piece(side, "AB").canonical_angle
+            assert c_moved[side, "BA"] == c[side, "DC"]
+            assert c_moved[side, "DC"] == c[side, "BA"]
+            assert c_moved[side, "AB"] == c[side, "AB"]
 
     def test_aligned_image_matches_slot_for_slot(self, finite_batch):
         # the central mechanism: conjugating the b-image by the crossed pair
@@ -339,21 +338,20 @@ def _regge_branches(t, which):
 
 def _permute_by_dict(d):
     """permute_for_regge_b as a keyed swap, before it became one index."""
-    by_key = {(p.side, p.slot): p for p in d.pieces}
+    by_key = dict(zip(PIECE_LABELS, d.raw_angles))
     swapped = []
-    for p in d.pieces:
-        if p.slot in ("BA", "DC"):
-            other = by_key[(p.side, "DC" if p.slot == "BA" else "BA")]
-            swapped.append(replace(other, slot=p.slot))
+    for side, slot in PIECE_LABELS:
+        if slot in ("BA", "DC"):
+            swapped.append(by_key[(side, "DC" if slot == "BA" else "BA")])
         else:
-            swapped.append(p)
-    return replace(d, pieces=tuple(swapped), mirrored=not d.mirrored)
+            swapped.append(by_key[(side, slot)])
+    return Decomposition(tuple(swapped))
 
 
 def _halved_copy_volumes(d):
     """copy_volume(0) and copy_volume(1) of the removed 32-half layer: each
     piece split into halves 0 and 1 of volume lob(theta) / 2, in piece order."""
-    halves = [(k, lobachevsky(p.canonical_angle) / 2.0) for p in d.pieces for k in (0, 1)]
+    halves = [(k, lobachevsky(canonical_angle(x)) / 2.0) for x in d.raw_angles for k in (0, 1)]
     return tuple(float(sum(v for half, v in halves if half == k)) for k in (0, 1))
 
 
@@ -378,10 +376,8 @@ class TestMovesKeepBits:
             d = decompose(t)
             for before in (d, permute_for_regge_b(d)):
                 new, old = permute_for_regge_b(before), _permute_by_dict(before)
-                assert [(p.side, p.slot) for p in new.pieces] == [(p.side, p.slot) for p in old.pieces]
-                assert _hex(p.raw_angle for p in new.pieces) == _hex(p.raw_angle for p in old.pieces)
+                assert _hex(new.raw_angles) == _hex(old.raw_angles)
                 assert _hex(new.canonical_angles()) == _hex(old.canonical_angles())
-                assert new.mirrored is old.mirrored is not before.mirrored
             # verify_scissors reads the exchanged angles without the permuted copy
             assert _hex(d.canonical_angles()[_REGGE_B_EXCHANGE]) == _hex(_permute_by_dict(d).canonical_angles())
 

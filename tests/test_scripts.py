@@ -12,6 +12,10 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 def test_script_runs(name):
     result = subprocess.run([sys.executable, str(SCRIPTS / name)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    if name == "decomposition_demo.py":
+        # the demo shows the slot-by-slot match of 2T and 2 R_b(T); it must hold, not only print
+        gaps = [line for line in result.stdout.splitlines() if line.startswith("worst slot gap:")]
+        assert len(gaps) == 1 and float(gaps[0].split(":")[1]) <= 1e-9, result.stdout
 
 
 @pytest.fixture

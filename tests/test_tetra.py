@@ -170,6 +170,16 @@ class TestClassify:
     def test_out_of_range_is_invalid(self):
         assert classify(TetAngles(-0.1, 1.2, 1.2, 1.2, 1.2, 1.2)).kind is TetraKind.INVALID
 
+    def test_singular_gram_takes_the_minor_route(self):
+        # all six angles at pi make G all ones, which np.linalg.inv refuses;
+        # the cofactors then come from the 3x3 minors, all zero
+        t = TetAngles(*(PI,) * 6)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(gram_matrix(t))
+        cls = classify(t)
+        assert cls.kind is TetraKind.INVALID
+        assert cls.vertex_cofactors == (0.0, 0.0, 0.0, 0.0)
+
     def test_relabel_invariance(self, generic):
         kind = classify(generic).kind
         for sigma in tetra_symmetries():
