@@ -1,23 +1,33 @@
 #!/usr/bin/env python3
 """Record one entry of the benchmark trajectory: BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py 6
+    python3 scripts/bench_record.py 6 [--before CHECKOUT]
 
 Runs `perfbench/run.py --seconds 30 --trace 0` on the `formula`, `oracle`
 and `suite` workloads for seeds 1-5, one run at a time, then 10 CLI cold
 starts (`python -m reggescissors volume` on the README angles, each a fresh
-subprocess) and the tier-1 test command once, all from the root of the
-checkout (about 10 minutes).  Writes BENCH_<pr>.json there with, per
-workload, the median, q1 and q3 of every end-to-end metric over the seeds and
-each run's `attempted`, `failed` and `correct`; the median, q1 and q3 of the
-cold-start wall times; and the tier-1 wall time, exit code and summary line.
-Times of the workloads are perfbench's, scaled to its reference machine
-speed; the cold-start and tier-1 wall times are not scaled.
+subprocess), the per-call timings and the tier-1 test command once, all from
+the root of the checkout (about 10 minutes).  Writes BENCH_<pr>.json there
+with, per workload, the median, q1 and q3 of every end-to-end metric over the
+seeds and each run's `attempted`, `failed` and `correct`; the median, q1 and
+q3 of the cold-start wall times; the per-call means; and the tier-1 wall
+time, exit code and summary line.  Times of the workloads are perfbench's,
+scaled to its reference machine speed; the cold-start, per-call and tier-1
+wall times are not scaled.
+
+`per_call` gives, for each layer in PER_CALL, the mean microseconds of one
+call over the first 200 Finite inputs of the `formula` stream for seed 1,
+each on a fresh TetAngles, so no per-instance memo is warm; each layer runs
+in its own fresh process, so no argument memo is warm either.  With
+`--before`, the same layers are timed against the `src/` of another
+checkout (the parent of the change), alternating layer by layer, and
+recorded as `before_us`.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +44,16 @@ SECONDS = 30
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 COLD_START = ("-m", "reggescissors", "volume", "1.15", "1.2", "1.1", "1.22", "1.18", "1.25")
 COLD_START_RUNS = 10
+PER_CALL_INPUTS = 200
+#: Layers timed by per_call: each gets the package `m` and a fresh TetAngles `t`.
+PER_CALL = {
+    "classify": lambda m, t: m.tetra.classify(t),
+    "tet_volume": lambda m, t: m.octahedron.tet_volume(t),
+    "decompose": lambda m, t: m.scissors.decompose(t),
+    "verify_scissors_b": lambda m, t: m.scissors.verify_scissors(t, "b"),
+    "regge_orbit": lambda m, t: m.scissors.regge_orbit(t),
+    "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
+}
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -55,10 +75,66 @@ def summarize(results: list[dict]) -> dict:
     return out
 
 
-def src_env() -> dict:
+def src_env(src: Path = ROOT / "src") -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return env
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 of the checkout's src/ files, as perfbench's `src_sha256`."""
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        h.update(str(path.relative_to(checkout)).encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def time_layer(name: str) -> float:
+    """Mean unscaled microseconds of one PER_CALL[name] call over the first
+    PER_CALL_INPUTS Finite inputs of the `formula` stream for seed 1, in this
+    process, with the package found on PYTHONPATH."""
+    import reggescissors  # loads every module PER_CALL reaches
+
+    tetra = reggescissors.tetra
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from inputs import TetStream
+    from worker import RMAX, STREAM
+
+    rows = []
+    for angles, _ in TetStream(1, STREAM["formula"], RMAX["formula"]):
+        if tetra.classify(tetra.TetAngles.of(angles)).kind is tetra.TetraKind.FINITE:
+            rows.append(angles)
+            if len(rows) > PER_CALL_INPUTS:
+                break
+    call = PER_CALL[name]
+    call(reggescissors, tetra.TetAngles.of(rows.pop()))  # untimed warm-up on the next input
+    total = 0.0
+    for angles in rows:
+        t = tetra.TetAngles.of(angles)
+        start = time.perf_counter()
+        call(reggescissors, t)
+        total += time.perf_counter() - start
+    return total / len(rows) * 1e6
+
+
+def run_per_call(before: Path | None) -> dict:
+    """per_call: each layer timed in a fresh process, against this checkout
+    and, when given, against the checkout `before`."""
+    checkouts = {"us": ROOT} if before is None else {"before_us": before, "us": ROOT}
+    layers = {}
+    for name in PER_CALL:
+        layers[name] = {}
+        for column, checkout in checkouts.items():
+            proc = subprocess.run([sys.executable, __file__, "--time-layer", name], cwd=ROOT,
+                                  env=src_env(checkout / "src"), capture_output=True, text=True,
+                                  check=True)
+            layers[name][column] = float(proc.stdout)
+    out = {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "scaled": False,
+           "unit": "us", "layers": layers}
+    if before is not None:
+        out["before_src_sha256"] = src_digest(before)
+    return out
 
 
 def run_cold_start() -> dict:
@@ -85,8 +161,16 @@ def run_tier1() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("pr", type=int, help="number of the change the entry records")
+    parser.add_argument("pr", type=int, nargs="?", help="number of the change the entry records")
+    parser.add_argument("--before", type=Path, metavar="CHECKOUT",
+                        help="also time per_call against this checkout's src/ (the parent)")
+    parser.add_argument("--time-layer", choices=PER_CALL, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.time_layer:
+        print(time_layer(args.time_layer))
+        return 0
+    if args.pr is None:
+        parser.error("the number of the change is required")
 
     entry = {"pr": args.pr, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     for workload in WORKLOADS:
@@ -101,6 +185,7 @@ def main() -> int:
                   file=sys.stderr)
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
     entry["cli_cold_start"] = run_cold_start()
+    entry["per_call"] = run_per_call(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
 
     path = ROOT / f"BENCH_{args.pr}.json"

@@ -30,7 +30,6 @@ hyperideal regime it coincides with all slots lying in (0, pi)).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import astuple, dataclass
 
@@ -120,7 +119,8 @@ class BarSolution:
     def slots(self, Z: float) -> tuple[float, ...]:
         """The eight slot angles at offset Z, in SLOT_ORDER: bar + Z on the
         PLUS_SLOTS, bar - Z on the others."""
-        return tuple(getattr(self, s) + (Z if s in PLUS_SLOTS else -Z) for s in SLOT_ORDER)
+        return (self.AB + Z, self.BA - Z, self.BC + Z, self.CB - Z,
+                self.CD + Z, self.DC - Z, self.DA + Z, self.AD - Z)
 
     def plus(self):
         return (self.AB, self.BC, self.CD, self.DA)
@@ -198,15 +198,12 @@ def bar_solution(t: TetAngles) -> BarSolution:
     )
 
 
-def _elementary(vals, k):
-    total = 0j
-    n = len(vals)
-    for comb in itertools.combinations(range(n), k):
-        p = 1.0 + 0j
-        for i in comb:
-            p *= vals[i]
-        total += p
-    return total
+def _symmetric_sums(v0, v1, v2, v3):
+    """The elementary symmetric sums e1, e2, e3 of four complex numbers, each
+    product and addition in itertools.combinations order from 0j."""
+    return (0j + v0 + v1 + v2 + v3,
+            0j + v0 * v1 + v0 * v2 + v0 * v3 + v1 * v2 + v1 * v3 + v2 * v3,
+            0j + v0 * v1 * v2 + v0 * v1 * v3 + v0 * v2 * v3 + v1 * v2 * v3)
 
 
 def holonomy_polynomial(bars: BarSolution) -> np.ndarray:
@@ -216,18 +213,12 @@ def holonomy_polynomial(bars: BarSolution) -> np.ndarray:
     """
     alphas = [cmath.exp(1j * x) for x in bars.plus()]
     betas = [cmath.exp(1j * x) for x in bars.minus()]
-    a2 = [a * a for a in alphas]
-    b2 = [b * b for b in betas]
+    a1, a2, a3 = _symmetric_sums(*(a * a for a in alphas))
+    b1, b2, b3 = _symmetric_sums(*(b * b for b in betas))
     pa = alphas[0] * alphas[1] * alphas[2] * alphas[3]
     pb = betas[0] * betas[1] * betas[2] * betas[3]
     return np.array(
-        [
-            pa - 1 / pb,
-            _elementary(b2, 1) / pb - _elementary(a2, 3) / pa,
-            _elementary(a2, 2) / pa - _elementary(b2, 2) / pb,
-            _elementary(b2, 3) / pb - _elementary(a2, 1) / pa,
-            1 / pa - pb,
-        ],
+        [pa - 1 / pb, b1 / pb - a3 / pa, a2 / pa - b2 / pb, b3 / pb - a1 / pa, 1 / pa - pb],
         dtype=complex,
     )
 

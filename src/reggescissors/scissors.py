@@ -268,11 +268,16 @@ class OrbitResult:
     truncated: bool
 
 
-#: Row k holds the angle indices that relabel() reads for the k-th vertex
-#: permutation: relabel(t, sigma_k).as_tuple() == angles[_RELABEL_INDEX[k]].
-_RELABEL_INDEX = np.array(list(_RELABEL_ROWS.values()), dtype=np.intp)
 #: Orbit members this close (max-norm) after some relabeling are the same.
 ORBIT_MATCH_TOL = 1e-10
+#: Entry j: the relabel() rows (tetra._RELABEL_ROWS) that read angle j into position 0.
+_ROWS_FROM = tuple(tuple(r for r in _RELABEL_ROWS.values() if r[0] == j) for j in range(6))
+
+
+def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
+    """True when some relabeling of the angles x is within ORBIT_MATCH_TOL of m."""
+    return any(all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m))
+               for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
 
 
 def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
@@ -281,7 +286,7 @@ def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
     if max_size < 1:
         raise GeometryDomainError("max_size must be at least 1")
     members: list[TetAngles] = [t]
-    member_angles = np.array([t.as_tuple()])
+    member_angles = [t.as_tuple()]
     frontier = [t]
     truncated = False
     while frontier:
@@ -289,15 +294,14 @@ def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
         for cur in frontier:
             for which in ("a", "b", "c"):
                 img = regge(cur, which)
-                angles = np.array(img.as_tuple())
-                gaps = np.abs(angles[_RELABEL_INDEX][:, None, :] - member_angles)
-                if np.any(np.max(gaps, axis=2) < ORBIT_MATCH_TOL):
+                angles = img.as_tuple()
+                if any(_relabels_onto(angles, m) for m in member_angles):
                     continue
                 if len(members) >= max_size:
                     truncated = True
                     break
                 members.append(img)
-                member_angles = np.vstack([member_angles, angles])
+                member_angles.append(angles)
                 nxt.append(img)
             if truncated:
                 break

@@ -214,17 +214,17 @@ def classify(t: TetAngles) -> TetraClass:
 
 def _classify(t: TetAngles) -> TetraClass:
     G = gram_matrix(t)
-    eig = np.linalg.eigvalsh(G)
-    det = float(np.prod(eig))
+    eig = e0, e1, e2, e3 = tuple(np.linalg.eigvalsh(G).tolist())
+    det = e0 * e1 * e2 * e3
     # adjugate diagonal = vertex cofactors (det * inverse diagonal)
     try:
-        cof = tuple(float(x) for x in np.diag(det * np.linalg.inv(G)))
+        cof = tuple((det * np.linalg.inv(G).diagonal()).tolist())
     except np.linalg.LinAlgError:
         cof = tuple(float(np.linalg.det(np.delete(np.delete(G, i, 0), i, 1))) for i in range(4))
-    result = TetraClass(TetraKind.INVALID, det, cof, tuple(float(x) for x in eig))
+    result = TetraClass(TetraKind.INVALID, det, cof, eig)
     if not t.in_range():
         return result
-    signature_31 = eig[0] < -EIGENVALUE_TOL and eig[1] > EIGENVALUE_TOL
+    signature_31 = e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL
     if not signature_31:
         return result
     if all(c > IDEAL_COFACTOR_TOL for c in cof):
@@ -233,7 +233,7 @@ def _classify(t: TetAngles) -> TetraClass:
         kind = TetraKind.IDEAL
     else:
         kind = TetraKind.HYPERIDEAL
-    return TetraClass(kind, det, cof, tuple(float(x) for x in eig))
+    return TetraClass(kind, det, cof, eig)
 
 
 def require_kind(t: TetAngles, *kinds: TetraKind) -> TetraClass:

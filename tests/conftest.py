@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,3 +26,19 @@ def equiangular():
 @pytest.fixture(scope="session")
 def generic():
     return GENERIC_FINITE
+
+
+@pytest.fixture(scope="session")
+def stream_angles(finite_batch):
+    """Angle tuples of the first 200 inputs of the benchmark's `formula` and
+    `oracle` streams (perfbench/worker.py: streams 1 and 2, Klein radius
+    0.998 and 0.9) for seeds 1-3, then those of finite_batch."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rows = []
+    for stream, rmax in ((1, 0.998), (2, 0.9)):
+        for seed in (1, 2, 3):
+            rows += [tuple(a.tolist()) for a in inputs.TetStream(seed, stream, rmax).take(200)[0]]
+    return rows + [t.as_tuple() for t in finite_batch]

@@ -12,9 +12,12 @@ from reggescissors.lobachevsky import (
     _SERIES_COEF,
     _SERIES_COEF_DESC,
     LOBACHEVSKY_MAX_ARG,
+    _lobachevsky_float,
     lobachevsky,
     lobachevsky_quadrature,
 )
+from reggescissors.scissors import regge_orbit, verify_scissors
+from reggescissors.tetra import TetAngles
 
 PI = math.pi
 
@@ -218,3 +221,49 @@ def test_float_path_rejects_non_finite(bad):
         lobachevsky(bad)
     with pytest.raises(ValueError):
         lobachevsky(np.asarray(bad))
+
+
+class TestMemo:
+    """Scalar calls go through a bounded memo on the exact argument; it must
+    change no bit and keep no error."""
+
+    README_ANGLES = (1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _lobachevsky_float.cache_clear()
+
+    def test_cold_and_warm_keep_the_bits(self, array_route_0d):
+        assert _mismatches(SEEDED_POINTS, array_route_0d["seeded"]) == []
+        # the last maxsize points are still held, so a second pass over them is all hits
+        n, hits = _lobachevsky_float.cache_info().maxsize, _lobachevsky_float.cache_info().hits
+        assert _mismatches(SEEDED_POINTS[-n:], array_route_0d["seeded"][-n:]) == []
+        assert _lobachevsky_float.cache_info().hits == hits + n
+        for _ in ("cold", "warm"):
+            assert _mismatches(EDGE_POINTS, array_route_0d["edges"]) == []
+
+    @pytest.mark.parametrize("order", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zeros_give_plus_zero_in_either_order(self, order):
+        for x in order:
+            assert _same_bits(lobachevsky(x), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_every_time(self, bad):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                lobachevsky(bad)
+        assert _lobachevsky_float.cache_info().currsize == 0
+
+    def test_bounded(self):
+        assert isinstance(_lobachevsky_float.cache_info().maxsize, int)
+
+    @pytest.mark.parametrize(
+        "call,misses",
+        [
+            (lambda t: regge_orbit(t), 159),
+            (lambda t: verify_scissors(t, "b"), 82),
+        ],
+    )
+    def test_pinned_series_evaluations(self, call, misses):
+        call(TetAngles(*self.README_ANGLES))
+        assert _lobachevsky_float.cache_info().misses == misses

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
@@ -40,6 +41,38 @@ PI = math.pi
 EQUIANGULAR_12_VOLUME = 0.046712861991968745
 
 angles6 = st.tuples(*[st.floats(1.05, 1.28)] * 6)
+
+
+def _elementary(vals, k):
+    total = 0j
+    n = len(vals)
+    for comb in itertools.combinations(range(n), k):
+        p = 1.0 + 0j
+        for i in comb:
+            p *= vals[i]
+        total += p
+    return total
+
+
+def _itertools_holonomy_polynomial(bars):
+    """holonomy_polynomial as it was with the sums in an itertools loop: the
+    bit reference for the written-out sums."""
+    alphas = [cmath.exp(1j * x) for x in bars.plus()]
+    betas = [cmath.exp(1j * x) for x in bars.minus()]
+    a2 = [a * a for a in alphas]
+    b2 = [b * b for b in betas]
+    pa = alphas[0] * alphas[1] * alphas[2] * alphas[3]
+    pb = betas[0] * betas[1] * betas[2] * betas[3]
+    return np.array(
+        [
+            pa - 1 / pb,
+            _elementary(b2, 1) / pb - _elementary(a2, 3) / pa,
+            _elementary(a2, 2) / pa - _elementary(b2, 2) / pb,
+            _elementary(b2, 3) / pb - _elementary(a2, 1) / pa,
+            1 / pa - pb,
+        ],
+        dtype=complex,
+    )
 
 
 class TestBaseAngles:
@@ -110,6 +143,15 @@ class TestHolonomy:
     def test_roots_on_unit_circle(self, finite_batch):
         for t in finite_batch:
             assert solve_holonomy(t).unit_defect < 1e-9
+
+    def test_written_out_sums_keep_the_itertools_bits(self, stream_angles, equiangular):
+        # the equiangular bars are 0 and +-theta, whose products have exact zeros
+        def hexes(poly):
+            return [(float(c.real).hex(), float(c.imag).hex()) for c in poly]
+
+        for angles in [*stream_angles, equiangular.as_tuple()]:
+            bars = bar_solution(TetAngles(*angles))
+            assert hexes(holonomy_polynomial(bars)) == hexes(_itertools_holonomy_polynomial(bars))
 
     def test_quadratic_residual_at_roots(self, generic):
         roots = solve_holonomy(generic)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reggescissors import scissors, tetra
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import KleinTetra, dihedral_angles, klein_vertices
 from reggescissors.lobachevsky import lobachevsky
@@ -314,6 +315,47 @@ class TestOrbitDedupMatchesPairwise:
             assert orbit.truncated is truncated
             truncated_seen |= truncated
         assert truncated_seen is (max_size < 64)
+
+
+#: The numpy dedup predicate regge_orbit used before the plain-float one:
+#: row k of the index reads the angles of the k-th relabeling.
+_RELABEL_INDEX = np.array(list(tetra._RELABEL_ROWS.values()), dtype=np.intp)
+
+
+def _numpy_relabels_onto(x, m):
+    gaps = np.abs(np.array(x)[_RELABEL_INDEX][:, None, :] - np.array([m]))
+    return bool(np.any(np.max(gaps, axis=2) < scissors.ORBIT_MATCH_TOL))
+
+
+def _ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class TestOrbitPredicateAtItsTolerance:
+    """The plain-float predicate looks only at the relabelings that bring an
+    angle within the tolerance of the member's position 0, so its edge is
+    swept there, and at position 5, against the numpy predicate."""
+
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_agrees_with_numpy_across_the_edge(self, position, generic):
+        outcomes = set()
+        for m in (generic, *regge_orbit(generic).members[1:3]):
+            base = m.as_tuple()
+            for sign in (1.0, -1.0):
+                # the shifted angle sits k ulps from base + sign * 1e-10, so
+                # its gap from base falls on both sides of ORBIT_MATCH_TOL
+                edge = base[position] + sign * scissors.ORBIT_MATCH_TOL
+                for k in range(-8, 9):
+                    shifted = list(base)
+                    shifted[position] = _ulps_from(edge, k)
+                    for sigma in tetra_symmetries():
+                        x = relabel(TetAngles(*shifted), sigma).as_tuple()
+                        outcome = scissors._relabels_onto(x, base)
+                        assert outcome is _numpy_relabels_onto(x, base), (m, position, sign, k, sigma)
+                        outcomes.add(outcome)
+        assert outcomes == {True, False}
 
 
 # --- bit identity with the three-branch moves, the dict swap and the halving layer

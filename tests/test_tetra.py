@@ -191,6 +191,21 @@ class TestClassify:
         assert len(cls.vertex_cofactors) == 4
         assert all(c > 0 for c in cls.vertex_cofactors)
 
+    def test_diagnostics_keep_the_numpy_bits(self, stream_angles):
+        # no CLI output shows det, the cofactors or the eigenvalues, so this
+        # pins them to the numpy expressions that computed them before
+        def hexes(values):
+            return [float(x).hex() for x in values]
+
+        for angles in stream_angles:
+            G = gram_matrix(TetAngles(*angles))
+            eig = np.linalg.eigvalsh(G)
+            det = float(np.prod(eig))
+            cls = classify(TetAngles(*angles))
+            assert hexes([cls.det]) == hexes([det])
+            assert hexes(cls.vertex_cofactors) == hexes(np.diag(det * np.linalg.inv(G)))
+            assert hexes(cls.eigenvalues) == hexes(eig)
+
 
 class TestClassifyOnce:
     ANGLES = (1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
