@@ -6,13 +6,14 @@
 Runs `perfbench/run.py --seconds 30 --trace 0` on the `formula`, `oracle`
 and `suite` workloads for seeds 1-5, one run at a time, then 10 CLI cold
 starts (`python -m reggescissors volume` on the README angles, each a fresh
-subprocess), the per-call timings and the tier-1 test command once, all from
-the root of the checkout (about 10 minutes).  Writes BENCH_<pr>.json there
-with, per workload, the median, q1 and q3 of every end-to-end metric over the
-seeds and each run's `attempted`, `failed` and `correct`; the median, q1 and
-q3 of the cold-start wall times; the per-call means; and the tier-1 wall
-time, exit code and summary line.  Times of the workloads are perfbench's,
-scaled to its reference machine speed; the cold-start, per-call and tier-1
+subprocess), the per-call timings, the suite criteria and the tier-1 test
+command once, all from the root of the checkout (about 10 minutes).  Writes
+BENCH_<pr>.json there with, per workload, the median, q1 and q3 of every
+end-to-end metric over the seeds and each run's `attempted`, `failed` and
+`correct`; the median, q1 and q3 of the cold-start wall times; the per-call
+means; the suite criteria seconds; and the tier-1 wall time, exit code and
+summary line.  Times of the workloads are perfbench's, scaled to its
+reference machine speed; the cold-start, per-call, suite criteria and tier-1
 wall times are not scaled.
 
 `per_call` gives, for each layer in PER_CALL, the mean microseconds of one
@@ -22,6 +23,13 @@ in its own fresh process, so no argument memo is warm either.  With
 `--before`, the same layers are timed against the `src/` of another
 checkout (the parent of the change), alternating layer by layer, and
 recorded as `before_us`.
+
+`suite_criteria` gives the unscaled in-process seconds of the package
+import and of each criterion of `suite --count 100 --seed 7`, in the order
+the suite runs them, in a fresh process, so a criterion that first needs a
+module pays for importing it; the median of SUITE_RUNS processes.  With
+`--before` the other checkout is timed too, alternating process by process,
+and recorded as `before_s`.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ PER_CALL = {
     "regge_orbit": lambda m, t: m.scissors.regge_orbit(t),
     "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
 }
+#: The SuiteConfig that `suite --count 100 --seed 7` runs.
+SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
+SUITE_RUNS = 3
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -118,6 +129,14 @@ def time_layer(name: str) -> float:
     return total / len(rows) * 1e6
 
 
+def fresh(checkout: Path, *args: str) -> str:
+    """stdout of this script run with `args` in a fresh process on the
+    package in `checkout`'s src/."""
+    return subprocess.run([sys.executable, __file__, *args], cwd=ROOT,
+                          env=src_env(checkout / "src"), capture_output=True, text=True,
+                          check=True).stdout
+
+
 def run_per_call(before: Path | None) -> dict:
     """per_call: each layer timed in a fresh process, against this checkout
     and, when given, against the checkout `before`."""
@@ -126,12 +145,44 @@ def run_per_call(before: Path | None) -> dict:
     for name in PER_CALL:
         layers[name] = {}
         for column, checkout in checkouts.items():
-            proc = subprocess.run([sys.executable, __file__, "--time-layer", name], cwd=ROOT,
-                                  env=src_env(checkout / "src"), capture_output=True, text=True,
-                                  check=True)
-            layers[name][column] = float(proc.stdout)
+            layers[name][column] = float(fresh(checkout, "--time-layer", name))
     out = {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "scaled": False,
            "unit": "us", "layers": layers}
+    if before is not None:
+        out["before_src_sha256"] = src_digest(before)
+    return out
+
+
+def time_suite_criteria() -> dict:
+    """Unscaled seconds of the package import and of each criterion of
+    SUITE_CONFIG, run in order in this process, with the package found on
+    PYTHONPATH."""
+    start = time.perf_counter()
+    from reggescissors import suite
+
+    seconds = {"import": time.perf_counter() - start}
+    config = suite.SuiteConfig(**SUITE_CONFIG)
+    for criterion in suite._CRITERIA:
+        start = time.perf_counter()
+        criterion(config)
+        seconds[criterion.__name__] = time.perf_counter() - start
+    return seconds
+
+
+def run_suite_criteria(before: Path | None) -> dict:
+    """suite_criteria: the median over SUITE_RUNS fresh processes of
+    time_suite_criteria, against this checkout and, when given, against the
+    checkout `before`."""
+    checkouts = {"s": ROOT} if before is None else {"before_s": before, "s": ROOT}
+    runs = {column: [] for column in checkouts}
+    for _ in range(SUITE_RUNS):
+        for column, checkout in checkouts.items():
+            runs[column].append(json.loads(fresh(checkout, "--time-suite")))
+    steps = {name: {column: float(np.median([run[name] for run in runs[column]]))
+                    for column in checkouts}
+             for name in runs["s"][0]}
+    out = {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": False,
+           "unit": "s", "steps": steps}
     if before is not None:
         out["before_src_sha256"] = src_digest(before)
     return out
@@ -165,9 +216,13 @@ def main() -> int:
     parser.add_argument("--before", type=Path, metavar="CHECKOUT",
                         help="also time per_call against this checkout's src/ (the parent)")
     parser.add_argument("--time-layer", choices=PER_CALL, help=argparse.SUPPRESS)
+    parser.add_argument("--time-suite", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.time_layer:
         print(time_layer(args.time_layer))
+        return 0
+    if args.time_suite:
+        print(json.dumps(time_suite_criteria()))
         return 0
     if args.pr is None:
         parser.error("the number of the change is required")
@@ -186,6 +241,7 @@ def main() -> int:
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
     entry["cli_cold_start"] = run_cold_start()
     entry["per_call"] = run_per_call(args.before)
+    entry["suite_criteria"] = run_suite_criteria(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
 
     path = ROOT / f"BENCH_{args.pr}.json"

@@ -41,8 +41,8 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "d5c0570e540c4e559b83851015ad78ccfa388e560a4753ae94c6950ea0da2cc2",
-    "suite_seed2": "9f12cd52ef24005903bf0db0df46eb65b436c134a91aef12298b50605d9d7ddf",
+    "suite_seed7": "0e1478b726751313a151fb6ca5125930c3db9036586a3d89e3c3d7c4a70a0c32",
+    "suite_seed2": "b9c51b318352081e8fe1d8f8ef3318b5df7e9f40b7ce15a2e80dd6f6ac2fce0c",
     "formula_seed1": "fa39e36d6f0f3f4af2de719e2d5c7a5622a7193cc18da07ee1056de1216f1ecd",
     "formula_seed2": "18b9b8ea55634cb88d0ead3f0ba6b57a6f833cd7a0c5d12f5f72825624edb219",
     "formula_seed3": "ca973aa879478468bd54097910807ca740395bcf9363a1380b4b10d2e4a44914",

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +102,7 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
 def test_quadrature_rejects_tol_outside_positive_finite(tol):
-    # with tol = inf, quad would accept its first estimate: 0.36315 for lob(1) = 0.36357
+    # with tol = inf the coarsest two levels of the rule would already pass its stop rule
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         lobachevsky_quadrature(1.0, tol=tol)
 
@@ -115,8 +116,8 @@ def test_series_table_is_scipy_zeta_bit_for_bit():
     assert _SERIES_COEF_DESC == tuple(_SERIES_COEF[::-1].tolist())
 
 
-# Runs in a fresh interpreter: the formula commands and the Klein oracle must
-# not load scipy, and the Lobachevsky quadrature must, with the same value.
+# Runs in a fresh interpreter: no command, the Lobachevsky quadrature and the
+# suite that runs it included, may load scipy.
 _SCIPY_PROBE = """
 import contextlib, io, sys
 from reggescissors import cli
@@ -128,17 +129,21 @@ for command in (["volume"], ["decompose"], ["verify", "--which", "b"], ["orbit"]
     print(command[0], code, "scipy" in sys.modules)
 value = lobachevsky_quadrature(1.0)
 print("quadrature", repr(value), "scipy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["suite", "--count", "4"])
+print("suite", code, "scipy" in sys.modules)
 """
 
 
-def test_scipy_loaded_only_by_quadrature():
+def test_runtime_never_loads_scipy():
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    *commands, quadrature = [line.split() for line in proc.stdout.splitlines()]
+    *commands, quadrature, suite = [line.split() for line in proc.stdout.splitlines()]
     assert commands == [[name, "0", "False"]
                         for name in ("volume", "decompose", "verify", "orbit", "oracle")]
-    assert quadrature[0] == "quadrature" and quadrature[2] == "True"
+    assert quadrature[0] == "quadrature" and quadrature[2] == "False"
     assert float(quadrature[1]) == pytest.approx(0.3635730254316396, abs=1e-15)
+    assert suite == ["suite", "0", "False"]
 
 
 def test_quadrature_reports_achieved_error():
@@ -146,6 +151,35 @@ def test_quadrature_reports_achieved_error():
         lobachevsky_quadrature(1.0, tol=1e-18)
     assert exc.value.achieved > 0
 
+
+def _lob_mpmath(theta: float) -> float:
+    """lob(theta) = Cl_2(2 theta) / 2 at 30 digits: a reference that shares
+    neither the series nor the quadrature."""
+    with mpmath.workdps(30):
+        return float(mpmath.clsin(2, 2 * mpmath.mpf(theta)) / 2)
+
+
+def test_quadrature_matches_mpmath_on_the_suite_grid():
+    # suite criterion 1's grid, at its tolerance
+    grid = np.linspace(-2 * PI, 2 * PI, 1000).tolist()
+    gap = max(abs(lobachevsky_quadrature(x, 1e-12) - _lob_mpmath(x)) for x in grid)
+    assert gap <= 2e-14
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [k * PI + d for k in (1, 2, 3) for d in (1e-13, -1e-13)] + [PI / 2, 10.0, 50.0, -50.0],
+)
+def test_quadrature_matches_mpmath_at_edges(theta):
+    assert lobachevsky_quadrature(theta, 1e-12) == pytest.approx(_lob_mpmath(theta), abs=1e-13)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, -1e-300])
+def test_quadrature_finite_for_subnormal_and_tiny(theta):
+    # a node whose distance to 0 underflows must add nothing, not log(0)
+    value = lobachevsky_quadrature(theta, 1e-12)
+    assert math.isfinite(value) and math.copysign(1.0, value) == math.copysign(1.0, theta)
+    assert value == pytest.approx(_lob_mpmath(theta), abs=1e-12)
 
 
 def _same_bits(a: float, b: float) -> bool:
