@@ -41,11 +41,11 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "0e1478b726751313a151fb6ca5125930c3db9036586a3d89e3c3d7c4a70a0c32",
-    "suite_seed2": "b9c51b318352081e8fe1d8f8ef3318b5df7e9f40b7ce15a2e80dd6f6ac2fce0c",
-    "formula_seed1": "fa39e36d6f0f3f4af2de719e2d5c7a5622a7193cc18da07ee1056de1216f1ecd",
-    "formula_seed2": "18b9b8ea55634cb88d0ead3f0ba6b57a6f833cd7a0c5d12f5f72825624edb219",
-    "formula_seed3": "ca973aa879478468bd54097910807ca740395bcf9363a1380b4b10d2e4a44914",
+    "suite_seed7": "c7364f83180eca09350c4bf56777005aca341a21f815caf82ccf03421b208c1f",
+    "suite_seed2": "059117d7c7addd9e08d5ea52b0e151950b590a4a0b98227c6541898ce43172a6",
+    "formula_seed1": "5a3fd00c8b538cd28de245494c9295d377857fcfab48a4be9ef3b57e5d07174d",
+    "formula_seed2": "005b232b8f2c7674ca662f5d210ee975139a2bea9bd3058e3508570a5e003ef1",
+    "formula_seed3": "cd1454f760381feaaaa1bc5a5b173dcab06ba686cdec507ef2b40529929eb1ce",
     "oracle_seed1": "6e06c57f0de8d0b823e480dec97849b918f561480b80ece9aa63f0ae7286bb95",
 }
 

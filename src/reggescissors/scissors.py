@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
+from .exceptions import DegenerateSystemError, GeometryDomainError
 from .lobachevsky import lobachevsky
 from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, solve_holonomy, tet_volume, wrap_angle
 from .tetra import (
@@ -158,18 +158,14 @@ class ScissorsReport:
     """Outcome of one scissors-congruence check.
 
     slot_gap is the worst per-slot canonical-angle difference between the
-    permuted source decomposition and the aligned image decomposition;
-    multiset_gap is the worst gap after sort-and-pair matching, and
-    slot_permutation records the matching found (identity when the slot-level
-    check already passes).
+    permuted source decomposition and the aligned image decomposition; the
+    check passes when it and volume_gap are each at most tol.
     """
 
     which: str
     passed: bool
     volume_gap: float
-    multiset_gap: float
     slot_gap: float
-    slot_permutation: tuple[int, ...]
     conjugation: tuple[int, ...] | None
     tol: float
     volume: float
@@ -182,12 +178,9 @@ class ScissorsReport:
             "which": self.which,
             "passed": self.passed,
             "volume_gap": self.volume_gap,
-            "multiset_gap": self.multiset_gap,
             "slot_gap": self.slot_gap,
-            "slot_permutation": list(self.slot_permutation),
             "conjugation": list(self.conjugation) if self.conjugation else None,
-            "tol_volume": self.tol,
-            "tol_match": self.tol,
+            "tol": self.tol,
             "volume": self.volume,
             "volume_image": self.volume_image,
             "transformed_angles": list(self.transformed.as_tuple()),
@@ -195,19 +188,10 @@ class ScissorsReport:
         }
 
 
-def _match_permutation(target: np.ndarray, values: np.ndarray) -> tuple[int, ...]:
-    """Sort-and-pair matching; ties broken by slot order."""
-    order_t = np.argsort(target, kind="stable")
-    order_v = np.argsort(values, kind="stable")
-    perm = [0] * len(values)
-    for a, b in zip(order_v, order_t):
-        perm[int(a)] = int(b)
-    return tuple(perm)
-
-
 def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsReport:
-    """Check numerically that 2T and 2R(T) decompose into the same pieces:
-    the volume gap and the piece-angle gaps must each be at most tol.
+    """Check numerically that 2T and 2R(T) decompose into the same pieces,
+    slot by slot after the BA/DC exchange: the volume gap and the largest
+    piece-angle gap must each be at most tol.
 
     For which='b' the check is direct; 'a' and 'c' are conjugated through
     the corresponding pair swap first.  Invalid or degenerate configurations
@@ -221,9 +205,9 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
 
     def failed(reason: str) -> ScissorsReport:
         return ScissorsReport(
-            which=which, passed=False, volume_gap=math.inf, multiset_gap=math.inf,
-            slot_gap=math.inf, slot_permutation=(), conjugation=conj, tol=tol,
-            volume=math.nan, volume_image=math.nan, transformed=transformed, failure=reason,
+            which=which, passed=False, volume_gap=math.inf, slot_gap=math.inf,
+            conjugation=conj, tol=tol, volume=math.nan, volume_image=math.nan,
+            transformed=transformed, failure=reason,
         )
 
     t0 = relabel(t, conj) if conj else t
@@ -239,24 +223,15 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
         aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL))
         v_src = tet_volume(t0)
         v_img = tet_volume(image)
-    except (DegenerateSystemError, NonUnitRootError) as exc:
+    except DegenerateSystemError as exc:
         return failed(f"angle system degenerate: {exc}")
 
-    c_moved = source.canonical_angles()[_REGGE_B_EXCHANGE]
-    c_image = aligned.canonical_angles()
-    slot_gap = float(np.max(np.abs(c_moved - c_image)))
-    multiset_gap = float(np.max(np.abs(np.sort(c_moved) - np.sort(c_image))))
-    if slot_gap <= tol:
-        permutation = tuple(range(16))
-    else:
-        # fall back to reporting the discovered sort-and-pair matching
-        permutation = _match_permutation(c_image, c_moved)
+    c_moved = permute_for_regge_b(source).canonical_angles()
+    slot_gap = float(np.max(np.abs(c_moved - aligned.canonical_angles())))
     volume_gap = abs(v_src - v_img)
-    passed = volume_gap <= tol and multiset_gap <= tol
     return ScissorsReport(
-        which=which, passed=passed, volume_gap=volume_gap,
-        multiset_gap=multiset_gap, slot_gap=slot_gap,
-        slot_permutation=permutation, conjugation=conj,
+        which=which, passed=volume_gap <= tol and slot_gap <= tol,
+        volume_gap=volume_gap, slot_gap=slot_gap, conjugation=conj,
         tol=tol, volume=v_src, volume_image=v_img, transformed=transformed,
     )
 

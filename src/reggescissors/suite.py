@@ -282,14 +282,13 @@ def criterion_6(config: SuiteConfig) -> CriterionResult:
 
 
 def criterion_7(config: SuiteConfig) -> CriterionResult:
-    """Central scissors check: matched multisets via the BA/DC swap; halving."""
+    """Central scissors check: slot by slot via the BA/DC swap; halving."""
     batch = _tetra_batch(config, 7, config.count, require_images=("b",))
-    w_multiset = w_slot = w_half = 0.0
+    w_slot = w_half = 0.0
     all_passed = True
     for t in batch:
         report = verify_scissors(t, "b")
         all_passed = all_passed and report.passed
-        w_multiset = max(w_multiset, report.multiset_gap)
         w_slot = max(w_slot, report.slot_gap)
         # each piece splits along its symmetry plane into two congruent
         # halves, and either family of 16 halves reassembles one copy of T
@@ -298,7 +297,6 @@ def criterion_7(config: SuiteConfig) -> CriterionResult:
         w_half = max(w_half, abs(0.5 * d.total_volume() - v),
                      abs(0.5 * permute_for_regge_b(d).total_volume() - v))
     checks = (
-        Check("max sorted-multiset gap", w_multiset, 1e-9),
         Check("max slot-aligned gap (BA/DC swap route)", w_slot, 1e-9),
         Check("max |halved sum - V|", w_half, 1e-10),
         Check("all verify reports passed", 0.0 if all_passed else 1.0, 0.5),

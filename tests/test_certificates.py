@@ -99,3 +99,24 @@ def test_regge_a_and_c_are_regge_b_conjugated(source, which):
     direct = _move(source, which).as_tuple()
     via_b = _relabel(_move(_relabel(source, conj), "b"), conj).as_tuple()
     assert all(_is_zero(x - y) for x, y in zip(direct, via_b))
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+def test_regge_move_keeps_the_dehn_invariant(source, which):
+    # the move as a matrix, read off the package's own s_value and _MOVED
+    moved = _move(source, which).as_tuple()
+    M = sp.Matrix(6, 6, lambda i, j: sp.diff(moved[i], ANGLES[j]))
+    expected = sp.eye(6)
+    for i in scissors._MOVED[which]:
+        for j in scissors._MOVED[which]:
+            expected[i, j] = sp.Rational(1, 2) - (1 if i == j else 0)
+    assert M == expected  # J/2 - I on the moved block
+    assert M == M.T
+    assert M * M == sp.eye(6)
+    # the coefficient of l_j (x) theta_k in sum_i (M l)_i (x) (M theta)_i is
+    # (M^T M)[j, k], so with independent symbols for l and theta the tensor
+    # identity is the bilinear identity below
+    lengths = sp.Matrix(sp.symbols("l0:6", real=True))
+    theta = sp.Matrix(ANGLES)
+    dehn = sum(a * b for a, b in zip(lengths, theta))
+    assert _is_zero(sum(a * b for a, b in zip(M * lengths, M * theta)) - dehn)

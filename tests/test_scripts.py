@@ -59,6 +59,6 @@ def test_stream_digests_keep_their_bytes(output_digest):
     # classified Ideal, so the class gate's error output is covered too.  A
     # change that moves output on purpose re-pins these with PINNED.
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
-    assert formula == "89cf30d08d51a28baebfd0dd44128a1874903b8c913e34be7c13456651ffeea5"
+    assert formula == "f99554545558a7cdd58def7276317124d33dde452b5a4c52de7dca678d3c799f"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
     assert oracle == "ae511ead43d27b868cf12a7b66f7a4ca34b038ac45c1c07a967748ba3b5e33a3"
