@@ -20,7 +20,6 @@ from .tetra import (
     prime_angles,
     prism_volume,
     relabel,
-    tetra_symmetries,
 )
 from .octahedron import (
     BarSolution,
@@ -49,7 +48,6 @@ from .klein import (
     dihedral_angles,
     klein_vertices,
     schlafli_residual,
-    three_quarter_volume_numeric,
     volume_numeric,
 )
 from .suite import SuiteConfig, SuiteReport, run_suite

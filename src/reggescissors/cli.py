@@ -15,18 +15,13 @@ import sys
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateSystemError,
-    GeometryDomainError,
-    NonUnitRootError,
-    QuadratureError,
-)
+from .exceptions import DegenerateSystemError, GeometryDomainError, QuadratureError
 from . import klein
 from .lobachevsky import lobachevsky
 from .octahedron import solve_holonomy, tet_volume
 from .scissors import PIECE_LABELS, decompose, regge, regge_orbit, s_value, verify_scissors
 from .suite import SuiteConfig, run_suite
-from .tetra import TetAngles, TetraKind, classify, edge_lengths, require_kind
+from .tetra import _ANGLE_ORDER, TetAngles, TetraKind, classify, edge_lengths, require_kind
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -86,7 +81,7 @@ def _parse_angles(raw: list[str], degrees: bool) -> TetAngles:
 
 
 def _angles_payload(t: TetAngles) -> dict:
-    return dict(zip(("A", "B", "C", "Ap", "Bp", "Cp"), t.as_tuple()))
+    return dict(zip(_ANGLE_ORDER, t.as_tuple()))
 
 
 def cmd_volume(args) -> int:
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INPUT
-    except (DegenerateSystemError, NonUnitRootError, QuadratureError) as exc:
+    except (DegenerateSystemError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_NUMERIC

@@ -27,25 +27,19 @@ from .tetra import (
     classify,
     edge_lengths,
     gram_matrix,
-    prime_angles,
     require_kind,
 )
 
 __all__ = [
     "KleinTetra",
-    "apply_isometry",
     "dihedral_angles",
     "klein_vertices",
-    "lorentz_boost",
     "schlafli_residual",
-    "three_quarter_volume_numeric",
     "volume_numeric",
 ]
 
 _MINK = np.diag([1.0, 1.0, 1.0, -1.0])
 _ROUND_TRIP_TOL = 1e-8
-# sinh(350)^2 is about 3e303, so every entry of the boost and of L^T M L is finite
-_MAX_RAPIDITY = 350.0
 
 
 @dataclass(frozen=True)
@@ -154,26 +148,6 @@ def _boost(p: np.ndarray) -> np.ndarray:
     L[:3, 3] = L[3, :3] = p
     L[3, 3] = t
     return L
-
-
-def lorentz_boost(rapidity: float, axis: int = 0) -> np.ndarray:
-    """Pure boost along a coordinate axis of the hyperboloid model."""
-    if axis not in (0, 1, 2):
-        raise GeometryDomainError("axis must be 0, 1 or 2")
-    if not abs(rapidity) <= _MAX_RAPIDITY:
-        raise GeometryDomainError(f"rapidity must be finite with magnitude at most {_MAX_RAPIDITY:g}")
-    return _boost(math.sinh(rapidity) * np.eye(3)[axis])
-
-
-def apply_isometry(kt: KleinTetra, L: np.ndarray) -> KleinTetra:
-    """Apply a Lorentz matrix to the realization (volume must be invariant)."""
-    L = np.asarray(L, dtype=float)
-    if not (np.all(np.isfinite(L)) and np.max(np.abs(L.T @ _MINK @ L - _MINK)) <= 1e-9):
-        raise GeometryDomainError("matrix is not a Lorentz isometry")
-    lift = _hyperboloid_lift(np.asarray(kt.vertices, dtype=float)) @ L.T
-    if np.any(lift[:, 3] <= 0):
-        lift = -lift
-    return KleinTetra(vertices=lift[:, :3] / lift[:, 3:4])
 
 
 # --- deterministic adaptive volume quadrature -------------------------------
@@ -330,100 +304,3 @@ def schlafli_residual(t: TetAngles, h: float = 1e-5) -> np.ndarray:
         raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
     return res
 
-
-# --- 3/4-ideal tetrahedron in the half-space model ---------------------------
-
-_glx64, _glw64 = np.polynomial.legendre.leggauss(64)
-_gx64 = (_glx64 + 1.0) / 2.0
-_gw64 = _glw64 / 2.0
-
-
-def _poincare(x: np.ndarray, ideal: bool) -> np.ndarray:
-    if ideal:
-        return x / np.linalg.norm(x)
-    return x / (1.0 + math.sqrt(max(0.0, 1.0 - float(x @ x))))
-
-
-def _rotation_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotation matrix sending unit vector a to unit vector b."""
-    v = np.cross(a, b)
-    c = float(a @ b)
-    if np.linalg.norm(v) < 1e-14:
-        if c > 0:
-            return np.eye(3)
-        # pick any axis orthogonal to a
-        axis = np.eye(3)[int(np.argmin(np.abs(a)))]
-        axis = axis - (axis @ a) * a
-        axis /= np.linalg.norm(axis)
-        return 2 * np.outer(axis, axis) - np.eye(3)
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1 + c)
-
-
-def _duffy_column_integral(q_sing: np.ndarray, u: np.ndarray, w: np.ndarray,
-                           center: np.ndarray, r2: float) -> float:
-    """Integral of 1/(2 h^2) over the triangle (q_sing, u, w), h^2 the height
-    of the hemisphere (center, r2).  The 1/h^2 blow-up at the rim corner
-    q_sing cancels against the collapsed-square Jacobian."""
-    S, T = np.meshgrid(_gx64, _gx64, indexing="ij")
-    weights = np.outer(_gw64, _gw64)
-    e1, e2 = u - q_sing, w - q_sing
-    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    direction = (1 - T)[..., None] * e1 + T[..., None] * e2
-    pts = q_sing + S[..., None] * direction
-    h2 = r2 - np.sum((pts - center) ** 2, axis=-1)
-    return float(np.sum(weights * (jac * S) / (2.0 * h2)))
-
-
-def three_quarter_volume_numeric(A: float, B: float, C: float) -> float:
-    """Direct volume of the 3/4-ideal tetrahedron with apex angles (A, B, C).
-
-    Realized from its Gram matrix, moved to the half-space model with one
-    ideal vertex at infinity; the column over the shadow triangle integrates
-    in closed form in the vertical coordinate, leaving a 2-d integral of
-    1/(2 h^2) with rim singularities removed by collapsed-square maps.
-    Independent of every Lobachevsky-sum formula.
-    """
-    if A + B + C <= math.pi:
-        raise GeometryDomainError("3/4-ideal tetrahedron requires A + B + C > pi")
-    t = TetAngles(A, B, C, *prime_angles(A, B, C))
-    verts = []
-    for k, v in enumerate(_gram_vertices(gram_matrix(t))):
-        q = v @ _MINK @ v
-        if k == 0:
-            if q >= -1e-12:
-                raise GeometryDomainError("apex vertex is not timelike")
-            v = v / math.sqrt(-q)
-        else:
-            if abs(q) > 1e-7:
-                raise ArithmeticError(f"ideal vertex not lightlike (q={q:.2e})")
-            v = v / v[3]
-        verts.append(v)
-    verts = np.array(verts)
-    klein = verts[:, :3] / verts[:, 3:4]
-    ball = [_poincare(klein[0], False)] + [_poincare(klein[i], True) for i in (1, 2, 3)]
-    # send the first ideal vertex to infinity (rotate to -e3, then invert)
-    R = _rotation_to(ball[1], np.array([0.0, 0.0, -1.0]))
-    e3 = np.array([0.0, 0.0, 1.0])
-
-    def to_half_space(x: np.ndarray) -> np.ndarray:
-        y = R @ x
-        d = y + e3
-        return 2 * d / (d @ d) - e3
-
-    apex = to_half_space(ball[0])
-    q1 = to_half_space(ball[2])
-    q2 = to_half_space(ball[3])
-    if apex[2] <= 0 or max(abs(q1[2]), abs(q2[2])) > 1e-8:
-        raise ArithmeticError("half-space transfer failed")
-    a2, b2 = q1[:2], q2[:2]
-    pxy, height = apex[:2], apex[2]
-    # hemisphere through both boundary vertices and the apex
-    lhs = np.array([2 * (b2 - a2), 2 * (pxy - a2)])
-    rhs = np.array([b2 @ b2 - a2 @ a2, pxy @ pxy + height * height - a2 @ a2])
-    center = np.linalg.solve(lhs, rhs)
-    r2 = float((a2 - center) @ (a2 - center))
-    mid = (a2 + b2) / 2
-    return _duffy_column_integral(a2, mid, pxy, center, r2) + _duffy_column_integral(
-        b2, pxy, mid, center, r2
-    )

@@ -49,7 +49,6 @@ __all__ = [
     "SLOT_ORDER",
     "base_angles",
     "bar_solution",
-    "full_dihedral_angles",
     "holonomy_polynomial",
     "holonomy_residual",
     "linear_residuals",
@@ -364,30 +363,6 @@ def holonomy_residual(oct_angles: OctAngles) -> float:
     num = math.sin(o.AB) * math.sin(o.BC) * math.sin(o.CD) * math.sin(o.DA)
     den = math.sin(o.BA) * math.sin(o.CB) * math.sin(o.DC) * math.sin(o.AD)
     return abs(num / den - 1.0)
-
-
-def full_dihedral_angles(oct_angles: OctAngles) -> dict[str, float]:
-    """The twelve dihedral angles of the (possibly virtual) octahedron.
-
-    Keys: apex:{a..d} (edges to the top firepole end), ring:{e..h} (the
-    equatorial edges), base:{a..d} (edges to the bottom firepole end).
-    Corresponding entries of O and the dual sum to pi.
-    """
-    o, base = oct_angles, oct_angles.base
-    return {
-        "apex:a": o.AB + o.AD,
-        "apex:b": o.BC + o.BA,
-        "apex:c": o.CD + o.CB,
-        "apex:d": o.DA + o.DC,
-        "ring:e": base.e,
-        "ring:f": base.f,
-        "ring:g": base.g,
-        "ring:h": base.h,
-        "base:a": o.BA + o.DA,
-        "base:b": o.AB + o.CB,
-        "base:c": o.BC + o.DC,
-        "base:d": o.CD + o.AD,
-    }
 
 
 def octahedron_volume(oct_angles: OctAngles) -> float:

@@ -44,14 +44,12 @@ __all__ = [
     "classify",
     "edge_lengths",
     "gram_matrix",
-    "angles_from_gram",
     "ideal_volume",
     "prime_angles",
     "prism_volume",
     "prism_volume_by_tetrahedra",
     "relabel",
     "require_kind",
-    "tetra_symmetries",
 ]
 
 _PI = math.pi
@@ -187,12 +185,6 @@ def gram_matrix(t: TetAngles) -> GramMatrix:
     return G
 
 
-def angles_from_gram(G: GramMatrix) -> TetAngles:
-    """Invert :func:`gram_matrix` (exact arccos round trip)."""
-    return TetAngles(**{name: math.acos(float(np.clip(-G[k, l], -1.0, 1.0)))
-                        for name, (k, l) in _FACES_OF.items()})
-
-
 def _memo(t: TetAngles, key: str, compute):
     """compute(t), kept on the frozen instance after the first call, outside
     its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
@@ -283,11 +275,6 @@ def _relabel_row(sigma: tuple[int, int, int, int]) -> tuple[int, ...]:
 #: Vertex permutation -> angle indices: relabel(t, sigma).as_tuple() is
 #: t.as_tuple() read at _RELABEL_ROWS[sigma].  Keys in itertools order.
 _RELABEL_ROWS = {sigma: _relabel_row(sigma) for sigma in itertools.permutations(range(4))}
-
-
-def tetra_symmetries() -> list[tuple[int, int, int, int]]:
-    """All 24 vertex permutations, i.e. all relabeling symmetries."""
-    return list(_RELABEL_ROWS)
 
 
 def relabel(t: TetAngles, sigma) -> TetAngles:

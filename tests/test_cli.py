@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from reggescissors import cli
+from reggescissors.exceptions import DegenerateSystemError, NonUnitRootError, QuadratureError
 
 ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
@@ -104,6 +105,18 @@ def test_usage_error_is_input_error(argv, message, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == message
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError, QuadratureError])
+def test_numerical_failure_exits_three(error, monkeypatch, capsys):
+    def fail(t):
+        raise error("no solve")
+
+    monkeypatch.setattr(cli, "solve_holonomy", fail)
+    assert cli.main(["volume", *ANGLES_GENERIC]) == cli.EXIT_NUMERIC == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "no solve"}
+    assert err == "numerical failure: no solve\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])

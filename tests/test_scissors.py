@@ -30,8 +30,9 @@ from reggescissors.tetra import (
     TetraKind,
     classify,
     relabel,
-    tetra_symmetries,
 )
+
+from oracles import tetra_symmetries
 
 PI = math.pi
 

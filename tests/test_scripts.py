@@ -1,9 +1,12 @@
 import importlib.util
+import math
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import reggescissors
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,6 +19,20 @@ def test_script_runs(name):
         # the demo shows the slot-by-slot match of 2T and 2 R_b(T); it must hold, not only print
         gaps = [line for line in result.stdout.splitlines() if line.startswith("worst slot gap:")]
         assert len(gaps) == 1 and float(gaps[0].split(":")[1]) <= 1e-9, result.stdout
+
+
+def test_bench_record_times_a_layer():
+    # a rename or move of a layer the recorder times fails here, not only in a full recording
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    for call in bench_record.PER_CALL.values():
+        call(reggescissors, reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25))
+    result = subprocess.run([sys.executable, str(SCRIPTS / "bench_record.py"), "--time-layer", "classify"],
+                            capture_output=True, text=True, env=bench_record.src_env())
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 and 0 < float(lines[0]) < math.inf, result.stdout
 
 
 @pytest.fixture
