@@ -53,8 +53,13 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 COLD_START = ("-m", "reggescissors", "volume", "1.15", "1.2", "1.1", "1.22", "1.18", "1.25")
 COLD_START_RUNS = 10
 PER_CALL_INPUTS = 200
+#: Suite criterion 1's grid; lobachevsky_array shifts it by t.A, so no value is memoized.
+LOB_GRID = np.linspace(-2 * np.pi, 2 * np.pi, 1000)
 #: Layers timed by per_call: each gets the package `m` and a fresh TetAngles `t`.
+#: `m.lobachevsky` is the function (the package re-exports it), not the module.
 PER_CALL = {
+    "lobachevsky_scalar": lambda m, t: [m.lobachevsky(x) for x in t.as_tuple()],
+    "lobachevsky_array": lambda m, t: m.lobachevsky(LOB_GRID + t.A),
     "classify": lambda m, t: m.tetra.classify(t),
     "tet_volume": lambda m, t: m.octahedron.tet_volume(t),
     "decompose": lambda m, t: m.scissors.decompose(t),

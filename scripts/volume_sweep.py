@@ -19,10 +19,18 @@ IDEAL_LIMIT = math.pi / 3
 COLLAPSE_LIMIT = math.acos(1 / 3)
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--steps", type=int, default=15)
-    parser.add_argument("--oracle-every", type=int, default=5,
+    parser.add_argument("--steps", type=positive_int, default=15)
+    parser.add_argument("--oracle-every", type=positive_int, default=5,
                         help="run the quadrature oracle on every k-th point")
     args = parser.parse_args()
 

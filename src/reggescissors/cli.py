@@ -28,8 +28,6 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
-_ANGLE_NAMES = ("A", "B", "C", "A'", "B'", "C'")
-
 
 def _emit(payload: dict, args) -> None:
     """Write --out first, so that a path that cannot be written is an input
@@ -65,7 +63,8 @@ def _print_table(payload: dict, indent: int = 0) -> None:
 
 def _parse_angles(raw: list[str], degrees: bool) -> TetAngles:
     vals = []
-    for name, token in zip(_ANGLE_NAMES, raw):
+    for label, token in zip(_ANGLE_ORDER, raw):
+        name = label.replace("p", "'")  # "Ap" is printed A'
         try:
             x = float(token)
         except ValueError:

@@ -9,7 +9,9 @@ It is odd, pi-periodic, and attains its maximum at pi/6.  Two independent
 evaluation routes are provided: a fast reduced power series (primary) and a
 tanh-sinh (double-exponential) quadrature of the defining integral (oracle),
 which integrates every piece between multiples of pi, a full period too,
-instead of assuming that piece is zero.  Both use numpy only.
+instead of assuming that piece is zero.  Both use numpy only.  The series
+takes one float at a time, and an array is evaluated element by element
+through it, so an array's values have the bits of its scalars.
 """
 
 from __future__ import annotations
@@ -36,29 +38,28 @@ _PI = math.pi
 #   lob(x) = x (1 - log 2x) + x * sum_{m>=1} c_m (x/pi)^(2m),   0 < x <= pi/2,
 #
 # whose terms decay at least like 4^-m.  48 terms reach full double precision.
-# The table holds, bit for bit, the doubles that scipy.special.zeta(2m) /
-# (m (2m+1)) gives for m = 1..48 (tests/test_lobachevsky.py checks it), so
-# importing this module does not load scipy.
-_SERIES_COEF = np.array([
-    0.5483113556160755, 0.10823232337111381, 0.048444907713545204,
-    0.027891037672165123, 0.018199901365960326, 0.012823667776324462,
-    0.009524392839381512, 0.007353053546025064, 0.0058479755397266965,
-    0.004761909304581114, 0.00395257011245258, 0.0033333335320272967,
-    0.002849002891457421, 0.002463054196367818, 0.002150537636411457,
-    0.001893939394380362, 0.0016806722690053911, 0.0015015015015233512,
-    0.0013495276653220486, 0.0012195121951230604, 0.0011074197120711266,
-    0.0010101010101010676, 0.0009250693802035284, 0.0008503401360544248,
-    0.0007843137254901968, 0.0007256894049346882, 0.0006734006734006734,
-    0.0006265664160401002, 0.0005844535359438924, 0.000546448087431694,
-    0.0005120327700972862, 0.0004807692307692308, 0.0004522840343735866,
-    0.00042625745950554135, 0.00040241448692152917, 0.000380517503805175,
-    0.00036036036036036037, 0.0003417634996582365, 0.0003245699448231094,
-    0.00030864197530864197, 0.0002938583602703497, 0.00028011204481792715,
-    0.0002673082063619353, 0.0002553626149131767, 0.0002442002442002442,
-    0.0002337540906965872, 0.00022396416573348266, 0.0002147766323024055,
-])
-# Horner order, as Python floats for the scalar path
-_SERIES_COEF_DESC = tuple(_SERIES_COEF[::-1].tolist())
+# The table holds, in Horner order (m = 48 down to 1), bit for bit, the
+# doubles that scipy.special.zeta(2m) / (m (2m+1)) gives
+# (tests/test_lobachevsky.py checks it), so importing this module does not
+# load scipy.
+_SERIES_COEF_DESC = (
+    0.0002147766323024055, 0.00022396416573348266, 0.0002337540906965872,
+    0.0002442002442002442, 0.0002553626149131767, 0.0002673082063619353,
+    0.00028011204481792715, 0.0002938583602703497, 0.00030864197530864197,
+    0.0003245699448231094, 0.0003417634996582365, 0.00036036036036036037,
+    0.000380517503805175, 0.00040241448692152917, 0.00042625745950554135,
+    0.0004522840343735866, 0.0004807692307692308, 0.0005120327700972862,
+    0.000546448087431694, 0.0005844535359438924, 0.0006265664160401002,
+    0.0006734006734006734, 0.0007256894049346882, 0.0007843137254901968,
+    0.0008503401360544248, 0.0009250693802035284, 0.0010101010101010676,
+    0.0011074197120711266, 0.0012195121951230604, 0.0013495276653220486,
+    0.0015015015015233512, 0.0016806722690053911, 0.001893939394380362,
+    0.002150537636411457, 0.002463054196367818, 0.002849002891457421,
+    0.0033333335320272967, 0.00395257011245258, 0.004761909304581114,
+    0.0058479755397266965, 0.007353053546025064, 0.009524392839381512,
+    0.012823667776324462, 0.018199901365960326, 0.027891037672165123,
+    0.048444907713545204, 0.10823232337111381, 0.5483113556160755,
+)
 
 #: Location of the global maximum of the Lobachevsky function.
 LOBACHEVSKY_MAX_ARG = _PI / 6
@@ -96,29 +97,25 @@ def _tanh_sinh_levels() -> tuple:
 _TANH_SINH = _tanh_sinh_levels()
 
 
-def _reduce_mod_pi(theta: np.ndarray) -> np.ndarray:
-    """Map arguments into (-pi/2, pi/2] using pi-periodicity."""
-    r = theta - _PI * np.round(theta / _PI)
-    return np.where(r <= -_PI / 2, r + _PI, r)
-
-
 @functools.lru_cache(maxsize=4096)
 def _lobachevsky_float(theta: float) -> float:
-    """The series for one Python float, bit-identical to the array route
-    applied to a 0-d array.
+    """The series for one Python float: the one evaluator behind every call
+    of ``lobachevsky``, arrays included.
 
     A bounded memo keyed on the exact argument keeps every bit (only 0.0
     and -0.0 share a key, and both give +0.0) and pays because the formulas
     of one tetrahedron repeat their angle expressions: one formula op makes
     about 450 calls on 270 distinct arguments.  Errors are not kept.
 
-    Every step repeats the array route's IEEE operations on plain floats:
-    ``round`` rounds half to even like ``np.round``, and a zero ``r`` gives
-    +0.0 there whatever the sign of theta.  Two steps must not be
-    simplified.  ``q`` stays ``(x / pi) ** 2``, because ``pow`` is what a
-    0-d ``**`` calls, while ``y * y`` differs from it by 1 ulp at some
-    points.  The logarithm comes from ``np.log``, because ``math.log``
-    differs from numpy's in about 0.2% of arguments.
+    The reduction into (-pi/2, pi/2] rounds half to even (``round``) and is
+    kept apart from ``octahedron.wrap_angle``'s ``floor(x/p + 0.5)``: the two
+    differ at exact half-period ties, so merging them would move bits.  A
+    zero ``r`` gives +0.0 whatever the sign of theta.  Two steps keep the
+    bits that every output was pinned with and must not be simplified.
+    ``q`` stays ``(x / pi) ** 2``, which calls ``pow``, while ``y * y``
+    differs from it by 1 ulp at some points.  The logarithm comes from
+    ``np.log``, because ``math.log`` differs from numpy's in about 0.2% of
+    arguments.
     """
     if not math.isfinite(theta):
         raise ValueError("lobachevsky: argument must be finite")
@@ -140,32 +137,21 @@ def lobachevsky(theta):
     """Evaluate the Lobachevsky function (absolute error below 1e-12).
 
     Accepts a float or an ndarray; returns the same shape.  Non-finite
-    input raises a plain ``ValueError``, which ``except GeometryDomainError``
-    does not catch.  Any scalar (a Python float, a numpy scalar or a 0-d
-    array) takes the plain-float series path and returns a float, through
-    a bounded memo keyed on the exact argument that keeps every bit (see
-    ``_lobachevsky_float``); arrays
-    take the array route, whose vectorized arithmetic rounds differently
-    at a few points in 10**5 (16 of the 10**5 seeded test points), by at
-    most 2**-54 in absolute terms so far.  Near a zero of lob that is up
-    to 32 ulps of the result, not only its last bit.
+    input, or an array with any non-finite element, raises a plain
+    ``ValueError``, which ``except GeometryDomainError`` does not catch.
+    Any scalar (a Python float, a numpy scalar or a 0-d array) returns a
+    float.  Every value, an array's elements too, comes from the one
+    plain-float series through a bounded memo keyed on the exact argument
+    (see ``_lobachevsky_float``), so an array holds exactly the bits of
+    its scalars.
     """
     if type(theta) is float:
         return _lobachevsky_float(theta)
     arr = np.asarray(theta, dtype=float)
     if arr.ndim == 0:
         return _lobachevsky_float(float(arr))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("lobachevsky: argument must be finite")
-    r = _reduce_mod_pi(arr)
-    x = np.abs(r)
-    q = (x / _PI) ** 2
-    h = np.zeros_like(q)
-    for c in _SERIES_COEF[::-1]:
-        h = h * q + c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = x * (1.0 - np.log(2.0 * x)) + x * q * h
-    return np.sign(r) * np.where(x > 0, val, 0.0)
+    values = map(_lobachevsky_float, arr.ravel().tolist())
+    return np.fromiter(values, float, arr.size).reshape(arr.shape)
 
 
 def lobachevsky_quadrature(theta: float, tol: float = 1e-10) -> float:

@@ -5,7 +5,12 @@ import sys
 import pytest
 
 from reggescissors import cli
-from reggescissors.exceptions import DegenerateSystemError, NonUnitRootError, QuadratureError
+from reggescissors.exceptions import (
+    DegenerateSystemError,
+    GeometryDomainError,
+    NonUnitRootError,
+    QuadratureError,
+)
 
 ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
@@ -43,12 +48,23 @@ def test_unparseable_angle_names_field():
     result = run_cli("volume", "1.2", "oops", "1.2", "1.2", "1.2", "1.2")
     assert result.returncode == 1
     assert "angle B" in result.stderr
+    # a primed label: the 4th angle is A'
+    result = run_cli("volume", "1.2", "1.2", "1.2", "oops", "1.2", "1.2")
+    assert result.returncode == 1
+    assert result.stderr == "input error: angle A': could not parse 'oops'\n"
+    assert json.loads(result.stdout) == {"error": "angle A': could not parse 'oops'"}
 
 
 def test_out_of_range_angle_names_field():
     result = run_cli("volume", "1.2", "1.2", "3.5", "1.2", "1.2", "1.2")
     assert result.returncode == 1
     assert "angle C" in result.stderr
+    for k, name in enumerate(["A", "B", "C", "A'", "B'", "C'"]):
+        raw = ["1.2"] * 6
+        raw[k] = "3.5"
+        with pytest.raises(GeometryDomainError) as exc:
+            cli._parse_angles(raw, degrees=False)
+        assert str(exc.value) == f"angle {name}: 3.500000 rad is outside (0, pi)"
 
 
 def test_degrees_flag():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import QuadratureError
 from reggescissors.lobachevsky import (
-    _SERIES_COEF,
     _SERIES_COEF_DESC,
     LOBACHEVSKY_MAX_ARG,
     _lobachevsky_float,
@@ -112,8 +111,7 @@ def test_series_table_is_scipy_zeta_bit_for_bit():
 
     m = np.arange(1, 49)
     expected = special.zeta(2 * m) / (m * (2 * m + 1))
-    assert [c.hex() for c in _SERIES_COEF.tolist()] == [e.hex() for e in expected.tolist()]
-    assert _SERIES_COEF_DESC == tuple(_SERIES_COEF[::-1].tolist())
+    assert [c.hex() for c in _SERIES_COEF_DESC] == [e.hex() for e in expected[::-1].tolist()]
 
 
 # Runs in a fresh interpreter: no command, the Lobachevsky quadrature and the
@@ -187,16 +185,15 @@ def _same_bits(a: float, b: float) -> bool:
 
 
 def _array_route_0d(theta) -> float:
-    """The numpy series on a 0-d array, the route numpy scalars took before
-    every scalar went to the plain-float path: the reference that path must
-    match bit for bit."""
+    """The numpy series on a 0-d array, as the removed numpy route computed
+    it: the reference the plain-float path must match bit for bit."""
     arr = np.asarray(theta, dtype=float)
     r = arr - PI * np.round(arr / PI)
     r = np.where(r <= -PI / 2, r + PI, r)
     x = np.abs(r)
     q = (x / PI) ** 2
     h = np.zeros_like(q)
-    for c in _SERIES_COEF[::-1]:
+    for c in _SERIES_COEF_DESC:
         h = h * q + c
     with np.errstate(divide="ignore", invalid="ignore"):
         val = x * (1.0 - np.log(2.0 * x)) + x * q * h
@@ -209,13 +206,24 @@ EDGE_POINTS = [0.0, -0.0, PI / 2, -PI / 2, 1e-300, -1e-300, 5e-324, -5e-324, *_M
 EDGE_POINTS += [x + d for x in (*_MULTIPLES, PI / 2, -PI / 2) for d in (1e-6, -1e-6)]
 
 
-def test_array_route_within_2_pow_minus_53_of_float_path():
-    # the two routes round differently at a few points in 10**5 (16 for
-    # these), by at most 2**-54 so far; near a zero of lob that is many ulps
-    # of the result, so the bound is absolute, not relative
-    vectorized = lobachevsky(np.array(SEEDED_POINTS)).tolist()
-    gap = max(abs(v - lobachevsky(x)) for v, x in zip(vectorized, SEEDED_POINTS, strict=True))
-    assert gap <= 2**-53
+@pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("points", [SEEDED_POINTS, EDGE_POINTS], ids=["seeded", "edges"])
+def test_array_route_exact_to_float_path(points, ndim):
+    # float.hex tells -0.0 from 0.0, so a sign of zero counts as a difference
+    arr = np.array(points)
+    if ndim == 2:
+        rows = next(d for d in range(2, arr.size + 1) if arr.size % d == 0)
+        arr = arr.reshape(rows, -1)
+    values = lobachevsky(arr)
+    assert values.shape == arr.shape and values.dtype == np.float64
+    got = [v.hex() for v in values.ravel().tolist()]
+    assert got == [lobachevsky(x).hex() for x in points]
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["1d", "2d"])
+def test_empty_array_gives_empty_float_array(shape):
+    values = lobachevsky(np.empty(shape))
+    assert values.shape == shape and values.dtype == np.float64
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +263,8 @@ def test_float_path_rejects_non_finite(bad):
         lobachevsky(bad)
     with pytest.raises(ValueError):
         lobachevsky(np.asarray(bad))
+    with pytest.raises(ValueError):
+        lobachevsky(np.array([1.0, bad, 2.0]))
 
 
 class TestMemo:

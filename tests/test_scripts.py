@@ -21,11 +21,22 @@ def test_script_runs(name):
         assert len(gaps) == 1 and float(gaps[0].split(":")[1]) <= 1e-9, result.stdout
 
 
+@pytest.mark.parametrize("flag,value", [("--oracle-every", "0"), ("--steps", "-2")])
+def test_volume_sweep_rejects_counts_below_one(flag, value):
+    # a usage error, not a ZeroDivisionError or numpy traceback
+    result = subprocess.run([sys.executable, str(SCRIPTS / "volume_sweep.py"), flag, value],
+                            capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("usage:") and "Traceback" not in result.stderr
+    assert f"argument {flag}: must be a positive integer, got {int(value)}" in result.stderr
+
+
 def test_bench_record_times_a_layer():
     # a rename or move of a layer the recorder times fails here, not only in a full recording
     spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
+    assert {"lobachevsky_scalar", "lobachevsky_array"} <= set(bench_record.PER_CALL)
     for call in bench_record.PER_CALL.values():
         call(reggescissors, reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25))
     result = subprocess.run([sys.executable, str(SCRIPTS / "bench_record.py"), "--time-layer", "classify"],
