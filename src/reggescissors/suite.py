@@ -31,6 +31,7 @@ from .octahedron import (
 from .sampling import SampleBox, sample_finite
 from .scissors import decompose, permute_for_regge_b, regge, verify_scissors
 from .tetra import (
+    _VERTEX_ANGLES,
     SWAP_AB_PAIRS,
     SWAP_BC_PAIRS,
     TetAngles,
@@ -216,12 +217,8 @@ def criterion_4(config: SuiteConfig) -> CriterionResult:
             + octahedron_volume(octahedron_angles(t, DUAL_SIDE))
         )
         clean = 0.5 * decompose(t).total_volume()
-        prisms = [
-            prism_volume(t.A, t.B, t.C),
-            prism_volume(t.A, t.Bp, t.Cp),
-            prism_volume(t.Ap, t.B, t.Cp),
-            prism_volume(t.Ap, t.Bp, t.C),
-        ]
+        x = t.as_tuple()
+        prisms = [prism_volume(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES]
         via_u = u_volume(t) - 0.5 * sum(prisms)
         routes = [v, per_octa, clean, via_u]
         w_routes = max(w_routes, max(routes) - min(routes))

@@ -16,10 +16,10 @@ Labeling conventions, fixed for the whole package:
 A tetrahedron with all angles strictly between 0 and pi is *Finite* when G
 has signature (3,1) and all four vertex cofactors of G are positive,
 *Ideal* when a cofactor vanishes, *Hyperideal* when the signature is right
-but a vertex condition is reversed, and *Invalid* otherwise.  Vertex i is
-finite exactly when the corresponding dual vector is timelike, i.e. when
-the adjugate diagonal entry adj(G)[i][i] is positive (det G < 0 makes the
-inverse diagonal negative, which is the timelike condition).
+but a vertex condition is reversed, and *Invalid* otherwise.  The cofactor
+of vertex v is the Gram determinant of its link, the spherical triangle with
+the angles (a, b, c) of the edges at v: -4 cos S cos(S-a) cos(S-b) cos(S-c)
+with S = (a+b+c)/2, positive exactly when vertex v is finite.
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ _EDGE_OF = {
 _ANGLE_ORDER = ("A", "B", "C", "Ap", "Bp", "Cp")
 # angle label -> the two faces meeting on its edge (those opposite the other two vertices)
 _FACES_OF = {name: tuple(m for m in range(4) if m not in edge) for name, edge in _EDGE_OF.items()}
+# vertex -> as_tuple() indices of its three angles, one from each opposite
+# pair in (A, B, C) order: ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
+_VERTEX_ANGLES = tuple(tuple(k if v in _EDGE_OF[_ANGLE_ORDER[k]] else k + 3 for k in range(3))
+                       for v in range(4))
 
 GramMatrix = np.ndarray  # 4x4 symmetric, unit diagonal; see module docstring
 
@@ -122,7 +126,6 @@ class TetraClass:
     kind: TetraKind
     det: float
     vertex_cofactors: tuple[float, float, float, float]
-    eigenvalues: tuple[float, float, float, float]
 
 
 def prime_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -205,27 +208,26 @@ def classify(t: TetAngles) -> TetraClass:
 
 
 def _classify(t: TetAngles) -> TetraClass:
-    G = gram_matrix(t)
-    eig = e0, e1, e2, e3 = tuple(np.linalg.eigvalsh(G).tolist())
+    e0, e1, e2, e3 = np.linalg.eigvalsh(gram_matrix(t)).tolist()
     det = e0 * e1 * e2 * e3
-    # adjugate diagonal = vertex cofactors (det * inverse diagonal)
-    try:
-        cof = tuple((det * np.linalg.inv(G).diagonal()).tolist())
-    except np.linalg.LinAlgError:
-        cof = tuple(float(np.linalg.det(np.delete(np.delete(G, i, 0), i, 1))) for i in range(4))
-    result = TetraClass(TetraKind.INVALID, det, cof, eig)
-    if not t.in_range():
-        return result
+    x = t.as_tuple()
+    cof = tuple(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES)
     signature_31 = e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL
-    if not signature_31:
-        return result
-    if all(c > IDEAL_COFACTOR_TOL for c in cof):
+    if not (t.in_range() and signature_31):
+        kind = TetraKind.INVALID
+    elif all(c > IDEAL_COFACTOR_TOL for c in cof):
         kind = TetraKind.FINITE
     elif any(abs(c) <= IDEAL_COFACTOR_TOL for c in cof):
         kind = TetraKind.IDEAL
     else:
         kind = TetraKind.HYPERIDEAL
-    return TetraClass(kind, det, cof, eig)
+    return TetraClass(kind, det, cof)
+
+
+def _link_cofactor(a: float, b: float, c: float) -> float:
+    """Cofactor of the vertex with angles (a, b, c); see the module docstring."""
+    s = (a + b + c) / 2
+    return -4 * math.cos(s) * math.cos(s - a) * math.cos(s - b) * math.cos(s - c)
 
 
 def require_kind(t: TetAngles, *kinds: TetraKind) -> TetraClass:

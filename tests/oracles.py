@@ -1,11 +1,13 @@
 """Independent oracles that only the tests call.
 
 Each computes a fact the package states some other way: the 3/4-ideal
-tetrahedron volume by quadrature in the half-space model, Lorentz boosts
-and their action on a Klein realization, the twelve dihedral angles of the
-octahedron, the angles read back from a Gram matrix, and the 24 relabeling
-symmetries.  None of them is called by the package, its commands or its
-scripts, so they live here and not in `src/`.
+tetrahedron volume by quadrature in the half-space model, the volume by the
+Murakami-Yano dilogarithm formula, the class from the Gram eigenvalues and
+inverse, the Gram matrix at 40 digits, Lorentz boosts and their action on a
+Klein realization, the twelve dihedral angles of the octahedron, the angles
+read back from a Gram matrix, and the 24 relabeling symmetries.  None of them
+is called by the package, its commands or its scripts, so they live here and
+not in `src/`.
 """
 
 from __future__ import annotations
@@ -13,12 +15,22 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import _MINK, KleinTetra, _boost, _gram_vertices, _hyperboloid_lift
 from reggescissors.octahedron import OctAngles
-from reggescissors.tetra import _FACES_OF, GramMatrix, TetAngles, gram_matrix, prime_angles
+from reggescissors.tetra import (
+    _FACES_OF,
+    EIGENVALUE_TOL,
+    IDEAL_COFACTOR_TOL,
+    GramMatrix,
+    TetAngles,
+    TetraKind,
+    gram_matrix,
+    prime_angles,
+)
 
 # sinh(350)^2 is about 3e303, so every entry of the boost and of L^T M L is finite
 _MAX_RAPIDITY = 350.0
@@ -36,6 +48,93 @@ def angles_from_gram(G: GramMatrix) -> TetAngles:
 def tetra_symmetries() -> list[tuple[int, int, int, int]]:
     """All 24 vertex permutations, i.e. all relabeling symmetries."""
     return list(itertools.permutations(range(4)))
+
+
+def classify_by_inverse(t: TetAngles) -> TetraKind:
+    """The class read from the Gram matrix alone: the eigenvalue signature,
+    then the vertex cofactors as the adjugate diagonal det(G) * inv(G), or as
+    the 3x3 principal minors where inv refuses G.  Same tolerances and the
+    same order of decision as tetra.classify, which reads the cofactors from
+    the vertex links instead."""
+    G = gram_matrix(t)
+    e0, e1, e2, e3 = np.linalg.eigvalsh(G).tolist()
+    det = e0 * e1 * e2 * e3
+    try:
+        cof = (det * np.linalg.inv(G).diagonal()).tolist()
+    except np.linalg.LinAlgError:
+        cof = [float(np.linalg.det(np.delete(np.delete(G, i, 0), i, 1))) for i in range(4)]
+    if not (t.in_range() and e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL):
+        return TetraKind.INVALID
+    if all(c > IDEAL_COFACTOR_TOL for c in cof):
+        return TetraKind.FINITE
+    if any(abs(c) <= IDEAL_COFACTOR_TOL for c in cof):
+        return TetraKind.IDEAL
+    return TetraKind.HYPERIDEAL
+
+
+# --- tetra: 40-digit references ---------------------------------------------
+
+_DPS = 40
+
+
+def gram_matrix_mp(t: TetAngles) -> mp.matrix:
+    """gram_matrix(t) at the current mpmath precision, from the double angles."""
+    G = mp.eye(4)
+    for (k, l), x in zip(_FACES_OF.values(), t.as_tuple()):
+        G[k, l] = G[l, k] = -mp.cos(mp.mpf(x))
+    return G
+
+
+def gram_det_mp(t: TetAngles) -> mp.mpf:
+    """det G at 40 digits."""
+    with mp.workdps(_DPS):
+        return +mp.det(gram_matrix_mp(t))
+
+
+def vertex_minors_mp(t: TetAngles) -> list[mp.mpf]:
+    """The four 3x3 principal minors of G (vertex v deletes face v), at 40
+    digits: 1 - p^2 - q^2 - r^2 + 2pqr over the off-diagonal entries p, q, r."""
+    with mp.workdps(_DPS):
+        G = gram_matrix_mp(t)
+        minors = []
+        for v in range(4):
+            i, j, k = (m for m in range(4) if m != v)
+            p, q, r = G[i, j], G[i, k], G[j, k]
+            minors.append(1 - p * p - q * q - r * r + 2 * p * q * r)
+        return minors
+
+
+def murakami_yano_volume(t: TetAngles) -> float:
+    """Volume of a Finite tetrahedron by the Murakami-Yano formula, at 40 digits.
+
+    With a, b, c = exp(iA), exp(iB), exp(iC) (the angles at vertex 0) and
+    d, e, f = exp(iA'), exp(iB'), exp(iC'):
+        U(z) = [Li2(z) + Li2(abde z) + Li2(acdf z) + Li2(bcef z)
+                - Li2(-abc z) - Li2(-aef z) - Li2(-bdf z) - Li2(-cde z)] / 2,
+        z+- = -2 (sin A sin A' + sin B sin B' + sin C sin C' -+ sqrt(det G))
+              / (ad + be + cf + abf + ace + bcd + def + abcdef),
+    and V = Im(U(z+) - U(z-)) / 2, where sqrt(det G) = i sqrt(-det G) is
+    mpmath's principal root (det G < 0 on a Finite tetrahedron).
+    Independent of the octahedron construction and of the Lobachevsky
+    series.  J. Murakami and M. Yano, Comm. Anal. Geom. 13 (2005).
+    """
+    with mp.workdps(_DPS):
+        angles = [mp.mpf(x) for x in t.as_tuple()]
+        a, b, c, d, e, f = (mp.expj(x) for x in angles)
+
+        def U(z):
+            return (mp.polylog(2, z) + mp.polylog(2, a * b * d * e * z)
+                    + mp.polylog(2, a * c * d * f * z) + mp.polylog(2, b * c * e * f * z)
+                    - mp.polylog(2, -a * b * c * z) - mp.polylog(2, -a * e * f * z)
+                    - mp.polylog(2, -b * d * f * z) - mp.polylog(2, -c * d * e * z)) / 2
+
+        root = mp.sqrt(mp.det(gram_matrix_mp(t)))
+        sines = sum(mp.sin(angles[k]) * mp.sin(angles[k + 3]) for k in range(3))
+        den = (a * d + b * e + c * f + a * b * f + a * c * e + b * c * d + d * e * f
+               + a * b * c * d * e * f)
+        z_plus = -2 * (sines - root) / den
+        z_minus = -2 * (sines + root) / den
+        return float(mp.im(U(z_plus) - U(z_minus)) / 2)
 
 
 # --- octahedron -------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Exact certificates: the identities behind the scissors congruence, proved
 symbolically in sympy on the package's own tables.
 
-bar_solution and base_angles run unchanged on six symbols (pi made exact),
-and the moves are applied through the same index tables the numeric code
-uses: scissors._MOVED (with s_value), tetra._RELABEL_ROWS,
+bar_solution, base_angles, holonomy_polynomial and tetra._link_cofactor run
+unchanged on six symbols (pi, exp and cos made exact), and the moves and
+vertices are read through the same index tables the numeric code uses:
+scissors._MOVED (with s_value), tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES,
 REGGE_B_IMAGE_RELABEL and PAIR_CONJUGATION.  Each identity is checked as an
 exact symbolic zero, so it holds for every tetrahedron, not to 1e-9 on a
 sample.
 """
+
+import types
+from collections import Counter
 
 import pytest
 import sympy as sp
@@ -42,6 +46,19 @@ def _relabel(t, sigma):
 
 def _is_zero(expr):
     return sp.simplify(expr) == 0
+
+
+def _is_zero_in_exponentials(expr):
+    """Exact zero after writing every cos and exp as exponentials and expanding;
+    faster than simplify on the Gram polynomials."""
+    return sp.expand(expr.rewrite(sp.exp)) == 0
+
+
+def _gram():
+    G = sp.eye(4)
+    for (k, l), x in zip(tetra._FACES_OF.values(), ANGLES):
+        G[k, l] = G[l, k] = -sp.cos(x)
+    return G
 
 
 @pytest.fixture(autouse=True)
@@ -120,3 +137,41 @@ def test_regge_move_keeps_the_dehn_invariant(source, which):
     theta = sp.Matrix(ANGLES)
     dehn = sum(a * b for a, b in zip(lengths, theta))
     assert _is_zero(sum(a * b for a, b in zip(M * lengths, M * theta)) - dehn)
+
+
+def test_vertex_cofactor_is_the_link_gram_determinant(monkeypatch):
+    # the four-cosine product classify evaluates equals the 3x3 principal
+    # minor of G that deletes face v, the Gram matrix of the link of vertex v
+    monkeypatch.setattr(tetra, "math", types.SimpleNamespace(cos=sp.cos))
+    G = _gram()
+    for v, row in enumerate(tetra._VERTEX_ANGLES):
+        cofactor = tetra._link_cofactor(*(ANGLES[k] for k in row))
+        assert _is_zero_in_exponentials(cofactor - G.minor(v, v)), v
+
+
+def test_holonomy_discriminant_is_sixteen_det_gram(source, monkeypatch):
+    # holonomy_polynomial on symbols: sympy reads the literal 1j as 1.0*I,
+    # which nsimplify makes exact, and the coefficients stay a plain list
+    monkeypatch.setattr(octahedron, "cmath",
+                        types.SimpleNamespace(exp=lambda w: sp.exp(sp.nsimplify(w))))
+    monkeypatch.setattr(octahedron, "np", types.SimpleNamespace(array=lambda rows, dtype: rows))
+    _, q2, q1, q0, _ = octahedron.holonomy_polynomial(octahedron.bar_solution(source))
+    assert _is_zero_in_exponentials(q1 * q1 - 4 * q2 * q0 - 16 * _gram().det())
+
+
+def _link_forms(t):
+    """The vertex excesses S_v - pi/2 and the link margins S_v - x, with S_v
+    the half angle sum at vertex v, each as a multiset of linear forms."""
+    x = t.as_tuple()
+    excesses, margins = Counter(), Counter()
+    for row in tetra._VERTEX_ANGLES:
+        half_sum = sum(x[k] for k in row) / 2
+        excesses[sp.expand(half_sum - sp.pi / 2)] += 1
+        margins.update(sp.expand(half_sum - x[k]) for k in row)
+    return excesses, margins
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+def test_regge_move_permutes_the_vertex_link_forms(source, which):
+    # so a move keeps every vertex-link inequality that makes a vertex finite
+    assert _link_forms(_move(source, which)) == _link_forms(source)

@@ -33,7 +33,7 @@ from reggescissors.octahedron import (
 from reggescissors.scissors import canonical_angle, decompose, regge_orbit, verify_scissors
 from reggescissors.tetra import TetAngles, TetraKind, classify, prism_volume
 
-from oracles import full_dihedral_angles, tetra_symmetries
+from oracles import full_dihedral_angles, murakami_yano_volume, tetra_symmetries
 
 PI = math.pi
 
@@ -286,6 +286,13 @@ class TestOneReducerKeepsBits:
 class TestVolumes:
     def test_equiangular_frozen_value(self, equiangular):
         assert tet_volume(equiangular) == pytest.approx(EQUIANGULAR_12_VOLUME, abs=1e-12)
+
+    def test_murakami_yano_reference(self, stream_angles):
+        # every 30th input: 41 Finite ones across both streams and the box batch
+        batch = [TetAngles(*angles) for angles in stream_angles[::30]]
+        assert all(classify(t).kind is TetraKind.FINITE for t in batch)
+        for t in batch:
+            assert abs(tet_volume(t) - murakami_yano_volume(t)) <= 1e-13, t
 
     def test_plus_root_negates(self, finite_batch):
         for t in finite_batch:
