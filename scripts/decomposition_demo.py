@@ -11,8 +11,9 @@ import argparse
 import numpy as np
 
 from reggescissors import TetAngles, classify, decompose, lobachevsky, regge, tet_volume
+from reggescissors.exceptions import GeometryDomainError
 from reggescissors.scissors import PIECE_LABELS, REGGE_B_IMAGE_RELABEL, permute_for_regge_b
-from reggescissors.tetra import relabel
+from reggescissors.tetra import TetraKind, relabel, require_kind
 
 
 def main():
@@ -23,7 +24,11 @@ def main():
         help="six dihedral angles A B C A' B' C' in radians",
     )
     args = parser.parse_args()
-    t = TetAngles.of(args.angles)
+    try:
+        t = TetAngles.of(args.angles)
+        require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)  # what decompose takes
+    except GeometryDomainError as exc:
+        parser.error(str(exc))
     print(f"T = {t.as_tuple()}")
     print(f"classification: {classify(t).kind.value}")
     v = tet_volume(t)

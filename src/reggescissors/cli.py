@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("a", "b", "c"), required=True)
     p = _add_angle_command(sub, "orbit", cmd_orbit,
                            "orbit under the Regge transforms, deduplicated")
-    p.add_argument("--max-size", type=int, default=64, dest="max_size")
+    p.add_argument("--max-size", type=int, default=64, dest="max_size",
+                   help="most members to keep; the orbit has at most six (S3 x S4), "
+                        "so 6 or more never truncates")
     p = _add_angle_command(sub, "verify", cmd_verify,
                            "verify the scissors congruence for one transform")
     p.add_argument("--which", choices=("a", "b", "c"), required=True)

@@ -28,10 +28,6 @@ class SampleStats:
     requested: int
     drawn: int
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.requested / self.drawn if self.drawn else 0.0
-
 
 def _accept(t: TetAngles, require_finite_images: tuple[str, ...]) -> bool:
     if classify(t).kind is not TetraKind.FINITE:
@@ -45,7 +41,7 @@ def _accept(t: TetAngles, require_finite_images: tuple[str, ...]) -> bool:
 def sample_finite(rng: np.random.Generator, count: int, box: SampleBox = SampleBox(),
                   require_finite_images: tuple[str, ...] = (),
                   max_tries: int = 100000) -> tuple[list[TetAngles], SampleStats]:
-    """Draw `count` finite tetrahedra and report the acceptance rate."""
+    """Draw `count` finite tetrahedra and report how many draws that took."""
     lo, hi = box.center - box.half_width, box.center + box.half_width
     out: list[TetAngles] = []
     drawn = 0

@@ -81,24 +81,24 @@ _REGGE_B_EXCHANGE = np.array(
 _MOVED = {"a": (1, 2, 4, 5), "b": (0, 2, 3, 5), "c": (0, 1, 3, 4)}
 
 
-def s_value(t: TetAngles, which: str) -> float:
-    """The half-sum s_a, s_b, or s_c of the four angles moved by the transform."""
+def _move(x, which: str) -> tuple[float, list]:
+    """The one move rule, for angles, edge lengths or symbols alike: s, the half-sum of
+    the four entries _MOVED[which] names, and x with s - x on those four."""
     if which not in _MOVED:
         raise GeometryDomainError(f"transform must be one of 'a', 'b', 'c', got {which!r}")
-    x = t.as_tuple()
-    i, j, k, m = _MOVED[which]
-    return (x[i] + x[j] + x[k] + x[m]) / 2
+    i, j, k, m = moved = _MOVED[which]
+    s = (x[i] + x[j] + x[k] + x[m]) / 2
+    return s, [s - v if n in moved else v for n, v in enumerate(x)]
+
+
+def s_value(t: TetAngles, which: str) -> float:
+    """The half-sum s_a, s_b, or s_c of the four angles moved by the transform."""
+    return _move(t.as_tuple(), which)[0]
 
 
 def regge(t: TetAngles, which: str) -> TetAngles:
-    """Apply one Regge transform: s - x on the moved angles.  Total affine
-    involution; validity of the output is a separate question answered by
-    classify()."""
-    s = s_value(t, which)
-    x = list(t.as_tuple())
-    for k in _MOVED[which]:
-        x[k] = s - x[k]
-    return TetAngles(*x)
+    """Apply one Regge transform, a total affine involution; classify() judges the image."""
+    return TetAngles(*_move(t.as_tuple(), which)[1])
 
 
 def canonical_angle(x: float) -> float:
@@ -256,33 +256,24 @@ def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
 
 
 def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
-    """Closure of {t} under the three transforms, deduplicated up to
-    relabeling symmetry; truncated (with a flag) at max_size members."""
+    """The Regge orbit of t up to relabeling, truncated (with a flag) at max_size.
+
+    The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
+    t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
+    each kept unless a relabeling of it matches an earlier member: at most six
+    members, and a max_size of 6 or more never truncates."""
     if max_size < 1:
         raise GeometryDomainError("max_size must be at least 1")
-    members: list[TetAngles] = [t]
-    member_angles = [t.as_tuple()]
-    frontier = [t]
+    ra = regge(t, "a")
+    members: list[TetAngles] = []
     truncated = False
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for which in ("a", "b", "c"):
-                img = regge(cur, which)
-                angles = img.as_tuple()
-                if any(_relabels_onto(angles, m) for m in member_angles):
-                    continue
-                if len(members) >= max_size:
-                    truncated = True
-                    break
-                members.append(img)
-                member_angles.append(angles)
-                nxt.append(img)
-            if truncated:
-                break
-        if truncated:
+    for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
+        if any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
+            continue
+        if len(members) >= max_size:
+            truncated = True
             break
-        frontier = nxt
+        members.append(word)
     volumes = []
     for m in members:
         kind = classify(m).kind

@@ -4,8 +4,9 @@ symbolically in sympy on the package's own tables.
 bar_solution, base_angles, holonomy_polynomial and tetra._link_cofactor run
 unchanged on six symbols (pi, exp and cos made exact), and the moves and
 vertices are read through the same index tables the numeric code uses:
-scissors._MOVED (with s_value), tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES,
-REGGE_B_IMAGE_RELABEL and PAIR_CONJUGATION.  Each identity is checked as an
+scissors._MOVED (through scissors._move, the move rule regge applies),
+tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES, REGGE_B_IMAGE_RELABEL and
+PAIR_CONJUGATION.  Each identity is checked as an
 exact symbolic zero, so it holds for every tetrahedron, not to 1e-9 on a
 sample.
 """
@@ -33,15 +34,8 @@ class _Symbolic:
         return self._values
 
 
-def _move(t, which):
-    s = scissors.s_value(t, which)
-    moved = scissors._MOVED[which]
-    return _Symbolic(s - x if k in moved else x for k, x in enumerate(t.as_tuple()))
-
-
-def _relabel(t, sigma):
-    x = t.as_tuple()
-    return _Symbolic(x[k] for k in tetra._RELABEL_ROWS[tuple(sigma)])
+def _relabel(x, sigma):
+    return tuple(x[k] for k in tetra._RELABEL_ROWS[tuple(sigma)])
 
 
 def _is_zero(expr):
@@ -74,8 +68,8 @@ def source():
 
 def test_regge_b_then_image_relabel_exchanges_ba_and_dc(source):
     bars = octahedron.bar_solution(source)
-    image = _relabel(_move(source, "b"), scissors.REGGE_B_IMAGE_RELABEL)
-    image_bars = octahedron.bar_solution(image)
+    _, image = scissors._move(ANGLES, "b")
+    image_bars = octahedron.bar_solution(_Symbolic(_relabel(image, scissors.REGGE_B_IMAGE_RELABEL)))
     exchange = {"BA": "DC", "DC": "BA"}
     for slot in SLOT_ORDER:
         assert _is_zero(getattr(image_bars, slot) - getattr(bars, exchange.get(slot, slot))), slot
@@ -111,17 +105,17 @@ def test_bars_satisfy_linear_constraints(source, monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["a", "c"])
-def test_regge_a_and_c_are_regge_b_conjugated(source, which):
+def test_regge_a_and_c_are_regge_b_conjugated(which):
     conj = scissors.PAIR_CONJUGATION[which]
-    direct = _move(source, which).as_tuple()
-    via_b = _relabel(_move(_relabel(source, conj), "b"), conj).as_tuple()
-    assert all(_is_zero(x - y) for x, y in zip(direct, via_b))
+    _, direct = scissors._move(ANGLES, which)
+    _, via_b = scissors._move(_relabel(ANGLES, conj), "b")
+    assert all(_is_zero(x - y) for x, y in zip(direct, _relabel(via_b, conj)))
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c"])
-def test_regge_move_keeps_the_dehn_invariant(source, which):
-    # the move as a matrix, read off the package's own s_value and _MOVED
-    moved = _move(source, which).as_tuple()
+def test_regge_move_keeps_the_dehn_invariant(which):
+    # the move as a matrix, read off the package's own move rule
+    _, moved = scissors._move(ANGLES, which)
     M = sp.Matrix(6, 6, lambda i, j: sp.diff(moved[i], ANGLES[j]))
     expected = sp.eye(6)
     for i in scissors._MOVED[which]:
@@ -159,10 +153,9 @@ def test_holonomy_discriminant_is_sixteen_det_gram(source, monkeypatch):
     assert _is_zero_in_exponentials(q1 * q1 - 4 * q2 * q0 - 16 * _gram().det())
 
 
-def _link_forms(t):
+def _link_forms(x):
     """The vertex excesses S_v - pi/2 and the link margins S_v - x, with S_v
     the half angle sum at vertex v, each as a multiset of linear forms."""
-    x = t.as_tuple()
     excesses, margins = Counter(), Counter()
     for row in tetra._VERTEX_ANGLES:
         half_sum = sum(x[k] for k in row) / 2
@@ -172,6 +165,56 @@ def _link_forms(t):
 
 
 @pytest.mark.parametrize("which", ["a", "b", "c"])
-def test_regge_move_permutes_the_vertex_link_forms(source, which):
+def test_regge_move_permutes_the_vertex_link_forms(which):
     # so a move keeps every vertex-link inequality that makes a vertex finite
-    assert _link_forms(_move(source, which)) == _link_forms(source)
+    assert _link_forms(scissors._move(ANGLES, which)[1]) == _link_forms(ANGLES)
+
+
+# --- the Regge orbit is the six words regge_orbit evaluates.  A move image
+# of a word is a relabeling of a word (closure); a relabeling turns each move
+# into a move (conjugation); and the relabelings compose to relabelings.  So
+# every product of moves and relabelings sends t to a relabeling of one of
+# the six words.  The 144 relabeled words are distinct linear forms, so for
+# generic angles the six are pairwise distinct up to relabeling and the group
+# has order 144 = 6 * 24, S3 x S4.  The angles enter linearly, so expand
+# gives each form its canonical shape and == on forms is exact.
+
+#: regge_orbit's words, each as the moves in the order applied: t, R_a t,
+#: R_b t, R_c t, R_b R_a t and R_c R_a t.
+ORBIT_WORDS = ("", "a", "b", "c", "ab", "ac")
+
+
+def _word(x, moves):
+    for which in moves:
+        _, x = scissors._move(x, which)
+    return tuple(sp.expand(v) for v in x)
+
+
+def _relabelings(x):
+    return {row: tuple(x[k] for k in row) for row in tetra._RELABEL_ROWS.values()}
+
+
+def _relabeled_words():
+    """The linear forms of each relabeling of each orbit word."""
+    return {form for word in ORBIT_WORDS for form in _relabelings(_word(ANGLES, word)).values()}
+
+
+def test_orbit_words_are_closed_under_the_moves():
+    relabeled = _relabeled_words()
+    for word in ORBIT_WORDS:
+        for which in "abc":
+            assert _word(ANGLES, word + which) in relabeled, (word, which)
+
+
+def test_relabeling_turns_each_move_into_a_move():
+    rows = set(tetra._RELABEL_ROWS.values())
+    for row, relabeled in _relabelings(ANGLES).items():
+        conjugates = {_relabelings(_word(ANGLES, m))[row] for m in "abc"}
+        for which in "abc":
+            assert _word(relabeled, which) in conjugates, (row, which)
+        # relabeling a relabeling is a relabeling
+        assert {tuple(other[k] for k in row) for other in rows} == rows
+
+
+def test_orbit_words_are_distinct_up_to_relabeling():
+    assert len(_relabeled_words()) == len(ORBIT_WORDS) * len(tetra._RELABEL_ROWS) == 144

@@ -13,7 +13,7 @@ def test_samples_are_finite_and_seeded():
     batch2, _ = sample_finite(rng2, 10)
     assert all(classify(t).kind is TetraKind.FINITE for t in batch1)
     assert [t.as_tuple() for t in batch1] == [t.as_tuple() for t in batch2]
-    assert 0 < stats.acceptance_rate <= 1
+    assert 0 < stats.requested <= stats.drawn
 
 
 def test_image_requirement():

@@ -167,12 +167,11 @@ class TestEdgeLengthRule:
             if classify(t).kind is not TetraKind.FINITE:
                 continue
             lengths = tetra.edge_lengths(t)
-            for which, moved in scissors._MOVED.items():
+            for which in scissors._MOVED:
                 image = regge(t, which)
                 if classify(image).kind is not TetraKind.FINITE:
                     continue
-                s = sum(lengths[k] for k in moved) / 2
-                expected = [s - x if k in moved else x for k, x in enumerate(lengths)]
+                _, expected = scissors._move(lengths, which)
                 assert tetra.edge_lengths(image) == pytest.approx(expected, rel=0, abs=1e-9)
                 pairs += 1
         assert pairs > 3000
@@ -306,21 +305,22 @@ class TestOrbit:
             regge_orbit(generic, max_size=0)
 
 
+#: Row k reads the angles of the k-th relabeling (tetra._RELABEL_ROWS).
+_RELABEL_INDEX = np.array(list(tetra._RELABEL_ROWS.values()), dtype=np.intp)
+
+
 def _pairwise_orbit(t, max_size=64):
-    """Reference closure that dedups with one relabel() per permutation and member."""
-
-    def equivalent(t1, t2, tol=1e-10):
-        a2 = np.array(t2.as_tuple())
-        return any(np.max(np.abs(np.array(relabel(t1, s).as_tuple()) - a2)) < tol
-                   for s in tetra_symmetries())
-
+    """Reference closure: breadth-first under the three moves, each image
+    compared with every member under all 24 relabelings at once."""
     members, frontier = [t], [t]
     while frontier:
         nxt = []
         for cur in frontier:
             for which in ("a", "b", "c"):
                 img = regge(cur, which)
-                if any(equivalent(img, m) for m in members):
+                relabelings = np.array(img.as_tuple())[_RELABEL_INDEX]
+                gaps = np.abs(relabelings[:, None, :] - np.array([m.as_tuple() for m in members]))
+                if np.any(np.max(gaps, axis=2) < 1e-10):
                     continue
                 if len(members) >= max_size:
                     return members, True
@@ -328,6 +328,10 @@ def _pairwise_orbit(t, max_size=64):
                 nxt.append(img)
         frontier = nxt
     return members, False
+
+
+def _orbit_volume(t):
+    return tet_volume(t) if classify(t).kind in (TetraKind.FINITE, TetraKind.IDEAL) else math.nan
 
 
 def _klein_uniform(rng, n):
@@ -349,24 +353,36 @@ class TestOrbitDedupMatchesPairwise:
         TetAngles(1.1, 1.15, 1.2, 1.25, 1.2, 1.15),  # A+A' = B+B' = C+C'
     )
 
-    @pytest.mark.parametrize("max_size", [64, 5, 2, 1])
-    def test_members_and_flag_equal(self, max_size, generic):
-        cases = [*_klein_uniform(np.random.default_rng(77), 50), *self.SYMMETRIC, generic]
+    @pytest.fixture(scope="class")
+    def cases(self, generic):
+        # Klein-uniform Finite inputs, then uniform (0, pi)^6 draws: most of
+        # these are Hyperideal, and the orbit takes any angles
+        uniform = np.random.default_rng(78).uniform(0.0, PI, size=(200, 6))
+        return [*_klein_uniform(np.random.default_rng(77), 50), *map(TetAngles.of, uniform),
+                *self.SYMMETRIC, generic]
+
+    @pytest.mark.parametrize("max_size", [64, 7, 6, 5, 2, 1])
+    def test_members_and_flag_equal(self, max_size, cases):
         truncated_seen = False
         for t in cases:
             orbit = regge_orbit(t, max_size=max_size)
             members, truncated = _pairwise_orbit(t, max_size)
-            assert [m.as_tuple() for m in orbit.members] == [m.as_tuple() for m in members]
+            assert [_hex(m.as_tuple()) for m in orbit.members] == [
+                _hex(m.as_tuple()) for m in members]
+            assert _hex(orbit.volumes) == _hex(map(_orbit_volume, members))
             assert orbit.truncated is truncated
             truncated_seen |= truncated
-        assert truncated_seen is (max_size < 64)
+        # the orbit has at most six members, so truncation stops at 6
+        assert truncated_seen is (max_size < 6)
+
+    def test_stream_orbits_have_at_most_six_members(self, stream_angles):
+        for angles in stream_angles:
+            orbit = regge_orbit(TetAngles(*angles))
+            assert len(orbit.members) <= 6
+            assert not orbit.truncated
 
 
-#: The numpy dedup predicate regge_orbit used before the plain-float one:
-#: row k of the index reads the angles of the k-th relabeling.
-_RELABEL_INDEX = np.array(list(tetra._RELABEL_ROWS.values()), dtype=np.intp)
-
-
+#: The numpy dedup predicate regge_orbit used before the plain-float one.
 def _numpy_relabels_onto(x, m):
     gaps = np.abs(np.array(x)[_RELABEL_INDEX][:, None, :] - np.array([m]))
     return bool(np.any(np.max(gaps, axis=2) < scissors.ORBIT_MATCH_TOL))

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -29,6 +30,22 @@ def test_volume_sweep_rejects_counts_below_one(flag, value):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("usage:") and "Traceback" not in result.stderr
     assert f"argument {flag}: must be a positive integer, got {int(value)}" in result.stderr
+
+
+@pytest.mark.parametrize("angles,message", [
+    (["1"] * 6, "requires a Finite or Ideal tetrahedron; classification: Hyperideal"),
+    (["1", "2", "3"], "expected six angles (A, B, C, A', B', C')"),
+], ids=["hyperideal", "three-angles"])
+def test_decomposition_demo_rejects_bad_angles(angles, message, monkeypatch, capsys):
+    # a usage error, not a GeometryDomainError traceback
+    script = str(SCRIPTS / "decomposition_demo.py")
+    monkeypatch.setattr(sys, "argv", [script, *angles])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(script, run_name="__main__")
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:") and err.endswith(f"error: {message}\n")
 
 
 def test_bench_record_times_a_layer():
