@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -245,6 +246,38 @@ class TestSides:
     def test_unknown_side_rejected(self, generic, side):
         with pytest.raises(GeometryDomainError):
             octahedron_angles(generic, side)
+
+
+class TestOctahedronLayerBits:
+    """One sha256 over float.hex of everything the octahedron layer returns, on
+    stream_angles and a few Hyperideal inputs: both sides' slots (SLOT_ORDER)
+    and base angles (a..h), linear_residuals, holonomy_residual,
+    octahedron_volume, u_volume and holonomy_polynomial (real, imag)."""
+
+    HYPERIDEAL = ((1.0,) * 6, (0.9, 1.0, 1.1, 0.95, 1.05, 1.0),
+                  (0.8, 0.9, 1.0, 1.1, 1.0, 0.9), (1.3, 0.4, 0.5, 1.3, 0.45, 0.55))
+    DIGEST = "2a8d50963eefe0f8580c1f18726f74abcb191d09d83f0f5cb29e16da9240e741"
+
+    @staticmethod
+    def side_values(oa):
+        return [getattr(oa, s) for s in SLOT_ORDER] + [getattr(oa.base, k) for k in "abcdefgh"]
+
+    def values(self, t):
+        out = []
+        for side in (O_SIDE, DUAL_SIDE):
+            oa = octahedron_angles(t, side)
+            out += self.side_values(oa)
+            out += linear_residuals(oa).tolist()
+            out += [holonomy_residual(oa), octahedron_volume(oa)]
+        out.append(u_volume(t))
+        out += [x for c in holonomy_polynomial(bar_solution(t)).tolist() for x in (c.real, c.imag)]
+        return out
+
+    def test_digest(self, stream_angles):
+        h = hashlib.sha256()
+        for angles in [*stream_angles, *self.HYPERIDEAL]:
+            h.update(" ".join(float(x).hex() for x in self.values(TetAngles(*angles))).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestOneReducerKeepsBits:
