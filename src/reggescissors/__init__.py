@@ -22,8 +22,6 @@ from .tetra import (
     relabel,
 )
 from .octahedron import (
-    BarSolution,
-    BaseAngles,
     HolonomyRoots,
     OctAngles,
     base_angles,

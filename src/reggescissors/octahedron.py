@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .lobachevsky import lobachevsky
 from .tetra import TetAngles, TetraKind, _memo, require_kind
 
 __all__ = [
-    "BaseAngles",
-    "BarSolution",
     "DUAL_SIDE",
     "HolonomyRoots",
     "OctAngles",
@@ -54,6 +52,7 @@ __all__ = [
     "linear_residuals",
     "octahedron_angles",
     "octahedron_volume",
+    "slots",
     "solve_holonomy",
     "tet_volume",
     "u_volume",
@@ -63,9 +62,8 @@ __all__ = [
 _PI = math.pi
 _TWO_PI = 2 * math.pi
 
+#: Slot names by position: bar + Z at the even (plus) positions, bar - Z at the odd ones.
 SLOT_ORDER = ("AB", "BA", "BC", "CB", "CD", "DC", "DA", "AD")
-#: Slots whose angle is bar + Z (the others are bar - Z).
-PLUS_SLOTS = ("AB", "BC", "CD", "DA")
 
 #: Roots further than this from the unit circle mean Z is not real.
 UNIT_ROOT_TOL = 1e-6
@@ -84,48 +82,11 @@ def wrap_angle(x: float, period: float = _TWO_PI) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class BaseAngles:
-    """Known angles of the octahedron: quadrilateral angles a..d at the four
-    projected vertices and ring angles e..h on the four remaining edges."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    g: float
-    h: float
-
-    def ring(self):
-        return (self.e, self.f, self.g, self.h)
-
-
-@dataclass(frozen=True)
-class BarSolution:
-    """A particular solution of the linear constraints (Z = 0 seed)."""
-
-    AB: float
-    BA: float
-    BC: float
-    CB: float
-    CD: float
-    DC: float
-    DA: float
-    AD: float
-
-    def slots(self, Z: float) -> tuple[float, ...]:
-        """The eight slot angles at offset Z, in SLOT_ORDER: bar + Z on the
-        PLUS_SLOTS, bar - Z on the others."""
-        return (self.AB + Z, self.BA - Z, self.BC + Z, self.CB - Z,
-                self.CD + Z, self.DC - Z, self.DA + Z, self.AD - Z)
-
-    def plus(self):
-        return (self.AB, self.BC, self.CD, self.DA)
-
-    def minus(self):
-        return (self.BA, self.CB, self.DC, self.AD)
+def slots(bars, Z: float) -> tuple[float, ...]:
+    """The eight slot angles at offset Z, in SLOT_ORDER: bar + Z at the even
+    (plus) positions, bar - Z at the odd (minus) ones."""
+    return (bars[0] + Z, bars[1] - Z, bars[2] + Z, bars[3] - Z,
+            bars[4] + Z, bars[5] - Z, bars[6] + Z, bars[7] - Z)
 
 
 @dataclass(frozen=True)
@@ -140,7 +101,7 @@ class HolonomyRoots:
     holonomy_polynomial(bars)[1:4]; the class is classify(t).
     """
 
-    bars: BarSolution
+    bars: tuple[float, ...]
     Z_minus: float
     Z_plus: float
     volume_minus: float
@@ -151,50 +112,33 @@ class HolonomyRoots:
 
 @dataclass(frozen=True)
 class OctAngles:
-    """Solved slot angles of one octahedron (O or its dual), each in (-pi, pi],
-    with the base angles of that octahedron (supplementary for the dual)."""
+    """Solved slot angles of one octahedron (O or its dual), in SLOT_ORDER and
+    each in (-pi, pi], with the base angles a..h of that octahedron
+    (supplementary for the dual)."""
 
-    AB: float
-    BA: float
-    BC: float
-    CB: float
-    CD: float
-    DC: float
-    DA: float
-    AD: float
-    which: str  # O_SIDE or DUAL_SIDE
-    base: BaseAngles
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, s) for s in SLOT_ORDER])
+    slots: tuple[float, ...]
+    base: tuple[float, ...]
 
 
-def base_angles(t: TetAngles) -> BaseAngles:
+def base_angles(t: TetAngles) -> tuple[float, ...]:
+    """The known angles of the octahedron, in a..h order: quadrilateral angles
+    a..d at the four projected vertices, then ring angles e..h on the four
+    remaining edges."""
     A, B, C, Ap, Bp, Cp = t.as_tuple()
-    return BaseAngles(
-        a=(_PI - Cp + A + Bp) / 2,
-        b=(_PI - Bp + A + Cp) / 2,
-        c=(_PI - A - B - C) / 2,
-        d=(_PI - A + B + C) / 2,
-        e=(_PI - A - Bp - Cp) / 2,
-        f=(_PI - Ap + Bp + C) / 2,
-        g=(_PI - C + A + B) / 2,
-        h=(_PI - B + Ap + Cp) / 2,
-    )
+    return ((_PI - Cp + A + Bp) / 2, (_PI - Bp + A + Cp) / 2,
+            (_PI - A - B - C) / 2, (_PI - A + B + C) / 2,
+            (_PI - A - Bp - Cp) / 2, (_PI - Ap + Bp + C) / 2,
+            (_PI - C + A + B) / 2, (_PI - B + Ap + Cp) / 2)
 
 
-def bar_solution(t: TetAngles) -> BarSolution:
+def bar_solution(t: TetAngles) -> tuple[float, ...]:
+    """A particular solution of the linear constraints (the slots at Z = 0),
+    in SLOT_ORDER."""
     A, B, C, Ap, Bp, Cp = t.as_tuple()
-    return BarSolution(
-        AB=(A + Ap + 2 * Bp) / 4,
-        BA=(_TWO_PI + A - Ap + 2 * Cp) / 4,
-        BC=(A + Ap - 2 * Bp) / 4,
-        CB=(_TWO_PI - A + Ap - 2 * C) / 4,
-        CD=(-A - Ap - 2 * B) / 4,
-        DC=(_TWO_PI - A + Ap + 2 * C) / 4,
-        DA=(-A - Ap + 2 * B) / 4,
-        AD=(_TWO_PI + A - Ap - 2 * Cp) / 4,
-    )
+    return ((A + Ap + 2 * Bp) / 4, (_TWO_PI + A - Ap + 2 * Cp) / 4,
+            (A + Ap - 2 * Bp) / 4, (_TWO_PI - A + Ap - 2 * C) / 4,
+            (-A - Ap - 2 * B) / 4, (_TWO_PI - A + Ap + 2 * C) / 4,
+            (-A - Ap + 2 * B) / 4, (_TWO_PI + A - Ap - 2 * Cp) / 4)
 
 
 def _symmetric_sums(v0, v1, v2, v3):
@@ -205,13 +149,14 @@ def _symmetric_sums(v0, v1, v2, v3):
             0j + v0 * v1 * v2 + v0 * v1 * v3 + v0 * v2 * v3 + v1 * v2 * v3)
 
 
-def holonomy_polynomial(bars: BarSolution) -> np.ndarray:
+def holonomy_polynomial(bars: tuple[float, ...]) -> np.ndarray:
     """Coefficients [w^4, w^3, w^2, w^1, w^0] of the holonomy condition in
     w = z^2.  The w^4 and w^0 coefficients vanish identically because the
-    plus bars sum to 0 and the minus bars to 2*pi, leaving a quadratic.
+    plus bars (even positions) sum to 0 and the minus bars (odd positions)
+    to 2*pi, leaving a quadratic.
     """
-    alphas = [cmath.exp(1j * x) for x in bars.plus()]
-    betas = [cmath.exp(1j * x) for x in bars.minus()]
+    alphas = [cmath.exp(1j * x) for x in bars[0::2]]
+    betas = [cmath.exp(1j * x) for x in bars[1::2]]
     a1, a2, a3 = _symmetric_sums(*(a * a for a in alphas))
     b1, b2, b3 = _symmetric_sums(*(b * b for b in betas))
     pa = alphas[0] * alphas[1] * alphas[2] * alphas[3]
@@ -246,10 +191,10 @@ def volume_remainder(t: TetAngles) -> float:
     return 0.5 * sum(s * lobachevsky(x) for s, x in terms)
 
 
-def _slot_sum(bars: BarSolution, Z: float) -> float:
+def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
     """Sum of the eight Lobachevsky slot terms at angle offset Z."""
     total = 0.0
-    for x in bars.slots(Z):
+    for x in slots(bars, Z):
         total += lobachevsky(x)
     return total
 
@@ -269,7 +214,7 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     return _memo(t, "_holonomy_roots", lambda t: _solve_holonomy(t, bar_solution(t)))
 
 
-def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:
+def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL, TetraKind.HYPERIDEAL).kind
     poly = holonomy_polynomial(bars)
     q2, q1, q0 = poly[1], poly[2], poly[3]
@@ -315,8 +260,9 @@ def _solve_holonomy(t: TetAngles, bars: BarSolution) -> HolonomyRoots:
 def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
     """Slot angles of the octahedron (which = O_SIDE) or its dual (DUAL_SIDE).
 
-    The dual octahedron has supplementary dihedral angles, base angles
-    included; its slot seed is the negated/supplemented bar solution and its
+    The dual octahedron is the octahedron of the supplementary data: every
+    dihedral angle, base angles included, is pi minus that of O, so its bars
+    are -bar at the plus positions and pi - bar at the minus ones.  Its
     offset is driven by the other root (the dual quadratic is the reciprocal
     of the original, so its geometric root is the inverse of z_plus, i.e. the
     offset is -Z_plus).  Any other side raises GeometryDomainError.
@@ -324,44 +270,29 @@ def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
     if which not in (O_SIDE, DUAL_SIDE):
         raise GeometryDomainError(f"side must be {O_SIDE!r} or {DUAL_SIDE!r}, got {which!r}")
     roots = solve_holonomy(t)
-    bars = roots.bars
-    base = base_angles(t)
-    if which == O_SIDE:
-        vals = {s: wrap_angle(x) for s, x in zip(SLOT_ORDER, bars.slots(roots.Z_minus))}
-    else:
-        base = BaseAngles(*(_PI - x for x in astuple(base)))
-        vals = {}
-        Zp = roots.Z_plus
-        for s in SLOT_ORDER:
-            if s in PLUS_SLOTS:
-                vals[s] = wrap_angle(-getattr(bars, s) - Zp)
-            else:
-                vals[s] = wrap_angle(_PI - getattr(bars, s) + Zp)
-    return OctAngles(which=which, base=base, **vals)
+    bars, base, Z = roots.bars, base_angles(t), roots.Z_minus
+    if which == DUAL_SIDE:
+        bars = tuple(_PI - x if k % 2 else -x for k, x in enumerate(bars))
+        base, Z = tuple(_PI - x for x in base), -roots.Z_plus
+    return OctAngles(tuple(wrap_angle(x) for x in slots(bars, Z)), base)
 
 
 def linear_residuals(oct_angles: OctAngles) -> np.ndarray:
     """Residuals of the eight linear constraints against the octahedron's own
-    base angles, wrapped mod 2*pi."""
-    o, base = oct_angles, oct_angles.base
-    raw = [
-        o.AB + o.AD - base.a,
-        o.AB + o.BA + base.e - _PI,
-        o.BC + o.BA - base.b,
-        o.BC + o.CB + base.f - _PI,
-        o.CD + o.CB - base.c,
-        o.CD + o.DC + base.g - _PI,
-        o.DA + o.DC - base.d,
-        o.DA + o.AD + base.h - _PI,
-    ]
+    base angles, wrapped mod 2*pi: plus slot 2k meets slot 2k - 1 at
+    quadrilateral vertex k and slot 2k + 1 across ring edge k."""
+    s, base = oct_angles.slots, oct_angles.base
+    raw = []
+    for k in range(4):
+        raw += [s[2 * k] + s[2 * k - 1] - base[k], s[2 * k] + s[2 * k + 1] + base[4 + k] - _PI]
     return np.abs([wrap_angle(x) for x in raw])
 
 
 def holonomy_residual(oct_angles: OctAngles) -> float:
     """|product of sine ratios - 1| for the solved slot angles."""
-    o = oct_angles
-    num = math.sin(o.AB) * math.sin(o.BC) * math.sin(o.CD) * math.sin(o.DA)
-    den = math.sin(o.BA) * math.sin(o.CB) * math.sin(o.DC) * math.sin(o.AD)
+    s = oct_angles.slots
+    num = math.sin(s[0]) * math.sin(s[2]) * math.sin(s[4]) * math.sin(s[6])
+    den = math.sin(s[1]) * math.sin(s[3]) * math.sin(s[5]) * math.sin(s[7])
     return abs(num / den - 1.0)
 
 
@@ -371,8 +302,8 @@ def octahedron_volume(oct_angles: OctAngles) -> float:
     For a finite source tetrahedron the continued octahedron O can have
     negative volume; O and its dual always satisfy V(O) + V(O') = 2 V(T).
     """
-    total = sum(lobachevsky(x) for x in oct_angles.as_array())
-    total += sum(lobachevsky(x) for x in oct_angles.base.ring())
+    total = sum(lobachevsky(x) for x in oct_angles.slots)
+    total += sum(lobachevsky(x) for x in oct_angles.base[4:])
     return float(total)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError
 from .lobachevsky import lobachevsky
-from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, solve_holonomy, tet_volume, wrap_angle
+from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, tet_volume, wrap_angle
 from .tetra import (
     _RELABEL_ROWS,
     SWAP_AB_PAIRS,
@@ -70,11 +70,9 @@ NULL_PIECE_TOL = 1e-12
 #: (side, slot) of each decomposition position: O, then O', each in SLOT_ORDER.
 PIECE_LABELS = tuple((side, slot) for side in (O_SIDE, DUAL_SIDE) for slot in SLOT_ORDER)
 
-#: Piece order with BA and DC exchanged on both sides: the congruence move of R_b.
-_REGGE_B_EXCHANGE = np.array(
-    [PIECE_LABELS.index((side, {"BA": "DC", "DC": "BA"}.get(slot, slot))) for side, slot in PIECE_LABELS],
-    dtype=np.intp,
-)
+#: Piece order with BA (position 1) and DC (position 5) exchanged on both
+#: sides: the congruence move of R_b.
+_REGGE_B_EXCHANGE = (0, 5, 2, 3, 4, 1, 6, 7, 8, 13, 10, 11, 12, 9, 14, 15)
 
 #: as_tuple() indices of the four angles each transform moves; the opposite
 #: pair it fixes keeps its two angles.
@@ -141,8 +139,8 @@ def decompose(t: TetAngles) -> Decomposition:
     """
     require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
     roots = solve_holonomy(t)
-    dual = roots.bars.slots(roots.Z_plus)
-    return Decomposition(roots.bars.slots(roots.Z_minus) + tuple(-x for x in dual))
+    dual = slots(roots.bars, roots.Z_plus)
+    return Decomposition(slots(roots.bars, roots.Z_minus) + tuple(-x for x in dual))
 
 
 def permute_for_regge_b(d: Decomposition) -> Decomposition:

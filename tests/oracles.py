@@ -147,20 +147,21 @@ def full_dihedral_angles(oct_angles: OctAngles) -> dict[str, float]:
     equatorial edges), base:{a..d} (edges to the bottom firepole end).
     Corresponding entries of O and the dual sum to pi.
     """
-    o, base = oct_angles, oct_angles.base
+    AB, BA, BC, CB, CD, DC, DA, AD = oct_angles.slots
+    e, f, g, h = oct_angles.base[4:]
     return {
-        "apex:a": o.AB + o.AD,
-        "apex:b": o.BC + o.BA,
-        "apex:c": o.CD + o.CB,
-        "apex:d": o.DA + o.DC,
-        "ring:e": base.e,
-        "ring:f": base.f,
-        "ring:g": base.g,
-        "ring:h": base.h,
-        "base:a": o.BA + o.DA,
-        "base:b": o.AB + o.CB,
-        "base:c": o.BC + o.DC,
-        "base:d": o.CD + o.AD,
+        "apex:a": AB + AD,
+        "apex:b": BC + BA,
+        "apex:c": CD + CB,
+        "apex:d": DA + DC,
+        "ring:e": e,
+        "ring:f": f,
+        "ring:g": g,
+        "ring:h": h,
+        "base:a": BA + DA,
+        "base:b": AB + CB,
+        "base:c": BC + DC,
+        "base:d": CD + AD,
     }
 
 

@@ -1,7 +1,7 @@
 """Exact certificates: the identities behind the scissors congruence, proved
 symbolically in sympy on the package's own tables.
 
-bar_solution, base_angles, holonomy_polynomial and tetra._link_cofactor run
+bar_solution, base_angles, slots, holonomy_polynomial and tetra._link_cofactor run
 unchanged on six symbols (pi, exp and cos made exact), and the moves and
 vertices are read through the same index tables the numeric code uses:
 scissors._MOVED (through scissors._move, the move rule regge applies),
@@ -18,7 +18,7 @@ import pytest
 import sympy as sp
 
 from reggescissors import octahedron, scissors, tetra
-from reggescissors.octahedron import O_SIDE, PLUS_SLOTS, SLOT_ORDER, OctAngles
+from reggescissors.octahedron import SLOT_ORDER, OctAngles
 
 ANGLES = sp.symbols("A B C Ap Bp Cp", real=True)
 Z = sp.Symbol("Z", real=True)
@@ -70,19 +70,20 @@ def test_regge_b_then_image_relabel_exchanges_ba_and_dc(source):
     bars = octahedron.bar_solution(source)
     _, image = scissors._move(ANGLES, "b")
     image_bars = octahedron.bar_solution(_Symbolic(_relabel(image, scissors.REGGE_B_IMAGE_RELABEL)))
-    exchange = {"BA": "DC", "DC": "BA"}
-    for slot in SLOT_ORDER:
-        assert _is_zero(getattr(image_bars, slot) - getattr(bars, exchange.get(slot, slot))), slot
-    # the same exchange, as the piece index verify_scissors applies
-    assert [SLOT_ORDER[k] for k in scissors._REGGE_B_EXCHANGE[:8]] == [
-        exchange.get(slot, slot) for slot in SLOT_ORDER
+    # the piece index verify_scissors applies, read on the bars of O
+    exchange = scissors._REGGE_B_EXCHANGE
+    for k, bar in enumerate(image_bars):
+        assert _is_zero(bar - bars[exchange[k]]), SLOT_ORDER[k]
+    assert [SLOT_ORDER[k] for k in exchange[:8]] == [
+        {"BA": "DC", "DC": "BA"}.get(slot, slot) for slot in SLOT_ORDER
     ]
+    assert exchange[8:] == tuple(k + 8 for k in exchange[:8])
 
 
 def test_end_coefficients_vanish(source):
     bars = octahedron.bar_solution(source)
-    plus = sum(getattr(bars, s) for s in PLUS_SLOTS)
-    minus = sum(getattr(bars, s) for s in SLOT_ORDER if s not in PLUS_SLOTS)
+    plus = sum(bars[0::2])
+    minus = sum(bars[1::2])
     assert _is_zero(plus)
     assert _is_zero(minus - 2 * sp.pi)
     # holonomy_polynomial's w^4 and w^0 coefficients: pa - 1/pb and 1/pa - pb,
@@ -97,8 +98,7 @@ def test_bars_satisfy_linear_constraints(source, monkeypatch):
     monkeypatch.setattr(octahedron, "wrap_angle", lambda x: x)
     bars = octahedron.bar_solution(source)
     for offset in (0, Z):
-        oa = OctAngles(**dict(zip(SLOT_ORDER, bars.slots(offset))),
-                       which=O_SIDE, base=octahedron.base_angles(source))
+        oa = OctAngles(octahedron.slots(bars, offset), octahedron.base_angles(source))
         residuals = octahedron.linear_residuals(oa)
         assert len(residuals) == 8
         assert all(_is_zero(r) for r in residuals)

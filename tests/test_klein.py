@@ -17,8 +17,6 @@ from reggescissors.klein import (
 )
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import (
-    PLUS_SLOTS,
-    SLOT_ORDER,
     bar_solution,
     solve_holonomy,
     tet_volume,
@@ -306,10 +304,10 @@ class TestBatchedQuadratureMatchesReference:
 
 def _ref_slot_sum(bars, Z):
     """Reference slot sum: the eight terms bar +- Z added in SLOT_ORDER,
-    written out without BarSolution.slots."""
+    written out without octahedron.slots."""
     total = 0.0
-    for s in SLOT_ORDER:
-        total += lobachevsky(getattr(bars, s) + (Z if s in PLUS_SLOTS else -Z))
+    for k, bar in enumerate(bars):
+        total += lobachevsky(bar + (-Z if k % 2 else Z))
     return total
 
 
@@ -322,9 +320,9 @@ class TestSolvedRecordMatchesReference:
         roots = solve_holonomy(t)
         for root, Z in (("minus", roots.Z_minus), ("plus", roots.Z_plus)):
             assert tet_volume(t, root).hex() == (_ref_slot_sum(bars, Z) + volume_remainder(t)).hex()
-        signs = [1.0 if s in PLUS_SLOTS else -1.0 for s in SLOT_ORDER]
-        raw = [getattr(bars, s) + k * roots.Z_minus for s, k in zip(SLOT_ORDER, signs)]
-        raw += [-(getattr(bars, s) + k * roots.Z_plus) for s, k in zip(SLOT_ORDER, signs)]
+        signs = [1.0, -1.0] * 4
+        raw = [bar + k * roots.Z_minus for bar, k in zip(bars, signs)]
+        raw += [-(bar + k * roots.Z_plus) for bar, k in zip(bars, signs)]
         assert [x.hex() for x in decompose(t).raw_angles] == [x.hex() for x in raw]
 
     def test_finite_batch(self, finite_batch):
