@@ -13,13 +13,18 @@ Labeling conventions, fixed for the whole package:
   G[i][j] = -cos(angle on the edge shared by faces i and j); faces i and j
   intersect along the edge joining the two vertices other than i and j.
 
-A tetrahedron with all angles strictly between 0 and pi is *Finite* when G
-has signature (3,1) and all four vertex cofactors of G are positive,
-*Ideal* when a cofactor vanishes, *Hyperideal* when the signature is right
-but a vertex condition is reversed, and *Invalid* otherwise.  The cofactor
-of vertex v is the Gram determinant of its link, the spherical triangle with
-the angles (a, b, c) of the edges at v: -4 cos S cos(S-a) cos(S-b) cos(S-c)
-with S = (a+b+c)/2, positive exactly when vertex v is finite.
+Angle data with all angles strictly between 0 and pi, a Gram matrix of
+signature (3,1) and all six edge (off-diagonal) cofactors of G positive is a
+tetrahedron (Ushijima 2006); anything else is *Invalid*.  A tetrahedron is
+*Finite* when all four vertex (diagonal) cofactors of G are positive,
+*Ideal* when a vertex cofactor vanishes, and *Hyperideal* otherwise.  The
+cofactor of vertex v is the Gram determinant of its link, the spherical
+triangle with the angles (a, b, c) of the edges at v:
+-4 cos S cos(S-a) cos(S-b) cos(S-c) with S = (a+b+c)/2, positive exactly
+when vertex v is finite.  The cofactor of edge {v, w} is det G times the
+Minkowski product of the two vertex vectors, so a negative one puts v and w
+on opposite sheets of the hyperboloid; see _edge_cofactors for its closed
+form.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ _PI = math.pi
 
 #: Gram signature test tolerance on eigenvalues.
 EIGENVALUE_TOL = 1e-10
-#: A vertex cofactor this close to zero is classified as an ideal vertex.
+#: A vertex cofactor this close to zero is classified as an ideal vertex; an
+#: edge cofactor below -IDEAL_COFACTOR_TOL makes the angle data Invalid.
 IDEAL_COFACTOR_TOL = 1e-8
 
 # angle label -> vertex pair of its edge, in _ANGLE_ORDER
@@ -75,6 +81,11 @@ _FACES_OF = {name: tuple(m for m in range(4) if m not in edge) for name, edge in
 # pair in (A, B, C) order: ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
 _VERTEX_ANGLES = tuple(tuple(k if v in _EDGE_OF[_ANGLE_ORDER[k]] else k + 3 for k in range(3))
                        for v in range(4))
+# edge, in _ANGLE_ORDER -> as_tuple() indices (a, b, x, y, x', y') of
+# _edge_cofactors: its angle a, the opposite angle b, and the two other angles
+# at each end of b's edge, one from each remaining opposite pair
+_EDGE_ANGLES = tuple((n, m, *(k for v in _EDGE_OF[_ANGLE_ORDER[m]] for k in _VERTEX_ANGLES[v] if k != m))
+                     for n, m in enumerate((3, 4, 5, 0, 1, 2)))
 
 GramMatrix = np.ndarray  # 4x4 symmetric, unit diagonal; see module docstring
 
@@ -213,7 +224,7 @@ def _classify(t: TetAngles) -> TetraClass:
     x = t.as_tuple()
     cof = tuple(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES)
     signature_31 = e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL
-    if not (t.in_range() and signature_31):
+    if not (t.in_range() and signature_31) or min(_edge_cofactors(x)) < -IDEAL_COFACTOR_TOL:
         kind = TetraKind.INVALID
     elif all(c > IDEAL_COFACTOR_TOL for c in cof):
         kind = TetraKind.FINITE
@@ -228,6 +239,18 @@ def _link_cofactor(a: float, b: float, c: float) -> float:
     """Cofactor of the vertex with angles (a, b, c); see the module docstring."""
     s = (a + b + c) / 2
     return -4 * math.cos(s) * math.cos(s - a) * math.cos(s - b) * math.cos(s - c)
+
+
+def _edge_cofactors(x) -> tuple[float, ...]:
+    """The six edge cofactors of the angles x, in _ANGLE_ORDER.  The edge with
+    angle a, whose opposite edge has angle b, has the cofactor
+    cos b sin^2 a + cos a (cos x cos x' + cos y cos y') + cos x cos y + cos x' cos y',
+    where (x, y) and (x', y') are the two other angles at the ends of b's edge,
+    x opposite x' and y opposite y'.  It is the adjugate entry of G at the
+    edge's two vertices (see the module docstring)."""
+    c = [math.cos(v) for v in x]
+    return tuple(c[b] * math.sin(x[a]) ** 2 + c[a] * (c[i] * c[k] + c[j] * c[m]) + c[i] * c[j] + c[k] * c[m]
+                 for a, b, i, j, k, m in _EDGE_ANGLES)
 
 
 def require_kind(t: TetAngles, *kinds: TetraKind) -> TetraClass:

@@ -52,18 +52,23 @@ def tetra_symmetries() -> list[tuple[int, int, int, int]]:
 
 def classify_by_inverse(t: TetAngles) -> TetraKind:
     """The class read from the Gram matrix alone: the eigenvalue signature,
-    then the vertex cofactors as the adjugate diagonal det(G) * inv(G), or as
-    the 3x3 principal minors where inv refuses G.  Same tolerances and the
-    same order of decision as tetra.classify, which reads the cofactors from
-    the vertex links instead."""
+    then the edge and vertex cofactors as the adjugate det(G) * inv(G), or as
+    signed 3x3 minors where inv refuses G.  Same tolerances and the same
+    order of decision as tetra.classify, which reads the cofactors from
+    closed forms in the angles instead."""
     G = gram_matrix(t)
     e0, e1, e2, e3 = np.linalg.eigvalsh(G).tolist()
     det = e0 * e1 * e2 * e3
     try:
-        cof = (det * np.linalg.inv(G).diagonal()).tolist()
+        adj = det * np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        cof = [float(np.linalg.det(np.delete(np.delete(G, i, 0), i, 1))) for i in range(4)]
+        adj = np.array([[(-1) ** (i + j) * np.linalg.det(np.delete(np.delete(G, j, 0), i, 1))
+                         for j in range(4)] for i in range(4)])
+    cof = adj.diagonal().tolist()
+    edges = [adj[i, j] for i, j in itertools.combinations(range(4), 2)]
     if not (t.in_range() and e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL):
+        return TetraKind.INVALID
+    if min(edges) < -IDEAL_COFACTOR_TOL:
         return TetraKind.INVALID
     if all(c > IDEAL_COFACTOR_TOL for c in cof):
         return TetraKind.FINITE

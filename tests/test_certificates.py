@@ -1,14 +1,14 @@
 """Exact certificates: the identities behind the scissors congruence, proved
 symbolically in sympy on the package's own tables.
 
-bar_solution, base_angles, slots, holonomy_polynomial and tetra._link_cofactor run
-unchanged on six symbols (pi, exp and cos made exact), and the moves and
-vertices are read through the same index tables the numeric code uses:
-scissors._MOVED (through scissors._move, the move rule regge applies),
-tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES, REGGE_B_IMAGE_RELABEL and
-PAIR_CONJUGATION.  Each identity is checked as an
-exact symbolic zero, so it holds for every tetrahedron, not to 1e-9 on a
-sample.
+bar_solution, base_angles, slots, holonomy_polynomial, tetra._link_cofactor
+and tetra._edge_cofactors run unchanged on six symbols (pi, exp, cos and sin
+made exact), and the moves, vertices and edges are read through the same
+index tables the numeric code uses: scissors._MOVED (through scissors._move,
+the move rule regge applies), tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES,
+tetra._EDGE_ANGLES, REGGE_B_IMAGE_RELABEL and PAIR_CONJUGATION.  Each
+identity is checked as an exact symbolic zero, so it holds for every
+tetrahedron, not to 1e-9 on a sample.
 """
 
 import types
@@ -141,6 +141,15 @@ def test_vertex_cofactor_is_the_link_gram_determinant(monkeypatch):
     for v, row in enumerate(tetra._VERTEX_ANGLES):
         cofactor = tetra._link_cofactor(*(ANGLES[k] for k in row))
         assert _is_zero_in_exponentials(cofactor - G.minor(v, v)), v
+
+
+def test_edge_cofactor_is_the_off_diagonal_adjugate(monkeypatch):
+    # the closed form classify evaluates for each edge equals the adjugate
+    # entry of G at the edge's two vertices
+    monkeypatch.setattr(tetra, "math", types.SimpleNamespace(cos=sp.cos, sin=sp.sin))
+    adjugate = _gram().adjugate()
+    for (i, j), cofactor in zip(tetra._EDGE_OF.values(), tetra._edge_cofactors(ANGLES), strict=True):
+        assert _is_zero_in_exponentials(cofactor - adjugate[i, j]), (i, j)
 
 
 def test_holonomy_discriminant_is_sixteen_det_gram(source, monkeypatch):

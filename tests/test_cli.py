@@ -44,6 +44,20 @@ def test_volume_hyperideal_rejected():
     assert "Hyperideal" in payload["error"]
 
 
+# in range and of Gram signature (3, 1), with positive vertex cofactors, but
+# with a negative edge cofactor: no tetrahedron has these angles
+ANGLES_NEGATIVE_EDGE_COFACTOR = ["1.1254017058096042", "1.79264461722925", "1.640964041367555",
+                                 "1.1080289698236316", "1.9796308258459807", "2.0981213956176514"]
+
+
+@pytest.mark.parametrize("command", ["volume", "oracle"])
+def test_negative_edge_cofactor_is_input_error(command, capsys):
+    assert cli.main([command, *ANGLES_NEGATIVE_EDGE_COFACTOR]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"].endswith("tetrahedron; classification: Invalid")
+    assert err.startswith("input error:")
+
+
 def test_unparseable_angle_names_field():
     result = run_cli("volume", "1.2", "oops", "1.2", "1.2", "1.2", "1.2")
     assert result.returncode == 1

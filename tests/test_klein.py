@@ -38,6 +38,19 @@ class TestRealization:
             for a, b in zip(t.as_tuple(), back.as_tuple()):
                 assert a == pytest.approx(b, abs=1e-10)
 
+    def test_every_finite_uniform_draw_realizes(self):
+        # a negative edge cofactor (two vertices on opposite sheets) is
+        # Invalid, so every Finite verdict is a tetrahedron: its Klein
+        # realization gives the angles back and its edge lengths are finite
+        rng = np.random.default_rng(0)
+        finite = [t for t in map(TetAngles.of, rng.uniform(0.01, 3.1, (20_000, 6)))
+                  if classify(t).kind is TetraKind.FINITE]
+        assert len(finite) >= 10
+        for t in finite:
+            back = dihedral_angles(klein_vertices(t)).as_tuple()
+            assert max(abs(a - b) for a, b in zip(t.as_tuple(), back)) < 1e-8, t
+            assert all(math.isfinite(x) for x in edge_lengths(t)), t
+
     def test_centred_gauge(self, finite_batch, generic):
         for t in [generic, *finite_batch[:8]]:
             v = klein_vertices(t).vertices

@@ -224,7 +224,7 @@ class TestVerify:
 
     def test_structured_failure_for_hyperideal_source(self):
         # angles valid individually, but the source itself is not Finite
-        t = TetAngles(0.6, 1.9, 1.9, 0.6, 1.9, 1.9)
+        t = TetAngles(*(1.0,) * 6)
         report = verify_scissors(t, "b")
         assert report.passed is False
         assert report.failure == "source tetrahedron is Hyperideal, not Finite"
