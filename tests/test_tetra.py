@@ -211,8 +211,9 @@ class TestClassify:
 
 
 class TestClassReference:
-    """classify reads the cofactors from the vertex links; classify_by_inverse
-    reads them from det(G) * inv(G).  The class must not move."""
+    """classify reads the vertex cofactors from the vertex links and the edge
+    cofactors from their closed form; classify_by_inverse reads both from
+    det(G) * inv(G).  The class must not move."""
 
     @staticmethod
     def _assert_same_class(rows):
