@@ -41,12 +41,12 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "c7364f83180eca09350c4bf56777005aca341a21f815caf82ccf03421b208c1f",
-    "suite_seed2": "059117d7c7addd9e08d5ea52b0e151950b590a4a0b98227c6541898ce43172a6",
+    "suite_seed7": "184066c4fa54091b82916556a44cb416f9206a76caf9f1bb6f60ca5c2a341454",
+    "suite_seed2": "bd2276e085d221297b827b006b25860c89c5c8db95b090fb3c962b6a0e9b538b",
     "formula_seed1": "5a3fd00c8b538cd28de245494c9295d377857fcfab48a4be9ef3b57e5d07174d",
     "formula_seed2": "005b232b8f2c7674ca662f5d210ee975139a2bea9bd3058e3508570a5e003ef1",
     "formula_seed3": "cd1454f760381feaaaa1bc5a5b173dcab06ba686cdec507ef2b40529929eb1ce",
-    "oracle_seed1": "6e06c57f0de8d0b823e480dec97849b918f561480b80ece9aa63f0ae7286bb95",
+    "oracle_seed1": "1e01487feef856a76bbae95526e1adb2f6bc062b2a018147d5c87376a9b89940",
 }
 
 FORMULA_INPUTS = 300

@@ -12,7 +12,6 @@ dV = -1/2 sum l_i d(theta_i).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -203,68 +202,47 @@ def _split8(v: np.ndarray) -> np.ndarray:
     return points[:, _CHILDREN]
 
 
-def _sum8(f: np.ndarray) -> np.ndarray:
-    """Row sums of f, shape (k, 8), each equal bit for bit to f[i].sum()."""
-    # numpy's pairwise summation adds 8 terms in exactly this order
-    return ((f[:, 0] + f[:, 1]) + (f[:, 2] + f[:, 3])) + ((f[:, 4] + f[:, 5]) + (f[:, 6] + f[:, 7]))
-
-
-def _refine(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Children (k, 8, 4, 3), their rule values (k, 8) and each tetrahedron's
-    sum over its children (k,)."""
+def _leaves(tets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Children (k, 8, 4, 3) of k tetrahedra with rule values `values`, the
+    children's rule values (k, 8) and each tetrahedron's error estimate
+    |value - sum over its children| (k,)."""
     children = _split8(tets)
     fine = _rule_batch(children.reshape(-1, 4, 3)).reshape(-1, 8)
-    return children, fine, _sum8(fine)
-
-
-def _units(x: float) -> int:
-    """A finite float as an exact integer multiple of 2**-1074."""
-    num, den = x.as_integer_ratio()
-    return num << (1075 - den.bit_length())
+    return children, fine, np.abs(values - fine.sum(axis=1))
 
 
 def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -> float:
     """Hyperbolic volume by deterministic adaptive subdivision quadrature.
 
-    Each leaf tetrahedron carries the error estimate |coarse - sum(children)|;
-    the worst leaf is split until the exact sum of the estimates (kept as an
-    integer count of 2**-1074, with no rounding) is below tol/2.  Raises
-    QuadratureError (with the achieved estimate, the leaf estimates summed
-    in heap order) when the refinement budget runs out first.
-
-    A popped leaf's eight children are refined in one batch, but the leaves,
-    their order and every bit of the result are those of refining one child
-    at a time.
+    The leaves start as the tetrahedron's eight children.  Each leaf carries
+    the error estimate |its rule value - the sum over its 8 children|, and
+    the worst leaf is split into its children until the estimates sum below
+    tol/2; the volume is the sum over the leaves' children.  Raises
+    QuadratureError (with the achieved estimate) when a split would make the
+    leaves outnumber max_refine.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
     verts = np.asarray(kt.vertices, dtype=float)
     if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
         raise GeometryDomainError("vertices must lie strictly inside the unit ball")
-    heap: list = []
-    counter = 0
-    exact = 0  # total leaf error in units of 2**-1074
-    half = _units(tol / 2)
-    children, fine, sums = _refine(verts[None])
-    err = abs(float(_rule_batch(verts[None])[0]) - float(sums[0]))
-    heapq.heappush(heap, (-err, counter, children[0], fine[0]))
-    counter += 1
-    exact += _units(err)
-    while exact >= half:
-        if counter >= max_refine:
-            total_err = sum(-item[0] for item in heap)
+    tets = _split8(verts[None])[0]
+    kids, fine, errs = _leaves(tets, _rule_batch(tets))
+    n = 8  # leaves in use; the arrays double when full
+    while (total_err := float(errs[:n].sum())) >= tol / 2:
+        if n + 7 > max_refine:
             raise QuadratureError(
                 f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
                 achieved=total_err,
             )
-        neg_err, _, children, fine = heapq.heappop(heap)
-        exact -= _units(-neg_err)
-        grand, grand_fine, sums = _refine(children)
-        for j, err in enumerate(np.abs(fine - sums).tolist()):
-            heapq.heappush(heap, (-err, counter, grand[j], grand_fine[j]))
-            counter += 1
-            exact += _units(err)
-    return float(sum(_sum8(np.array([item[3] for item in heap])).tolist()))
+        if n + 7 > len(errs):
+            kids, fine, errs = (np.concatenate([a, a]) for a in (kids, fine, errs))
+        i = int(np.argmax(errs[:n]))
+        k, f, e = _leaves(kids[i], fine[i])
+        kids[i], fine[i], errs[i] = k[0], f[0], e[0]
+        kids[n:n + 7], fine[n:n + 7], errs[n:n + 7] = k[1:], f[1:], e[1:]
+        n += 7
+    return float(fine[:n].sum())
 
 
 # --- Schlafli differential check --------------------------------------------

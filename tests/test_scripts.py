@@ -106,4 +106,4 @@ def test_stream_digests_keep_their_bytes(output_digest):
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
     assert formula == "f99554545558a7cdd58def7276317124d33dde452b5a4c52de7dca678d3c799f"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
-    assert oracle == "ae511ead43d27b868cf12a7b66f7a4ca34b038ac45c1c07a967748ba3b5e33a3"
+    assert oracle == "fd096a6e939a0c92c2c2d1a4ad495e85c4f468c1adb768652bb6d61b09140fe5"
