@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import DegenerateSystemError, GeometryDomainError, QuadratureError
+from .exceptions import GeometryDomainError
 from . import klein
 from .lobachevsky import lobachevsky
 from .octahedron import solve_holonomy, tet_volume
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_INPUT
-    except (DegenerateSystemError, QuadratureError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_NUMERIC

@@ -137,7 +137,7 @@ def test_usage_error_is_input_error(argv, message, capsys):
     assert err.startswith("input error:")
 
 
-@pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError, QuadratureError])
+@pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError, QuadratureError, ArithmeticError])
 def test_numerical_failure_exits_three(error, monkeypatch, capsys):
     def fail(t):
         raise error("no solve")
