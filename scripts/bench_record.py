@@ -66,6 +66,7 @@ PER_CALL = {
     "verify_scissors_b": lambda m, t: m.scissors.verify_scissors(t, "b"),
     "regge_orbit": lambda m, t: m.scissors.regge_orbit(t),
     "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
+    "oracle_quadrature": lambda m, t: m.klein.volume_numeric(m.klein.klein_vertices(t), 1e-6),
 }
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}

@@ -53,7 +53,7 @@ def test_bench_record_times_a_layer():
     spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
-    assert {"lobachevsky_scalar", "lobachevsky_array"} <= set(bench_record.PER_CALL)
+    assert {"lobachevsky_scalar", "lobachevsky_array", "oracle_quadrature"} <= set(bench_record.PER_CALL)
     for call in bench_record.PER_CALL.values():
         call(reggescissors, reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25))
     result = subprocess.run([sys.executable, str(SCRIPTS / "bench_record.py"), "--time-layer", "classify"],
