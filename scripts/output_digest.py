@@ -41,12 +41,12 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "184066c4fa54091b82916556a44cb416f9206a76caf9f1bb6f60ca5c2a341454",
-    "suite_seed2": "bd2276e085d221297b827b006b25860c89c5c8db95b090fb3c962b6a0e9b538b",
+    "suite_seed7": "2f3391a5dafc0a8e8d6a6cc9060ee19a55829e3ae8672fce954639525af1fb62",
+    "suite_seed2": "ac204c69b123a288140d4f8c78910730362a3041568f541e204a5b43b9671445",
     "formula_seed1": "5a3fd00c8b538cd28de245494c9295d377857fcfab48a4be9ef3b57e5d07174d",
     "formula_seed2": "005b232b8f2c7674ca662f5d210ee975139a2bea9bd3058e3508570a5e003ef1",
     "formula_seed3": "cd1454f760381feaaaa1bc5a5b173dcab06ba686cdec507ef2b40529929eb1ce",
-    "oracle_seed1": "1e01487feef856a76bbae95526e1adb2f6bc062b2a018147d5c87376a9b89940",
+    "oracle_seed1": "99539cc244e388422c1565a77e5175c36be6eb18419803cd25ec5f8073644bf6",
 }
 
 FORMULA_INPUTS = 300

@@ -1,12 +1,15 @@
 """Coordinate oracle: Klein-model realization, direct volume quadrature, and
 the Schlafli differential check.
 
-Everything here is independent of the Lobachevsky-sum volume formulas: a
+Everything here is independent of the Lobachevsky-sum volume formulas.  A
 tetrahedron is realized from its Gram matrix inside the projective ball
 model, centred by one Lorentz boost so that its vertices keep away from the
-sphere at infinity, its volume is integrated numerically against the
-hyperbolic volume element dV = dx dy dz / (1 - |x|^2)^2, and the derivative
-of the formula volume is compared against edge lengths through
+sphere at infinity.  Its volume integrates dV = dx dy dz / (1 - |x|^2)^2
+over the cones from the origin on its four faces: on the cone over face
+(a, b, c), x = s y with s in [0, 1] has dx = s^2 det[a, b, c] ds dA, and the
+integral over s is closed-form.  The cones are signed by det[a, b, c], so
+the origin need not lie inside the tetrahedron.  The derivative of the
+formula volume is compared against edge lengths through
 dV = -1/2 sum l_i d(theta_i).
 """
 
@@ -153,96 +156,91 @@ def _boost(p: np.ndarray) -> np.ndarray:
 
 _GL_N = 4
 _glx, _glw = np.polynomial.legendre.leggauss(_GL_N)
-_glx = (_glx + 1.0) / 2.0
-_glw = _glw / 2.0
-_U, _V, _W = np.meshgrid(_glx, _glx, _glx, indexing="ij")
-# collapsed-cube (Duffy) map of [0,1]^3 onto the unit simplex
-_RULE_WTS = (np.einsum("i,j,k->ijk", _glw, _glw, _glw) * (1 - _U) ** 2 * (1 - _V)).ravel()
-_RULE_BARY = np.stack(
-    [_U.ravel(), (_V * (1 - _U)).ravel(), (_W * (1 - _U) * (1 - _V)).ravel()], axis=1
-)
-_B0, _B1, _B2 = (np.ascontiguousarray(_RULE_BARY[:, k]) for k in range(3))
+_U, _W = np.meshgrid((_glx + 1.0) / 2.0, (_glx + 1.0) / 2.0, indexing="ij")
+# collapsed-square (Duffy) map of [0,1]^2 onto the unit triangle, weights summing to 1/2
+_RULE_WTS = (np.outer(_glw, _glw) / 4.0 * (1 - _U)).ravel()
+_B1, _B2 = _U.ravel(), (_W * (1 - _U)).ravel()
 
-# red refinement: the 8 children as rows into the 4 vertices followed by the
-# 6 edge midpoints m01, m02, m03, m12, m13, m23
-_MID_I = np.array([0, 0, 0, 1, 1, 2])
-_MID_J = np.array([1, 2, 3, 2, 3, 3])
-_CHILDREN = np.array(
-    [[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],  # corners
-     [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]]  # inner octahedron, cut along m02-m13
-)
+# the faces as oriented triangles whose determinants sum to det[v1-v0, v2-v0, v3-v0]
+_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+# a triangle's 4 children, in its orientation, as rows into its vertices and m01, m02, m12
+_CHILDREN = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2], [4, 3, 5]])
+
+_SERIES_BELOW = 0.0025
+_SERIES = np.array([(k + 1) / (2 * k + 3) for k in range(7)][::-1])  # np.polyval order
 
 
-def _rule_batch(verts: np.ndarray) -> np.ndarray:
-    """Fixed-order quadrature of the hyperbolic volume element over a batch
-    of Euclidean tetrahedra, shape (m, 4, 3) -> (m,).
+def _rho(r2: np.ndarray) -> np.ndarray:
+    """rho(R^2) = g(R) / R^3, g(R) = int_0^R r^2 / (1 - r^2)^2 dr = R / (2 (1 - R^2))
+    - artanh(R) / 2; below _SERIES_BELOW, sum (k + 1) R^2k / (2k + 3)."""
+    big = np.maximum(r2, _SERIES_BELOW)
+    R = np.sqrt(big)
+    closed = (R / (2 * (1 - big)) - np.arctanh(R) / 2) / (big * R)
+    return np.where(r2 < _SERIES_BELOW, np.polyval(_SERIES, r2), closed)
 
-    A batch of 8k tetrahedra gives each one the bits of k batches of 8.
-    """
-    v0 = verts[:, 0, :]
-    edges = verts[:, 1:, :, None] - v0[:, None, :, None]
-    det = np.abs(np.linalg.det(edges[..., 0]))
-    # points (m, 3, 64): the products are added as (b0 e0 + b1 e1) + b2 e2,
-    # the order einsum("nk,mkd->mnd") accumulates in, written out because
-    # einsum costs far more than the arithmetic at this size
-    pts = v0[:, :, None] + ((edges[:, 0] * _B0 + edges[:, 1] * _B1) + edges[:, 2] * _B2)
+
+def _rule_batch(tris: np.ndarray) -> np.ndarray:
+    """Fixed-order quadrature of the signed cones from the origin over a batch
+    of oriented triangles (a, b, c), (m, 3, 3) -> (m,): det[a, b, c] times the
+    rule on rho(|y|^2).  A batch of 4k triangles gives each one the bits of k
+    batches of 4."""
+    a = tris[:, 0, :, None]
+    pts = a + ((tris[:, 1, :, None] - a) * _B1 + (tris[:, 2, :, None] - a) * _B2)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    # (x x + y y) + z z is the order np.sum(pts**2, axis=-1) adds in
-    r2 = (x * x + y * y) + z * z
-    vals = 1.0 / (1.0 - r2) ** 2
-    # BLAS gets the weights' dot products in blocks of 8 rows, one leaf's
+    vals = _rho((x * x + y * y) + z * z)
+    # BLAS gets the weights' dot products in blocks of 4 rows, one leaf's
     # children, because a BLAS may round a row differently in another block
-    # size (with numpy's OpenBLAS a lone row can differ from a row of 8)
-    return det * (vals.reshape(-1, min(len(vals), 8), _RULE_WTS.size) @ _RULE_WTS).ravel()
+    # size (with numpy's OpenBLAS a lone row can differ from a row of 4)
+    return np.linalg.det(tris) * (vals.reshape(-1, min(len(vals), 4), _RULE_WTS.size) @ _RULE_WTS).ravel()
 
 
-def _split8(v: np.ndarray) -> np.ndarray:
-    """Red refinement of k tetrahedra into eight each, (k, 4, 3) -> (k, 8, 4, 3)."""
-    points = np.concatenate([v, (v[:, _MID_I] + v[:, _MID_J]) / 2], axis=1)
+def _split4(v: np.ndarray) -> np.ndarray:
+    """Midpoint split of k triangles into four each, (k, 3, 3) -> (k, 4, 3, 3)."""
+    points = np.concatenate([v, (v[:, [0, 0, 1]] + v[:, [1, 2, 2]]) / 2], axis=1)
     return points[:, _CHILDREN]
 
 
-def _leaves(tets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Children (k, 8, 4, 3) of k tetrahedra with rule values `values`, the
-    children's rule values (k, 8) and each tetrahedron's error estimate
-    |value - sum over its children| (k,)."""
-    children = _split8(tets)
-    fine = _rule_batch(children.reshape(-1, 4, 3)).reshape(-1, 8)
+def _leaves(tris: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Children (k, 4, 3, 3) of k triangles with rule values `values`, their rule
+    values (k, 4) and each triangle's error estimate |value - their sum| (k,)."""
+    children = _split4(tris)
+    fine = _rule_batch(children.reshape(-1, 3, 3)).reshape(-1, 4)
     return children, fine, np.abs(values - fine.sum(axis=1))
 
 
 def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -> float:
-    """Hyperbolic volume by deterministic adaptive subdivision quadrature.
+    """Hyperbolic volume by deterministic adaptive quadrature of the signed
+    cones from the origin over the four faces.
 
-    The leaves start as the tetrahedron's eight children.  Each leaf carries
-    the error estimate |its rule value - the sum over its 8 children|, and
-    the worst leaf is split into its children until the estimates sum below
-    tol/2; the volume is the sum over the leaves' children.  Raises
-    QuadratureError (with the achieved estimate) when a split would make the
-    leaves outnumber max_refine.
+    The leaves start as each face's four children.  Each leaf carries the
+    error estimate |its rule value - the sum over its 4 children|, and the
+    worst leaf is split until the estimates sum below tol/2; the volume is
+    the sum over the leaves' children, with the sign of det[v1 - v0,
+    v2 - v0, v3 - v0].  Raises QuadratureError (with the achieved estimate)
+    when a split would make the leaves outnumber max_refine.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
     verts = np.asarray(kt.vertices, dtype=float)
     if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
         raise GeometryDomainError("vertices must lie strictly inside the unit ball")
-    tets = _split8(verts[None])[0]
-    kids, fine, errs = _leaves(tets, _rule_batch(tets))
-    n = 8  # leaves in use; the arrays double when full
+    tris = _split4(verts[_FACES]).reshape(-1, 3, 3)
+    kids, fine, errs = _leaves(tris, _rule_batch(tris))
+    n = 16  # leaves in use; the arrays double when full
     while (total_err := float(errs[:n].sum())) >= tol / 2:
-        if n + 7 > max_refine:
+        if n + 3 > max_refine:
             raise QuadratureError(
                 f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
                 achieved=total_err,
             )
-        if n + 7 > len(errs):
+        if n + 3 > len(errs):
             kids, fine, errs = (np.concatenate([a, a]) for a in (kids, fine, errs))
         i = int(np.argmax(errs[:n]))
         k, f, e = _leaves(kids[i], fine[i])
         kids[i], fine[i], errs[i] = k[0], f[0], e[0]
-        kids[n:n + 7], fine[n:n + 7], errs[n:n + 7] = k[1:], f[1:], e[1:]
-        n += 7
-    return float(fine[:n].sum())
+        kids[n:n + 3], fine[n:n + 3], errs[n:n + 3] = k[1:], f[1:], e[1:]
+        n += 3
+    return float(np.sign(np.linalg.det(verts[1:] - verts[0])) * fine[:n].sum())
 
 
 # --- Schlafli differential check --------------------------------------------

@@ -3,6 +3,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from reggescissors.octahedron import (
 from reggescissors.scissors import decompose, regge
 from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, gram_matrix, prism_volume
 
-from conftest import _stream_rows
+from conftest import _perfbench_inputs, _stream_rows
 from oracles import (
     _MAX_RAPIDITY,
     apply_isometry,
@@ -143,6 +144,40 @@ class TestVolumeNumeric:
             volume_numeric(kt, 1e-7), abs=1e-6
         )
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_far_boost_matches_formula(self, generic, axis):
+        # rapidity 2 carries the realization off the origin, out to Klein
+        # radius 0.985-0.988, so the cones from the origin carry both signs
+        moved = apply_isometry(klein_vertices(generic), lorentz_boost(2.0, axis))
+        assert not _origin_inside(moved.vertices)
+        assert abs(volume_numeric(moved, 1e-7) - tet_volume(generic)) <= 1e-7
+
+    def test_slivers_on_their_own_vertices(self):
+        # the 23 inputs among the first 360 of the `oracle` stream, seeds 1-5,
+        # that classify calls non-Finite, on the stream's vertices, which are
+        # not centred: the origin lies outside every one of them
+        inputs = _perfbench_inputs()
+        rows = [(a, v) for seed in range(1, 6) for a, v in zip(*inputs.TetStream(seed, 2, 0.9).take(360))
+                if classify(TetAngles.of(a)).kind is not TetraKind.FINITE]
+        assert len(rows) == 23
+        for a, v in rows:
+            assert not _origin_inside(v)
+            assert abs(volume_numeric(KleinTetra(v), 1e-10) - murakami_yano_volume(TetAngles.of(a))) <= 1e-11, a
+
+    def test_radial_factor_matches_mpmath(self):
+        # rho(R^2) = int_0^R r^2 / (1 - r^2)^2 dr / R^3 for R in [0, 0.95],
+        # dense on both sides of the switch to the series at R = 0.05; the
+        # closed form loses about 1.5 / R^2 ulps to cancellation, 600 at the
+        # switch, and the series keeps its last bit
+        R = np.concatenate([[0.0], np.linspace(0.0, 0.95, 96)[1:], 0.05 * (1 + np.linspace(-0.2, 0.2, 41))])
+        r2 = R * R
+        got = klein._rho(r2)
+        with mp.workdps(30):
+            for x, g in zip(r2, got):
+                r = mp.sqrt(mp.mpf(x))
+                ref = mp.mpf(1) / 3 if x == 0 else mp.quad(lambda s: s**2 / (1 - s**2) ** 2, [0, r]) / r**3
+                assert abs(g - ref) <= (4e-16 if x < klein._SERIES_BELOW else 5e-13) * ref, (x, g)
+
     def test_regge_invariance_certified_without_formulas(self, finite_batch):
         # volume equality of T and R_b(T) checked by quadrature alone
         for t in finite_batch[:3]:
@@ -192,35 +227,27 @@ class TestVolumeNumeric:
             apply_isometry(klein_vertices(generic), L)
 
 
+def _origin_inside(verts):
+    """Whether the origin is a positive combination of the four vertices."""
+    return bool(np.all(np.linalg.solve(np.vstack([np.transpose(verts), np.ones(4)]), [0, 0, 0, 1]) > 0))
+
+
 # --- quadrature references ---------------------------------------------------
-# The rule and the red refinement written out one tetrahedron at a time; the
+# The face rule and the 4-way split written out one triangle at a time; the
 # batched code must reproduce their bits.
 
 
-def _ref_rule_batch(verts):
-    v0 = verts[:, 0, :]
-    edges = verts[:, 1:, :] - v0[:, None, :]
-    det = np.abs(np.linalg.det(edges))
-    pts = v0[:, None, :] + np.einsum("nk,mkd->mnd", klein._RULE_BARY, edges)
+def _ref_rule_batch(tris):
+    a = tris[:, 0, :]
+    edges = tris[:, 1:, :] - a[:, None, :]
+    pts = a[:, None, :] + np.einsum("nk,mkd->mnd", np.stack([klein._B1, klein._B2], axis=1), edges)
     r2 = np.sum(pts**2, axis=2)
-    vals = 1.0 / (1.0 - r2) ** 2
-    return det * (vals @ klein._RULE_WTS)
+    return np.linalg.det(tris) * (klein._rho(r2) @ klein._RULE_WTS)
 
 
-def _ref_split8(v):
-    m = {(i, j): (v[i] + v[j]) / 2 for i in range(4) for j in range(i + 1, 4)}
-    return np.array(
-        [
-            [v[0], m[(0, 1)], m[(0, 2)], m[(0, 3)]],
-            [m[(0, 1)], v[1], m[(1, 2)], m[(1, 3)]],
-            [m[(0, 2)], m[(1, 2)], v[2], m[(2, 3)]],
-            [m[(0, 3)], m[(1, 3)], m[(2, 3)], v[3]],
-            [m[(0, 1)], m[(0, 2)], m[(0, 3)], m[(1, 3)]],
-            [m[(0, 1)], m[(0, 2)], m[(1, 2)], m[(1, 3)]],
-            [m[(0, 2)], m[(0, 3)], m[(1, 3)], m[(2, 3)]],
-            [m[(0, 2)], m[(1, 2)], m[(1, 3)], m[(2, 3)]],
-        ]
-    )
+def _ref_split4(v):
+    m01, m02, m12 = (v[0] + v[1]) / 2, (v[0] + v[2]) / 2, (v[1] + v[2]) / 2
+    return np.array([[v[0], m01, m02], [m01, v[1], m12], [m02, m12, v[2]], [m02, m01, m12]])
 
 
 def _outcome(kt, tol, max_refine=60000):
@@ -259,7 +286,7 @@ def _klein_uniform_angles(n, rmax=0.9, seed=20260):
 
 class TestBatchedQuadratureMatchesReference:
     """The quadrature's outcomes, frozen as one sha256 over their float.hex
-    per test, and the rule and red refinement against their references."""
+    per test, and the face rule and 4-way split against their references."""
 
     @pytest.fixture(scope="class")
     def uniform(self):
@@ -269,8 +296,8 @@ class TestBatchedQuadratureMatchesReference:
     @pytest.mark.parametrize("tol", [1e-6, 1e-7])
     def test_klein_uniform(self, uniform, tol):
         outcomes = [_volume_outcome(kt, t, tol) for t, kt in zip(*uniform)]
-        assert _digest(outcomes) == {1e-6: "a86931e49e9a2cbe6ae58c495e1960db1a24035aa9a2ff8b6ffdd03b27196c50",
-                                     1e-7: "973fd91b442f6291801a86ba7bb7e69c275c972367e4812bab79abdb09ebec30"}[tol]
+        assert _digest(outcomes) == {1e-6: "d9ec69a17d1adca4fe0e2c8da68cf56afacd662a66e9aff4ee8d4a5a6ccea47e",
+                                     1e-7: "e14f0e0751a2ce341c26d4b0a2916af920ce1c4964ae8523a3ebe2c92e413573"}[tol]
 
     def test_fixtures(self, finite_batch, generic, equiangular):
         tiny = KleinTetra(1e-3 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -279,28 +306,29 @@ class TestBatchedQuadratureMatchesReference:
         kts += [apply_isometry(kts[0], lorentz_boost(0.3, axis=0)), tiny]
         outcomes = [_volume_outcome(kt, t, tol) for tol in (1e-6, 1e-7) for kt, t in zip(kts, angles)]
         outcomes.append(_volume_outcome(tiny, angles[-1], 1e-15))
-        assert _digest(outcomes) == "c8b6fe14f779d398cef7af9ab9ac49e59b33390cb20ab98678a487f4f81f1a31"
+        assert _digest(outcomes) == "a7ec1ede631e40349214fa991121c511772a62d04c194f4cae9d40d1308809cf"
 
     @pytest.mark.parametrize("max_refine", [8, 40])
     def test_budget_exhaustion(self, uniform, generic, max_refine):
         outcomes = [_outcome(kt, 1e-14, max_refine) for kt in [klein_vertices(generic), *uniform[1][:10]]]
         assert all(kind == "error" and float.fromhex(achieved) > 0 for kind, _, achieved in outcomes)
-        assert _digest(outcomes) == {8: "c4822c14d60c697a9418b1b654b8037a0b834cc5b8e7e0e07220fcb966460c88",
-                                     40: "cb8d59b33d5515bfb5a81428be805bc3806f93142de42335adce312252ce5022"}[max_refine]
+        assert _digest(outcomes) == {8: "a514ae70a911863a71ce4f148a29c72b4fa281ddaa79aa67302c8588f12056b7",
+                                     40: "48aa505b77711e3aef07329d333a817d99ba8f765222305a21128326ae304f7a"}[max_refine]
 
     def test_rule_bits_do_not_depend_on_batch_size(self):
         rng = np.random.default_rng(7)
-        verts = rng.uniform(-0.55, 0.55, size=(64, 4, 3))
-        whole = klein._rule_batch(verts)
-        assert np.array_equal(whole, np.concatenate([_ref_rule_batch(verts[i : i + 8]) for i in range(0, 64, 8)]))
-        assert np.array_equal(klein._rule_batch(verts[:1]), _ref_rule_batch(verts[:1]))
+        tris = rng.uniform(-0.55, 0.55, size=(64, 3, 3))
+        whole = klein._rule_batch(tris)
+        assert np.array_equal(whole, np.concatenate([_ref_rule_batch(tris[i : i + 4]) for i in range(0, 64, 4)]))
+        assert np.array_equal(klein._rule_batch(tris[:1]), _ref_rule_batch(tris[:1]))
 
-    def test_split8_matches_reference(self):
+    def test_split4_matches_reference(self):
         rng = np.random.default_rng(8)
-        verts = rng.uniform(-0.55, 0.55, size=(5, 4, 3))
-        batched = klein._split8(verts)
+        tris = rng.uniform(-0.55, 0.55, size=(5, 3, 3))
+        batched = klein._split4(tris)
         for k in range(5):
-            assert np.array_equal(batched[k], _ref_split8(verts[k]))
+            assert np.array_equal(batched[k], _ref_split4(tris[k]))
+            assert np.all(np.sign(np.linalg.det(batched[k])) == np.sign(np.linalg.det(tris[k])))
 
 
 def _ref_slot_sum(bars, Z):
