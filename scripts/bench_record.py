@@ -19,10 +19,10 @@ wall times are not scaled.
 `per_call` gives, for each layer in PER_CALL, the mean microseconds of one
 call over the first 200 Finite inputs of the `formula` stream for seed 1,
 each on a fresh TetAngles, so no per-instance memo is warm; each layer runs
-in its own fresh process, so no argument memo is warm either.  With
-`--before`, the same layers are timed against the `src/` of another
-checkout (the parent of the change), alternating layer by layer, and
-recorded as `before_us`.
+in its own fresh process, so no argument memo is warm either; the median of
+SUITE_RUNS processes.  With `--before`, the same layers are timed against
+the `src/` of another checkout (the parent of the change), alternating
+process by process, and recorded as `before_us`.
 
 `suite_criteria` gives the unscaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
@@ -70,6 +70,7 @@ PER_CALL = {
 }
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
+#: Fresh processes per side behind each median of suite_criteria and per_call.
 SUITE_RUNS = 3
 
 
@@ -144,16 +145,19 @@ def fresh(checkout: Path, *args: str) -> str:
 
 
 def run_per_call(before: Path | None) -> dict:
-    """per_call: each layer timed in a fresh process, against this checkout
-    and, when given, against the checkout `before`."""
+    """per_call: the median over SUITE_RUNS fresh processes of each layer's
+    time_layer, against this checkout and, when given, against the checkout
+    `before`, alternating process by process."""
     checkouts = {"us": ROOT} if before is None else {"before_us": before, "us": ROOT}
     layers = {}
     for name in PER_CALL:
-        layers[name] = {}
-        for column, checkout in checkouts.items():
-            layers[name][column] = float(fresh(checkout, "--time-layer", name))
-    out = {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "scaled": False,
-           "unit": "us", "layers": layers}
+        runs = {column: [] for column in checkouts}
+        for _ in range(SUITE_RUNS):
+            for column, checkout in checkouts.items():
+                runs[column].append(float(fresh(checkout, "--time-layer", name)))
+        layers[name] = {column: float(np.median(times)) for column, times in runs.items()}
+    out = {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "runs": SUITE_RUNS,
+           "scaled": False, "unit": "us", "layers": layers}
     if before is not None:
         out["before_src_sha256"] = src_digest(before)
     return out
