@@ -20,16 +20,18 @@ wall times are not scaled.
 call over the first 200 Finite inputs of the `formula` stream for seed 1,
 each on a fresh TetAngles, so no per-instance memo is warm; each layer runs
 in its own fresh process, so no argument memo is warm either; the median of
-SUITE_RUNS processes.  With `--before`, the same layers are timed against
-the `src/` of another checkout (the parent of the change), alternating
-process by process, and recorded as `before_us`.
+SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and `us_q3`.
+With `--before`, the same layers are timed against the `src/` of another
+checkout (the parent of the change), alternating process by process, and
+recorded as `before_us`, `before_us_q1` and `before_us_q3`.
 
 `suite_criteria` gives the unscaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
 the suite runs them, in a fresh process, so a criterion that first needs a
-module pays for importing it; the median of SUITE_RUNS processes.  With
-`--before` the other checkout is timed too, alternating process by process,
-and recorded as `before_s`.
+module pays for importing it; the median of SUITE_RUNS processes as `s`,
+with its quartiles as `s_q1` and `s_q3`.  With `--before` the other checkout
+is timed too, alternating process by process, and recorded as `before_s`,
+`before_s_q1` and `before_s_q3`.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ PER_CALL = {
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
 #: Fresh processes per side behind each median of suite_criteria and per_call.
-SUITE_RUNS = 3
+SUITE_RUNS = 5
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -90,6 +92,16 @@ def summarize(results: list[dict]) -> dict:
     for name, metric in results[0]["metrics"].items():
         q1, median, q3 = np.percentile([r["metrics"][name]["value"] for r in results], [25, 50, 75])
         out[name] = {"unit": metric["unit"], "median": median, "q1": q1, "q3": q3}
+    return out
+
+
+def quartiles(runs: dict[str, list[float]]) -> dict:
+    """For each column of runs, the median of its values under the column's
+    name and their quartiles under the name suffixed `_q1` and `_q3`."""
+    out = {}
+    for column, values in runs.items():
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        out |= {column: float(median), f"{column}_q1": float(q1), f"{column}_q3": float(q3)}
     return out
 
 
@@ -145,9 +157,9 @@ def fresh(checkout: Path, *args: str) -> str:
 
 
 def run_per_call(before: Path | None) -> dict:
-    """per_call: the median over SUITE_RUNS fresh processes of each layer's
-    time_layer, against this checkout and, when given, against the checkout
-    `before`, alternating process by process."""
+    """per_call: the median and quartiles over SUITE_RUNS fresh processes of
+    each layer's time_layer, against this checkout and, when given, against
+    the checkout `before`, alternating process by process."""
     checkouts = {"us": ROOT} if before is None else {"before_us": before, "us": ROOT}
     layers = {}
     for name in PER_CALL:
@@ -155,7 +167,7 @@ def run_per_call(before: Path | None) -> dict:
         for _ in range(SUITE_RUNS):
             for column, checkout in checkouts.items():
                 runs[column].append(float(fresh(checkout, "--time-layer", name)))
-        layers[name] = {column: float(np.median(times)) for column, times in runs.items()}
+        layers[name] = quartiles(runs)
     out = {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "runs": SUITE_RUNS,
            "scaled": False, "unit": "us", "layers": layers}
     if before is not None:
@@ -180,16 +192,15 @@ def time_suite_criteria() -> dict:
 
 
 def run_suite_criteria(before: Path | None) -> dict:
-    """suite_criteria: the median over SUITE_RUNS fresh processes of
-    time_suite_criteria, against this checkout and, when given, against the
-    checkout `before`."""
+    """suite_criteria: the median and quartiles over SUITE_RUNS fresh
+    processes of time_suite_criteria, against this checkout and, when given,
+    against the checkout `before`."""
     checkouts = {"s": ROOT} if before is None else {"before_s": before, "s": ROOT}
     runs = {column: [] for column in checkouts}
     for _ in range(SUITE_RUNS):
         for column, checkout in checkouts.items():
             runs[column].append(json.loads(fresh(checkout, "--time-suite")))
-    steps = {name: {column: float(np.median([run[name] for run in runs[column]]))
-                    for column in checkouts}
+    steps = {name: quartiles({column: [run[name] for run in runs[column]] for column in checkouts})
              for name in runs["s"][0]}
     out = {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": False,
            "unit": "s", "steps": steps}

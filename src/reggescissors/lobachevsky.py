@@ -10,8 +10,8 @@ evaluation routes are provided: a fast reduced power series (primary) and a
 tanh-sinh (double-exponential) quadrature of the defining integral (oracle),
 which integrates every piece between multiples of pi, a full period too,
 instead of assuming that piece is zero.  Both use numpy only.  The series
-takes one float at a time, and an array is evaluated element by element
-through it, so an array's values have the bits of its scalars.
+sums only the terms that reach the last bit, takes one float at a time, and
+evaluates an array element by element, so an array keeps its scalars' bits.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ _SERIES_COEF_DESC = (
     0.0058479755397266965, 0.007353053546025064, 0.009524392839381512,
     0.012823667776324462, 0.018199901365960326, 0.027891037672165123,
     0.048444907713545204, 0.10823232337111381, 0.5483113556160755,
+)
+
+# (lower edge of q = (x/pi)^2, its last n coefficients four to a Horner step)
+_SERIES_BANDS = tuple(
+    (edge, tuple(_SERIES_COEF_DESC[i:i + 4] for i in range(48 - n, 48, 4)))
+    for edge, n in ((0.24, 48), (0.2, 36), (0.1, 28), (0.03, 20), (0.003, 12), (-math.inf, 8))
 )
 
 #: Location of the global maximum of the Lobachevsky function.
@@ -116,6 +122,13 @@ def _lobachevsky_float(theta: float) -> float:
     differs from it by 1 ulp at some points.  The logarithm comes from
     ``np.log``, because ``math.log`` differs from numpy's in about 0.2% of
     arguments.
+
+    A band of ``q`` (``_SERIES_BANDS``) sets how many terms Horner keeps,
+    four to an unrolled step: the same operations in the same order as four
+    single steps.  At each band's upper edge the dropped leading terms sum
+    to below 2**-20 of half an ulp of the result; lob vanishes at q = 1/4,
+    so the top band keeps all 48.  The tests check this bound, and the bits
+    beside every band edge against the 48-step loop.
     """
     if not math.isfinite(theta):
         raise ValueError("lobachevsky: argument must be finite")
@@ -126,9 +139,12 @@ def _lobachevsky_float(theta: float) -> float:
     if x == 0.0:
         return 0.0
     q = (x / _PI) ** 2
+    for edge, quads in _SERIES_BANDS:
+        if q > edge:
+            break
     h = 0.0
-    for c in _SERIES_COEF_DESC:
-        h = h * q + c
+    for a, b, c, d in quads:
+        h = (((h * q + a) * q + b) * q + c) * q + d
     val = x * (1.0 - float(np.log(2.0 * x))) + x * q * h
     return val if r > 0 else -val
 

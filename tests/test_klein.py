@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import math
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -450,11 +448,7 @@ def _ref_dihedral_angles(kt):
 def _benchmark_stream(seed, count, rmax=0.998):
     """The first `count` (angles, vertices) of the benchmark's `formula`
     input stream (stream 1, Klein radius <= 0.998) for `seed`."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs.TetStream(seed, 1, rmax).take(count)
+    return _perfbench_inputs().TetStream(seed, 1, rmax).take(count)
 
 
 def _hexes(values):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reggescissors.exceptions import QuadratureError
 from reggescissors.lobachevsky import (
+    _SERIES_BANDS,
     _SERIES_COEF_DESC,
     LOBACHEVSKY_MAX_ARG,
     _lobachevsky_float,
@@ -114,6 +115,28 @@ def test_series_table_is_scipy_zeta_bit_for_bit():
     assert [c.hex() for c in _SERIES_COEF_DESC] == [e.hex() for e in expected[::-1].tolist()]
 
 
+def test_series_bands_meet_tail_bound():
+    # each band keeps the last n coefficients, n at least the least count whose
+    # dropped tail x sum_{m>n} c_m q^m is below 2**-20 of half an ulp of lob(x)
+    # at the band's upper edge q; lob(pi/2) = 0, so the top band keeps all 48
+    with mpmath.workdps(30):
+        terms = [mpmath.zeta(2 * m) / (m * (2 * m + 1)) for m in range(1, 201)]
+
+        def least_count(q):
+            x = PI * math.sqrt(q)
+            limit = 2.0 ** -20 * math.ulp(lobachevsky(x)) / 2
+            return next(n for n in range(49)
+                        if x * mpmath.fsum(c * mpmath.mpf(q) ** m
+                                           for m, c in enumerate(terms[n:], n + 1)) <= limit)
+
+        least = [least_count(edge) for edge, _ in _SERIES_BANDS[:-1]]
+    counts = [4 * len(quads) for _, quads in _SERIES_BANDS]
+    assert least == [33, 28, 19, 12, 7]
+    assert counts[0] == 48 and all(n >= m for n, m in zip(counts[1:], least, strict=True))
+    for _, quads in _SERIES_BANDS:
+        assert sum(quads, ()) == _SERIES_COEF_DESC[-4 * len(quads):]
+
+
 # Runs in a fresh interpreter: no command, the Lobachevsky quadrature and the
 # suite that runs it included, may load scipy.
 _SCIPY_PROBE = """
@@ -204,6 +227,10 @@ SEEDED_POINTS = np.random.default_rng(20240607).uniform(-50.0, 50.0, 100_000).to
 _MULTIPLES = [k * PI for k in range(-16, 17)]
 EDGE_POINTS = [0.0, -0.0, PI / 2, -PI / 2, 1e-300, -1e-300, 5e-324, -5e-324, *_MULTIPLES]
 EDGE_POINTS += [x + d for x in (*_MULTIPLES, PI / 2, -PI / 2) for d in (1e-6, -1e-6)]
+# beside each switch of the series' term count, x = pi sqrt(q) at a band edge q
+_BAND_POINTS = [x + k * math.ulp(x) for x in (PI * math.sqrt(q) for q, _ in _SERIES_BANDS[:-1])
+                for k in (0, 1, -1, 2, -2, 64, -64)]
+EDGE_POINTS += [y for x in _BAND_POINTS for y in (x, -x, x + PI)]
 
 
 @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
