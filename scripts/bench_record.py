@@ -156,23 +156,31 @@ def fresh(checkout: Path, *args: str) -> str:
                           check=True).stdout
 
 
+def alternate(before: Path | None, column: str, parse, *args: str) -> dict[str, list]:
+    """The parsed stdout of SUITE_RUNS fresh runs of this script with `args`
+    on this checkout, under `column`, and, when given, on the checkout
+    `before`, under `before_<column>`, alternating process by process."""
+    checkouts = {column: ROOT} if before is None else {f"before_{column}": before, column: ROOT}
+    runs = {name: [] for name in checkouts}
+    for _ in range(SUITE_RUNS):
+        for name, checkout in checkouts.items():
+            runs[name].append(parse(fresh(checkout, *args)))
+    return runs
+
+
+def stamp(before: Path | None) -> dict:
+    """The src/ digest of the checkout `before`, when one was timed."""
+    return {} if before is None else {"before_src_sha256": src_digest(before)}
+
+
 def run_per_call(before: Path | None) -> dict:
     """per_call: the median and quartiles over SUITE_RUNS fresh processes of
     each layer's time_layer, against this checkout and, when given, against
-    the checkout `before`, alternating process by process."""
-    checkouts = {"us": ROOT} if before is None else {"before_us": before, "us": ROOT}
-    layers = {}
-    for name in PER_CALL:
-        runs = {column: [] for column in checkouts}
-        for _ in range(SUITE_RUNS):
-            for column, checkout in checkouts.items():
-                runs[column].append(float(fresh(checkout, "--time-layer", name)))
-        layers[name] = quartiles(runs)
-    out = {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "runs": SUITE_RUNS,
-           "scaled": False, "unit": "us", "layers": layers}
-    if before is not None:
-        out["before_src_sha256"] = src_digest(before)
-    return out
+    the checkout `before`."""
+    layers = {name: quartiles(alternate(before, "us", float, "--time-layer", name))
+              for name in PER_CALL}
+    return {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "runs": SUITE_RUNS,
+            "scaled": False, "unit": "us", "layers": layers, **stamp(before)}
 
 
 def time_suite_criteria() -> dict:
@@ -195,18 +203,11 @@ def run_suite_criteria(before: Path | None) -> dict:
     """suite_criteria: the median and quartiles over SUITE_RUNS fresh
     processes of time_suite_criteria, against this checkout and, when given,
     against the checkout `before`."""
-    checkouts = {"s": ROOT} if before is None else {"before_s": before, "s": ROOT}
-    runs = {column: [] for column in checkouts}
-    for _ in range(SUITE_RUNS):
-        for column, checkout in checkouts.items():
-            runs[column].append(json.loads(fresh(checkout, "--time-suite")))
-    steps = {name: quartiles({column: [run[name] for run in runs[column]] for column in checkouts})
+    runs = alternate(before, "s", json.loads, "--time-suite")
+    steps = {name: quartiles({column: [run[name] for run in values] for column, values in runs.items()})
              for name in runs["s"][0]}
-    out = {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": False,
-           "unit": "s", "steps": steps}
-    if before is not None:
-        out["before_src_sha256"] = src_digest(before)
-    return out
+    return {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": False,
+            "unit": "s", "steps": steps, **stamp(before)}
 
 
 def run_cold_start() -> dict:

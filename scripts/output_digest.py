@@ -43,9 +43,9 @@ from reggescissors import cli  # noqa: E402
 PINNED = {
     "suite_seed7": "2f3391a5dafc0a8e8d6a6cc9060ee19a55829e3ae8672fce954639525af1fb62",
     "suite_seed2": "ac204c69b123a288140d4f8c78910730362a3041568f541e204a5b43b9671445",
-    "formula_seed1": "5a3fd00c8b538cd28de245494c9295d377857fcfab48a4be9ef3b57e5d07174d",
-    "formula_seed2": "005b232b8f2c7674ca662f5d210ee975139a2bea9bd3058e3508570a5e003ef1",
-    "formula_seed3": "cd1454f760381feaaaa1bc5a5b173dcab06ba686cdec507ef2b40529929eb1ce",
+    "formula_seed1": "b8c9caafbae1c49993358730dc4b28d3058df01d3e6a55bc998a0727ccfd78be",
+    "formula_seed2": "cf8e0da9506bab8c31c80a6f6ed2eebf99f6bbddd394d736028f9de9f6d79041",
+    "formula_seed3": "b78ce7bdcd5f9479b4bb839df76d0b5de933b970be95a4ef464b927fdef15a44",
     "oracle_seed1": "99539cc244e388422c1565a77e5175c36be6eb18419803cd25ec5f8073644bf6",
 }
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -40,7 +39,7 @@ def _emit(payload: dict, args) -> None:
         except OSError as exc:
             raise GeometryDomainError(f"--out: {exc}") from None
     if getattr(args, "table", False):
-        _print_table(payload)
+        _print_table(json.loads(text))
     else:
         print(text)
 
@@ -147,11 +146,10 @@ def cmd_regge(args) -> int:
 def cmd_orbit(args) -> int:
     t = _parse_angles(args.angles, args.degrees)
     require_kind(t, TetraKind.FINITE)
-    orbit = regge_orbit(t, max_size=args.max_size)
+    orbit = regge_orbit(t)
     payload = {
         "command": "orbit",
         "size": len(orbit.members),
-        "truncated": orbit.truncated,
         "members": [
             {"angles": _angles_payload(m), "volume": v}
             for m, v in zip(orbit.members, orbit.volumes)
@@ -193,20 +191,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _suite_seed(args) -> int:
-    """The seed from --seed, else from REGGE_SUITE_SEED, else 7."""
-    source, raw = "--seed", args.seed
-    if raw is None:
-        source, raw = "REGGE_SUITE_SEED", os.environ.get("REGGE_SUITE_SEED", "7")
-    try:
-        return int(raw)
-    except ValueError:
-        raise GeometryDomainError(f"{source}: could not parse {raw!r} as an integer") from None
-
-
 def cmd_suite(args) -> int:
     config = SuiteConfig(
-        seed=_suite_seed(args),
+        seed=args.seed,
         count=args.count,
         oracle_count=max(1, args.count // 4),
     )
@@ -252,11 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "the sixteen-piece decomposition of 2T")
     p = _add_angle_command(sub, "regge", cmd_regge, "apply one Regge transform")
     p.add_argument("--which", choices=("a", "b", "c"), required=True)
-    p = _add_angle_command(sub, "orbit", cmd_orbit,
-                           "orbit under the Regge transforms, deduplicated")
-    p.add_argument("--max-size", type=int, default=64, dest="max_size",
-                   help="most members to keep; the orbit has at most six (S3 x S4), "
-                        "so 6 or more never truncates")
+    _add_angle_command(sub, "orbit", cmd_orbit,
+                       "orbit under the Regge transforms, deduplicated (at most six members)")
     p = _add_angle_command(sub, "verify", cmd_verify,
                            "verify the scissors congruence for one transform")
     p.add_argument("--which", choices=("a", "b", "c"), required=True)
@@ -267,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
 
     p = sub.add_parser("suite", help="run the acceptance battery")
-    p.add_argument("--seed", help="default: $REGGE_SUITE_SEED, else 7")
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_suite)

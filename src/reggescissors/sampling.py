@@ -10,17 +10,13 @@ from .exceptions import GeometryDomainError
 from .scissors import regge
 from .tetra import TetAngles, TetraKind, classify
 
-__all__ = ["SampleBox", "SampleStats", "sample_finite"]
+__all__ = ["BOX_CENTER", "BOX_HALF_WIDTH", "SampleStats", "sample_finite"]
 
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Uniform box around the equiangular region; the Finite window for
-    equiangular tetrahedra is roughly (1.047, 1.231), so the default box
-    keeps the acceptance rate high while still exercising generic shapes."""
-
-    center: float = 1.15
-    half_width: float = 0.12
+#: The uniform box of draws, around the equiangular region: the Finite window for
+#: equiangular tetrahedra is roughly (1.047, 1.231), so the box keeps the acceptance
+#: rate high while still exercising generic shapes.
+BOX_CENTER = 1.15
+BOX_HALF_WIDTH = 0.12
 
 
 @dataclass(frozen=True)
@@ -38,11 +34,12 @@ def _accept(t: TetAngles, require_finite_images: tuple[str, ...]) -> bool:
     return True
 
 
-def sample_finite(rng: np.random.Generator, count: int, box: SampleBox = SampleBox(),
+def sample_finite(rng: np.random.Generator, count: int,
                   require_finite_images: tuple[str, ...] = (),
                   max_tries: int = 100000) -> tuple[list[TetAngles], SampleStats]:
-    """Draw `count` finite tetrahedra and report how many draws that took."""
-    lo, hi = box.center - box.half_width, box.center + box.half_width
+    """Draw `count` finite tetrahedra from the box BOX_CENTER +- BOX_HALF_WIDTH and
+    report how many draws that took."""
+    lo, hi = BOX_CENTER - BOX_HALF_WIDTH, BOX_CENTER + BOX_HALF_WIDTH
     out: list[TetAngles] = []
     drawn = 0
     while len(out) < count:

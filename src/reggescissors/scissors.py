@@ -238,7 +238,6 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
 class OrbitResult:
     members: tuple[TetAngles, ...]
     volumes: tuple[float, ...]
-    truncated: bool
 
 
 #: Orbit members this close (max-norm) after some relabeling are the same.
@@ -253,27 +252,19 @@ def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
                for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
 
 
-def regge_orbit(t: TetAngles, max_size: int = 64) -> OrbitResult:
-    """The Regge orbit of t up to relabeling, truncated (with a flag) at max_size.
+def regge_orbit(t: TetAngles) -> OrbitResult:
+    """The Regge orbit of t up to relabeling.
 
     The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
-    each kept unless a relabeling of it matches an earlier member: at most six
-    members, and a max_size of 6 or more never truncates."""
-    if max_size < 1:
-        raise GeometryDomainError("max_size must be at least 1")
+    each kept unless a relabeling of it matches an earlier member: at most six members."""
     ra = regge(t, "a")
     members: list[TetAngles] = []
-    truncated = False
     for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
-        if any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
-            continue
-        if len(members) >= max_size:
-            truncated = True
-            break
-        members.append(word)
+        if not any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
+            members.append(word)
     volumes = []
     for m in members:
         kind = classify(m).kind
         volumes.append(tet_volume(m) if kind in (TetraKind.FINITE, TetraKind.IDEAL) else math.nan)
-    return OrbitResult(tuple(members), tuple(volumes), truncated)
+    return OrbitResult(tuple(members), tuple(volumes))

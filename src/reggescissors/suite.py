@@ -28,7 +28,7 @@ from .octahedron import (
     tet_volume,
     u_volume,
 )
-from .sampling import SampleBox, sample_finite
+from .sampling import BOX_CENTER, BOX_HALF_WIDTH, sample_finite
 from .scissors import decompose, permute_for_regge_b, regge, verify_scissors
 from .tetra import (
     _VERTEX_ANGLES,
@@ -114,7 +114,6 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def to_payload(self) -> dict:
-        box = SampleBox()
         return {
             "suite": "regge-scissors acceptance",
             "config": {
@@ -122,8 +121,8 @@ class SuiteReport:
                 "count": self.config.count,
                 "oracle_count": self.config.oracle_count,
                 "grid_points": self.config.grid_points,
-                "box_center": box.center,
-                "box_half_width": box.half_width,
+                "box_center": BOX_CENTER,
+                "box_half_width": BOX_HALF_WIDTH,
             },
             "passed": self.passed,
             "criteria": [r.to_payload() for r in self.results],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reggescissors import TetAngles
-from reggescissors.sampling import SampleBox, sample_finite
+from reggescissors.sampling import sample_finite
 from reggescissors.tetra import TetraKind, classify
 
 EQUIANGULAR_FINITE = TetAngles(1.2, 1.2, 1.2, 1.2, 1.2, 1.2)
@@ -16,7 +16,7 @@ GENERIC_FINITE = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
 @pytest.fixture(scope="session")
 def finite_batch():
     rng = np.random.default_rng(1234)
-    batch, _ = sample_finite(rng, 20, SampleBox(), require_finite_images=("a", "b", "c"))
+    batch, _ = sample_finite(rng, 20, require_finite_images=("a", "b", "c"))
     return batch
 
 

@@ -16,12 +16,11 @@ ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "reggescissors", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -123,12 +122,11 @@ def test_verify_non_positive_tol_is_input_error(tol, capsys):
         (["verify", *ANGLES_GENERIC, "--which", "b", "--tol", "abc"],
          "reggescissors verify: argument --tol: invalid float value: 'abc'"),
         (["suite", "--count", "x"], "reggescissors suite: argument --count: invalid int value: 'x'"),
-        (["orbit", *ANGLES_GENERIC, "--max-size", "x"],
-         "reggescissors orbit: argument --max-size: invalid int value: 'x'"),
+        (["suite", "--seed", "x"], "reggescissors suite: argument --seed: invalid int value: 'x'"),
         ([], "reggescissors: the following arguments are required: command"),
         (["volume", "1.2"], "reggescissors volume: the following arguments are required: ANGLE"),
     ],
-    ids=["tol", "count", "max-size", "no-command", "missing-angles"],
+    ids=["tol", "count", "seed", "no-command", "missing-angles"],
 )
 def test_usage_error_is_input_error(argv, message, capsys):
     assert cli.main(argv) == cli.EXIT_INPUT
@@ -174,8 +172,9 @@ def test_verify_generic_and_failure_exit_code():
 
 
 def test_orbit_command():
-    result = run_cli("orbit", *ANGLES_GENERIC, "--max-size", "16")
+    result = run_cli("orbit", *ANGLES_GENERIC)
     payload = json.loads(result.stdout)
+    assert set(payload) == {"command", "size", "members"}
     assert payload["size"] >= 2
     vols = [m["volume"] for m in payload["members"]]
     assert max(vols) - min(vols) < 1e-9
@@ -195,6 +194,14 @@ def test_table_output():
     assert result.returncode == 0
     assert "volume:" in result.stdout
     assert "{" not in result.stdout.splitlines()[0]
+    # the table is rendered from the JSON values, not from numpy scalar reprs
+    degrees = run_cli("volume", *["60"] * 6, "--degrees", "--table")
+    assert "discriminant: [-27.0" in degrees.stdout
+    oracle = run_cli("oracle", *ANGLES_GENERIC, "--table")
+    assert oracle.returncode == 0
+    assert "klein_vertices:" in oracle.stdout and "schlafli_residuals:" in oracle.stdout
+    for table in (result, degrees, oracle):
+        assert "np." not in table.stdout
 
 
 def test_out_file(tmp_path):
@@ -255,33 +262,8 @@ def test_suite_count_below_one_is_input_error(count, capsys):
     assert err.startswith("input error:")
 
 
-def test_suite_env_seed():
-    import os
-
-    env = dict(os.environ, REGGE_SUITE_SEED="11")
-    via_env = run_cli("suite", "--count", "4", env=env)
-    via_flag = run_cli("suite", "--count", "4", "--seed", "11")
-    assert via_env.stdout == via_flag.stdout
-
-
-def test_bad_env_seed_leaves_other_commands_alone(monkeypatch, capsys):
-    monkeypatch.setenv("REGGE_SUITE_SEED", "abc")
-    assert cli.main(["volume", *ANGLES_GENERIC]) == cli.EXIT_OK
-    assert json.loads(capsys.readouterr().out)["classification"] == "Finite"
-
-
-@pytest.mark.parametrize(
-    "env,argv,message",
-    [
-        ("abc", [], "REGGE_SUITE_SEED: could not parse 'abc'"),
-        ("-1", [], "seed must be at least 0, got -1"),
-        ("11", ["--seed", "-1"], "seed must be at least 0, got -1"),
-        ("11", ["--seed", "x"], "--seed: could not parse 'x'"),
-    ],
-)
-def test_suite_bad_seed_is_input_error(env, argv, message, monkeypatch, capsys):
-    monkeypatch.setenv("REGGE_SUITE_SEED", env)
-    assert cli.main(["suite", "--count", "1", *argv]) == cli.EXIT_INPUT
+def test_suite_negative_seed_is_input_error(capsys):
+    assert cli.main(["suite", "--count", "1", "--seed", "-1"]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
-    assert message in json.loads(out)["error"]
+    assert json.loads(out)["error"] == "seed must be at least 0, got -1"
     assert err.startswith("input error:")

@@ -387,6 +387,22 @@ class TestSchlafli:
         with pytest.raises(GeometryDomainError):
             schlafli_residual(TetAngles(*(1.0,) * 6), 1e-5)
 
+    def test_retry_at_a_tenth_of_h(self):
+        # Finite, but within 1e-5 of the ideal equiangular pi/3: the step h
+        # leaves the Finite class and the retry at h / 10 does not
+        t = TetAngles(*(math.pi / 3 + 2e-6,) * 6)
+        assert classify(t).kind is TetraKind.FINITE
+        assert classify(TetAngles.of(np.array(t.as_tuple()) - 1e-5)).kind is not TetraKind.FINITE
+        # the retry step is 1e-5 / 10, which is 1.0000000000000002e-06, not 1e-6
+        res = schlafli_residual(t, 1e-5)
+        assert res.tobytes() == schlafli_residual(t, 1e-5 / 10).tobytes()
+
+    def test_retry_that_still_leaves_finite_raises(self):
+        t = TetAngles(*(math.pi / 3 + 2e-7,) * 6)
+        assert classify(t).kind is TetraKind.FINITE
+        with pytest.raises(GeometryDomainError, match="even after shrinking h"):
+            schlafli_residual(t, 1e-5)
+
 
 class TestThreeQuarterOracle:
     @pytest.mark.parametrize("abc", [(2.0, 0.8, 0.9), (1.2, 1.2, 1.2), (1.5, 1.0, 0.9)])

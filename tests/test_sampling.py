@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.sampling import SampleBox, _accept, sample_finite
+from reggescissors import sampling
+from reggescissors.sampling import _accept, sample_finite
 from reggescissors.tetra import TetAngles, TetraKind, classify
 
 
@@ -26,8 +27,8 @@ def test_image_requirement():
             assert classify(regge(t, which)).kind is TetraKind.FINITE
 
 
-def _single_draw(rng, box=SampleBox(), require_finite_images=(), max_tries=100000):
-    batch, stats = sample_finite(rng, 1, box, require_finite_images, max_tries)
+def _single_draw(rng, require_finite_images=(), max_tries=100000):
+    batch, stats = sample_finite(rng, 1, require_finite_images, max_tries)
     assert len(batch) == 1 and stats.requested == 1
     return batch[0]
 
@@ -38,9 +39,10 @@ def test_single_draw():
     assert classify(t).kind is TetraKind.FINITE
 
 
-def _loop_draw(rng, box=SampleBox(), require_finite_images=(), max_tries=100000):
+def _loop_draw(rng, require_finite_images=(), max_tries=100000):
     """One finite draw as its own rejection loop: the reference for sample_finite(rng, 1, ...)."""
-    lo, hi = box.center - box.half_width, box.center + box.half_width
+    center, half_width = sampling.BOX_CENTER, sampling.BOX_HALF_WIDTH
+    lo, hi = center - half_width, center + half_width
     for _ in range(max_tries):
         t = TetAngles.of(rng.uniform(lo, hi, size=6))
         if _accept(t, require_finite_images):
@@ -58,20 +60,26 @@ def test_single_draw_matches_loop(images):
         assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
+@pytest.fixture
+def hopeless_box(monkeypatch):
+    """A box far below the Finite window, so that every draw is rejected."""
+    monkeypatch.setattr(sampling, "BOX_CENTER", 0.3)
+    monkeypatch.setattr(sampling, "BOX_HALF_WIDTH", 0.05)
+
+
 @pytest.mark.parametrize("max_tries", [0, 50])
-def test_single_draw_same_error(max_tries):
-    box = SampleBox(center=0.3, half_width=0.05)
+def test_single_draw_same_error(max_tries, hopeless_box):
     rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
     messages = []
     for fn, rng in ((_single_draw, rng1), (_loop_draw, rng2)):
         with pytest.raises(GeometryDomainError) as exc:
-            fn(rng, box, max_tries=max_tries)
+            fn(rng, max_tries=max_tries)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
-def test_hopeless_box_raises():
+def test_hopeless_box_raises(hopeless_box):
     rng = np.random.default_rng(0)
     with pytest.raises(GeometryDomainError):
-        sample_finite(rng, 1, SampleBox(center=0.3, half_width=0.05), max_tries=50)
+        sample_finite(rng, 1, max_tries=50)

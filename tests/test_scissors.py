@@ -281,35 +281,24 @@ class TestOrbit:
         assert classify(t).kind is TetraKind.FINITE
         orbit = regge_orbit(t)
         assert len(orbit.members) == 1
-        assert not orbit.truncated
 
     def test_generic_orbit_volumes_agree(self, generic):
-        orbit = regge_orbit(generic, max_size=64)
-        assert not orbit.truncated
+        orbit = regge_orbit(generic)
         assert len(orbit.members) >= 2
         vols = [v for v in orbit.volumes if not math.isnan(v)]
         assert max(vols) - min(vols) < 1e-9
 
     def test_orbit_closure_under_generation(self, generic):
-        orbit = regge_orbit(generic, max_size=64)
-        orbit_b = regge_orbit(regge(generic, "b"), max_size=64)
+        orbit = regge_orbit(generic)
+        orbit_b = regge_orbit(regge(generic, "b"))
         assert len(orbit.members) == len(orbit_b.members)
-
-    def test_truncation_flag(self, generic):
-        orbit = regge_orbit(generic, max_size=2)
-        assert orbit.truncated
-        assert len(orbit.members) == 2
-
-    def test_max_size_validation(self, generic):
-        with pytest.raises(GeometryDomainError):
-            regge_orbit(generic, max_size=0)
 
 
 #: Row k reads the angles of the k-th relabeling (tetra._RELABEL_ROWS).
 _RELABEL_INDEX = np.array(list(tetra._RELABEL_ROWS.values()), dtype=np.intp)
 
 
-def _pairwise_orbit(t, max_size=64):
+def _pairwise_orbit(t):
     """Reference closure: breadth-first under the three moves, each image
     compared with every member under all 24 relabelings at once."""
     members, frontier = [t], [t]
@@ -322,12 +311,10 @@ def _pairwise_orbit(t, max_size=64):
                 gaps = np.abs(relabelings[:, None, :] - np.array([m.as_tuple() for m in members]))
                 if np.any(np.max(gaps, axis=2) < 1e-10):
                     continue
-                if len(members) >= max_size:
-                    return members, True
                 members.append(img)
                 nxt.append(img)
         frontier = nxt
-    return members, False
+    return members
 
 
 def _orbit_volume(t):
@@ -361,25 +348,18 @@ class TestOrbitDedupMatchesPairwise:
         return [*_klein_uniform(np.random.default_rng(77), 50), *map(TetAngles.of, uniform),
                 *self.SYMMETRIC, generic]
 
-    @pytest.mark.parametrize("max_size", [64, 7, 6, 5, 2, 1])
-    def test_members_and_flag_equal(self, max_size, cases):
-        truncated_seen = False
+    def test_members_and_volumes_equal(self, cases):
         for t in cases:
-            orbit = regge_orbit(t, max_size=max_size)
-            members, truncated = _pairwise_orbit(t, max_size)
+            orbit = regge_orbit(t)
+            members = _pairwise_orbit(t)
             assert [_hex(m.as_tuple()) for m in orbit.members] == [
                 _hex(m.as_tuple()) for m in members]
             assert _hex(orbit.volumes) == _hex(map(_orbit_volume, members))
-            assert orbit.truncated is truncated
-            truncated_seen |= truncated
-        # the orbit has at most six members, so truncation stops at 6
-        assert truncated_seen is (max_size < 6)
 
     def test_stream_orbits_have_at_most_six_members(self, stream_angles):
         for angles in stream_angles:
             orbit = regge_orbit(TetAngles(*angles))
             assert len(orbit.members) <= 6
-            assert not orbit.truncated
 
 
 #: The numpy dedup predicate regge_orbit used before the plain-float one.

@@ -104,6 +104,6 @@ def test_stream_digests_keep_their_bytes(output_digest):
     # classified Ideal, so the class gate's error output is covered too.  A
     # change that moves output on purpose re-pins these with PINNED.
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
-    assert formula == "f99554545558a7cdd58def7276317124d33dde452b5a4c52de7dca678d3c799f"
+    assert formula == "0ba78ceae77b41be5d0583910a9174738e6e42c5baf6f24dd6f133a4cbb3cb9a"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
     assert oracle == "b1a623dac8e8cd7d6f38e6b449f39f35f5662fd8cb951de7e0802cd4af16df63"
