@@ -123,10 +123,13 @@ def test_verify_non_positive_tol_is_input_error(tol, capsys):
          "reggescissors verify: argument --tol: invalid float value: 'abc'"),
         (["suite", "--count", "x"], "reggescissors suite: argument --count: invalid int value: 'x'"),
         (["suite", "--seed", "x"], "reggescissors suite: argument --seed: invalid int value: 'x'"),
+        # orbit's size cap was deleted: a stale --max-size is an unknown option
+        (["orbit", *ANGLES_GENERIC, "--max-size", "x"],
+         "reggescissors: unrecognized arguments: --max-size x"),
         ([], "reggescissors: the following arguments are required: command"),
         (["volume", "1.2"], "reggescissors volume: the following arguments are required: ANGLE"),
     ],
-    ids=["tol", "count", "seed", "no-command", "missing-angles"],
+    ids=["tol", "count", "seed", "max-size", "no-command", "missing-angles"],
 )
 def test_usage_error_is_input_error(argv, message, capsys):
     assert cli.main(argv) == cli.EXIT_INPUT
@@ -260,6 +263,15 @@ def test_suite_count_below_one_is_input_error(count, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == f"count must be at least 1, got {count}"
     assert err.startswith("input error:")
+
+
+def test_bad_env_seed_leaves_other_commands_alone(monkeypatch, capsys):
+    # REGGE_SUITE_SEED was deleted: a stale value reaches no command, suite included
+    monkeypatch.setenv("REGGE_SUITE_SEED", "abc")
+    assert cli.main(["volume", *ANGLES_GENERIC]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["classification"] == "Finite"
+    assert cli.main(["suite", "--count", "1"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 7
 
 
 def test_suite_negative_seed_is_input_error(capsys):

@@ -298,9 +298,10 @@ class TestOrbit:
 _RELABEL_INDEX = np.array(list(tetra._RELABEL_ROWS.values()), dtype=np.intp)
 
 
-def _pairwise_orbit(t):
+def _pairwise_orbit(t, max_size=64):
     """Reference closure: breadth-first under the three moves, each image
-    compared with every member under all 24 relabelings at once."""
+    compared with every member under all 24 relabelings at once. Stops with
+    truncated=True when a new member would exceed max_size."""
     members, frontier = [t], [t]
     while frontier:
         nxt = []
@@ -311,10 +312,12 @@ def _pairwise_orbit(t):
                 gaps = np.abs(relabelings[:, None, :] - np.array([m.as_tuple() for m in members]))
                 if np.any(np.max(gaps, axis=2) < 1e-10):
                     continue
+                if len(members) >= max_size:
+                    return members, True
                 members.append(img)
                 nxt.append(img)
         frontier = nxt
-    return members
+    return members, False
 
 
 def _orbit_volume(t):
@@ -348,13 +351,21 @@ class TestOrbitDedupMatchesPairwise:
         return [*_klein_uniform(np.random.default_rng(77), 50), *map(TetAngles.of, uniform),
                 *self.SYMMETRIC, generic]
 
-    def test_members_and_volumes_equal(self, cases):
+    @pytest.mark.parametrize("max_size", [64, 7, 6, 5, 2, 1])
+    def test_members_and_flag_equal(self, max_size, cases):
+        # regge_orbit lists its members in breadth-first order, so the capped
+        # reference is a prefix of the orbit, cut exactly when the orbit is larger
+        truncated_seen = False
         for t in cases:
             orbit = regge_orbit(t)
-            members = _pairwise_orbit(t)
-            assert [_hex(m.as_tuple()) for m in orbit.members] == [
+            members, truncated = _pairwise_orbit(t, max_size)
+            assert [_hex(m.as_tuple()) for m in orbit.members[:max_size]] == [
                 _hex(m.as_tuple()) for m in members]
-            assert _hex(orbit.volumes) == _hex(map(_orbit_volume, members))
+            assert _hex(orbit.volumes[:max_size]) == _hex(map(_orbit_volume, members))
+            assert truncated is (len(orbit.members) > max_size)
+            truncated_seen |= truncated
+        # the orbit has at most six members, so truncation stops at 6
+        assert truncated_seen is (max_size < 6)
 
     def test_stream_orbits_have_at_most_six_members(self, stream_angles):
         for angles in stream_angles:
