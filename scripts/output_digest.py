@@ -45,7 +45,7 @@ PINNED = {
     "suite_seed2": "ac204c69b123a288140d4f8c78910730362a3041568f541e204a5b43b9671445",
     "formula_seed1": "b8c9caafbae1c49993358730dc4b28d3058df01d3e6a55bc998a0727ccfd78be",
     "formula_seed2": "cf8e0da9506bab8c31c80a6f6ed2eebf99f6bbddd394d736028f9de9f6d79041",
-    "formula_seed3": "b78ce7bdcd5f9479b4bb839df76d0b5de933b970be95a4ef464b927fdef15a44",
+    "formula_seed3": "85835dae4cf64ad1b56db9c3d4d08d7734396eb68443537e94adf0eb98e68299",
     "oracle_seed1": "99539cc244e388422c1565a77e5175c36be6eb18419803cd25ec5f8073644bf6",
 }
 

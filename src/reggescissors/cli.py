@@ -28,9 +28,12 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 
-def _emit(payload: dict, args) -> None:
-    """Write --out first, so that a path that cannot be written is an input
-    error before anything is printed."""
+def _emit(payload: dict, args) -> int:
+    """Print the report, with null for each non-finite float (JSON has none),
+    and return EXIT_VERIFY if it says "passed": false, else EXIT_OK.  --out is
+    written first, so that a path that cannot be written is an input error
+    before anything is printed."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         try:
@@ -39,9 +42,10 @@ def _emit(payload: dict, args) -> None:
         except OSError as exc:
             raise GeometryDomainError(f"--out: {exc}") from None
     if getattr(args, "table", False):
-        _print_table(json.loads(text))
+        _print_table(payload)
     else:
         print(text)
+    return EXIT_VERIFY if payload.get("passed") is False else EXIT_OK
 
 
 def _print_table(payload: dict, indent: int = 0) -> None:
@@ -82,12 +86,16 @@ def _angles_payload(t: TetAngles) -> dict:
     return dict(zip(_ANGLE_ORDER, t.as_tuple()))
 
 
-def cmd_volume(args) -> int:
+def _run_angle_command(args) -> int:
+    """Parse the six angles, build the command's payload from them and emit it."""
     t = _parse_angles(args.angles, args.degrees)
+    return _emit({"command": args.command, **args.payload(t, args)}, args)
+
+
+def cmd_volume(t: TetAngles, args) -> dict:
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind
     roots = solve_holonomy(t)
-    payload = {
-        "command": "volume",
+    return {
         "angles": _angles_payload(t),
         "classification": kind.value,
         "volume": roots.volume_minus,
@@ -99,15 +107,11 @@ def cmd_volume(args) -> int:
             "volume_plus_root": roots.volume_plus,
         },
     }
-    _emit(payload, args)
-    return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    t = _parse_angles(args.angles, args.degrees)
+def cmd_decompose(t: TetAngles, args) -> dict:
     d = decompose(t)
-    payload = {
-        "command": "decompose",
+    return {
         "angles": _angles_payload(t),
         "firepole": "AA'",
         "pieces": [
@@ -123,15 +127,11 @@ def cmd_decompose(args) -> int:
         "total_volume": d.total_volume(),
         "twice_tet_volume": 2 * tet_volume(t),
     }
-    _emit(payload, args)
-    return EXIT_OK
 
 
-def cmd_regge(args) -> int:
-    t = _parse_angles(args.angles, args.degrees)
+def cmd_regge(t: TetAngles, args) -> dict:
     image = regge(t, args.which)
-    payload = {
-        "command": "regge",
+    return {
         "which": args.which,
         "s": s_value(t, args.which),
         "angles": _angles_payload(t),
@@ -139,44 +139,32 @@ def cmd_regge(args) -> int:
         "classification": classify(t).kind.value,
         "image_classification": classify(image).kind.value,
     }
-    _emit(payload, args)
-    return EXIT_OK
 
 
-def cmd_orbit(args) -> int:
-    t = _parse_angles(args.angles, args.degrees)
+def cmd_orbit(t: TetAngles, args) -> dict:
     require_kind(t, TetraKind.FINITE)
     orbit = regge_orbit(t)
-    payload = {
-        "command": "orbit",
+    return {
         "size": len(orbit.members),
         "members": [
             {"angles": _angles_payload(m), "volume": v}
             for m, v in zip(orbit.members, orbit.volumes)
         ],
     }
-    _emit(payload, args)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    t = _parse_angles(args.angles, args.degrees)
+def cmd_verify(t: TetAngles, args) -> dict:
     require_kind(t, TetraKind.FINITE)
-    report = verify_scissors(t, args.which, args.tol)
-    payload = {"command": "verify", **report.to_payload()}
-    _emit(payload, args)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return verify_scissors(t, args.which, args.tol).to_payload()
 
 
-def cmd_oracle(args) -> int:
-    t = _parse_angles(args.angles, args.degrees)
+def cmd_oracle(t: TetAngles, args) -> dict:
     kt = klein.klein_vertices(t)
     v_quad = klein.volume_numeric(kt, tol=args.tol)
     v_formula = tet_volume(t)
-    residuals = klein.schlafli_residual(t, args.step)
+    residuals = klein.schlafli_residual(t)
     halves = np.array(edge_lengths(t)) / 2
-    payload = {
-        "command": "oracle",
+    return {
         "angles": _angles_payload(t),
         "volume_formula": v_formula,
         "volume_quadrature": v_quad,
@@ -185,10 +173,8 @@ def cmd_oracle(args) -> int:
         "klein_vertices": [list(v) for v in kt.vertices],
         "schlafli_residuals": list(residuals),
         "schlafli_max_relative": float(np.max(residuals / halves)),
-        "schlafli_step": args.step,
+        "schlafli_step": klein.SCHLAFLI_STEP,
     }
-    _emit(payload, args)
-    return EXIT_OK
 
 
 def cmd_suite(args) -> int:
@@ -198,11 +184,11 @@ def cmd_suite(args) -> int:
         oracle_count=max(1, args.count // 4),
     )
     report = run_suite(config)
-    _emit(report.to_payload(), args)
+    code = _emit(report.to_payload(), args)
     for result in report.results:
         status = "PASS" if result.passed else "FAIL"
         print(f"criterion {result.cid} [{status}] {result.name}", file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return code
 
 
 def _add_angle_command(sub, name, fn, help_text):
@@ -213,7 +199,7 @@ def _add_angle_command(sub, name, fn, help_text):
     p.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
     p.add_argument("--table", action="store_true", help="human-readable output instead of JSON")
     p.add_argument("--out", metavar="FILE", help="also write the JSON report to FILE")
-    p.set_defaults(fn=fn)
+    p.set_defaults(fn=_run_angle_command, payload=fn)
     return p
 
 
@@ -248,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_angle_command(sub, "oracle", cmd_oracle,
                            "Klein-model quadrature volume and Schlafli residuals")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
 
     p = sub.add_parser("suite", help="run the acceptance battery")
     p.add_argument("--seed", type=int, default=7)

@@ -245,8 +245,11 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
 
 # --- Schlafli differential check --------------------------------------------
 
+#: The central-difference step of schlafli_residual, echoed by the oracle command.
+SCHLAFLI_STEP = 1e-5
 
-def schlafli_residual(t: TetAngles, h: float = 1e-5) -> np.ndarray:
+
+def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
     """|central-difference dV/d(theta_i) + l_i / 2| for all six edges.
 
     The volume differential of a family of tetrahedra is -1/2 sum l_i

@@ -157,19 +157,30 @@ class ScissorsReport:
 
     slot_gap is the worst per-slot canonical-angle difference between the
     permuted source decomposition and the aligned image decomposition; the
-    check passes when it and volume_gap are each at most tol.
+    check passes when it and volume_gap are each at most tol.  A check that
+    could not run keeps the defaults, nan volumes and an infinite slot gap,
+    and says why in failure.
     """
 
     which: str
-    passed: bool
-    volume_gap: float
-    slot_gap: float
-    conjugation: tuple[int, ...] | None
     tol: float
-    volume: float
-    volume_image: float
     transformed: TetAngles
+    volume: float = math.nan
+    volume_image: float = math.nan
+    slot_gap: float = math.inf
     failure: str | None = None
+
+    @property
+    def volume_gap(self) -> float:
+        return abs(self.volume - self.volume_image)
+
+    @property
+    def passed(self) -> bool:
+        return self.volume_gap <= self.tol and self.slot_gap <= self.tol
+
+    @property
+    def conjugation(self) -> tuple[int, ...] | None:
+        return PAIR_CONJUGATION[self.which]
 
     def to_payload(self) -> dict:
         return {
@@ -200,38 +211,24 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
         raise GeometryDomainError("tol must be positive and finite")
     transformed = regge(t, which)  # raises for an unknown transform
     conj = PAIR_CONJUGATION[which]
-
-    def failed(reason: str) -> ScissorsReport:
-        return ScissorsReport(
-            which=which, passed=False, volume_gap=math.inf, slot_gap=math.inf,
-            conjugation=conj, tol=tol, volume=math.nan, volume_image=math.nan,
-            transformed=transformed, failure=reason,
-        )
-
     t0 = relabel(t, conj) if conj else t
     image = regge(t0, "b")
     kind_t = classify(t0).kind
     kind_i = classify(image).kind
+    measured, failure = {}, None
     if kind_t is not TetraKind.FINITE:
-        return failed(f"source tetrahedron is {kind_t.value}, not Finite")
-    if kind_i is not TetraKind.FINITE:
-        return failed(f"transform image is {kind_i.value}, not Finite")
-    try:
-        source = decompose(t0)
-        aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL))
-        v_src = tet_volume(t0)
-        v_img = tet_volume(image)
-    except DegenerateSystemError as exc:
-        return failed(f"angle system degenerate: {exc}")
-
-    c_moved = permute_for_regge_b(source).canonical_angles()
-    slot_gap = float(np.max(np.abs(c_moved - aligned.canonical_angles())))
-    volume_gap = abs(v_src - v_img)
-    return ScissorsReport(
-        which=which, passed=volume_gap <= tol and slot_gap <= tol,
-        volume_gap=volume_gap, slot_gap=slot_gap, conjugation=conj,
-        tol=tol, volume=v_src, volume_image=v_img, transformed=transformed,
-    )
+        failure = f"source tetrahedron is {kind_t.value}, not Finite"
+    elif kind_i is not TetraKind.FINITE:
+        failure = f"transform image is {kind_i.value}, not Finite"
+    else:
+        try:
+            moved = permute_for_regge_b(decompose(t0)).canonical_angles()
+            aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL)).canonical_angles()
+            measured = {"volume": tet_volume(t0), "volume_image": tet_volume(image),
+                        "slot_gap": float(np.max(np.abs(moved - aligned)))}
+        except DegenerateSystemError as exc:
+            failure = f"angle system degenerate: {exc}"
+    return ScissorsReport(which, tol, transformed, failure=failure, **measured)
 
 
 @dataclass(frozen=True)

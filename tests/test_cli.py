@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from reggescissors import cli
+from reggescissors import cli, scissors
 from reggescissors.exceptions import (
     DegenerateSystemError,
     GeometryDomainError,
@@ -12,16 +14,35 @@ from reggescissors.exceptions import (
     QuadratureError,
 )
 
+from conftest import _perfbench_inputs
+
 ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
 
 
 def run_cli(*args):
+    """One in-process CLI call, with its stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """One `python -m reggescissors` subprocess: the module entry point."""
     return subprocess.run(
         [sys.executable, "-m", "reggescissors", *args],
         capture_output=True,
         text=True,
     )
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_volume_finite():
@@ -166,6 +187,44 @@ def test_verify_fixed_point():
     assert payload["volume_gap"] == 0.0
 
 
+ANGLE_COMMANDS = [["volume"], ["decompose"], *(["regge", "--which", w] for w in "abc"), ["orbit"],
+                  *(["verify", "--which", w] for w in "abc"), ["oracle"]]
+
+
+@pytest.fixture(scope="module")
+def ideal_image_inputs():
+    """Inputs 105 and 116 of the benchmark's `formula` stream for seed 3:
+    Finite, with Regge images a and b that classify calls Ideal."""
+    angles, _ = _perfbench_inputs().TetStream(3, 1, 0.998).take(117)
+    return [[repr(float(x)) for x in angles[k]] for k in (105, 116)]
+
+
+@pytest.mark.parametrize("command", ANGLE_COMMANDS, ids=" ".join)
+def test_every_angle_command_prints_strict_json(command, ideal_image_inputs):
+    for tokens in ideal_image_inputs:
+        result = run_cli(command[0], *tokens, *command[1:])
+        payload = strict_json(result.stdout)
+        if command in (["verify", "--which", "a"], ["verify", "--which", "b"]):
+            # the check could not run: its gaps and volumes are null, not Infinity and NaN
+            assert result.returncode == cli.EXIT_VERIFY
+            assert payload["failure"] == "transform image is Ideal, not Finite"
+            assert [payload[k] for k in ("volume_gap", "slot_gap", "volume", "volume_image")] == [None] * 4
+        else:
+            assert result.returncode == cli.EXIT_OK
+
+
+def test_degenerate_verify_exits_two_with_null_gaps(monkeypatch, capsys):
+    def degenerate(t):
+        raise DegenerateSystemError("no solve")
+
+    monkeypatch.setattr(scissors, "decompose", degenerate)
+    assert cli.main(["verify", *ANGLES_GENERIC, "--which", "b"]) == cli.EXIT_VERIFY
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert payload["failure"] == "angle system degenerate: no solve"
+    assert [payload[k] for k in ("volume_gap", "slot_gap", "volume", "volume_image")] == [None] * 4
+
+
 def test_verify_generic_and_failure_exit_code():
     ok = run_cli("verify", *ANGLES_GENERIC, "--which", "b")
     assert ok.returncode == 0
@@ -239,16 +298,13 @@ def test_oracle_tol_outside_positive_finite_is_input_error(tol, capsys):
     # "--tol=" because argparse reads a bare "-inf" as an option
     assert cli.main(["oracle", *ANGLES_GENERIC, f"--tol={tol}"]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
-
-    def reject(name):
-        raise ValueError(f"not strict JSON: {name}")
-
-    assert json.loads(out, parse_constant=reject)["error"] == "tol must be positive and finite"
+    assert strict_json(out)["error"] == "tol must be positive and finite"
     assert err.startswith("input error:")
 
 
 def test_suite_small_deterministic():
-    first = run_cli("suite", "--count", "4", "--seed", "11")
+    # a fresh process through the module entry point, then one in this process
+    first = run_module("suite", "--count", "4", "--seed", "11")
     second = run_cli("suite", "--count", "4", "--seed", "11")
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout  # byte-identical reports

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reggescissors import scissors, tetra
-from reggescissors.exceptions import GeometryDomainError
+from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError
 from reggescissors.klein import KleinTetra, dihedral_angles, klein_vertices
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, solve_holonomy, tet_volume
@@ -235,6 +235,19 @@ class TestVerify:
         report = verify_scissors(t, "b")
         assert report.passed is False
         assert report.failure == f"transform image is {classify(regge(t, 'b')).kind.value}, not Finite"
+
+    def test_structured_failure_for_degenerate_system(self, generic, monkeypatch):
+        def degenerate(t):
+            raise DegenerateSystemError("no solve")
+
+        monkeypatch.setattr(scissors, "decompose", degenerate)
+        report = verify_scissors(generic, "b")
+        assert report.passed is False
+        assert report.failure == "angle system degenerate: no solve"
+        assert math.isnan(report.volume) and math.isnan(report.volume_image)
+        assert math.isnan(report.volume_gap)
+        assert report.slot_gap == math.inf
+        assert report.conjugation is None
 
     @pytest.mark.parametrize("which", ["a", "b", "c"])
     def test_passes_on_the_slot_claim(self, stream_angles, which):
