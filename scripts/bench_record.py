@@ -69,6 +69,7 @@ PER_CALL = {
     "regge_orbit": lambda m, t: m.scissors.regge_orbit(t),
     "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
     "oracle_quadrature": lambda m, t: m.klein.volume_numeric(m.klein.klein_vertices(t), 1e-6),
+    "lobachevsky_quadrature_scalar": lambda m, t: m.lobachevsky_quadrature(t.A, 1e-12),
 }
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}

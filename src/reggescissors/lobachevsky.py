@@ -12,6 +12,8 @@ which integrates every piece between multiples of pi, a full period too,
 instead of assuming that piece is zero.  Both use numpy only.  The series
 sums only the terms that reach the last bit, takes one float at a time, and
 evaluates an array element by element, so an array keeps its scalars' bits.
+The quadrature integrates a whole array at once, one level loop per piece
+count, and keeps the bits of each point integrated alone.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def lobachevsky(theta):
     return np.fromiter(values, float, arr.size).reshape(arr.shape)
 
 
-def lobachevsky_quadrature(theta: float, tol: float = 1e-10) -> float:
+def lobachevsky_quadrature(theta, tol: float = 1e-10):
     """Evaluate the defining integral directly by tanh-sinh quadrature.
 
     Serves as the oracle for ``lobachevsky``: no periodicity or oddness
@@ -187,43 +189,75 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-10) -> float:
     sum.  A node whose distance underflows to 0 (subnormal theta) adds
     nothing.
 
-    Raises ``QuadratureError`` (carrying the achieved error estimate) if
-    the requested tolerance is not met, ``ValueError`` for a tol outside
-    (0, inf) or a non-finite argument.
+    Accepts a float or an ndarray, as ``lobachevsky`` does: any scalar (a
+    Python float, a numpy scalar or a 0-d array) returns a float, an array
+    returns an array of its shape.  A scalar is a one-point array.  The
+    points are grouped by their piece count, and each group runs one level
+    loop on (points, pieces, nodes) arrays, dropping the points that have
+    converged after each level.  Every value keeps the bits of a point
+    integrated alone: the element-wise steps and the row sums over the
+    nodes are a lone point's, and a point's pieces meet in a dot of the
+    point's own length (a stacked matmul), because BLAS blocks a dot by
+    its length, so padding the pieces to a common width would move bits.
+
+    Raises ``QuadratureError`` if some point does not meet the requested
+    tolerance, carrying as ``achieved`` the worst error estimate among the
+    points that did not converge; ``ValueError`` for a tol outside
+    (0, inf) or any non-finite argument.
     """
-    th = float(theta)
-    if not math.isfinite(th):
+    th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
         raise ValueError("lobachevsky_quadrature: argument must be finite")
     if not 0 < tol < math.inf:
         raise ValueError("lobachevsky_quadrature: tol must be positive and finite")
-    sign = 1.0
-    if th < 0:  # integrand is even, so the integral is odd
-        sign, th = -1.0, -th
-    if th == 0.0:
-        return 0.0
+    flat = th.ravel()
+    sign = np.where(flat < 0, -1.0, 1.0)  # integrand is even, so the integral is odd
+    mag = np.abs(flat)
 
-    # n full pieces [k pi, (k+1) pi], then [n pi, th] of length `last`, which
+    # n full pieces [k pi, (k+1) pi], then [n pi, mag] of length `last`, which
     # ends `gap` short of (n+1) pi; both are taken against the true pi
-    n, rem = divmod(th, _PI)  # rem = th - n * _PI exactly
-    n = int(n)
+    n, rem = np.divmod(mag, _PI)  # rem = mag - n * _PI exactly
     last, gap = rem - n * _PI_LO, (_PI - rem) + (n + 1) * _PI_LO
-    if last < 0:  # th lies below n pi by less than n * _PI_LO
-        n, last, gap = n - 1, _PI + last, -last
-    pieces, gaps = np.full(n + 1, _PI), np.zeros(n + 1)
-    pieces[-1], gaps[-1] = last, gap
+    below = last < 0  # mag lies below n pi by less than n * _PI_LO
+    n, last, gap = n - below, np.where(below, _PI + last, last), np.where(below, -last, gap)
+    count = np.where(mag > 0, n + 1, 0).astype(int)  # 0 pieces: the integral is +0.0
 
-    total = scale = 0.0
-    for level, (x, xc, w) in enumerate(_TANH_SINH):
-        # |sin u| is the sine of the distance from u to the nearer multiple of pi
-        dist = np.minimum(pieces[:, None] * x, gaps[:, None] + pieces[:, None] * xc)
-        terms = w * np.log(2.0 * np.sin(dist), out=np.zeros_like(dist), where=dist > 0)
-        previous = total
-        total = total / 2 - float(pieces @ terms.sum(axis=1))
-        scale = scale / 2 + float(pieces @ np.abs(terms).sum(axis=1))
-        err = max(abs(total - previous), 2.0**-52 * scale)
-        if level and err <= tol / 2:
-            return sign * total
-    raise QuadratureError(
-        f"lobachevsky_quadrature: achieved error {err:.3e} exceeds tol {tol:.3e}",
-        achieved=err,
-    )
+    out, worst = np.zeros(flat.shape), []
+    for c in sorted(set(count[count > 0].tolist())):  # np.unique would import numpy.ma
+        idx = np.flatnonzero(count == c)
+        pieces, gaps = np.full((idx.size, c), _PI), np.zeros((idx.size, c))
+        pieces[:, -1], gaps[:, -1] = last[idx], gap[idx]
+        total = scale = np.zeros(idx.size)
+        for level, (x, xc, w) in enumerate(_TANH_SINH):
+            # |sin u| is the sine of the distance from u to the nearer multiple of pi
+            p = pieces[:, :, None]
+            dist = p * x
+            np.minimum(dist, gaps[:, :, None] + p * xc, out=dist)
+            # w log(2 sin(dist)) in place, so a grid holds two (points, pieces,
+            # nodes) arrays at a time; a distance of 0 keeps 2 sin(0) = 0
+            terms = np.sin(dist)
+            terms *= 2.0
+            np.log(terms, out=terms, where=dist > 0)
+            terms *= w
+            # one dot per point, of the point's own length: BLAS blocks a dot
+            # by its length, so padding to a common width would move bits
+            previous, row = total, pieces[:, None, :]
+            total = total / 2 - (row @ terms.sum(axis=2)[:, :, None])[:, 0, 0]
+            scale = scale / 2 + (row @ np.abs(terms).sum(axis=2)[:, :, None])[:, 0, 0]
+            err = np.maximum(abs(total - previous), 2.0**-52 * scale)
+            if level:
+                done = err <= tol / 2
+                out[idx[done]] = total[done]
+                idx, pieces, gaps, total, scale, err = (
+                    a[~done] for a in (idx, pieces, gaps, total, scale, err))
+                if not idx.size:
+                    break
+        worst.extend(err.tolist())
+    if worst:
+        err = max(worst)
+        raise QuadratureError(
+            f"lobachevsky_quadrature: achieved error {err:.3e} exceeds tol {tol:.3e}",
+            achieved=err,
+        )
+    out *= sign
+    return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)

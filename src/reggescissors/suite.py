@@ -147,7 +147,7 @@ def criterion_1(config: SuiteConfig) -> CriterionResult:
     """Lobachevsky function: series vs quadrature, symmetry, duplication, argmax."""
     grid = np.linspace(-2 * _PI, 2 * _PI, config.grid_points)
     series = lobachevsky(grid)
-    quad = np.array([lobachevsky_quadrature(x, 1e-12) for x in grid])
+    quad = lobachevsky_quadrature(grid, 1e-12)
     cross = float(np.max(np.abs(series - quad)))
     odd = float(np.max(np.abs(lobachevsky(-grid) + series)))
     periodic = float(np.max(np.abs(lobachevsky(grid + _PI) - series)))

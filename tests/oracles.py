@@ -5,9 +5,10 @@ tetrahedron volume by quadrature in the half-space model, the volume by the
 Murakami-Yano dilogarithm formula, the class from the Gram eigenvalues and
 inverse, the Gram matrix at 40 digits, Lorentz boosts and their action on a
 Klein realization, the twelve dihedral angles of the octahedron, the angles
-read back from a Gram matrix, and the 24 relabeling symmetries.  None of them
-is called by the package, its commands or its scripts, so they live here and
-not in `src/`.
+read back from a Gram matrix, the 24 relabeling symmetries, and the
+Lobachevsky quadrature of one point at a time.  None of them is called by
+the package, its commands or its scripts, so they live here and not in
+`src/`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from reggescissors.exceptions import GeometryDomainError
+from reggescissors.exceptions import GeometryDomainError, QuadratureError
 from reggescissors.klein import _MINK, KleinTetra, _boost, _gram_vertices, _hyperboloid_lift
+from reggescissors.lobachevsky import _PI, _PI_LO, _TANH_SINH
 from reggescissors.octahedron import OctAngles
 from reggescissors.tetra import (
     _FACES_OF,
@@ -34,6 +36,52 @@ from reggescissors.tetra import (
 
 # sinh(350)^2 is about 3e303, so every entry of the boost and of L^T M L is finite
 _MAX_RAPIDITY = 350.0
+
+
+# --- lobachevsky -------------------------------------------------------------
+
+
+def lobachevsky_quadrature_pointwise(theta: float, tol: float) -> float:
+    """lobachevsky.lobachevsky_quadrature on one float, with its own level
+    loop, as the package computed it before it integrated a whole array in
+    one loop per piece count: the reference that every value of the array
+    route must match bit for bit."""
+    th = float(theta)
+    if not math.isfinite(th):
+        raise ValueError("lobachevsky_quadrature: argument must be finite")
+    if not 0 < tol < math.inf:
+        raise ValueError("lobachevsky_quadrature: tol must be positive and finite")
+    sign = 1.0
+    if th < 0:  # integrand is even, so the integral is odd
+        sign, th = -1.0, -th
+    if th == 0.0:
+        return 0.0
+
+    # n full pieces [k pi, (k+1) pi], then [n pi, th] of length `last`, which
+    # ends `gap` short of (n+1) pi; both are taken against the true pi
+    n, rem = divmod(th, _PI)  # rem = th - n * _PI exactly
+    n = int(n)
+    last, gap = rem - n * _PI_LO, (_PI - rem) + (n + 1) * _PI_LO
+    if last < 0:  # th lies below n pi by less than n * _PI_LO
+        n, last, gap = n - 1, _PI + last, -last
+    pieces, gaps = np.full(n + 1, _PI), np.zeros(n + 1)
+    pieces[-1], gaps[-1] = last, gap
+
+    total = scale = 0.0
+    for level, (x, xc, w) in enumerate(_TANH_SINH):
+        # |sin u| is the sine of the distance from u to the nearer multiple of pi
+        dist = np.minimum(pieces[:, None] * x, gaps[:, None] + pieces[:, None] * xc)
+        terms = w * np.log(2.0 * np.sin(dist), out=np.zeros_like(dist), where=dist > 0)
+        previous = total
+        total = total / 2 - float(pieces @ terms.sum(axis=1))
+        scale = scale / 2 + float(pieces @ np.abs(terms).sum(axis=1))
+        err = max(abs(total - previous), 2.0**-52 * scale)
+        if level and err <= tol / 2:
+            return sign * total
+    raise QuadratureError(
+        f"lobachevsky_quadrature: achieved error {err:.3e} exceeds tol {tol:.3e}",
+        achieved=err,
+    )
 
 
 # --- tetra ------------------------------------------------------------------

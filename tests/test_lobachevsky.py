@@ -20,6 +20,8 @@ from reggescissors.lobachevsky import (
 from reggescissors.scissors import regge_orbit, verify_scissors
 from reggescissors.tetra import TetAngles
 
+from oracles import lobachevsky_quadrature_pointwise
+
 PI = math.pi
 
 # frozen against the quadrature oracle (and an independent multiprecision check)
@@ -107,6 +109,12 @@ def test_quadrature_rejects_tol_outside_positive_finite(tol):
         lobachevsky_quadrature(1.0, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
+def test_array_quadrature_rejects_tol_outside_positive_finite(tol):
+    with pytest.raises(ValueError, match="^lobachevsky_quadrature: tol must be positive"):
+        lobachevsky_quadrature(np.array([1.0, 2.0]), tol=tol)
+
+
 def test_series_table_is_scipy_zeta_bit_for_bit():
     from scipy import special
 
@@ -173,6 +181,21 @@ def test_quadrature_reports_achieved_error():
     assert exc.value.achieved > 0
 
 
+def test_array_quadrature_reports_the_worst_unconverged_error():
+    # 1e-300 and 0.0 converge at tol 1e-18; the other three do not
+    points = [1.0, 1e-300, -4.0, 0.0, 2.5]
+    achieved = []
+    for x in points:
+        try:
+            lobachevsky_quadrature_pointwise(x, 1e-18)
+        except QuadratureError as exc:
+            achieved.append(exc.achieved)
+    assert len(achieved) == 3
+    with pytest.raises(QuadratureError, match="^lobachevsky_quadrature: achieved error") as exc:
+        lobachevsky_quadrature(np.array(points), tol=1e-18)
+    assert exc.value.achieved == max(achieved)
+
+
 def _lob_mpmath(theta: float) -> float:
     """lob(theta) = Cl_2(2 theta) / 2 at 30 digits: a reference that shares
     neither the series nor the quadrature."""
@@ -181,9 +204,10 @@ def _lob_mpmath(theta: float) -> float:
 
 
 def test_quadrature_matches_mpmath_on_the_suite_grid():
-    # suite criterion 1's grid, at its tolerance
-    grid = np.linspace(-2 * PI, 2 * PI, 1000).tolist()
-    gap = max(abs(lobachevsky_quadrature(x, 1e-12) - _lob_mpmath(x)) for x in grid)
+    # suite criterion 1's grid, at its tolerance, in one call as the suite takes it
+    grid = np.linspace(-2 * PI, 2 * PI, 1000)
+    values = lobachevsky_quadrature(grid, 1e-12).tolist()
+    gap = max(abs(v - _lob_mpmath(x)) for x, v in zip(grid.tolist(), values, strict=True))
     assert gap <= 2e-14
 
 
@@ -201,6 +225,56 @@ def test_quadrature_finite_for_subnormal_and_tiny(theta):
     value = lobachevsky_quadrature(theta, 1e-12)
     assert math.isfinite(value) and math.copysign(1.0, value) == math.copysign(1.0, theta)
     assert value == pytest.approx(_lob_mpmath(theta), abs=1e-12)
+
+
+# suite criterion 1's grid, criterion 9's mini-grid, both sides of each
+# multiple of pi up to 20 pi, subnormal, tiny and signed zero arguments, and
+# arguments of more than 16 pieces
+QUADRATURE_POINTS = [
+    *np.linspace(-2 * PI, 2 * PI, 1000).tolist(),
+    *np.linspace(-2 * PI, 2 * PI, 40).tolist(),
+    *(k * PI + d for k in range(-20, 21) for d in (1e-13, -1e-13)),
+    5e-324, -5e-324, 1e-300, -1e-300, 0.0, -0.0,
+    *(s * x for x in np.random.default_rng(30).uniform(50.0, 60.0, 4).tolist() for s in (1, -1)),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_quadrature_keeps_the_bits_of_one_point_at_a_time(tol):
+    # float.hex tells -0.0 from 0.0, so a sign of zero counts as a difference
+    want = [lobachevsky_quadrature_pointwise(x, tol).hex() for x in QUADRATURE_POINTS]
+    assert [v.hex() for v in lobachevsky_quadrature(np.array(QUADRATURE_POINTS), tol).tolist()] == want
+    scalars = [lobachevsky_quadrature(x, tol) for x in QUADRATURE_POINTS]
+    assert all(type(v) is float for v in scalars)
+    assert [v.hex() for v in scalars] == want
+
+
+def test_quadrature_returns_the_shape_it_takes():
+    assert type(lobachevsky_quadrature(1.0)) is float
+    assert type(lobachevsky_quadrature(np.float64(1.0))) is float
+    assert type(lobachevsky_quadrature(np.asarray(1.0))) is float
+    grid = np.linspace(-7.0, 7.0, 6).reshape(2, 3)
+    values = lobachevsky_quadrature(grid)
+    assert values.shape == (2, 3) and values.dtype == np.float64
+    assert values.tolist() == [[lobachevsky_quadrature(x) for x in row] for row in grid.tolist()]
+    assert lobachevsky_quadrature(np.empty((2, 0))).shape == (2, 0)
+
+
+def test_quadrature_of_minus_zero_is_plus_zero():
+    assert lobachevsky_quadrature(-0.0).hex() == (0.0).hex()
+    values = lobachevsky_quadrature(np.array([-0.0, 0.0])).tolist()
+    assert [v.hex() for v in values] == [(0.0).hex()] * 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2, 5])
+def test_quadrature_rejects_any_non_finite_element(bad, where):
+    arr = np.linspace(-3.0, 3.0, 6)
+    arr[where] = bad
+    with pytest.raises(ValueError, match="^lobachevsky_quadrature: argument must be finite"):
+        lobachevsky_quadrature(arr)
+    with pytest.raises(ValueError, match="^lobachevsky_quadrature: argument must be finite"):
+        lobachevsky_quadrature(arr.reshape(2, 3))
 
 
 def _same_bits(a: float, b: float) -> bool:

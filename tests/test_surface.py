@@ -12,7 +12,8 @@ MODULES = [importlib.import_module(f"reggescissors.{info.name}")
 
 #: Names only the tests call; they live in tests/oracles.py.
 TEST_ONLY = ("three_quarter_volume_numeric", "lorentz_boost", "apply_isometry",
-             "full_dihedral_angles", "angles_from_gram", "tetra_symmetries")
+             "full_dihedral_angles", "angles_from_gram", "tetra_symmetries",
+             "lobachevsky_quadrature_pointwise")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
