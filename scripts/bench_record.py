@@ -22,15 +22,16 @@ each on a fresh TetAngles, so no per-instance memo is warm; each layer runs
 in its own fresh process, so no argument memo is warm either; the median of
 SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and `us_q3`.
 With `--before`, the same layers are timed against the `src/` of another
-checkout (the parent of the change), alternating process by process, and
-recorded as `before_us`, `before_us_q1` and `before_us_q3`.
+checkout (the parent of the change), alternating process by process, with
+the side that runs first swapped every round, and recorded as `before_us`,
+`before_us_q1` and `before_us_q3`.
 
 `suite_criteria` gives the unscaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
 the suite runs them, in a fresh process, so a criterion that first needs a
 module pays for importing it; the median of SUITE_RUNS processes as `s`,
 with its quartiles as `s_q1` and `s_q3`.  With `--before` the other checkout
-is timed too, alternating process by process, and recorded as `before_s`,
+is timed too, alternating as for `per_call`, and recorded as `before_s`,
 `before_s_q1` and `before_s_q3`.
 """
 
@@ -160,11 +161,13 @@ def fresh(checkout: Path, *args: str) -> str:
 def alternate(before: Path | None, column: str, parse, *args: str) -> dict[str, list]:
     """The parsed stdout of SUITE_RUNS fresh runs of this script with `args`
     on this checkout, under `column`, and, when given, on the checkout
-    `before`, under `before_<column>`, alternating process by process."""
-    checkouts = {column: ROOT} if before is None else {f"before_{column}": before, column: ROOT}
-    runs = {name: [] for name in checkouts}
-    for _ in range(SUITE_RUNS):
-        for name, checkout in checkouts.items():
+    `before`, under `before_<column>`, alternating process by process; the
+    side that runs first alternates from round to round, `before` first in
+    the first round."""
+    checkouts = [(column, ROOT)] if before is None else [(f"before_{column}", before), (column, ROOT)]
+    runs = {name: [] for name, _ in checkouts}
+    for round_ in range(SUITE_RUNS):
+        for name, checkout in checkouts[::-1] if round_ % 2 else checkouts:
             runs[name].append(parse(fresh(checkout, *args)))
     return runs
 

@@ -41,12 +41,12 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "2f3391a5dafc0a8e8d6a6cc9060ee19a55829e3ae8672fce954639525af1fb62",
-    "suite_seed2": "ac204c69b123a288140d4f8c78910730362a3041568f541e204a5b43b9671445",
+    "suite_seed7": "9753760a5e41b8780ddfec1f493cf11d2defd57e39cd878648c5e686d52f2b2d",
+    "suite_seed2": "3a40bd6f41a0d508996c42ab32190efcd74e780fa6ed9caf597c4feb6093e48c",
     "formula_seed1": "b8c9caafbae1c49993358730dc4b28d3058df01d3e6a55bc998a0727ccfd78be",
     "formula_seed2": "cf8e0da9506bab8c31c80a6f6ed2eebf99f6bbddd394d736028f9de9f6d79041",
     "formula_seed3": "85835dae4cf64ad1b56db9c3d4d08d7734396eb68443537e94adf0eb98e68299",
-    "oracle_seed1": "99539cc244e388422c1565a77e5175c36be6eb18419803cd25ec5f8073644bf6",
+    "oracle_seed1": "9f4316035388f9549e9e3bedf37967db23799055b697b65dee86dd9471217672",
 }
 
 FORMULA_INPUTS = 300

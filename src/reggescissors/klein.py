@@ -8,8 +8,9 @@ sphere at infinity.  Its volume integrates dV = dx dy dz / (1 - |x|^2)^2
 over the cones from the origin on its four faces: on the cone over face
 (a, b, c), x = s y with s in [0, 1] has dx = s^2 det[a, b, c] ds dA, and the
 integral over s is closed-form.  The cones are signed by det[a, b, c], so
-the origin need not lie inside the tetrahedron.  The derivative of the
-formula volume is compared against edge lengths through
+the origin need not lie inside the tetrahedron.  The face triangles are
+refined in passes, each splitting a batch of the worst leaves at once.  The
+derivative of the formula volume is compared against edge lengths through
 dV = -1/2 sum l_i d(theta_i).
 """
 
@@ -214,10 +215,13 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
 
     The leaves start as each face's four children.  Each leaf carries the
     error estimate |its rule value - the sum over its 4 children|, and the
-    worst leaf is split until the estimates sum below tol/2; the volume is
-    the sum over the leaves' children, with the sign of det[v1 - v0,
-    v2 - v0, v3 - v0].  Raises QuadratureError (with the achieved estimate)
-    when a split would make the leaves outnumber max_refine.
+    leaves are refined in passes until the estimates sum below tol/2.  A
+    pass splits, worst first, the fewest leaves whose estimates leave at most
+    tol/4 on the others; a split leaf's first child takes its slot and the
+    other three are appended.  The volume is the sum over the leaves'
+    children, with the sign of det[v1 - v0, v2 - v0, v3 - v0].  A pass
+    splits no more leaves than keep them within max_refine; raises
+    QuadratureError (with the achieved estimate) when not even one split fits.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
@@ -226,21 +230,23 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
         raise GeometryDomainError("vertices must lie strictly inside the unit ball")
     tris = _split4(verts[_FACES]).reshape(-1, 3, 3)
     kids, fine, errs = _leaves(tris, _rule_batch(tris))
-    n = 16  # leaves in use; the arrays double when full
-    while (total_err := float(errs[:n].sum())) >= tol / 2:
-        if n + 3 > max_refine:
+    while (total_err := float(errs.sum())) >= tol / 2:
+        fits = (max_refine - len(errs)) // 3
+        if fits < 1:
             raise QuadratureError(
                 f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
                 achieved=total_err,
             )
-        if n + 3 > len(errs):
-            kids, fine, errs = (np.concatenate([a, a]) for a in (kids, fine, errs))
-        i = int(np.argmax(errs[:n]))
-        k, f, e = _leaves(kids[i], fine[i])
-        kids[i], fine[i], errs[i] = k[0], f[0], e[0]
-        kids[n:n + 3], fine[n:n + 3], errs[n:n + 3] = k[1:], f[1:], e[1:]
-        n += 3
-    return float(np.sign(np.linalg.det(verts[1:] - verts[0])) * fine[:n].sum())
+        worst = np.argsort(-errs, kind="stable")
+        # rest[m]: the estimates left on the other leaves when the worst m are split
+        rest = np.cumsum(errs[worst[::-1]])[::-1]
+        split = worst[:min(np.count_nonzero(rest > tol / 4), fits)]
+        k, f, e = (a.reshape(len(split), 4, *a.shape[1:])
+                   for a in _leaves(kids[split].reshape(-1, 3, 3), fine[split].ravel()))
+        kids[split], fine[split], errs[split] = k[:, 0], f[:, 0], e[:, 0]
+        kids, fine, errs = (np.concatenate([a, b[:, 1:].reshape(-1, *a.shape[1:])])
+                            for a, b in ((kids, k), (fine, f), (errs, e)))
+    return float(np.sign(np.linalg.det(verts[1:] - verts[0])) * fine.sum())
 
 
 # --- Schlafli differential check --------------------------------------------

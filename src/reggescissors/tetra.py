@@ -270,7 +270,8 @@ def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float
     """Edge lengths (A, B, C, A', B', C' order) of a Finite tetrahedron.
 
     cosh(len of edge {i,j}) = adj(G)[i][j] / sqrt(adj(G)[i][i] adj(G)[j][j]).
-    Non-finite tetrahedra (infinite or undefined lengths) raise.
+    Non-finite tetrahedra (infinite or undefined lengths) raise; so does a
+    ratio that rounds below 1, with an ArithmeticError naming its edge.
     """
     require_kind(t, TetraKind.FINITE)
     G = gram_matrix(t)
@@ -278,7 +279,10 @@ def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float
     out = []
     for name in _ANGLE_ORDER:
         i, j = _EDGE_OF[name]
-        out.append(math.acosh(adj[i, j] / math.sqrt(adj[i, i] * adj[j, j])))
+        ratio = adj[i, j] / math.sqrt(adj[i, i] * adj[j, j])
+        if ratio < 1:
+            raise ArithmeticError(f"edge {name} ({i}, {j}): cosh ratio {ratio:.17g} is below 1")
+        out.append(math.acosh(ratio))
     return tuple(out)
 
 

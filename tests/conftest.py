@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reggescissors import TetAngles
+from reggescissors import TetAngles, tetra
 from reggescissors.sampling import sample_finite
 from reggescissors.tetra import TetraKind, classify
 
@@ -65,3 +65,13 @@ def slivers():
     IDEAL_COFACTOR_TOL."""
     return [angles for angles in _stream_rows(1, 0.998, 1200)
             if classify(TetAngles(*angles)).kind is TetraKind.IDEAL]
+
+
+@pytest.fixture
+def flipped_gram(monkeypatch):
+    """tetra.gram_matrix with the sign of row and column 3 flipped: the same
+    eigenvalues, so a Finite class stays Finite, but vertex 3 lies on the
+    other sheet, and each edge at vertex 3 gets the cosh ratio -cosh(l)."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    gram_matrix = tetra.gram_matrix
+    monkeypatch.setattr(tetra, "gram_matrix", lambda t: flip @ gram_matrix(t) @ flip)

@@ -171,6 +171,16 @@ def test_numerical_failure_exits_three(error, monkeypatch, capsys):
     assert err == "numerical failure: no solve\n"
 
 
+def test_edge_length_failure_exits_three(flipped_gram, capsys):
+    # a cosh ratio below 1 in edge_lengths, which oracle reaches through
+    # schlafli_residual: a JSON error and exit 3, not a math.acosh traceback
+    assert cli.main(["oracle", *ANGLES_GENERIC]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    message = json.loads(out)["error"]
+    assert message.startswith("edge C (0, 3): cosh ratio -1.") and message.endswith(" is below 1")
+    assert err == f"numerical failure: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
 def test_help_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -248,6 +248,37 @@ def _ref_split4(v):
     return np.array([[v[0], m01, m02], [m01, v[1], m12], [m02, m12, v[2]], [m02, m01, m12]])
 
 
+def _ref_volume_numeric(kt, tol, max_refine=60000):
+    """volume_numeric's pass rule written out one leaf at a time, as the
+    outcome _outcome gives: each leaf is (its children, their rule values,
+    its estimate), and a pass splits its leaves one after another, worst
+    first, each split leaf's first child in its slot and the rest appended."""
+    def leaf(tri, value):
+        kids = _ref_split4(tri)
+        fine = _ref_rule_batch(kids)
+        return kids, fine, abs(value - fine.sum())
+
+    verts = np.asarray(kt.vertices, dtype=float)
+    tris = [child for face in verts[klein._FACES] for child in _ref_split4(face)]
+    leaves = [leaf(tri, value) for tri, value in zip(tris, _ref_rule_batch(np.array(tris)))]
+    while (total := float(np.array([err for _, _, err in leaves]).sum())) >= tol / 2:
+        if len(leaves) + 3 > max_refine:
+            return ("error", f"volume quadrature: refinement budget exhausted, achieved {total:.3e}", total.hex())
+        worst = sorted(range(len(leaves)), key=lambda i: -leaves[i][2])
+        rest, left = 0.0, []  # the estimates left on the leaves after the worst m, m = n - 1 .. 0
+        for i in reversed(worst):
+            rest += leaves[i][2]
+            left.append(rest)
+        count = sum(r > tol / 4 for r in left)
+        for i in worst[:min(count, (max_refine - len(leaves)) // 3)]:
+            kids, fine, _ = leaves[i]
+            first, *others = (leaf(kids[c], fine[c]) for c in range(4))
+            leaves[i] = first
+            leaves.extend(others)
+    sign = np.sign(np.linalg.det(verts[1:] - verts[0]))
+    return ("volume", float(sign * np.array([fine for _, fine, _ in leaves]).sum()).hex())
+
+
 def _outcome(kt, tol, max_refine=60000):
     """float.hex of the volume, or the QuadratureError text and achieved."""
     try:
@@ -294,8 +325,8 @@ class TestBatchedQuadratureMatchesReference:
     @pytest.mark.parametrize("tol", [1e-6, 1e-7])
     def test_klein_uniform(self, uniform, tol):
         outcomes = [_volume_outcome(kt, t, tol) for t, kt in zip(*uniform)]
-        assert _digest(outcomes) == {1e-6: "d9ec69a17d1adca4fe0e2c8da68cf56afacd662a66e9aff4ee8d4a5a6ccea47e",
-                                     1e-7: "e14f0e0751a2ce341c26d4b0a2916af920ce1c4964ae8523a3ebe2c92e413573"}[tol]
+        assert _digest(outcomes) == {1e-6: "ddb9ae546229bef980a898288597273b4adbf2189fbe9035a3c3fd1c1b6c498c",
+                                     1e-7: "8ccdfc633b8020fed68f6d78b7781103de493e84e9288bb404e10525cbd9dbcf"}[tol]
 
     def test_fixtures(self, finite_batch, generic, equiangular):
         tiny = KleinTetra(1e-3 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -304,14 +335,44 @@ class TestBatchedQuadratureMatchesReference:
         kts += [apply_isometry(kts[0], lorentz_boost(0.3, axis=0)), tiny]
         outcomes = [_volume_outcome(kt, t, tol) for tol in (1e-6, 1e-7) for kt, t in zip(kts, angles)]
         outcomes.append(_volume_outcome(tiny, angles[-1], 1e-15))
-        assert _digest(outcomes) == "a7ec1ede631e40349214fa991121c511772a62d04c194f4cae9d40d1308809cf"
+        assert _digest(outcomes) == "3ce3f65d41fbf0ddbc36029abb5b8636f96fc55583beb1ea9e5ca12b2e4bde98"
 
     @pytest.mark.parametrize("max_refine", [8, 40])
     def test_budget_exhaustion(self, uniform, generic, max_refine):
         outcomes = [_outcome(kt, 1e-14, max_refine) for kt in [klein_vertices(generic), *uniform[1][:10]]]
         assert all(kind == "error" and float.fromhex(achieved) > 0 for kind, _, achieved in outcomes)
         assert _digest(outcomes) == {8: "a514ae70a911863a71ce4f148a29c72b4fa281ddaa79aa67302c8588f12056b7",
-                                     40: "48aa505b77711e3aef07329d333a817d99ba8f765222305a21128326ae304f7a"}[max_refine]
+                                     40: "e1e7b6be6f270af2ca591c8a11a3855b8a0ef57b01edab6bb24b237fad8a40e1"}[max_refine]
+
+    @pytest.mark.parametrize("tol,max_refine", [(1e-6, 60000), (1e-7, 60000), (1e-14, 8), (1e-14, 40), (1e-14, 100)])
+    def test_passes_keep_the_bits_of_one_leaf_at_a_time(self, uniform, generic, tol, max_refine):
+        for kt in [klein_vertices(generic), *uniform[1][:20 if max_refine > 100 else 10]]:
+            assert _outcome(kt, tol, max_refine) == _ref_volume_numeric(kt, tol, max_refine)
+
+    @pytest.fixture
+    def leaf_count(self, monkeypatch):
+        """The number of leaves volume_numeric has made so far: 16 from the
+        four faces, then 3 more per split leaf (4 triangles to a _leaves row)."""
+        sizes = []
+        leaves = klein._leaves
+        monkeypatch.setattr(klein, "_leaves", lambda tris, values: sizes.append(len(tris)) or leaves(tris, values))
+        return lambda: sizes[0] + 3 * sum(sizes[1:]) // 4
+
+    @pytest.mark.parametrize("max_refine", range(16, 41))
+    def test_leaves_fill_the_budget_before_the_error(self, generic, leaf_count, max_refine):
+        # a pass never takes the leaves past max_refine, and the error comes
+        # only once not even one more split fits
+        with pytest.raises(QuadratureError):
+            volume_numeric(klein_vertices(generic), 1e-14, max_refine)
+        assert max_refine - 3 < leaf_count() <= max_refine
+
+    def test_a_budget_of_the_leaves_used_is_enough(self, generic, leaf_count):
+        # at 1e-9 more than four leaves are split; a budget of exactly the
+        # leaves an unbounded run makes caps no pass, so the bits hold
+        kt = klein_vertices(generic)
+        volume = volume_numeric(kt, 1e-9)
+        used = leaf_count()
+        assert used > 16 + 3 * 4 and volume_numeric(kt, 1e-9, used).hex() == volume.hex()
 
     def test_rule_bits_do_not_depend_on_batch_size(self):
         rng = np.random.default_rng(7)

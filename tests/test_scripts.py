@@ -48,11 +48,17 @@ def test_decomposition_demo_rejects_bad_angles(angles, message, monkeypatch, cap
     assert err.startswith("usage:") and err.endswith(f"error: {message}\n")
 
 
-def test_bench_record_times_a_layer():
-    # a rename or move of a layer the recorder times fails here, not only in a full recording
+@pytest.fixture
+def bench_record():
+    """scripts/bench_record.py as a module."""
     spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_times_a_layer(bench_record):
+    # a rename or move of a layer the recorder times fails here, not only in a full recording
     assert {"lobachevsky_scalar", "lobachevsky_array", "oracle_quadrature",
             "lobachevsky_quadrature_scalar"} <= set(bench_record.PER_CALL)
     for call in bench_record.PER_CALL.values():
@@ -62,6 +68,27 @@ def test_bench_record_times_a_layer():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 1 and 0 < float(lines[0]) < math.inf, result.stdout
+
+
+def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch):
+    calls = []
+
+    def fresh(checkout, *args):
+        calls.append((checkout, args))
+        return f"{len(calls)}\n"
+
+    monkeypatch.setattr(bench_record, "fresh", fresh)
+    parent, here = pathlib.Path("parent"), bench_record.ROOT
+    runs = bench_record.alternate(parent, "us", float, "--time-layer", "classify")
+    assert bench_record.SUITE_RUNS == 5
+    assert [checkout for checkout, _ in calls] == [parent, here, here, parent, parent, here, here, parent, parent, here]
+    assert {args for _, args in calls} == {("--time-layer", "classify")}
+    assert runs == {"before_us": [1.0, 4.0, 5.0, 8.0, 9.0], "us": [2.0, 3.0, 6.0, 7.0, 10.0]}
+    assert set(bench_record.quartiles(runs)) == {"before_us", "before_us_q1", "before_us_q3", "us", "us_q1", "us_q3"}
+
+    calls.clear()
+    assert bench_record.alternate(None, "s", float, "--time-suite") == {"s": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert [checkout for checkout, _ in calls] == [here] * 5
 
 
 @pytest.fixture
@@ -107,4 +134,4 @@ def test_stream_digests_keep_their_bytes(output_digest):
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
     assert formula == "0ba78ceae77b41be5d0583910a9174738e6e42c5baf6f24dd6f133a4cbb3cb9a"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
-    assert oracle == "b1a623dac8e8cd7d6f38e6b449f39f35f5662fd8cb951de7e0802cd4af16df63"
+    assert oracle == "6ffee803a80d6869ae3e82a21ed512f8c6ba05126c3508550713381a890397da"

@@ -355,6 +355,13 @@ class TestEdgeLengths:
         with pytest.raises(GeometryDomainError):
             edge_lengths(TetAngles(*(PI / 3,) * 6))
 
+    def test_cosh_ratio_below_one_is_arithmetic_error(self, flipped_gram):
+        t = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+        assert classify(t).kind is TetraKind.FINITE
+        with pytest.raises(ArithmeticError, match=r"^edge C \(0, 3\): cosh ratio -1\.\d+ is below 1$") as exc:
+            edge_lengths(t)
+        assert not isinstance(exc.value, ValueError)
+
     def test_permute_under_relabel(self, generic):
         base = dict(zip(("A", "B", "C", "Ap", "Bp", "Cp"), edge_lengths(generic)))
         swapped = dict(
