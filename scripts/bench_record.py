@@ -13,20 +13,23 @@ end-to-end metric over the seeds and each run's `attempted`, `failed` and
 `correct`; the median, q1 and q3 of the cold-start wall times; the per-call
 means; the suite criteria seconds; and the tier-1 wall time, exit code and
 summary line.  Times of the workloads are perfbench's, scaled to its
-reference machine speed; the cold-start, per-call, suite criteria and tier-1
-wall times are not scaled.
+reference machine speed.  The per-call and suite criteria times are scaled
+the same way: each timing process samples `perfbench/machine.Ticker` and
+records `reference_seconds` of its timed intervals.  The cold-start and
+tier-1 wall times are not scaled.
 
-`per_call` gives, for each layer in PER_CALL, the mean microseconds of one
-call over the first 200 Finite inputs of the `formula` stream for seed 1,
-each on a fresh TetAngles, so no per-instance memo is warm; each layer runs
-in its own fresh process, so no argument memo is warm either; the median of
-SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and `us_q3`.
+`per_call` gives, for each layer in PER_CALL, the mean scaled microseconds
+of one call over the first 200 Finite inputs of the `formula` stream for
+seed 1, each on a fresh TetAngles, so no per-instance memo is warm; each
+layer runs in its own fresh process, so no argument memo is warm either; the
+median of SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and
+`us_q3`.
 With `--before`, the same layers are timed against the `src/` of another
 checkout (the parent of the change), alternating process by process, with
 the side that runs first swapped every round, and recorded as `before_us`,
 `before_us_q1` and `before_us_q3`.
 
-`suite_criteria` gives the unscaled in-process seconds of the package
+`suite_criteria` gives the scaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
 the suite runs them, in a fresh process, so a criterion that first needs a
 module pays for importing it; the median of SUITE_RUNS processes as `s`,
@@ -123,7 +126,7 @@ def src_digest(checkout: Path) -> str:
 
 
 def time_layer(name: str) -> float:
-    """Mean unscaled microseconds of one PER_CALL[name] call over the first
+    """Mean scaled microseconds of one PER_CALL[name] call over the first
     PER_CALL_INPUTS Finite inputs of the `formula` stream for seed 1, in this
     process, with the package found on PYTHONPATH."""
     import reggescissors  # loads every module PER_CALL reaches
@@ -131,6 +134,7 @@ def time_layer(name: str) -> float:
     tetra = reggescissors.tetra
     sys.path.insert(0, str(ROOT / "perfbench"))
     from inputs import TetStream
+    from machine import Ticker, reference_seconds
     from worker import RMAX, STREAM
 
     rows = []
@@ -141,13 +145,14 @@ def time_layer(name: str) -> float:
                 break
     call = PER_CALL[name]
     call(reggescissors, tetra.TetAngles.of(rows.pop()))  # untimed warm-up on the next input
-    total = 0.0
-    for angles in rows:
-        t = tetra.TetAngles.of(angles)
-        start = time.perf_counter()
-        call(reggescissors, t)
-        total += time.perf_counter() - start
-    return total / len(rows) * 1e6
+    intervals = []
+    with Ticker() as ticker:
+        for angles in rows:
+            t = tetra.TetAngles.of(angles)
+            start = time.perf_counter()
+            call(reggescissors, t)
+            intervals.append((start, time.perf_counter()))
+    return sum(reference_seconds(intervals, ticker.samples)) / len(rows) * 1e6
 
 
 def fresh(checkout: Path, *args: str) -> str:
@@ -184,23 +189,29 @@ def run_per_call(before: Path | None) -> dict:
     layers = {name: quartiles(alternate(before, "us", float, "--time-layer", name))
               for name in PER_CALL}
     return {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "runs": SUITE_RUNS,
-            "scaled": False, "unit": "us", "layers": layers, **stamp(before)}
+            "scaled": True, "unit": "us", "layers": layers, **stamp(before)}
 
 
 def time_suite_criteria() -> dict:
-    """Unscaled seconds of the package import and of each criterion of
+    """Scaled seconds of the package import and of each criterion of
     SUITE_CONFIG, run in order in this process, with the package found on
     PYTHONPATH."""
-    start = time.perf_counter()
-    from reggescissors import suite
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from machine import Ticker, reference_seconds
 
-    seconds = {"import": time.perf_counter() - start}
-    config = suite.SuiteConfig(**SUITE_CONFIG)
-    for criterion in suite._CRITERIA:
+    steps = []
+    with Ticker() as ticker:
         start = time.perf_counter()
-        criterion(config)
-        seconds[criterion.__name__] = time.perf_counter() - start
-    return seconds
+        from reggescissors import suite
+
+        steps.append(("import", start, time.perf_counter()))
+        config = suite.SuiteConfig(**SUITE_CONFIG)
+        for criterion in suite._CRITERIA:
+            start = time.perf_counter()
+            criterion(config)
+            steps.append((criterion.__name__, start, time.perf_counter()))
+    scaled = reference_seconds([(start, end) for _, start, end in steps], ticker.samples)
+    return {name: seconds for (name, _, _), seconds in zip(steps, scaled)}
 
 
 def run_suite_criteria(before: Path | None) -> dict:
@@ -210,7 +221,7 @@ def run_suite_criteria(before: Path | None) -> dict:
     runs = alternate(before, "s", json.loads, "--time-suite")
     steps = {name: quartiles({column: [run[name] for run in values] for column, values in runs.items()})
              for name in runs["s"][0]}
-    return {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": False,
+    return {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": True,
             "unit": "s", "steps": steps, **stamp(before)}
 
 

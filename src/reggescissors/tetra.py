@@ -25,6 +25,19 @@ when vertex v is finite.  The cofactor of edge {v, w} is det G times the
 Minkowski product of the two vertex vectors, so a negative one puts v and w
 on opposite sheets of the hyperboloid; see _edge_cofactors for its closed
 form.
+
+The signature needs no eigenvalues when a vertex cofactor exceeds
+IDEAL_COFACTOR_TOL and |det G| does too (angles in (0, pi)).  That vertex's
+3x3 block of G has unit diagonal, 2x2 minors sin^2 > 0 and determinant above
+1e-8, so it is positive definite; its eigenvalues sum to 3, so its smallest
+is at least 1e-8 / 2.25, and by Cauchy interlacing so is lambda_2(G).  With
+trace G = 4 and lambda_1 >= -2, lambda_2 lambda_3 lambda_4 <= 8, so
+det G < -1e-8 forces lambda_1 < -1.25e-9 (signature (3,1)) and det G > 1e-8
+forces lambda_1 > 0 (not a tetrahedron).  Both margins clear EIGENVALUE_TOL
+by far more than eigvalsh's backward error (about 1e-14), the link
+cofactor's rounding (about 1e-15) and the Laplace det's error (2.8e-16 at
+most against 40 digits on the benchmark streams), so the eigenvalue test,
+which decides the remaining inputs, would return the same class.
 """
 
 from __future__ import annotations
@@ -86,6 +99,10 @@ _VERTEX_ANGLES = tuple(tuple(k if v in _EDGE_OF[_ANGLE_ORDER[k]] else k + 3 for 
 # at each end of b's edge, one from each remaining opposite pair
 _EDGE_ANGLES = tuple((n, m, *(k for v in _EDGE_OF[_ANGLE_ORDER[m]] for k in _VERTEX_ANGLES[v] if k != m))
                      for n, m in enumerate((3, 4, 5, 0, 1, 2)))
+# face pair (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) -> as_tuple() index of
+# the angle on their shared edge: (3, 4, 5, 2, 1, 0)
+_GRAM_ANGLES = tuple(_ANGLE_ORDER.index(name) for pair in itertools.combinations(range(4), 2)
+                     for name, faces in _FACES_OF.items() if faces == pair)
 
 GramMatrix = np.ndarray  # 4x4 symmetric, unit diagonal; see module docstring
 
@@ -134,6 +151,17 @@ class TetraKind(Enum):
 
 @dataclass(frozen=True)
 class TetraClass:
+    """The class of the angle data and the numbers behind it.
+
+    `det` is det G by Laplace expansion in floats.  When a vertex cofactor
+    and |det| both exceed IDEAL_COFACTOR_TOL, its sign alone decides the
+    signature: that vertex's link block is positive definite with smallest
+    eigenvalue above 1e-8 / 2.25, so by interlacing lambda_2(G) is too, and
+    lambda_2 lambda_3 lambda_4 <= 8 puts lambda_1 = det / (lambda_2 lambda_3
+    lambda_4) below -1.25e-9 or above 0 (module docstring).
+    `vertex_cofactors` are the link cofactors of vertices 0..3.
+    """
+
     kind: TetraKind
     det: float
     vertex_cofactors: tuple[float, float, float, float]
@@ -219,12 +247,12 @@ def classify(t: TetAngles) -> TetraClass:
 
 
 def _classify(t: TetAngles) -> TetraClass:
-    e0, e1, e2, e3 = np.linalg.eigvalsh(gram_matrix(t)).tolist()
-    det = e0 * e1 * e2 * e3
     x = t.as_tuple()
+    cosines = [math.cos(v) for v in x]
+    det = _gram_det(cosines)
     cof = tuple(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES)
-    signature_31 = e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL
-    if not (t.in_range() and signature_31) or min(_edge_cofactors(x)) < -IDEAL_COFACTOR_TOL:
+    if (not t.in_range() or min(_edge_cofactors(x, cosines)) < -IDEAL_COFACTOR_TOL
+            or not _signature_31(t, det, cof)):
         kind = TetraKind.INVALID
     elif all(c > IDEAL_COFACTOR_TOL for c in cof):
         kind = TetraKind.FINITE
@@ -235,20 +263,40 @@ def _classify(t: TetAngles) -> TetraClass:
     return TetraClass(kind, det, cof)
 
 
+def _signature_31(t: TetAngles, det: float, cof) -> bool:
+    """Whether G has signature (3,1), for angles in (0, pi): the sign of det
+    when a vertex cofactor and |det| exceed IDEAL_COFACTOR_TOL (see the module
+    docstring), otherwise the eigenvalues against EIGENVALUE_TOL."""
+    if max(cof) > IDEAL_COFACTOR_TOL and abs(det) > IDEAL_COFACTOR_TOL:
+        return det < 0
+    e0, e1, _, _ = np.linalg.eigvalsh(gram_matrix(t)).tolist()
+    return e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL
+
+
+def _gram_det(c) -> float:
+    """det G from the cosines c of the angles, by Laplace expansion along
+    row 0, each 3x3 minor along its first row over the 2x2 minors of rows
+    2 and 3."""
+    p, q, r, s, u, w = (-c[k] for k in _GRAM_ANGLES)  # G[0][1:], G[1][2:], G[2][3]
+    m23, m13, m12, m03, m02, m01 = 1 - w * w, s - u * w, s * w - u, q - r * w, q * w - r, q * u - r * s
+    return ((m23 - s * m13 + u * m12) - p * (p * m23 - s * m03 + u * m02)
+            + q * (p * m13 - m03 + u * m01) - r * (p * m12 - m02 + s * m01))
+
+
 def _link_cofactor(a: float, b: float, c: float) -> float:
     """Cofactor of the vertex with angles (a, b, c); see the module docstring."""
     s = (a + b + c) / 2
     return -4 * math.cos(s) * math.cos(s - a) * math.cos(s - b) * math.cos(s - c)
 
 
-def _edge_cofactors(x) -> tuple[float, ...]:
-    """The six edge cofactors of the angles x, in _ANGLE_ORDER.  The edge with
-    angle a, whose opposite edge has angle b, has the cofactor
+def _edge_cofactors(x, c) -> tuple[float, ...]:
+    """The six edge cofactors of the angles x, with cosines c, in
+    _ANGLE_ORDER.  The edge with angle a, whose opposite edge has angle b,
+    has the cofactor
     cos b sin^2 a + cos a (cos x cos x' + cos y cos y') + cos x cos y + cos x' cos y',
     where (x, y) and (x', y') are the two other angles at the ends of b's edge,
     x opposite x' and y opposite y'.  It is the adjugate entry of G at the
     edge's two vertices (see the module docstring)."""
-    c = [math.cos(v) for v in x]
     return tuple(c[b] * math.sin(x[a]) ** 2 + c[a] * (c[i] * c[k] + c[j] * c[m]) + c[i] * c[j] + c[k] * c[m]
                  for a, b, i, j, k, m in _EDGE_ANGLES)
 

@@ -1,9 +1,9 @@
 """Exact certificates: the identities behind the scissors congruence, proved
 symbolically in sympy on the package's own tables.
 
-bar_solution, base_angles, slots, holonomy_polynomial, tetra._link_cofactor
-and tetra._edge_cofactors run unchanged on six symbols (pi, exp, cos and sin
-made exact), and the moves, vertices and edges are read through the same
+bar_solution, base_angles, slots, holonomy_polynomial, tetra._link_cofactor,
+tetra._edge_cofactors and tetra._gram_det run unchanged on six symbols (pi,
+exp, cos and sin made exact), and the moves, vertices and edges are read through the same
 index tables the numeric code uses: scissors._MOVED (through scissors._move,
 the move rule regge applies), tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES,
 tetra._EDGE_ANGLES, REGGE_B_IMAGE_RELABEL and PAIR_CONJUGATION.  Each
@@ -146,10 +146,19 @@ def test_vertex_cofactor_is_the_link_gram_determinant(monkeypatch):
 def test_edge_cofactor_is_the_off_diagonal_adjugate(monkeypatch):
     # the closed form classify evaluates for each edge equals the adjugate
     # entry of G at the edge's two vertices
-    monkeypatch.setattr(tetra, "math", types.SimpleNamespace(cos=sp.cos, sin=sp.sin))
+    monkeypatch.setattr(tetra, "math", types.SimpleNamespace(sin=sp.sin))
     adjugate = _gram().adjugate()
-    for (i, j), cofactor in zip(tetra._EDGE_OF.values(), tetra._edge_cofactors(ANGLES), strict=True):
+    cofactors = tetra._edge_cofactors(ANGLES, [sp.cos(x) for x in ANGLES])
+    for (i, j), cofactor in zip(tetra._EDGE_OF.values(), cofactors, strict=True):
         assert _is_zero_in_exponentials(cofactor - adjugate[i, j]), (i, j)
+
+
+def test_laplace_det_is_the_gram_determinant():
+    # the expansion classify evaluates, on the cosines it shares with the
+    # edge cofactors, is det G as a polynomial in the six cosines
+    cosines = sp.symbols("cA cB cC cAp cBp cCp", real=True)
+    G = _gram().subs({sp.cos(x): c for x, c in zip(ANGLES, cosines)})
+    assert sp.expand(tetra._gram_det(cosines) - G.det()) == 0
 
 
 def test_holonomy_discriminant_is_sixteen_det_gram(source, monkeypatch):

@@ -91,6 +91,16 @@ def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch
     assert [checkout for checkout, _ in calls] == [here] * 5
 
 
+def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):
+    # time_layer and time_suite_criteria record perfbench's reference_seconds
+    monkeypatch.setattr(bench_record, "fresh",
+                        lambda checkout, *args: '{"import": 0.5}' if "--time-suite" in args else "2.0")
+    per_call = bench_record.run_per_call(None)
+    assert per_call["scaled"] is True and per_call["layers"]["classify"]["us"] == 2.0
+    criteria = bench_record.run_suite_criteria(None)
+    assert criteria["scaled"] is True and criteria["steps"]["import"]["s"] == 0.5
+
+
 @pytest.fixture
 def output_digest(monkeypatch):
     """scripts/output_digest.py as a module; it extends sys.path on import."""

@@ -11,6 +11,7 @@ from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import klein_vertices, schlafli_residual
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import solve_holonomy, tet_volume
+from reggescissors.sampling import sample_finite
 from reggescissors.scissors import decompose, regge, verify_scissors
 from reggescissors.tetra import (
     IDEAL_COFACTOR_TOL,
@@ -161,6 +162,15 @@ class TestGram:
         )
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The matrices np.linalg.eigvalsh is called on, from any caller."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(G) or eigvalsh(G))
+    return calls
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "theta,kind",
@@ -196,14 +206,26 @@ class TestClassify:
         assert len(cls.vertex_cofactors) == 4
         assert all(c > 0 for c in cls.vertex_cofactors)
 
-    def test_diagnostics_keep_the_numpy_bits(self, stream_angles, slivers):
-        # no CLI output shows det or the cofactors: det keeps the bits of the
-        # eigenvalue product, and each link cofactor is within 1e-10 relative
-        # of the 40-digit Gram minor, down to the slivers' 1e-14 cofactors
+    def test_finite_suite_draws_need_no_eigenvalues(self, eigvalsh_calls):
+        # each vertex of a Finite draw has a cofactor above the tolerance, and
+        # no box draw comes within 1e-8 of det G = 0, so det G decides alone
+        batch, _ = sample_finite(np.random.default_rng(7), 1000)
+        eigvalsh_calls.clear()
+        assert all(classify(TetAngles(*t.as_tuple())).kind is TetraKind.FINITE for t in batch)
+        assert eigvalsh_calls == []
+
+    def test_diagnostics_match_40_digits(self, stream_angles, slivers):
+        # no CLI output shows det or the cofactors: the Laplace det is within
+        # 1e-15 of the 40-digit det G (the eigenvalue product misses by up to
+        # 2.0e-15) and has its sign on every sliver, down to |det G| = 2.6e-20;
+        # each link cofactor is within 1e-10 relative of the 40-digit Gram
+        # minor, down to the slivers' 1e-14 cofactors
         for angles in stream_angles:
             t = TetAngles(*angles)
-            det = float(np.prod(np.linalg.eigvalsh(gram_matrix(t))))
-            assert classify(t).det.hex() == det.hex()
+            assert abs(classify(t).det - gram_det_mp(t)) <= 1e-15, angles
+        for angles in slivers:
+            t = TetAngles(*angles)
+            assert (classify(t).det < 0) == (gram_det_mp(t) < 0), angles
         for angles in stream_angles + slivers:
             t = TetAngles(*angles)
             for got, want in zip(classify(t).vertex_cofactors, vertex_minors_mp(t)):
@@ -211,8 +233,10 @@ class TestClassify:
 
 
 class TestClassReference:
-    """classify reads the vertex cofactors from the vertex links and the edge
-    cofactors from their closed form; classify_by_inverse reads both from
+    """classify reads the vertex cofactors from the vertex links, the edge
+    cofactors from their closed form, and the signature from the sign of its
+    Laplace det G wherever a vertex link bounds lambda_2; classify_by_inverse
+    reads the signature from the eigenvalues and both cofactors from
     det(G) * inv(G).  The class must not move."""
 
     @staticmethod
@@ -220,6 +244,19 @@ class TestClassReference:
         for angles in rows:
             t = TetAngles(*angles)
             assert classify(t).kind is classify_by_inverse(t), angles
+
+    @staticmethod
+    def _assert_same_class_on_both_routes(rows, eigvalsh_calls):
+        """_assert_same_class, where classify decided some rows by det G
+        alone and the others by its eigenvalue fallback."""
+        by_eigenvalues = 0
+        for angles in rows:
+            t = TetAngles(*angles)
+            before = len(eigvalsh_calls)
+            kind = classify(t).kind
+            by_eigenvalues += len(eigvalsh_calls) > before
+            assert kind is classify_by_inverse(t), angles
+        assert 0 < by_eigenvalues < len(rows)
 
     def test_stream_inputs_and_their_images(self, stream_angles):
         sources = [TetAngles(*angles) for angles in stream_angles]
@@ -244,6 +281,32 @@ class TestClassReference:
         kinds = {classify(TetAngles(*angles)).kind for angles in rows}
         assert {TetraKind.FINITE, TetraKind.INVALID} <= kinds
         self._assert_same_class(rows)
+
+    def test_det_crosses_the_tolerance(self, eigvalsh_calls):
+        # on the equiangular line det G is about 6.7 (theta - arccos(1/3)), so
+        # steps of 1e-10 rad take it across -1e-8, 0 and +1e-8
+        rng = np.random.default_rng(11)
+        regular = math.acos(1 / 3)
+        rows = [(regular + n * 1e-10,) * 6 for n in range(-60, 61)]
+        rows += [tuple((regular + n * 1e-10 + 1e-10 * rng.uniform(-1, 1, 6)).tolist()) for n in range(-60, 61)]
+        classes = [classify(TetAngles(*angles)) for angles in rows]
+        for lo, hi in ((-math.inf, -IDEAL_COFACTOR_TOL), (-IDEAL_COFACTOR_TOL, 0.0),
+                       (0.0, IDEAL_COFACTOR_TOL), (IDEAL_COFACTOR_TOL, math.inf)):
+            assert any(lo < cls.det < hi for cls in classes), (lo, hi)
+        assert {cls.kind for cls in classes} == {TetraKind.FINITE, TetraKind.INVALID}
+        self._assert_same_class_on_both_routes(rows, eigvalsh_calls)
+
+    def test_near_ideal_vertex_probe(self, eigvalsh_calls):
+        # A + B + C = pi +- 10^-k puts vertex 0's cofactor on both sides of
+        # zero and of IDEAL_COFACTOR_TOL; on the regular ideal base vertex 3
+        # moves with it and vertices 1 and 2 stay ideal, so from k = 9 on no
+        # link bounds lambda_2 and the eigenvalues decide
+        bases = ((1.15, 1.2, 1.22, 1.18, 1.25), (0.9, 1.3, 1.4, 1.1, 1.2), (PI / 3,) * 5)
+        rows = [(A, B, PI + sign * 10.0**-k - A - B, Ap, Bp, Cp)
+                for A, B, Ap, Bp, Cp in bases for k in range(1, 16) for sign in (-1, 1)]
+        kinds = {classify(TetAngles(*angles)).kind for angles in rows}
+        assert kinds == {TetraKind.FINITE, TetraKind.IDEAL, TetraKind.HYPERIDEAL}
+        self._assert_same_class_on_both_routes(rows, eigvalsh_calls)
 
 
 class TestSlivers:
