@@ -20,14 +20,16 @@ tier-1 wall times are not scaled.
 
 `per_call` gives, for each layer in PER_CALL, the mean scaled microseconds
 of one call over the first 200 Finite inputs of the `formula` stream for
-seed 1, each on a fresh TetAngles, so no per-instance memo is warm; each
-layer runs in its own fresh process, so no argument memo is warm either; the
-median of SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and
-`us_q3`.
+seed 1, with the class, solve and edge-length tables emptied after the rows
+are picked and the warm-up call made, so each row is classified and solved
+in its timed call; each layer runs in its own fresh process, so no
+Lobachevsky argument memo is warm either; the median of SUITE_RUNS
+processes as `us`, with its quartiles as `us_q1` and `us_q3`.
 With `--before`, the same layers are timed against the `src/` of another
 checkout (the parent of the change), alternating process by process, with
 the side that runs first swapped every round, and recorded as `before_us`,
-`before_us_q1` and `before_us_q3`.
+`before_us_q1` and `before_us_q3`, and `wins` counts the rounds in which
+this checkout took less time.
 
 `suite_criteria` gives the scaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
@@ -35,7 +37,7 @@ the suite runs them, in a fresh process, so a criterion that first needs a
 module pays for importing it; the median of SUITE_RUNS processes as `s`,
 with its quartiles as `s_q1` and `s_q3`.  With `--before` the other checkout
 is timed too, alternating as for `per_call`, and recorded as `before_s`,
-`before_s_q1` and `before_s_q3`.
+`before_s_q1`, `before_s_q3` and `wins`.
 """
 
 from __future__ import annotations
@@ -102,11 +104,15 @@ def summarize(results: list[dict]) -> dict:
 
 def quartiles(runs: dict[str, list[float]]) -> dict:
     """For each column of runs, the median of its values under the column's
-    name and their quartiles under the name suffixed `_q1` and `_q3`."""
+    name and their quartiles under the name suffixed `_q1` and `_q3`; with
+    a `before_<column>` column too, under `wins`, the rounds in which the
+    column's value was the lower."""
     out = {}
     for column, values in runs.items():
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         out |= {column: float(median), f"{column}_q1": float(q1), f"{column}_q3": float(q3)}
+        if f"before_{column}" in runs:
+            out["wins"] = sum(a < b for a, b in zip(values, runs[f"before_{column}"], strict=True))
     return out
 
 
@@ -128,7 +134,8 @@ def src_digest(checkout: Path) -> str:
 def time_layer(name: str) -> float:
     """Mean scaled microseconds of one PER_CALL[name] call over the first
     PER_CALL_INPUTS Finite inputs of the `formula` stream for seed 1, in this
-    process, with the package found on PYTHONPATH."""
+    process, with the package found on PYTHONPATH.  Picking the rows
+    classifies them, so the value memos are emptied before the timed calls."""
     import reggescissors  # loads every module PER_CALL reaches
 
     tetra = reggescissors.tetra
@@ -145,6 +152,8 @@ def time_layer(name: str) -> float:
                 break
     call = PER_CALL[name]
     call(reggescissors, tetra.TetAngles.of(rows.pop()))  # untimed warm-up on the next input
+    if hasattr(tetra, "clear_memos"):  # a checkout with per-instance memos has no tables
+        tetra.clear_memos()
     intervals = []
     with Ticker() as ticker:
         for angles in rows:

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_HALF_PI = _PI / 2
 
 # Coefficients zeta(2m) / (m (2m+1)) of the reduced series.  Direct summation
 # of the Fourier series converges like 1/N; splitting off the logarithmic
@@ -63,10 +64,11 @@ _SERIES_COEF_DESC = (
     0.048444907713545204, 0.10823232337111381, 0.5483113556160755,
 )
 
-# (lower edge of q = (x/pi)^2, its last n coefficients four to a Horner step)
+# (upper edge of q = (x/pi)^2, its last n coefficients four to a Horner step),
+# from the bottom: most arguments of a formula op fall in the two lowest bands
 _SERIES_BANDS = tuple(
     (edge, tuple(_SERIES_COEF_DESC[i:i + 4] for i in range(48 - n, 48, 4)))
-    for edge, n in ((0.24, 48), (0.2, 36), (0.1, 28), (0.03, 20), (0.003, 12), (-math.inf, 8))
+    for edge, n in ((0.003, 8), (0.03, 12), (0.1, 20), (0.2, 28), (0.24, 36), (math.inf, 48))
 )
 
 #: Location of the global maximum of the Lobachevsky function.
@@ -117,32 +119,38 @@ def _lobachevsky_float(theta: float) -> float:
 
     The reduction into (-pi/2, pi/2] rounds half to even (``round``) and is
     kept apart from ``octahedron.wrap_angle``'s ``floor(x/p + 0.5)``: the two
-    differ at exact half-period ties, so merging them would move bits.  A
-    zero ``r`` gives +0.0 whatever the sign of theta.  Two steps keep the
+    differ at exact half-period ties, so merging them would move bits.  It
+    is skipped for |theta| < pi/2, where ``round`` gives 0 (a quotient that
+    rounds to 0.5 rounds to even) and ``r`` would be theta exactly.  A zero
+    ``r`` gives +0.0 whatever the sign of theta.  Two steps keep the
     bits that every output was pinned with and must not be simplified.
     ``q`` stays ``(x / pi) ** 2``, which calls ``pow``, while ``y * y``
     differs from it by 1 ulp at some points.  The logarithm comes from
     ``np.log``, because ``math.log`` differs from numpy's in about 0.2% of
     arguments.
 
-    A band of ``q`` (``_SERIES_BANDS``) sets how many terms Horner keeps,
-    four to an unrolled step: the same operations in the same order as four
-    single steps.  At each band's upper edge the dropped leading terms sum
-    to below 2**-20 of half an ulp of the result; lob vanishes at q = 1/4,
-    so the top band keeps all 48.  The tests check this bound, and the bits
-    beside every band edge against the 48-step loop.
+    A band of ``q`` (``_SERIES_BANDS``, searched from the bottom) sets how
+    many terms Horner keeps, four to an unrolled step: the same operations
+    in the same order as four single steps.  At each band's upper edge the
+    dropped leading terms sum to below 2**-20 of half an ulp of the result;
+    lob vanishes at q = 1/4, so the top band keeps all 48.  The tests check
+    this bound, and the bits beside every band edge against the 48-step
+    loop.
     """
-    if not math.isfinite(theta):
+    if -_HALF_PI < theta < _HALF_PI:
+        r = theta
+    elif math.isfinite(theta):
+        r = theta - _PI * round(theta / _PI)
+        if r <= -_HALF_PI:
+            r += _PI
+    else:
         raise ValueError("lobachevsky: argument must be finite")
-    r = theta - _PI * round(theta / _PI)
-    if r <= -_PI / 2:
-        r += _PI
     x = abs(r)
     if x == 0.0:
         return 0.0
     q = (x / _PI) ** 2
     for edge, quads in _SERIES_BANDS:
-        if q > edge:
+        if q <= edge:
             break
     h = 0.0
     for a, b, c, d in quads:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
-from .lobachevsky import lobachevsky
-from .tetra import TetAngles, TetraKind, _memo, require_kind
+from .lobachevsky import _lobachevsky_float, lobachevsky
+from .tetra import MEMO_SIZE, TetAngles, TetraKind, memo_by_value, require_kind
 
 __all__ = [
     "DUAL_SIDE",
@@ -170,35 +170,36 @@ def holonomy_polynomial(bars: tuple[float, ...]) -> np.ndarray:
 def volume_remainder(t: TetAngles) -> float:
     """The Z-independent half-sum completing the volume formula."""
     A, B, C, Ap, Bp, Cp = t.as_tuple()
-    terms = (
-        (+1, (_PI + A - B - C) / 2),
-        (-1, (_PI + B - A - C) / 2),
-        (-1, (_PI + C - A - B) / 2),
-        (+1, (_PI + Bp - Ap - C) / 2),
-        (+1, (_PI + A + B + C) / 2),
-        (+1, (_PI + C - Ap - Bp) / 2),
-        (+1, (_PI - Ap + Bp + C) / 2),
-        (-1, (_PI + Ap + Bp + C) / 2),
-        (+1, (_PI + Ap - B - Cp) / 2),
-        (-1, (_PI + A + Bp + Cp) / 2),
-        (-1, (_PI + A - Bp - Cp) / 2),
-        (+1, (_PI + Bp - A - Cp) / 2),
-        (-1, (_PI - Ap - B + Cp) / 2),
-        (+1, (_PI + Ap - B + Cp) / 2),
-        (+1, (_PI + Ap + B + Cp) / 2),
-        (+1, (_PI - A - Bp + Cp) / 2),
-    )
-    return 0.5 * sum(s * lobachevsky(x) for s, x in terms)
+    lob = _lobachevsky_float
+    return 0.5 * sum((
+        +lob((_PI + A - B - C) / 2),
+        -lob((_PI + B - A - C) / 2),
+        -lob((_PI + C - A - B) / 2),
+        +lob((_PI + Bp - Ap - C) / 2),
+        +lob((_PI + A + B + C) / 2),
+        +lob((_PI + C - Ap - Bp) / 2),
+        +lob((_PI - Ap + Bp + C) / 2),
+        -lob((_PI + Ap + Bp + C) / 2),
+        +lob((_PI + Ap - B - Cp) / 2),
+        -lob((_PI + A + Bp + Cp) / 2),
+        -lob((_PI + A - Bp - Cp) / 2),
+        +lob((_PI + Bp - A - Cp) / 2),
+        -lob((_PI - Ap - B + Cp) / 2),
+        +lob((_PI + Ap - B + Cp) / 2),
+        +lob((_PI + Ap + B + Cp) / 2),
+        +lob((_PI - A - Bp + Cp) / 2),
+    ))
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
     """Sum of the eight Lobachevsky slot terms at angle offset Z."""
     total = 0.0
     for x in slots(bars, Z):
-        total += lobachevsky(x)
+        total += _lobachevsky_float(x)
     return total
 
 
+@memo_by_value(MEMO_SIZE)
 def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     """Solve the holonomy quadratic and label the roots semantically.
 
@@ -208,10 +209,10 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic or a
     failed sign test raises DegenerateSystemError with diagnostics.
 
-    A TetAngles keeps its roots, solved on the first call, as it keeps its
-    class (see tetra._memo).
+    The roots are solved once per angle value, as the class is computed
+    once (see tetra.memo_by_value).
     """
-    return _memo(t, "_holonomy_roots", lambda t: _solve_holonomy(t, bar_solution(t)))
+    return _solve_holonomy(t, bar_solution(t))
 
 
 def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:

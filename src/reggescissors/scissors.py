@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError
-from .lobachevsky import lobachevsky
+from .lobachevsky import _lobachevsky_float
 from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, tet_volume, wrap_angle
 from .tetra import (
     _RELABEL_ROWS,
@@ -128,7 +128,7 @@ class Decomposition:
         return np.array([canonical_angle(x) for x in self.raw_angles])
 
     def total_volume(self) -> float:
-        return float(sum(lobachevsky(canonical_angle(x)) for x in self.raw_angles))
+        return float(sum(_lobachevsky_float(canonical_angle(x)) for x in self.raw_angles))
 
 
 def decompose(t: TetAngles) -> Decomposition:

@@ -13,6 +13,13 @@ EQUIANGULAR_FINITE = TetAngles(1.2, 1.2, 1.2, 1.2, 1.2, 1.2)
 GENERIC_FINITE = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
 
 
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with empty class, solve and edge-length tables, so
+    that no value computed under a patched internal reaches a later test."""
+    tetra.clear_memos()
+
+
 @pytest.fixture(scope="session")
 def finite_batch():
     rng = np.random.default_rng(1234)
@@ -31,18 +38,18 @@ def generic():
 
 
 @functools.cache
-def _perfbench_inputs():
-    """perfbench/inputs.py, loaded by path: the benchmark is not a package."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _stream_rows(stream: int, rmax: float, n: int) -> list[tuple[float, ...]]:
     """Angle tuples of the first n inputs of one benchmark stream, seeds 1-3."""
-    inputs = _perfbench_inputs()
+    inputs = _perfbench_module("inputs")
     return [tuple(a.tolist()) for seed in (1, 2, 3)
             for a in inputs.TetStream(seed, stream, rmax).take(n)[0]]
 
@@ -54,6 +61,16 @@ def stream_angles(finite_batch):
     0.998 and 0.9) for seeds 1-3, then those of finite_batch."""
     rows = _stream_rows(1, 0.998, 200) + _stream_rows(2, 0.9, 200)
     return rows + [t.as_tuple() for t in finite_batch]
+
+
+@pytest.fixture(scope="session")
+def first_ops():
+    """The benchmark's `formula` and `oracle` ops (perfbench/ops.py), each
+    as a call on the first input of its stream for seed 1."""
+    ops = _perfbench_module("ops")
+    formula, oracle = _stream_rows(1, 0.998, 1)[0], _stream_rows(2, 0.9, 1)[0]
+    return {"formula": functools.partial(ops.formula, formula),
+            "oracle": functools.partial(ops.oracle, oracle)}
 
 
 @pytest.fixture(scope="session")

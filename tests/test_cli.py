@@ -14,7 +14,7 @@ from reggescissors.exceptions import (
     QuadratureError,
 )
 
-from conftest import _perfbench_inputs
+from conftest import _perfbench_module
 
 ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
@@ -205,7 +205,7 @@ ANGLE_COMMANDS = [["volume"], ["decompose"], *(["regge", "--which", w] for w in 
 def ideal_image_inputs():
     """Inputs 105 and 116 of the benchmark's `formula` stream for seed 3:
     Finite, with Regge images a and b that classify calls Ideal."""
-    angles, _ = _perfbench_inputs().TetStream(3, 1, 0.998).take(117)
+    angles, _ = _perfbench_module("inputs").TetStream(3, 1, 0.998).take(117)
     return [[repr(float(x)) for x in angles[k]] for k in (105, 116)]
 
 

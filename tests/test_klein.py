@@ -24,7 +24,7 @@ from reggescissors.octahedron import (
 from reggescissors.scissors import decompose, regge
 from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, gram_matrix, prism_volume
 
-from conftest import _perfbench_inputs, _stream_rows
+from conftest import _perfbench_module, _stream_rows
 from oracles import (
     _MAX_RAPIDITY,
     apply_isometry,
@@ -154,7 +154,7 @@ class TestVolumeNumeric:
         # the 23 inputs among the first 360 of the `oracle` stream, seeds 1-5,
         # that classify calls non-Finite, on the stream's vertices, which are
         # not centred: the origin lies outside every one of them
-        inputs = _perfbench_inputs()
+        inputs = _perfbench_module("inputs")
         rows = [(a, v) for seed in range(1, 6) for a, v in zip(*inputs.TetStream(seed, 2, 0.9).take(360))
                 if classify(TetAngles.of(a)).kind is not TetraKind.FINITE]
         assert len(rows) == 23
@@ -525,7 +525,7 @@ def _ref_dihedral_angles(kt):
 def _benchmark_stream(seed, count, rmax=0.998):
     """The first `count` (angles, vertices) of the benchmark's `formula`
     input stream (stream 1, Klein radius <= 0.998) for `seed`."""
-    return _perfbench_inputs().TetStream(seed, 1, rmax).take(count)
+    return _perfbench_module("inputs").TetStream(seed, 1, rmax).take(count)
 
 
 def _hexes(values):

@@ -126,7 +126,8 @@ def test_series_table_is_scipy_zeta_bit_for_bit():
 def test_series_bands_meet_tail_bound():
     # each band keeps the last n coefficients, n at least the least count whose
     # dropped tail x sum_{m>n} c_m q^m is below 2**-20 of half an ulp of lob(x)
-    # at the band's upper edge q; lob(pi/2) = 0, so the top band keeps all 48
+    # at the band's upper edge q; lob(pi/2) = 0, so the top band keeps all 48;
+    # the bands run from the bottom
     with mpmath.workdps(30):
         terms = [mpmath.zeta(2 * m) / (m * (2 * m + 1)) for m in range(1, 201)]
 
@@ -139,8 +140,8 @@ def test_series_bands_meet_tail_bound():
 
         least = [least_count(edge) for edge, _ in _SERIES_BANDS[:-1]]
     counts = [4 * len(quads) for _, quads in _SERIES_BANDS]
-    assert least == [33, 28, 19, 12, 7]
-    assert counts[0] == 48 and all(n >= m for n, m in zip(counts[1:], least, strict=True))
+    assert least == [7, 12, 19, 28, 33]
+    assert counts[-1] == 48 and all(n >= m for n, m in zip(counts[:-1], least, strict=True))
     for _, quads in _SERIES_BANDS:
         assert sum(quads, ()) == _SERIES_COEF_DESC[-4 * len(quads):]
 
@@ -366,6 +367,64 @@ def test_float_path_rejects_non_finite(bad):
         lobachevsky(np.asarray(bad))
     with pytest.raises(ValueError):
         lobachevsky(np.array([1.0, bad, 2.0]))
+
+
+def _reduced_everywhere(theta: float) -> float:
+    """The series with the round reduction on every argument and the bands
+    searched from the top: the reference for the fast paths of
+    _lobachevsky_float."""
+    if not math.isfinite(theta):
+        raise ValueError("lobachevsky: argument must be finite")
+    r = theta - PI * round(theta / PI)
+    if r <= -PI / 2:
+        r += PI
+    x = abs(r)
+    if x == 0.0:
+        return 0.0
+    q = (x / PI) ** 2
+    lower_edges = [-math.inf] + [edge for edge, _ in _SERIES_BANDS[:-1]]
+    for edge, (_, quads) in reversed(list(zip(lower_edges, _SERIES_BANDS))):
+        if q > edge:
+            break
+    h = 0.0
+    for a, b, c, d in quads:
+        h = (((h * q + a) * q + b) * q + c) * q + d
+    val = x * (1.0 - float(np.log(2.0 * x))) + x * q * h
+    return val if r > 0 else -val
+
+
+# within 64 ulps of k pi +- pi/2, where the reduction is skipped on one side
+_HALF_PERIOD_POINTS = [x + j * math.ulp(x) for k in range(-4, 5) for x in (k * PI + PI / 2, k * PI - PI / 2)
+                       for j in range(-64, 65)] + [0.0, -0.0, 5e-324, -5e-324]
+
+
+@pytest.fixture(scope="module")
+def op_arguments(first_ops):
+    """Every argument that one `formula` op and one `oracle` op of the
+    benchmark pass to the series, through any module that binds it."""
+    arguments = []
+
+    def recorded(theta):
+        arguments.append(theta)
+        return _lobachevsky_float(theta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in [m for name, m in sys.modules.items() if name.startswith("reggescissors.")]:
+            if getattr(module, "_lobachevsky_float", None) is _lobachevsky_float:
+                patch.setattr(module, "_lobachevsky_float", recorded)
+        for op in first_ops.values():
+            assert op() is None
+    return arguments
+
+
+@pytest.mark.parametrize("source", ["half_periods", "ops"])
+def test_series_fast_paths_keep_the_bits(source, op_arguments):
+    points = _HALF_PERIOD_POINTS if source == "half_periods" else op_arguments
+    inside = [abs(x) < PI / 2 for x in points]
+    assert any(inside) and not all(inside)
+    compute = _lobachevsky_float.__wrapped__  # past the memo
+    assert [compute(x).hex() for x in points] == [_reduced_everywhere(x).hex() for x in points]
+    assert all(type(compute(x)) is float for x in points)
 
 
 class TestMemo:

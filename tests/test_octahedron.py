@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from reggescissors import octahedron, scissors
 from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
-from reggescissors.lobachevsky import lobachevsky
+from reggescissors.lobachevsky import _lobachevsky_float, lobachevsky
 from reggescissors.octahedron import (
     DUAL_SIDE,
     O_SIDE,
@@ -416,6 +416,14 @@ class TestSolveOnce:
         verify_scissors(TetAngles(*self.ANGLES), "b")
         assert len(uncached) == 3
 
+    def test_angles_built_twice_are_solved_once(self, uncached):
+        # the orbit builds t and R_b t again: verify_scissors solved both
+        t = TetAngles(*self.ANGLES)
+        verify_scissors(t, "b")
+        orbit = regge_orbit(TetAngles(*self.ANGLES))
+        assert len(orbit.members) == 6 and len(uncached) == 3 + 4
+        assert uncached[3:] == [orbit.members[k] for k in (1, 3, 4, 5)]
+
     @pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError])
     def test_raised_error_is_not_kept(self, monkeypatch, error):
         calls = []
@@ -437,14 +445,16 @@ class TestSolveOnce:
 
 
 class TestLobachevskyEvaluations:
-    """Evaluations per call on a fresh instance: one solve is 8 + 8 slot terms
+    """Evaluations per call on cold tables: one solve is 8 + 8 slot terms
     and the 16-term remainder."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
+        """Arguments of the series calls the solve and the decomposition make."""
         calls = []
         for module in (octahedron, scissors):
-            monkeypatch.setattr(module, "lobachevsky", lambda x: calls.append(x) or lobachevsky(x))
+            monkeypatch.setattr(module, "_lobachevsky_float",
+                                lambda x: calls.append(x) or _lobachevsky_float(x))
         return calls
 
     def test_tet_volume(self, generic, evaluations):

@@ -84,11 +84,28 @@ def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch
     assert [checkout for checkout, _ in calls] == [parent, here, here, parent, parent, here, here, parent, parent, here]
     assert {args for _, args in calls} == {("--time-layer", "classify")}
     assert runs == {"before_us": [1.0, 4.0, 5.0, 8.0, 9.0], "us": [2.0, 3.0, 6.0, 7.0, 10.0]}
-    assert set(bench_record.quartiles(runs)) == {"before_us", "before_us_q1", "before_us_q3", "us", "us_q1", "us_q3"}
+    summary = bench_record.quartiles(runs)
+    assert set(summary) == {"before_us", "before_us_q1", "before_us_q3", "us", "us_q1", "us_q3", "wins"}
+    assert summary["wins"] == 2  # rounds 2 and 4: 3 < 4 and 7 < 8
 
     calls.clear()
-    assert bench_record.alternate(None, "s", float, "--time-suite") == {"s": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    runs = bench_record.alternate(None, "s", float, "--time-suite")
+    assert runs == {"s": [1.0, 2.0, 3.0, 4.0, 5.0]}
     assert [checkout for checkout, _ in calls] == [here] * 5
+    assert "wins" not in bench_record.quartiles(runs)
+
+
+def test_bench_record_times_cold_classifications(bench_record, monkeypatch):
+    # picking the rows classifies them; each timed call must classify its row again
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    computed, cleared = [], []
+    compute, clear = reggescissors.tetra._classify, reggescissors.tetra.clear_memos
+    monkeypatch.setattr(reggescissors.tetra, "_classify", lambda t: computed.append(t) or compute(t))
+    monkeypatch.setattr(reggescissors.tetra, "clear_memos", lambda: cleared.append(len(computed)) or clear())
+    assert 0 < bench_record.time_layer("classify") < math.inf
+    assert len(cleared) == 1
+    timed = computed[cleared[0]:]
+    assert len(timed) == len(set(timed)) == bench_record.PER_CALL_INPUTS
 
 
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):
