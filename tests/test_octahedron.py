@@ -416,14 +416,6 @@ class TestSolveOnce:
         verify_scissors(TetAngles(*self.ANGLES), "b")
         assert len(uncached) == 3
 
-    def test_angles_built_twice_are_solved_once(self, uncached):
-        # the orbit builds t and R_b t again: verify_scissors solved both
-        t = TetAngles(*self.ANGLES)
-        verify_scissors(t, "b")
-        orbit = regge_orbit(TetAngles(*self.ANGLES))
-        assert len(orbit.members) == 6 and len(uncached) == 3 + 4
-        assert uncached[3:] == [orbit.members[k] for k in (1, 3, 4, 5)]
-
     @pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError])
     def test_raised_error_is_not_kept(self, monkeypatch, error):
         calls = []
@@ -445,7 +437,7 @@ class TestSolveOnce:
 
 
 class TestLobachevskyEvaluations:
-    """Evaluations per call on cold tables: one solve is 8 + 8 slot terms
+    """Evaluations per call on a fresh instance: one solve is 8 + 8 slot terms
     and the 16-term remainder."""
 
     @pytest.fixture

@@ -4,6 +4,7 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -96,16 +97,23 @@ def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch
 
 
 def test_bench_record_times_cold_classifications(bench_record, monkeypatch):
-    # picking the rows classifies them; each timed call must classify its row again
+    # picking the rows classifies them; each timed call must classify its row
+    # once more, inside its own timed interval, on an instance picking did not touch
     monkeypatch.setattr(sys, "path", list(sys.path))
-    computed, cleared = [], []
-    compute, clear = reggescissors.tetra._classify, reggescissors.tetra.clear_memos
-    monkeypatch.setattr(reggescissors.tetra, "_classify", lambda t: computed.append(t) or compute(t))
-    monkeypatch.setattr(reggescissors.tetra, "clear_memos", lambda: cleared.append(len(computed)) or clear())
+    tetra = reggescissors.tetra
+    events = []
+    compute, clock = tetra._classify, bench_record.time.perf_counter
+    monkeypatch.setattr(tetra, "_classify", lambda t: events.append(t) or compute(t))
+    monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(
+        perf_counter=lambda: events.append("tick") or clock()))
     assert 0 < bench_record.time_layer("classify") < math.inf
-    assert len(cleared) == 1
-    timed = computed[cleared[0]:]
-    assert len(timed) == len(set(timed)) == bench_record.PER_CALL_INPUTS
+    n = bench_record.PER_CALL_INPUTS
+    first = events.index("tick")
+    picking, timed = events[:first - 1], events[first:]
+    picked = [t for t in picking if compute(t).kind is tetra.TetraKind.FINITE]
+    assert len(picked) == n + 1 and picking[-1] is picked[-1]
+    assert timed[0::3] == timed[2::3] == ["tick"] * n
+    assert timed[1::3] == picked[:n] and not {id(t) for t in timed[1::3]} & {id(t) for t in picking}
 
 
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):

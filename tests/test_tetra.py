@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reggescissors import octahedron, tetra
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.klein import klein_vertices, schlafli_residual
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import solve_holonomy, tet_volume
 from reggescissors.sampling import sample_finite
 from reggescissors.scissors import decompose, regge, verify_scissors
-from reggescissors.suite import SuiteConfig, criterion_6
 from reggescissors.tetra import (
     IDEAL_COFACTOR_TOL,
     SWAP_AB_PAIRS,
@@ -212,7 +210,6 @@ class TestClassify:
         # each vertex of a Finite draw has a cofactor above the tolerance, and
         # no box draw comes within 1e-8 of det G = 0, so det G decides alone
         batch, _ = sample_finite(np.random.default_rng(7), 1000)
-        tetra.clear_memos()
         eigvalsh_calls.clear()
         assert all(classify(TetAngles(*t.as_tuple())).kind is TetraKind.FINITE for t in batch)
         assert eigvalsh_calls == []
@@ -251,9 +248,7 @@ class TestClassReference:
     @staticmethod
     def _assert_same_class_on_both_routes(rows, eigvalsh_calls):
         """_assert_same_class, where classify decided some rows by det G
-        alone and the others by its eigenvalue fallback.  The class tables
-        are emptied first, so every row is classified here."""
-        tetra.clear_memos()
+        alone and the others by its eigenvalue fallback."""
         by_eigenvalues = 0
         for angles in rows:
             t = TetAngles(*angles)
@@ -335,34 +330,16 @@ class TestSlivers:
 
 class TestClassifyOnce:
     ANGLES = (1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
-    # each value memo, with the module and name of the computation behind it
-    MEMOS = pytest.mark.parametrize(
-        "memo,module,name",
-        [(classify, tetra, "_classify"), (solve_holonomy, octahedron, "_solve_holonomy"),
-         (edge_lengths, tetra, "_edge_lengths")],
-        ids=["classify", "solve_holonomy", "edge_lengths"],
-    )
-
-    @staticmethod
-    def _computed(monkeypatch, module, name, fail_first=False):
-        """The TetAngles whose value module.name computes, not reads back;
-        with fail_first, its first call raises ArithmeticError."""
-        calls = []
-        compute = getattr(module, name)
-
-        def counted(t, *args):
-            calls.append(t)
-            if fail_first and len(calls) == 1:
-                raise ArithmeticError("injected")
-            return compute(t, *args)
-
-        monkeypatch.setattr(module, name, counted)
-        return calls
 
     @pytest.fixture
     def uncached(self, monkeypatch):
         """Counts the classifications that are computed, not read back."""
-        return self._computed(monkeypatch, tetra, "_classify")
+        from reggescissors import tetra
+
+        calls = []
+        compute = tetra._classify
+        monkeypatch.setattr(tetra, "_classify", lambda t: calls.append(t) or compute(t))
+        return calls
 
     @pytest.mark.parametrize(
         "call,count",
@@ -378,80 +355,30 @@ class TestClassifyOnce:
         call(TetAngles(*self.ANGLES))
         assert len(uncached) == count
 
-    @MEMOS
-    def test_memo_is_invisible(self, monkeypatch, memo, module, name):
-        # an equal copy reads the value back, and nothing is kept on either instance
-        computed = self._computed(monkeypatch, module, name)
-        t, copy = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
-        before = (hash(t), repr(t))
-        first = memo(t)
-        assert memo(t) is first and memo(copy) is first
-        assert len(computed) == 1 and computed[0] is t
-        assert (hash(t), repr(t)) == before
-        assert vars(t) == vars(copy) == dataclasses.asdict(t)
-        assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
-        assert dataclasses.replace(t) == t
+    def test_memo_is_invisible(self, uncached):
+        # the class, and the holonomy roots that solve_holonomy keeps the same way
+        for memo in (classify, solve_holonomy):
+            t, fresh = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
+            before = (hash(t), repr(t))
+            first = memo(t)
+            assert memo(t) is first
+            assert uncached[-1] is t
+            assert (hash(t), repr(t)) == before
+            assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+            assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
+            assert dataclasses.replace(t) == t
+        assert len(uncached) == 2
 
-    @MEMOS
-    def test_only_a_moved_copy_is_computed_afresh(self, monkeypatch, memo, module, name):
-        computed = self._computed(monkeypatch, module, name)
+    def test_replaced_copy_is_classified_afresh(self, uncached):
         t = TetAngles(*self.ANGLES)
-        value = memo(t)
-        moved = dataclasses.replace(t, A=t.A + 0.01)
-        assert memo(moved) != value
-        assert memo(dataclasses.replace(t)) is value
-        assert len(computed) == 2 and computed[1] is moved
-
-    @MEMOS
-    def test_raised_error_is_not_kept(self, monkeypatch, memo, module, name):
-        computed = self._computed(monkeypatch, module, name, fail_first=True)
-        t = TetAngles(*self.ANGLES)
-        with pytest.raises(ArithmeticError, match="injected"):
-            memo(t)
-        value = memo(t)
-        assert memo(t) is value
-        assert len(computed) == 2 and computed[1] is t
-
-    @MEMOS
-    def test_bounded(self, monkeypatch, memo, module, name):
-        # after maxsize + 1 distinct values the first has left the table and
-        # the second is the oldest one held
-        computed = self._computed(monkeypatch, module, name)
-        size = memo.cache_info().maxsize
-        assert size == (tetra.CLASS_MEMO_SIZE if memo is classify else tetra.MEMO_SIZE)
-        rows = [TetAngles(self.ANGLES[0] + 1e-4 * k, *self.ANGLES[1:]) for k in range(size + 1)]
-        for t in rows:
-            memo(t)
-        memo(rows[1])
-        assert len(computed) == size + 1
-        memo(rows[0])
-        assert len(computed) == size + 2 and computed[-1] is rows[0]
-
-    def test_criterion_6_classifies_each_value_once(self, uncached):
-        # the sampler classifies each draw and its three images, and the
-        # loop classifies them again to solve them: one computation each
-        criterion_6(SuiteConfig())
-        assert len(uncached) == len(set(uncached)) > 400
-
-    def test_oracle_op_computes_edge_lengths_once(self, monkeypatch):
-        # schlafli_residual and the oracle op's own gate both read them
-        computed = self._computed(monkeypatch, tetra, "_edge_lengths")
-        t = TetAngles(*self.ANGLES)
-        schlafli_residual(t, h=1e-5)
-        edge_lengths(TetAngles(*self.ANGLES))
-        assert computed == [t]
-
-    @pytest.mark.parametrize("k", [*range(6), "all"])
-    def test_signed_zeros_share_a_key_and_a_class(self, k):
-        # 0.0 == -0.0, so both spellings read one entry: computed apart, their
-        # classes must agree bit for bit (a float's repr tells -0.0 from 0.0)
-        def angles(zero):
-            return (zero,) * 6 if k == "all" else self.ANGLES[:k] + (zero,) + self.ANGLES[k + 1:]
-
-        plus, minus = TetAngles(*angles(0.0)), TetAngles(*angles(-0.0))
-        assert plus == minus and hash(plus) == hash(minus)
-        assert repr(tetra._classify(minus)) == repr(tetra._classify(plus))
-        assert classify(minus) is classify(plus)
+        classify(t)
+        moved = dataclasses.replace(t, A=PI / 2)
+        assert classify(moved) == classify(TetAngles(PI / 2, *self.ANGLES[1:]))
+        assert uncached[1] is moved
+        same = dataclasses.replace(t)
+        assert classify(same) == classify(t)
+        assert uncached[-1] is same
+        assert len(uncached) == 4
 
 
 class TestRequireKind:
