@@ -122,7 +122,7 @@ def cmd_decompose(t: TetAngles, args) -> dict:
                 "canonical_angle": c,
                 "signed_volume": lobachevsky(c),
             }
-            for (side, slot), raw, c in zip(PIECE_LABELS, d.raw_angles, d.canonical_angles().tolist())
+            for (side, slot), raw, c in zip(PIECE_LABELS, d.raw_angles, d.canonical_angles())
         ],
         "total_volume": d.total_volume(),
         "twice_tet_volume": 2 * tet_volume(t),

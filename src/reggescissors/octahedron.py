@@ -277,7 +277,7 @@ def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
     return OctAngles(tuple(wrap_angle(x) for x in slots(bars, Z)), base)
 
 
-def linear_residuals(oct_angles: OctAngles) -> np.ndarray:
+def linear_residuals(oct_angles: OctAngles) -> tuple[float, ...]:
     """Residuals of the eight linear constraints against the octahedron's own
     base angles, wrapped mod 2*pi: plus slot 2k meets slot 2k - 1 at
     quadrilateral vertex k and slot 2k + 1 across ring edge k."""
@@ -285,7 +285,7 @@ def linear_residuals(oct_angles: OctAngles) -> np.ndarray:
     raw = []
     for k in range(4):
         raw += [s[2 * k] + s[2 * k - 1] - base[k], s[2 * k] + s[2 * k + 1] + base[4 + k] - _PI]
-    return np.abs([wrap_angle(x) for x in raw])
+    return tuple(abs(wrap_angle(x)) for x in raw)
 
 
 def holonomy_residual(oct_angles: OctAngles) -> float:

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import DegenerateSystemError, GeometryDomainError
 from .lobachevsky import _lobachevsky_float
 from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, tet_volume, wrap_angle
@@ -124,8 +122,8 @@ class Decomposition:
 
     raw_angles: tuple[float, ...]
 
-    def canonical_angles(self) -> np.ndarray:
-        return np.array([canonical_angle(x) for x in self.raw_angles])
+    def canonical_angles(self) -> tuple[float, ...]:
+        return tuple(canonical_angle(x) for x in self.raw_angles)
 
     def total_volume(self) -> float:
         return float(sum(_lobachevsky_float(canonical_angle(x)) for x in self.raw_angles))
@@ -205,7 +203,9 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     For which='b' the check is direct; 'a' and 'c' are conjugated through
     the corresponding pair swap first.  Invalid or degenerate configurations
     produce a failed report rather than an exception; a tol outside
-    (0, inf) raises GeometryDomainError.
+    (0, inf) raises GeometryDomainError.  The image of a Finite source is
+    Finite (each move permutes the vertex-link forms), so the image class is
+    checked only as a guard against rounding at the classification tolerance.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
@@ -225,7 +225,7 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
             moved = permute_for_regge_b(decompose(t0)).canonical_angles()
             aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL)).canonical_angles()
             measured = {"volume": tet_volume(t0), "volume_image": tet_volume(image),
-                        "slot_gap": float(np.max(np.abs(moved - aligned)))}
+                        "slot_gap": max(abs(a - b) for a, b in zip(moved, aligned))}
         except DegenerateSystemError as exc:
             failure = f"angle system degenerate: {exc}"
     return ScissorsReport(which, tol, transformed, failure=failure, **measured)

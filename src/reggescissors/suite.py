@@ -137,9 +137,8 @@ def _rng(config: SuiteConfig, stream: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, stream])
 
 
-def _tetra_batch(config: SuiteConfig, stream: int, count: int,
-                 require_images: tuple[str, ...] = ()) -> list[TetAngles]:
-    batch, _ = sample_finite(_rng(config, stream), count, require_finite_images=require_images)
+def _tetra_batch(config: SuiteConfig, stream: int, count: int) -> list[TetAngles]:
+    batch, _ = sample_finite(_rng(config, stream), count)
     return batch
 
 
@@ -190,7 +189,7 @@ def criterion_3(config: SuiteConfig) -> CriterionResult:
         roots = solve_holonomy(t)
         for side in (O_SIDE, DUAL_SIDE):
             oa = octahedron_angles(t, side)
-            w_lin = max(w_lin, float(np.max(linear_residuals(oa))))
+            w_lin = max(w_lin, *linear_residuals(oa))
             w_hol = max(w_hol, holonomy_residual(oa))
         w_unit = max(w_unit, roots.unit_defect)
         poly = holonomy_polynomial(roots.bars)
@@ -250,7 +249,7 @@ def criterion_5(config: SuiteConfig) -> CriterionResult:
 
 def criterion_6(config: SuiteConfig) -> CriterionResult:
     """Regge transforms: volume invariance, involution, conjugation identity."""
-    batch = _tetra_batch(config, 6, config.count, require_images=("a", "b", "c"))
+    batch = _tetra_batch(config, 6, config.count)
     w_vol = w_invol = w_conj = 0.0
     for t in batch:
         v = tet_volume(t)
@@ -279,7 +278,7 @@ def criterion_6(config: SuiteConfig) -> CriterionResult:
 
 def criterion_7(config: SuiteConfig) -> CriterionResult:
     """Central scissors check: slot by slot via the BA/DC swap; halving."""
-    batch = _tetra_batch(config, 7, config.count, require_images=("b",))
+    batch = _tetra_batch(config, 7, config.count)
     w_slot = w_half = 0.0
     all_passed = True
     for t in batch:

@@ -16,7 +16,7 @@ GENERIC_FINITE = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
 @pytest.fixture(scope="session")
 def finite_batch():
     rng = np.random.default_rng(1234)
-    batch, _ = sample_finite(rng, 20, require_finite_images=("a", "b", "c"))
+    batch, _ = sample_finite(rng, 20)
     return batch
 
 

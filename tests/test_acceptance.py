@@ -4,10 +4,15 @@ Each test prints its own pass/fail line so the criterion outcomes are
 visible in the pytest output (-s or on failure).
 """
 
+from collections import Counter
+
 import pytest
 
+from reggescissors import suite, tetra
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.suite import SuiteConfig, criterion_5, run_suite
+from reggescissors.sampling import sample_finite
+from reggescissors.scissors import REGGE_B_IMAGE_RELABEL, regge
+from reggescissors.suite import SuiteConfig, criterion_5, criterion_6, criterion_7, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +83,24 @@ def test_oracle_criterion_passes_on_near_regular_seeds(seed):
     # with vertex 0 at the origin the far vertices sat at Klein radius 0.9999
     # and the quadrature budget ran out on these benign inputs
     assert criterion_5(SuiteConfig(seed=seed)).passed
+
+
+@pytest.mark.parametrize("criterion,stream,moves", [(criterion_6, 6, "abc"), (criterion_7, 7, "b")],
+                         ids=["criterion_6", "criterion_7"])
+def test_each_regge_image_is_classified_once(criterion, stream, moves, monkeypatch):
+    # the check that uses an image classifies it; the sampler classifies only
+    # its draws.  Criterion 7 also classifies each R_b image's aligned
+    # relabeling, once, in verify_scissors.
+    config = SuiteConfig(count=5)
+    batch, stats = sample_finite(suite._rng(config, stream), config.count)
+    images = [regge(t, which) for t in batch for which in moves]
+    expected = [t.as_tuple() for t in images]
+    if criterion is criterion_7:
+        expected += [tetra.relabel(t, REGGE_B_IMAGE_RELABEL).as_tuple() for t in images]
+    calls = []
+    compute = tetra._classify
+    monkeypatch.setattr(tetra, "_classify", lambda t: calls.append(t.as_tuple()) or compute(t))
+    criterion(config)
+    counts = Counter(calls)
+    assert [counts[x] for x in expected] == [1] * len(expected)
+    assert len(calls) == stats.drawn + len(expected)

@@ -262,7 +262,7 @@ class TestOctahedronLayerBits:
         for side in (O_SIDE, DUAL_SIDE):
             oa = octahedron_angles(t, side)
             out += self.side_values(oa)
-            out += linear_residuals(oa).tolist()
+            out += linear_residuals(oa)
             out += [holonomy_residual(oa), octahedron_volume(oa)]
         out.append(u_volume(t))
         out += [x for c in holonomy_polynomial(bar_solution(t)).tolist() for x in (c.real, c.imag)]

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from reggescissors import sampling, suite
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors import sampling
-from reggescissors.sampling import _accept, sample_finite
+from reggescissors.sampling import sample_finite
+from reggescissors.scissors import regge
 from reggescissors.tetra import TetAngles, TetraKind, classify
 
 
@@ -18,17 +21,28 @@ def test_samples_are_finite_and_seeded():
 
 
 def test_image_requirement():
-    rng = np.random.default_rng(3)
-    batch, _ = sample_finite(rng, 5, require_finite_images=("a", "b", "c"))
-    from reggescissors.scissors import regge
+    # the sampler keeps Finite draws and no more: every Regge image of them is
+    # Finite too, on the suite's streams 3-7 well past the draws it takes
+    config = suite.SuiteConfig()
+    draws = 0
+    for stream in range(3, 8):
+        batch, stats = sample_finite(suite._rng(config, stream), 400)
+        draws += stats.drawn
+        for t in batch:
+            for which in ("a", "b", "c"):
+                assert classify(regge(t, which)).kind is TetraKind.FINITE, (stream, t, which)
+    assert draws >= 2000
 
-    for t in batch:
-        for which in ("a", "b", "c"):
-            assert classify(regge(t, which)).kind is TetraKind.FINITE
+
+def test_finite_batch_unchanged(finite_batch):
+    # the 20 draws the tests share are those the sampler made when it still
+    # rejected draws with a non-Finite Regge image
+    digest = hashlib.sha256(" ".join(x.hex() for t in finite_batch for x in t.as_tuple()).encode())
+    assert digest.hexdigest() == "40785cee930d5ad4ce949d2afd43ade5fa460f601251fd731fed9ffb0bef973f"
 
 
-def _single_draw(rng, require_finite_images=(), max_tries=100000):
-    batch, stats = sample_finite(rng, 1, require_finite_images, max_tries)
+def _single_draw(rng):
+    batch, stats = sample_finite(rng, 1)
     assert len(batch) == 1 and stats.requested == 1
     return batch[0]
 
@@ -39,24 +53,22 @@ def test_single_draw():
     assert classify(t).kind is TetraKind.FINITE
 
 
-def _loop_draw(rng, require_finite_images=(), max_tries=100000):
-    """One finite draw as its own rejection loop: the reference for sample_finite(rng, 1, ...)."""
+def _loop_draw(rng):
+    """One finite draw as its own rejection loop: the reference for sample_finite(rng, 1)."""
     center, half_width = sampling.BOX_CENTER, sampling.BOX_HALF_WIDTH
     lo, hi = center - half_width, center + half_width
-    for _ in range(max_tries):
+    for _ in range(sampling.MAX_TRIES):
         t = TetAngles.of(rng.uniform(lo, hi, size=6))
-        if _accept(t, require_finite_images):
+        if classify(t).kind is TetraKind.FINITE:
             return t
     raise GeometryDomainError("rejection sampling failed; box too wide?")
 
 
-@pytest.mark.parametrize("images", [(), ("a", "b", "c")])
-def test_single_draw_matches_loop(images):
+def test_single_draw_matches_loop():
     for seed in range(5):
         rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            drawn = _single_draw(rng1, require_finite_images=images)
-            assert drawn == _loop_draw(rng2, require_finite_images=images)
+            assert _single_draw(rng1) == _loop_draw(rng2)
         assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
@@ -68,18 +80,20 @@ def hopeless_box(monkeypatch):
 
 
 @pytest.mark.parametrize("max_tries", [0, 50])
-def test_single_draw_same_error(max_tries, hopeless_box):
+def test_single_draw_same_error(max_tries, hopeless_box, monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_TRIES", max_tries)
     rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
     messages = []
     for fn, rng in ((_single_draw, rng1), (_loop_draw, rng2)):
         with pytest.raises(GeometryDomainError) as exc:
-            fn(rng, max_tries=max_tries)
+            fn(rng)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
-def test_hopeless_box_raises(hopeless_box):
+def test_hopeless_box_raises(hopeless_box, monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_TRIES", 50)
     rng = np.random.default_rng(0)
     with pytest.raises(GeometryDomainError):
-        sample_finite(rng, 1, max_tries=50)
+        sample_finite(rng, 1)
