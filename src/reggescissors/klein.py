@@ -37,6 +37,7 @@ __all__ = [
     "KleinTetra",
     "dihedral_angles",
     "klein_vertices",
+    "schlafli_max_relative",
     "schlafli_residual",
     "volume_numeric",
 ]
@@ -209,7 +210,11 @@ def _leaves(tris: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return children, fine, np.abs(values - fine.sum(axis=1))
 
 
-def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -> float:
+#: The most leaves one volume_numeric call may make.
+MAX_LEAVES = 60000
+
+
+def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
     """Hyperbolic volume by deterministic adaptive quadrature of the signed
     cones from the origin over the four faces.
 
@@ -220,7 +225,7 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
     tol/4 on the others; a split leaf's first child takes its slot and the
     other three are appended.  The volume is the sum over the leaves'
     children, with the sign of det[v1 - v0, v2 - v0, v3 - v0].  A pass
-    splits no more leaves than keep them within max_refine; raises
+    splits no more leaves than keep them within MAX_LEAVES; raises
     QuadratureError (with the achieved estimate) when not even one split fits.
     """
     if not 0 < tol < math.inf:
@@ -231,7 +236,7 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6, max_refine: int = 60000) -
     tris = _split4(verts[_FACES]).reshape(-1, 3, 3)
     kids, fine, errs = _leaves(tris, _rule_batch(tris))
     while (total_err := float(errs.sum())) >= tol / 2:
-        fits = (max_refine - len(errs)) // 3
+        fits = (MAX_LEAVES - len(errs)) // 3
         if fits < 1:
             raise QuadratureError(
                 f"volume quadrature: refinement budget exhausted, achieved {total_err:.3e}",
@@ -289,3 +294,8 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
         raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
     return res
 
+
+def schlafli_max_relative(t: TetAngles, residuals) -> float:
+    """max_i residuals[i] / (l_i / 2) over the edge lengths l_i of t: the
+    relative Schlafli residual that the oracle command and the suite report."""
+    return float(max(r / (l / 2) for r, l in zip(residuals, edge_lengths(t))))

@@ -9,10 +9,11 @@ It is odd, pi-periodic, and attains its maximum at pi/6.  Two independent
 evaluation routes are provided: a fast reduced power series (primary) and a
 tanh-sinh (double-exponential) quadrature of the defining integral (oracle),
 which integrates every piece between multiples of pi, a full period too,
-instead of assuming that piece is zero.  Both use numpy only.  The series
-sums only the terms that reach the last bit, takes one float at a time, and
-evaluates an array element by element, so an array keeps its scalars' bits.
-The quadrature integrates a whole array at once, one level loop per piece
+instead of assuming that piece is zero.  The series uses ``math`` only,
+so no value of it depends on numpy's CPU kernels.  It sums only the terms
+that reach the last bit, takes one float at a time, and evaluates an array
+element by element, so an array keeps its scalars' bits.  The quadrature
+uses numpy: it integrates a whole array at once, one level loop per piece
 count, and keeps the bits of each point integrated alone.
 """
 
@@ -122,12 +123,9 @@ def _lobachevsky_float(theta: float) -> float:
     differ at exact half-period ties, so merging them would move bits.  It
     is skipped for |theta| < pi/2, where ``round`` gives 0 (a quotient that
     rounds to 0.5 rounds to even) and ``r`` would be theta exactly.  A zero
-    ``r`` gives +0.0 whatever the sign of theta.  Two steps keep the
-    bits that every output was pinned with and must not be simplified.
-    ``q`` stays ``(x / pi) ** 2``, which calls ``pow``, while ``y * y``
-    differs from it by 1 ulp at some points.  The logarithm comes from
-    ``np.log``, because ``math.log`` differs from numpy's in about 0.2% of
-    arguments.
+    ``r`` gives +0.0 whatever the sign of theta.  ``q`` stays
+    ``(x / pi) ** 2``, which calls ``pow``: ``y * y`` differs from it by
+    1 ulp at some points, so that simplification would move pinned bits.
 
     A band of ``q`` (``_SERIES_BANDS``, searched from the bottom) sets how
     many terms Horner keeps, four to an unrolled step: the same operations
@@ -155,7 +153,7 @@ def _lobachevsky_float(theta: float) -> float:
     h = 0.0
     for a, b, c, d in quads:
         h = (((h * q + a) * q + b) * q + c) * q + d
-    val = x * (1.0 - float(np.log(2.0 * x))) + x * q * h
+    val = x * (1.0 - math.log(2.0 * x)) + x * q * h
     return val if r > 0 else -val
 
 

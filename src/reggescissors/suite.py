@@ -35,7 +35,6 @@ from .tetra import (
     SWAP_AB_PAIRS,
     SWAP_BC_PAIRS,
     TetAngles,
-    edge_lengths,
     ideal_volume,
     prism_volume,
     prism_volume_by_tetrahedra,
@@ -236,9 +235,7 @@ def criterion_5(config: SuiteConfig) -> CriterionResult:
     for t in batch:
         kt = klein.klein_vertices(t)
         w_quad = max(w_quad, abs(tet_volume(t) - klein.volume_numeric(kt, 1e-6)))
-        residuals = klein.schlafli_residual(t, 1e-5)
-        halves = np.array(edge_lengths(t)) / 2
-        w_schlafli = max(w_schlafli, float(np.max(residuals / halves)))
+        w_schlafli = max(w_schlafli, klein.schlafli_max_relative(t, klein.schlafli_residual(t, 1e-5)))
     checks = (
         Check("max |formula - quadrature| volume", w_quad, 1e-5),
         Check("max relative Schlafli residual (h=1e-5)", w_schlafli, 1e-3),

@@ -26,18 +26,17 @@ Minkowski product of the two vertex vectors, so a negative one puts v and w
 on opposite sheets of the hyperboloid; see _edge_cofactors for its closed
 form.
 
-The signature needs no eigenvalues when a vertex cofactor exceeds
-IDEAL_COFACTOR_TOL and |det G| does too (angles in (0, pi)).  That vertex's
-3x3 block of G has unit diagonal, 2x2 minors sin^2 > 0 and determinant above
-1e-8, so it is positive definite; its eigenvalues sum to 3, so its smallest
-is at least 1e-8 / 2.25, and by Cauchy interlacing so is lambda_2(G).  With
-trace G = 4 and lambda_1 >= -2, lambda_2 lambda_3 lambda_4 <= 8, so
-det G < -1e-8 forces lambda_1 < -1.25e-9 (signature (3,1)) and det G > 1e-8
-forces lambda_1 > 0 (not a tetrahedron).  Both margins clear EIGENVALUE_TOL
-by far more than eigvalsh's backward error (about 1e-14), the link
-cofactor's rounding (about 1e-15) and the Laplace det's error (2.8e-16 at
-most against 40 digits on the benchmark streams), so the eigenvalue test,
-which decides the remaining inputs, would return the same class.
+The signature needs no eigenvalues when |det G| exceeds IDEAL_COFACTOR_TOL
+(angles in (0, pi); Ushijima 2006).  Each 2x2 principal block of G has
+eigenvalues 1 +- cos x > 0, so by Cauchy interlacing lambda_3 and lambda_4
+are positive, and by Gershgorin every eigenvalue lies in (-2, 4).  So
+det G < -1e-8 gives lambda_1 lambda_2 < -1e-8 / 16, that is
+lambda_1 < -1.5e-10 and lambda_2 > 3.1e-10 (signature (3,1)), and
+det G > 1e-8 puts lambda_1 and lambda_2 on the same side of 0 (not (3,1)).
+Both margins clear EIGENVALUE_TOL by far more than eigvalsh's backward
+error (about 1e-14) and the Laplace det's error (2.8e-16 at most against
+40 digits on the benchmark streams), so the eigenvalue test, which decides
+the band |det G| <= 1e-8, would return the same class.
 """
 
 from __future__ import annotations
@@ -154,12 +153,9 @@ class TetraKind(Enum):
 class TetraClass:
     """The class of the angle data and the numbers behind it.
 
-    `det` is det G by Laplace expansion in floats.  When a vertex cofactor
-    and |det| both exceed IDEAL_COFACTOR_TOL, its sign alone decides the
-    signature: that vertex's link block is positive definite with smallest
-    eigenvalue above 1e-8 / 2.25, so by interlacing lambda_2(G) is too, and
-    lambda_2 lambda_3 lambda_4 <= 8 puts lambda_1 = det / (lambda_2 lambda_3
-    lambda_4) below -1.25e-9 or above 0 (module docstring).
+    `det` is det G by Laplace expansion in floats.  When |det| exceeds
+    IDEAL_COFACTOR_TOL, its sign alone decides the signature (module
+    docstring).
     `vertex_cofactors` are the link cofactors of vertices 0..3.
     """
 
@@ -255,7 +251,7 @@ def _classify(t: TetAngles) -> TetraClass:
     cof = (_link_cofactor(A, B, C), _link_cofactor(A, Bp, Cp),
            _link_cofactor(Ap, B, Cp), _link_cofactor(Ap, Bp, C))
     if (not t.in_range() or min(_edge_cofactors(x, cosines)) < -IDEAL_COFACTOR_TOL
-            or not _signature_31(t, det, cof)):
+            or not _signature_31(t, det)):
         kind = TetraKind.INVALID
     elif min(cof) > IDEAL_COFACTOR_TOL:
         kind = TetraKind.FINITE
@@ -266,11 +262,11 @@ def _classify(t: TetAngles) -> TetraClass:
     return TetraClass(kind, det, cof)
 
 
-def _signature_31(t: TetAngles, det: float, cof) -> bool:
+def _signature_31(t: TetAngles, det: float) -> bool:
     """Whether G has signature (3,1), for angles in (0, pi): the sign of det
-    when a vertex cofactor and |det| exceed IDEAL_COFACTOR_TOL (see the module
-    docstring), otherwise the eigenvalues against EIGENVALUE_TOL."""
-    if max(cof) > IDEAL_COFACTOR_TOL and abs(det) > IDEAL_COFACTOR_TOL:
+    when |det| exceeds IDEAL_COFACTOR_TOL (see the module docstring),
+    otherwise the eigenvalues against EIGENVALUE_TOL."""
+    if abs(det) > IDEAL_COFACTOR_TOL:
         return det < 0
     e0, e1, _, _ = np.linalg.eigvalsh(gram_matrix(t)).tolist()
     return e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL

@@ -192,10 +192,11 @@ class TestVolumeNumeric:
             t = TetAngles(*row)
             assert abs(volume_numeric(klein_vertices(t), 1e-6) - murakami_yano_volume(t)) <= 1e-6, row
 
-    def test_budget_exhaustion_reports_achievement(self, generic):
+    def test_budget_exhaustion_reports_achievement(self, generic, monkeypatch):
         kt = klein_vertices(generic)
+        monkeypatch.setattr(klein, "MAX_LEAVES", 8)
         with pytest.raises(QuadratureError) as exc:
-            volume_numeric(kt, 1e-14, max_refine=8)
+            volume_numeric(kt, 1e-14)
         assert exc.value.achieved > 0
 
     def test_rejects_outside_ball(self):
@@ -248,7 +249,7 @@ def _ref_split4(v):
     return np.array([[v[0], m01, m02], [m01, v[1], m12], [m02, m12, v[2]], [m02, m01, m12]])
 
 
-def _ref_volume_numeric(kt, tol, max_refine=60000):
+def _ref_volume_numeric(kt, tol, max_leaves):
     """volume_numeric's pass rule written out one leaf at a time, as the
     outcome _outcome gives: each leaf is (its children, their rule values,
     its estimate), and a pass splits its leaves one after another, worst
@@ -262,7 +263,7 @@ def _ref_volume_numeric(kt, tol, max_refine=60000):
     tris = [child for face in verts[klein._FACES] for child in _ref_split4(face)]
     leaves = [leaf(tri, value) for tri, value in zip(tris, _ref_rule_batch(np.array(tris)))]
     while (total := float(np.array([err for _, _, err in leaves]).sum())) >= tol / 2:
-        if len(leaves) + 3 > max_refine:
+        if len(leaves) + 3 > max_leaves:
             return ("error", f"volume quadrature: refinement budget exhausted, achieved {total:.3e}", total.hex())
         worst = sorted(range(len(leaves)), key=lambda i: -leaves[i][2])
         rest, left = 0.0, []  # the estimates left on the leaves after the worst m, m = n - 1 .. 0
@@ -270,7 +271,7 @@ def _ref_volume_numeric(kt, tol, max_refine=60000):
             rest += leaves[i][2]
             left.append(rest)
         count = sum(r > tol / 4 for r in left)
-        for i in worst[:min(count, (max_refine - len(leaves)) // 3)]:
+        for i in worst[:min(count, (max_leaves - len(leaves)) // 3)]:
             kids, fine, _ = leaves[i]
             first, *others = (leaf(kids[c], fine[c]) for c in range(4))
             leaves[i] = first
@@ -279,10 +280,10 @@ def _ref_volume_numeric(kt, tol, max_refine=60000):
     return ("volume", float(sign * np.array([fine for _, fine, _ in leaves]).sum()).hex())
 
 
-def _outcome(kt, tol, max_refine=60000):
+def _outcome(kt, tol):
     """float.hex of the volume, or the QuadratureError text and achieved."""
     try:
-        return ("volume", volume_numeric(kt, tol, max_refine).hex())
+        return ("volume", volume_numeric(kt, tol).hex())
     except QuadratureError as exc:
         return ("error", str(exc), exc.achieved.hex())
 
@@ -337,17 +338,19 @@ class TestBatchedQuadratureMatchesReference:
         outcomes.append(_volume_outcome(tiny, angles[-1], 1e-15))
         assert _digest(outcomes) == "3ce3f65d41fbf0ddbc36029abb5b8636f96fc55583beb1ea9e5ca12b2e4bde98"
 
-    @pytest.mark.parametrize("max_refine", [8, 40])
-    def test_budget_exhaustion(self, uniform, generic, max_refine):
-        outcomes = [_outcome(kt, 1e-14, max_refine) for kt in [klein_vertices(generic), *uniform[1][:10]]]
+    @pytest.mark.parametrize("max_leaves", [8, 40])
+    def test_budget_exhaustion(self, uniform, generic, max_leaves, monkeypatch):
+        monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
+        outcomes = [_outcome(kt, 1e-14) for kt in [klein_vertices(generic), *uniform[1][:10]]]
         assert all(kind == "error" and float.fromhex(achieved) > 0 for kind, _, achieved in outcomes)
         assert _digest(outcomes) == {8: "a514ae70a911863a71ce4f148a29c72b4fa281ddaa79aa67302c8588f12056b7",
-                                     40: "e1e7b6be6f270af2ca591c8a11a3855b8a0ef57b01edab6bb24b237fad8a40e1"}[max_refine]
+                                     40: "e1e7b6be6f270af2ca591c8a11a3855b8a0ef57b01edab6bb24b237fad8a40e1"}[max_leaves]
 
-    @pytest.mark.parametrize("tol,max_refine", [(1e-6, 60000), (1e-7, 60000), (1e-14, 8), (1e-14, 40), (1e-14, 100)])
-    def test_passes_keep_the_bits_of_one_leaf_at_a_time(self, uniform, generic, tol, max_refine):
-        for kt in [klein_vertices(generic), *uniform[1][:20 if max_refine > 100 else 10]]:
-            assert _outcome(kt, tol, max_refine) == _ref_volume_numeric(kt, tol, max_refine)
+    @pytest.mark.parametrize("tol,max_leaves", [(1e-6, 60000), (1e-7, 60000), (1e-14, 8), (1e-14, 40), (1e-14, 100)])
+    def test_passes_keep_the_bits_of_one_leaf_at_a_time(self, uniform, generic, tol, max_leaves, monkeypatch):
+        monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
+        for kt in [klein_vertices(generic), *uniform[1][:20 if max_leaves > 100 else 10]]:
+            assert _outcome(kt, tol) == _ref_volume_numeric(kt, tol, max_leaves)
 
     @pytest.fixture
     def leaf_count(self, monkeypatch):
@@ -358,21 +361,23 @@ class TestBatchedQuadratureMatchesReference:
         monkeypatch.setattr(klein, "_leaves", lambda tris, values: sizes.append(len(tris)) or leaves(tris, values))
         return lambda: sizes[0] + 3 * sum(sizes[1:]) // 4
 
-    @pytest.mark.parametrize("max_refine", range(16, 41))
-    def test_leaves_fill_the_budget_before_the_error(self, generic, leaf_count, max_refine):
-        # a pass never takes the leaves past max_refine, and the error comes
+    @pytest.mark.parametrize("max_leaves", range(16, 41))
+    def test_leaves_fill_the_budget_before_the_error(self, generic, leaf_count, max_leaves, monkeypatch):
+        # a pass never takes the leaves past MAX_LEAVES, and the error comes
         # only once not even one more split fits
+        monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
         with pytest.raises(QuadratureError):
-            volume_numeric(klein_vertices(generic), 1e-14, max_refine)
-        assert max_refine - 3 < leaf_count() <= max_refine
+            volume_numeric(klein_vertices(generic), 1e-14)
+        assert max_leaves - 3 < leaf_count() <= max_leaves
 
-    def test_a_budget_of_the_leaves_used_is_enough(self, generic, leaf_count):
+    def test_a_budget_of_the_leaves_used_is_enough(self, generic, leaf_count, monkeypatch):
         # at 1e-9 more than four leaves are split; a budget of exactly the
         # leaves an unbounded run makes caps no pass, so the bits hold
         kt = klein_vertices(generic)
         volume = volume_numeric(kt, 1e-9)
         used = leaf_count()
-        assert used > 16 + 3 * 4 and volume_numeric(kt, 1e-9, used).hex() == volume.hex()
+        monkeypatch.setattr(klein, "MAX_LEAVES", used)
+        assert used > 16 + 3 * 4 and volume_numeric(kt, 1e-9).hex() == volume.hex()
 
     def test_rule_bits_do_not_depend_on_batch_size(self):
         rng = np.random.default_rng(7)

@@ -284,7 +284,8 @@ def _same_bits(a: float, b: float) -> bool:
 
 def _array_route_0d(theta) -> float:
     """The numpy series on a 0-d array, as the removed numpy route computed
-    it: the reference the plain-float path must match bit for bit."""
+    it but with the series' ``math.log``: the reference the plain-float path
+    must match bit for bit."""
     arr = np.asarray(theta, dtype=float)
     r = arr - PI * np.round(arr / PI)
     r = np.where(r <= -PI / 2, r + PI, r)
@@ -293,8 +294,8 @@ def _array_route_0d(theta) -> float:
     h = np.zeros_like(q)
     for c in _SERIES_COEF_DESC:
         h = h * q + c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = x * (1.0 - np.log(2.0 * x)) + x * q * h
+    log = math.log(2.0 * float(x)) if x > 0 else 0.0
+    val = x * (1.0 - log) + x * q * h
     return float(np.sign(r) * np.where(x > 0, val, 0.0))
 
 
@@ -389,7 +390,7 @@ def _reduced_everywhere(theta: float) -> float:
     h = 0.0
     for a, b, c, d in quads:
         h = (((h * q + a) * q + b) * q + c) * q + d
-    val = x * (1.0 - float(np.log(2.0 * x))) + x * q * h
+    val = x * (1.0 - math.log(2.0 * x)) + x * q * h
     return val if r > 0 else -val
 
 

@@ -251,7 +251,7 @@ class TestOctahedronLayerBits:
 
     HYPERIDEAL = ((1.0,) * 6, (0.9, 1.0, 1.1, 0.95, 1.05, 1.0),
                   (0.8, 0.9, 1.0, 1.1, 1.0, 0.9), (1.3, 0.4, 0.5, 1.3, 0.45, 0.55))
-    DIGEST = "2a8d50963eefe0f8580c1f18726f74abcb191d09d83f0f5cb29e16da9240e741"
+    DIGEST = "491f556b68044ca93998e95b8f70a01921f041c96dbb8a895c5c4065faf2af0e"
 
     @staticmethod
     def side_values(oa):

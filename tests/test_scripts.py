@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import os
 import pathlib
 import runpy
 import subprocess
@@ -167,6 +168,68 @@ def test_stream_digests_keep_their_bytes(output_digest):
     # classified Ideal, so the class gate's error output is covered too.  A
     # change that moves output on purpose re-pins these with PINNED.
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
-    assert formula == "0ba78ceae77b41be5d0583910a9174738e6e42c5baf6f24dd6f133a4cbb3cb9a"
+    assert formula == "39f81449e851fc5042f27f0982ca04ffc488109633f548a19e54e66eec20cecc"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
     assert oracle == "6ffee803a80d6869ae3e82a21ed512f8c6ba05126c3508550713381a890397da"
+
+
+# the first 30 inputs of the benchmark's `formula` stream for seed 1, frozen
+# as float.hex: the stream's own last bits move with numpy's and OpenBLAS's
+# kernels, so the test must not regenerate them
+FORMULA_SEED1_ROWS = """\
+0x1.d730224413317p-1 0x1.447ca7b5ae1aep+0 0x1.25b344289efaep+0 0x1.3533a55001644p+0 0x1.02701ca6c751fp+1 0x1.5e3e92791d068p-1
+0x1.9d95e7a9c162dp-1 0x1.dc284ed475e34p-1 0x1.19bb387d9fb17p+1 0x1.c2c1672b040b6p-1 0x1.f962435afcb10p-1 0x1.6acccf8f411c7p+0
+0x1.3be6f9560919dp-2 0x1.40ea049ddb86dp-3 0x1.5d187c1789dfcp+1 0x1.5f68953b08cf6p-2 0x1.2b11d22f148dep-3 0x1.5dba159b29f16p+1
+0x1.ae53e4675c980p-4 0x1.d1690e12ddaf7p-5 0x1.85409ef29dcdbp+1 0x1.51de70939de7cp-4 0x1.204313e256d6fp-5 0x1.80bae85831e76p+1
+0x1.b29c2f4884298p-1 0x1.18e531c703620p+1 0x1.33001c1daaa6dp-3 0x1.a8aeb0c595a3ep-1 0x1.169e4d1710f91p+1 0x1.2fde47520489cp-3
+0x1.32ff4bbef755bp-1 0x1.39fed24ac37cbp+1 0x1.7fe6b69156f41p-3 0x1.48662eea4bf0ep-2 0x1.5474f065349d8p+1 0x1.8f740b15c717bp-2
+0x1.1ec8eac0ea173p-3 0x1.aa510d9d08830p-3 0x1.65b26a6c00b27p+1 0x1.e6830e3946fa3p-6 0x1.47ff47ba5ab9dp-2 0x1.7922ab085afebp+1
+0x1.bb9beb7dafdbep+0 0x1.1cddc90329cc6p+0 0x1.94a919dbae6acp-1 0x1.8f4cb9ff643dap-1 0x1.acf9d5ee7e43dp+0 0x1.5710abf27d1f3p+0
+0x1.606f0028fec3ap-5 0x1.4136840e89f2ep-4 0x1.8420bb6051dacp+1 0x1.f75f08c03c053p-4 0x1.655b389e5cf2dp-3 0x1.795e22cbbece9p+1
+0x1.406f9f37d93e2p-3 0x1.bfe2d29324a27p-4 0x1.75059d7342b85p+1 0x1.459787ec48031p-3 0x1.2863ad8977ff9p-4 0x1.796d860a89dfap+1
+0x1.2c6db6d9e31b0p+1 0x1.6681a636278c1p-2 0x1.34264564e4f6cp-1 0x1.34fa5add6abc1p+1 0x1.3d075240b0567p-2 0x1.192ea095ad4aap-1
+0x1.b640e51a67223p-2 0x1.94e88bcd1872ep-1 0x1.0974cd8ffab4fp+1 0x1.24bd256040980p+0 0x1.49b02e732df28p+0 0x1.859bb41a79bf4p+0
+0x1.eee53fcc11960p-1 0x1.ee5a0846f5d57p-2 0x1.232de77db9b82p+1 0x1.4996b95174ba2p-1 0x1.0225879423c44p-2 0x1.0ef745794908ep+1
+0x1.5f074a3b502f4p+1 0x1.83a2454012c06p-3 0x1.2779989265018p-2 0x1.56dbfe80243fcp+1 0x1.36972dd328be3p-2 0x1.3efd0738e847cp-2
+0x1.2de4da1275c94p+0 0x1.3af6aaec2087dp+0 0x1.ef83e8eeccbfcp+0 0x1.5afb1ce494dcep-1 0x1.67fc4c28c6a9ap-1 0x1.4f1c3bd423733p+0
+0x1.1c494341ece82p+1 0x1.6e2fe8b3f1140p+1 0x1.33a33bf9b318bp+1 0x1.2071b6bf3db48p-5 0x1.691f33579c659p-1 0x1.1a7dc94cd1bb7p-2
+0x1.db3e2651eb7d8p+0 0x1.0cd826c72ddbap+1 0x1.15afad1fd7912p+1 0x1.a5260519f950cp-2 0x1.319eba2b804dcp-1 0x1.651283b71c956p-1
+0x1.60d25e038a8b8p+0 0x1.51e72320c9848p+0 0x1.5548079b3f67dp+1 0x1.3a4a571a0b221p-2 0x1.57eef40779bf4p-2 0x1.8492f31262880p+0
+0x1.2dd579e42f364p+1 0x1.c6e478d317addp-2 0x1.627f5723cf11ep-2 0x1.fcc5488c511cep-3 0x1.470e9398d9bb1p+1 0x1.39e5717a1e87fp+1
+0x1.ca8c607940e87p-2 0x1.344ed993919dap+0 0x1.8f909f610e495p+0 0x1.7a88ba220d76cp+0 0x1.0abe16678a4efp-3 0x1.4d8b14d4371e1p+1
+0x1.7310cf7a985a3p-4 0x1.d9a8d1c8f2ea4p-3 0x1.699407cab5fa3p+1 0x1.65466dd784c8bp-3 0x1.63b20e201d598p-2 0x1.646b18db2663cp+1
+0x1.7434e0a25ed7ep-1 0x1.0cbdf6b80b83dp+0 0x1.969028e936166p+0 0x1.54cd9345b871ap-1 0x1.df9ffe14d6590p-1 0x1.d2b82b4cd0811p+0
+0x1.5b1bb0d51ef7fp-2 0x1.91a95580f0e07p-2 0x1.3a4b57a64e234p+1 0x1.02133eaf3e99fp-1 0x1.1857c78ad1ffep-2 0x1.49d87d35c4cbcp+1
+0x1.338cddb62c286p+0 0x1.0569cb8c9a147p+0 0x1.1a8075890248cp+0 0x1.ad9485f750024p+0 0x1.7805dbaed5d4dp-2 0x1.a4f167667ccb5p+0
+0x1.2c360467c8fd2p+1 0x1.0de59aee553edp-1 0x1.40c07ab68ec2cp-2 0x1.477e5011e45ccp+1 0x1.03e5e21e6aa6ap-1 0x1.2dee6ef057838p-2
+0x1.67b7e0eece8e4p-1 0x1.167b13f07adddp+1 0x1.5067d7f75c302p-1 0x1.b58dfe1d99fe1p-2 0x1.22944dc0ec91ap+1 0x1.1b301446cf038p-1
+0x1.4e25037a2edf0p+1 0x1.9bfc738d47195p-2 0x1.531d4cbd75a24p-3 0x1.5a0df41c44001p+1 0x1.5a9288a3232bcp-2 0x1.90e7422f1dd83p-3
+0x1.1e29a23ec233fp+0 0x1.c5face711916cp+0 0x1.6b3c9ebd02618p-2 0x1.f235bef8cf1f0p+0 0x1.b8f22e36bc6b8p-1 0x1.6a9306471211dp+0
+0x1.800438b39f18ap-9 0x1.53ae4f6e7aba3p-9 0x1.916df03d91edfp+1 0x1.e9ed1116dcd63p-9 0x1.28a153c8f0163p-9 0x1.91af308725000p+1
+0x1.022f91608d29bp-3 0x1.1e78fa5c9b456p-4 0x1.7b27c72d28c7ap+1 0x1.8dc58651e9c25p-4 0x1.5bae28cf07f81p-4 0x1.7d68e759d607dp+1
+"""
+
+# the rows from stdin in a fresh process, through output_digest.rows_digest
+_ROWS_DIGEST_CODE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import output_digest
+rows = [[float.fromhex(x) for x in line.split()] for line in sys.stdin]
+print(output_digest.rows_digest(rows, output_digest.ANGLE_COMMANDS))
+"""
+
+
+def test_formula_output_does_not_depend_on_the_kernels(output_digest):
+    # the six angle commands use no numpy kernel whose bits vary by CPU:
+    # their output is the same with numpy's AVX-512 kernels switched off
+    # and with OpenBLAS forced to its Haswell kernels
+    rows = [[float.fromhex(x) for x in line.split()] for line in FORMULA_SEED1_ROWS.splitlines()]
+    digest = output_digest.rows_digest(rows, output_digest.ANGLE_COMMANDS)
+    assert digest == "39f81449e851fc5042f27f0982ca04ffc488109633f548a19e54e66eec20cecc"
+    for setting in ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                    {"OPENBLAS_CORETYPE": "Haswell"}):
+        result = subprocess.run([sys.executable, "-c", _ROWS_DIGEST_CODE, str(SCRIPTS)],
+                                input=FORMULA_SEED1_ROWS, capture_output=True, text=True,
+                                env={**os.environ, **setting})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == digest + "\n", setting

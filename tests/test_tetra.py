@@ -207,7 +207,6 @@ class TestClassify:
         assert all(c > 0 for c in cls.vertex_cofactors)
 
     def test_finite_suite_draws_need_no_eigenvalues(self, eigvalsh_calls):
-        # each vertex of a Finite draw has a cofactor above the tolerance, and
         # no box draw comes within 1e-8 of det G = 0, so det G decides alone
         batch, _ = sample_finite(np.random.default_rng(7), 1000)
         eigvalsh_calls.clear()
@@ -235,9 +234,10 @@ class TestClassify:
 class TestClassReference:
     """classify reads the vertex cofactors from the vertex links, the edge
     cofactors from their closed form, and the signature from the sign of its
-    Laplace det G wherever a vertex link bounds lambda_2; classify_by_inverse
-    reads the signature from the eigenvalues and both cofactors from
-    det(G) * inv(G).  The class must not move."""
+    Laplace det G wherever |det G| > IDEAL_COFACTOR_TOL, from the
+    eigenvalues only in the band |det G| <= IDEAL_COFACTOR_TOL;
+    classify_by_inverse reads the signature from the eigenvalues and both
+    cofactors from det(G) * inv(G).  The class must not move."""
 
     @staticmethod
     def _assert_same_class(rows):
@@ -246,27 +246,32 @@ class TestClassReference:
             assert classify(t).kind is classify_by_inverse(t), angles
 
     @staticmethod
-    def _assert_same_class_on_both_routes(rows, eigvalsh_calls):
-        """_assert_same_class, where classify decided some rows by det G
-        alone and the others by its eigenvalue fallback."""
-        by_eigenvalues = 0
+    def _assert_same_class_by_route(rows, eigvalsh_calls):
+        """_assert_same_class, returning the classes of the rows that
+        classify sent to its eigenvalue fallback, each checked to lie in
+        the band |det G| <= IDEAL_COFACTOR_TOL."""
+        by_eigenvalues = []
         for angles in rows:
             t = TetAngles(*angles)
             before = len(eigvalsh_calls)
-            kind = classify(t).kind
-            by_eigenvalues += len(eigvalsh_calls) > before
-            assert kind is classify_by_inverse(t), angles
-        assert 0 < by_eigenvalues < len(rows)
+            cls = classify(t)
+            if len(eigvalsh_calls) > before:
+                assert abs(cls.det) <= IDEAL_COFACTOR_TOL, angles
+                by_eigenvalues.append(cls)
+            assert cls.kind is classify_by_inverse(t), angles
+        return by_eigenvalues
 
     def test_stream_inputs_and_their_images(self, stream_angles):
         sources = [TetAngles(*angles) for angles in stream_angles]
         images = [regge(t, which) for t in sources for which in "abc"]
         self._assert_same_class(t.as_tuple() for t in sources + images)
 
-    def test_box_and_uniform_draws(self):
+    def test_box_and_uniform_draws(self, eigvalsh_calls):
+        # no row with |det G| > IDEAL_COFACTOR_TOL reaches eigvalsh
         rng = np.random.default_rng(2024)
-        self._assert_same_class(rng.uniform(1.15 - 0.12, 1.15 + 0.12, (2000, 6)).tolist())
-        self._assert_same_class(rng.uniform(0.0, PI, (2000, 6)).tolist())
+        box = rng.uniform(1.15 - 0.12, 1.15 + 0.12, (2000, 6)).tolist()
+        uniform = rng.uniform(0.0, PI, (2000, 6)).tolist()
+        self._assert_same_class_by_route(box + uniform, eigvalsh_calls)
 
     def test_near_euclidean_probe(self):
         # the regular Euclidean tetrahedron (det G = 0) sits at arccos(1/3)
@@ -294,19 +299,19 @@ class TestClassReference:
                        (0.0, IDEAL_COFACTOR_TOL), (IDEAL_COFACTOR_TOL, math.inf)):
             assert any(lo < cls.det < hi for cls in classes), (lo, hi)
         assert {cls.kind for cls in classes} == {TetraKind.FINITE, TetraKind.INVALID}
-        self._assert_same_class_on_both_routes(rows, eigvalsh_calls)
+        assert 0 < len(self._assert_same_class_by_route(rows, eigvalsh_calls)) < len(rows)
 
     def test_near_ideal_vertex_probe(self, eigvalsh_calls):
         # A + B + C = pi +- 10^-k puts vertex 0's cofactor on both sides of
-        # zero and of IDEAL_COFACTOR_TOL; on the regular ideal base vertex 3
-        # moves with it and vertices 1 and 2 stay ideal, so from k = 9 on no
-        # link bounds lambda_2 and the eigenvalues decide
+        # zero and of IDEAL_COFACTOR_TOL, and on the regular ideal base
+        # vertex 3 moves with it while vertices 1 and 2 stay ideal; an ideal
+        # vertex does not bring det G near 0, so det G decides every row
         bases = ((1.15, 1.2, 1.22, 1.18, 1.25), (0.9, 1.3, 1.4, 1.1, 1.2), (PI / 3,) * 5)
         rows = [(A, B, PI + sign * 10.0**-k - A - B, Ap, Bp, Cp)
                 for A, B, Ap, Bp, Cp in bases for k in range(1, 16) for sign in (-1, 1)]
         kinds = {classify(TetAngles(*angles)).kind for angles in rows}
         assert kinds == {TetraKind.FINITE, TetraKind.IDEAL, TetraKind.HYPERIDEAL}
-        self._assert_same_class_on_both_routes(rows, eigvalsh_calls)
+        assert self._assert_same_class_by_route(rows, eigvalsh_calls) == []
 
 
 class TestSlivers:
