@@ -116,7 +116,7 @@ def _lobachevsky_float(theta: float) -> float:
     A bounded memo keyed on the exact argument keeps every bit (only 0.0
     and -0.0 share a key, and both give +0.0) and pays because the formulas
     of one tetrahedron repeat their angle expressions: one formula op makes
-    about 450 calls on 270 distinct arguments.  Errors are not kept.
+    about 350 calls on 180 distinct arguments.  Errors are not kept.
 
     The reduction into (-pi/2, pi/2] rounds half to even (``round``) and is
     kept apart from ``octahedron.wrap_angle``'s ``floor(x/p + 0.5)``: the two

@@ -25,6 +25,16 @@ some slot angles leave (0, pi) and some pieces carry negative volume.  Root
 labeling therefore uses the sign of the assembled tetrahedron volume, which
 is the criterion that survives continuation (in the honestly embedded
 hyperideal regime it coincides with all slots lying in (0, pi)).
+
+The rule takes the root with the larger assembled volume.  The two volumes
+are v and -v + e with |e| far below LABEL_MARGIN, so one volume above
+LABEL_MARGIN settles the labels: the solve assembles first the volume at
+the root the branch of sqrt(disc) predicts (the discriminant is 16 det G, a
+negative real, and Murakami-Yano's +V root is (-q1 - 4i sqrt(-det G)) /
+(2 q2)), and assembles the other only when that one is not above the
+margin (a near-Euclidean volume, or a wrong prediction).  The prediction
+only orders the tries: the labels and volumes are those of the rule, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +78,10 @@ SLOT_ORDER = ("AB", "BA", "BC", "CB", "CD", "DC", "DA", "AD")
 #: Roots further than this from the unit circle mean Z is not real.
 UNIT_ROOT_TOL = 1e-6
 
+#: A volume above this at the first root tried labels it z_minus at once
+#: (module docstring); |V_plus + V| stays below 1e-9 on every checked input.
+LABEL_MARGIN = 1e-9
+
 
 #: Side labels of the octahedron O and its dual O'.
 O_SIDE = "O"
@@ -96,8 +110,10 @@ class HolonomyRoots:
 
     Z_minus / Z_plus are the angle offsets, fixed mod pi: z = exp(i Z) are
     the two unit-circle roots, of which z_minus assembles the positive
-    tetrahedron volume and z_plus its negative.  volume_minus / volume_plus
-    are the assembled volumes at each offset.  The quadratic itself is
+    tetrahedron volume and z_plus its negative.  volume_minus is the
+    assembled volume at Z_minus; volume_plus, the one at Z_plus, is
+    assembled when it is read, from the Z-independent remainder
+    (volume_remainder(t)) kept here.  The quadratic itself is
     holonomy_polynomial(bars)[1:4]; the class is classify(t).
     """
 
@@ -105,9 +121,13 @@ class HolonomyRoots:
     Z_minus: float
     Z_plus: float
     volume_minus: float
-    volume_plus: float
+    remainder: float
     discriminant: complex
     unit_defect: float
+
+    @property
+    def volume_plus(self) -> float:
+        return _slot_sum(self.bars, self.Z_plus) + self.remainder
 
 
 @dataclass(frozen=True)
@@ -238,20 +258,24 @@ def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
     w_candidates = [w / abs(w) for w in w_candidates]
     Zs = [cmath.phase(w) / 2 for w in w_candidates]
     remainder = volume_remainder(t)
-    vols = [_slot_sum(bars, Z) + remainder for Z in Zs]
-    im = 0 if vols[0] >= vols[1] else 1
-    if vols[im] < -1e-12:
-        raise DegenerateSystemError(
-            "neither holonomy root yields a nonnegative volume",
-            {"volume_candidates": tuple(vols), "class": kind.value},
-        )
-    ip = 1 - im
+    # the root -q1 - 4i sqrt(-det G) over 2 q2 first (module docstring)
+    im = 1 if sq.imag > 0 else 0
+    volume = _slot_sum(bars, Zs[im]) + remainder
+    if not volume > LABEL_MARGIN:
+        vols = [_slot_sum(bars, Z) + remainder for Z in Zs]
+        im = 0 if vols[0] >= vols[1] else 1
+        if vols[im] < -1e-12:
+            raise DegenerateSystemError(
+                "neither holonomy root yields a nonnegative volume",
+                {"volume_candidates": tuple(vols), "class": kind.value},
+            )
+        volume = vols[im]
     return HolonomyRoots(
         bars=bars,
         Z_minus=Zs[im],
-        Z_plus=Zs[ip],
-        volume_minus=vols[im],
-        volume_plus=vols[ip],
+        Z_plus=Zs[1 - im],
+        volume_minus=volume,
+        remainder=remainder,
         discriminant=disc,
         unit_defect=defect,
     )
@@ -334,8 +358,8 @@ def u_volume(t: TetAngles) -> float:
 
 def tet_volume(t: TetAngles, root: str = "minus") -> float:
     """Hyperbolic volume of the tetrahedron (root="minus"), or its negative
-    (root="plus", the dual-route identity): the volume that solve_holonomy
-    assembled to label the roots.  Finite or Ideal input only; others raise."""
+    (root="plus", the dual-route identity): the volume assembled at that
+    root of solve_holonomy.  Finite or Ideal input only; others raise."""
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
     require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)

@@ -319,7 +319,12 @@ def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float
     cosh(len of edge {i,j}) = adj(G)[i][j] / sqrt(adj(G)[i][i] adj(G)[j][j]).
     Non-finite tetrahedra (infinite or undefined lengths) raise; so does a
     ratio that rounds below 1, with an ArithmeticError naming its edge.
+    A TetAngles keeps its lengths, computed on the first call (see _memo).
     """
+    return _memo(t, "_edge_lengths", _edge_lengths)
+
+
+def _edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float]:
     require_kind(t, TetraKind.FINITE)
     G = gram_matrix(t)
     adj = np.linalg.det(G) * np.linalg.inv(G)
@@ -356,9 +361,18 @@ _RELABEL_ROWS = {sigma: _relabel_row(sigma) for sigma in itertools.permutations(
 def relabel(t: TetAngles, sigma) -> TetAngles:
     """Relabel angles by a vertex permutation: new angle at edge e is the old
     angle at edge sigma(e).  A bijection; relabel(relabel(t, s), s^-1) == t.
+
+    The relabeling of a classified t takes its class from t: the same kind
+    and det, and as cofactor of vertex v that of vertex sigma(v), whose link
+    has the same angles.
     """
     sigma = tuple(sigma)
     if sorted(sigma) != [0, 1, 2, 3]:
         raise GeometryDomainError(f"not a vertex permutation: {sigma!r}")
     angles = t.as_tuple()
-    return TetAngles(*(angles[k] for k in _RELABEL_ROWS[sigma]))
+    out = TetAngles(*(angles[k] for k in _RELABEL_ROWS[sigma]))
+    cls = t.__dict__.get("_tetra_class")
+    if cls is not None:
+        cof = tuple(cls.vertex_cofactors[int(v)] for v in sigma)
+        object.__setattr__(out, "_tetra_class", TetraClass(cls.kind, cls.det, cof))
+    return out

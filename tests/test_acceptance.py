@@ -89,18 +89,19 @@ def test_oracle_criterion_passes_on_near_regular_seeds(seed):
                          ids=["criterion_6", "criterion_7"])
 def test_each_regge_image_is_classified_once(criterion, stream, moves, monkeypatch):
     # the check that uses an image classifies it; the sampler classifies only
-    # its draws.  Criterion 7 also classifies each R_b image's aligned
-    # relabeling, once, in verify_scissors.
+    # its draws.  In criterion 7, each R_b image's aligned relabeling takes
+    # its class from the image (tetra.relabel) and is not classified.
     config = SuiteConfig(count=5)
     batch, stats = sample_finite(suite._rng(config, stream), config.count)
     images = [regge(t, which) for t in batch for which in moves]
     expected = [t.as_tuple() for t in images]
-    if criterion is criterion_7:
-        expected += [tetra.relabel(t, REGGE_B_IMAGE_RELABEL).as_tuple() for t in images]
     calls = []
     compute = tetra._classify
     monkeypatch.setattr(tetra, "_classify", lambda t: calls.append(t.as_tuple()) or compute(t))
     criterion(config)
     counts = Counter(calls)
     assert [counts[x] for x in expected] == [1] * len(expected)
+    if criterion is criterion_7:
+        aligned = [tetra.relabel(t, REGGE_B_IMAGE_RELABEL).as_tuple() for t in images]
+        assert [counts[x] for x in aligned] == [0] * len(aligned)
     assert len(calls) == stats.drawn + len(expected)

@@ -181,6 +181,17 @@ def test_edge_length_failure_exits_three(flipped_gram, capsys):
     assert err == f"numerical failure: {message}\n"
 
 
+def test_oracle_computes_the_edge_lengths_once(monkeypatch, capsys):
+    # schlafli_residual and schlafli_max_relative read the lengths kept on t
+    from reggescissors import tetra
+
+    calls = []
+    compute = tetra._edge_lengths
+    monkeypatch.setattr(tetra, "_edge_lengths", lambda t: calls.append(t) or compute(t))
+    assert cli.main(["oracle", *ANGLES_GENERIC]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
 def test_help_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -465,8 +465,8 @@ class TestMemo:
     @pytest.mark.parametrize(
         "call,misses",
         [
-            (lambda t: regge_orbit(t), 159),
-            (lambda t: verify_scissors(t, "b"), 82),
+            (lambda t: regge_orbit(t), 111),
+            (lambda t: verify_scissors(t, "b"), 59),
         ],
     )
     def test_pinned_series_evaluations(self, call, misses):

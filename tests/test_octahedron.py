@@ -311,6 +311,44 @@ class TestOneReducerKeepsBits:
                 == [self.old_canonical_angle(x).hex() for x in points])
 
 
+class TestLabelFastPath:
+    """A solve that finds the first root's volume above LABEL_MARGIN skips the
+    other root's; with LABEL_MARGIN = inf every solve assembles both volumes
+    and takes the larger, and must give the same bits."""
+
+    # the near-regular family arccos(1/3) - eps: near-Euclidean volumes, some
+    # at or below LABEL_MARGIN, which only the two-volume rule labels
+    NEAR_REGULAR = tuple((math.acos(1 / 3) - 10.0 ** -k,) * 6 for k in range(2, 9))
+
+    @staticmethod
+    def hyperideal_draws(count=40):
+        rng = np.random.default_rng(36)
+        out = []
+        while len(out) < count:
+            x = tuple(rng.uniform(0, PI, 6))
+            if classify(TetAngles(*x)).kind is TetraKind.HYPERIDEAL:
+                out.append(x)
+        return out
+
+    @staticmethod
+    def solved(inputs):
+        out = []
+        for x in inputs:
+            roots = solve_holonomy(TetAngles(*x))  # a fresh instance: no kept roots
+            out.append(tuple(v.hex() for v in (roots.Z_minus, roots.Z_plus,
+                                               roots.volume_minus, roots.volume_plus)))
+        return out
+
+    def test_fast_path_keeps_the_fallback_bits(self, stream_angles, monkeypatch):
+        inputs = [x for x in [*stream_angles, *self.hyperideal_draws(), *self.NEAR_REGULAR]
+                  if classify(TetAngles(*x)).kind is not TetraKind.INVALID]
+        fast = self.solved(inputs)
+        volumes = [float.fromhex(row[2]) for row in fast]
+        assert min(volumes) <= octahedron.LABEL_MARGIN < max(volumes)  # both paths ran
+        monkeypatch.setattr(octahedron, "LABEL_MARGIN", math.inf)
+        assert self.solved(inputs) == fast
+
+
 class TestVolumes:
     def test_equiangular_frozen_value(self, equiangular):
         assert tet_volume(equiangular) == pytest.approx(EQUIANGULAR_12_VOLUME, abs=1e-12)
@@ -437,8 +475,9 @@ class TestSolveOnce:
 
 
 class TestLobachevskyEvaluations:
-    """Evaluations per call on a fresh instance: one solve is 8 + 8 slot terms
-    and the 16-term remainder."""
+    """Evaluations per call on a fresh instance: one solve is 8 slot terms (the
+    other root's 8 only when the first volume is not above LABEL_MARGIN) and
+    the 16-term remainder."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -451,7 +490,7 @@ class TestLobachevskyEvaluations:
 
     def test_tet_volume(self, generic, evaluations):
         tet_volume(TetAngles(*generic.as_tuple()))
-        assert len(evaluations) == 32
+        assert len(evaluations) == 24
 
     def test_verify_scissors_b(self, generic, evaluations):
         verify_scissors(TetAngles(*generic.as_tuple()), "b")
@@ -460,4 +499,4 @@ class TestLobachevskyEvaluations:
     def test_regge_orbit(self, generic, evaluations):
         orbit = regge_orbit(TetAngles(*generic.as_tuple()))
         assert len(orbit.members) == 6
-        assert len(evaluations) == 192
+        assert len(evaluations) == 144

@@ -352,8 +352,9 @@ class TestClassifyOnce:
             # tet_volume and solve_holonomy share the source's class
             (lambda t: tet_volume(t), 1),
             (lambda t: decompose(t), 1),
-            # source, R_b image, and the relabeled image it is aligned with
-            (lambda t: verify_scissors(t, "b"), 3),
+            # source and R_b image; the relabeled image it is aligned with
+            # takes its class from the image
+            (lambda t: verify_scissors(t, "b"), 2),
         ],
     )
     def test_pinned_counts(self, uncached, call, count):
@@ -373,6 +374,26 @@ class TestClassifyOnce:
             assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
             assert dataclasses.replace(t) == t
         assert len(uncached) == 2
+
+    def test_relabel_takes_the_class_of_its_source(self, uncached, stream_angles):
+        for x in stream_angles:
+            t = TetAngles(*x)
+            source = classify(t)
+            for sigma in itertools.permutations(range(4)):
+                moved = relabel(t, sigma)
+                got, fresh = classify(moved), classify(TetAngles(*moved.as_tuple()))
+                assert got.kind is fresh.kind is source.kind
+                assert got.det == source.det
+                assert got.vertex_cofactors == tuple(source.vertex_cofactors[v] for v in sigma)
+                assert max(abs(a - b) for a, b in zip(got.vertex_cofactors, fresh.vertex_cofactors)) < 1e-13
+        # the source and each fresh copy, no relabeling
+        assert len(uncached) == 25 * len(stream_angles)
+
+    def test_relabel_of_an_unclassified_source_is_classified_afresh(self, uncached):
+        t = TetAngles(*self.ANGLES)
+        moved = relabel(t, SWAP_AB_PAIRS)
+        classify(moved)
+        assert uncached == [moved]
 
     def test_replaced_copy_is_classified_afresh(self, uncached):
         t = TetAngles(*self.ANGLES)
@@ -429,6 +450,30 @@ class TestEdgeLengths:
         with pytest.raises(ArithmeticError, match=r"^edge C \(0, 3\): cosh ratio -1\.\d+ is below 1$") as exc:
             edge_lengths(t)
         assert not isinstance(exc.value, ValueError)
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Counts the edge lengths that are computed, not read back."""
+        from reggescissors import tetra
+
+        calls = []
+        compute = tetra._edge_lengths
+        monkeypatch.setattr(tetra, "_edge_lengths", lambda t: calls.append(t) or compute(t))
+        return calls
+
+    def test_kept_on_the_instance(self, computed):
+        t = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+        lengths = edge_lengths(t)
+        assert edge_lengths(t) is lengths
+        assert edge_lengths(TetAngles(*t.as_tuple())) == lengths
+        assert len(computed) == 2 and computed[0] is t
+
+    def test_raised_error_is_not_kept(self, computed, flipped_gram):
+        t = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                edge_lengths(t)
+        assert computed == [t, t]
 
     def test_permute_under_relabel(self, generic):
         base = dict(zip(("A", "B", "C", "Ap", "Bp", "Cp"), edge_lengths(generic)))
