@@ -23,7 +23,9 @@ of one call over the first 200 Finite inputs of the `formula` stream for
 seed 1, each on a fresh TetAngles, so no per-instance memo is warm; each
 layer runs in its own fresh process, so no argument memo is warm either; the
 median of SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and
-`us_q3`.
+`us_q3`.  A layer in PER_CALL_ARG takes in place of the TetAngles the
+argument it makes from it (`volume_numeric`: the Klein realization), made
+before the call's timer starts.
 With `--before`, the same layers are timed against the `src/` of another
 checkout (the parent of the change), alternating process by process, with
 the side that runs first swapped every round, and recorded as `before_us`,
@@ -73,9 +75,13 @@ PER_CALL = {
     "verify_scissors_b": lambda m, t: m.scissors.verify_scissors(t, "b"),
     "regge_orbit": lambda m, t: m.scissors.regge_orbit(t),
     "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
+    "klein_vertices": lambda m, t: m.klein.klein_vertices(t),
+    "volume_numeric": lambda m, kt: m.klein.volume_numeric(kt, 1e-6),
     "oracle_quadrature": lambda m, t: m.klein.volume_numeric(m.klein.klein_vertices(t), 1e-6),
     "lobachevsky_quadrature_scalar": lambda m, t: m.lobachevsky_quadrature(t.A, 1e-12),
 }
+#: The untimed argument of a PER_CALL layer that does not take the TetAngles itself.
+PER_CALL_ARG = {"volume_numeric": lambda m, t: m.klein.klein_vertices(t)}
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
 #: Fresh processes per side behind each median of suite_criteria and per_call.
@@ -130,6 +136,11 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
+def layer_arg(name: str, m, t):
+    """The argument of PER_CALL[name] for the package `m` and the TetAngles `t`."""
+    return PER_CALL_ARG[name](m, t) if name in PER_CALL_ARG else t
+
+
 def time_layer(name: str) -> float:
     """Mean scaled microseconds of one PER_CALL[name] call over the first
     PER_CALL_INPUTS Finite inputs of the `formula` stream for seed 1, in this
@@ -149,13 +160,13 @@ def time_layer(name: str) -> float:
             if len(rows) > PER_CALL_INPUTS:
                 break
     call = PER_CALL[name]
-    call(reggescissors, tetra.TetAngles.of(rows.pop()))  # untimed warm-up on the next input
+    call(reggescissors, layer_arg(name, reggescissors, tetra.TetAngles.of(rows.pop())))  # untimed warm-up
     intervals = []
     with Ticker() as ticker:
         for angles in rows:
-            t = tetra.TetAngles.of(angles)
+            arg = layer_arg(name, reggescissors, tetra.TetAngles.of(angles))
             start = time.perf_counter()
-            call(reggescissors, t)
+            call(reggescissors, arg)
             intervals.append((start, time.perf_counter()))
     return sum(reference_seconds(intervals, ticker.samples)) / len(rows) * 1e6
 

@@ -44,6 +44,8 @@ __all__ = [
 
 _MINK = np.diag([1.0, 1.0, 1.0, -1.0])
 _ROUND_TRIP_TOL = 1e-8
+# row k: the columns other than column k
+_OTHERS = np.array([[j for j in range(4) if j != k] for k in range(4)])
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,14 @@ class KleinTetra:
             raise GeometryDomainError(f"vertices must have shape (4, 3), got {np.shape(self.vertices)}")
 
 
+def _ball_vertices(kt: KleinTetra) -> np.ndarray:
+    """The vertices of kt as floats, each strictly inside the unit ball."""
+    verts = np.asarray(kt.vertices, dtype=float)
+    if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
+        raise GeometryDomainError("vertices must lie strictly inside the unit ball")
+    return verts
+
+
 def _hyperboloid_lift(klein_pts: np.ndarray) -> np.ndarray:
     t = 1.0 / np.sqrt(1.0 - np.sum(klein_pts**2, axis=1))
     return np.hstack([klein_pts * t[:, None], t[:, None]])
@@ -64,13 +74,11 @@ def _hyperboloid_lift(klein_pts: np.ndarray) -> np.ndarray:
 
 def _minkowski_complements(columns: np.ndarray) -> np.ndarray:
     """Row k: a Euclidean unit vector Minkowski-orthogonal to the columns of
-    the 4x4 `columns` other than column k, of either sign."""
-    rows = []
-    for k in range(4):
-        others = [i for i in range(4) if i != k]
-        _, _, vt = np.linalg.svd((_MINK @ columns[:, others]).T)
-        rows.append(vt[-1])
-    return np.array(rows)
+    the 4x4 `columns` other than column k, of either sign.
+
+    The four 3x4 systems go to one stacked SVD, which runs LAPACK on each
+    in turn, so each row has the bits of an SVD of its system alone."""
+    return np.linalg.svd((_MINK @ columns)[:, _OTHERS].transpose(1, 2, 0))[2][:, -1]
 
 
 def _face_normals(lift: np.ndarray) -> np.ndarray:
@@ -89,7 +97,7 @@ def _face_normals(lift: np.ndarray) -> np.ndarray:
 
 def dihedral_angles(kt: KleinTetra) -> TetAngles:
     """Recompute the six dihedral angles from coordinates."""
-    lift = _hyperboloid_lift(np.asarray(kt.vertices, dtype=float))
+    lift = _hyperboloid_lift(_ball_vertices(kt))
     normals = _face_normals(lift)
 
     def ang(i: int, j: int) -> float:
@@ -174,11 +182,15 @@ _SERIES = np.array([(k + 1) / (2 * k + 3) for k in range(7)][::-1])  # np.polyva
 
 def _rho(r2: np.ndarray) -> np.ndarray:
     """rho(R^2) = g(R) / R^3, g(R) = int_0^R r^2 / (1 - r^2)^2 dr = R / (2 (1 - R^2))
-    - artanh(R) / 2; below _SERIES_BELOW, sum (k + 1) R^2k / (2k + 3)."""
+    - artanh(R) / 2; below _SERIES_BELOW, sum (k + 1) R^2k / (2k + 3), which
+    is evaluated only on the points below (most batches have none)."""
     big = np.maximum(r2, _SERIES_BELOW)
     R = np.sqrt(big)
-    closed = (R / (2 * (1 - big)) - np.arctanh(R) / 2) / (big * R)
-    return np.where(r2 < _SERIES_BELOW, np.polyval(_SERIES, r2), closed)
+    out = (R / (2 * (1 - big)) - np.arctanh(R) / 2) / (big * R)
+    low = r2 < _SERIES_BELOW
+    if low.any():
+        out[low] = np.polyval(_SERIES, r2[low])
+    return out
 
 
 def _rule_batch(tris: np.ndarray) -> np.ndarray:
@@ -202,11 +214,17 @@ def _split4(v: np.ndarray) -> np.ndarray:
     return points[:, _CHILDREN]
 
 
-def _leaves(tris: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _leaves(tris: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Children (k, 4, 3, 3) of k triangles with rule values `values`, their rule
-    values (k, 4) and each triangle's error estimate |value - their sum| (k,)."""
+    values (k, 4) and each triangle's error estimate |value - their sum| (k,).
+    With `values` None, k must be a multiple of 4: the triangles and their
+    children then go to one rule batch, which keeps each one's bits."""
     children = _split4(tris)
-    fine = _rule_batch(children.reshape(-1, 3, 3)).reshape(-1, 4)
+    if values is None:
+        values, fine = np.split(_rule_batch(np.concatenate([tris, children.reshape(-1, 3, 3)])), [len(tris)])
+    else:
+        fine = _rule_batch(children.reshape(-1, 3, 3))
+    fine = fine.reshape(-1, 4)
     return children, fine, np.abs(values - fine.sum(axis=1))
 
 
@@ -218,7 +236,8 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
     """Hyperbolic volume by deterministic adaptive quadrature of the signed
     cones from the origin over the four faces.
 
-    The leaves start as each face's four children.  Each leaf carries the
+    The leaves start as each face's four children; their 16 rule values and
+    those of their 64 children come from one rule batch.  Each leaf carries the
     error estimate |its rule value - the sum over its 4 children|, and the
     leaves are refined in passes until the estimates sum below tol/2.  A
     pass splits, worst first, the fewest leaves whose estimates leave at most
@@ -227,14 +246,12 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
     children, with the sign of det[v1 - v0, v2 - v0, v3 - v0].  A pass
     splits no more leaves than keep them within MAX_LEAVES; raises
     QuadratureError (with the achieved estimate) when not even one split fits.
+    A call makes one rule batch per pass, plus the first.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
-    verts = np.asarray(kt.vertices, dtype=float)
-    if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
-        raise GeometryDomainError("vertices must lie strictly inside the unit ball")
-    tris = _split4(verts[_FACES]).reshape(-1, 3, 3)
-    kids, fine, errs = _leaves(tris, _rule_batch(tris))
+    verts = _ball_vertices(kt)
+    kids, fine, errs = _leaves(_split4(verts[_FACES]).reshape(-1, 3, 3), None)
     while (total_err := float(errs.sum())) >= tol / 2:
         fits = (MAX_LEAVES - len(errs)) // 3
         if fits < 1:
@@ -271,16 +288,14 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
     if not 1e-7 <= h <= 1e-3:
         raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
     require_kind(t, TetraKind.FINITE)
+    base = [float(x) for x in t.as_tuple()]
 
     def try_residuals(step: float) -> np.ndarray | None:
-        base = np.array(t.as_tuple())
         lengths = edge_lengths(t)
         out = np.empty(6)
-        for i in range(6):
-            up, dn = base.copy(), base.copy()
-            up[i] += step
-            dn[i] -= step
-            tu, td = TetAngles.of(up), TetAngles.of(dn)
+        for i, x in enumerate(base):
+            tu = TetAngles(*base[:i], x + step, *base[i + 1:])
+            td = TetAngles(*base[:i], x - step, *base[i + 1:])
             if classify(tu).kind is not TetraKind.FINITE or classify(td).kind is not TetraKind.FINITE:
                 return None
             deriv = (tet_volume(tu) - tet_volume(td)) / (2 * step)

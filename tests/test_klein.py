@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -98,6 +99,27 @@ class TestRealization:
             call(KleinTetra(verts))
         assert str(exc.value) == f"vertices must have shape (4, 3), got {shape}"
 
+    @pytest.mark.parametrize("verts", [
+        [[0.0, 0, 0], [1.2, 0, 0], [0, 0.5, 0], [0, 0, 0.5]],
+        [[0.0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, math.nan]],
+    ], ids=["outside", "nan"])
+    @pytest.mark.parametrize("call", [volume_numeric, dihedral_angles], ids=["volume_numeric", "dihedral_angles"])
+    def test_rejects_vertices_not_strictly_inside_the_ball(self, verts, call):
+        # no RuntimeWarning from the hyperboloid lift, and no LinAlgError from the SVD
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryDomainError, match="^vertices must lie strictly inside the unit ball$"):
+                call(KleinTetra(np.array(verts)))
+
+    def test_realization_makes_two_svd_calls(self, generic, monkeypatch):
+        # one stacked SVD of the four 3x4 systems for the vertices, and one
+        # for the face normals of the round trip
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        klein_vertices(generic)
+        assert shapes == [(4, 3, 4), (4, 3, 4)]
+
 
 class TestLorentzBoost:
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -175,6 +197,19 @@ class TestVolumeNumeric:
                 r = mp.sqrt(mp.mpf(x))
                 ref = mp.mpf(1) / 3 if x == 0 else mp.quad(lambda s: s**2 / (1 - s**2) ** 2, [0, r]) / r**3
                 assert abs(g - ref) <= (4e-16 if x < klein._SERIES_BELOW else 5e-13) * ref, (x, g)
+
+    @pytest.mark.parametrize("low,high", [(0.0025, 0.9), (0.0, 0.01), (0.0, 0.0025)], ids=["none", "some", "all"])
+    def test_radial_series_only_where_it_applies(self, low, high):
+        # the bits of the series on every point and a choice by np.where, on
+        # arrays with none, some and all of their points below the switch
+        r2 = np.random.default_rng(9).uniform(low, high, (64, 16))
+        below = r2 < klein._SERIES_BELOW
+        assert below.any() == (low == 0.0) and below.all() == (high == klein._SERIES_BELOW)
+        big = np.maximum(r2, klein._SERIES_BELOW)
+        R = np.sqrt(big)
+        closed = (R / (2 * (1 - big)) - np.arctanh(R) / 2) / (big * R)
+        expected = np.where(below, np.polyval(klein._SERIES, r2), closed)
+        assert klein._rho(r2).tobytes() == expected.tobytes()
 
     def test_regge_invariance_certified_without_formulas(self, finite_batch):
         # volume equality of T and R_b(T) checked by quadrature alone
@@ -379,6 +414,24 @@ class TestBatchedQuadratureMatchesReference:
         monkeypatch.setattr(klein, "MAX_LEAVES", used)
         assert used > 16 + 3 * 4 and volume_numeric(kt, 1e-9).hex() == volume.hex()
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_one_rule_batch_per_pass_and_one_for_the_start(self, uniform, generic, tol, monkeypatch):
+        # the 16 face quarters and their 64 children share the first batch;
+        # each pass is one _leaves call on the split leaves and their values
+        batches, passes = [], []
+        rule_batch, leaves = klein._rule_batch, klein._leaves
+        monkeypatch.setattr(klein, "_rule_batch", lambda tris: batches.append(len(tris)) or rule_batch(tris))
+        monkeypatch.setattr(klein, "_leaves",
+                            lambda tris, values: passes.append(values is not None) or leaves(tris, values))
+        counts = []
+        for kt in [klein_vertices(generic), *uniform[1][:10]]:
+            batches.clear()
+            passes.clear()
+            volume_numeric(kt, tol)
+            assert batches[0] == 80 and not passes[0] and len(batches) == len(passes) == sum(passes) + 1
+            counts.append(sum(passes))
+        assert max(counts) >= 2
+
     def test_rule_bits_do_not_depend_on_batch_size(self):
         rng = np.random.default_rng(7)
         tris = rng.uniform(-0.55, 0.55, size=(64, 3, 3))
@@ -463,11 +516,58 @@ class TestSchlafli:
         res = schlafli_residual(t, 1e-5)
         assert res.tobytes() == schlafli_residual(t, 1e-5 / 10).tobytes()
 
+    def test_keeps_the_bits_of_array_steps(self):
+        # the first 120 inputs of the `oracle` stream for seed 1, and the
+        # input whose step is retried at h / 10
+        angles, _ = _perfbench_module("inputs").TetStream(1, 2, 0.9).take(120)
+        inputs = [tuple(a.tolist()) for a in angles] + [(math.pi / 3 + 2e-6,) * 6]
+        for row in inputs:
+            got, expected = (_schlafli_outcome(f, TetAngles(*row)) for f in (schlafli_residual, _ref_schlafli_residual))
+            assert got == expected, row
+
     def test_retry_that_still_leaves_finite_raises(self):
         t = TetAngles(*(math.pi / 3 + 2e-7,) * 6)
         assert classify(t).kind is TetraKind.FINITE
         with pytest.raises(GeometryDomainError, match="even after shrinking h"):
             schlafli_residual(t, 1e-5)
+
+
+def _ref_schlafli_residual(t, h):
+    """schlafli_residual with each step taken on a numpy copy of the angles,
+    as it was written before it stepped Python floats."""
+    if not 1e-7 <= h <= 1e-3:
+        raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
+    if classify(t).kind is not TetraKind.FINITE:
+        raise GeometryDomainError("not Finite")
+
+    def try_residuals(step):
+        base = np.array(t.as_tuple())
+        lengths = edge_lengths(t)
+        out = np.empty(6)
+        for i in range(6):
+            up, dn = base.copy(), base.copy()
+            up[i] += step
+            dn[i] -= step
+            tu, td = TetAngles.of(up), TetAngles.of(dn)
+            if classify(tu).kind is not TetraKind.FINITE or classify(td).kind is not TetraKind.FINITE:
+                return None
+            out[i] = abs((tet_volume(tu) - tet_volume(td)) / (2 * step) + lengths[i] / 2)
+        return out
+
+    res = try_residuals(h)
+    if res is None:
+        res = try_residuals(h / 10)
+    if res is None:
+        raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
+    return res
+
+
+def _schlafli_outcome(residual, t, h=1e-5):
+    """The bytes of residual(t, h), or "raised" when it raises."""
+    try:
+        return residual(t, h).tobytes()
+    except GeometryDomainError:
+        return "raised"
 
 
 class TestThreeQuarterOracle:

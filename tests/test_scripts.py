@@ -61,10 +61,11 @@ def bench_record():
 
 def test_bench_record_times_a_layer(bench_record):
     # a rename or move of a layer the recorder times fails here, not only in a full recording
-    assert {"lobachevsky_scalar", "lobachevsky_array", "oracle_quadrature",
+    assert {"lobachevsky_scalar", "lobachevsky_array", "klein_vertices", "volume_numeric", "oracle_quadrature",
             "lobachevsky_quadrature_scalar"} <= set(bench_record.PER_CALL)
-    for call in bench_record.PER_CALL.values():
-        call(reggescissors, reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25))
+    for name, call in bench_record.PER_CALL.items():
+        t = reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+        call(reggescissors, bench_record.layer_arg(name, reggescissors, t))
     result = subprocess.run([sys.executable, str(SCRIPTS / "bench_record.py"), "--time-layer", "classify"],
                             capture_output=True, text=True, env=bench_record.src_env())
     assert result.returncode == 0, result.stderr
