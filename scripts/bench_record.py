@@ -7,7 +7,7 @@ Runs `perfbench/run.py --seconds 30 --trace 0` on the `formula`, `oracle`
 and `suite` workloads for seeds 1-5, one run at a time, then 10 CLI cold
 starts (`python -m reggescissors volume` on the README angles, each a fresh
 subprocess), the per-call timings, the suite criteria and the tier-1 test
-command once, all from the root of the checkout (about 10 minutes).  Writes
+command once, all from the root of the checkout (about 2 minutes).  Writes
 BENCH_<pr>.json there with, per workload, the median, q1 and q3 of every
 end-to-end metric over the seeds and each run's `attempted`, `failed` and
 `correct`; the median, q1 and q3 of the cold-start wall times; the per-call
@@ -19,26 +19,31 @@ records `reference_seconds` of its timed intervals.  The cold-start and
 tier-1 wall times are not scaled.
 
 `per_call` gives, for each layer in PER_CALL, the mean scaled microseconds
-of one call over the first 200 Finite inputs of the `formula` stream for
-seed 1, each on a fresh TetAngles, so no per-instance memo is warm; each
-layer runs in its own fresh process, so no argument memo is warm either; the
-median of SUITE_RUNS processes as `us`, with its quartiles as `us_q1` and
-`us_q3`.  A layer in PER_CALL_ARG takes in place of the TetAngles the
-argument it makes from it (`volume_numeric`: the Klein realization), made
-before the call's timer starts.
-With `--before`, the same layers are timed against the `src/` of another
-checkout (the parent of the change), alternating process by process, with
-the side that runs first swapped every round, and recorded as `before_us`,
-`before_us_q1` and `before_us_q3`, and `wins` counts the rounds in which
-this checkout took less time.
+of one call over the first 200 Finite inputs of its stream for seed 1
+(PER_CALL_STREAM: the `oracle` workload's for the three Klein layers, the
+`formula` workload's for the rest), each on a fresh TetAngles, so no
+per-instance memo is warm, and with the series memo emptied before each
+layer's untimed warm-up; the median of SUITE_RUNS processes as `us`, with
+its quartiles as `us_q1` and `us_q3`.  A layer in PER_CALL_ARG takes in
+place of the TetAngles the argument it makes from it (`volume_numeric`: the
+Klein realization), made before the call's timer starts.
 
 `suite_criteria` gives the scaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
-the suite runs them, in a fresh process, so a criterion that first needs a
-module pays for importing it; the median of SUITE_RUNS processes as `s`,
-with its quartiles as `s_q1` and `s_q3`.  With `--before` the other checkout
-is timed too, alternating as for `per_call`, and recorded as `before_s`,
-`before_s_q1`, `before_s_q3` and `wins`.
+the suite runs them, at the start of a fresh process, so a criterion that
+first needs a module pays for importing it; the median of SUITE_RUNS
+processes as `s`, with its quartiles as `s_q1` and `s_q3`.
+
+Both sections come from the same SUITE_RUNS fresh processes, each of which
+times the suite criteria and then every layer.  With `--before`, as many
+processes run on the `src/` of another checkout (the parent of the change),
+alternating process by process, with the side that runs first swapped every
+round; each row then also records `before_us` or `before_s` with its
+quartiles, and `wins` counts the rounds in which this checkout took less
+time.  Give both trees the same bytecode: where Python writes none, a
+`cp -r` copy's cached bytecode no longer matches its sources' times, so its
+import compiles again and reads slower.  `cp -a` keeps the times, and
+`git archive` makes a tree without bytecode, like a fresh checkout.
 """
 
 from __future__ import annotations
@@ -77,11 +82,13 @@ PER_CALL = {
     "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
     "klein_vertices": lambda m, t: m.klein.klein_vertices(t),
     "volume_numeric": lambda m, kt: m.klein.volume_numeric(kt, 1e-6),
-    "oracle_quadrature": lambda m, t: m.klein.volume_numeric(m.klein.klein_vertices(t), 1e-6),
     "lobachevsky_quadrature_scalar": lambda m, t: m.lobachevsky_quadrature(t.A, 1e-12),
 }
 #: The untimed argument of a PER_CALL layer that does not take the TetAngles itself.
 PER_CALL_ARG = {"volume_numeric": lambda m, t: m.klein.klein_vertices(t)}
+#: The perfbench stream of each PER_CALL layer's inputs: the one its workload runs.
+PER_CALL_STREAM = {name: "oracle" if name in ("schlafli_residual", "klein_vertices", "volume_numeric")
+                   else "formula" for name in PER_CALL}
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
 #: Fresh processes per side behind each median of suite_criteria and per_call.
@@ -141,34 +148,53 @@ def layer_arg(name: str, m, t):
     return PER_CALL_ARG[name](m, t) if name in PER_CALL_ARG else t
 
 
-def time_layer(name: str) -> float:
-    """Mean scaled microseconds of one PER_CALL[name] call over the first
-    PER_CALL_INPUTS Finite inputs of the `formula` stream for seed 1, in this
-    process, with the package found on PYTHONPATH."""
-    import reggescissors  # loads every module PER_CALL reaches
-
-    tetra = reggescissors.tetra
+def time_in_process() -> dict:
+    """In this process, with the package found on PYTHONPATH: under "s", the
+    scaled seconds of the package import and of each criterion of
+    SUITE_CONFIG, run in order; then under "us", for each PER_CALL layer,
+    the mean scaled microseconds of one call over the first PER_CALL_INPUTS
+    Finite inputs of its PER_CALL_STREAM for seed 1, after emptying the
+    series memo and an untimed warm-up on the next Finite input."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from inputs import TetStream
     from machine import Ticker, reference_seconds
-    from worker import RMAX, STREAM
 
-    rows = []
-    for angles, _ in TetStream(1, STREAM["formula"], RMAX["formula"]):
-        if tetra.classify(tetra.TetAngles.of(angles)).kind is tetra.TetraKind.FINITE:
-            rows.append(angles)
-            if len(rows) > PER_CALL_INPUTS:
-                break
-    call = PER_CALL[name]
-    call(reggescissors, layer_arg(name, reggescissors, tetra.TetAngles.of(rows.pop())))  # untimed warm-up
-    intervals = []
+    intervals = {}  # name -> its (start, end): one per suite step, one per layer call
     with Ticker() as ticker:
-        for angles in rows:
-            arg = layer_arg(name, reggescissors, tetra.TetAngles.of(angles))
+        start = time.perf_counter()
+        from reggescissors import suite
+
+        intervals["import"] = [(start, time.perf_counter())]
+        config = suite.SuiteConfig(**SUITE_CONFIG)
+        for criterion in suite._CRITERIA:
             start = time.perf_counter()
-            call(reggescissors, arg)
-            intervals.append((start, time.perf_counter()))
-    return sum(reference_seconds(intervals, ticker.samples)) / len(rows) * 1e6
+            criterion(config)
+            intervals[criterion.__name__] = [(start, time.perf_counter())]
+        steps = list(intervals)
+
+        import reggescissors as m  # loads every module PER_CALL reaches
+        from inputs import TetStream
+        from reggescissors.lobachevsky import _lobachevsky_float
+        from worker import RMAX, STREAM
+
+        TetAngles, finite = m.tetra.TetAngles, m.tetra.TetraKind.FINITE
+        rows = {}
+        for stream in dict.fromkeys(PER_CALL_STREAM.values()):
+            found = (a for a, _ in TetStream(1, STREAM[stream], RMAX[stream])
+                     if m.tetra.classify(TetAngles.of(a)).kind is finite)
+            rows[stream] = [next(found) for _ in range(PER_CALL_INPUTS + 1)]
+        for name, call in PER_CALL.items():
+            *timed, warm_up = rows[PER_CALL_STREAM[name]]
+            _lobachevsky_float.cache_clear()
+            call(m, layer_arg(name, m, TetAngles.of(warm_up)))
+            intervals[name] = []
+            for angles in timed:
+                arg = layer_arg(name, m, TetAngles.of(angles))
+                start = time.perf_counter()
+                call(m, arg)
+                intervals[name].append((start, time.perf_counter()))
+    scaled = {name: sum(reference_seconds(pairs, ticker.samples)) for name, pairs in intervals.items()}
+    return {"s": {name: scaled[name] for name in steps},
+            "us": {name: scaled[name] / PER_CALL_INPUTS * 1e6 for name in PER_CALL}}
 
 
 def fresh(checkout: Path, *args: str) -> str:
@@ -179,66 +205,36 @@ def fresh(checkout: Path, *args: str) -> str:
                           check=True).stdout
 
 
-def alternate(before: Path | None, column: str, parse, *args: str) -> dict[str, list]:
-    """The parsed stdout of SUITE_RUNS fresh runs of this script with `args`
-    on this checkout, under `column`, and, when given, on the checkout
-    `before`, under `before_<column>`, alternating process by process; the
-    side that runs first alternates from round to round, `before` first in
-    the first round."""
-    checkouts = [(column, ROOT)] if before is None else [(f"before_{column}", before), (column, ROOT)]
-    runs = {name: [] for name, _ in checkouts}
+def alternate(before: Path | None) -> dict[str, list[dict]]:
+    """The JSON stdout of SUITE_RUNS fresh `--time` runs of this script on
+    this checkout, under "", and, when given, on the checkout `before`, under
+    "before_", alternating process by process; the side that runs first
+    alternates from round to round, `before` first in the first round."""
+    checkouts = [("", ROOT)] if before is None else [("before_", before), ("", ROOT)]
+    runs = {side: [] for side, _ in checkouts}
     for round_ in range(SUITE_RUNS):
-        for name, checkout in checkouts[::-1] if round_ % 2 else checkouts:
-            runs[name].append(parse(fresh(checkout, *args)))
+        for side, checkout in checkouts[::-1] if round_ % 2 else checkouts:
+            runs[side].append(json.loads(fresh(checkout, "--time")))
     return runs
 
 
-def stamp(before: Path | None) -> dict:
-    """The src/ digest of the checkout `before`, when one was timed."""
-    return {} if before is None else {"before_src_sha256": src_digest(before)}
+def run_in_process(before: Path | None) -> tuple[dict, dict]:
+    """per_call and suite_criteria: the median and quartiles over SUITE_RUNS
+    fresh processes of time_in_process, against this checkout and, when
+    given, against the checkout `before`."""
+    runs = alternate(before)
 
+    def rows(unit: str) -> dict:
+        return {name: quartiles({side + unit: [run[unit][name] for run in values]
+                                 for side, values in runs.items()})
+                for name in runs[""][0][unit]}
 
-def run_per_call(before: Path | None) -> dict:
-    """per_call: the median and quartiles over SUITE_RUNS fresh processes of
-    each layer's time_layer, against this checkout and, when given, against
-    the checkout `before`."""
-    layers = {name: quartiles(alternate(before, "us", float, "--time-layer", name))
-              for name in PER_CALL}
-    return {"inputs": PER_CALL_INPUTS, "workload": "formula", "seed": 1, "runs": SUITE_RUNS,
-            "scaled": True, "unit": "us", "layers": layers, **stamp(before)}
-
-
-def time_suite_criteria() -> dict:
-    """Scaled seconds of the package import and of each criterion of
-    SUITE_CONFIG, run in order in this process, with the package found on
-    PYTHONPATH."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from machine import Ticker, reference_seconds
-
-    steps = []
-    with Ticker() as ticker:
-        start = time.perf_counter()
-        from reggescissors import suite
-
-        steps.append(("import", start, time.perf_counter()))
-        config = suite.SuiteConfig(**SUITE_CONFIG)
-        for criterion in suite._CRITERIA:
-            start = time.perf_counter()
-            criterion(config)
-            steps.append((criterion.__name__, start, time.perf_counter()))
-    scaled = reference_seconds([(start, end) for _, start, end in steps], ticker.samples)
-    return {name: seconds for (name, _, _), seconds in zip(steps, scaled)}
-
-
-def run_suite_criteria(before: Path | None) -> dict:
-    """suite_criteria: the median and quartiles over SUITE_RUNS fresh
-    processes of time_suite_criteria, against this checkout and, when given,
-    against the checkout `before`."""
-    runs = alternate(before, "s", json.loads, "--time-suite")
-    steps = {name: quartiles({column: [run[name] for run in values] for column, values in runs.items()})
-             for name in runs["s"][0]}
-    return {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": True,
-            "unit": "s", "steps": steps, **stamp(before)}
+    stamp = {} if before is None else {"before_src_sha256": src_digest(before)}
+    per_call = {"inputs": PER_CALL_INPUTS, "workload": PER_CALL_STREAM, "seed": 1, "runs": SUITE_RUNS,
+                "scaled": True, "unit": "us", "layers": rows("us"), **stamp}
+    suite_criteria = {"command": "suite --count 100 --seed 7", "runs": SUITE_RUNS, "scaled": True,
+                      "unit": "s", "steps": rows("s"), **stamp}
+    return per_call, suite_criteria
 
 
 def run_cold_start() -> dict:
@@ -267,15 +263,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int, nargs="?", help="number of the change the entry records")
     parser.add_argument("--before", type=Path, metavar="CHECKOUT",
-                        help="also time per_call against this checkout's src/ (the parent)")
-    parser.add_argument("--time-layer", choices=PER_CALL, help=argparse.SUPPRESS)
-    parser.add_argument("--time-suite", action="store_true", help=argparse.SUPPRESS)
+                        help="also time per_call and suite_criteria against this checkout's src/ "
+                             "(the parent)")
+    parser.add_argument("--time", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.time_layer:
-        print(time_layer(args.time_layer))
-        return 0
-    if args.time_suite:
-        print(json.dumps(time_suite_criteria()))
+    if args.time:
+        print(json.dumps(time_in_process()))
         return 0
     if args.pr is None:
         parser.error("the number of the change is required")
@@ -293,8 +286,7 @@ def main() -> int:
                   file=sys.stderr)
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
     entry["cli_cold_start"] = run_cold_start()
-    entry["per_call"] = run_per_call(args.before)
-    entry["suite_criteria"] = run_suite_criteria(args.before)
+    entry["per_call"], entry["suite_criteria"] = run_in_process(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
 
     path = ROOT / f"BENCH_{args.pr}.json"

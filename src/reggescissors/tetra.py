@@ -17,7 +17,8 @@ Angle data with all angles strictly between 0 and pi, a Gram matrix of
 signature (3,1) and all six edge (off-diagonal) cofactors of G positive is a
 tetrahedron (Ushijima 2006); anything else is *Invalid*.  A tetrahedron is
 *Finite* when all four vertex (diagonal) cofactors of G are positive,
-*Ideal* when a vertex cofactor vanishes, and *Hyperideal* otherwise.  The
+*Hyperideal* when one is negative, whatever the others, and *Ideal* when
+none is negative and one vanishes.  The
 cofactor of vertex v is the Gram determinant of its link, the spherical
 triangle with the angles (a, b, c) of the edges at v:
 -4 cos S cos(S-a) cos(S-b) cos(S-c) with S = (a+b+c)/2, positive exactly
@@ -73,8 +74,9 @@ _PI = math.pi
 
 #: Gram signature test tolerance on eigenvalues.
 EIGENVALUE_TOL = 1e-10
-#: A vertex cofactor this close to zero is classified as an ideal vertex; an
-#: edge cofactor below -IDEAL_COFACTOR_TOL makes the angle data Invalid.
+#: A vertex cofactor this close to zero is an ideal vertex, one below
+#: -IDEAL_COFACTOR_TOL a hyperideal vertex; an edge cofactor below
+#: -IDEAL_COFACTOR_TOL makes the angle data Invalid.
 IDEAL_COFACTOR_TOL = 1e-8
 
 # angle label -> vertex pair of its edge, in _ANGLE_ORDER
@@ -250,12 +252,13 @@ def _classify(t: TetAngles) -> TetraClass:
     # vertex 0 meets (A, B, C), 1 (A, B', C'), 2 (A', B, C'), 3 (A', B', C)
     cof = (_link_cofactor(A, B, C), _link_cofactor(A, Bp, Cp),
            _link_cofactor(Ap, B, Cp), _link_cofactor(Ap, Bp, C))
+    low = min(cof)
     if (not t.in_range() or min(_edge_cofactors(x, cosines)) < -IDEAL_COFACTOR_TOL
             or not _signature_31(t, det)):
         kind = TetraKind.INVALID
-    elif min(cof) > IDEAL_COFACTOR_TOL:
+    elif low > IDEAL_COFACTOR_TOL:
         kind = TetraKind.FINITE
-    elif any(abs(c) <= IDEAL_COFACTOR_TOL for c in cof):
+    elif low >= -IDEAL_COFACTOR_TOL:
         kind = TetraKind.IDEAL
     else:
         kind = TetraKind.HYPERIDEAL

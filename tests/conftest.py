@@ -11,6 +11,10 @@ from reggescissors.tetra import TetraKind, classify
 
 EQUIANGULAR_FINITE = TetAngles(1.2, 1.2, 1.2, 1.2, 1.2, 1.2)
 GENERIC_FINITE = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
+#: vertex 0 ideal (A + B + C = pi, cofactor -3.8e-17) beside two hyperideal
+#: vertices (cofactors -1.58 and -1.24): Hyperideal
+IDEAL_BESIDE_HYPERIDEAL = TetAngles(0.3470962615811726, 0.6009492915784794, 2.193547100430141,
+                                    0.8939493741542692, 0.872830165565675, 0.8220983117798689)
 
 
 @pytest.fixture(scope="session")

@@ -120,9 +120,9 @@ def classify_by_inverse(t: TetAngles) -> TetraKind:
         return TetraKind.INVALID
     if all(c > IDEAL_COFACTOR_TOL for c in cof):
         return TetraKind.FINITE
-    if any(abs(c) <= IDEAL_COFACTOR_TOL for c in cof):
-        return TetraKind.IDEAL
-    return TetraKind.HYPERIDEAL
+    if any(c < -IDEAL_COFACTOR_TOL for c in cof):
+        return TetraKind.HYPERIDEAL
+    return TetraKind.IDEAL
 
 
 # --- tetra: 40-digit references ---------------------------------------------

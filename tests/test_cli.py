@@ -14,7 +14,7 @@ from reggescissors.exceptions import (
     QuadratureError,
 )
 
-from conftest import _perfbench_module
+from conftest import IDEAL_BESIDE_HYPERIDEAL, _perfbench_module
 
 ANGLES_FINITE = ["1.2", "1.2", "1.2", "1.2", "1.2", "1.2"]
 ANGLES_GENERIC = ["1.15", "1.2", "1.1", "1.22", "1.18", "1.25"]
@@ -62,6 +62,13 @@ def test_volume_hyperideal_rejected():
     assert "Hyperideal" in result.stderr
     payload = json.loads(result.stdout)
     assert "Hyperideal" in payload["error"]
+
+
+def test_volume_rejects_an_ideal_vertex_beside_a_hyperideal_one():
+    result = run_cli("volume", *map(repr, IDEAL_BESIDE_HYPERIDEAL.as_tuple()))
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {
+        "error": "requires a Finite or Ideal tetrahedron; classification: Hyperideal"}
 
 
 # in range and of Gram signature (3, 1), with positive vertex cofactors, but

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import pathlib
@@ -10,6 +11,8 @@ import types
 import pytest
 
 import reggescissors
+
+from conftest import IDEAL_BESIDE_HYPERIDEAL
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,8 +39,10 @@ def test_volume_sweep_rejects_counts_below_one(flag, value):
 
 @pytest.mark.parametrize("angles,message", [
     (["1"] * 6, "requires a Finite or Ideal tetrahedron; classification: Hyperideal"),
+    ([*map(repr, IDEAL_BESIDE_HYPERIDEAL.as_tuple())],
+     "requires a Finite or Ideal tetrahedron; classification: Hyperideal"),
     (["1", "2", "3"], "expected six angles (A, B, C, A', B', C')"),
-], ids=["hyperideal", "three-angles"])
+], ids=["hyperideal", "ideal-beside-hyperideal", "three-angles"])
 def test_decomposition_demo_rejects_bad_angles(angles, message, monkeypatch, capsys):
     # a usage error, not a GeometryDomainError traceback
     script = str(SCRIPTS / "decomposition_demo.py")
@@ -59,18 +64,47 @@ def bench_record():
     return module
 
 
-def test_bench_record_times_a_layer(bench_record):
+@pytest.fixture
+def small_bench_record(bench_record, monkeypatch):
+    """bench_record timing 3 inputs per layer and a 2-draw suite, so its
+    `--time` mode can run in this process."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench_record, "PER_CALL_INPUTS", 3)
+    monkeypatch.setattr(bench_record, "SUITE_CONFIG", {"seed": 7, "count": 2, "oracle_count": 1})
+    return bench_record
+
+
+def finite_rows(bench_record, stream):
+    """The first PER_CALL_INPUTS + 1 Finite angle rows of the perfbench `stream` for seed 1."""
+    from inputs import TetStream
+    from worker import RMAX, STREAM
+
+    tetra = reggescissors.tetra
+    rows = []
+    for angles, _ in TetStream(1, STREAM[stream], RMAX[stream]):
+        if tetra.classify(tetra.TetAngles.of(angles)).kind is tetra.TetraKind.FINITE:
+            rows.append(angles)
+            if len(rows) > bench_record.PER_CALL_INPUTS:
+                return rows
+
+
+def test_bench_record_times_a_layer(small_bench_record, monkeypatch, capsys):
     # a rename or move of a layer the recorder times fails here, not only in a full recording
-    assert {"lobachevsky_scalar", "lobachevsky_array", "klein_vertices", "volume_numeric", "oracle_quadrature",
+    bench_record = small_bench_record
+    assert {"lobachevsky_scalar", "lobachevsky_array", "klein_vertices", "volume_numeric",
             "lobachevsky_quadrature_scalar"} <= set(bench_record.PER_CALL)
     for name, call in bench_record.PER_CALL.items():
         t = reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
         call(reggescissors, bench_record.layer_arg(name, reggescissors, t))
-    result = subprocess.run([sys.executable, str(SCRIPTS / "bench_record.py"), "--time-layer", "classify"],
-                            capture_output=True, text=True, env=bench_record.src_env())
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert len(lines) == 1 and 0 < float(lines[0]) < math.inf, result.stdout
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--time"])
+    assert bench_record.main() == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1, out
+    timings = json.loads(out)
+    steps = ["import", *(criterion.__name__ for criterion in reggescissors.suite._CRITERIA)]
+    assert list(timings) == ["s", "us"]
+    assert list(timings["s"]) == steps and list(timings["us"]) == list(bench_record.PER_CALL)
+    assert all(0 < value < math.inf for section in timings.values() for value in section.values())
 
 
 def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch):
@@ -82,49 +116,88 @@ def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch
 
     monkeypatch.setattr(bench_record, "fresh", fresh)
     parent, here = pathlib.Path("parent"), bench_record.ROOT
-    runs = bench_record.alternate(parent, "us", float, "--time-layer", "classify")
+    runs = bench_record.alternate(parent)
     assert bench_record.SUITE_RUNS == 5
     assert [checkout for checkout, _ in calls] == [parent, here, here, parent, parent, here, here, parent, parent, here]
-    assert {args for _, args in calls} == {("--time-layer", "classify")}
-    assert runs == {"before_us": [1.0, 4.0, 5.0, 8.0, 9.0], "us": [2.0, 3.0, 6.0, 7.0, 10.0]}
-    summary = bench_record.quartiles(runs)
+    assert {args for _, args in calls} == {("--time",)}
+    assert runs == {"before_": [1, 4, 5, 8, 9], "": [2, 3, 6, 7, 10]}
+    summary = bench_record.quartiles({"before_us": runs["before_"], "us": runs[""]})
     assert set(summary) == {"before_us", "before_us_q1", "before_us_q3", "us", "us_q1", "us_q3", "wins"}
     assert summary["wins"] == 2  # rounds 2 and 4: 3 < 4 and 7 < 8
 
     calls.clear()
-    runs = bench_record.alternate(None, "s", float, "--time-suite")
-    assert runs == {"s": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    runs = bench_record.alternate(None)
+    assert runs == {"": [1, 2, 3, 4, 5]}
     assert [checkout for checkout, _ in calls] == [here] * 5
-    assert "wins" not in bench_record.quartiles(runs)
+    assert "wins" not in bench_record.quartiles({"s": runs[""]})
 
 
-def test_bench_record_times_cold_classifications(bench_record, monkeypatch):
+def test_bench_record_times_cold_classifications(small_bench_record, monkeypatch):
     # picking the rows classifies them; each timed call must classify its row
     # once more, inside its own timed interval, on an instance picking did not touch
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench_record = small_bench_record
+    monkeypatch.setattr(bench_record, "PER_CALL", {"classify": bench_record.PER_CALL["classify"]})
+    monkeypatch.setattr(bench_record, "PER_CALL_STREAM", {"classify": "formula"})
     tetra = reggescissors.tetra
     events = []
     compute, clock = tetra._classify, bench_record.time.perf_counter
     monkeypatch.setattr(tetra, "_classify", lambda t: events.append(t) or compute(t))
     monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(
         perf_counter=lambda: events.append("tick") or clock()))
-    assert 0 < bench_record.time_layer("classify") < math.inf
+    assert 0 < bench_record.time_in_process()["us"]["classify"] < math.inf
     n = bench_record.PER_CALL_INPUTS
-    first = events.index("tick")
-    picking, timed = events[:first - 1], events[first:]
+    # the import and each suite criterion take two ticks, before the layers
+    ticks = [i for i, event in enumerate(events) if event == "tick"]
+    suite_ticks = 2 * (1 + len(reggescissors.suite._CRITERIA))
+    first = ticks[suite_ticks]
+    picking, timed = events[ticks[suite_ticks - 1] + 1:first - 1], events[first:]
     picked = [t for t in picking if compute(t).kind is tetra.TetraKind.FINITE]
     assert len(picked) == n + 1 and picking[-1] is picked[-1]
     assert timed[0::3] == timed[2::3] == ["tick"] * n
     assert timed[1::3] == picked[:n] and not {id(t) for t in timed[1::3]} & {id(t) for t in picking}
 
 
+def test_bench_record_times_each_layer_on_its_stream_with_the_memo_emptied(small_bench_record, monkeypatch):
+    # the Klein layers on the inputs the `oracle` workload runs, the others on
+    # the `formula` workload's; each layer's untimed warm-up (its last row)
+    # comes first and finds the series memo empty
+    bench_record = small_bench_record
+    from reggescissors.lobachevsky import _lobachevsky_float as memo
+
+    seen = {}
+
+    def recording(name, call):
+        def record(m, arg):
+            seen.setdefault(name, []).append((arg, memo.cache_info().currsize))
+            return call(m, arg)
+        return record
+
+    monkeypatch.setattr(bench_record, "PER_CALL",
+                        {name: recording(name, call) for name, call in bench_record.PER_CALL.items()})
+    bench_record.time_in_process()
+    klein = {"schlafli_residual", "klein_vertices", "volume_numeric"}
+    rows = {stream: finite_rows(bench_record, stream) for stream in ("formula", "oracle")}
+    assert list(seen) == list(bench_record.PER_CALL)
+    for name, calls in seen.items():
+        stream = rows["oracle" if name in klein else "formula"]
+        expected = [bench_record.layer_arg(name, reggescissors, reggescissors.TetAngles.of(row))
+                    for row in [stream[-1], *stream[:-1]]]
+        assert len(calls) == len(expected), name
+        # volume_numeric takes the Klein realization, the others the TetAngles
+        key = (lambda x: x.vertices.tolist()) if name in bench_record.PER_CALL_ARG else (lambda x: x.as_tuple())
+        assert [key(arg) for arg, _ in calls] == [key(x) for x in expected], name
+        assert calls[0][1] == 0, name
+    # the memo fills within a layer, so finding it empty at the next warm-up is the emptying
+    assert seen["tet_volume"][-1][1] > 0
+
+
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):
-    # time_layer and time_suite_criteria record perfbench's reference_seconds
+    # time_in_process records perfbench's reference_seconds, for both sections
     monkeypatch.setattr(bench_record, "fresh",
-                        lambda checkout, *args: '{"import": 0.5}' if "--time-suite" in args else "2.0")
-    per_call = bench_record.run_per_call(None)
+                        lambda checkout, *args: '{"s": {"import": 0.5}, "us": {"classify": 2.0}}')
+    per_call, criteria = bench_record.run_in_process(None)
     assert per_call["scaled"] is True and per_call["layers"]["classify"]["us"] == 2.0
-    criteria = bench_record.run_suite_criteria(None)
+    assert per_call["workload"] == bench_record.PER_CALL_STREAM
     assert criteria["scaled"] is True and criteria["steps"]["import"]["s"] == 0.5
 
 

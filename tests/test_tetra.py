@@ -29,6 +29,7 @@ from reggescissors.tetra import (
     require_kind,
 )
 
+from conftest import IDEAL_BESIDE_HYPERIDEAL
 from oracles import (
     angles_from_gram,
     classify_by_inverse,
@@ -183,6 +184,14 @@ class TestClassify:
     )
     def test_equiangular_families(self, theta, kind):
         assert classify(TetAngles(*(theta,) * 6)).kind is kind
+
+    def test_a_hyperideal_vertex_beside_an_ideal_one_is_hyperideal(self):
+        # a negative vertex cofactor decides, whatever the others: the volume
+        # formula needs every vertex finite or ideal
+        t = IDEAL_BESIDE_HYPERIDEAL
+        cof = classify(t).vertex_cofactors
+        assert abs(cof[0]) <= IDEAL_COFACTOR_TOL and min(cof) < -IDEAL_COFACTOR_TOL
+        assert classify(t).kind is TetraKind.HYPERIDEAL is classify_by_inverse(t)
 
     def test_out_of_range_is_invalid(self):
         assert classify(TetAngles(-0.1, 1.2, 1.2, 1.2, 1.2, 1.2)).kind is TetraKind.INVALID
