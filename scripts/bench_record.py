@@ -22,11 +22,15 @@ tier-1 wall times are not scaled.
 of one call over the first 200 Finite inputs of its stream for seed 1
 (PER_CALL_STREAM: the `oracle` workload's for the three Klein layers, the
 `formula` workload's for the rest), each on a fresh TetAngles, so no
-per-instance memo is warm, and with the series memo emptied before each
-layer's untimed warm-up; the median of SUITE_RUNS processes as `us`, with
-its quartiles as `us_q1` and `us_q3`.  A layer in PER_CALL_ARG takes in
-place of the TetAngles the argument it makes from it (`volume_numeric`: the
-Klein realization), made before the call's timer starts.
+per-instance memo is warm; the median of SUITE_RUNS processes as `us`, with
+its quartiles as `us_q1` and `us_q3`.  The series memo is emptied before
+each layer's untimed warm-up and before each pass over the 200 inputs.  A
+layer makes passes until its timed calls span MIN_LAYER_PERIODS ticker
+periods (200 ms): a layer as short as `classify` takes about 4 ms a pass,
+so one pass would have one or two machine speed samples set its scale.
+A layer in PER_CALL_ARG takes in place of the TetAngles the argument it
+makes from it (`volume_numeric`: the Klein realization), made before the
+call's timer starts.
 
 `suite_criteria` gives the scaled in-process seconds of the package
 import and of each criterion of `suite --count 100 --seed 7`, in the order
@@ -93,6 +97,8 @@ PER_CALL_STREAM = {name: "oracle" if name in ("schlafli_residual", "klein_vertic
 SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
 #: Fresh processes per side behind each median of suite_criteria and per_call.
 SUITE_RUNS = 5
+#: Ticker periods (machine.PERIOD_S) that the timed calls of each per_call layer span at least.
+MIN_LAYER_PERIODS = 10
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -152,11 +158,14 @@ def time_in_process() -> dict:
     """In this process, with the package found on PYTHONPATH: under "s", the
     scaled seconds of the package import and of each criterion of
     SUITE_CONFIG, run in order; then under "us", for each PER_CALL layer,
-    the mean scaled microseconds of one call over the first PER_CALL_INPUTS
-    Finite inputs of its PER_CALL_STREAM for seed 1, after emptying the
-    series memo and an untimed warm-up on the next Finite input."""
+    the mean scaled microseconds of one call over passes on the first
+    PER_CALL_INPUTS Finite inputs of its PER_CALL_STREAM for seed 1, after
+    emptying the series memo and an untimed warm-up on the next Finite
+    input.  Each pass empties the memo first and times each call on a fresh
+    TetAngles; passes repeat until the timed calls span MIN_LAYER_PERIODS
+    ticker periods."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from machine import Ticker, reference_seconds
+    from machine import PERIOD_S, Ticker, reference_seconds
 
     intervals = {}  # name -> its (start, end): one per suite step, one per layer call
     with Ticker() as ticker:
@@ -186,15 +195,17 @@ def time_in_process() -> dict:
             *timed, warm_up = rows[PER_CALL_STREAM[name]]
             _lobachevsky_float.cache_clear()
             call(m, layer_arg(name, m, TetAngles.of(warm_up)))
-            intervals[name] = []
-            for angles in timed:
-                arg = layer_arg(name, m, TetAngles.of(angles))
-                start = time.perf_counter()
-                call(m, arg)
-                intervals[name].append((start, time.perf_counter()))
+            pairs = intervals[name] = []
+            while not pairs or sum(end - start for start, end in pairs) < MIN_LAYER_PERIODS * PERIOD_S:
+                _lobachevsky_float.cache_clear()
+                for angles in timed:
+                    arg = layer_arg(name, m, TetAngles.of(angles))
+                    start = time.perf_counter()
+                    call(m, arg)
+                    pairs.append((start, time.perf_counter()))
     scaled = {name: sum(reference_seconds(pairs, ticker.samples)) for name, pairs in intervals.items()}
     return {"s": {name: scaled[name] for name in steps},
-            "us": {name: scaled[name] / PER_CALL_INPUTS * 1e6 for name in PER_CALL}}
+            "us": {name: scaled[name] / len(intervals[name]) * 1e6 for name in PER_CALL}}
 
 
 def fresh(checkout: Path, *args: str) -> str:

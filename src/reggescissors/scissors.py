@@ -32,6 +32,7 @@ from .tetra import (
     SWAP_BC_PAIRS,
     TetAngles,
     TetraKind,
+    _memo,
     classify,
     relabel,
     require_kind,
@@ -82,9 +83,11 @@ def _move(x, which: str) -> tuple[float, list]:
     the four entries _MOVED[which] names, and x with s - x on those four."""
     if which not in _MOVED:
         raise GeometryDomainError(f"transform must be one of 'a', 'b', 'c', got {which!r}")
-    i, j, k, m = moved = _MOVED[which]
+    i, j, k, m = _MOVED[which]
     s = (x[i] + x[j] + x[k] + x[m]) / 2
-    return s, [s - v if n in moved else v for n, v in enumerate(x)]
+    out = list(x)
+    out[i], out[j], out[k], out[m] = s - x[i], s - x[j], s - x[k], s - x[m]
+    return s, out
 
 
 def s_value(t: TetAngles, which: str) -> float:
@@ -95,6 +98,15 @@ def s_value(t: TetAngles, which: str) -> float:
 def regge(t: TetAngles, which: str) -> TetAngles:
     """Apply one Regge transform, a total affine involution; classify() judges the image."""
     return TetAngles(*_move(t.as_tuple(), which)[1])
+
+
+def _regge_b(t: TetAngles) -> TetAngles:
+    """regge(t, "b"), kept on t (see tetra._memo), so that verify_scissors and
+    regge_orbit on one source classify and solve its R_b image once.  The
+    image lives on its source, not in regge: criterion 6 of the suite keeps
+    its sources, and a memo in regge would keep all its solved images with
+    them (0.2-0.4 MB more peak memory in the `suite` benchmark)."""
+    return _memo(t, "_regge_b", lambda s: regge(s, "b"))
 
 
 def canonical_angle(x: float) -> float:
@@ -123,10 +135,11 @@ class Decomposition:
     raw_angles: tuple[float, ...]
 
     def canonical_angles(self) -> tuple[float, ...]:
-        return tuple(canonical_angle(x) for x in self.raw_angles)
+        # canonical_angle of each piece, without a call per piece
+        return tuple([0.0 if abs(r := wrap_angle(x, _PI)) < NULL_PIECE_TOL else r for x in self.raw_angles])
 
     def total_volume(self) -> float:
-        return float(sum(_lobachevsky_float(canonical_angle(x)) for x in self.raw_angles))
+        return float(sum(map(_lobachevsky_float, self.canonical_angles())))
 
 
 def decompose(t: TetAngles) -> Decomposition:
@@ -206,13 +219,15 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     (0, inf) raises GeometryDomainError.  The image of a Finite source is
     Finite (each move permutes the vertex-link forms), so the image class is
     checked only as a guard against rounding at the classification tolerance.
+    For which='b' the image is the one regge_orbit(t) takes (_regge_b), so
+    it is classified and solved once for both.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
     transformed = regge(t, which)  # raises for an unknown transform
     conj = PAIR_CONJUGATION[which]
     t0 = relabel(t, conj) if conj else t
-    image = regge(t0, "b")
+    image = _regge_b(t0)
     kind_t = classify(t0).kind
     kind_i = classify(image).kind
     measured, failure = {}, None
@@ -249,17 +264,32 @@ def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
                for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
 
 
+def _distinct(words) -> list[TetAngles]:
+    """The words that no relabeling matches to an earlier kept word, in order.
+
+    A relabeling permutes the six angles, so one within ORBIT_MATCH_TOL in
+    max-norm puts the two minimum angles within it too (float subtraction is
+    monotone): _relabels_onto runs only against the kept words whose minimum
+    is that close."""
+    kept = []  # (word, its angles, their minimum)
+    for word in words:
+        x = word.as_tuple()
+        low = min(x)
+        if not any(abs(low - m_low) < ORBIT_MATCH_TOL and _relabels_onto(x, m) for _, m, m_low in kept):
+            kept.append((word, x, low))
+    return [word for word, _, _ in kept]
+
+
 def regge_orbit(t: TetAngles) -> OrbitResult:
     """The Regge orbit of t up to relabeling.
 
     The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
-    each kept unless a relabeling of it matches an earlier member: at most six members."""
+    each kept unless a relabeling of it matches an earlier member: at most six members.
+    R_b t is the image verify_scissors(t, "b") checks (_regge_b), so the two
+    classify and solve it once."""
     ra = regge(t, "a")
-    members: list[TetAngles] = []
-    for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
-        if not any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
-            members.append(word)
+    members = _distinct((t, ra, _regge_b(t), regge(t, "c"), regge(ra, "b"), regge(ra, "c")))
     volumes = []
     for m in members:
         kind = classify(m).kind

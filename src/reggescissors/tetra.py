@@ -124,9 +124,11 @@ class TetAngles:
     Cp: float
 
     def __post_init__(self):
-        for name in _ANGLE_ORDER:
-            if not math.isfinite(getattr(self, name)):
-                raise GeometryDomainError(f"angle {name} must be finite")
+        isfinite = math.isfinite
+        if not (isfinite(self.A) and isfinite(self.B) and isfinite(self.C)
+                and isfinite(self.Ap) and isfinite(self.Bp) and isfinite(self.Cp)):
+            name = next(name for name in _ANGLE_ORDER if not isfinite(getattr(self, name)))
+            raise GeometryDomainError(f"angle {name} must be finite")
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.A, self.B, self.C, self.Ap, self.Bp, self.Cp)
@@ -370,12 +372,17 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
     has the same angles.
     """
     sigma = tuple(sigma)
-    if sorted(sigma) != [0, 1, 2, 3]:
+    try:
+        row = _RELABEL_ROWS.get(sigma)
+    except TypeError:  # an unhashable entry
+        row = None
+    if row is None:
         raise GeometryDomainError(f"not a vertex permutation: {sigma!r}")
-    angles = t.as_tuple()
-    out = TetAngles(*(angles[k] for k in _RELABEL_ROWS[sigma]))
+    x = t.as_tuple()
+    out = TetAngles(x[row[0]], x[row[1]], x[row[2]], x[row[3]], x[row[4]], x[row[5]])
     cls = t.__dict__.get("_tetra_class")
     if cls is not None:
-        cof = tuple(cls.vertex_cofactors[int(v)] for v in sigma)
-        object.__setattr__(out, "_tetra_class", TetraClass(cls.kind, cls.det, cof))
+        c = cls.vertex_cofactors
+        i, j, k, m = map(int, sigma)  # (0.0, 2.0, 1.0, 3.0) is a permutation too
+        object.__setattr__(out, "_tetra_class", TetraClass(cls.kind, cls.det, (c[i], c[j], c[k], c[m])))
     return out

@@ -85,6 +85,22 @@ def test_oracle_criterion_passes_on_near_regular_seeds(seed):
     assert criterion_5(SuiteConfig(seed=seed)).passed
 
 
+def test_criterion_6_keeps_no_image_on_its_sources(monkeypatch):
+    # a source that kept its solved Regge images would keep every one of them
+    # for the whole criterion; only verify_scissors and regge_orbit share R_b t
+    sources, batch = [], suite._tetra_batch
+
+    def recorded(*args):
+        sources.extend(batch(*args))
+        return sources
+
+    monkeypatch.setattr(suite, "_tetra_batch", recorded)
+    criterion_6(SuiteConfig(count=5))
+    assert len(sources) == 5
+    for t in sources:
+        assert not any(isinstance(value, tetra.TetAngles) for value in vars(t).values()), vars(t)
+
+
 @pytest.mark.parametrize("criterion,stream,moves", [(criterion_6, 6, "abc"), (criterion_7, 7, "b")],
                          ids=["criterion_6", "criterion_7"])
 def test_each_regge_image_is_classified_once(criterion, stream, moves, monkeypatch):

@@ -20,6 +20,7 @@ from reggescissors.lobachevsky import (
 from reggescissors.scissors import regge_orbit, verify_scissors
 from reggescissors.tetra import TetAngles
 
+from conftest import _perfbench_module
 from oracles import lobachevsky_quadrature_pointwise
 
 PI = math.pi
@@ -426,6 +427,60 @@ def test_series_fast_paths_keep_the_bits(source, op_arguments):
     compute = _lobachevsky_float.__wrapped__  # past the memo
     assert [compute(x).hex() for x in points] == [_reduced_everywhere(x).hex() for x in points]
     assert all(type(compute(x)) is float for x in points)
+
+
+def _band_loop(theta: float) -> float:
+    """The series as it was before each band became one straight-line chain:
+    the same reduction and bands, and a loop of four Horner steps per group
+    of four coefficients.  The reference the chains must match bit for bit."""
+    if -PI / 2 < theta < PI / 2:
+        r = theta
+    elif math.isfinite(theta):
+        r = theta - PI * round(theta / PI)
+        if r <= -PI / 2:
+            r += PI
+    else:
+        raise ValueError("lobachevsky: argument must be finite")
+    x = abs(r)
+    if x == 0.0:
+        return 0.0
+    q = (x / PI) ** 2
+    for edge, quads in _SERIES_BANDS:
+        if q <= edge:
+            break
+    h = 0.0
+    for a, b, c, d in quads:
+        h = (((h * q + a) * q + b) * q + c) * q + d
+    val = x * (1.0 - math.log(2.0 * x)) + x * q * h
+    return val if r > 0 else -val
+
+
+@pytest.fixture(scope="module")
+def formula_arguments():
+    """Every argument that the first 40 `formula` ops of the benchmark's
+    stream for seed 1 pass to the series, through any module that binds it."""
+    inputs, ops = _perfbench_module("inputs"), _perfbench_module("ops")
+    arguments = []
+
+    def recorded(theta):
+        arguments.append(theta)
+        return _lobachevsky_float(theta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in [m for name, m in sys.modules.items() if name.startswith("reggescissors.")]:
+            if getattr(module, "_lobachevsky_float", None) is _lobachevsky_float:
+                patch.setattr(module, "_lobachevsky_float", recorded)
+        for angles in inputs.TetStream(1, 1, 0.998).take(40)[0]:
+            ops.formula(angles)
+    return arguments
+
+
+@pytest.mark.parametrize("source", ["seeded", "edges", "formula_ops"])
+def test_series_chains_keep_the_bits_of_the_band_loop(source, formula_arguments):
+    points = {"seeded": SEEDED_POINTS, "edges": EDGE_POINTS, "formula_ops": formula_arguments}[source]
+    assert len(points) > 200
+    compute = _lobachevsky_float.__wrapped__  # past the memo
+    assert [compute(x).hex() for x in points] == [_band_loop(x).hex() for x in points]
 
 
 class TestMemo:

@@ -500,3 +500,10 @@ class TestLobachevskyEvaluations:
         orbit = regge_orbit(TetAngles(*generic.as_tuple()))
         assert len(orbit.members) == 6
         assert len(evaluations) == 144
+
+    def test_verify_scissors_b_then_regge_orbit(self, generic, evaluations):
+        # the orbit's R_b t is the image verify_scissors solved: 72 + 144 - 24
+        t = TetAngles(*generic.as_tuple())
+        verify_scissors(t, "b")
+        regge_orbit(t)
+        assert len(evaluations) == 168

@@ -423,6 +423,60 @@ class TestOrbitPredicateAtItsTolerance:
         assert outcomes == {True, False}
 
 
+def _unfiltered_distinct(words):
+    """regge_orbit's dedup before it compared minimum angles first: every
+    word against every kept one through the predicate."""
+    kept = []
+    for word in words:
+        if not any(scissors._relabels_onto(word.as_tuple(), m.as_tuple()) for m in kept):
+            kept.append(word)
+    return kept
+
+
+def _unfiltered_orbit(t):
+    ra = regge(t, "a")
+    words = (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c"))
+    members = _unfiltered_distinct(words)
+    return members, [_orbit_volume(m) for m in members]
+
+
+class TestOrbitPrefilter:
+    """The dedup calls the predicate only where the minimum angles are within
+    ORBIT_MATCH_TOL; it must keep the members and volume bits of the dedup
+    that calls it on every pair."""
+
+    FIXED_POINT = TetAngles(1.1, 1.15, 1.2, 1.25, 1.2, 1.15)
+
+    @pytest.mark.parametrize("source", ["stream", "fixed_point"])
+    def test_orbit_equals_the_unfiltered_dedup(self, source, stream_angles):
+        for x in stream_angles if source == "stream" else [self.FIXED_POINT.as_tuple()]:
+            orbit = regge_orbit(TetAngles(*x))
+            members, volumes = _unfiltered_orbit(TetAngles(*x))
+            assert [_hex(m.as_tuple()) for m in orbit.members] == [_hex(m.as_tuple()) for m in members]
+            assert _hex(orbit.volumes) == _hex(volumes)
+        if source == "fixed_point":
+            assert len(members) == 1
+
+    def test_words_at_the_tolerance_edge(self, generic):
+        # as TestOrbitPredicateAtItsTolerance builds them, and at the smallest
+        # angle too, whose shift moves the minimum across the prefilter's edge
+        outcomes = set()
+        for m in (generic, *regge_orbit(generic).members[1:3]):
+            base = m.as_tuple()
+            for position in {0, 5, base.index(min(base))}:
+                for sign in (1.0, -1.0):
+                    edge = base[position] + sign * scissors.ORBIT_MATCH_TOL
+                    for k in range(-8, 9):
+                        shifted = list(base)
+                        shifted[position] = _ulps_from(edge, k)
+                        for sigma in tetra_symmetries():
+                            words = (m, relabel(TetAngles(*shifted), sigma))
+                            kept = scissors._distinct(words)
+                            assert kept == _unfiltered_distinct(words), (m, position, sign, k, sigma)
+                            outcomes.add(len(kept))
+        assert outcomes == {1, 2}
+
+
 # --- bit identity with the three-branch moves, the dict swap and the halving layer
 
 def _s_value_branches(t, which):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -66,10 +67,11 @@ def bench_record():
 
 @pytest.fixture
 def small_bench_record(bench_record, monkeypatch):
-    """bench_record timing 3 inputs per layer and a 2-draw suite, so its
-    `--time` mode can run in this process."""
+    """bench_record timing one pass of 3 inputs per layer and a 2-draw suite,
+    so its `--time` mode can run in this process."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(bench_record, "PER_CALL_INPUTS", 3)
+    monkeypatch.setattr(bench_record, "MIN_LAYER_PERIODS", 0)
     monkeypatch.setattr(bench_record, "SUITE_CONFIG", {"seed": 7, "count": 2, "oracle_count": 1})
     return bench_record
 
@@ -189,6 +191,35 @@ def test_bench_record_times_each_layer_on_its_stream_with_the_memo_emptied(small
         assert calls[0][1] == 0, name
     # the memo fills within a layer, so finding it empty at the next warm-up is the emptying
     assert seen["tet_volume"][-1][1] > 0
+
+
+def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench_record, monkeypatch):
+    # under a clock that makes each call take 4 ms, a pass of 3 calls spans
+    # 12 ms, so 10 periods of 20 ms take 17 passes; each pass empties the
+    # series memo and times every row on a fresh TetAngles, and the row is
+    # the mean over all 51 timed calls
+    bench_record = small_bench_record
+    monkeypatch.setattr(bench_record, "MIN_LAYER_PERIODS", 10)
+    sys.path.insert(0, str(bench_record.ROOT / "perfbench"))
+    import machine
+    from reggescissors.lobachevsky import _lobachevsky_float as memo
+
+    assert machine.PERIOD_S == 0.02
+    monkeypatch.setattr(machine, "reference_seconds", lambda pairs, samples: [b - a for a, b in pairs])
+    ticks = itertools.count()
+    monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.004))
+    seen, call = [], bench_record.PER_CALL["tet_volume"]
+    monkeypatch.setattr(bench_record, "PER_CALL", {
+        "tet_volume": lambda m, t: seen.append((t, memo.cache_info().currsize)) or call(m, t)})
+    monkeypatch.setattr(bench_record, "PER_CALL_STREAM", {"tet_volume": "formula"})
+    us = bench_record.time_in_process()["us"]["tet_volume"]
+    rows = finite_rows(bench_record, "formula")
+    (warm_up, warm_size), timed = seen[0], seen[1:]
+    assert warm_up.as_tuple() == tuple(rows[-1]) and warm_size == 0
+    assert [t.as_tuple() for t, _ in timed] == [tuple(row) for row in rows[:-1]] * 17
+    assert [size for _, size in timed[0::3]] == [0] * 17 and all(size > 0 for _, size in timed[1::3])
+    assert len({id(t) for t, _ in seen}) == len(seen)
+    assert us == pytest.approx(4000.0)
 
 
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):

@@ -12,7 +12,7 @@ from reggescissors.klein import klein_vertices, schlafli_residual
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import solve_holonomy, tet_volume
 from reggescissors.sampling import sample_finite
-from reggescissors.scissors import decompose, regge, verify_scissors
+from reggescissors.scissors import decompose, regge, regge_orbit, verify_scissors
 from reggescissors.tetra import (
     IDEAL_COFACTOR_TOL,
     SWAP_AB_PAIRS,
@@ -364,11 +364,27 @@ class TestClassifyOnce:
             # source and R_b image; the relabeled image it is aligned with
             # takes its class from the image
             (lambda t: verify_scissors(t, "b"), 2),
+            # then the orbit's four other members: R_b t is the image above
+            (lambda t: (verify_scissors(t, "b"), regge_orbit(t)), 6),
         ],
     )
     def test_pinned_counts(self, uncached, call, count):
         call(TetAngles(*self.ANGLES))
         assert len(uncached) == count
+
+    def test_verify_b_and_the_orbit_classify_and_solve_the_r_b_image_once(self, uncached, monkeypatch):
+        from reggescissors import octahedron
+
+        solved, solve = [], octahedron._solve_holonomy
+        monkeypatch.setattr(octahedron, "_solve_holonomy",
+                            lambda t, bars: solved.append(t.as_tuple()) or solve(t, bars))
+        t = TetAngles(*self.ANGLES)
+        image = regge(t, "b").as_tuple()
+        verify_scissors(t, "b")
+        orbit = regge_orbit(t)
+        assert image in [m.as_tuple() for m in orbit.members]
+        assert [x.as_tuple() for x in uncached].count(image) == 1
+        assert solved.count(image) == 1
 
     def test_memo_is_invisible(self, uncached):
         # the class, and the holonomy roots that solve_holonomy keeps the same way
