@@ -105,7 +105,10 @@ def _regge_b(t: TetAngles) -> TetAngles:
     regge_orbit on one source classify and solve its R_b image once.  The
     image lives on its source, not in regge: criterion 6 of the suite keeps
     its sources, and a memo in regge would keep all its solved images with
-    them (0.2-0.4 MB more peak memory in the `suite` benchmark)."""
+    them (0.2-0.4 MB more peak memory in the `suite` benchmark).  Criterion
+    7 runs verify_scissors alone on the sources it keeps, so it keeps their
+    images (about 0.2 MB); only a caller that runs both on one source, as
+    the `formula` benchmark op does, gains."""
     return _memo(t, "_regge_b", lambda s: regge(s, "b"))
 
 
@@ -135,8 +138,7 @@ class Decomposition:
     raw_angles: tuple[float, ...]
 
     def canonical_angles(self) -> tuple[float, ...]:
-        # canonical_angle of each piece, without a call per piece
-        return tuple([0.0 if abs(r := wrap_angle(x, _PI)) < NULL_PIECE_TOL else r for x in self.raw_angles])
+        return tuple(map(canonical_angle, self.raw_angles))
 
     def total_volume(self) -> float:
         return float(sum(map(_lobachevsky_float, self.canonical_angles())))
@@ -220,14 +222,16 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     Finite (each move permutes the vertex-link forms), so the image class is
     checked only as a guard against rounding at the classification tolerance.
     For which='b' the image is the one regge_orbit(t) takes (_regge_b), so
-    it is classified and solved once for both.
+    it is classified and solved once for both.  It is kept on t, not in
+    regge, so a caller that keeps its sources does not also keep every
+    image regge builds for them (more peak memory in the suite).
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
-    transformed = regge(t, which)  # raises for an unknown transform
-    conj = PAIR_CONJUGATION[which]
+    conj = PAIR_CONJUGATION.get(which)
     t0 = relabel(t, conj) if conj else t
     image = _regge_b(t0)
+    transformed = image if which == "b" else regge(t, which)  # raises for an unknown transform
     kind_t = classify(t0).kind
     kind_i = classify(image).kind
     measured, failure = {}, None
@@ -259,25 +263,14 @@ _ROWS_FROM = tuple(tuple(r for r in _RELABEL_ROWS.values() if r[0] == j) for j i
 
 
 def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
-    """True when some relabeling of the angles x is within ORBIT_MATCH_TOL of m."""
-    return any(all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m))
-               for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
+    """True when some relabeling of the angles x is within ORBIT_MATCH_TOL of m.
 
-
-def _distinct(words) -> list[TetAngles]:
-    """The words that no relabeling matches to an earlier kept word, in order.
-
-    A relabeling permutes the six angles, so one within ORBIT_MATCH_TOL in
-    max-norm puts the two minimum angles within it too (float subtraction is
-    monotone): _relabels_onto runs only against the kept words whose minimum
-    is that close."""
-    kept = []  # (word, its angles, their minimum)
-    for word in words:
-        x = word.as_tuple()
-        low = min(x)
-        if not any(abs(low - m_low) < ORBIT_MATCH_TOL and _relabels_onto(x, m) for _, m, m_low in kept):
-            kept.append((word, x, low))
-    return [word for word, _, _ in kept]
+    A relabeling permutes the six angles, so one within the tolerance in
+    max-norm puts the two minimum angles within it too (float subtraction
+    is monotone): the rows are tried only where the minima are that close."""
+    return abs(min(x) - min(m)) < ORBIT_MATCH_TOL and any(
+        all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m))
+        for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
 
 
 def regge_orbit(t: TetAngles) -> OrbitResult:
@@ -286,10 +279,13 @@ def regge_orbit(t: TetAngles) -> OrbitResult:
     The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
     each kept unless a relabeling of it matches an earlier member: at most six members.
-    R_b t is the image verify_scissors(t, "b") checks (_regge_b), so the two
-    classify and solve it once."""
+    R_b t is the image verify_scissors(t, "b") checks (_regge_b), kept on t and
+    not in regge, so the two classify and solve it once."""
     ra = regge(t, "a")
-    members = _distinct((t, ra, _regge_b(t), regge(t, "c"), regge(ra, "b"), regge(ra, "c")))
+    members: list[TetAngles] = []
+    for word in (t, ra, _regge_b(t), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
+        if not any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
+            members.append(word)
     volumes = []
     for m in members:
         kind = classify(m).kind

@@ -124,11 +124,9 @@ class TetAngles:
     Cp: float
 
     def __post_init__(self):
-        isfinite = math.isfinite
-        if not (isfinite(self.A) and isfinite(self.B) and isfinite(self.C)
-                and isfinite(self.Ap) and isfinite(self.Bp) and isfinite(self.Cp)):
-            name = next(name for name in _ANGLE_ORDER if not isfinite(getattr(self, name)))
-            raise GeometryDomainError(f"angle {name} must be finite")
+        for name in _ANGLE_ORDER:
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryDomainError(f"angle {name} must be finite")
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.A, self.B, self.C, self.Ap, self.Bp, self.Cp)

@@ -381,9 +381,13 @@ class TestOrbitDedupMatchesPairwise:
         assert truncated_seen is (max_size < 6)
 
     def test_stream_orbits_have_at_most_six_members(self, stream_angles):
+        # and the members and volume bits of the pairwise reference
         for angles in stream_angles:
             orbit = regge_orbit(TetAngles(*angles))
             assert len(orbit.members) <= 6
+            members, _ = _pairwise_orbit(TetAngles(*angles))
+            assert [_hex(m.as_tuple()) for m in orbit.members] == [_hex(m.as_tuple()) for m in members]
+            assert _hex(orbit.volumes) == _hex(map(_orbit_volume, members))
 
 
 #: The numpy dedup predicate regge_orbit used before the plain-float one.
@@ -400,81 +404,29 @@ def _ulps_from(x, k):
 
 class TestOrbitPredicateAtItsTolerance:
     """The plain-float predicate looks only at the relabelings that bring an
-    angle within the tolerance of the member's position 0, so its edge is
-    swept there, and at position 5, against the numpy predicate."""
+    angle within the tolerance of the member's position 0, and only where
+    the two minimum angles are that close, so its edge is swept at position
+    0, at position 5 and at the smallest angle, against the numpy predicate."""
 
-    @pytest.mark.parametrize("position", [0, 5])
+    @pytest.mark.parametrize("position", [0, 5, "smallest"])
     def test_agrees_with_numpy_across_the_edge(self, position, generic):
         outcomes = set()
         for m in (generic, *regge_orbit(generic).members[1:3]):
             base = m.as_tuple()
+            i = base.index(min(base)) if position == "smallest" else position
             for sign in (1.0, -1.0):
                 # the shifted angle sits k ulps from base + sign * 1e-10, so
                 # its gap from base falls on both sides of ORBIT_MATCH_TOL
-                edge = base[position] + sign * scissors.ORBIT_MATCH_TOL
+                edge = base[i] + sign * scissors.ORBIT_MATCH_TOL
                 for k in range(-8, 9):
                     shifted = list(base)
-                    shifted[position] = _ulps_from(edge, k)
+                    shifted[i] = _ulps_from(edge, k)
                     for sigma in tetra_symmetries():
                         x = relabel(TetAngles(*shifted), sigma).as_tuple()
                         outcome = scissors._relabels_onto(x, base)
-                        assert outcome is _numpy_relabels_onto(x, base), (m, position, sign, k, sigma)
+                        assert outcome is _numpy_relabels_onto(x, base), (m, i, sign, k, sigma)
                         outcomes.add(outcome)
         assert outcomes == {True, False}
-
-
-def _unfiltered_distinct(words):
-    """regge_orbit's dedup before it compared minimum angles first: every
-    word against every kept one through the predicate."""
-    kept = []
-    for word in words:
-        if not any(scissors._relabels_onto(word.as_tuple(), m.as_tuple()) for m in kept):
-            kept.append(word)
-    return kept
-
-
-def _unfiltered_orbit(t):
-    ra = regge(t, "a")
-    words = (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c"))
-    members = _unfiltered_distinct(words)
-    return members, [_orbit_volume(m) for m in members]
-
-
-class TestOrbitPrefilter:
-    """The dedup calls the predicate only where the minimum angles are within
-    ORBIT_MATCH_TOL; it must keep the members and volume bits of the dedup
-    that calls it on every pair."""
-
-    FIXED_POINT = TetAngles(1.1, 1.15, 1.2, 1.25, 1.2, 1.15)
-
-    @pytest.mark.parametrize("source", ["stream", "fixed_point"])
-    def test_orbit_equals_the_unfiltered_dedup(self, source, stream_angles):
-        for x in stream_angles if source == "stream" else [self.FIXED_POINT.as_tuple()]:
-            orbit = regge_orbit(TetAngles(*x))
-            members, volumes = _unfiltered_orbit(TetAngles(*x))
-            assert [_hex(m.as_tuple()) for m in orbit.members] == [_hex(m.as_tuple()) for m in members]
-            assert _hex(orbit.volumes) == _hex(volumes)
-        if source == "fixed_point":
-            assert len(members) == 1
-
-    def test_words_at_the_tolerance_edge(self, generic):
-        # as TestOrbitPredicateAtItsTolerance builds them, and at the smallest
-        # angle too, whose shift moves the minimum across the prefilter's edge
-        outcomes = set()
-        for m in (generic, *regge_orbit(generic).members[1:3]):
-            base = m.as_tuple()
-            for position in {0, 5, base.index(min(base))}:
-                for sign in (1.0, -1.0):
-                    edge = base[position] + sign * scissors.ORBIT_MATCH_TOL
-                    for k in range(-8, 9):
-                        shifted = list(base)
-                        shifted[position] = _ulps_from(edge, k)
-                        for sigma in tetra_symmetries():
-                            words = (m, relabel(TetAngles(*shifted), sigma))
-                            kept = scissors._distinct(words)
-                            assert kept == _unfiltered_distinct(words), (m, position, sign, k, sigma)
-                            outcomes.add(len(kept))
-        assert outcomes == {1, 2}
 
 
 # --- bit identity with the three-branch moves, the dict swap and the halving layer
