@@ -199,6 +199,16 @@ def lobachevsky(theta):
     return np.fromiter(values, float, arr.size).reshape(arr.shape)
 
 
+def _sum_in_order(values) -> float:
+    """0.0 plus each value in turn: the builtin sum of floats up to Python
+    3.11.  From 3.12 on the builtin compensates its rounding, which would
+    move the last bits of every volume summed with it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def lobachevsky_quadrature(theta, tol: float = 1e-10):
     """Evaluate the defining integral directly by tanh-sinh quadrature.
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
-from .lobachevsky import _lobachevsky_float, lobachevsky
+from .lobachevsky import _lobachevsky_float, _sum_in_order, lobachevsky
 from .tetra import TetAngles, TetraKind, _memo, require_kind
 
 __all__ = [
@@ -191,24 +191,26 @@ def volume_remainder(t: TetAngles) -> float:
     """The Z-independent half-sum completing the volume formula."""
     A, B, C, Ap, Bp, Cp = t.as_tuple()
     lob = _lobachevsky_float
-    return 0.5 * sum((
-        +lob((_PI + A - B - C) / 2),
-        -lob((_PI + B - A - C) / 2),
-        -lob((_PI + C - A - B) / 2),
-        +lob((_PI + Bp - Ap - C) / 2),
-        +lob((_PI + A + B + C) / 2),
-        +lob((_PI + C - Ap - Bp) / 2),
-        +lob((_PI - Ap + Bp + C) / 2),
-        -lob((_PI + Ap + Bp + C) / 2),
-        +lob((_PI + Ap - B - Cp) / 2),
-        -lob((_PI + A + Bp + Cp) / 2),
-        -lob((_PI + A - Bp - Cp) / 2),
-        +lob((_PI + Bp - A - Cp) / 2),
-        -lob((_PI - Ap - B + Cp) / 2),
-        +lob((_PI + Ap - B + Cp) / 2),
-        +lob((_PI + Ap + B + Cp) / 2),
-        +lob((_PI - A - Bp + Cp) / 2),
-    ))
+    # left to right from 0.0, as lobachevsky._sum_in_order adds
+    return 0.5 * (
+        0.0
+        + lob((_PI + A - B - C) / 2)
+        - lob((_PI + B - A - C) / 2)
+        - lob((_PI + C - A - B) / 2)
+        + lob((_PI + Bp - Ap - C) / 2)
+        + lob((_PI + A + B + C) / 2)
+        + lob((_PI + C - Ap - Bp) / 2)
+        + lob((_PI - Ap + Bp + C) / 2)
+        - lob((_PI + Ap + Bp + C) / 2)
+        + lob((_PI + Ap - B - Cp) / 2)
+        - lob((_PI + A + Bp + Cp) / 2)
+        - lob((_PI + A - Bp - Cp) / 2)
+        + lob((_PI + Bp - A - Cp) / 2)
+        - lob((_PI - Ap - B + Cp) / 2)
+        + lob((_PI + Ap - B + Cp) / 2)
+        + lob((_PI + Ap + B + Cp) / 2)
+        + lob((_PI - A - Bp + Cp) / 2)
+    )
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
@@ -326,9 +328,8 @@ def octahedron_volume(oct_angles: OctAngles) -> float:
     For a finite source tetrahedron the continued octahedron O can have
     negative volume; O and its dual always satisfy V(O) + V(O') = 2 V(T).
     """
-    total = sum(lobachevsky(x) for x in oct_angles.slots)
-    total += sum(lobachevsky(x) for x in oct_angles.base[4:])
-    return float(total)
+    return (_sum_in_order(map(lobachevsky, oct_angles.slots))
+            + _sum_in_order(map(lobachevsky, oct_angles.base[4:])))
 
 
 def u_volume(t: TetAngles) -> float:
@@ -351,9 +352,9 @@ def u_volume(t: TetAngles) -> float:
         (-1, (_PI + Ap + Bp + C) / 2),
     )
     total = _slot_sum(roots.bars, roots.Z_minus)
-    total += sum(lobachevsky(x) for x in (A, Ap, B, Bp, C, Cp))
-    total += sum(s * lobachevsky(x) for s, x in extra)
-    return float(total)
+    total += _sum_in_order(map(lobachevsky, (A, Ap, B, Bp, C, Cp)))
+    total += _sum_in_order(s * lobachevsky(x) for s, x in extra)
+    return total
 
 
 def tet_volume(t: TetAngles, root: str = "minus") -> float:

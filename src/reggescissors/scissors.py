@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import DegenerateSystemError, GeometryDomainError
-from .lobachevsky import _lobachevsky_float
+from .lobachevsky import _lobachevsky_float, _sum_in_order
 from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, tet_volume, wrap_angle
 from .tetra import (
     _RELABEL_ROWS,
@@ -96,20 +96,13 @@ def s_value(t: TetAngles, which: str) -> float:
 
 
 def regge(t: TetAngles, which: str) -> TetAngles:
-    """Apply one Regge transform, a total affine involution; classify() judges the image."""
-    return TetAngles(*_move(t.as_tuple(), which)[1])
+    """Apply one Regge transform, a total affine involution; classify() judges the image.
 
-
-def _regge_b(t: TetAngles) -> TetAngles:
-    """regge(t, "b"), kept on t (see tetra._memo), so that verify_scissors and
-    regge_orbit on one source classify and solve its R_b image once.  The
-    image lives on its source, not in regge: criterion 6 of the suite keeps
-    its sources, and a memo in regge would keep all its solved images with
-    them (0.2-0.4 MB more peak memory in the `suite` benchmark).  Criterion
-    7 runs verify_scissors alone on the sources it keeps, so it keeps their
-    images (about 0.2 MB); only a caller that runs both on one source, as
-    the `formula` benchmark op does, gains."""
-    return _memo(t, "_regge_b", lambda s: regge(s, "b"))
+    t keeps its image under each move (see tetra._memo), so the checks and the orbit
+    that read one image classify and solve it once."""
+    move = lambda s: TetAngles(*_move(s.as_tuple(), which)[1])
+    # an unknown move raises in _move before anything is kept
+    return _memo(t, f"_regge_{which}", move) if which in _MOVED else move(t)
 
 
 def canonical_angle(x: float) -> float:
@@ -141,7 +134,7 @@ class Decomposition:
         return tuple(map(canonical_angle, self.raw_angles))
 
     def total_volume(self) -> float:
-        return float(sum(map(_lobachevsky_float, self.canonical_angles())))
+        return _sum_in_order(map(_lobachevsky_float, self.canonical_angles()))
 
 
 def decompose(t: TetAngles) -> Decomposition:
@@ -215,25 +208,23 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     slot by slot after the BA/DC exchange: the volume gap and the largest
     piece-angle gap must each be at most tol.
 
-    For which='b' the check is direct; 'a' and 'c' are conjugated through
-    the corresponding pair swap first.  Invalid or degenerate configurations
+    For which='b' the check is direct.  For 'a' and 'c' it checks the
+    relabelings of t and of its image by the corresponding pair swap: the
+    relabeled image has the angles of R_b of the relabeled source (the move
+    adds the same four angles in the same order), and both relabelings take
+    their class from t and its image.  Invalid or degenerate configurations
     produce a failed report rather than an exception; a tol outside
     (0, inf) raises GeometryDomainError.  The image of a Finite source is
     Finite (each move permutes the vertex-link forms), so the image class is
     checked only as a guard against rounding at the classification tolerance.
-    For which='b' the image is the one regge_orbit(t) takes (_regge_b), so
-    it is classified and solved once for both.  It is kept on t, not in
-    regge, so a caller that keeps its sources does not also keep every
-    image regge builds for them (more peak memory in the suite).
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
-    conj = PAIR_CONJUGATION.get(which)
-    t0 = relabel(t, conj) if conj else t
-    image = _regge_b(t0)
-    transformed = image if which == "b" else regge(t, which)  # raises for an unknown transform
-    kind_t = classify(t0).kind
-    kind_i = classify(image).kind
+    transformed = regge(t, which)
+    kind_t = classify(t).kind
+    kind_i = classify(transformed).kind
+    conj = PAIR_CONJUGATION[which]
+    t0, image = (relabel(t, conj), relabel(transformed, conj)) if conj else (t, transformed)
     measured, failure = {}, None
     if kind_t is not TetraKind.FINITE:
         failure = f"source tetrahedron is {kind_t.value}, not Finite"
@@ -279,11 +270,12 @@ def regge_orbit(t: TetAngles) -> OrbitResult:
     The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
     each kept unless a relabeling of it matches an earlier member: at most six members.
-    R_b t is the image verify_scissors(t, "b") checks (_regge_b), kept on t and
-    not in regge, so the two classify and solve it once."""
+    Each word is regge's image, kept on its source: after verify_scissors(t, w) the
+    orbit classifies R_w t no more, and after verify_scissors(t, "b") it solves R_b t
+    no more."""
     ra = regge(t, "a")
     members: list[TetAngles] = []
-    for word in (t, ra, _regge_b(t), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
+    for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
         if not any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
             members.append(word)
     volumes = []

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import klein
 from .exceptions import GeometryDomainError
-from .lobachevsky import LOBACHEVSKY_MAX_ARG, lobachevsky, lobachevsky_quadrature
+from .lobachevsky import LOBACHEVSKY_MAX_ARG, _sum_in_order, lobachevsky, lobachevsky_quadrature
 from .octahedron import (
     DUAL_SIDE,
     O_SIDE,
@@ -136,9 +137,13 @@ def _rng(config: SuiteConfig, stream: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, stream])
 
 
-def _tetra_batch(config: SuiteConfig, stream: int, count: int) -> list[TetAngles]:
+def _tetra_batch(config: SuiteConfig, stream: int, count: int) -> Iterator[TetAngles]:
+    """The draws of one stream, handed out one at a time and dropped after their
+    iteration: a checked source, and the images regge keeps on it, go at once."""
     batch, _ = sample_finite(_rng(config, stream), count)
-    return batch
+    batch.reverse()
+    while batch:
+        yield batch.pop()
 
 
 def criterion_1(config: SuiteConfig) -> CriterionResult:
@@ -182,9 +187,8 @@ def criterion_2(config: SuiteConfig) -> CriterionResult:
 
 def criterion_3(config: SuiteConfig) -> CriterionResult:
     """Linear constraints, holonomy product, unit roots, vanishing end coefficients."""
-    batch = _tetra_batch(config, 3, config.count)
     w_lin = w_hol = w_unit = w_ends = 0.0
-    for t in batch:
+    for t in _tetra_batch(config, 3, config.count):
         roots = solve_holonomy(t)
         for side in (O_SIDE, DUAL_SIDE):
             oa = octahedron_angles(t, side)
@@ -205,9 +209,8 @@ def criterion_3(config: SuiteConfig) -> CriterionResult:
 
 def criterion_4(config: SuiteConfig) -> CriterionResult:
     """All volume routes agree; the plus root gives the negated volume."""
-    batch = _tetra_batch(config, 4, config.count)
     w_routes = w_negation = 0.0
-    for t in batch:
+    for t in _tetra_batch(config, 4, config.count):
         v = tet_volume(t)
         per_octa = 0.5 * (
             octahedron_volume(octahedron_angles(t, O_SIDE))
@@ -216,7 +219,7 @@ def criterion_4(config: SuiteConfig) -> CriterionResult:
         clean = 0.5 * decompose(t).total_volume()
         x = t.as_tuple()
         prisms = [prism_volume(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES]
-        via_u = u_volume(t) - 0.5 * sum(prisms)
+        via_u = u_volume(t) - 0.5 * _sum_in_order(prisms)
         routes = [v, per_octa, clean, via_u]
         w_routes = max(w_routes, max(routes) - min(routes))
         w_negation = max(w_negation, abs(tet_volume(t, "plus") + v))
@@ -230,9 +233,8 @@ def criterion_4(config: SuiteConfig) -> CriterionResult:
 
 def criterion_5(config: SuiteConfig) -> CriterionResult:
     """Formula volume against Klein quadrature; Schlafli differential check."""
-    batch = _tetra_batch(config, 5, config.oracle_count)
     w_quad = w_schlafli = 0.0
-    for t in batch:
+    for t in _tetra_batch(config, 5, config.oracle_count):
         kt = klein.klein_vertices(t)
         w_quad = max(w_quad, abs(tet_volume(t) - klein.volume_numeric(kt, 1e-6)))
         w_schlafli = max(w_schlafli, klein.schlafli_max_relative(t, klein.schlafli_residual(t, 1e-5)))
@@ -246,9 +248,8 @@ def criterion_5(config: SuiteConfig) -> CriterionResult:
 
 def criterion_6(config: SuiteConfig) -> CriterionResult:
     """Regge transforms: volume invariance, involution, conjugation identity."""
-    batch = _tetra_batch(config, 6, config.count)
     w_vol = w_invol = w_conj = 0.0
-    for t in batch:
+    for t in _tetra_batch(config, 6, config.count):
         v = tet_volume(t)
         for which in ("a", "b", "c"):
             img = regge(t, which)
@@ -275,10 +276,9 @@ def criterion_6(config: SuiteConfig) -> CriterionResult:
 
 def criterion_7(config: SuiteConfig) -> CriterionResult:
     """Central scissors check: slot by slot via the BA/DC swap; halving."""
-    batch = _tetra_batch(config, 7, config.count)
     w_slot = w_half = 0.0
     all_passed = True
-    for t in batch:
+    for t in _tetra_batch(config, 7, config.count):
         report = verify_scissors(t, "b")
         all_passed = all_passed and report.passed
         w_slot = max(w_slot, report.slot_gap)

@@ -50,7 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import GeometryDomainError
-from .lobachevsky import lobachevsky
+from .lobachevsky import _sum_in_order, lobachevsky
 
 __all__ = [
     "SWAP_AB_PAIRS",
@@ -191,7 +191,7 @@ def ideal_volume(a: float, b: float, c: float) -> float:
         raise GeometryDomainError(
             f"ideal tetrahedron angles must sum to pi (got {a + b + c:.12f})"
         )
-    return float(lobachevsky(a) + lobachevsky(b) + lobachevsky(c))
+    return lobachevsky(a) + lobachevsky(b) + lobachevsky(c)
 
 
 def prism_volume(A: float, B: float, C: float) -> float:
@@ -203,7 +203,7 @@ def prism_volume(A: float, B: float, C: float) -> float:
     """
     Ap, Bp, Cp = prime_angles(A, B, C)
     terms = [A, Ap, B, Bp, C, Cp]
-    return float(sum(lobachevsky(x) for x in terms) - lobachevsky((_PI + A + B + C) / 2))
+    return _sum_in_order(map(lobachevsky, terms)) - lobachevsky((_PI + A + B + C) / 2)
 
 
 def prism_volume_by_tetrahedra(A: float, B: float, C: float) -> float:

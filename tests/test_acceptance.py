@@ -4,6 +4,7 @@ Each test prints its own pass/fail line so the criterion outcomes are
 visible in the pytest output (-s or on failure).
 """
 
+import weakref
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from reggescissors import suite, tetra
 from reggescissors.exceptions import GeometryDomainError
 from reggescissors.sampling import sample_finite
 from reggescissors.scissors import REGGE_B_IMAGE_RELABEL, regge
-from reggescissors.suite import SuiteConfig, criterion_5, criterion_6, criterion_7, run_suite
+from reggescissors.suite import SuiteConfig, criterion_3, criterion_4, criterion_5, criterion_6, criterion_7, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -85,20 +86,34 @@ def test_oracle_criterion_passes_on_near_regular_seeds(seed):
     assert criterion_5(SuiteConfig(seed=seed)).passed
 
 
-def test_criterion_6_keeps_no_image_on_its_sources(monkeypatch):
-    # a source that kept its solved Regge images would keep every one of them
-    # for the whole criterion; only verify_scissors and regge_orbit share R_b t
-    sources, batch = [], suite._tetra_batch
+@pytest.mark.parametrize("criterion,check", [(criterion_3, "solve_holonomy"), (criterion_4, "tet_volume"),
+                                             (criterion_5, "tet_volume"), (criterion_6, "tet_volume"),
+                                             (criterion_7, "verify_scissors")],
+                         ids=[f"criterion_{k}" for k in range(3, 8)])
+def test_each_criterion_drops_its_sources_after_checking_them(criterion, check, monkeypatch):
+    # a source keeps the images regge builds for it, so a criterion that kept
+    # its checked sources would keep all their images until it ends
+    draws, checked, alive = [], set(), []
+    sample, run = suite.sample_finite, getattr(suite, check)
 
-    def recorded(*args):
-        sources.extend(batch(*args))
-        return sources
+    def recorded(rng, count):
+        batch, stats = sample(rng, count)
+        draws.extend(map(weakref.ref, batch))
+        return batch, stats
 
-    monkeypatch.setattr(suite, "_tetra_batch", recorded)
-    criterion_6(SuiteConfig(count=5))
-    assert len(sources) == 5
-    for t in sources:
-        assert not any(isinstance(value, tetra.TetAngles) for value in vars(t).values()), vars(t)
+    def checking(t, *args):
+        k = next((k for k, ref in enumerate(draws) if ref() is t), None)
+        if k is not None:
+            alive.append(sum(draws[j]() is not None for j in checked - {k}))
+            checked.add(k)
+        return run(t, *args)
+
+    monkeypatch.setattr(suite, "sample_finite", recorded)
+    monkeypatch.setattr(suite, check, checking)
+    config = SuiteConfig(count=5, oracle_count=3)
+    criterion(config)
+    assert len(checked) == len(draws) == (config.oracle_count if criterion is criterion_5 else config.count)
+    assert max(alive) <= 1, alive
 
 
 @pytest.mark.parametrize("criterion,stream,moves", [(criterion_6, 6, "abc"), (criterion_7, 7, "b")],

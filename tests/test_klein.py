@@ -381,6 +381,7 @@ class TestBatchedQuadratureMatchesReference:
         assert _digest(outcomes) == {8: "a514ae70a911863a71ce4f148a29c72b4fa281ddaa79aa67302c8588f12056b7",
                                      40: "e1e7b6be6f270af2ca591c8a11a3855b8a0ef57b01edab6bb24b237fad8a40e1"}[max_leaves]
 
+    @pytest.mark.kernel_independent
     @pytest.mark.parametrize("tol,max_leaves", [(1e-6, 60000), (1e-7, 60000), (1e-14, 8), (1e-14, 40), (1e-14, 100)])
     def test_passes_keep_the_bits_of_one_leaf_at_a_time(self, uniform, generic, tol, max_leaves, monkeypatch):
         monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
@@ -432,6 +433,7 @@ class TestBatchedQuadratureMatchesReference:
             counts.append(sum(passes))
         assert max(counts) >= 2
 
+    @pytest.mark.kernel_independent
     def test_rule_bits_do_not_depend_on_batch_size(self):
         rng = np.random.default_rng(7)
         tris = rng.uniform(-0.55, 0.55, size=(64, 3, 3))
@@ -439,6 +441,7 @@ class TestBatchedQuadratureMatchesReference:
         assert np.array_equal(whole, np.concatenate([_ref_rule_batch(tris[i : i + 4]) for i in range(0, 64, 4)]))
         assert np.array_equal(klein._rule_batch(tris[:1]), _ref_rule_batch(tris[:1]))
 
+    @pytest.mark.kernel_independent
     def test_split4_matches_reference(self):
         rng = np.random.default_rng(8)
         tris = rng.uniform(-0.55, 0.55, size=(5, 3, 3))
@@ -637,6 +640,7 @@ def _hexes(values):
     return [float(x).hex() for x in np.ravel(values)]
 
 
+@pytest.mark.kernel_independent
 class TestMinkowskiComplementKeepsBits:
     """Both realizations share one complement helper; their bits are those
     of the two loops it replaced."""

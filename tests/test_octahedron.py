@@ -1,5 +1,7 @@
+import builtins
 import cmath
 import hashlib
+import json
 import itertools
 import math
 
@@ -25,11 +27,13 @@ from reggescissors.octahedron import (
     solve_holonomy,
     tet_volume,
     u_volume,
+    volume_remainder,
     wrap_angle,
     _solve_holonomy,
 )
 from reggescissors.scissors import canonical_angle, decompose, regge_orbit, verify_scissors
-from reggescissors.tetra import TetAngles, TetraKind, classify, prism_volume
+from reggescissors.suite import SuiteConfig, criterion_4
+from reggescissors.tetra import _VERTEX_ANGLES, TetAngles, TetraKind, classify, prism_volume, prism_volume_by_tetrahedra
 
 from oracles import full_dihedral_angles, murakami_yano_volume, tetra_symmetries
 
@@ -349,6 +353,37 @@ class TestLabelFastPath:
         assert self.solved(inputs) == fast
 
 
+_BUILTIN_SUM = builtins.sum
+
+
+def _neumaier_sum(iterable, start=0):
+    """The builtin sum of floats from Python 3.12 on: compensated (Neumaier).
+    Anything but plain floats is summed by the builtin."""
+    items = list(iterable)
+    if type(start) not in (int, float) or any(type(x) is not float for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def _volume_hexes(angles):
+    """float.hex of every volume route on fresh instances of the angles."""
+    t = TetAngles(*angles)
+    x = t.as_tuple()
+    values = [f(*(x[k] for k in v)) for f in (prism_volume, prism_volume_by_tetrahedra) for v in _VERTEX_ANGLES]
+    try:
+        values += [tet_volume(t), tet_volume(t, "plus"), volume_remainder(t), u_volume(t),
+                   decompose(t).total_volume(),
+                   *(octahedron_volume(octahedron_angles(t, side)) for side in (O_SIDE, DUAL_SIDE))]
+    except (ArithmeticError, ValueError) as exc:
+        values.append(type(exc).__name__)
+    return [v if isinstance(v, str) else float.hex(v) for v in values]
+
+
 class TestVolumes:
     def test_equiangular_frozen_value(self, equiangular):
         assert tet_volume(equiangular) == pytest.approx(EQUIANGULAR_12_VOLUME, abs=1e-12)
@@ -359,6 +394,16 @@ class TestVolumes:
         assert all(classify(t).kind is TetraKind.FINITE for t in batch)
         for t in batch:
             assert abs(tet_volume(t) - murakami_yano_volume(t)) <= 1e-13, t
+
+    def test_volumes_do_not_depend_on_a_compensated_builtin_sum(self, stream_angles, monkeypatch):
+        # every volume adds its terms left to right from 0.0, as the builtin
+        # sum did up to Python 3.11; each route once, criterion 4 too
+        before = [_volume_hexes(angles) for angles in stream_angles]
+        report = json.dumps(criterion_4(SuiteConfig(count=5)).to_payload())
+        monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+        assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        assert [_volume_hexes(angles) for angles in stream_angles] == before
+        assert json.dumps(criterion_4(SuiteConfig(count=5)).to_payload()) == report
 
     def test_plus_root_negates(self, finite_batch):
         for t in finite_batch:

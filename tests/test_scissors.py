@@ -472,6 +472,22 @@ def _hex(values):
     return [float.hex(float(x)) for x in values]
 
 
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("which", ["a", "c"])
+def test_the_conjugated_image_is_r_b_of_the_conjugated_source(which, stream_angles):
+    # verify_scissors checks the pair-swapped relabeling of regge(t, which):
+    # bit for bit the R_b image of the relabeled source, with the class of
+    # the image carried through relabel
+    conj = scissors.PAIR_CONJUGATION[which]
+    for x in stream_angles:
+        t = TetAngles(*x)
+        image = regge(t, which)
+        classify(image)
+        moved = relabel(image, conj)
+        assert _hex(moved.as_tuple()) == _hex(regge(relabel(TetAngles(*x), conj), "b").as_tuple())
+        assert classify(moved).kind is classify(TetAngles(*moved.as_tuple())).kind
+
+
 class TestMovesKeepBits:
     def test_moves_match_branches(self, finite_batch):
         rng = np.random.default_rng(20261018)

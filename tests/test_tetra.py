@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -366,6 +367,13 @@ class TestClassifyOnce:
             (lambda t: verify_scissors(t, "b"), 2),
             # then the orbit's four other members: R_b t is the image above
             (lambda t: (verify_scissors(t, "b"), regge_orbit(t)), 6),
+            # source and R_a image, whose pair-swapped relabelings take their
+            # class from them; then R_b t, R_c t, R_b R_a t and R_c R_a t
+            pytest.param(lambda t: (verify_scissors(t, "a"), regge_orbit(t)), 6, id="verify_a_then_orbit"),
+            # the benchmark's formula op: the source and the six orbit words,
+            # each classified once, R_a t, R_b t and R_c t by the checks
+            pytest.param(lambda t: (tet_volume(t), decompose(t), [verify_scissors(t, w) for w in "abc"],
+                                    regge_orbit(t)), 6, id="formula_op"),
         ],
     )
     def test_pinned_counts(self, uncached, call, count):
@@ -387,18 +395,25 @@ class TestClassifyOnce:
         assert solved.count(image) == 1
 
     def test_memo_is_invisible(self, uncached):
-        # the class, and the holonomy roots that solve_holonomy keeps the same way
-        for memo in (classify, solve_holonomy):
+        # the class, the holonomy roots that solve_holonomy keeps the same
+        # way, and the image regge keeps for each move
+        moves = [functools.partial(regge, which=which) for which in "abc"]
+        for memo in (classify, solve_holonomy, *moves):
             t, fresh = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
             before = (hash(t), repr(t))
             first = memo(t)
             assert memo(t) is first
-            assert uncached[-1] is t
+            assert memo in moves or uncached[-1] is t
             assert (hash(t), repr(t)) == before
             assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
             assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
             assert dataclasses.replace(t) == t
+        # regge classifies nothing, and an unknown move keeps nothing
         assert len(uncached) == 2
+        kept = dict(vars(t))
+        with pytest.raises(GeometryDomainError):
+            regge(t, "d")
+        assert vars(t) == kept
 
     def test_relabel_takes_the_class_of_its_source(self, uncached, stream_angles):
         for x in stream_angles:
