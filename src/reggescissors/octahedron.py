@@ -215,10 +215,7 @@ def volume_remainder(t: TetAngles) -> float:
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
     """Sum of the eight Lobachevsky slot terms at angle offset Z."""
-    total = 0.0
-    for x in slots(bars, Z):
-        total += _lobachevsky_float(x)
-    return total
+    return _sum_in_order(map(_lobachevsky_float, slots(bars, Z)))
 
 
 def solve_holonomy(t: TetAngles) -> HolonomyRoots:
