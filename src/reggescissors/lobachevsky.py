@@ -200,9 +200,8 @@ def lobachevsky(theta):
 
 
 def _sum_in_order(values) -> float:
-    """0.0 plus each value in turn: the builtin sum of floats up to Python
-    3.11.  From 3.12 on the builtin compensates its rounding, which would
-    move the last bits of every volume summed with it."""
+    """0.0 plus each value in turn, as the builtin sum of floats up to Python 3.11
+    (from 3.12 on it compensates the rounding, which moves the volumes' last bits)."""
     total = 0.0
     for v in values:
         total += v

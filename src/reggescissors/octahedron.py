@@ -191,26 +191,24 @@ def volume_remainder(t: TetAngles) -> float:
     """The Z-independent half-sum completing the volume formula."""
     A, B, C, Ap, Bp, Cp = t.as_tuple()
     lob = _lobachevsky_float
-    # left to right from 0.0, as lobachevsky._sum_in_order adds
-    return 0.5 * (
-        0.0
-        + lob((_PI + A - B - C) / 2)
-        - lob((_PI + B - A - C) / 2)
-        - lob((_PI + C - A - B) / 2)
-        + lob((_PI + Bp - Ap - C) / 2)
-        + lob((_PI + A + B + C) / 2)
-        + lob((_PI + C - Ap - Bp) / 2)
-        + lob((_PI - Ap + Bp + C) / 2)
-        - lob((_PI + Ap + Bp + C) / 2)
-        + lob((_PI + Ap - B - Cp) / 2)
-        - lob((_PI + A + Bp + Cp) / 2)
-        - lob((_PI + A - Bp - Cp) / 2)
-        + lob((_PI + Bp - A - Cp) / 2)
-        - lob((_PI - Ap - B + Cp) / 2)
-        + lob((_PI + Ap - B + Cp) / 2)
-        + lob((_PI + Ap + B + Cp) / 2)
-        + lob((_PI - A - Bp + Cp) / 2)
-    )
+    return 0.5 * _sum_in_order((
+        +lob((_PI + A - B - C) / 2),
+        -lob((_PI + B - A - C) / 2),
+        -lob((_PI + C - A - B) / 2),
+        +lob((_PI + Bp - Ap - C) / 2),
+        +lob((_PI + A + B + C) / 2),
+        +lob((_PI + C - Ap - Bp) / 2),
+        +lob((_PI - Ap + Bp + C) / 2),
+        -lob((_PI + Ap + Bp + C) / 2),
+        +lob((_PI + Ap - B - Cp) / 2),
+        -lob((_PI + A + Bp + Cp) / 2),
+        -lob((_PI + A - Bp - Cp) / 2),
+        +lob((_PI + Bp - A - Cp) / 2),
+        -lob((_PI - Ap - B + Cp) / 2),
+        +lob((_PI + Ap - B + Cp) / 2),
+        +lob((_PI + Ap + B + Cp) / 2),
+        +lob((_PI - A - Bp + Cp) / 2),
+    ))
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
