@@ -1,8 +1,8 @@
 import builtins
 import cmath
 import hashlib
-import json
 import itertools
+import json
 import math
 
 import numpy as np

@@ -370,8 +370,8 @@ class TestClassifyOnce:
             # source and R_a image, whose pair-swapped relabelings take their
             # class from them; then R_b t, R_c t, R_b R_a t and R_c R_a t
             pytest.param(lambda t: (verify_scissors(t, "a"), regge_orbit(t)), 6, id="verify_a_then_orbit"),
-            # the benchmark's formula op: the source and the six orbit words,
-            # each classified once, R_a t, R_b t and R_c t by the checks
+            # the benchmark's formula op: the source and the five other orbit
+            # words, each classified once, R_a t, R_b t and R_c t by the checks
             pytest.param(lambda t: (tet_volume(t), decompose(t), [verify_scissors(t, w) for w in "abc"],
                                     regge_orbit(t)), 6, id="formula_op"),
         ],
