@@ -81,7 +81,9 @@ PER_CALL = {
     "classify": lambda m, t: m.tetra.classify(t),
     "tet_volume": lambda m, t: m.octahedron.tet_volume(t),
     "decompose": lambda m, t: m.scissors.decompose(t),
+    "verify_scissors_a": lambda m, t: m.scissors.verify_scissors(t, "a"),
     "verify_scissors_b": lambda m, t: m.scissors.verify_scissors(t, "b"),
+    "verify_scissors_c": lambda m, t: m.scissors.verify_scissors(t, "c"),
     "regge_orbit": lambda m, t: m.scissors.regge_orbit(t),
     "schlafli_residual": lambda m, t: m.klein.schlafli_residual(t, h=1e-5),
     "klein_vertices": lambda m, t: m.klein.klein_vertices(t),

@@ -43,9 +43,9 @@ from reggescissors import cli  # noqa: E402
 PINNED = {
     "suite_seed7": "9753760a5e41b8780ddfec1f493cf11d2defd57e39cd878648c5e686d52f2b2d",
     "suite_seed2": "3a40bd6f41a0d508996c42ab32190efcd74e780fa6ed9caf597c4feb6093e48c",
-    "formula_seed1": "41462c2817612d92214e2047874a701f74885aada807e517efc5f70032e351a4",
-    "formula_seed2": "12547b107d8d482e44c4603798da8fde2a984192bb649d63451654933cfcfcdf",
-    "formula_seed3": "8ca111205188f4aacf8e0cdbcd52dd5103099ac25fa65cd5e6652120a31bdc01",
+    "formula_seed1": "b16c972e64879f2d0bc155aeedd64fd476794883fbbce5e0b1ced9aafcbd8a95",
+    "formula_seed2": "fc212ac3819cf8b8660e4c5757cc3e13dffb0e0555973b31fa64111089fefb92",
+    "formula_seed3": "e345157026ee89d729020e6099199babdde4852b826e6154dc923fe5e6bead9e",
     "oracle_seed1": "cc618d0246d7961b801102a4906efbcba8194284245509d020a1342ef289afb4",
 }
 

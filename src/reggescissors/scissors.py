@@ -15,7 +15,8 @@ solution except that the BA and DC bars trade places, and leaves the
 holonomy quadratic untouched.  The congruence of 2T and 2 R_b(T) is thereby
 visible slot by slot: swapping the BA and DC pieces (and their dual
 partners, then mirroring, which moves no volume) turns one decomposition
-into the other.  R_a and R_c reduce to R_b by conjugation with pair swaps.
+into the other.  R_c exchanges O with O' piece for piece, with no
+relabeling, and R_a is checked on pair-swapped relabelings (_CHECKS).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, te
 from .tetra import (
     _RELABEL_ROWS,
     SWAP_AB_PAIRS,
-    SWAP_BC_PAIRS,
     TetAngles,
     TetraKind,
     _memo,
@@ -60,9 +60,6 @@ _PI = math.pi
 #: (A,A') <-> (C,C') pair swap sending (A,B,C,A',B',C') to (C',B,A',C,B',A).
 REGGE_B_IMAGE_RELABEL = (2, 1, 0, 3)
 
-#: Conjugating relabel that turns each transform into the b-transform.
-PAIR_CONJUGATION = {"a": SWAP_AB_PAIRS, "b": None, "c": SWAP_BC_PAIRS}
-
 #: Canonical angles closer to zero than this are null pieces.
 NULL_PIECE_TOL = 1e-12
 
@@ -72,6 +69,16 @@ PIECE_LABELS = tuple((side, slot) for side in (O_SIDE, DUAL_SIDE) for slot in SL
 #: Piece order with BA (position 1) and DC (position 5) exchanged on both
 #: sides: the congruence move of R_b.
 _REGGE_B_EXCHANGE = (0, 5, 2, 3, 4, 1, 6, 7, 8, 13, 10, 11, 12, 9, 14, 15)
+
+#: Each move's check: the relabeling of the source and of the image (None
+#: keeps it), and the source piece each image piece matches.  (1, 2, 0, 3) is
+#: SWAP_AB_PAIRS then REGGE_B_IMAGE_RELABEL; R_c trades O with O' (AB <-> CD,
+#: BA <-> AD, BC <-> BC, CB <-> DC and DA <-> DA).
+_CHECKS = {
+    "a": (SWAP_AB_PAIRS, (1, 2, 0, 3), _REGGE_B_EXCHANGE),
+    "b": (None, REGGE_B_IMAGE_RELABEL, _REGGE_B_EXCHANGE),
+    "c": (None, None, (12, 15, 10, 13, 8, 11, 14, 9, 4, 7, 2, 5, 0, 3, 6, 1)),
+}
 
 #: as_tuple() indices of the four angles each transform moves; the opposite
 #: pair it fixes keeps its two angles.
@@ -186,7 +193,7 @@ class ScissorsReport:
 
     @property
     def conjugation(self) -> tuple[int, ...] | None:
-        return PAIR_CONJUGATION[self.which]
+        return _CHECKS[self.which][0]
 
     def to_payload(self) -> dict:
         return {
@@ -205,14 +212,12 @@ class ScissorsReport:
 
 def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsReport:
     """Check numerically that 2T and 2R(T) decompose into the same pieces,
-    slot by slot after the BA/DC exchange: the volume gap and the largest
-    piece-angle gap must each be at most tol.
+    slot by slot, and report the volumes of t and of regge(t, which): the
+    volume gap and the largest piece-angle gap must each be at most tol.
 
-    For which='b' the check is direct.  For 'a' and 'c' it checks the
-    relabelings of t and of its image by the corresponding pair swap: the
-    relabeled image has the angles of R_b of the relabeled source (the move
-    adds the same four angles in the same order), and both relabelings take
-    their class from t and its image.  Invalid or degenerate configurations
+    _CHECKS names the source piece each image piece matches and the
+    relabelings the sides are decomposed through (none for 'c'); each side is
+    solved on its own.  Invalid or degenerate configurations
     produce a failed report rather than an exception; a tol outside
     (0, inf) raises GeometryDomainError.  The image of a Finite source is
     Finite (each move permutes the vertex-link forms), so the image class is
@@ -223,8 +228,7 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     transformed = regge(t, which)
     kind_t = classify(t).kind
     kind_i = classify(transformed).kind
-    conj = PAIR_CONJUGATION[which]
-    t0, image = (relabel(t, conj), relabel(transformed, conj)) if conj else (t, transformed)
+    of_source, of_image, match = _CHECKS[which]
     measured, failure = {}, None
     if kind_t is not TetraKind.FINITE:
         failure = f"source tetrahedron is {kind_t.value}, not Finite"
@@ -232,10 +236,10 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
         failure = f"transform image is {kind_i.value}, not Finite"
     else:
         try:
-            moved = permute_for_regge_b(decompose(t0)).canonical_angles()
-            aligned = decompose(relabel(image, REGGE_B_IMAGE_RELABEL)).canonical_angles()
-            measured = {"volume": tet_volume(t0), "volume_image": tet_volume(image),
-                        "slot_gap": max(abs(a - b) for a, b in zip(moved, aligned))}
+            source = decompose(relabel(t, of_source) if of_source else t).canonical_angles()
+            image = decompose(relabel(transformed, of_image) if of_image else transformed).canonical_angles()
+            measured = {"volume": tet_volume(t), "volume_image": tet_volume(transformed),
+                        "slot_gap": max(abs(source[j] - x) for j, x in zip(match, image))}
         except DegenerateSystemError as exc:
             failure = f"angle system degenerate: {exc}"
     return ScissorsReport(which, tol, transformed, failure=failure, **measured)
@@ -271,8 +275,7 @@ def regge_orbit(t: TetAngles) -> OrbitResult:
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
     each kept unless a relabeling of it matches an earlier member: at most six members.
     Each word is regge's image, kept on its source: after verify_scissors(t, w) the
-    orbit classifies R_w t no more, and after verify_scissors(t, "b") it solves R_b t
-    no more."""
+    orbit classifies and solves R_w t no more."""
     ra = regge(t, "a")
     members: list[TetAngles] = []
     for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):

@@ -6,7 +6,7 @@ tetra._edge_cofactors and tetra._gram_det run unchanged on six symbols (pi,
 exp, cos and sin made exact), and the moves, vertices and edges are read through the same
 index tables the numeric code uses: scissors._MOVED (through scissors._move,
 the move rule regge applies), tetra._RELABEL_ROWS, tetra._VERTEX_ANGLES,
-tetra._EDGE_ANGLES, REGGE_B_IMAGE_RELABEL and PAIR_CONJUGATION.  Each
+tetra._EDGE_ANGLES, REGGE_B_IMAGE_RELABEL and scissors._CHECKS.  Each
 identity is checked as an exact symbolic zero, so it holds for every
 tetrahedron, not to 1e-9 on a sample.
 """
@@ -80,6 +80,53 @@ def test_regge_b_then_image_relabel_exchanges_ba_and_dc(source):
     assert exchange[8:] == tuple(k + 8 for k in exchange[:8])
 
 
+def test_the_a_check_relabels_the_image_once(source):
+    # (1, 2, 0, 3) is the pair swap of the source followed by the R_b
+    # alignment, in one relabeling; with it the R_a check is the R_b exchange
+    of_source, of_image, exchange = scissors._CHECKS["a"]
+    _, image = scissors._move(ANGLES, "a")
+    assert of_source == tetra.SWAP_AB_PAIRS and exchange == scissors._REGGE_B_EXCHANGE
+    assert _relabel(image, of_image) == _relabel(_relabel(image, of_source), scissors.REGGE_B_IMAGE_RELABEL)
+    bars = octahedron.bar_solution(_Symbolic(_relabel(ANGLES, of_source)))
+    image_bars = octahedron.bar_solution(_Symbolic(_relabel(image, of_image)))
+    for k, bar in enumerate(image_bars):
+        assert _is_zero(bar - bars[exchange[k]]), SLOT_ORDER[k]
+
+
+@pytest.fixture
+def symbolic_holonomy(monkeypatch):
+    """holonomy_polynomial on symbols: sympy reads the literal 1j as 1.0*I,
+    which nsimplify makes exact, and the coefficients stay a plain list."""
+    monkeypatch.setattr(octahedron, "cmath",
+                        types.SimpleNamespace(exp=lambda w: sp.exp(sp.nsimplify(w))))
+    monkeypatch.setattr(octahedron, "np", types.SimpleNamespace(array=lambda rows, dtype: rows))
+    return octahedron.holonomy_polynomial
+
+
+def test_regge_c_exchanges_o_and_o_prime(source, symbolic_holonomy):
+    # verify_scissors decomposes t and R_c t as they are, and matches image
+    # piece k with source piece P_c[k] of the other octahedron
+    of_source, of_image, exchange = scissors._CHECKS["c"]
+    assert of_source is None and of_image is None
+    _, image = scissors._move(ANGLES, "c")
+    bars, image_bars = octahedron.bar_solution(source), octahedron.bar_solution(_Symbolic(image))
+    for k, bar in enumerate(image_bars):
+        j = exchange[k] - 8
+        # an O' piece is -(bar +- Z) with the sign of its parity
+        assert j % 2 == k % 2, SLOT_ORDER[k]
+        assert sp.expand((bar + bars[j]) / sp.pi).is_Integer, SLOT_ORDER[k]
+    assert exchange[8:] == tuple(k - 8 for k in exchange[:8])
+    assert {SLOT_ORDER[k]: SLOT_ORDER[exchange[k] - 8] for k in range(8)} == {
+        "AB": "CD", "CD": "AB", "BA": "AD", "AD": "BA", "BC": "BC", "CB": "DC", "DC": "CB", "DA": "DA"}
+    # the image's quadratic q2 w^2 + q1 w + q0 is the source's under w -> 1/w
+    # (times w^2; the unit factor is 1): its roots are the inverses, so
+    # Z -> -Z (mod pi); which root is Z_minus is left to the numeric slot gap
+    _, q2, q1, q0, _ = symbolic_holonomy(bars)
+    _, r2, r1, r0, _ = symbolic_holonomy(image_bars)
+    for r, q in ((r2, q0), (r1, q1), (r0, q2)):
+        assert _is_zero_in_exponentials(r - q)
+
+
 def test_end_coefficients_vanish(source):
     bars = octahedron.bar_solution(source)
     plus = sum(bars[0::2])
@@ -104,9 +151,8 @@ def test_bars_satisfy_linear_constraints(source, monkeypatch):
         assert all(_is_zero(r) for r in residuals)
 
 
-@pytest.mark.parametrize("which", ["a", "c"])
-def test_regge_a_and_c_are_regge_b_conjugated(which):
-    conj = scissors.PAIR_CONJUGATION[which]
+@pytest.mark.parametrize("which,conj", [("a", tetra.SWAP_AB_PAIRS), ("c", tetra.SWAP_BC_PAIRS)], ids=["a", "c"])
+def test_regge_a_and_c_are_regge_b_conjugated(which, conj):
     _, direct = scissors._move(ANGLES, which)
     _, via_b = scissors._move(_relabel(ANGLES, conj), "b")
     assert all(_is_zero(x - y) for x, y in zip(direct, _relabel(via_b, conj)))
@@ -161,13 +207,8 @@ def test_laplace_det_is_the_gram_determinant():
     assert sp.expand(tetra._gram_det(cosines) - G.det()) == 0
 
 
-def test_holonomy_discriminant_is_sixteen_det_gram(source, monkeypatch):
-    # holonomy_polynomial on symbols: sympy reads the literal 1j as 1.0*I,
-    # which nsimplify makes exact, and the coefficients stay a plain list
-    monkeypatch.setattr(octahedron, "cmath",
-                        types.SimpleNamespace(exp=lambda w: sp.exp(sp.nsimplify(w))))
-    monkeypatch.setattr(octahedron, "np", types.SimpleNamespace(array=lambda rows, dtype: rows))
-    _, q2, q1, q0, _ = octahedron.holonomy_polynomial(octahedron.bar_solution(source))
+def test_holonomy_discriminant_is_sixteen_det_gram(source, symbolic_holonomy):
+    _, q2, q1, q0, _ = symbolic_holonomy(octahedron.bar_solution(source))
     assert _is_zero_in_exponentials(q1 * q1 - 4 * q2 * q0 - 16 * _gram().det())
 
 

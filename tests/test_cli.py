@@ -215,6 +215,15 @@ def test_verify_fixed_point():
     assert payload["volume_gap"] == 0.0
 
 
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("which", ["a", "c"])
+def test_verify_prints_the_volume_that_volume_prints(which):
+    volume = json.loads(run_cli("volume", *ANGLES_GENERIC).stdout)["volume"]
+    payload = json.loads(run_cli("verify", *ANGLES_GENERIC, "--which", which).stdout)
+    assert payload["passed"] is True
+    assert float.hex(payload["volume"]) == float.hex(volume)
+
+
 ANGLE_COMMANDS = [["volume"], ["decompose"], *(["regge", "--which", w] for w in "abc"), ["orbit"],
                   *(["verify", "--which", w] for w in "abc"), ["oracle"]]
 

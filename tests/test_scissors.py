@@ -38,6 +38,11 @@ PI = math.pi
 
 angles6 = st.tuples(*[st.floats(0.3, 2.8)] * 6)
 
+#: The piece of 2T that each piece of 2 R_c(T) matches: the same slot name
+#: up to this pairing, on the other octahedron.
+_R_C_PARTNER = {"AB": "CD", "CD": "AB", "BA": "AD", "AD": "BA", "BC": "BC", "CB": "DC", "DC": "CB", "DA": "DA"}
+_OTHER_SIDE = {O_SIDE: DUAL_SIDE, DUAL_SIDE: O_SIDE}
+
 
 class TestReggeMap:
     def test_fixed_point_of_a(self):
@@ -254,7 +259,6 @@ class TestVerify:
         # the pass rule is the paper's slot-by-slot claim; a sorted pairing
         # minimises the largest gap between two multisets, so the weaker
         # sorted-multiset gap never exceeds the slot gap
-        conj = scissors.PAIR_CONJUGATION[which]
         computed = 0
         for t in map(TetAngles.of, stream_angles[::10]):
             report = verify_scissors(t, which)
@@ -262,9 +266,16 @@ class TestVerify:
             if report.failure is not None:
                 continue
             computed += 1
-            t0 = relabel(t, conj) if conj else t
-            moved = permute_for_regge_b(decompose(t0)).canonical_angles()
-            image = decompose(relabel(regge(t0, "b"), REGGE_B_IMAGE_RELABEL)).canonical_angles()
+            if which == "c":
+                # R_c trades O with O', each image piece for a named source piece
+                source = dict(zip(PIECE_LABELS, decompose(t).canonical_angles()))
+                moved = [source[(_OTHER_SIDE[side], _R_C_PARTNER[slot])] for side, slot in PIECE_LABELS]
+                image = decompose(regge(t, "c")).canonical_angles()
+            else:
+                # R_a is R_b conjugated by the (A,A') <-> (B,B') pair swap
+                t0 = relabel(t, SWAP_AB_PAIRS) if which == "a" else t
+                moved = permute_for_regge_b(decompose(t0)).canonical_angles()
+                image = decompose(relabel(regge(t0, "b"), REGGE_B_IMAGE_RELABEL)).canonical_angles()
             assert max(abs(a - b) for a, b in zip(moved, image)) == report.slot_gap
             assert max(abs(a - b) for a, b in zip(sorted(moved), sorted(image))) <= report.slot_gap
         assert computed > 100
@@ -473,12 +484,11 @@ def _hex(values):
 
 
 @pytest.mark.kernel_independent
-@pytest.mark.parametrize("which", ["a", "c"])
-def test_the_conjugated_image_is_r_b_of_the_conjugated_source(which, stream_angles):
-    # verify_scissors checks the pair-swapped relabeling of regge(t, which):
-    # bit for bit the R_b image of the relabeled source, with the class of
-    # the image carried through relabel
-    conj = scissors.PAIR_CONJUGATION[which]
+@pytest.mark.parametrize("which,conj", [("a", SWAP_AB_PAIRS), ("c", SWAP_BC_PAIRS)], ids=["a", "c"])
+def test_the_conjugated_image_is_r_b_of_the_conjugated_source(which, conj, stream_angles):
+    # the pair-swapped relabeling of regge(t, which) is bit for bit the R_b
+    # image of the relabeled source, with the class of the image carried
+    # through relabel; verify_scissors checks R_a this way
     for x in stream_angles:
         t = TetAngles(*x)
         image = regge(t, which)
@@ -486,6 +496,25 @@ def test_the_conjugated_image_is_r_b_of_the_conjugated_source(which, stream_angl
         moved = relabel(image, conj)
         assert _hex(moved.as_tuple()) == _hex(regge(relabel(TetAngles(*x), conj), "b").as_tuple())
         assert classify(moved).kind is classify(TetAngles(*moved.as_tuple())).kind
+
+
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+def test_checks_report_the_volumes_of_the_source_and_its_image(which, stream_angles):
+    # one volume per tetrahedron: a check reports the bits that tet_volume
+    # gives the source and its image, each built afresh here
+    checked = 0
+    for x in stream_angles:
+        t = TetAngles(*x)
+        if classify(t).kind is not TetraKind.FINITE or classify(regge(t, which)).kind is not TetraKind.FINITE:
+            continue
+        report = verify_scissors(t, which)
+        if report.failure is not None:
+            continue
+        checked += 1
+        assert float.hex(report.volume) == float.hex(tet_volume(TetAngles(*x)))
+        assert float.hex(report.volume_image) == float.hex(tet_volume(regge(TetAngles(*x), which)))
+    assert checked > 1000
 
 
 class TestMovesKeepBits:

@@ -273,7 +273,7 @@ def test_stream_digests_keep_their_bytes(output_digest):
     # classified Ideal, so the class gate's error output is covered too.  A
     # change that moves output on purpose re-pins these with PINNED.
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
-    assert formula == "39f81449e851fc5042f27f0982ca04ffc488109633f548a19e54e66eec20cecc"
+    assert formula == "2630ca752ca8f5d919f08bd46f353d8218b865baeabcbfca7b72368ac3557fd4"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
     assert oracle == "6ffee803a80d6869ae3e82a21ed512f8c6ba05126c3508550713381a890397da"
 
@@ -330,7 +330,7 @@ def test_formula_output_does_not_depend_on_the_kernels(output_digest):
     # and with OpenBLAS forced to its Haswell kernels
     rows = [[float.fromhex(x) for x in line.split()] for line in FORMULA_SEED1_ROWS.splitlines()]
     digest = output_digest.rows_digest(rows, output_digest.ANGLE_COMMANDS)
-    assert digest == "39f81449e851fc5042f27f0982ca04ffc488109633f548a19e54e66eec20cecc"
+    assert digest == "2630ca752ca8f5d919f08bd46f353d8218b865baeabcbfca7b72368ac3557fd4"
     for setting in ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
                     {"OPENBLAS_CORETYPE": "Haswell"}):
         result = subprocess.run([sys.executable, "-c", _ROWS_DIGEST_CODE, str(SCRIPTS)],

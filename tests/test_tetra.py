@@ -356,6 +356,16 @@ class TestClassifyOnce:
         monkeypatch.setattr(tetra, "_classify", lambda t: calls.append(t) or compute(t))
         return calls
 
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The angles of each holonomy solve that is computed, not read back."""
+        from reggescissors import octahedron
+
+        calls, solve = [], octahedron._solve_holonomy
+        monkeypatch.setattr(octahedron, "_solve_holonomy",
+                            lambda t, bars: calls.append(t.as_tuple()) or solve(t, bars))
+        return calls
+
     @pytest.mark.parametrize(
         "call,count",
         [
@@ -380,12 +390,24 @@ class TestClassifyOnce:
         call(TetAngles(*self.ANGLES))
         assert len(uncached) == count
 
-    def test_verify_b_and_the_orbit_classify_and_solve_the_r_b_image_once(self, uncached, monkeypatch):
-        from reggescissors import octahedron
+    def test_formula_op_solves_nine_times(self, solved):
+        # t; for a, the pair swap of t and the relabeling of R_a t, then R_a t
+        # for its volume; for b, the aligned relabeling of R_b t, then R_b t;
+        # for c, R_c t alone; then the orbit's R_b R_a t and R_c R_a t
+        t = TetAngles(*self.ANGLES)
+        tet_volume(t), tet_volume(t, "plus"), decompose(t).total_volume()
+        [verify_scissors(t, w) for w in "abc"], regge_orbit(t)
+        assert len(solved) == len(set(solved)) == 9
 
-        solved, solve = [], octahedron._solve_holonomy
-        monkeypatch.setattr(octahedron, "_solve_holonomy",
-                            lambda t, bars: solved.append(t.as_tuple()) or solve(t, bars))
+    def test_verify_c_after_the_volume_and_the_orbit_solves_nothing(self, solved):
+        # the c check decomposes t and R_c t as they are, both solved already
+        t = TetAngles(*self.ANGLES)
+        tet_volume(t), regge_orbit(t)
+        solved.clear()
+        assert verify_scissors(t, "c").passed
+        assert solved == []
+
+    def test_verify_b_and_the_orbit_classify_and_solve_the_r_b_image_once(self, uncached, solved):
         t = TetAngles(*self.ANGLES)
         image = regge(t, "b").as_tuple()
         verify_scissors(t, "b")
