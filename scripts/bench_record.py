@@ -6,17 +6,18 @@
 Runs `perfbench/run.py --seconds 30 --trace 0` on the `formula`, `oracle`
 and `suite` workloads for seeds 1-5, one run at a time, then 10 CLI cold
 starts (`python -m reggescissors volume` on the README angles, each a fresh
-subprocess), the per-call timings, the suite criteria and the tier-1 test
-command once, all from the root of the checkout (about 2 minutes).  Writes
-BENCH_<pr>.json there with, per workload, the median, q1 and q3 of every
-end-to-end metric over the seeds and each run's `attempted`, `failed` and
-`correct`; the median, q1 and q3 of the cold-start wall times; the per-call
-means; the suite criteria seconds; and the tier-1 wall time, exit code and
-summary line.  Times of the workloads are perfbench's, scaled to its
-reference machine speed.  The per-call and suite criteria times are scaled
-the same way: each timing process samples `perfbench/machine.Ticker` and
-records `reference_seconds` of its timed intervals.  The cold-start and
-tier-1 wall times are not scaled.
+subprocess), the per-call timings, the suite criteria, the work counts and
+the tier-1 test command once, all from the root of the checkout (about 2
+minutes).  Writes BENCH_<pr>.json there with, per workload, the median, q1
+and q3 of every end-to-end metric over the seeds and each run's
+`attempted`, `failed` and `correct`; the median, q1 and q3 of the
+cold-start wall times; the per-call means; the suite criteria seconds; the
+work counts; and the tier-1 wall time, exit code and summary line.
+Times of the workloads are perfbench's, scaled to its reference machine
+speed.  The per-call and suite criteria times are scaled the same way: each
+timing process samples `perfbench/machine.Ticker` and records
+`reference_seconds` of its timed intervals.  The cold-start and tier-1 wall
+times are not scaled.
 
 `per_call` gives, for each layer in PER_CALL, the mean scaled microseconds
 of one call over the first 200 Finite inputs of its stream for seed 1
@@ -38,11 +39,21 @@ the suite runs them, at the start of a fresh process, so a criterion that
 first needs a module pays for importing it; the median of SUITE_RUNS
 processes as `s`, with its quartiles as `s_q1` and `s_q3`.
 
-Both sections come from the same SUITE_RUNS fresh processes, each of which
-times the suite criteria and then every layer.  With `--before`, as many
-processes run on the `src/` of another checkout (the parent of the change),
-alternating process by process, with the side that runs first swapped every
-round; each row then also records `before_us` or `before_s` with its
+`work` gives exact counts, which repeat from run to run where the times
+spread: per op over the first WORK_OPS inputs of the `formula` and
+`oracle` streams for seed 1 (perfbench's own ops), and in total for one
+suite run of SUITE_CONFIG, the calls of each WORK_CALLS function
+(classifications computed, holonomy solves computed, decompositions), the
+series calls and the series evaluations (the calls the series memo
+missed).  The memo is emptied before each op and before the suite.  They
+come from one fresh process, and with `--before` from one more on the other
+checkout, whose counts each row records as `before_<count>`.
+
+The per_call and suite_criteria sections come from the same SUITE_RUNS
+fresh processes, each of which times the suite criteria and then every
+layer.  With `--before`, as many processes run on the `src/` of another
+checkout (the parent of the change), alternating process by process, with
+the side that runs first swapped every round; each row then also records `before_us` or `before_s` with its
 quartiles, and `wins` counts the rounds in which this checkout took less
 time.  Give both trees the same bytecode: where Python writes none, a
 `cp -r` copy's cached bytecode no longer matches its sources' times, so its
@@ -101,6 +112,10 @@ SUITE_CONFIG = {"seed": 7, "count": 100, "oracle_count": 25}
 SUITE_RUNS = 5
 #: Ticker periods (machine.PERIOD_S) that the timed calls of each per_call layer span at least.
 MIN_LAYER_PERIODS = 10
+#: Ops per workload that `work` counts over: the first inputs of its stream for seed 1.
+WORK_OPS = {"formula": 240, "oracle": 360}
+#: The package functions whose calls `work` counts, by defining module.
+WORK_CALLS = (("tetra", "_classify"), ("octahedron", "_solve_holonomy"), ("scissors", "decompose"))
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -210,6 +225,80 @@ def time_in_process() -> dict:
             "us": {name: scaled[name] / len(intervals[name]) * 1e6 for name in PER_CALL}}
 
 
+def count_work() -> dict:
+    """In this process, with the package found on PYTHONPATH: per op over the
+    first WORK_OPS inputs of each workload's stream for seed 1, and in total
+    for one suite run of SUITE_CONFIG, the calls of each WORK_CALLS function
+    and the series calls and evaluations, with the series memo emptied
+    before each op and before the suite.  Every binding of a counted
+    function in the package is wrapped while counting, then restored."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import ops
+    from inputs import TetStream
+    from reggescissors import suite
+    from reggescissors.lobachevsky import _lobachevsky_float
+    from worker import RMAX, STREAM
+
+    counts = {name: 0 for _, name in WORK_CALLS}
+    package = [m for key, m in sys.modules.items() if key.split(".")[0] == "reggescissors"]
+    wrapped = []  # (namespace, key, original)
+    for module, name in WORK_CALLS:
+        fn = getattr(sys.modules[f"reggescissors.{module}"], name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for namespace in package:
+            for key, value in list(vars(namespace).items()):
+                if value is fn:
+                    wrapped.append((namespace, key, fn))
+                    setattr(namespace, key, counted)
+
+    def run(calls) -> tuple[dict, int]:
+        """The counts summed over the calls, and how many returned a failure reason."""
+        totals = dict.fromkeys([*counts, "series_calls", "series_evaluations"], 0)
+        failed = 0
+        for call in calls:
+            counts.update(dict.fromkeys(counts, 0))
+            _lobachevsky_float.cache_clear()
+            failed += call() is not None
+            info = _lobachevsky_float.cache_info()
+            for name, n in counts.items():
+                totals[name] += n
+            totals["series_calls"] += info.hits + info.misses
+            totals["series_evaluations"] += info.misses
+        return totals, failed
+
+    try:
+        out = {}
+        for workload, n in WORK_OPS.items():
+            op = getattr(ops, workload)
+            rows = TetStream(1, STREAM[workload], RMAX[workload]).take(n)[0]
+            totals, failed = run([lambda a=a: op(a) for a in rows])
+            out[workload] = {"ops": n, "failed": failed, **{k: v / n for k, v in totals.items()}}
+        out["suite"], _ = run([lambda: suite.run_suite(suite.SuiteConfig(**SUITE_CONFIG))])
+    finally:
+        for namespace, key, fn in wrapped:
+            setattr(namespace, key, fn)
+    return out
+
+
+def run_work(before: Path | None) -> dict:
+    """The `work` section: count_work in a fresh process on this checkout
+    and, when given, in one on the checkout `before`, its counts beside
+    this checkout's as `before_<count>`."""
+    rows = json.loads(fresh(ROOT, "--work"))
+    stamp = {}
+    if before is not None:
+        parent = json.loads(fresh(before, "--work"))
+        for section, row in rows.items():
+            row.update({f"before_{key}": value for key, value in parent[section].items()})
+        stamp = {"before_src_sha256": src_digest(before)}
+    return {"ops": WORK_OPS, "seed": 1, "suite": "suite --count 100 --seed 7, in total",
+            "counts": rows, **stamp}
+
+
 def fresh(checkout: Path, *args: str) -> str:
     """stdout of this script run with `args` in a fresh process on the
     package in `checkout`'s src/."""
@@ -279,9 +368,13 @@ def main() -> int:
                         help="also time per_call and suite_criteria against this checkout's src/ "
                              "(the parent)")
     parser.add_argument("--time", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--work", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.time:
         print(json.dumps(time_in_process()))
+        return 0
+    if args.work:
+        print(json.dumps(count_work()))
         return 0
     if args.pr is None:
         parser.error("the number of the change is required")
@@ -300,6 +393,7 @@ def main() -> int:
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
     entry["cli_cold_start"] = run_cold_start()
     entry["per_call"], entry["suite_criteria"] = run_in_process(args.before)
+    entry["work"] = run_work(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
 
     path = ROOT / f"BENCH_{args.pr}.json"

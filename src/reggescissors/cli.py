@@ -96,13 +96,13 @@ def cmd_volume(t: TetAngles, args) -> dict:
     return {
         "angles": _angles_payload(t),
         "classification": kind.value,
-        "volume": roots.volume_minus,
+        "volume": tet_volume(t),
         "holonomy": {
             "Z_minus": roots.Z_minus,
             "Z_plus": roots.Z_plus,
             "unit_defect": roots.unit_defect,
             "discriminant": [roots.discriminant.real, roots.discriminant.imag],
-            "volume_plus_root": roots.volume_plus,
+            "volume_plus_root": tet_volume(t, "plus"),
         },
     }
 

@@ -21,20 +21,13 @@ give +V and -V of the tetrahedron through one 24-term expression.
 
 For a finite (compact) tetrahedron the octahedron only exists by analytic
 continuation: the quadrilateral angle c = (pi - A - B - C)/2 is negative, so
-some slot angles leave (0, pi) and some pieces carry negative volume.  Root
-labeling therefore uses the sign of the assembled tetrahedron volume, which
-is the criterion that survives continuation (in the honestly embedded
-hyperideal regime it coincides with all slots lying in (0, pi)).
-
-The rule takes the root with the larger assembled volume.  The two volumes
-are v and -v + e with |e| far below LABEL_MARGIN, so one volume above
-LABEL_MARGIN settles the labels: the solve assembles first the volume at
-the root the branch of sqrt(disc) predicts (the discriminant is 16 det G, a
-negative real, and Murakami-Yano's +V root is (-q1 - 4i sqrt(-det G)) /
-(2 q2)), and assembles the other only when that one is not above the
-margin (a near-Euclidean volume, or a wrong prediction).  The prediction
-only orders the tries: the labels and volumes are those of the rule, bit
-for bit.
+some slot angles leave (0, pi) and some pieces carry negative volume.  The
+roots are labeled by the branch of sqrt(disc) alone: the discriminant is
+16 det G, a negative real, and Murakami-Yano's +V root is
+(-q1 - 4i sqrt(-det G)) / (2 q2), so z_minus is the root that branch picks.
+The solve assembles no volume.  tet_volume assembles the one it is asked
+for, and raises when the labeled root gives a negative volume: a wrong
+branch is reported, never relabeled.
 """
 
 from __future__ import annotations
@@ -78,10 +71,6 @@ SLOT_ORDER = ("AB", "BA", "BC", "CB", "CD", "DC", "DA", "AD")
 #: Roots further than this from the unit circle mean Z is not real.
 UNIT_ROOT_TOL = 1e-6
 
-#: A volume above this at the first root tried labels it z_minus at once
-#: (module docstring); |V_plus + V| stays below 1e-9 on every checked input.
-LABEL_MARGIN = 1e-9
-
 
 #: Side labels of the octahedron O and its dual O'.
 O_SIDE = "O"
@@ -109,25 +98,17 @@ class HolonomyRoots:
     roots of the holonomy quadratic with semantic labels.
 
     Z_minus / Z_plus are the angle offsets, fixed mod pi: z = exp(i Z) are
-    the two unit-circle roots, of which z_minus assembles the positive
-    tetrahedron volume and z_plus its negative.  volume_minus is the
-    assembled volume at Z_minus; volume_plus, the one at Z_plus, is
-    assembled when it is read, from the Z-independent remainder
-    (volume_remainder(t)) kept here.  The quadratic itself is
-    holonomy_polynomial(bars)[1:4]; the class is classify(t).
+    the two unit-circle roots, of which z_minus (Murakami-Yano's root, see
+    the module docstring) assembles the positive tetrahedron volume and
+    z_plus its negative; tet_volume assembles them.  The quadratic itself
+    is holonomy_polynomial(bars)[1:4]; the class is classify(t).
     """
 
     bars: tuple[float, ...]
     Z_minus: float
     Z_plus: float
-    volume_minus: float
-    remainder: float
     discriminant: complex
     unit_defect: float
-
-    @property
-    def volume_plus(self) -> float:
-        return _slot_sum(self.bars, self.Z_plus) + self.remainder
 
 
 @dataclass(frozen=True)
@@ -222,8 +203,8 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     Accepts Finite and Ideal tetrahedra; Hyperideal input is solved as well
     (there the octahedron is honestly embedded); classify(t) tells it apart.
     Invalid input raises GeometryDomainError.  Roots off the unit circle
-    beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic or a
-    failed sign test raises DegenerateSystemError with diagnostics.
+    beyond UNIT_ROOT_TOL raise NonUnitRootError; a collapsed quadratic
+    raises DegenerateSystemError with diagnostics.
 
     A TetAngles keeps its roots, solved on the first call, as it keeps its
     class (see tetra._memo).
@@ -254,25 +235,12 @@ def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
     # project onto the unit circle; the defect is recorded as a diagnostic
     w_candidates = [w / abs(w) for w in w_candidates]
     Zs = [cmath.phase(w) / 2 for w in w_candidates]
-    remainder = volume_remainder(t)
-    # the root -q1 - 4i sqrt(-det G) over 2 q2 first (module docstring)
+    # the root -q1 - 4i sqrt(-det G) over 2 q2 (module docstring)
     im = 1 if sq.imag > 0 else 0
-    volume = _slot_sum(bars, Zs[im]) + remainder
-    if not volume > LABEL_MARGIN:
-        vols = [_slot_sum(bars, Z) + remainder for Z in Zs]
-        im = 0 if vols[0] >= vols[1] else 1
-        if vols[im] < -1e-12:
-            raise DegenerateSystemError(
-                "neither holonomy root yields a nonnegative volume",
-                {"volume_candidates": tuple(vols), "class": kind.value},
-            )
-        volume = vols[im]
     return HolonomyRoots(
         bars=bars,
         Z_minus=Zs[im],
         Z_plus=Zs[1 - im],
-        volume_minus=volume,
-        remainder=remainder,
         discriminant=disc,
         unit_defect=defect,
     )
@@ -354,10 +322,22 @@ def u_volume(t: TetAngles) -> float:
 
 def tet_volume(t: TetAngles, root: str = "minus") -> float:
     """Hyperbolic volume of the tetrahedron (root="minus"), or its negative
-    (root="plus", the dual-route identity): the volume assembled at that
-    root of solve_holonomy.  Finite or Ideal input only; others raise."""
+    (root="plus", the dual-route identity): the eight slot terms at that root
+    of solve_holonomy plus volume_remainder(t).  Finite or Ideal input only;
+    others raise, and so does a volume below -1e-12 at Z_minus
+    (DegenerateSystemError, for either root).
+
+    A TetAngles keeps its volume and its remainder, assembled on the first
+    call, as it keeps its roots (see tetra._memo)."""
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
-    require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
+    kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind
     roots = solve_holonomy(t)
-    return roots.volume_minus if root == "minus" else roots.volume_plus
+    remainder = _memo(t, "_volume_remainder", volume_remainder)
+    volume = _memo(t, "_tet_volume", lambda t: _slot_sum(roots.bars, roots.Z_minus) + remainder)
+    if volume < -1e-12:
+        raise DegenerateSystemError(
+            "the labeled holonomy root yields a negative volume",
+            {"volume": volume, "class": kind.value},
+        )
+    return volume if root == "minus" else _slot_sum(roots.bars, roots.Z_plus) + remainder

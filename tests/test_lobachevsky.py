@@ -521,7 +521,7 @@ class TestMemo:
         "call,misses",
         [
             (lambda t: regge_orbit(t), 111),
-            (lambda t: verify_scissors(t, "b"), 59),
+            (lambda t: verify_scissors(t, "b"), 45),
         ],
     )
     def test_pinned_series_evaluations(self, call, misses):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reggescissors import octahedron, scissors
 from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
+from reggescissors.klein import KleinTetra, dihedral_angles
 from reggescissors.lobachevsky import _lobachevsky_float, lobachevsky
 from reggescissors.octahedron import (
     DUAL_SIDE,
@@ -315,14 +316,19 @@ class TestOneReducerKeepsBits:
                 == [self.old_canonical_angle(x).hex() for x in points])
 
 
-class TestLabelFastPath:
-    """A solve that finds the first root's volume above LABEL_MARGIN skips the
-    other root's; with LABEL_MARGIN = inf every solve assembles both volumes
-    and takes the larger, and must give the same bits."""
+@pytest.mark.kernel_independent
+class TestLabelRule:
+    """The reference for the roots' labels: of the two unit-circle roots of
+    the holonomy quadratic, z_minus is the one at which the assembled volume
+    is the larger (the first root, -q1 + sqrt(disc), on a tie).  The solve
+    labels by the branch of sqrt(disc) alone and assembles no volume; its
+    labels must be the rule's, bit for bit."""
 
-    # the near-regular family arccos(1/3) - eps: near-Euclidean volumes, some
-    # at or below LABEL_MARGIN, which only the two-volume rule labels
+    # the near-regular family arccos(1/3) - eps: near-Euclidean volumes
     NEAR_REGULAR = tuple((math.acos(1 / 3) - 10.0 ** -k,) * 6 for k in range(2, 9))
+    #: Klein-ball radii of the near-Euclidean probes, and probes per radius
+    RADII = (1e-1, 1e-2, 1e-3, 1e-4)
+    PROBES = 60
 
     @staticmethod
     def hyperideal_draws(count=40):
@@ -334,23 +340,44 @@ class TestLabelFastPath:
                 out.append(x)
         return out
 
-    @staticmethod
-    def solved(inputs):
+    @classmethod
+    def klein_probes(cls):
+        """Tetrahedra with vertices uniform in Klein balls of small radius."""
+        rng = np.random.default_rng(5)
         out = []
-        for x in inputs:
-            roots = solve_holonomy(TetAngles(*x))  # a fresh instance: no kept roots
-            out.append(tuple(v.hex() for v in (roots.Z_minus, roots.Z_plus,
-                                               roots.volume_minus, roots.volume_plus)))
+        for r in cls.RADII:
+            for _ in range(cls.PROBES):
+                direction = rng.normal(size=(4, 3))
+                direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+                verts = direction * r * rng.uniform(size=(4, 1)) ** (1 / 3)
+                out.append(dihedral_angles(KleinTetra(verts)).as_tuple())
         return out
 
-    def test_fast_path_keeps_the_fallback_bits(self, stream_angles, monkeypatch):
-        inputs = [x for x in [*stream_angles, *self.hyperideal_draws(), *self.NEAR_REGULAR]
+    @staticmethod
+    def rule(t):
+        """(Z_minus, Z_plus, volume at Z_minus) by the two-volume rule."""
+        q2, q1, q0 = holonomy_polynomial(bar_solution(t))[1:4]
+        sq = cmath.sqrt(q1 * q1 - 4 * q2 * q0)
+        Zs = [cmath.phase(w / abs(w)) / 2 for w in ((-q1 + sq) / (2 * q2), (-q1 - sq) / (2 * q2))]
+        vols = [octahedron._slot_sum(bar_solution(t), Z) + volume_remainder(t) for Z in Zs]
+        im = 0 if vols[0] >= vols[1] else 1
+        return Zs[im], Zs[1 - im], vols[im]
+
+    def test_branch_labels_are_the_two_volume_rule(self, stream_angles):
+        inputs = [x for x in [*stream_angles, *self.hyperideal_draws(), *self.NEAR_REGULAR, *self.klein_probes()]
                   if classify(TetAngles(*x)).kind is not TetraKind.INVALID]
-        fast = self.solved(inputs)
-        volumes = [float.fromhex(row[2]) for row in fast]
-        assert min(volumes) <= octahedron.LABEL_MARGIN < max(volumes)  # both paths ran
-        monkeypatch.setattr(octahedron, "LABEL_MARGIN", math.inf)
-        assert self.solved(inputs) == fast
+        volumes = []
+        for x in inputs:
+            t = TetAngles(*x)  # a fresh instance: no kept roots
+            roots = solve_holonomy(t)
+            Z_minus, Z_plus, volume = self.rule(t)
+            assert (roots.Z_minus.hex(), roots.Z_plus.hex()) == (Z_minus.hex(), Z_plus.hex()), x
+            if classify(t).kind is not TetraKind.HYPERIDEAL:
+                assert tet_volume(t).hex() == volume.hex(), x
+                volumes.append(volume)
+        # volumes at or below 1e-9, which a margin on the first volume could
+        # not label, are among them
+        assert sum(v <= 1e-9 for v in volumes) >= 50
 
 
 _BUILTIN_SUM = builtins.sum
@@ -520,9 +547,8 @@ class TestSolveOnce:
 
 
 class TestLobachevskyEvaluations:
-    """Evaluations per call on a fresh instance: one solve is 8 slot terms (the
-    other root's 8 only when the first volume is not above LABEL_MARGIN) and
-    the 16-term remainder."""
+    """Evaluations per call on a fresh instance: a solve makes none, and a
+    volume is 8 slot terms and the 16-term remainder."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -538,8 +564,9 @@ class TestLobachevskyEvaluations:
         assert len(evaluations) == 24
 
     def test_verify_scissors_b(self, generic, evaluations):
+        # the volumes of t and R_b t; the aligned relabeling is solved, not assembled
         verify_scissors(TetAngles(*generic.as_tuple()), "b")
-        assert len(evaluations) <= 96
+        assert len(evaluations) == 48
 
     def test_regge_orbit(self, generic, evaluations):
         orbit = regge_orbit(TetAngles(*generic.as_tuple()))
@@ -547,8 +574,35 @@ class TestLobachevskyEvaluations:
         assert len(evaluations) == 144
 
     def test_verify_scissors_b_then_regge_orbit(self, generic, evaluations):
-        # the orbit's R_b t is the image verify_scissors solved: 72 + 144 - 24
+        # the orbit reads the volumes of t and R_b t that verify_scissors
+        # assembled: 48 + 144 - 48
         t = TetAngles(*generic.as_tuple())
         verify_scissors(t, "b")
         regge_orbit(t)
-        assert len(evaluations) == 168
+        assert len(evaluations) == 144
+
+
+class TestNegativeVolumeGuard:
+    """A volume below -1e-12 at the labeled root is reported by tet_volume
+    and by the checks that read it; the solve and the decomposition, which
+    assemble no volume, are not affected."""
+
+    @pytest.fixture(autouse=True)
+    def negative_remainder(self, monkeypatch):
+        monkeypatch.setattr(octahedron, "volume_remainder", lambda t: -10.0)
+
+    @pytest.mark.parametrize("root", ["minus", "plus"])
+    def test_tet_volume_raises(self, generic, root):
+        with pytest.raises(DegenerateSystemError, match="negative volume") as info:
+            tet_volume(TetAngles(*generic.as_tuple()), root)
+        assert info.value.diagnostics["volume"] < -1e-12
+        assert info.value.diagnostics["class"] == "Finite"
+
+    def test_verify_scissors_reports_it(self, generic):
+        for which in "abc":
+            report = verify_scissors(TetAngles(*generic.as_tuple()), which)
+            assert report.passed is False
+            assert report.failure.startswith("angle system degenerate: the labeled holonomy root")
+
+    def test_decompose_still_decomposes(self, generic):
+        assert len(decompose(TetAngles(*generic.as_tuple())).raw_angles) == 16

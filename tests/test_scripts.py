@@ -26,6 +26,11 @@ def test_script_runs(name):
         # the demo shows the slot-by-slot match of 2T and 2 R_b(T); it must hold, not only print
         gaps = [line for line in result.stdout.splitlines() if line.startswith("worst slot gap:")]
         assert len(gaps) == 1 and float(gaps[0].split(":")[1]) <= 1e-9, result.stdout
+        # and it is the b check's own slot gap, the one `verify --which b` prints
+        verify = subprocess.run([sys.executable, "-m", "reggescissors", "verify", "1.15", "1.2", "1.1",
+                                 "1.22", "1.18", "1.25", "--which", "b"], capture_output=True, text=True)
+        assert verify.returncode == 0, verify.stderr
+        assert float(gaps[0].split(":")[1]) == json.loads(verify.stdout)["slot_gap"]
 
 
 @pytest.mark.parametrize("flag,value", [("--oracle-every", "0"), ("--steps", "-2")])
@@ -220,6 +225,41 @@ def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench
     assert [size for _, size in timed[0::3]] == [0] * 17 and all(size > 0 for _, size in timed[1::3])
     assert len({id(t) for t, _ in seen}) == len(seen)
     assert us == pytest.approx(4000.0)
+
+
+def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_record, monkeypatch):
+    bench_record = small_bench_record
+    monkeypatch.setattr(bench_record, "WORK_OPS", {"formula": 3, "oracle": 2})
+    tetra, octahedron, scissors = reggescissors.tetra, reggescissors.octahedron, reggescissors.scissors
+    originals = (tetra._classify, octahedron._solve_holonomy, scissors.decompose,
+                 reggescissors.suite.decompose, reggescissors.decompose)
+    first = bench_record.count_work()
+    assert (tetra._classify, octahedron._solve_holonomy, scissors.decompose,
+            reggescissors.suite.decompose, reggescissors.decompose) == originals
+    assert bench_record.count_work() == first  # counts, not times: they repeat
+    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls", "series_evaluations"]
+    assert list(first) == ["formula", "oracle", "suite"]
+    assert list(first["formula"]) == list(first["oracle"]) == ["ops", "failed", *keys]
+    assert list(first["suite"]) == keys
+    assert first["formula"]["ops"] == 3 and first["oracle"]["ops"] == 2
+    # a formula op decomposes; an oracle op does not, and the suite does
+    assert first["formula"]["decompose"] > 0 == first["oracle"]["decompose"] < first["suite"]["decompose"]
+    for row in first.values():
+        assert row["_classify"] > 0 and row["_solve_holonomy"] > 0
+        assert row["series_calls"] >= row["series_evaluations"] > 0
+
+
+def test_bench_record_puts_the_parent_counts_beside_each_count(bench_record, monkeypatch):
+    counts = {"formula": {"ops": 2, "series_calls": 3.5}, "suite": {"series_calls": 10}}
+    parent = {"formula": {"ops": 2, "series_calls": 4.0}, "suite": {"series_calls": 12}}
+    monkeypatch.setattr(bench_record, "fresh", lambda checkout, *args: json.dumps(
+        parent if checkout == pathlib.Path("parent") else counts))
+    monkeypatch.setattr(bench_record, "src_digest", lambda checkout: "digest")
+    work = bench_record.run_work(pathlib.Path("parent"))
+    assert work["counts"] == {"formula": {"ops": 2, "series_calls": 3.5, "before_ops": 2, "before_series_calls": 4.0},
+                              "suite": {"series_calls": 10, "before_series_calls": 12}}
+    assert work["before_src_sha256"] == "digest"
+    assert "before_src_sha256" not in bench_record.run_work(None)
 
 
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):
