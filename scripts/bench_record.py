@@ -6,13 +6,16 @@
 Runs `perfbench/run.py --seconds 30 --trace 0` on the `formula`, `oracle`
 and `suite` workloads for seeds 1-5, one run at a time, then 10 CLI cold
 starts (`python -m reggescissors volume` on the README angles, each a fresh
-subprocess), the per-call timings, the suite criteria, the work counts and
-the tier-1 test command once, all from the root of the checkout (about 2
-minutes).  Writes BENCH_<pr>.json there with, per workload, the median, q1
-and q3 of every end-to-end metric over the seeds and each run's
-`attempted`, `failed` and `correct`; the median, q1 and q3 of the
-cold-start wall times; the per-call means; the suite criteria seconds; the
-work counts; and the tier-1 wall time, exit code and summary line.
+subprocess; with `--before`, as many on the other checkout, alternating as
+the timing processes below do), the per-call timings, the suite criteria,
+the work counts and the tier-1 test command once, all from the root of the
+checkout (about 2 minutes).  Writes BENCH_<pr>.json there with, per
+workload, the median, q1 and q3 of every end-to-end metric over the seeds
+and each run's `attempted`, `failed` and `correct`; the median, q1 and q3
+of the cold-start wall times (with `--before`, the other checkout's beside
+them as `before_median`, `before_q1` and `before_q3`, and `wins`); the
+per-call means; the suite criteria seconds; the work counts; and the
+tier-1 wall time, exit code and summary line.
 Times of the workloads are perfbench's, scaled to its reference machine
 speed.  The per-call and suite criteria times are scaled the same way: each
 timing process samples `perfbench/machine.Ticker` and records
@@ -43,7 +46,7 @@ processes as `s`, with its quartiles as `s_q1` and `s_q3`.
 spread: per op over the first WORK_OPS inputs of the `formula` and
 `oracle` streams for seed 1 (perfbench's own ops), and in total for one
 suite run of SUITE_CONFIG, the calls of each WORK_CALLS function
-(classifications computed, holonomy solves computed, decompositions), the
+(classifications, holonomy solves and decompositions computed), the
 series calls and the series evaluations (the calls the series memo
 missed).  The memo is emptied before each op and before the suite.  They
 come from one fresh process, and with `--before` from one more on the other
@@ -114,8 +117,11 @@ SUITE_RUNS = 5
 MIN_LAYER_PERIODS = 10
 #: Ops per workload that `work` counts over: the first inputs of its stream for seed 1.
 WORK_OPS = {"formula": 240, "oracle": 360}
-#: The package functions whose calls `work` counts, by defining module.
-WORK_CALLS = (("tetra", "_classify"), ("octahedron", "_solve_holonomy"), ("scissors", "decompose"))
+#: Each `work` count: the calls of the first of its functions that its module has, in
+#: the checkout counted.  "decompose" counts the decompositions computed: by `_decompose`,
+#: since a TetAngles keeps its decomposition, and before that by `decompose` itself.
+WORK_CALLS = {"_classify": ("tetra", "_classify"), "_solve_holonomy": ("octahedron", "_solve_holonomy"),
+              "decompose": ("scissors", "_decompose", "decompose")}
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -239,11 +245,12 @@ def count_work() -> dict:
     from reggescissors.lobachevsky import _lobachevsky_float
     from worker import RMAX, STREAM
 
-    counts = {name: 0 for _, name in WORK_CALLS}
+    counts = dict.fromkeys(WORK_CALLS, 0)
     package = [m for key, m in sys.modules.items() if key.split(".")[0] == "reggescissors"]
     wrapped = []  # (namespace, key, original)
-    for module, name in WORK_CALLS:
-        fn = getattr(sys.modules[f"reggescissors.{module}"], name)
+    for name, (module, *candidates) in WORK_CALLS.items():
+        module = sys.modules[f"reggescissors.{module}"]
+        fn = getattr(module, next(c for c in candidates if hasattr(module, c)))
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
@@ -307,16 +314,18 @@ def fresh(checkout: Path, *args: str) -> str:
                           check=True).stdout
 
 
-def alternate(before: Path | None) -> dict[str, list[dict]]:
-    """The JSON stdout of SUITE_RUNS fresh `--time` runs of this script on
-    this checkout, under "", and, when given, on the checkout `before`, under
-    "before_", alternating process by process; the side that runs first
-    alternates from round to round, `before` first in the first round."""
+def alternate(before: Path | None, run=lambda checkout: json.loads(fresh(checkout, "--time")),
+              rounds: int = SUITE_RUNS) -> dict[str, list]:
+    """run(checkout) in `rounds` rounds on this checkout, under "", and, when
+    given, on the checkout `before`, under "before_", alternating; the side
+    that runs first alternates from round to round, `before` first in the
+    first round.  By default, the JSON stdout of a fresh `--time` run of
+    this script."""
     checkouts = [("", ROOT)] if before is None else [("before_", before), ("", ROOT)]
     runs = {side: [] for side, _ in checkouts}
-    for round_ in range(SUITE_RUNS):
+    for round_ in range(rounds):
         for side, checkout in checkouts[::-1] if round_ % 2 else checkouts:
-            runs[side].append(json.loads(fresh(checkout, "--time")))
+            runs[side].append(run(checkout))
     return runs
 
 
@@ -339,17 +348,29 @@ def run_in_process(before: Path | None) -> tuple[dict, dict]:
     return per_call, suite_criteria
 
 
-def run_cold_start() -> dict:
-    """Unscaled wall times of COLD_START_RUNS fresh CLI subprocesses."""
-    times = []
-    for _ in range(COLD_START_RUNS):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, *COLD_START], cwd=ROOT, env=src_env(),
-                       capture_output=True, check=True)
-        times.append(time.perf_counter() - start)
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"command": "python " + " ".join(COLD_START), "runs": COLD_START_RUNS,
-            "scaled": False, "unit": "s", "median": median, "q1": q1, "q3": q3}
+def cold_start(checkout: Path) -> float:
+    """Unscaled wall time of one fresh COLD_START subprocess on the package in `checkout`'s src/."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *COLD_START], cwd=checkout, env=src_env(checkout / "src"),
+                   capture_output=True, check=True)
+    return time.perf_counter() - start
+
+
+def run_cold_start(before: Path | None) -> dict:
+    """The median and quartiles of COLD_START_RUNS cold starts on this
+    checkout and, when given, as many on the checkout `before`, alternating
+    as `alternate` does, under `before_median`, `before_q1` and
+    `before_q3`, with `wins`, the rounds in which this checkout took less
+    time."""
+    runs = alternate(before, cold_start, COLD_START_RUNS)
+    row = {"command": "python " + " ".join(COLD_START), "runs": COLD_START_RUNS, "scaled": False, "unit": "s"}
+    for side, times in runs.items():
+        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        row |= {f"{side}median": float(median), f"{side}q1": float(q1), f"{side}q3": float(q3)}
+    if before is not None:
+        row |= {"wins": sum(a < b for a, b in zip(runs[""], runs["before_"])),
+                "before_src_sha256": src_digest(before)}
+    return row
 
 
 def run_tier1() -> dict:
@@ -365,8 +386,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int, nargs="?", help="number of the change the entry records")
     parser.add_argument("--before", type=Path, metavar="CHECKOUT",
-                        help="also time per_call and suite_criteria against this checkout's src/ "
-                             "(the parent)")
+                        help="also time the cold starts, per_call and suite_criteria, and count "
+                             "the work, against this checkout's src/ (the parent)")
     parser.add_argument("--time", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--work", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -391,7 +412,7 @@ def main() -> int:
             print(f"{workload} seed {seed}: {result['failed']}/{result['attempted']} failed",
                   file=sys.stderr)
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
-    entry["cli_cold_start"] = run_cold_start()
+    entry["cli_cold_start"] = run_cold_start(args.before)
     entry["per_call"], entry["suite_criteria"] = run_in_process(args.before)
     entry["work"] = run_work(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}

@@ -41,13 +41,22 @@ from .scissors import (
     regge_orbit,
     verify_scissors,
 )
-from .klein import (
-    KleinTetra,
-    dihedral_angles,
-    klein_vertices,
-    schlafli_residual,
-    volume_numeric,
-)
-from .suite import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"
+
+# The Klein oracle and the suite need numpy, so they and their names are
+# imported on first use: the angle commands never load numpy.
+_LAZY = {
+    "klein": ("KleinTetra", "dihedral_angles", "klein_vertices", "schlafli_residual", "volume_numeric"),
+    "suite": ("SuiteConfig", "SuiteReport", "run_suite"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            import importlib
+
+            found = importlib.import_module(f".{module}", __name__)
+            return found if name == module else getattr(found, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

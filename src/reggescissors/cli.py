@@ -13,11 +13,9 @@ import math
 import sys
 
 from .exceptions import GeometryDomainError
-from . import klein
 from .lobachevsky import lobachevsky
 from .octahedron import solve_holonomy, tet_volume
 from .scissors import PIECE_LABELS, decompose, regge, regge_orbit, s_value, verify_scissors
-from .suite import SuiteConfig, run_suite
 from .tetra import _ANGLE_ORDER, TetAngles, TetraKind, classify, require_kind
 
 EXIT_OK = 0
@@ -157,6 +155,8 @@ def cmd_verify(t: TetAngles, args) -> dict:
 
 
 def cmd_oracle(t: TetAngles, args) -> dict:
+    from . import klein  # here, not at the top: the other angle commands load no numpy
+
     kt = klein.klein_vertices(t)
     v_quad = klein.volume_numeric(kt, tol=args.tol)
     v_formula = tet_volume(t)
@@ -175,6 +175,8 @@ def cmd_oracle(t: TetAngles, args) -> dict:
 
 
 def cmd_suite(args) -> int:
+    from .suite import SuiteConfig, run_suite
+
     config = SuiteConfig(
         seed=args.seed,
         count=args.count,

@@ -14,15 +14,15 @@ so no value of it depends on numpy's CPU kernels.  It sums only the terms
 that reach the last bit, takes one float at a time, and evaluates an array
 element by element, so an array keeps its scalars' bits.  The quadrature
 uses numpy: it integrates a whole array at once, one level loop per piece
-count, and keeps the bits of each point integrated alone.
+count, and keeps the bits of each point integrated alone.  numpy is
+imported only where an array is made (an array argument, the quadrature
+and its tables), so a caller of the series on floats never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 from .exceptions import QuadratureError
 
@@ -104,6 +104,7 @@ LOBACHEVSKY_MAX_ARG = _PI / 6
 _PI_LO = 1.2246467991473532e-16
 
 
+@functools.cache
 def _tanh_sinh_levels() -> tuple:
     """Node and weight tables of the tanh-sinh rule of Takahasi and Mori
     ("Double exponential formulas for numerical integration", Publ. RIMS 9,
@@ -118,7 +119,12 @@ def _tanh_sinh_levels() -> tuple:
     complement 1 - x, computed as 1 / (1 + exp(pi sinh t)) and not by
     subtraction, so a distance to the right endpoint keeps its relative
     accuracy however close the node is to it.
+
+    Built on the first call and kept, so that importing this module does
+    not load numpy.
     """
+    import numpy as np
+
     levels = []
     for k in range(7):  # down to step 1/64
         h = 2.0 ** -k
@@ -127,9 +133,6 @@ def _tanh_sinh_levels() -> tuple:
         x, xc = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
         levels.append((x, xc, h * _PI * np.cosh(t) * x * xc))
     return tuple(levels)
-
-
-_TANH_SINH = _tanh_sinh_levels()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -181,9 +184,11 @@ def _lobachevsky_float(theta: float) -> float:
 def lobachevsky(theta):
     """Evaluate the Lobachevsky function (absolute error below 1e-12).
 
-    Accepts a float or an ndarray; returns the same shape.  Non-finite
-    input, or an array with any non-finite element, raises a plain
-    ``ValueError``, which ``except GeometryDomainError`` does not catch.
+    Accepts a float or an ndarray; returns the same shape.  A Python float
+    goes straight to the series; only other input imports numpy.
+    Non-finite input, or an array with any non-finite element, raises a
+    plain ``ValueError``, which ``except GeometryDomainError`` does not
+    catch.
     Any scalar (a Python float, a numpy scalar or a 0-d array) returns a
     float.  Every value, an array's elements too, comes from the one
     plain-float series through a bounded memo keyed on the exact argument
@@ -192,6 +197,8 @@ def lobachevsky(theta):
     """
     if type(theta) is float:
         return _lobachevsky_float(theta)
+    import numpy as np
+
     arr = np.asarray(theta, dtype=float)
     if arr.ndim == 0:
         return _lobachevsky_float(float(arr))
@@ -241,6 +248,8 @@ def lobachevsky_quadrature(theta, tol: float = 1e-10):
     points that did not converge; ``ValueError`` for a tol outside
     (0, inf) or any non-finite argument.
     """
+    import numpy as np
+
     th = np.asarray(theta, dtype=float)
     if not np.isfinite(th).all():
         raise ValueError("lobachevsky_quadrature: argument must be finite")
@@ -264,7 +273,7 @@ def lobachevsky_quadrature(theta, tol: float = 1e-10):
         pieces, gaps = np.full((idx.size, c), _PI), np.zeros((idx.size, c))
         pieces[:, -1], gaps[:, -1] = last[idx], gap[idx]
         total = scale = np.zeros(idx.size)
-        for level, (x, xc, w) in enumerate(_TANH_SINH):
+        for level, (x, xc, w) in enumerate(_tanh_sinh_levels()):
             # |sin u| is the sine of the distance from u to the nearer multiple of pi
             p = pieces[:, :, None]
             dist = p * x

@@ -28,6 +28,11 @@ roots are labeled by the branch of sqrt(disc) alone: the discriminant is
 The solve assembles no volume.  tet_volume assembles the one it is asked
 for, and raises when the labeled root gives a negative volume: a wrong
 branch is reported, never relabeled.
+
+The solve runs on Python complex and loads no numpy.  Its two divisions,
+the roots (-q1 +- sqrt(disc)) / (2 q2) and their projection w / |w| onto
+the unit circle, copy numpy's complex division (_divide), so each root
+keeps the bits it had when the solve ran on numpy's complex scalars.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import _lobachevsky_float, _sum_in_order, lobachevsky
@@ -142,30 +145,53 @@ def bar_solution(t: TetAngles) -> tuple[float, ...]:
             (-A - Ap + 2 * B) / 4, (_TWO_PI + A - Ap - 2 * Cp) / 4)
 
 
-def _symmetric_sums(v0, v1, v2, v3):
-    """The elementary symmetric sums e1, e2, e3 of four complex numbers, each
-    product and addition in itertools.combinations order from 0j."""
-    return (0j + v0 + v1 + v2 + v3,
-            0j + v0 * v1 + v0 * v2 + v0 * v3 + v1 * v2 + v1 * v3 + v2 * v3,
-            0j + v0 * v1 * v2 + v0 * v1 * v3 + v0 * v2 * v3 + v1 * v2 * v3)
+def holonomy_polynomial(bars: tuple[float, ...]) -> tuple[complex, ...]:
+    """Coefficients (w^4, w^3, w^2, w^1, w^0) of the holonomy condition in
+    w = z^2, as Python complex.  The w^4 and w^0 coefficients vanish
+    identically because the plus bars (even positions) sum to 0 and the
+    minus bars (odd positions) to 2*pi, leaving a quadratic.
 
+    Straight-line: the elementary symmetric sums of the squared plus and
+    minus phases take each product and addition in itertools.combinations
+    order from 0j.  cmath.exp is read at call time, so that sympy can stand
+    in for it (tests/test_certificates.py).
 
-def holonomy_polynomial(bars: tuple[float, ...]) -> np.ndarray:
-    """Coefficients [w^4, w^3, w^2, w^1, w^0] of the holonomy condition in
-    w = z^2.  The w^4 and w^0 coefficients vanish identically because the
-    plus bars (even positions) sum to 0 and the minus bars (odd positions)
-    to 2*pi, leaving a quadratic.
+    The solve divides these coefficients by numpy's complex division
+    (_divide), Smith's method times a reciprocal, not by Python's, and
+    projects a root w by dividing it by complex(|w|) the same way:
+    w * (1 / |w|) gives -0.0 where that division gives 0.0, and the
+    phase of the projection reads that sign.
     """
-    alphas = [cmath.exp(1j * x) for x in bars[0::2]]
-    betas = [cmath.exp(1j * x) for x in bars[1::2]]
-    a1, a2, a3 = _symmetric_sums(*(a * a for a in alphas))
-    b1, b2, b3 = _symmetric_sums(*(b * b for b in betas))
-    pa = alphas[0] * alphas[1] * alphas[2] * alphas[3]
-    pb = betas[0] * betas[1] * betas[2] * betas[3]
-    return np.array(
-        [pa - 1 / pb, b1 / pb - a3 / pa, a2 / pa - b2 / pb, b3 / pb - a1 / pa, 1 / pa - pb],
-        dtype=complex,
-    )
+    exp = cmath.exp
+    p0, p1, p2, p3 = exp(1j * bars[0]), exp(1j * bars[2]), exp(1j * bars[4]), exp(1j * bars[6])
+    m0, m1, m2, m3 = exp(1j * bars[1]), exp(1j * bars[3]), exp(1j * bars[5]), exp(1j * bars[7])
+    pa, pb = p0 * p1 * p2 * p3, m0 * m1 * m2 * m3
+    u0, u1, u2, u3 = p0 * p0, p1 * p1, p2 * p2, p3 * p3
+    v0, v1, v2, v3 = m0 * m0, m1 * m1, m2 * m2, m3 * m3
+    a1 = 0j + u0 + u1 + u2 + u3
+    a2 = 0j + u0 * u1 + u0 * u2 + u0 * u3 + u1 * u2 + u1 * u3 + u2 * u3
+    a3 = 0j + u0 * u1 * u2 + u0 * u1 * u3 + u0 * u2 * u3 + u1 * u2 * u3
+    b1 = 0j + v0 + v1 + v2 + v3
+    b2 = 0j + v0 * v1 + v0 * v2 + v0 * v3 + v1 * v2 + v1 * v3 + v2 * v3
+    b3 = 0j + v0 * v1 * v2 + v0 * v1 * v3 + v0 * v2 * v3 + v1 * v2 * v3
+    return (pa - 1 / pb, b1 / pb - a3 / pa, a2 / pa - b2 / pb, b3 / pb - a1 / pa, 1 / pa - pb)
+
+
+def _divide(a: complex, b: complex) -> complex:
+    """a / b by numpy's complex division, copied literally: Smith's method
+    (R. L. Smith, "Algorithm 116: Complex division", Commun. ACM 5(8), 1962)
+    multiplied by the reciprocal of its denominator.  Python's a / b divides
+    by that denominator instead, which moves last bits, so the roots keep
+    numpy's bits only through this copy.  b is never 0 here (the solve's
+    collapse gate)."""
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
 def volume_remainder(t: TetAngles) -> float:
@@ -214,8 +240,7 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
 
 def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL, TetraKind.HYPERIDEAL).kind
-    poly = holonomy_polynomial(bars)
-    q2, q1, q0 = poly[1], poly[2], poly[3]
+    _, q2, q1, q0, _ = holonomy_polynomial(bars)
     scale = max(abs(q2), abs(q1), abs(q0))
     if scale < 1e-12 or abs(q2) < 1e-13 * max(1.0, scale):
         raise DegenerateSystemError(
@@ -224,26 +249,23 @@ def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
         )
     disc = q1 * q1 - 4 * q2 * q0
     sq = cmath.sqrt(disc)
-    w_candidates = [(-q1 + sq) / (2 * q2), (-q1 - sq) / (2 * q2)]
-    defect = max(abs(math.sqrt(abs(w)) - 1.0) for w in w_candidates)
+    d = 2 * q2
+    w0, w1 = _divide(-q1 + sq, d), _divide(-q1 - sq, d)
+    r0, r1 = abs(w0), abs(w1)
+    defect = max(abs(math.sqrt(r0) - 1.0), abs(math.sqrt(r1) - 1.0))
     if defect > UNIT_ROOT_TOL:
         raise NonUnitRootError(
             f"holonomy root off the unit circle (|z|-1 = {defect:.3e}); "
             "no real angle offset exists",
             {"unit_defect": defect, "class": kind.value},
         )
-    # project onto the unit circle; the defect is recorded as a diagnostic
-    w_candidates = [w / abs(w) for w in w_candidates]
-    Zs = [cmath.phase(w) / 2 for w in w_candidates]
+    # project onto the unit circle, the defect kept as a diagnostic; not as
+    # w * (1 / |w|), which moves the sign of a zero part (holonomy_polynomial)
+    Z0 = cmath.phase(_divide(w0, complex(r0))) / 2
+    Z1 = cmath.phase(_divide(w1, complex(r1))) / 2
     # the root -q1 - 4i sqrt(-det G) over 2 q2 (module docstring)
-    im = 1 if sq.imag > 0 else 0
-    return HolonomyRoots(
-        bars=bars,
-        Z_minus=Zs[im],
-        Z_plus=Zs[1 - im],
-        discriminant=disc,
-        unit_defect=defect,
-    )
+    Z_minus, Z_plus = (Z1, Z0) if sq.imag > 0 else (Z0, Z1)
+    return HolonomyRoots(bars=bars, Z_minus=Z_minus, Z_plus=Z_plus, discriminant=disc, unit_defect=defect)
 
 
 def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:

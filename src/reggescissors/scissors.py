@@ -138,7 +138,9 @@ class Decomposition:
     raw_angles: tuple[float, ...]
 
     def canonical_angles(self) -> tuple[float, ...]:
-        return tuple(map(canonical_angle, self.raw_angles))
+        """canonical_angle of each raw angle, reduced on the first call and
+        kept on the instance (see tetra._memo)."""
+        return _memo(self, "_canonical_angles", lambda d: tuple(map(canonical_angle, d.raw_angles)))
 
     def total_volume(self) -> float:
         return _sum_in_order(map(_lobachevsky_float, self.canonical_angles()))
@@ -149,8 +151,15 @@ def decompose(t: TetAngles) -> Decomposition:
 
     Finite sources are the main case; Ideal sources are accepted (classify(t)
     shows the degeneracy); Hyperideal and Invalid raise.
+
+    A TetAngles keeps its decomposition, computed on the first call, as it
+    keeps its roots (see tetra._memo).
     """
     require_kind(t, TetraKind.FINITE, TetraKind.IDEAL)
+    return _memo(t, "_decomposition", _decompose)
+
+
+def _decompose(t: TetAngles) -> Decomposition:
     roots = solve_holonomy(t)
     dual = slots(roots.bars, roots.Z_plus)
     return Decomposition(slots(roots.bars, roots.Z_minus) + tuple(-x for x in dual))

@@ -47,8 +47,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .exceptions import GeometryDomainError
 from .lobachevsky import _sum_in_order, lobachevsky
 
@@ -105,7 +103,9 @@ _EDGE_ANGLES = tuple((n, m, *(k for v in _EDGE_OF[_ANGLE_ORDER[m]] for k in _VER
 _GRAM_ANGLES = tuple(_ANGLE_ORDER.index(name) for pair in itertools.combinations(range(4), 2)
                      for name, faces in _FACES_OF.items() if faces == pair)
 
-GramMatrix = np.ndarray  # 4x4 symmetric, unit diagonal; see module docstring
+#: 4x4 symmetric, unit diagonal; see the module docstring.  A forward
+#: reference, so that importing this module loads no numpy.
+GramMatrix = "numpy.ndarray"
 
 
 @dataclass(frozen=True)
@@ -220,6 +220,8 @@ def prism_volume_by_tetrahedra(A: float, B: float, C: float) -> float:
 
 def gram_matrix(t: TetAngles) -> GramMatrix:
     """Gram matrix of face normals; see the module docstring for conventions."""
+    import numpy as np
+
     G = np.eye(4)
     for (k, l), x in zip(_FACES_OF.values(), t.as_tuple()):
         G[k, l] = G[l, k] = -math.cos(x)
@@ -271,6 +273,8 @@ def _signature_31(t: TetAngles, det: float) -> bool:
     otherwise the eigenvalues against EIGENVALUE_TOL."""
     if abs(det) > IDEAL_COFACTOR_TOL:
         return det < 0
+    import numpy as np
+
     e0, e1, _, _ = np.linalg.eigvalsh(gram_matrix(t)).tolist()
     return e0 < -EIGENVALUE_TOL and e1 > EIGENVALUE_TOL
 
@@ -328,6 +332,8 @@ def edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float
 
 
 def _edge_lengths(t: TetAngles) -> tuple[float, float, float, float, float, float]:
+    import numpy as np
+
     require_kind(t, TetraKind.FINITE)
     G = gram_matrix(t)
     adj = np.linalg.det(G) * np.linalg.inv(G)

@@ -21,7 +21,7 @@ import numpy as np
 
 from reggescissors.exceptions import GeometryDomainError, QuadratureError
 from reggescissors.klein import _MINK, KleinTetra, _boost, _gram_vertices, _hyperboloid_lift
-from reggescissors.lobachevsky import _PI, _PI_LO, _TANH_SINH
+from reggescissors.lobachevsky import _PI, _PI_LO, _tanh_sinh_levels
 from reggescissors.octahedron import OctAngles
 from reggescissors.tetra import (
     _FACES_OF,
@@ -68,7 +68,7 @@ def lobachevsky_quadrature_pointwise(theta: float, tol: float) -> float:
     pieces[-1], gaps[-1] = last, gap
 
     total = scale = 0.0
-    for level, (x, xc, w) in enumerate(_TANH_SINH):
+    for level, (x, xc, w) in enumerate(_tanh_sinh_levels()):
         # |sin u| is the sine of the distance from u to the nearer multiple of pi
         dist = np.minimum(pieces[:, None] * x, gaps[:, None] + pieces[:, None] * xc)
         terms = w * np.log(2.0 * np.sin(dist), out=np.zeros_like(dist), where=dist > 0)

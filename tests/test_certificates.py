@@ -96,10 +96,9 @@ def test_the_a_check_relabels_the_image_once(source):
 @pytest.fixture
 def symbolic_holonomy(monkeypatch):
     """holonomy_polynomial on symbols: sympy reads the literal 1j as 1.0*I,
-    which nsimplify makes exact, and the coefficients stay a plain list."""
+    which nsimplify makes exact."""
     monkeypatch.setattr(octahedron, "cmath",
                         types.SimpleNamespace(exp=lambda w: sp.exp(sp.nsimplify(w))))
-    monkeypatch.setattr(octahedron, "np", types.SimpleNamespace(array=lambda rows, dtype: rows))
     return octahedron.holonomy_polynomial
 
 

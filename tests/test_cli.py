@@ -228,6 +228,32 @@ ANGLE_COMMANDS = [["volume"], ["decompose"], *(["regge", "--which", w] for w in 
                   *(["verify", "--which", w] for w in "abc"), ["oracle"]]
 
 
+#: A fresh interpreter runs every angle command but oracle, then imports the
+#: names of the Klein oracle and the suite, and prints whether numpy was loaded
+#: before that import.
+_NO_NUMPY = """
+import contextlib, io, json, sys
+from reggescissors import cli
+codes = []
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(command))
+loaded = "numpy" in sys.modules
+from reggescissors import run_suite, SuiteConfig, klein_vertices, volume_numeric
+import reggescissors
+assert reggescissors.klein.klein_vertices is klein_vertices and reggescissors.suite.run_suite is run_suite
+print(json.dumps({"codes": codes, "numpy": loaded}))
+"""
+
+
+@pytest.mark.kernel_independent
+def test_angle_commands_load_no_numpy():
+    commands = [[c[0], *ANGLES_GENERIC, *c[1:]] for c in ANGLE_COMMANDS if c != ["oracle"]]
+    result = subprocess.run([sys.executable, "-c", _NO_NUMPY, json.dumps(commands)],
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == {"codes": [cli.EXIT_OK] * len(commands), "numpy": False}
+
+
 @pytest.fixture(scope="module")
 def ideal_image_inputs():
     """Inputs 105 and 116 of the benchmark's `formula` stream for seed 3:

@@ -270,7 +270,7 @@ class TestOctahedronLayerBits:
             out += linear_residuals(oa)
             out += [holonomy_residual(oa), octahedron_volume(oa)]
         out.append(u_volume(t))
-        out += [x for c in holonomy_polynomial(bar_solution(t)).tolist() for x in (c.real, c.imag)]
+        out += [x for c in list(holonomy_polynomial(bar_solution(t))) for x in (c.real, c.imag)]
         return out
 
     def test_digest(self, stream_angles):
@@ -355,29 +355,58 @@ class TestLabelRule:
 
     @staticmethod
     def rule(t):
-        """(Z_minus, Z_plus, volume at Z_minus) by the two-volume rule."""
-        q2, q1, q0 = holonomy_polynomial(bar_solution(t))[1:4]
-        sq = cmath.sqrt(q1 * q1 - 4 * q2 * q0)
-        Zs = [cmath.phase(w / abs(w)) / 2 for w in ((-q1 + sq) / (2 * q2), (-q1 - sq) / (2 * q2))]
+        """(Z_minus, Z_plus, volume at Z_minus, discriminant, unit defect) by
+        the two-volume rule, in numpy's complex scalars: their division is
+        the reference for the solve's copy of it."""
+        q2, q1, q0 = map(np.complex128, holonomy_polynomial(bar_solution(t))[1:4])
+        disc = q1 * q1 - 4 * q2 * q0
+        sq = cmath.sqrt(disc)
+        ws = ((-q1 + sq) / (2 * q2), (-q1 - sq) / (2 * q2))
+        defect = max(abs(math.sqrt(abs(w)) - 1.0) for w in ws)
+        Zs = [cmath.phase(w / abs(w)) / 2 for w in ws]
         vols = [octahedron._slot_sum(bar_solution(t), Z) + volume_remainder(t) for Z in Zs]
         im = 0 if vols[0] >= vols[1] else 1
-        return Zs[im], Zs[1 - im], vols[im]
+        return Zs[im], Zs[1 - im], vols[im], disc, defect
 
     def test_branch_labels_are_the_two_volume_rule(self, stream_angles):
         inputs = [x for x in [*stream_angles, *self.hyperideal_draws(), *self.NEAR_REGULAR, *self.klein_probes()]
                   if classify(TetAngles(*x)).kind is not TetraKind.INVALID]
-        volumes = []
+        volumes, divisors = [], []
         for x in inputs:
             t = TetAngles(*x)  # a fresh instance: no kept roots
             roots = solve_holonomy(t)
-            Z_minus, Z_plus, volume = self.rule(t)
+            Z_minus, Z_plus, volume, disc, defect = self.rule(t)
             assert (roots.Z_minus.hex(), roots.Z_plus.hex()) == (Z_minus.hex(), Z_plus.hex()), x
+            assert roots.unit_defect.hex() == defect.hex(), x
+            assert (roots.discriminant.real.hex(), roots.discriminant.imag.hex()) == (
+                float(disc.real).hex(), float(disc.imag).hex()), x
             if classify(t).kind is not TetraKind.HYPERIDEAL:
                 assert tet_volume(t).hex() == volume.hex(), x
                 volumes.append(volume)
+            divisors.append(2 * holonomy_polynomial(roots.bars)[1])
         # volumes at or below 1e-9, which a margin on the first volume could
         # not label, are among them
         assert sum(v <= 1e-9 for v in volumes) >= 50
+        # both branches of the copied division divide the roots: |Re d| >= |Im d|
+        # and the reverse, for d = 2 q2
+        assert {abs(d.real) >= abs(d.imag) for d in divisors} == {True, False}
+
+
+@pytest.mark.kernel_independent
+def test_divide_is_numpys_complex_division():
+    # bit for bit on both of its branches and on signed zeros, where Python's
+    # division, and the projection as w * (1 / |w|), would differ
+    rng = np.random.default_rng(43)
+    parts = rng.normal(size=(20_000, 4)) * 10.0 ** rng.integers(-8, 9, size=(20_000, 4))
+    pairs = [(complex(a, b), complex(c, d)) for a, b, c, d in parts.tolist()]
+    pairs += [(complex(x, y), complex(r)) for x in (-2.0, 2.0) for y in (-0.0, 0.0) for r in (0.5, 3.0)]
+    hexes = lambda z: (float(z.real).hex(), float(z.imag).hex())
+    assert [hexes(octahedron._divide(a, b)) for a, b in pairs] == [
+        hexes(np.complex128(a) / np.complex128(b)) for a, b in pairs]
+    assert {abs(b.real) >= abs(b.imag) for _, b in pairs} == {True, False}
+    assert sum(hexes(a / b) != hexes(octahedron._divide(a, b)) for a, b in pairs) > 1000
+    w = complex(-2.0, -0.0)
+    assert cmath.phase(octahedron._divide(w, complex(abs(w)))) == PI == -cmath.phase(w * (1 / abs(w)))
 
 
 _BUILTIN_SUM = builtins.sum

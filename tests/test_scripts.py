@@ -139,6 +139,27 @@ def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch
     assert "wins" not in bench_record.quartiles({"s": runs[""]})
 
 
+def test_bench_record_alternates_the_cold_starts(bench_record, monkeypatch):
+    # the cold starts alternate with the parent's as the timing processes do,
+    # and the parent's quartiles and the wins sit beside this checkout's
+    calls = []
+    monkeypatch.setattr(bench_record, "cold_start", lambda checkout: calls.append(checkout) or float(len(calls)))
+    monkeypatch.setattr(bench_record, "src_digest", lambda checkout: "digest")
+    parent, here = pathlib.Path("parent"), bench_record.ROOT
+    row = bench_record.run_cold_start(parent)
+    assert bench_record.COLD_START_RUNS == 10
+    assert calls == [parent, here, here, parent] * 5
+    # this checkout ran 2, 3, 6, 7, ..., 18, 19 and the parent 1, 4, 5, 8, ..., 17, 20
+    assert (row["median"], row["before_median"]) == (10.5, 10.5)
+    assert row["wins"] == 5 and row["before_src_sha256"] == "digest" and row["runs"] == 10
+    assert {"q1", "q3", "before_q1", "before_q3", "scaled", "unit", "command"} <= set(row)
+
+    calls.clear()
+    row = bench_record.run_cold_start(None)
+    assert calls == [here] * 10 and row["median"] == 5.5
+    assert not {"wins", "before_median", "before_src_sha256"} & set(row)
+
+
 def test_bench_record_times_cold_classifications(small_bench_record, monkeypatch):
     # picking the rows classifies them; each timed call must classify its row
     # once more, inside its own timed interval, on an instance picking did not touch

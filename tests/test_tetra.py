@@ -417,10 +417,11 @@ class TestClassifyOnce:
         assert solved.count(image) == 1
 
     def test_memo_is_invisible(self, uncached):
-        # the class, the holonomy roots that solve_holonomy keeps the same
-        # way, and the image regge keeps for each move
+        # the class, the holonomy roots and the decomposition that
+        # solve_holonomy and decompose keep the same way, and the image regge
+        # keeps for each move
         moves = [functools.partial(regge, which=which) for which in "abc"]
-        for memo in (classify, solve_holonomy, *moves):
+        for memo in (classify, solve_holonomy, decompose, *moves):
             t, fresh = TetAngles(*self.ANGLES), TetAngles(*self.ANGLES)
             before = (hash(t), repr(t))
             first = memo(t)
@@ -431,11 +432,16 @@ class TestClassifyOnce:
             assert dataclasses.asdict(t) == dataclasses.asdict(fresh)
             assert dataclasses.replace(t) == t
         # regge classifies nothing, and an unknown move keeps nothing
-        assert len(uncached) == 2
+        assert len(uncached) == 3
         kept = dict(vars(t))
         with pytest.raises(GeometryDomainError):
             regge(t, "d")
         assert vars(t) == kept
+        # a decomposition keeps its canonical angles the same way
+        d = decompose(t)
+        before = (hash(d), repr(d))
+        assert d.canonical_angles() is d.canonical_angles()
+        assert (hash(d), repr(d)) == before and d == type(d)(d.raw_angles)
 
     def test_relabel_takes_the_class_of_its_source(self, uncached, stream_angles):
         for x in stream_angles:
