@@ -27,30 +27,31 @@ of one call over the first 200 Finite inputs of its stream for seed 1
 (PER_CALL_STREAM: the `oracle` workload's for the three Klein layers, the
 `formula` workload's for the rest), each on a fresh TetAngles, so no
 per-instance memo is warm; the median of SUITE_RUNS processes as `us`, with
-its quartiles as `us_q1` and `us_q3`.  The series memo is emptied before
-each layer's untimed warm-up and before each pass over the 200 inputs.  A
-layer makes passes until its timed calls span MIN_LAYER_PERIODS ticker
-periods (200 ms): a layer as short as `classify` takes about 4 ms a pass,
-so one pass would have one or two machine speed samples set its scale.
+its quartiles as `us_q1` and `us_q3`.  Each layer makes one untimed
+warm-up call, on the next Finite input, then passes until its timed calls
+span MIN_LAYER_PERIODS ticker periods (200 ms): a layer as short as
+`classify` takes about 4 ms a pass, so one pass would have one or two
+machine speed samples set its scale.
 A layer in PER_CALL_ARG takes in place of the TetAngles the argument it
 makes from it (`volume_numeric`: the Klein realization), made before the
 call's timer starts.
 
-`suite_criteria` gives the scaled in-process seconds of the package
-import and of each criterion of `suite --count 100 --seed 7`, in the order
-the suite runs them, at the start of a fresh process, so a criterion that
-first needs a module pays for importing it; the median of SUITE_RUNS
-processes as `s`, with its quartiles as `s_q1` and `s_q3`.
+`suite_criteria` gives the scaled in-process seconds of each criterion of
+`suite --count 100 --seed 7`, in the order the suite runs them, at the
+start of a fresh process once the suite module is imported, so a criterion
+that first needs a module pays for importing it; the median of SUITE_RUNS
+processes as `s`, with its quartiles as `s_q1` and `s_q3`.  The suite's
+import is timed within the `suite` workload's `wall_s`, in a fresh
+subprocess per op.
 
 `work` gives exact counts, which repeat from run to run where the times
 spread: per op over the first WORK_OPS inputs of the `formula` and
 `oracle` streams for seed 1 (perfbench's own ops), and in total for one
 suite run of SUITE_CONFIG, the calls of each WORK_CALLS function
-(classifications, holonomy solves and decompositions computed), the
-series calls and the series evaluations (the calls the series memo
-missed).  The memo is emptied before each op and before the suite.  They
-come from one fresh process, and with `--before` from one more on the other
-checkout, whose counts each row records as `before_<count>`.
+(classifications, holonomy solves, decompositions computed and series
+calls, each of which evaluates the series).  They come from one fresh
+process, and with `--before` from one more on the other checkout, whose
+counts each row records as `before_<count>`.
 
 The per_call and suite_criteria sections come from the same SUITE_RUNS
 fresh processes, each of which times the suite criteria and then every
@@ -85,7 +86,7 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 COLD_START = ("-m", "reggescissors", "volume", "1.15", "1.2", "1.1", "1.22", "1.18", "1.25")
 COLD_START_RUNS = 10
 PER_CALL_INPUTS = 200
-#: Suite criterion 1's grid; lobachevsky_array shifts it by t.A, so no value is memoized.
+#: Suite criterion 1's grid; lobachevsky_array shifts it by t.A.
 LOB_GRID = np.linspace(-2 * np.pi, 2 * np.pi, 1000)
 #: Layers timed by per_call: each gets the package `m` and a fresh TetAngles `t`.
 #: `m.lobachevsky` is the function (the package re-exports it), not the module.
@@ -93,6 +94,7 @@ PER_CALL = {
     "lobachevsky_scalar": lambda m, t: [m.lobachevsky(x) for x in t.as_tuple()],
     "lobachevsky_array": lambda m, t: m.lobachevsky(LOB_GRID + t.A),
     "classify": lambda m, t: m.tetra.classify(t),
+    "solve_holonomy": lambda m, t: m.octahedron.solve_holonomy(t),
     "tet_volume": lambda m, t: m.octahedron.tet_volume(t),
     "decompose": lambda m, t: m.scissors.decompose(t),
     "verify_scissors_a": lambda m, t: m.scissors.verify_scissors(t, "a"),
@@ -117,11 +119,10 @@ SUITE_RUNS = 5
 MIN_LAYER_PERIODS = 10
 #: Ops per workload that `work` counts over: the first inputs of its stream for seed 1.
 WORK_OPS = {"formula": 240, "oracle": 360}
-#: Each `work` count: the calls of the first of its functions that its module has, in
-#: the checkout counted.  "decompose" counts the decompositions computed: by `_decompose`,
-#: since a TetAngles keeps its decomposition, and before that by `decompose` itself.
+#: Each `work` count: the calls of one function of the package, as (module, name).
+#: "decompose" counts the decompositions computed, since a TetAngles keeps its decomposition.
 WORK_CALLS = {"_classify": ("tetra", "_classify"), "_solve_holonomy": ("octahedron", "_solve_holonomy"),
-              "decompose": ("scissors", "_decompose", "decompose")}
+              "decompose": ("scissors", "_decompose"), "series_calls": ("lobachevsky", "_lobachevsky_float")}
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -179,23 +180,20 @@ def layer_arg(name: str, m, t):
 
 def time_in_process() -> dict:
     """In this process, with the package found on PYTHONPATH: under "s", the
-    scaled seconds of the package import and of each criterion of
-    SUITE_CONFIG, run in order; then under "us", for each PER_CALL layer,
-    the mean scaled microseconds of one call over passes on the first
+    scaled seconds of each criterion of SUITE_CONFIG, run in order once the
+    suite module is imported; then under "us", for each PER_CALL layer, the
+    mean scaled microseconds of one call over passes on the first
     PER_CALL_INPUTS Finite inputs of its PER_CALL_STREAM for seed 1, after
-    emptying the series memo and an untimed warm-up on the next Finite
-    input.  Each pass empties the memo first and times each call on a fresh
-    TetAngles; passes repeat until the timed calls span MIN_LAYER_PERIODS
-    ticker periods."""
+    an untimed warm-up on the next Finite input.  Each pass times each call
+    on a fresh TetAngles; passes repeat until the timed calls span
+    MIN_LAYER_PERIODS ticker periods."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from machine import PERIOD_S, Ticker, reference_seconds
 
-    intervals = {}  # name -> its (start, end): one per suite step, one per layer call
-    with Ticker() as ticker:
-        start = time.perf_counter()
-        from reggescissors import suite
+    from reggescissors import suite
 
-        intervals["import"] = [(start, time.perf_counter())]
+    intervals = {}  # name -> its (start, end): one per suite criterion, one per layer call
+    with Ticker() as ticker:
         config = suite.SuiteConfig(**SUITE_CONFIG)
         for criterion in suite._CRITERIA:
             start = time.perf_counter()
@@ -209,6 +207,8 @@ def time_in_process() -> dict:
         from worker import RMAX, STREAM
 
         TetAngles, finite = m.tetra.TetAngles, m.tetra.TetraKind.FINITE
+        # parent-only: a checkout whose series keeps a memo has it emptied before each pass
+        empty_memo = getattr(_lobachevsky_float, "cache_clear", None)
         rows = {}
         for stream in dict.fromkeys(PER_CALL_STREAM.values()):
             found = (a for a, _ in TetStream(1, STREAM[stream], RMAX[stream])
@@ -216,11 +216,11 @@ def time_in_process() -> dict:
             rows[stream] = [next(found) for _ in range(PER_CALL_INPUTS + 1)]
         for name, call in PER_CALL.items():
             *timed, warm_up = rows[PER_CALL_STREAM[name]]
-            _lobachevsky_float.cache_clear()
             call(m, layer_arg(name, m, TetAngles.of(warm_up)))
             pairs = intervals[name] = []
             while not pairs or sum(end - start for start, end in pairs) < MIN_LAYER_PERIODS * PERIOD_S:
-                _lobachevsky_float.cache_clear()
+                if empty_memo:
+                    empty_memo()
                 for angles in timed:
                     arg = layer_arg(name, m, TetAngles.of(angles))
                     start = time.perf_counter()
@@ -234,23 +234,20 @@ def time_in_process() -> dict:
 def count_work() -> dict:
     """In this process, with the package found on PYTHONPATH: per op over the
     first WORK_OPS inputs of each workload's stream for seed 1, and in total
-    for one suite run of SUITE_CONFIG, the calls of each WORK_CALLS function
-    and the series calls and evaluations, with the series memo emptied
-    before each op and before the suite.  Every binding of a counted
-    function in the package is wrapped while counting, then restored."""
+    for one suite run of SUITE_CONFIG, the calls of each WORK_CALLS
+    function.  Every binding of a counted function in the package is
+    wrapped while counting, then restored."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import ops
     from inputs import TetStream
     from reggescissors import suite
-    from reggescissors.lobachevsky import _lobachevsky_float
     from worker import RMAX, STREAM
 
     counts = dict.fromkeys(WORK_CALLS, 0)
     package = [m for key, m in sys.modules.items() if key.split(".")[0] == "reggescissors"]
     wrapped = []  # (namespace, key, original)
-    for name, (module, *candidates) in WORK_CALLS.items():
-        module = sys.modules[f"reggescissors.{module}"]
-        fn = getattr(module, next(c for c in candidates if hasattr(module, c)))
+    for name, (module, attr) in WORK_CALLS.items():
+        fn = getattr(sys.modules[f"reggescissors.{module}"], attr)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
@@ -264,17 +261,13 @@ def count_work() -> dict:
 
     def run(calls) -> tuple[dict, int]:
         """The counts summed over the calls, and how many returned a failure reason."""
-        totals = dict.fromkeys([*counts, "series_calls", "series_evaluations"], 0)
+        totals = dict.fromkeys(counts, 0)
         failed = 0
         for call in calls:
             counts.update(dict.fromkeys(counts, 0))
-            _lobachevsky_float.cache_clear()
             failed += call() is not None
-            info = _lobachevsky_float.cache_info()
             for name, n in counts.items():
                 totals[name] += n
-            totals["series_calls"] += info.hits + info.misses
-            totals["series_evaluations"] += info.misses
         return totals, failed
 
     try:

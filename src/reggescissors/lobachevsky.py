@@ -135,15 +135,15 @@ def _tanh_sinh_levels() -> tuple:
     return tuple(levels)
 
 
-@functools.lru_cache(maxsize=4096)
 def _lobachevsky_float(theta: float) -> float:
     """The series for one Python float: the one evaluator behind every call
     of ``lobachevsky``, arrays included.
 
-    A bounded memo keyed on the exact argument keeps every bit (only 0.0
-    and -0.0 share a key, and both give +0.0) and pays because the formulas
-    of one tetrahedron repeat their angle expressions: one formula op makes
-    about 350 calls on 180 distinct arguments.  Errors are not kept.
+    No value is memoized: a value is kept only on the TetAngles it was
+    computed for (``tetra._memo``).  A formula op makes about 165 calls on
+    114 distinct arguments; hashing every call costs about as much as
+    evaluating the repeats again, so each call evaluates, and a timed or
+    traced call measures its own work.
 
     The reduction into (-pi/2, pi/2] rounds half to even (``round``) and is
     kept apart from ``octahedron.wrap_angle``'s ``floor(x/p + 0.5)``: the two
@@ -191,9 +191,8 @@ def lobachevsky(theta):
     catch.
     Any scalar (a Python float, a numpy scalar or a 0-d array) returns a
     float.  Every value, an array's elements too, comes from the one
-    plain-float series through a bounded memo keyed on the exact argument
-    (see ``_lobachevsky_float``), so an array holds exactly the bits of
-    its scalars.
+    plain-float series (``_lobachevsky_float``), so an array holds exactly
+    the bits of its scalars.
     """
     if type(theta) is float:
         return _lobachevsky_float(theta)

@@ -108,8 +108,7 @@ def regge(t: TetAngles, which: str) -> TetAngles:
     t keeps its image under each move (see tetra._memo), so the checks and the orbit
     that read one image classify and solve it once."""
     move = lambda s: TetAngles(*_move(s.as_tuple(), which)[1])
-    # an unknown move raises in _move before anything is kept
-    return _memo(t, f"_regge_{which}", move) if which in _MOVED else move(t)
+    return _memo(t, f"_regge_{which}", move)
 
 
 def canonical_angle(x: float) -> float:

@@ -424,9 +424,8 @@ def test_series_fast_paths_keep_the_bits(source, op_arguments):
     points = _HALF_PERIOD_POINTS if source == "half_periods" else op_arguments
     inside = [abs(x) < PI / 2 for x in points]
     assert any(inside) and not all(inside)
-    compute = _lobachevsky_float.__wrapped__  # past the memo
-    assert [compute(x).hex() for x in points] == [_reduced_everywhere(x).hex() for x in points]
-    assert all(type(compute(x)) is float for x in points)
+    assert [_lobachevsky_float(x).hex() for x in points] == [_reduced_everywhere(x).hex() for x in points]
+    assert all(type(_lobachevsky_float(x)) is float for x in points)
 
 
 def _band_loop(theta: float) -> float:
@@ -479,27 +478,16 @@ def formula_arguments():
 def test_series_chains_keep_the_bits_of_the_band_loop(source, formula_arguments):
     points = {"seeded": SEEDED_POINTS, "edges": EDGE_POINTS, "formula_ops": formula_arguments}[source]
     assert len(points) > 200
-    compute = _lobachevsky_float.__wrapped__  # past the memo
-    assert [compute(x).hex() for x in points] == [_band_loop(x).hex() for x in points]
+    assert [_lobachevsky_float(x).hex() for x in points] == [_band_loop(x).hex() for x in points]
 
 
-class TestMemo:
-    """Scalar calls go through a bounded memo on the exact argument; it must
-    change no bit and keep no error."""
+class TestRepeatedCalls:
+    """A scalar call repeated on the same argument keeps every bit and
+    raises every time: no call depends on the calls before it."""
 
-    README_ANGLES = (1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
-
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        _lobachevsky_float.cache_clear()
-
-    def test_cold_and_warm_keep_the_bits(self, array_route_0d):
-        assert _mismatches(SEEDED_POINTS, array_route_0d["seeded"]) == []
-        # the last maxsize points are still held, so a second pass over them is all hits
-        n, hits = _lobachevsky_float.cache_info().maxsize, _lobachevsky_float.cache_info().hits
-        assert _mismatches(SEEDED_POINTS[-n:], array_route_0d["seeded"][-n:]) == []
-        assert _lobachevsky_float.cache_info().hits == hits + n
-        for _ in ("cold", "warm"):
+    def test_a_second_pass_keeps_the_bits(self, array_route_0d):
+        for _ in ("first", "second"):
+            assert _mismatches(SEEDED_POINTS, array_route_0d["seeded"]) == []
             assert _mismatches(EDGE_POINTS, array_route_0d["edges"]) == []
 
     @pytest.mark.parametrize("order", [(-0.0, 0.0), (0.0, -0.0)])
@@ -512,18 +500,26 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 lobachevsky(bad)
-        assert _lobachevsky_float.cache_info().currsize == 0
 
-    def test_bounded(self):
-        assert isinstance(_lobachevsky_float.cache_info().maxsize, int)
 
-    @pytest.mark.parametrize(
-        "call,misses",
-        [
-            (lambda t: regge_orbit(t), 111),
-            (lambda t: verify_scissors(t, "b"), 45),
-        ],
-    )
-    def test_pinned_series_evaluations(self, call, misses):
-        call(TetAngles(*self.README_ANGLES))
-        assert _lobachevsky_float.cache_info().misses == misses
+@pytest.mark.kernel_independent
+def test_no_op_depends_on_what_ran_before_it(first_ops, generic, monkeypatch):
+    # each op evaluates the series body as often when it runs again in the
+    # same process: no value outlives the op that computed it, where a
+    # process-wide memo of the series would serve the repeat from the first run
+    series = sys.modules["reggescissors.lobachevsky"]
+    horner, evaluations = series._horner, []
+    monkeypatch.setattr(series, "_horner", lambda q: evaluations.append(q) or horner(q))
+
+    def checks_and_orbit():
+        t = TetAngles(*generic.as_tuple())
+        verify_scissors(t, "b")
+        regge_orbit(t)
+
+    for op in (first_ops["formula"], checks_and_orbit):
+        runs = []
+        for _ in range(2):
+            evaluations.clear()
+            assert op() is None
+            runs.append(len(evaluations))
+        assert runs[0] > 0 and runs[1] == runs[0], runs

@@ -98,7 +98,7 @@ def finite_rows(bench_record, stream):
 def test_bench_record_times_a_layer(small_bench_record, monkeypatch, capsys):
     # a rename or move of a layer the recorder times fails here, not only in a full recording
     bench_record = small_bench_record
-    assert {"lobachevsky_scalar", "lobachevsky_array", "klein_vertices", "volume_numeric",
+    assert {"lobachevsky_scalar", "lobachevsky_array", "solve_holonomy", "klein_vertices", "volume_numeric",
             "lobachevsky_quadrature_scalar"} <= set(bench_record.PER_CALL)
     for name, call in bench_record.PER_CALL.items():
         t = reggescissors.TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
@@ -108,7 +108,7 @@ def test_bench_record_times_a_layer(small_bench_record, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1, out
     timings = json.loads(out)
-    steps = ["import", *(criterion.__name__ for criterion in reggescissors.suite._CRITERIA)]
+    steps = [criterion.__name__ for criterion in reggescissors.suite._CRITERIA]
     assert list(timings) == ["s", "us"]
     assert list(timings["s"]) == steps and list(timings["us"]) == list(bench_record.PER_CALL)
     assert all(0 < value < math.inf for section in timings.values() for value in section.values())
@@ -174,9 +174,9 @@ def test_bench_record_times_cold_classifications(small_bench_record, monkeypatch
         perf_counter=lambda: events.append("tick") or clock()))
     assert 0 < bench_record.time_in_process()["us"]["classify"] < math.inf
     n = bench_record.PER_CALL_INPUTS
-    # the import and each suite criterion take two ticks, before the layers
+    # each suite criterion takes two ticks, before the layers
     ticks = [i for i, event in enumerate(events) if event == "tick"]
-    suite_ticks = 2 * (1 + len(reggescissors.suite._CRITERIA))
+    suite_ticks = 2 * len(reggescissors.suite._CRITERIA)
     first = ticks[suite_ticks]
     picking, timed = events[ticks[suite_ticks - 1] + 1:first - 1], events[first:]
     picked = [t for t in picking if compute(t).kind is tetra.TetraKind.FINITE]
@@ -185,18 +185,16 @@ def test_bench_record_times_cold_classifications(small_bench_record, monkeypatch
     assert timed[1::3] == picked[:n] and not {id(t) for t in timed[1::3]} & {id(t) for t in picking}
 
 
-def test_bench_record_times_each_layer_on_its_stream_with_the_memo_emptied(small_bench_record, monkeypatch):
+def test_bench_record_times_each_layer_on_its_stream(small_bench_record, monkeypatch):
     # the Klein layers on the inputs the `oracle` workload runs, the others on
     # the `formula` workload's; each layer's untimed warm-up (its last row)
-    # comes first and finds the series memo empty
+    # comes first
     bench_record = small_bench_record
-    from reggescissors.lobachevsky import _lobachevsky_float as memo
-
     seen = {}
 
     def recording(name, call):
         def record(m, arg):
-            seen.setdefault(name, []).append((arg, memo.cache_info().currsize))
+            seen.setdefault(name, []).append(arg)
             return call(m, arg)
         return record
 
@@ -213,22 +211,17 @@ def test_bench_record_times_each_layer_on_its_stream_with_the_memo_emptied(small
         assert len(calls) == len(expected), name
         # volume_numeric takes the Klein realization, the others the TetAngles
         key = (lambda x: x.vertices.tolist()) if name in bench_record.PER_CALL_ARG else (lambda x: x.as_tuple())
-        assert [key(arg) for arg, _ in calls] == [key(x) for x in expected], name
-        assert calls[0][1] == 0, name
-    # the memo fills within a layer, so finding it empty at the next warm-up is the emptying
-    assert seen["tet_volume"][-1][1] > 0
+        assert [key(arg) for arg in calls] == [key(x) for x in expected], name
 
 
 def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench_record, monkeypatch):
     # under a clock that makes each call take 4 ms, a pass of 3 calls spans
-    # 12 ms, so 10 periods of 20 ms take 17 passes; each pass empties the
-    # series memo and times every row on a fresh TetAngles, and the row is
-    # the mean over all 51 timed calls
+    # 12 ms, so 10 periods of 20 ms take 17 passes; each pass times every
+    # row on a fresh TetAngles, and the row is the mean over all 51 timed calls
     bench_record = small_bench_record
     monkeypatch.setattr(bench_record, "MIN_LAYER_PERIODS", 10)
     sys.path.insert(0, str(bench_record.ROOT / "perfbench"))
     import machine
-    from reggescissors.lobachevsky import _lobachevsky_float as memo
 
     assert machine.PERIOD_S == 0.02
     monkeypatch.setattr(machine, "reference_seconds", lambda pairs, samples: [b - a for a, b in pairs])
@@ -236,15 +229,14 @@ def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench
     monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.004))
     seen, call = [], bench_record.PER_CALL["tet_volume"]
     monkeypatch.setattr(bench_record, "PER_CALL", {
-        "tet_volume": lambda m, t: seen.append((t, memo.cache_info().currsize)) or call(m, t)})
+        "tet_volume": lambda m, t: seen.append(t) or call(m, t)})
     monkeypatch.setattr(bench_record, "PER_CALL_STREAM", {"tet_volume": "formula"})
     us = bench_record.time_in_process()["us"]["tet_volume"]
     rows = finite_rows(bench_record, "formula")
-    (warm_up, warm_size), timed = seen[0], seen[1:]
-    assert warm_up.as_tuple() == tuple(rows[-1]) and warm_size == 0
-    assert [t.as_tuple() for t, _ in timed] == [tuple(row) for row in rows[:-1]] * 17
-    assert [size for _, size in timed[0::3]] == [0] * 17 and all(size > 0 for _, size in timed[1::3])
-    assert len({id(t) for t, _ in seen}) == len(seen)
+    warm_up, timed = seen[0], seen[1:]
+    assert warm_up.as_tuple() == tuple(rows[-1])
+    assert [t.as_tuple() for t in timed] == [tuple(row) for row in rows[:-1]] * 17
+    assert len({id(t) for t in seen}) == len(seen)
     assert us == pytest.approx(4000.0)
 
 
@@ -252,13 +244,18 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
     bench_record = small_bench_record
     monkeypatch.setattr(bench_record, "WORK_OPS", {"formula": 3, "oracle": 2})
     tetra, octahedron, scissors = reggescissors.tetra, reggescissors.octahedron, reggescissors.scissors
-    originals = (tetra._classify, octahedron._solve_holonomy, scissors.decompose,
-                 reggescissors.suite.decompose, reggescissors.decompose)
+    series = sys.modules["reggescissors.lobachevsky"]
+
+    def bindings():
+        return (tetra._classify, octahedron._solve_holonomy, scissors._decompose, scissors.decompose,
+                reggescissors.suite.decompose, reggescissors.decompose, series._lobachevsky_float,
+                octahedron._lobachevsky_float, scissors._lobachevsky_float)
+
+    originals = bindings()
     first = bench_record.count_work()
-    assert (tetra._classify, octahedron._solve_holonomy, scissors.decompose,
-            reggescissors.suite.decompose, reggescissors.decompose) == originals
+    assert bindings() == originals
     assert bench_record.count_work() == first  # counts, not times: they repeat
-    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls", "series_evaluations"]
+    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls"]
     assert list(first) == ["formula", "oracle", "suite"]
     assert list(first["formula"]) == list(first["oracle"]) == ["ops", "failed", *keys]
     assert list(first["suite"]) == keys
@@ -266,8 +263,7 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
     # a formula op decomposes; an oracle op does not, and the suite does
     assert first["formula"]["decompose"] > 0 == first["oracle"]["decompose"] < first["suite"]["decompose"]
     for row in first.values():
-        assert row["_classify"] > 0 and row["_solve_holonomy"] > 0
-        assert row["series_calls"] >= row["series_evaluations"] > 0
+        assert row["_classify"] > 0 and row["_solve_holonomy"] > 0 and row["series_calls"] > 0
 
 
 def test_bench_record_puts_the_parent_counts_beside_each_count(bench_record, monkeypatch):
@@ -286,11 +282,11 @@ def test_bench_record_puts_the_parent_counts_beside_each_count(bench_record, mon
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):
     # time_in_process records perfbench's reference_seconds, for both sections
     monkeypatch.setattr(bench_record, "fresh",
-                        lambda checkout, *args: '{"s": {"import": 0.5}, "us": {"classify": 2.0}}')
+                        lambda checkout, *args: '{"s": {"criterion_1": 0.5}, "us": {"classify": 2.0}}')
     per_call, criteria = bench_record.run_in_process(None)
     assert per_call["scaled"] is True and per_call["layers"]["classify"]["us"] == 2.0
     assert per_call["workload"] == bench_record.PER_CALL_STREAM
-    assert criteria["scaled"] is True and criteria["steps"]["import"]["s"] == 0.5
+    assert criteria["scaled"] is True and criteria["steps"]["criterion_1"]["s"] == 0.5
 
 
 @pytest.fixture
