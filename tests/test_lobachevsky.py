@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import subprocess
 import sys
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reggescissors
 from reggescissors.exceptions import QuadratureError
 from reggescissors.lobachevsky import (
     _SERIES_BANDS,
@@ -500,6 +504,26 @@ class TestRepeatedCalls:
         for _ in range(2):
             with pytest.raises(ValueError):
                 lobachevsky(bad)
+
+
+def test_the_only_function_cache_builds_the_quadrature_tables():
+    # every memo of a computed value lives on the instance it was computed
+    # for; a functools cache on a function of the package outlives the op
+    # that filled it, unless it takes no argument and builds a table once
+    cached = []
+    for info in pkgutil.iter_modules(reggescissors.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"reggescissors.{info.name}")
+        owners = [module, *(c for c in vars(module).values()
+                            if inspect.isclass(c) and c.__module__ == module.__name__)]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
+                    cached.append((f"{module.__name__}.{name}", value))
+    assert [name for name, _ in cached] == ["reggescissors.lobachevsky._tanh_sinh_levels"]
+    assert inspect.signature(cached[0][1]).parameters == {}
+    assert not hasattr(_lobachevsky_float, "cache_info") and not hasattr(_lobachevsky_float, "__wrapped__")
 
 
 @pytest.mark.kernel_independent

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import json
@@ -238,6 +239,33 @@ def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench
     assert [t.as_tuple() for t in timed] == [tuple(row) for row in rows[:-1]] * 17
     assert len({id(t) for t in seen}) == len(seen)
     assert us == pytest.approx(4000.0)
+
+
+def test_bench_record_empties_a_parent_series_memo_before_each_pass(small_bench_record, monkeypatch):
+    # a parent checkout whose series still keeps a process-wide memo has it
+    # emptied before each pass, so no pass reads the values of the pass before;
+    # the memo fills within a pass, so finding it empty at the next pass's first
+    # call is the emptying
+    bench_record = small_bench_record
+    monkeypatch.setattr(bench_record, "MIN_LAYER_PERIODS", 10)
+    sys.path.insert(0, str(bench_record.ROOT / "perfbench"))
+    import machine
+
+    monkeypatch.setattr(machine, "reference_seconds", lambda pairs, samples: [b - a for a, b in pairs])
+    ticks = itertools.count()
+    monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.004))
+    series = sys.modules["reggescissors.lobachevsky"]
+    memo = functools.lru_cache(maxsize=4096)(series._lobachevsky_float)
+    for module in (series, reggescissors.octahedron, reggescissors.scissors):
+        monkeypatch.setattr(module, "_lobachevsky_float", memo)
+    sizes, call = [], bench_record.PER_CALL["tet_volume"]
+    monkeypatch.setattr(bench_record, "PER_CALL", {
+        "tet_volume": lambda m, t: sizes.append(memo.cache_info().currsize) or call(m, t)})
+    monkeypatch.setattr(bench_record, "PER_CALL_STREAM", {"tet_volume": "formula"})
+    bench_record.time_in_process()
+    timed = sizes[1:]  # after the untimed warm-up
+    assert len(timed) == 3 * 17
+    assert timed[0::3] == [0] * 17 and all(size > 0 for size in timed[1::3] + timed[2::3])
 
 
 def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_record, monkeypatch):
