@@ -45,13 +45,13 @@ import is timed within the `suite` workload's `wall_s`, in a fresh
 subprocess per op.
 
 `work` gives exact counts, which repeat from run to run where the times
-spread: per op over the first WORK_OPS inputs of the `formula` and
-`oracle` streams for seed 1 (perfbench's own ops), and in total for one
-suite run of SUITE_CONFIG, the calls of each WORK_CALLS function
-(classifications, holonomy solves, decompositions computed and series
-calls, each of which evaluates the series).  They come from one fresh
-process, and with `--before` from one more on the other checkout, whose
-counts each row records as `before_<count>`.
+spread: the calls of each WORK_CALLS function, per op over the first
+WORK_OPS inputs of the `formula` and `oracle` streams for seed 1
+(perfbench's own ops), and in total for one suite run of SUITE_CONFIG.  A
+profile hook counts each call by its function's code object, whatever name
+the caller reaches it by.  They come from one fresh process, and with
+`--before` from one more on the other checkout, whose counts each row
+records as `before_<count>`.
 
 The per_call and suite_criteria sections come from the same SUITE_RUNS
 fresh processes, each of which times the suite criteria and then every
@@ -62,7 +62,8 @@ quartiles, and `wins` counts the rounds in which this checkout took less
 time.  Give both trees the same bytecode: where Python writes none, a
 `cp -r` copy's cached bytecode no longer matches its sources' times, so its
 import compiles again and reads slower.  `cp -a` keeps the times, and
-`git archive` makes a tree without bytecode, like a fresh checkout.
+`git archive` makes a tree without bytecode, like a fresh checkout; then
+remove this checkout's `__pycache__` directories too.
 """
 
 from __future__ import annotations
@@ -203,12 +204,9 @@ def time_in_process() -> dict:
 
         import reggescissors as m  # loads every module PER_CALL reaches
         from inputs import TetStream
-        from reggescissors.lobachevsky import _lobachevsky_float
         from worker import RMAX, STREAM
 
         TetAngles, finite = m.tetra.TetAngles, m.tetra.TetraKind.FINITE
-        # parent-only: a checkout whose series keeps a memo has it emptied before each pass
-        empty_memo = getattr(_lobachevsky_float, "cache_clear", None)
         rows = {}
         for stream in dict.fromkeys(PER_CALL_STREAM.values()):
             found = (a for a, _ in TetStream(1, STREAM[stream], RMAX[stream])
@@ -219,8 +217,6 @@ def time_in_process() -> dict:
             call(m, layer_arg(name, m, TetAngles.of(warm_up)))
             pairs = intervals[name] = []
             while not pairs or sum(end - start for start, end in pairs) < MIN_LAYER_PERIODS * PERIOD_S:
-                if empty_memo:
-                    empty_memo()
                 for angles in timed:
                     arg = layer_arg(name, m, TetAngles.of(angles))
                     start = time.perf_counter()
@@ -235,52 +231,37 @@ def count_work() -> dict:
     """In this process, with the package found on PYTHONPATH: per op over the
     first WORK_OPS inputs of each workload's stream for seed 1, and in total
     for one suite run of SUITE_CONFIG, the calls of each WORK_CALLS
-    function.  Every binding of a counted function in the package is
-    wrapped while counting, then restored."""
+    function, counted by code object under a profile hook that then puts
+    back the hook set before it."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import ops
     from inputs import TetStream
     from reggescissors import suite
     from worker import RMAX, STREAM
 
+    names = {getattr(sys.modules[f"reggescissors.{module}"], attr).__code__: name
+             for name, (module, attr) in WORK_CALLS.items()}
     counts = dict.fromkeys(WORK_CALLS, 0)
-    package = [m for key, m in sys.modules.items() if key.split(".")[0] == "reggescissors"]
-    wrapped = []  # (namespace, key, original)
-    for name, (module, attr) in WORK_CALLS.items():
-        fn = getattr(sys.modules[f"reggescissors.{module}"], attr)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
 
-        for namespace in package:
-            for key, value in list(vars(namespace).items()):
-                if value is fn:
-                    wrapped.append((namespace, key, fn))
-                    setattr(namespace, key, counted)
-
-    def run(calls) -> tuple[dict, int]:
-        """The counts summed over the calls, and how many returned a failure reason."""
-        totals = dict.fromkeys(counts, 0)
-        failed = 0
-        for call in calls:
-            counts.update(dict.fromkeys(counts, 0))
-            failed += call() is not None
-            for name, n in counts.items():
-                totals[name] += n
-        return totals, failed
-
+    previous = sys.getprofile()
+    sys.setprofile(hook)
     try:
         out = {}
         for workload, n in WORK_OPS.items():
             op = getattr(ops, workload)
             rows = TetStream(1, STREAM[workload], RMAX[workload]).take(n)[0]
-            totals, failed = run([lambda a=a: op(a) for a in rows])
-            out[workload] = {"ops": n, "failed": failed, **{k: v / n for k, v in totals.items()}}
-        out["suite"], _ = run([lambda: suite.run_suite(suite.SuiteConfig(**SUITE_CONFIG))])
+            counts.update(dict.fromkeys(counts, 0))
+            failed = sum(op(a) is not None for a in rows)
+            out[workload] = {"ops": n, "failed": failed, **{k: v / n for k, v in counts.items()}}
+        counts.update(dict.fromkeys(counts, 0))
+        suite.run_suite(suite.SuiteConfig(**SUITE_CONFIG))
+        out["suite"] = dict(counts)
     finally:
-        for namespace, key, fn in wrapped:
-            setattr(namespace, key, fn)
+        sys.setprofile(previous)
     return out
 
 

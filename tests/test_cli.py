@@ -228,16 +228,22 @@ ANGLE_COMMANDS = [["volume"], ["decompose"], *(["regge", "--which", w] for w in 
                   *(["verify", "--which", w] for w in "abc"), ["oracle"]]
 
 
-#: A fresh interpreter runs every angle command but oracle, then imports the
-#: names of the Klein oracle and the suite, and prints whether numpy was loaded
-#: before that import.
+#: A fresh interpreter runs every angle command but oracle, the first through
+#: the module entry (`python -m reggescissors`) and the rest through
+#: `cli.main`, then imports the names of the Klein oracle and the suite, and
+#: prints whether numpy was loaded before that import.
 _NO_NUMPY = """
-import contextlib, io, json, sys
-from reggescissors import cli
+import contextlib, io, json, runpy, sys
+first, *rest = json.loads(sys.argv[1])
 codes = []
-for command in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(command))
+with contextlib.redirect_stdout(io.StringIO()):
+    sys.argv = ["reggescissors", *first]
+    try:
+        runpy.run_module("reggescissors", run_name="__main__")
+    except SystemExit as exit:
+        codes.append(exit.code)
+    from reggescissors import cli
+    codes += [cli.main(command) for command in rest]
 loaded = "numpy" in sys.modules
 from reggescissors import run_suite, SuiteConfig, klein_vertices, volume_numeric
 import reggescissors

@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import itertools
 import json
@@ -241,33 +240,6 @@ def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench
     assert us == pytest.approx(4000.0)
 
 
-def test_bench_record_empties_a_parent_series_memo_before_each_pass(small_bench_record, monkeypatch):
-    # a parent checkout whose series still keeps a process-wide memo has it
-    # emptied before each pass, so no pass reads the values of the pass before;
-    # the memo fills within a pass, so finding it empty at the next pass's first
-    # call is the emptying
-    bench_record = small_bench_record
-    monkeypatch.setattr(bench_record, "MIN_LAYER_PERIODS", 10)
-    sys.path.insert(0, str(bench_record.ROOT / "perfbench"))
-    import machine
-
-    monkeypatch.setattr(machine, "reference_seconds", lambda pairs, samples: [b - a for a, b in pairs])
-    ticks = itertools.count()
-    monkeypatch.setattr(bench_record, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.004))
-    series = sys.modules["reggescissors.lobachevsky"]
-    memo = functools.lru_cache(maxsize=4096)(series._lobachevsky_float)
-    for module in (series, reggescissors.octahedron, reggescissors.scissors):
-        monkeypatch.setattr(module, "_lobachevsky_float", memo)
-    sizes, call = [], bench_record.PER_CALL["tet_volume"]
-    monkeypatch.setattr(bench_record, "PER_CALL", {
-        "tet_volume": lambda m, t: sizes.append(memo.cache_info().currsize) or call(m, t)})
-    monkeypatch.setattr(bench_record, "PER_CALL_STREAM", {"tet_volume": "formula"})
-    bench_record.time_in_process()
-    timed = sizes[1:]  # after the untimed warm-up
-    assert len(timed) == 3 * 17
-    assert timed[0::3] == [0] * 17 and all(size > 0 for size in timed[1::3] + timed[2::3])
-
-
 def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_record, monkeypatch):
     bench_record = small_bench_record
     monkeypatch.setattr(bench_record, "WORK_OPS", {"formula": 3, "oracle": 2})
@@ -279,19 +251,48 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
                 reggescissors.suite.decompose, reggescissors.decompose, series._lobachevsky_float,
                 octahedron._lobachevsky_float, scissors._lobachevsky_float)
 
-    originals = bindings()
-    first = bench_record.count_work()
+    def hook(frame, event, arg):
+        pass
+
+    originals, previous = bindings(), sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        first = bench_record.count_work()
+        assert sys.getprofile() is hook  # the hook set before counting is put back
+    finally:
+        sys.setprofile(previous)
     assert bindings() == originals
     assert bench_record.count_work() == first  # counts, not times: they repeat
+    # the counts that a counter wrapping every package binding of the four
+    # functions also reads on this configuration
+    assert first == {
+        "formula": {"ops": 3, "failed": 0, "_classify": 6.0, "_solve_holonomy": 9.0, "decompose": 5.0,
+                    "series_calls": 168.0},
+        "oracle": {"ops": 2, "failed": 0, "_classify": 13.0, "_solve_holonomy": 13.0, "decompose": 0.0,
+                   "series_calls": 312.0},
+        "suite": {"_classify": 147, "_solve_holonomy": 155, "decompose": 30, "series_calls": 10589},
+    }
     keys = ["_classify", "_solve_holonomy", "decompose", "series_calls"]
     assert list(first) == ["formula", "oracle", "suite"]
-    assert list(first["formula"]) == list(first["oracle"]) == ["ops", "failed", *keys]
-    assert list(first["suite"]) == keys
-    assert first["formula"]["ops"] == 3 and first["oracle"]["ops"] == 2
-    # a formula op decomposes; an oracle op does not, and the suite does
-    assert first["formula"]["decompose"] > 0 == first["oracle"]["decompose"] < first["suite"]["decompose"]
-    for row in first.values():
-        assert row["_classify"] > 0 and row["_solve_holonomy"] > 0 and row["series_calls"] > 0
+    assert [list(row) for row in first.values()] == [["ops", "failed", *keys]] * 2 + [keys]
+
+
+def test_bench_record_counts_a_call_by_its_code_object(small_bench_record, monkeypatch):
+    # a call counts whatever name it is made through: here each op calls
+    # _classify through a reference taken before counting, which no module binds
+    bench_record = small_bench_record
+    monkeypatch.setattr(bench_record, "WORK_OPS", {"formula": 2})
+    sys.path.insert(0, str(bench_record.ROOT / "perfbench"))
+    import ops
+
+    classify, of = reggescissors.tetra._classify, reggescissors.TetAngles.of
+    monkeypatch.setattr(ops, "formula", lambda angles: classify(of(angles)) and None)
+    monkeypatch.setattr(reggescissors.suite, "run_suite", lambda config: classify(of([1.2] * 6)))
+    assert bench_record.count_work() == {
+        "formula": {"ops": 2, "failed": 0, "_classify": 1.0, "_solve_holonomy": 0.0, "decompose": 0.0,
+                    "series_calls": 0.0},
+        "suite": {"_classify": 1, "_solve_holonomy": 0, "decompose": 0, "series_calls": 0},
+    }
 
 
 def test_bench_record_puts_the_parent_counts_beside_each_count(bench_record, monkeypatch):
