@@ -59,21 +59,29 @@ layer.  With `--before`, as many processes run on the `src/` of another
 checkout (the parent of the change), alternating process by process, with
 the side that runs first swapped every round; each row then also records `before_us` or `before_s` with its
 quartiles, and `wins` counts the rounds in which this checkout took less
-time.  Give both trees the same bytecode: where Python writes none, a
-`cp -r` copy's cached bytecode no longer matches its sources' times, so its
-import compiles again and reads slower.  `cp -a` keeps the times, and
-`git archive` makes a tree without bytecode, like a fresh checkout; then
-remove this checkout's `__pycache__` directories too.
+time.
+
+The cold-start, per_call, suite_criteria and work processes keep their
+bytecode under a prefix of their checkout's own, in one temporary directory
+made per recording (`src_env`), so neither side reads a `__pycache__` left
+in its tree.  The work counts run first and write each side's bytecode, and
+one untimed cold start per side completes it before the timed runs.  The
+tier-1 run reads bytecode as a plain run of its command in this checkout
+does.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -159,9 +167,24 @@ def quartiles(runs: dict[str, list[float]]) -> dict:
     return out
 
 
-def src_env(src: Path = ROOT / "src") -> dict:
+@functools.cache
+def pycache_root() -> Path:
+    """The temporary directory of this recording, made on the first call and removed at exit."""
+    path = Path(tempfile.mkdtemp(prefix="bench_record-"))
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
+def src_env(src: Path = ROOT / "src", own_bytecode: bool = True) -> dict:
+    """The environment of a process on the package in `src`, first on
+    PYTHONPATH.  With `own_bytecode`, Python reads and writes bytecode only
+    under PYTHONPYCACHEPREFIX, a directory of pycache_root() for `src`
+    alone, and never in a tree's `__pycache__`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    if own_bytecode:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = str(pycache_root() / hashlib.sha256(str(src.resolve()).encode()).hexdigest()[:16])
     return env
 
 
@@ -336,6 +359,8 @@ def run_cold_start(before: Path | None) -> dict:
     as `alternate` does, under `before_median`, `before_q1` and
     `before_q3`, with `wins`, the rounds in which this checkout took less
     time."""
+    for checkout in filter(None, (before, ROOT)):
+        cold_start(checkout)  # untimed: completes the bytecode of its side
     runs = alternate(before, cold_start, COLD_START_RUNS)
     row = {"command": "python " + " ".join(COLD_START), "runs": COLD_START_RUNS, "scaled": False, "unit": "s"}
     for side, times in runs.items():
@@ -349,7 +374,7 @@ def run_cold_start(before: Path | None) -> dict:
 
 def run_tier1() -> dict:
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=src_env(),
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=src_env(own_bytecode=False),
                           capture_output=True, text=True)
     wall_s = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
@@ -386,9 +411,9 @@ def main() -> int:
             print(f"{workload} seed {seed}: {result['failed']}/{result['attempted']} failed",
                   file=sys.stderr)
         entry["workloads"][workload] = {"metrics": summarize(results), "runs": runs}
+    entry["work"] = run_work(args.before)  # first: it writes the bytecode the timed runs read
     entry["cli_cold_start"] = run_cold_start(args.before)
     entry["per_call"], entry["suite_criteria"] = run_in_process(args.before)
-    entry["work"] = run_work(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
 
     path = ROOT / f"BENCH_{args.pr}.json"

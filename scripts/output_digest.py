@@ -45,7 +45,7 @@ PINNED = {
     "suite_seed2": "3a40bd6f41a0d508996c42ab32190efcd74e780fa6ed9caf597c4feb6093e48c",
     "formula_seed1": "b16c972e64879f2d0bc155aeedd64fd476794883fbbce5e0b1ced9aafcbd8a95",
     "formula_seed2": "fc212ac3819cf8b8660e4c5757cc3e13dffb0e0555973b31fa64111089fefb92",
-    "formula_seed3": "e345157026ee89d729020e6099199babdde4852b826e6154dc923fe5e6bead9e",
+    "formula_seed3": "dbc0b5478952b38f24fdeb00e4d0d565393481ff0e058f4485e722275d7db188",
     "oracle_seed1": "cc618d0246d7961b801102a4906efbcba8194284245509d020a1342ef289afb4",
 }
 

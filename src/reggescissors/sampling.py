@@ -1,9 +1,6 @@
 """Seeded generation of random finite tetrahedra by rejection sampling.
 
 The sampler only draws: it keeps each box draw that `classify` calls Finite.
-Each Regge move permutes the vertex-link forms, so the images of a Finite
-draw are Finite; a caller classifies the images it builds, once, where it
-uses them.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ from .tetra import (
     SWAP_AB_PAIRS,
     TetAngles,
     TetraKind,
+    _inherit_class,
     _memo,
+    _vertex_cofactors,
     classify,
     relabel,
     require_kind,
@@ -103,12 +105,17 @@ def s_value(t: TetAngles, which: str) -> float:
 
 
 def regge(t: TetAngles, which: str) -> TetAngles:
-    """Apply one Regge transform, a total affine involution; classify() judges the image.
+    """Apply one Regge transform, a total affine involution.  Each move keeps det G and
+    permutes the vertex-link forms, so the image of a Finite or Ideal t takes the kind and det
+    of t, with its own vertex cofactors; any other image is classified on its own.  t keeps
+    its image under each move (see tetra._memo): the checks and the orbit solve it once."""
+    def image(s: TetAngles) -> TetAngles:
+        out = TetAngles(*_move(s.as_tuple(), which)[1])
+        if (cls := classify(s)).kind in (TetraKind.FINITE, TetraKind.IDEAL):
+            _inherit_class(out, cls, _vertex_cofactors(out.as_tuple()))
+        return out
 
-    t keeps its image under each move (see tetra._memo), so the checks and the orbit
-    that read one image classify and solve it once."""
-    move = lambda s: TetAngles(*_move(s.as_tuple(), which)[1])
-    return _memo(t, f"_regge_{which}", move)
+    return _memo(t, f"_regge_{which}", image)
 
 
 def canonical_angle(x: float) -> float:
@@ -225,23 +232,17 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
 
     _CHECKS names the source piece each image piece matches and the
     relabelings the sides are decomposed through (none for 'c'); each side is
-    solved on its own.  Invalid or degenerate configurations
-    produce a failed report rather than an exception; a tol outside
-    (0, inf) raises GeometryDomainError.  The image of a Finite source is
-    Finite (each move permutes the vertex-link forms), so the image class is
-    checked only as a guard against rounding at the classification tolerance.
+    solved on its own.  A source that is not Finite (its image takes its class,
+    see regge) or a degenerate system gives a failed report rather than an
+    exception; a tol outside (0, inf) raises GeometryDomainError.
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
     transformed = regge(t, which)
-    kind_t = classify(t).kind
-    kind_i = classify(transformed).kind
     of_source, of_image, match = _CHECKS[which]
     measured, failure = {}, None
-    if kind_t is not TetraKind.FINITE:
-        failure = f"source tetrahedron is {kind_t.value}, not Finite"
-    elif kind_i is not TetraKind.FINITE:
-        failure = f"transform image is {kind_i.value}, not Finite"
+    if (kind := classify(t).kind) is not TetraKind.FINITE:
+        failure = f"source tetrahedron is {kind.value}, not Finite"
     else:
         try:
             source = decompose(relabel(t, of_source) if of_source else t).canonical_angles()
@@ -282,8 +283,8 @@ def regge_orbit(t: TetAngles) -> OrbitResult:
     The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
     each kept unless a relabeling of it matches an earlier member: at most six members.
-    Each word is regge's image, kept on its source: after verify_scissors(t, w) the
-    orbit classifies and solves R_w t no more."""
+    Each word is regge's image, kept on its source with the class of t when t is Finite
+    or Ideal: after verify_scissors(t, w) the orbit solves R_w t no more."""
     ra = regge(t, "a")
     members: list[TetAngles] = []
     for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):

@@ -248,12 +248,10 @@ def classify(t: TetAngles) -> TetraClass:
 
 
 def _classify(t: TetAngles) -> TetraClass:
-    x = A, B, C, Ap, Bp, Cp = t.as_tuple()
+    x = t.as_tuple()
     cosines = [math.cos(v) for v in x]
     det = _gram_det(cosines)
-    # vertex 0 meets (A, B, C), 1 (A, B', C'), 2 (A', B, C'), 3 (A', B', C)
-    cof = (_link_cofactor(A, B, C), _link_cofactor(A, Bp, Cp),
-           _link_cofactor(Ap, B, Cp), _link_cofactor(Ap, Bp, C))
+    cof = _vertex_cofactors(x)
     low = min(cof)
     if (not t.in_range() or min(_edge_cofactors(x, cosines)) < -IDEAL_COFACTOR_TOL
             or not _signature_31(t, det)):
@@ -265,6 +263,11 @@ def _classify(t: TetAngles) -> TetraClass:
     else:
         kind = TetraKind.HYPERIDEAL
     return TetraClass(kind, det, cof)
+
+
+def _inherit_class(t: TetAngles, cls: TetraClass, vertex_cofactors) -> None:
+    """Keep on t, as its class (see _memo), the kind and det of cls with the vertex cofactors given."""
+    object.__setattr__(t, "_tetra_class", TetraClass(cls.kind, cls.det, tuple(vertex_cofactors)))
 
 
 def _signature_31(t: TetAngles, det: float) -> bool:
@@ -293,6 +296,12 @@ def _link_cofactor(a: float, b: float, c: float) -> float:
     """Cofactor of the vertex with angles (a, b, c); see the module docstring."""
     s = (a + b + c) / 2
     return -4 * math.cos(s) * math.cos(s - a) * math.cos(s - b) * math.cos(s - c)
+
+
+def _vertex_cofactors(x) -> tuple[float, float, float, float]:
+    """The link cofactors of vertices 0..3, at (A, B, C), (A, B', C'), (A', B, C') and (A', B', C)."""
+    A, B, C, Ap, Bp, Cp = x
+    return (_link_cofactor(A, B, C), _link_cofactor(A, Bp, Cp), _link_cofactor(Ap, B, Cp), _link_cofactor(Ap, Bp, C))
 
 
 def _edge_cofactors(x, c) -> tuple[float, ...]:
@@ -371,22 +380,17 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
     """Relabel angles by a vertex permutation: new angle at edge e is the old
     angle at edge sigma(e).  A bijection; relabel(relabel(t, s), s^-1) == t.
 
-    The relabeling of a classified t takes its class from t: the same kind
-    and det, and as cofactor of vertex v that of vertex sigma(v), whose link
-    has the same angles.
+    The relabeling of a classified t takes its class from t (_inherit_class):
+    the same kind and det, and as cofactor of vertex v that of vertex
+    sigma(v), whose link has the same angles.
     """
     sigma = tuple(sigma)
     try:
-        row = _RELABEL_ROWS.get(sigma)
-    except TypeError:  # an unhashable entry
-        row = None
-    if row is None:
-        raise GeometryDomainError(f"not a vertex permutation: {sigma!r}")
+        row = _RELABEL_ROWS[sigma]
+    except (KeyError, TypeError):  # TypeError: an unhashable entry
+        raise GeometryDomainError(f"not a vertex permutation: {sigma!r}") from None
     x = t.as_tuple()
     out = TetAngles(x[row[0]], x[row[1]], x[row[2]], x[row[3]], x[row[4]], x[row[5]])
-    cls = t.__dict__.get("_tetra_class")
-    if cls is not None:
-        c = cls.vertex_cofactors
-        i, j, k, m = map(int, sigma)  # (0.0, 2.0, 1.0, 3.0) is a permutation too
-        object.__setattr__(out, "_tetra_class", TetraClass(cls.kind, cls.det, (c[i], c[j], c[k], c[m])))
+    if (cls := t.__dict__.get("_tetra_class")) is not None:  # (0.0, 2.0, 1.0, 3.0) is a permutation too
+        _inherit_class(out, cls, (cls.vertex_cofactors[int(v)] for v in sigma))
     return out

@@ -15,6 +15,10 @@ GENERIC_FINITE = TetAngles(1.15, 1.2, 1.1, 1.22, 1.18, 1.25)
 #: vertices (cofactors -1.58 and -1.24): Hyperideal
 IDEAL_BESIDE_HYPERIDEAL = TetAngles(0.3470962615811726, 0.6009492915784794, 2.193547100430141,
                                     0.8939493741542692, 0.872830165565675, 0.8220983117798689)
+#: Hyperideal angles (vertex cofactors 0.79, -0.0099, -1.26 and -0.070) whose
+#: R_a image, (1.95, 0.68, 0.47, 0.56, 0.94, 1.83), is Invalid: at 40 digits
+#: its edge {1, 3} cofactor is -0.36, and every image angle lies in (0, pi)
+HYPERIDEAL_WITH_INVALID_IMAGE = (1.95, 1.28, 1.49, 0.56, 1.02, 0.13)
 
 
 @pytest.fixture(scope="session")
@@ -71,14 +75,18 @@ def first_ops():
 
 
 @pytest.fixture(scope="session")
-def slivers():
-    """The inputs among the first 1200 of the `formula` streams, seeds 1-3,
-    that classify calls Ideal.  The benchmark draws only Finite inputs (by
-    strict cofactor signs), so each of these is a near-degenerate Finite
-    tetrahedron whose smallest vertex cofactor falls below
-    IDEAL_COFACTOR_TOL."""
-    return [angles for angles in _stream_rows(1, 0.998, 1200)
-            if classify(TetAngles(*angles)).kind is TetraKind.IDEAL]
+def formula_rows():
+    """Angle tuples of the first 1200 inputs of the `formula` streams, seeds 1-3."""
+    return _stream_rows(1, 0.998, 1200)
+
+
+@pytest.fixture(scope="session")
+def slivers(formula_rows):
+    """The formula_rows that classify calls Ideal.  The benchmark draws only
+    Finite inputs (by strict cofactor signs), so each of these is a
+    near-degenerate Finite tetrahedron whose smallest vertex cofactor falls
+    below IDEAL_COFACTOR_TOL."""
+    return [angles for angles in formula_rows if classify(TetAngles(*angles)).kind is TetraKind.IDEAL]
 
 
 @pytest.fixture

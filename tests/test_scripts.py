@@ -140,23 +140,24 @@ def test_bench_record_alternates_which_side_runs_first(bench_record, monkeypatch
 
 
 def test_bench_record_alternates_the_cold_starts(bench_record, monkeypatch):
-    # the cold starts alternate with the parent's as the timing processes do,
-    # and the parent's quartiles and the wins sit beside this checkout's
+    # after one untimed cold start per side, the cold starts alternate with
+    # the parent's as the timing processes do, and the parent's quartiles
+    # and the wins sit beside this checkout's
     calls = []
     monkeypatch.setattr(bench_record, "cold_start", lambda checkout: calls.append(checkout) or float(len(calls)))
     monkeypatch.setattr(bench_record, "src_digest", lambda checkout: "digest")
     parent, here = pathlib.Path("parent"), bench_record.ROOT
     row = bench_record.run_cold_start(parent)
     assert bench_record.COLD_START_RUNS == 10
-    assert calls == [parent, here, here, parent] * 5
-    # this checkout ran 2, 3, 6, 7, ..., 18, 19 and the parent 1, 4, 5, 8, ..., 17, 20
-    assert (row["median"], row["before_median"]) == (10.5, 10.5)
+    assert calls == [parent, here] + [parent, here, here, parent] * 5
+    # this checkout ran 4, 5, 8, 9, ..., 20, 21 and the parent 3, 6, 7, 10, ..., 19, 22
+    assert (row["median"], row["before_median"]) == (12.5, 12.5)
     assert row["wins"] == 5 and row["before_src_sha256"] == "digest" and row["runs"] == 10
     assert {"q1", "q3", "before_q1", "before_q3", "scaled", "unit", "command"} <= set(row)
 
     calls.clear()
     row = bench_record.run_cold_start(None)
-    assert calls == [here] * 10 and row["median"] == 5.5
+    assert calls == [here] * 11 and row["median"] == 6.5
     assert not {"wins", "before_median", "before_src_sha256"} & set(row)
 
 
@@ -266,15 +267,30 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
     # the counts that a counter wrapping every package binding of the four
     # functions also reads on this configuration
     assert first == {
-        "formula": {"ops": 3, "failed": 0, "_classify": 6.0, "_solve_holonomy": 9.0, "decompose": 5.0,
+        "formula": {"ops": 3, "failed": 0, "_classify": 1.0, "_solve_holonomy": 9.0, "decompose": 5.0,
                     "series_calls": 168.0},
         "oracle": {"ops": 2, "failed": 0, "_classify": 13.0, "_solve_holonomy": 13.0, "decompose": 0.0,
                    "series_calls": 312.0},
-        "suite": {"_classify": 147, "_solve_holonomy": 155, "decompose": 30, "series_calls": 10589},
+        "suite": {"_classify": 107, "_solve_holonomy": 155, "decompose": 30, "series_calls": 10589},
     }
     keys = ["_classify", "_solve_holonomy", "decompose", "series_calls"]
     assert list(first) == ["formula", "oracle", "suite"]
     assert [list(row) for row in first.values()] == [["ops", "failed", *keys]] * 2 + [keys]
+
+
+def test_bench_record_gives_each_checkout_its_own_bytecode_prefix(bench_record, tmp_path):
+    parent = tmp_path / "parent"
+    envs = {checkout: bench_record.src_env(checkout / "src") for checkout in (bench_record.ROOT, parent)}
+    prefixes = {checkout: pathlib.Path(env["PYTHONPYCACHEPREFIX"]) for checkout, env in envs.items()}
+    assert len(set(prefixes.values())) == 2
+    for checkout, prefix in prefixes.items():
+        assert prefix.parent == bench_record.pycache_root() and prefix.parent.is_dir()
+        assert not prefix.resolve().is_relative_to(checkout.resolve())
+        assert envs[checkout]["PYTHONPATH"].split(os.pathsep)[0] == str(checkout / "src")
+        assert "PYTHONDONTWRITEBYTECODE" not in envs[checkout]
+    # the same checkout keeps its prefix for the whole recording
+    assert bench_record.src_env(parent / "src")["PYTHONPYCACHEPREFIX"] == str(prefixes[parent])
+    assert "PYTHONPYCACHEPREFIX" not in bench_record.src_env(own_bytecode=False)
 
 
 def test_bench_record_counts_a_call_by_its_code_object(small_bench_record, monkeypatch):
