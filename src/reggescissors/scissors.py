@@ -34,7 +34,6 @@ from .tetra import (
     TetraKind,
     _inherit_class,
     _memo,
-    _vertex_cofactors,
     classify,
     relabel,
     require_kind,
@@ -106,13 +105,13 @@ def s_value(t: TetAngles, which: str) -> float:
 
 def regge(t: TetAngles, which: str) -> TetAngles:
     """Apply one Regge transform, a total affine involution.  Each move keeps det G and
-    permutes the vertex-link forms, so the image of a Finite or Ideal t takes the kind and det
-    of t, with its own vertex cofactors; any other image is classified on its own.  t keeps
-    its image under each move (see tetra._memo): the checks and the orbit solve it once."""
+    permutes the vertex-link forms, so the image of a Finite or Ideal t takes the class
+    object of t; any other image is classified on its own.  t keeps its image under each
+    move (see tetra._memo): the checks and the orbit solve it once."""
     def image(s: TetAngles) -> TetAngles:
         out = TetAngles(*_move(s.as_tuple(), which)[1])
         if (cls := classify(s)).kind in (TetraKind.FINITE, TetraKind.IDEAL):
-            _inherit_class(out, cls, _vertex_cofactors(out.as_tuple()))
+            _inherit_class(out, cls)
         return out
 
     return _memo(t, f"_regge_{which}", image)

@@ -153,17 +153,15 @@ class TetraKind(Enum):
 
 @dataclass(frozen=True)
 class TetraClass:
-    """The class of the angle data and the numbers behind it.
+    """The class of the angle data and the number behind its signature.
 
     `det` is det G by Laplace expansion in floats.  When |det| exceeds
     IDEAL_COFACTOR_TOL, its sign alone decides the signature (module
-    docstring).
-    `vertex_cofactors` are the link cofactors of vertices 0..3.
+    docstring).  A relabeling or Regge image shares its source's class object.
     """
 
     kind: TetraKind
     det: float
-    vertex_cofactors: tuple[float, float, float, float]
 
 
 def prime_angles(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -251,8 +249,7 @@ def _classify(t: TetAngles) -> TetraClass:
     x = t.as_tuple()
     cosines = [math.cos(v) for v in x]
     det = _gram_det(cosines)
-    cof = _vertex_cofactors(x)
-    low = min(cof)
+    low = min(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES)
     if (not t.in_range() or min(_edge_cofactors(x, cosines)) < -IDEAL_COFACTOR_TOL
             or not _signature_31(t, det)):
         kind = TetraKind.INVALID
@@ -262,12 +259,12 @@ def _classify(t: TetAngles) -> TetraClass:
         kind = TetraKind.IDEAL
     else:
         kind = TetraKind.HYPERIDEAL
-    return TetraClass(kind, det, cof)
+    return TetraClass(kind, det)
 
 
-def _inherit_class(t: TetAngles, cls: TetraClass, vertex_cofactors) -> None:
-    """Keep on t, as its class (see _memo), the kind and det of cls with the vertex cofactors given."""
-    object.__setattr__(t, "_tetra_class", TetraClass(cls.kind, cls.det, tuple(vertex_cofactors)))
+def _inherit_class(t: TetAngles, cls: TetraClass) -> None:
+    """Keep cls on t as its class (see _memo)."""
+    object.__setattr__(t, "_tetra_class", cls)
 
 
 def _signature_31(t: TetAngles, det: float) -> bool:
@@ -296,12 +293,6 @@ def _link_cofactor(a: float, b: float, c: float) -> float:
     """Cofactor of the vertex with angles (a, b, c); see the module docstring."""
     s = (a + b + c) / 2
     return -4 * math.cos(s) * math.cos(s - a) * math.cos(s - b) * math.cos(s - c)
-
-
-def _vertex_cofactors(x) -> tuple[float, float, float, float]:
-    """The link cofactors of vertices 0..3, at (A, B, C), (A, B', C'), (A', B, C') and (A', B', C)."""
-    A, B, C, Ap, Bp, Cp = x
-    return (_link_cofactor(A, B, C), _link_cofactor(A, Bp, Cp), _link_cofactor(Ap, B, Cp), _link_cofactor(Ap, Bp, C))
 
 
 def _edge_cofactors(x, c) -> tuple[float, ...]:
@@ -380,9 +371,8 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
     """Relabel angles by a vertex permutation: new angle at edge e is the old
     angle at edge sigma(e).  A bijection; relabel(relabel(t, s), s^-1) == t.
 
-    The relabeling of a classified t takes its class from t (_inherit_class):
-    the same kind and det, and as cofactor of vertex v that of vertex
-    sigma(v), whose link has the same angles.
+    The relabeling of a classified t shares its class object (_inherit_class):
+    the same det G, and vertex v's link has the angles of vertex sigma(v)'s.
     """
     sigma = tuple(sigma)
     try:
@@ -391,6 +381,6 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
         raise GeometryDomainError(f"not a vertex permutation: {sigma!r}") from None
     x = t.as_tuple()
     out = TetAngles(x[row[0]], x[row[1]], x[row[2]], x[row[3]], x[row[4]], x[row[5]])
-    if (cls := t.__dict__.get("_tetra_class")) is not None:  # (0.0, 2.0, 1.0, 3.0) is a permutation too
-        _inherit_class(out, cls, (cls.vertex_cofactors[int(v)] for v in sigma))
+    if (cls := t.__dict__.get("_tetra_class")) is not None:
+        _inherit_class(out, cls)
     return out

@@ -494,9 +494,9 @@ def _hex(values):
 @pytest.mark.parametrize("which,conj", [("a", SWAP_AB_PAIRS), ("c", SWAP_BC_PAIRS)], ids=["a", "c"])
 def test_the_conjugated_image_is_r_b_of_the_conjugated_source(which, conj, stream_angles):
     # the pair-swapped relabeling of regge(t, which) is bit for bit the R_b
-    # image of the relabeled source, with the class of the image carried
-    # through relabel; verify_scissors checks R_a this way.  The image's
-    # class is that of a Finite or Ideal source, else its own
+    # image of the relabeled source, with the class object of the image
+    # carried through relabel; verify_scissors checks R_a this way.  The
+    # image's class is the object of a Finite or Ideal source, else its own
     for x in stream_angles:
         t = TetAngles(*x)
         source = classify(t)
@@ -504,14 +504,12 @@ def test_the_conjugated_image_is_r_b_of_the_conjugated_source(which, conj, strea
         own = classify(image)
         moved = relabel(image, conj)
         assert _hex(moved.as_tuple()) == _hex(regge(relabel(TetAngles(*x), conj), "b").as_tuple())
-        got = classify(moved)
-        assert (got.kind, got.det) == (own.kind, own.det)
-        assert got.vertex_cofactors == tuple(own.vertex_cofactors[v] for v in conj)
+        assert classify(moved) is own
         if source.kind in (TetraKind.FINITE, TetraKind.IDEAL):
-            assert (own.kind, own.det) == (source.kind, source.det)
+            assert own is source
         else:
             assert own == _classify(TetAngles(*image.as_tuple()))
-            assert got.kind is classify(TetAngles(*moved.as_tuple())).kind
+            assert own.kind is classify(TetAngles(*moved.as_tuple())).kind
 
 
 @pytest.mark.kernel_independent
@@ -546,9 +544,8 @@ def _vertex_0_ideal(rng, count):
 
 @pytest.mark.kernel_independent
 def test_each_image_of_a_finite_or_ideal_source_takes_its_class():
-    # the class regge gives the image is the one classify finds on the
-    # image's own angles: the kind, and the vertex cofactors bit for bit;
-    # the det is the source's
+    # regge gives the image the class object of its source, whose kind is
+    # the one classify finds on the image's own angles
     rng = np.random.default_rng(46)
     sources = [t.as_tuple() for t in sample_finite(rng, 200)[0]] + _vertex_0_ideal(rng, 200)
     for x in sources:
@@ -556,12 +553,34 @@ def test_each_image_of_a_finite_or_ideal_source_takes_its_class():
         source = classify(t)
         for which in "abc":
             image = regge(t, which)
-            assert "_tetra_class" in vars(image)
-            got, fresh = classify(image), _classify(TetAngles(*image.as_tuple()))
-            assert got.kind is fresh.kind is source.kind
-            assert got.det == source.det
-            assert got.vertex_cofactors == fresh.vertex_cofactors
+            assert classify(image) is source
+            assert _classify(TetAngles(*image.as_tuple())).kind is source.kind
     assert {classify(TetAngles(*x)).kind for x in sources} == {TetraKind.FINITE, TetraKind.IDEAL}
+
+
+@pytest.mark.kernel_independent
+def test_a_formula_op_evaluates_four_link_cofactors(monkeypatch):
+    # the benchmark's formula op on a Finite or Ideal source: the source's
+    # four vertex links decide its class, and every orbit member and every
+    # tetrahedron a check decomposes (relabelings included) shares that object
+    calls, decomposed = [], []
+    link_cofactor, decompose_ = tetra._link_cofactor, scissors.decompose
+    monkeypatch.setattr(tetra, "_link_cofactor", lambda *x: calls.append(x) or link_cofactor(*x))
+    monkeypatch.setattr(scissors, "decompose", lambda s: decomposed.append(s) or decompose_(s))
+    rng = np.random.default_rng(47)
+    sources = [t.as_tuple() for t in sample_finite(rng, 30)[0]] + _vertex_0_ideal(rng, 30)
+    for x in sources:
+        t = TetAngles(*x)
+        calls.clear()
+        decomposed.clear()
+        tet_volume(t), tet_volume(t, "plus"), decompose(t)
+        [verify_scissors(t, w) for w in "abc"]
+        orbit = regge_orbit(t)
+        assert len(calls) == 4, x
+        cls = classify(t)
+        assert all(classify(m) is cls for m in orbit.members + tuple(decomposed))
+        # a check decomposes only a Finite source's sides, two per check
+        assert len(decomposed) == (6 if cls.kind is TetraKind.FINITE else 0)
 
 
 @pytest.mark.kernel_independent

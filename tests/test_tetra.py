@@ -15,10 +15,12 @@ from reggescissors.octahedron import solve_holonomy, tet_volume
 from reggescissors.sampling import sample_finite
 from reggescissors.scissors import decompose, regge, regge_orbit, verify_scissors
 from reggescissors.tetra import (
+    _VERTEX_ANGLES,
     IDEAL_COFACTOR_TOL,
     SWAP_AB_PAIRS,
     TetAngles,
     TetraKind,
+    _link_cofactor,
     classify,
     edge_lengths,
     gram_matrix,
@@ -41,6 +43,13 @@ from oracles import (
 
 PI = math.pi
 REGULAR_IDEAL_VOLUME = 1.0149416064096539  # 3 * lob(pi/3), frozen against quadrature
+
+
+def vertex_cofactors(t):
+    """The link cofactors of vertices 0..3, as classify evaluates them."""
+    x = t.as_tuple()
+    return [_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES]
+
 
 angle_triple = st.tuples(
     st.floats(0.2, 1.4), st.floats(0.2, 1.4), st.floats(0.2, 1.4)
@@ -190,7 +199,7 @@ class TestClassify:
         # a negative vertex cofactor decides, whatever the others: the volume
         # formula needs every vertex finite or ideal
         t = IDEAL_BESIDE_HYPERIDEAL
-        cof = classify(t).vertex_cofactors
+        cof = vertex_cofactors(t)
         assert abs(cof[0]) <= IDEAL_COFACTOR_TOL and min(cof) < -IDEAL_COFACTOR_TOL
         assert classify(t).kind is TetraKind.HYPERIDEAL is classify_by_inverse(t)
 
@@ -212,9 +221,9 @@ class TestClassify:
 
     def test_diagnostics_present(self, generic):
         cls = classify(generic)
+        assert [f.name for f in dataclasses.fields(cls)] == ["kind", "det"]
         assert cls.det < 0
-        assert len(cls.vertex_cofactors) == 4
-        assert all(c > 0 for c in cls.vertex_cofactors)
+        assert all(c > 0 for c in vertex_cofactors(generic))
 
     def test_finite_suite_draws_need_no_eigenvalues(self, eigvalsh_calls):
         # no box draw comes within 1e-8 of det G = 0, so det G decides alone
@@ -237,7 +246,7 @@ class TestClassify:
             assert (classify(t).det < 0) == (gram_det_mp(t) < 0), angles
         for angles in stream_angles + slivers:
             t = TetAngles(*angles)
-            for got, want in zip(classify(t).vertex_cofactors, vertex_minors_mp(t)):
+            for got, want in zip(vertex_cofactors(t), vertex_minors_mp(t)):
                 assert abs(got - want) <= 1e-10 * abs(want), angles
 
 
@@ -333,7 +342,7 @@ class TestSlivers:
     def test_only_the_threshold_makes_them_ideal(self, slivers):
         for angles in slivers:
             t = TetAngles(*angles)
-            cofactors = classify(t).vertex_cofactors
+            cofactors = vertex_cofactors(t)
             assert gram_det_mp(t) < 0, angles
             assert 0 < min(cofactors) <= IDEAL_COFACTOR_TOL, angles
 
@@ -367,28 +376,28 @@ class TestClassifyOnce:
         return calls
 
     @pytest.mark.parametrize(
-        "call,count",
+        "call",
         [
             # tet_volume and solve_holonomy share the source's class
-            (lambda t: tet_volume(t), 1),
-            (lambda t: decompose(t), 1),
+            pytest.param(lambda t: tet_volume(t), id="tet_volume"),
+            pytest.param(lambda t: decompose(t), id="decompose"),
             # the source alone: the R_b image takes its class (regge), and the
             # relabeled image it is aligned with takes its class from the image
-            (lambda t: verify_scissors(t, "b"), 1),
+            pytest.param(lambda t: verify_scissors(t, "b"), id="verify_b"),
             # then the orbit's four other members take the class of t too
-            (lambda t: (verify_scissors(t, "b"), regge_orbit(t)), 1),
+            pytest.param(lambda t: (verify_scissors(t, "b"), regge_orbit(t)), id="verify_b_then_orbit"),
             # the pair-swapped relabelings of t and of R_a t take their class
             # from them; R_b R_a t and R_c R_a t from R_a t
-            pytest.param(lambda t: (verify_scissors(t, "a"), regge_orbit(t)), 1, id="verify_a_then_orbit"),
+            pytest.param(lambda t: (verify_scissors(t, "a"), regge_orbit(t)), id="verify_a_then_orbit"),
             # the benchmark's formula op: the source, and no orbit word
             pytest.param(lambda t: (tet_volume(t), decompose(t), [verify_scissors(t, w) for w in "abc"],
-                                    regge_orbit(t)), 1, id="formula_op"),
+                                    regge_orbit(t)), id="formula_op"),
         ],
     )
-    def test_pinned_counts(self, uncached, call, count):
+    def test_pinned_counts(self, uncached, call):
         t = TetAngles(*self.ANGLES)
         call(t)
-        assert len(uncached) == count and uncached[0] is t
+        assert uncached == [t]
 
     def test_formula_op_solves_nine_times(self, solved):
         # t; for a, the pair swap of t and the relabeling of R_a t, then R_a t
@@ -451,11 +460,12 @@ class TestClassifyOnce:
             source = classify(t)
             for sigma in itertools.permutations(range(4)):
                 moved = relabel(t, sigma)
-                got, fresh = classify(moved), classify(TetAngles(*moved.as_tuple()))
-                assert got.kind is fresh.kind is source.kind
-                assert got.det == source.det
-                assert got.vertex_cofactors == tuple(source.vertex_cofactors[v] for v in sigma)
-                assert max(abs(a - b) for a, b in zip(got.vertex_cofactors, fresh.vertex_cofactors)) < 1e-13
+                assert classify(moved) is source
+                assert classify(TetAngles(*moved.as_tuple())).kind is source.kind
+                # vertex v's link has the angles of vertex sigma(v)'s
+                y = moved.as_tuple()
+                assert all(sorted(y[k] for k in _VERTEX_ANGLES[v]) == sorted(x[k] for k in _VERTEX_ANGLES[w])
+                           for v, w in enumerate(sigma))
         # the source and each fresh copy, no relabeling
         assert len(uncached) == 25 * len(stream_angles)
 
