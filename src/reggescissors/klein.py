@@ -164,8 +164,13 @@ def _boost(p: np.ndarray) -> np.ndarray:
 
 # --- deterministic adaptive volume quadrature -------------------------------
 
-_GL_N = 4
-_glx, _glw = np.polynomial.legendre.leggauss(_GL_N)
+# the 4-point Gauss-Legendre rule, bit for bit numpy.polynomial.legendre.leggauss(4)
+# (tests/test_klein.py checks it), so importing this module does not load
+# numpy.polynomial
+_glx = np.array([float.fromhex(h) for h in (
+    "-0x1.b8e6dbcf63985p-1", "-0x1.5c23fd9dd3dfcp-2", "0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1")])
+_glw = np.array([float.fromhex(h) for h in (
+    "0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1", "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2")])
 _U, _W = np.meshgrid((_glx + 1.0) / 2.0, (_glx + 1.0) / 2.0, indexing="ij")
 # collapsed-square (Duffy) map of [0,1]^2 onto the unit triangle, weights summing to 1/2
 _RULE_WTS = (np.outer(_glw, _glw) / 4.0 * (1 - _U)).ravel()

@@ -29,7 +29,7 @@ from .octahedron import (
     tet_volume,
     u_volume,
 )
-from .sampling import BOX_CENTER, BOX_HALF_WIDTH, sample_finite
+from .sampling import BOX_CENTER, BOX_HALF_WIDTH, SeededUniform, sample_finite
 from .scissors import decompose, permute_for_regge_b, regge, verify_scissors
 from .tetra import (
     _VERTEX_ANGLES,
@@ -96,8 +96,8 @@ class SuiteConfig:
     include_determinism: bool = True
 
     def __post_init__(self):
-        # criterion 1 reads the grid spacing as grid[1] - grid[0]; numpy
-        # seeds its generators from non-negative integers only
+        # criterion 1 reads the grid spacing as grid[1] - grid[0]; the seed
+        # is a SeededUniform's entropy, which takes non-negative integers only
         for name, least in (("seed", 0), ("count", 1), ("oracle_count", 1), ("grid_points", 2)):
             value = getattr(self, name)
             if value < least:
@@ -133,8 +133,8 @@ def report_json(report: SuiteReport) -> str:
     return json.dumps(report.to_payload(), sort_keys=True, indent=2)
 
 
-def _rng(config: SuiteConfig, stream: int) -> np.random.Generator:
-    return np.random.default_rng([config.seed, stream])
+def _rng(config: SuiteConfig, stream: int) -> SeededUniform:
+    return SeededUniform([config.seed, stream])
 
 
 def _tetra_batch(config: SuiteConfig, stream: int, count: int) -> Iterator[TetAngles]:
@@ -175,7 +175,7 @@ def criterion_2(config: SuiteConfig) -> CriterionResult:
     n = 0
     while n < config.count:
         abc = rng.uniform(0.05, 1.45, size=3)
-        if abc.sum() >= _PI - 0.02:
+        if sum(abc) >= _PI - 0.02:
             continue
         n += 1
         gap = abs(prism_volume(*abc) - prism_volume_by_tetrahedra(*abc))

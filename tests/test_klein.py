@@ -184,6 +184,12 @@ class TestVolumeNumeric:
             assert not _origin_inside(v)
             assert abs(volume_numeric(KleinTetra(v), 1e-10) - murakami_yano_volume(TetAngles.of(a))) <= 1e-11, a
 
+    def test_rule_is_numpys_gauss_legendre(self):
+        # klein writes the rule as literals so that it loads no numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        assert [x.hex() for x in klein._glx.tolist()] == [x.hex() for x in nodes.tolist()]
+        assert [w.hex() for w in klein._glw.tolist()] == [w.hex() for w in weights.tolist()]
+
     def test_radial_factor_matches_mpmath(self):
         # rho(R^2) = int_0^R r^2 / (1 - r^2)^2 dr / R^3 for R in [0, 0.95],
         # dense on both sides of the switch to the series at R = 0.05; the

@@ -181,6 +181,25 @@ def test_runtime_never_loads_scipy():
     assert suite == ["suite", "0", "False"]
 
 
+# Runs in a fresh interpreter: the suite draws from sampling.SeededUniform and
+# klein holds its Gauss-Legendre rule as literals, so neither numpy.random (nor
+# the OpenSSL of hashlib, which numpy.random's seeding imports) nor
+# numpy.polynomial is loaded.
+_SUITE_IMPORTS_PROBE = """
+import contextlib, io, sys
+from reggescissors import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["suite", "--count", "4"])
+print(code, *(name in sys.modules for name in ("numpy", "numpy.random", "_hashlib", "numpy.polynomial")))
+"""
+
+
+def test_suite_never_loads_numpy_random_or_polynomial():
+    proc = subprocess.run([sys.executable, "-c", _SUITE_IMPORTS_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False", "False", "False"]
+
+
 def test_quadrature_reports_achieved_error():
     with pytest.raises(QuadratureError) as exc:
         lobachevsky_quadrature(1.0, tol=1e-18)

@@ -5,7 +5,7 @@ import pytest
 
 from reggescissors import sampling, suite
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.sampling import sample_finite
+from reggescissors.sampling import SeededUniform, sample_finite
 from reggescissors.scissors import regge
 from reggescissors.tetra import TetAngles, TetraKind, classify
 
@@ -97,3 +97,47 @@ def test_hopeless_box_raises(hopeless_box, monkeypatch):
     rng = np.random.default_rng(0)
     with pytest.raises(GeometryDomainError):
         sample_finite(rng, 1)
+
+
+# seeds of one, two and three 32-bit words (the last a 67-bit integer)
+_ENTROPY_SEEDS = [0, 7, 2**31, 2**32, 2**40 + 3, 2**66 + 0x1234_5678_9ABC_DEF1]
+
+
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("size", [3, 6])
+def test_seeded_uniform_is_numpys_default_rng(size):
+    for seed in _ENTROPY_SEEDS:
+        for stream in range(12):
+            ours, numpys = SeededUniform([seed, stream]), np.random.default_rng([seed, stream])
+            for _ in range(50):
+                got = ours.uniform(0.05, 1.45, size)
+                expected = numpys.uniform(0.05, 1.45, size=size).tolist()
+                assert [x.hex() for x in got] == [x.hex() for x in expected], (seed, stream)
+
+
+@pytest.mark.kernel_independent
+def test_seeded_uniform_takes_an_integer_entropy():
+    # 2^130 + 5 has five words, more than the 4-word pool of the seeding mix
+    for seed in [*_ENTROPY_SEEDS, 2**130 + 5]:
+        got = SeededUniform(seed).uniform(-2.0, 3.0, 40)
+        expected = np.random.default_rng(seed).uniform(-2.0, 3.0, size=40).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in expected], seed
+
+
+@pytest.mark.parametrize("entropy", [-1, [7, -1], 1.5, [7, 2.0], "7", [7, None]],
+                         ids=["negative", "negative_stream", "float", "float_stream", "str", "none_stream"])
+def test_seeded_uniform_rejects_bad_entropy(entropy):
+    # numpy rejects each of these too: negatives with ValueError, non-integers with TypeError
+    with pytest.raises(ValueError, match="entropy must be non-negative integers"):
+        SeededUniform(entropy)
+    with pytest.raises((ValueError, TypeError)):
+        np.random.default_rng(entropy)
+
+
+@pytest.mark.kernel_independent
+def test_sample_finite_same_batch_from_either_generator():
+    for stream in range(2, 8):
+        ours, ours_stats = sample_finite(SeededUniform([7, stream]), 30)
+        numpys, numpy_stats = sample_finite(np.random.default_rng([7, stream]), 30)
+        assert ours_stats == numpy_stats
+        assert [x.hex() for t in ours for x in t.as_tuple()] == [x.hex() for t in numpys for x in t.as_tuple()]
