@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryDomainError, QuadratureError
-from .octahedron import tet_volume
+from .octahedron import _keep_remainder, tet_volume
 from .tetra import (
     _FACES_OF,
     TetAngles,
     TetraKind,
+    _certify_finite,
+    _finite_margin,
     classify,
     edge_lengths,
     gram_matrix,
@@ -289,27 +291,43 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
     d(theta_i); with the formula volume on one side and Gram-cofactor edge
     lengths on the other this couples every piece of the pipeline.  If a
     perturbation leaves the Finite class, h is shrunk once before failing.
+
+    Each step t +- h e_i is solved on its own but re-evaluates only what it
+    moves.  When 2h is below tetra._finite_margin(t) (a step in one angle
+    moves a link cofactor by at most 8h, an edge cofactor by at most 3h and
+    det G by at most 10.4h), every step is Finite and takes the class
+    _classify would give it, with no cofactor evaluated; other steps, and
+    the retry's, are classified.  A step moves 8 of the 16 series arguments
+    of volume_remainder and reads the other 8 values from t's, which t
+    keeps as its remainder (octahedron._keep_remainder).  Every residual
+    keeps its bits.
     """
     if not 1e-7 <= h <= 1e-3:
         raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
     require_kind(t, TetraKind.FINITE)
     base = [float(x) for x in t.as_tuple()]
+    near = _keep_remainder(t)
 
-    def try_residuals(step: float) -> np.ndarray | None:
+    def try_residuals(step: float, certified: bool) -> np.ndarray | None:
         lengths = edge_lengths(t)
         out = np.empty(6)
         for i, x in enumerate(base):
             tu = TetAngles(*base[:i], x + step, *base[i + 1:])
             td = TetAngles(*base[:i], x - step, *base[i + 1:])
-            if classify(tu).kind is not TetraKind.FINITE or classify(td).kind is not TetraKind.FINITE:
+            if certified:
+                _certify_finite(tu)
+                _certify_finite(td)
+            elif classify(tu).kind is not TetraKind.FINITE or classify(td).kind is not TetraKind.FINITE:
                 return None
+            _keep_remainder(tu, near)
+            _keep_remainder(td, near)
             deriv = (tet_volume(tu) - tet_volume(td)) / (2 * step)
             out[i] = abs(deriv + lengths[i] / 2)
         return out
 
-    res = try_residuals(h)
+    res = try_residuals(h, 2 * h < _finite_margin(t))
     if res is None:
-        res = try_residuals(h / 10)
+        res = try_residuals(h / 10, False)
     if res is None:
         raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
     return res

@@ -194,28 +194,45 @@ def _divide(a: complex, b: complex) -> complex:
     return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
+def _remainder_args(A: float, B: float, C: float, Ap: float, Bp: float, Cp: float) -> tuple[float, ...]:
+    """The 16 series arguments of volume_remainder, in the order of
+    _remainder_sum's signs."""
+    return ((_PI + A - B - C) / 2, (_PI + B - A - C) / 2, (_PI + C - A - B) / 2, (_PI + Bp - Ap - C) / 2,
+            (_PI + A + B + C) / 2, (_PI + C - Ap - Bp) / 2, (_PI - Ap + Bp + C) / 2, (_PI + Ap + Bp + C) / 2,
+            (_PI + Ap - B - Cp) / 2, (_PI + A + Bp + Cp) / 2, (_PI + A - Bp - Cp) / 2, (_PI + Bp - A - Cp) / 2,
+            (_PI - Ap - B + Cp) / 2, (_PI + Ap - B + Cp) / 2, (_PI + Ap + B + Cp) / 2, (_PI - A - Bp + Cp) / 2)
+
+
+def _remainder_sum(v) -> float:
+    """Half the signed sum of the series values v at the 16 _remainder_args,
+    from 0.0 in order: x - v is x + (-v), so each term adds its signed value
+    as _sum_in_order would."""
+    return 0.5 * (0.0 + v[0] - v[1] - v[2] + v[3] + v[4] + v[5] + v[6] - v[7]
+                  + v[8] - v[9] - v[10] + v[11] - v[12] + v[13] + v[14] + v[15])
+
+
 def volume_remainder(t: TetAngles) -> float:
-    """The Z-independent half-sum completing the volume formula."""
-    A, B, C, Ap, Bp, Cp = t.as_tuple()
-    lob = _lobachevsky_float
-    return 0.5 * _sum_in_order((
-        +lob((_PI + A - B - C) / 2),
-        -lob((_PI + B - A - C) / 2),
-        -lob((_PI + C - A - B) / 2),
-        +lob((_PI + Bp - Ap - C) / 2),
-        +lob((_PI + A + B + C) / 2),
-        +lob((_PI + C - Ap - Bp) / 2),
-        +lob((_PI - Ap + Bp + C) / 2),
-        -lob((_PI + Ap + Bp + C) / 2),
-        +lob((_PI + Ap - B - Cp) / 2),
-        -lob((_PI + A + Bp + Cp) / 2),
-        -lob((_PI + A - Bp - Cp) / 2),
-        +lob((_PI + Bp - A - Cp) / 2),
-        -lob((_PI - Ap - B + Cp) / 2),
-        +lob((_PI + Ap - B + Cp) / 2),
-        +lob((_PI + Ap + B + Cp) / 2),
-        +lob((_PI - A - Bp + Cp) / 2),
-    ))
+    """The Z-independent half-sum completing the volume formula: the series
+    at the 16 _remainder_args of t's angles, summed with the signs of
+    _remainder_sum.  Each angle enters 8 of the 16 arguments, so a step in
+    one angle leaves the other 8 arguments and their series values as they
+    were (_keep_remainder)."""
+    return _remainder_sum(list(map(_lobachevsky_float, _remainder_args(*t.as_tuple()))))
+
+
+def _keep_remainder(t: TetAngles, near=None) -> tuple[tuple[float, ...], list[float]]:
+    """Keep volume_remainder(t) on t as tet_volume does, and return the
+    _remainder_args of t's angles with the series values there.  near is
+    such a pair for nearby angles: where t's argument equals near's, the
+    value is read, not evaluated.  Equal doubles give the series equal
+    values, so the remainder keeps its bits."""
+    args = _remainder_args(*t.as_tuple())
+    if near is None:
+        values = list(map(_lobachevsky_float, args))
+    else:
+        values = [v if x == y else _lobachevsky_float(x) for x, y, v in zip(args, *near)]
+    _memo(t, "_volume_remainder", lambda t: _remainder_sum(values))
+    return args, values
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:

@@ -245,13 +245,17 @@ def classify(t: TetAngles) -> TetraClass:
     return _memo(t, "_tetra_class", _classify)
 
 
-def _classify(t: TetAngles) -> TetraClass:
-    x = t.as_tuple()
+def _class_numbers(x) -> tuple[float, float, float]:
+    """det G, the smallest link cofactor and the smallest edge cofactor of
+    the angles x: what _classify decides by and _finite_margin bounds."""
     cosines = [math.cos(v) for v in x]
-    det = _gram_det(cosines)
-    low = min(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES)
-    if (not t.in_range() or min(_edge_cofactors(x, cosines)) < -IDEAL_COFACTOR_TOL
-            or not _signature_31(t, det)):
+    return (_gram_det(cosines), min(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES),
+            min(_edge_cofactors(x, cosines)))
+
+
+def _classify(t: TetAngles) -> TetraClass:
+    det, low, edge = _class_numbers(t.as_tuple())
+    if not t.in_range() or edge < -IDEAL_COFACTOR_TOL or not _signature_31(t, det):
         kind = TetraKind.INVALID
     elif low > IDEAL_COFACTOR_TOL:
         kind = TetraKind.FINITE
@@ -260,6 +264,32 @@ def _classify(t: TetAngles) -> TetraClass:
     else:
         kind = TetraKind.HYPERIDEAL
     return TetraClass(kind, det)
+
+
+def _finite_margin(t: TetAngles) -> float:
+    """The largest step in one angle that provably keeps t Finite; at most 0
+    when t is not Finite.  It bounds _classify's rule: change both together.
+
+    A step d in one angle moves each link cofactor by at most 8|d| (four
+    cosines, each by at most |d|/2), each edge cofactor by at most 3|d| (its
+    partial derivatives are at most 3, 1 and 2 in size; see _edge_cofactors)
+    and det G by at most 2 max|3x3 minor| |d| <= 10.4|d| (Hadamard: entries
+    in [-1, 1]).  Within the margin the angles stay in (0, pi), the link
+    cofactors above IDEAL_COFACTOR_TOL, the edge cofactors at or above
+    -IDEAL_COFACTOR_TOL and det G below -IDEAL_COFACTOR_TOL, where its sign
+    decides the signature.  Callers keep 2x headroom for the rounding of
+    the step and of each cofactor."""
+    x = t.as_tuple()
+    det, low, edge = _class_numbers(x)
+    return min(min(x), _PI - max(x), (low - IDEAL_COFACTOR_TOL) / 8, (edge + IDEAL_COFACTOR_TOL) / 3,
+               (-det - IDEAL_COFACTOR_TOL) / 10.4)
+
+
+def _certify_finite(t: TetAngles) -> None:
+    """Keep on t the class _classify gives it when a step from a Finite source
+    stays within the source's _finite_margin: Finite, with det G of t's own
+    cosines.  No cofactor is evaluated."""
+    _inherit_class(t, TetraClass(TetraKind.FINITE, _gram_det([math.cos(v) for v in t.as_tuple()])))
 
 
 def _inherit_class(t: TetAngles, cls: TetraClass) -> None:

@@ -23,7 +23,15 @@ from reggescissors.octahedron import (
     volume_remainder,
 )
 from reggescissors.scissors import decompose, regge
-from reggescissors.tetra import TetAngles, TetraKind, classify, edge_lengths, gram_matrix, prism_volume
+from reggescissors.tetra import (
+    TetAngles,
+    TetraKind,
+    _finite_margin,
+    classify,
+    edge_lengths,
+    gram_matrix,
+    prism_volume,
+)
 
 from conftest import _perfbench_module, _stream_rows
 from oracles import (
@@ -525,11 +533,20 @@ class TestSchlafli:
         res = schlafli_residual(t, 1e-5)
         assert res.tobytes() == schlafli_residual(t, 1e-5 / 10).tobytes()
 
-    def test_keeps_the_bits_of_array_steps(self):
-        # the first 120 inputs of the `oracle` stream for seed 1, and the
-        # input whose step is retried at h / 10
-        angles, _ = _perfbench_module("inputs").TetStream(1, 2, 0.9).take(120)
+    def test_keeps_the_bits_of_array_steps(self, slivers):
+        # the first 120 inputs of the `oracle` stream for seed 1, the input
+        # whose step is retried at h / 10, the `oracle` slivers 2:215, 2:262,
+        # 4:14 and 10:231 and five `formula` slivers; the reference classifies
+        # and assembles every step afresh, so it pins the certified steps and
+        # the classified ones alike (classify calls the slivers Ideal, so both
+        # raise on them until it calls them Finite)
+        stream = _perfbench_module("inputs").TetStream
+        angles, _ = stream(1, 2, 0.9).take(120)
         inputs = [tuple(a.tolist()) for a in angles] + [(math.pi / 3 + 2e-6,) * 6]
+        inputs += [tuple(stream(seed, 2, 0.9).take(k + 1)[0][k].tolist())
+                   for seed, k in ((2, 215), (2, 262), (4, 14), (10, 231))] + slivers[:5]
+        margins = [_finite_margin(TetAngles(*row)) for row in inputs]
+        assert sum(m > 2e-5 for m in margins) > 60 and sum(0 < m <= 2e-5 for m in margins) > 10
         for row in inputs:
             got, expected = (_schlafli_outcome(f, TetAngles(*row)) for f in (schlafli_residual, _ref_schlafli_residual))
             assert got == expected, row

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from reggescissors import octahedron, scissors
 from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from reggescissors.klein import KleinTetra, dihedral_angles
-from reggescissors.lobachevsky import _lobachevsky_float, lobachevsky
+from reggescissors.lobachevsky import _lobachevsky_float, _sum_in_order, lobachevsky
 from reggescissors.octahedron import (
     DUAL_SIDE,
     O_SIDE,
@@ -609,6 +609,41 @@ class TestLobachevskyEvaluations:
         verify_scissors(t, "b")
         regge_orbit(t)
         assert len(evaluations) == 144
+
+
+def _ref_volume_remainder(t):
+    """volume_remainder as the 16 signed terms of one literal, summed in order."""
+    A, B, C, Ap, Bp, Cp = t.as_tuple()
+    lob = _lobachevsky_float
+    return 0.5 * _sum_in_order((
+        +lob((PI + A - B - C) / 2), -lob((PI + B - A - C) / 2), -lob((PI + C - A - B) / 2),
+        +lob((PI + Bp - Ap - C) / 2), +lob((PI + A + B + C) / 2), +lob((PI + C - Ap - Bp) / 2),
+        +lob((PI - Ap + Bp + C) / 2), -lob((PI + Ap + Bp + C) / 2), +lob((PI + Ap - B - Cp) / 2),
+        -lob((PI + A + Bp + Cp) / 2), -lob((PI + A - Bp - Cp) / 2), +lob((PI + Bp - A - Cp) / 2),
+        -lob((PI - Ap - B + Cp) / 2), +lob((PI + Ap - B + Cp) / 2), +lob((PI + Ap + B + Cp) / 2),
+        +lob((PI - A - Bp + Cp) / 2),
+    ))
+
+
+@pytest.mark.kernel_independent
+def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles, monkeypatch):
+    # volume_remainder, and the remainder _keep_remainder keeps on angles one
+    # step of 1e-5 or 1e-6 away in one angle, from the terms of the source,
+    # against the literal: bit for bit, and the step evaluates the series at
+    # the 8 arguments it moves
+    evaluated = []
+    monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
+    for angles in stream_angles[::5]:
+        t = TetAngles(*angles)
+        assert volume_remainder(t).hex() == _ref_volume_remainder(t).hex(), angles
+        near = octahedron._keep_remainder(t)
+        assert t._volume_remainder.hex() == _ref_volume_remainder(t).hex(), angles
+        for i, h in itertools.product(range(6), (1e-5, -1e-6)):
+            step = TetAngles(*angles[:i], angles[i] + h, *angles[i + 1:])
+            evaluated.clear()
+            octahedron._keep_remainder(step, near)
+            assert step._volume_remainder.hex() == _ref_volume_remainder(step).hex(), (angles, i)
+            assert len(evaluated) == 8, (angles, i)
 
 
 class TestNegativeVolumeGuard:

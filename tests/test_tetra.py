@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reggescissors.exceptions import GeometryDomainError
-from reggescissors.klein import klein_vertices, schlafli_residual
+from reggescissors.klein import SCHLAFLI_STEP, klein_vertices, schlafli_residual
 from reggescissors.lobachevsky import lobachevsky
 from reggescissors.octahedron import solve_holonomy, tet_volume
-from reggescissors.sampling import sample_finite
+from reggescissors.sampling import SeededUniform, sample_finite
 from reggescissors.scissors import decompose, regge, regge_orbit, verify_scissors
 from reggescissors.tetra import (
     _VERTEX_ANGLES,
@@ -20,6 +20,11 @@ from reggescissors.tetra import (
     SWAP_AB_PAIRS,
     TetAngles,
     TetraKind,
+    _certify_finite,
+    _classify,
+    _edge_cofactors,
+    _finite_margin,
+    _gram_det,
     _link_cofactor,
     classify,
     edge_lengths,
@@ -350,6 +355,115 @@ class TestSlivers:
                        "ROADMAP items 2 and 11 classify by vertex excess instead")
     def test_classify_calls_them_finite(self, slivers):
         assert all(classify(TetAngles(*angles)).kind is TetraKind.FINITE for angles in slivers)
+
+
+def _margin_terms(t):
+    """The four terms of _finite_margin, restated: the angle margin, then the
+    link, edge and det G terms with the Lipschitz constants 8, 3 and 10.4."""
+    x = t.as_tuple()
+    cosines = [math.cos(v) for v in x]
+    return (min(min(x), PI - max(x)), (min(vertex_cofactors(t)) - IDEAL_COFACTOR_TOL) / 8,
+            (min(_edge_cofactors(x, cosines)) + IDEAL_COFACTOR_TOL) / 3,
+            (-_gram_det(cosines) - IDEAL_COFACTOR_TOL) / 10.4)
+
+
+def _steps(t, h):
+    """The 12 single-angle steps t +- h e_i of the Schlafli stencil, as fresh instances."""
+    x = t.as_tuple()
+    return [TetAngles(*x[:i], x[i] + d, *x[i + 1:]) for i in range(6) for d in (h, -h)]
+
+
+@pytest.mark.kernel_independent
+class TestFiniteMargin:
+    """tetra._finite_margin bounds how far one angle of a Finite tetrahedron
+    can move before _classify could call it anything else; within half of it
+    the Schlafli stencil gives each step the certified class."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, stream_angles):
+        """Suite-box draws, then the benchmark stream rows."""
+        batch, _ = sample_finite(SeededUniform([50, 1]), 300)
+        return [t.as_tuple() for t in batch] + stream_angles
+
+    def test_certified_steps_take_the_class_classify_gives(self, rows):
+        h, certified = SCHLAFLI_STEP, 0
+        for angles in rows:
+            t = TetAngles(*angles)
+            if not 2 * h < _finite_margin(t):
+                continue
+            assert classify(t).kind is TetraKind.FINITE, angles
+            for step in _steps(t, h):
+                _certify_finite(step)
+                fresh = _classify(TetAngles(*step.as_tuple()))
+                assert classify(step).kind is fresh.kind is TetraKind.FINITE, step
+                assert classify(step).det.hex() == fresh.det.hex(), step
+                certified += 1
+        assert certified > 12 * len(rows) // 2
+
+    def test_the_stencil_classifies_no_step_of_a_certified_source(self, rows, monkeypatch):
+        from reggescissors import tetra
+
+        sources = [t for t in map(TetAngles.of, rows[:100]) if 2 * SCHLAFLI_STEP < _finite_margin(t)]
+        assert all(classify(t).kind is TetraKind.FINITE for t in sources)
+        classified, compute = [], tetra._classify
+        monkeypatch.setattr(tetra, "_classify", lambda s: classified.append(s) or compute(s))
+        for t in sources:
+            schlafli_residual(t, SCHLAFLI_STEP)
+        assert len(sources) > 50 and classified == []
+
+    def test_the_margin_is_its_stated_bound(self, rows, generic):
+        # each term binds somewhere: the link or det G term on the rows, and
+        # the edge term on angle data whose vertex 3 lies on the other sheet
+        # (the three angles of face 3's edges supplemented: the same vertex
+        # cofactors and det G, but the edge cofactors at vertex 3 change sign)
+        A, B, C, Ap, Bp, Cp = generic.as_tuple()
+        other_sheet = TetAngles(PI - A, PI - B, C, Ap, Bp, PI - Cp)
+        assert classify(other_sheet).kind is TetraKind.INVALID
+        binding = set()
+        for t in [TetAngles(*angles) for angles in rows] + [other_sheet]:
+            terms = _margin_terms(t)
+            assert _finite_margin(t) == min(terms), t
+            binding.add(terms.index(min(terms)))
+        assert {1, 2, 3} <= binding
+
+    def test_lipschitz_bounds_hold_on_single_angle_steps(self, rows):
+        # a step d in one angle moves a link cofactor by at most 8|d|, an edge
+        # cofactor by at most 3|d| and det G by at most 10.4|d|; 1e-14 covers
+        # the rounding of the two evaluations
+        rng = np.random.default_rng(50)
+        for x in rows[::4]:
+            links, edges, det = self._quantities(x)
+            for i in range(6):
+                y = x[:i] + (x[i] + float(rng.uniform(-1e-3, 1e-3)),) + x[i + 1:]
+                d = abs(y[i] - x[i])
+                links2, edges2, det2 = self._quantities(y)
+                assert all(abs(a - b) <= 8 * d + 1e-14 for a, b in zip(links, links2)), (x, i)
+                assert all(abs(a - b) <= 3 * d + 1e-14 for a, b in zip(edges, edges2)), (x, i)
+                assert abs(det - det2) <= 10.4 * d + 1e-14, (x, i)
+
+    @staticmethod
+    def _quantities(x):
+        """The link cofactors, edge cofactors and det G of the angles x."""
+        cosines = [math.cos(v) for v in x]
+        return vertex_cofactors(TetAngles(*x)), _edge_cofactors(x, cosines), _gram_det(cosines)
+
+    def test_a_source_within_2h_of_its_margin_is_classified_step_by_step(self, slivers, monkeypatch):
+        from reggescissors import tetra
+
+        # Finite, within 1e-5 of the ideal equiangular pi/3: the first step
+        # down leaves the Finite class, and the retry at h / 10 is classified
+        # step by step too
+        h = SCHLAFLI_STEP
+        t = TetAngles(*(PI / 3 + 2e-6,) * 6)
+        assert classify(t).kind is TetraKind.FINITE
+        assert 0 < _finite_margin(t) < 2 * h
+        classified, compute = [], tetra._classify
+        monkeypatch.setattr(tetra, "_classify", lambda s: classified.append(s.as_tuple()) or compute(s))
+        schlafli_residual(t, h)
+        assert classified == [s.as_tuple() for s in _steps(t, h)[:2] + _steps(t, h / 10)]
+        # the slivers are not Finite for classify, so no step of theirs is certified
+        for angles in slivers:
+            assert _finite_margin(TetAngles(*angles)) <= 0 < 2 * h, angles
 
 
 class TestClassifyOnce:
