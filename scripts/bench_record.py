@@ -45,7 +45,8 @@ import is timed within the `suite` workload's `wall_s`, in a fresh
 subprocess per op.
 
 `work` gives exact counts, which repeat from run to run where the times
-spread: the calls of each WORK_CALLS function, per op over the first
+spread: the calls of each WORK_CALLS function and the triangles the Klein
+face rule evaluates (`rule_triangles`), per op over the first
 WORK_OPS inputs of the `formula` and `oracle` streams for seed 1
 (perfbench's own ops), and in total for one suite run of SUITE_CONFIG.  A
 profile hook counts each call by its function's code object, whatever name
@@ -131,7 +132,8 @@ WORK_OPS = {"formula": 240, "oracle": 360}
 #: Each `work` count: the calls of one function of the package, as (module, name).
 #: "decompose" counts the decompositions computed, since a TetAngles keeps its decomposition.
 WORK_CALLS = {"_classify": ("tetra", "_classify"), "_solve_holonomy": ("octahedron", "_solve_holonomy"),
-              "decompose": ("scissors", "_decompose"), "series_calls": ("lobachevsky", "_lobachevsky_float")}
+              "decompose": ("scissors", "_decompose"), "series_calls": ("lobachevsky", "_lobachevsky_float"),
+              "_rule_batch": ("klein", "_rule_batch")}
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
@@ -254,8 +256,9 @@ def count_work() -> dict:
     """In this process, with the package found on PYTHONPATH: per op over the
     first WORK_OPS inputs of each workload's stream for seed 1, and in total
     for one suite run of SUITE_CONFIG, the calls of each WORK_CALLS
-    function, counted by code object under a profile hook that then puts
-    back the hook set before it."""
+    function and the triangles given to `_rule_batch`, read by a profile
+    hook that counts a call by its code object and then puts back the hook
+    set before it."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import ops
     from inputs import TetStream
@@ -264,11 +267,14 @@ def count_work() -> dict:
 
     names = {getattr(sys.modules[f"reggescissors.{module}"], attr).__code__: name
              for name, (module, attr) in WORK_CALLS.items()}
-    counts = dict.fromkeys(WORK_CALLS, 0)
+    counts = dict.fromkeys([*WORK_CALLS, "rule_triangles"], 0)
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
+            name = names[frame.f_code]
+            counts[name] += 1
+            if name == "_rule_batch":
+                counts["rule_triangles"] += len(frame.f_locals["tris"])
 
     previous = sys.getprofile()
     sys.setprofile(hook)

@@ -41,12 +41,12 @@ from reggescissors import cli  # noqa: E402
 
 #: The expected digest of each output, compared by --check.
 PINNED = {
-    "suite_seed7": "9753760a5e41b8780ddfec1f493cf11d2defd57e39cd878648c5e686d52f2b2d",
-    "suite_seed2": "3a40bd6f41a0d508996c42ab32190efcd74e780fa6ed9caf597c4feb6093e48c",
+    "suite_seed7": "fbded1911cf2fe3aaa5d1482328a1950b488293fea3ef694a31c92d72d7bbbe4",
+    "suite_seed2": "3e5c8ca3ffaa4693e7b5d462879aa6a17855457217ddda3c7f763f4c5e36332e",
     "formula_seed1": "b16c972e64879f2d0bc155aeedd64fd476794883fbbce5e0b1ced9aafcbd8a95",
     "formula_seed2": "fc212ac3819cf8b8660e4c5757cc3e13dffb0e0555973b31fa64111089fefb92",
     "formula_seed3": "dbc0b5478952b38f24fdeb00e4d0d565393481ff0e058f4485e722275d7db188",
-    "oracle_seed1": "cc618d0246d7961b801102a4906efbcba8194284245509d020a1342ef289afb4",
+    "oracle_seed1": "0613425784251c65d3b543524e35c9d9748a3970e5c8d843e50973d91403f490",
 }
 
 FORMULA_INPUTS = 300

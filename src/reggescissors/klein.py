@@ -8,10 +8,11 @@ sphere at infinity.  Its volume integrates dV = dx dy dz / (1 - |x|^2)^2
 over the cones from the origin on its four faces: on the cone over face
 (a, b, c), x = s y with s in [0, 1] has dx = s^2 det[a, b, c] ds dA, and the
 integral over s is closed-form.  The cones are signed by det[a, b, c], so
-the origin need not lie inside the tetrahedron.  The face triangles are
-refined in passes, each splitting a batch of the worst leaves at once.  The
-derivative of the formula volume is compared against edge lengths through
-dV = -1/2 sum l_i d(theta_i).
+the origin need not lie inside the tetrahedron.  A 12-point collapsed-square
+Gauss-Legendre rule integrates each face triangle; the leaves start at the
+four faces and are refined in passes, each splitting a batch of the worst
+leaves at once.  The derivative of the formula volume is compared against
+edge lengths through dV = -1/2 sum l_i d(theta_i).
 """
 
 from __future__ import annotations
@@ -166,17 +167,22 @@ def _boost(p: np.ndarray) -> np.ndarray:
 
 # --- deterministic adaptive volume quadrature -------------------------------
 
-# the 4-point Gauss-Legendre rule, bit for bit numpy.polynomial.legendre.leggauss(4)
+# the 12-point Gauss-Legendre rule, bit for bit numpy.polynomial.legendre.leggauss(12)
 # (tests/test_klein.py checks it), so importing this module does not load
-# numpy.polynomial
-_glx = np.array([float.fromhex(h) for h in (
-    "-0x1.b8e6dbcf63985p-1", "-0x1.5c23fd9dd3dfcp-2", "0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1")])
-_glw = np.array([float.fromhex(h) for h in (
-    "0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1", "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2")])
+# numpy.polynomial; the rule is symmetric, so the literals are its positive half
+_GL_HALF = [(float.fromhex(x), float.fromhex(w)) for x, w in (
+    ("0x1.007a5f8f630e4p-3", "0x1.fe40ce6d4f022p-3"), ("0x1.78a8d20a8b19dp-2", "0x1.de3155c256aaep-3"),
+    ("0x1.2cb4f05c077f9p-1", "0x1.a0163e6b1ab6bp-3"), ("0x1.8a30aeed88f36p-1", "0x1.47d7258f22d96p-3"),
+    ("0x1.cee874ffb88b3p-1", "0x1.b60602bce61afp-4"), ("0x1.f68f1d8e42e81p-1", "0x1.8275d9dea6d53p-5"))]
+_glx = np.array([-x for x, _ in _GL_HALF[::-1]] + [x for x, _ in _GL_HALF])
+_glw = np.array([w for _, w in _GL_HALF[::-1]] + [w for _, w in _GL_HALF])
 _U, _W = np.meshgrid((_glx + 1.0) / 2.0, (_glx + 1.0) / 2.0, indexing="ij")
 # collapsed-square (Duffy) map of [0,1]^2 onto the unit triangle, weights summing to 1/2
 _RULE_WTS = (np.outer(_glw, _glw) / 4.0 * (1 - _U)).ravel()
 _B1, _B2 = _U.ravel(), (_W * (1 - _U)).ravel()
+#: The most triangles one _rule_batch call takes, a multiple of 4: at 144
+#: points each, a (triangles, points) temporary stays below 10 MB.
+RULE_BATCH = 8192
 
 # the faces as oriented triangles whose determinants sum to det[v1-v0, v2-v0, v3-v0]
 _FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
@@ -203,8 +209,9 @@ def _rho(r2: np.ndarray) -> np.ndarray:
 def _rule_batch(tris: np.ndarray) -> np.ndarray:
     """Fixed-order quadrature of the signed cones from the origin over a batch
     of oriented triangles (a, b, c), (m, 3, 3) -> (m,): det[a, b, c] times the
-    rule on rho(|y|^2).  A batch of 4k triangles gives each one the bits of k
-    batches of 4."""
+    144-point face rule on rho(|y|^2).  A batch of 4k triangles gives each one
+    the bits of k batches of 4.  Its temporaries hold m x 144 points, so
+    callers pass at most RULE_BATCH triangles."""
     a = tris[:, 0, :, None]
     pts = a + ((tris[:, 1, :, None] - a) * _B1 + (tris[:, 2, :, None] - a) * _B2)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -225,12 +232,14 @@ def _leaves(tris: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np
     """Children (k, 4, 3, 3) of k triangles with rule values `values`, their rule
     values (k, 4) and each triangle's error estimate |value - their sum| (k,).
     With `values` None, k must be a multiple of 4: the triangles and their
-    children then go to one rule batch, which keeps each one's bits."""
+    children then go to the rule together.  The rule takes its triangles in
+    batches of at most RULE_BATCH, a multiple of 4, so each one keeps its
+    bits (see _rule_batch)."""
     children = _split4(tris)
+    batch = children.reshape(-1, 3, 3) if values is not None else np.concatenate([tris, children.reshape(-1, 3, 3)])
+    fine = np.concatenate([_rule_batch(batch[i:i + RULE_BATCH]) for i in range(0, len(batch), RULE_BATCH)])
     if values is None:
-        values, fine = np.split(_rule_batch(np.concatenate([tris, children.reshape(-1, 3, 3)])), [len(tris)])
-    else:
-        fine = _rule_batch(children.reshape(-1, 3, 3))
+        values, fine = np.split(fine, [len(tris)])
     fine = fine.reshape(-1, 4)
     return children, fine, np.abs(values - fine.sum(axis=1))
 
@@ -243,8 +252,9 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
     """Hyperbolic volume by deterministic adaptive quadrature of the signed
     cones from the origin over the four faces.
 
-    The leaves start as each face's four children; their 16 rule values and
-    those of their 64 children come from one rule batch.  Each leaf carries the
+    The leaves start as the four faces; their rule values and those of their
+    16 children come from one rule batch, and on Klein-uniform tetrahedra of
+    radius 0.9 that batch already meets tol 1e-6.  Each leaf carries the
     error estimate |its rule value - the sum over its 4 children|, and the
     leaves are refined in passes until the estimates sum below tol/2.  A
     pass splits, worst first, the fewest leaves whose estimates leave at most
@@ -253,12 +263,13 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
     children, with the sign of det[v1 - v0, v2 - v0, v3 - v0].  A pass
     splits no more leaves than keep them within MAX_LEAVES; raises
     QuadratureError (with the achieved estimate) when not even one split fits.
-    A call makes one rule batch per pass, plus the first.
+    A call makes one rule batch per pass, plus the first, each of at most
+    RULE_BATCH triangles (a pass that splits more leaves makes more).
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
     verts = _ball_vertices(kt)
-    kids, fine, errs = _leaves(_split4(verts[_FACES]).reshape(-1, 3, 3), None)
+    kids, fine, errs = _leaves(verts[_FACES], None)
     while (total_err := float(errs.sum())) >= tol / 2:
         fits = (MAX_LEAVES - len(errs)) // 3
         if fits < 1:

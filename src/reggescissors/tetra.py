@@ -245,16 +245,19 @@ def classify(t: TetAngles) -> TetraClass:
     return _memo(t, "_tetra_class", _classify)
 
 
-def _class_numbers(x) -> tuple[float, float, float]:
+def _class_numbers(t: TetAngles) -> tuple[float, float, float]:
     """det G, the smallest link cofactor and the smallest edge cofactor of
-    the angles x: what _classify decides by and _finite_margin bounds."""
+    t: what _classify decides by and _finite_margin bounds.  Both keep them
+    on t (see _memo), so a source that is classified and then given a
+    margin evaluates them once."""
+    x = t.as_tuple()
     cosines = [math.cos(v) for v in x]
     return (_gram_det(cosines), min(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES),
             min(_edge_cofactors(x, cosines)))
 
 
 def _classify(t: TetAngles) -> TetraClass:
-    det, low, edge = _class_numbers(t.as_tuple())
+    det, low, edge = _memo(t, "_class_numbers", _class_numbers)
     if not t.in_range() or edge < -IDEAL_COFACTOR_TOL or not _signature_31(t, det):
         kind = TetraKind.INVALID
     elif low > IDEAL_COFACTOR_TOL:
@@ -280,7 +283,7 @@ def _finite_margin(t: TetAngles) -> float:
     decides the signature.  Callers keep 2x headroom for the rounding of
     the step and of each cofactor."""
     x = t.as_tuple()
-    det, low, edge = _class_numbers(x)
+    det, low, edge = _memo(t, "_class_numbers", _class_numbers)
     return min(min(x), _PI - max(x), (low - IDEAL_COFACTOR_TOL) / 8, (edge + IDEAL_COFACTOR_TOL) / 3,
                (-det - IDEAL_COFACTOR_TOL) / 10.4)
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from reggescissors import klein
+from reggescissors import klein, tetra
 from reggescissors.exceptions import GeometryDomainError, QuadratureError
 from reggescissors.klein import (
     KleinTetra,
@@ -194,7 +194,7 @@ class TestVolumeNumeric:
 
     def test_rule_is_numpys_gauss_legendre(self):
         # klein writes the rule as literals so that it loads no numpy.polynomial
-        nodes, weights = np.polynomial.legendre.leggauss(4)
+        nodes, weights = np.polynomial.legendre.leggauss(12)
         assert [x.hex() for x in klein._glx.tolist()] == [x.hex() for x in nodes.tolist()]
         assert [w.hex() for w in klein._glw.tolist()] == [w.hex() for w in weights.tolist()]
 
@@ -241,11 +241,23 @@ class TestVolumeNumeric:
             t = TetAngles(*row)
             assert abs(volume_numeric(klein_vertices(t), 1e-6) - murakami_yano_volume(t)) <= 1e-6, row
 
+    @pytest.mark.kernel_independent
+    def test_close_to_murakami_yano(self, finite_batch, generic, equiangular):
+        # the fixtures and the first 20 Finite inputs of the `oracle` stream
+        # for seed 1, against the 40-digit Murakami-Yano volume: at tol 1e-6
+        # the 12-point rule on the four faces lands far inside tol
+        rows = [t for t in map(TetAngles.of, _stream_rows(2, 0.9, 25)[:25])
+                if classify(t).kind is TetraKind.FINITE][:20]
+        angles = [generic, equiangular, *finite_batch, *rows]
+        errors = [abs(volume_numeric(klein_vertices(t), 1e-6) - murakami_yano_volume(t)) for t in angles]
+        assert len(rows) == 20
+        assert np.median(errors) <= 1e-12 and max(errors) <= 1e-9
+
     def test_budget_exhaustion_reports_achievement(self, generic, monkeypatch):
         kt = klein_vertices(generic)
         monkeypatch.setattr(klein, "MAX_LEAVES", 8)
         with pytest.raises(QuadratureError) as exc:
-            volume_numeric(kt, 1e-14)
+            volume_numeric(kt, _BELOW_ROUNDING)
         assert exc.value.achieved > 0
 
     def test_rejects_outside_ball(self):
@@ -273,6 +285,10 @@ class TestVolumeNumeric:
     def test_non_finite_matrix_rejected(self, generic, L):
         with pytest.raises(GeometryDomainError, match="not a Lorentz isometry"):
             apply_isometry(klein_vertices(generic), L)
+
+
+#: A tol below the rounding floor of the leaves' estimates: every budget runs out.
+_BELOW_ROUNDING = 1e-18
 
 
 def _origin_inside(verts):
@@ -309,8 +325,8 @@ def _ref_volume_numeric(kt, tol, max_leaves):
         return kids, fine, abs(value - fine.sum())
 
     verts = np.asarray(kt.vertices, dtype=float)
-    tris = [child for face in verts[klein._FACES] for child in _ref_split4(face)]
-    leaves = [leaf(tri, value) for tri, value in zip(tris, _ref_rule_batch(np.array(tris)))]
+    tris = verts[klein._FACES]
+    leaves = [leaf(tri, value) for tri, value in zip(tris, _ref_rule_batch(tris))]
     while (total := float(np.array([err for _, _, err in leaves]).sum())) >= tol / 2:
         if len(leaves) + 3 > max_leaves:
             return ("error", f"volume quadrature: refinement budget exhausted, achieved {total:.3e}", total.hex())
@@ -375,8 +391,8 @@ class TestBatchedQuadratureMatchesReference:
     @pytest.mark.parametrize("tol", [1e-6, 1e-7])
     def test_klein_uniform(self, uniform, tol):
         outcomes = [_volume_outcome(kt, t, tol) for t, kt in zip(*uniform)]
-        assert _digest(outcomes) == {1e-6: "ddb9ae546229bef980a898288597273b4adbf2189fbe9035a3c3fd1c1b6c498c",
-                                     1e-7: "8ccdfc633b8020fed68f6d78b7781103de493e84e9288bb404e10525cbd9dbcf"}[tol]
+        assert _digest(outcomes) == {1e-6: "3f462309ea058c381d3255dda4f0677f6b71d135729a127937236aa40d8daf73",
+                                     1e-7: "3f462309ea058c381d3255dda4f0677f6b71d135729a127937236aa40d8daf73"}[tol]
 
     def test_fixtures(self, finite_batch, generic, equiangular):
         tiny = KleinTetra(1e-3 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -385,18 +401,19 @@ class TestBatchedQuadratureMatchesReference:
         kts += [apply_isometry(kts[0], lorentz_boost(0.3, axis=0)), tiny]
         outcomes = [_volume_outcome(kt, t, tol) for tol in (1e-6, 1e-7) for kt, t in zip(kts, angles)]
         outcomes.append(_volume_outcome(tiny, angles[-1], 1e-15))
-        assert _digest(outcomes) == "3ce3f65d41fbf0ddbc36029abb5b8636f96fc55583beb1ea9e5ca12b2e4bde98"
+        assert _digest(outcomes) == "a57bc199c5eeb6a36d8bdfa4b6555bef4a40232aba1aa25d60714a878690a7e8"
 
     @pytest.mark.parametrize("max_leaves", [8, 40])
     def test_budget_exhaustion(self, uniform, generic, max_leaves, monkeypatch):
         monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
-        outcomes = [_outcome(kt, 1e-14) for kt in [klein_vertices(generic), *uniform[1][:10]]]
+        outcomes = [_outcome(kt, _BELOW_ROUNDING) for kt in [klein_vertices(generic), *uniform[1][:10]]]
         assert all(kind == "error" and float.fromhex(achieved) > 0 for kind, _, achieved in outcomes)
-        assert _digest(outcomes) == {8: "a514ae70a911863a71ce4f148a29c72b4fa281ddaa79aa67302c8588f12056b7",
-                                     40: "e1e7b6be6f270af2ca591c8a11a3855b8a0ef57b01edab6bb24b237fad8a40e1"}[max_leaves]
+        assert _digest(outcomes) == {8: "781a3ca53a93715288d784458d8b1c404130314a4a28cb48dfb758c5683941d5",
+                                     40: "32540f111d7a74a1f9ca91ec00874e69537f0b808b647569a3b882d64f50c756"}[max_leaves]
 
     @pytest.mark.kernel_independent
-    @pytest.mark.parametrize("tol,max_leaves", [(1e-6, 60000), (1e-7, 60000), (1e-14, 8), (1e-14, 40), (1e-14, 100)])
+    @pytest.mark.parametrize("tol,max_leaves", [(1e-6, 60000), (1e-7, 60000), (1e-12, 60000),
+                                                (_BELOW_ROUNDING, 8), (_BELOW_ROUNDING, 40), (_BELOW_ROUNDING, 100)])
     def test_passes_keep_the_bits_of_one_leaf_at_a_time(self, uniform, generic, tol, max_leaves, monkeypatch):
         monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
         for kt in [klein_vertices(generic), *uniform[1][:20 if max_leaves > 100 else 10]]:
@@ -404,35 +421,38 @@ class TestBatchedQuadratureMatchesReference:
 
     @pytest.fixture
     def leaf_count(self, monkeypatch):
-        """The number of leaves volume_numeric has made so far: 16 from the
-        four faces, then 3 more per split leaf (4 triangles to a _leaves row)."""
+        """The number of leaves volume_numeric has made so far: the four
+        faces, then 3 more per split leaf (4 triangles to a _leaves row)."""
         sizes = []
         leaves = klein._leaves
         monkeypatch.setattr(klein, "_leaves", lambda tris, values: sizes.append(len(tris)) or leaves(tris, values))
         return lambda: sizes[0] + 3 * sum(sizes[1:]) // 4
 
-    @pytest.mark.parametrize("max_leaves", range(16, 41))
+    @pytest.mark.parametrize("max_leaves", range(4, 41))
     def test_leaves_fill_the_budget_before_the_error(self, generic, leaf_count, max_leaves, monkeypatch):
         # a pass never takes the leaves past MAX_LEAVES, and the error comes
         # only once not even one more split fits
         monkeypatch.setattr(klein, "MAX_LEAVES", max_leaves)
         with pytest.raises(QuadratureError):
-            volume_numeric(klein_vertices(generic), 1e-14)
+            volume_numeric(klein_vertices(generic), _BELOW_ROUNDING)
         assert max_leaves - 3 < leaf_count() <= max_leaves
 
-    def test_a_budget_of_the_leaves_used_is_enough(self, generic, leaf_count, monkeypatch):
-        # at 1e-9 more than four leaves are split; a budget of exactly the
-        # leaves an unbounded run makes caps no pass, so the bits hold
-        kt = klein_vertices(generic)
-        volume = volume_numeric(kt, 1e-9)
+    def test_a_budget_of_the_leaves_used_is_enough(self, uniform, leaf_count, monkeypatch):
+        # at 1e-12 this input splits more than four leaves in two passes; a
+        # budget of exactly the leaves an unbounded run makes caps no pass, so
+        # the bits hold
+        kt = uniform[1][8]
+        volume = volume_numeric(kt, 1e-12)
         used = leaf_count()
         monkeypatch.setattr(klein, "MAX_LEAVES", used)
-        assert used > 16 + 3 * 4 and volume_numeric(kt, 1e-9).hex() == volume.hex()
+        assert used > 4 + 3 * 4 and volume_numeric(kt, 1e-12).hex() == volume.hex()
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_one_rule_batch_per_pass_and_one_for_the_start(self, uniform, generic, tol, monkeypatch):
-        # the 16 face quarters and their 64 children share the first batch;
-        # each pass is one _leaves call on the split leaves and their values
+        # the four faces and their 16 children share the first batch; each
+        # pass is one _leaves call on the split leaves and their values.  At
+        # 1e-6 no input here takes a pass; at 1e-9 none takes more than one,
+        # so the other leg runs at 1e-12
         batches, passes = [], []
         rule_batch, leaves = klein._rule_batch, klein._leaves
         monkeypatch.setattr(klein, "_rule_batch", lambda tris: batches.append(len(tris)) or rule_batch(tris))
@@ -443,9 +463,27 @@ class TestBatchedQuadratureMatchesReference:
             batches.clear()
             passes.clear()
             volume_numeric(kt, tol)
-            assert batches[0] == 80 and not passes[0] and len(batches) == len(passes) == sum(passes) + 1
+            assert batches[0] == 20 and not passes[0] and len(batches) == len(passes) == sum(passes) + 1
             counts.append(sum(passes))
-        assert max(counts) >= 2
+        assert max(counts) == 0 if tol == 1e-6 else max(counts) >= 2
+
+    @pytest.mark.kernel_independent
+    def test_rule_batches_stay_within_their_bound(self, uniform, generic, monkeypatch):
+        # with the bound patched to 8 triangles, the first batch and every
+        # pass that splits more than two leaves go to several rule batches;
+        # none is larger, and every outcome keeps its bits
+        cases = [(kt, tol) for kt in [klein_vertices(generic), *uniform[1][:10]] for tol in (1e-6, 1e-12)]
+        monkeypatch.setattr(klein, "MAX_LEAVES", 400)
+        cases += [(kt, _BELOW_ROUNDING) for kt in uniform[1][:3]]
+        expected = [_outcome(kt, tol) for kt, tol in cases]
+        batches, passes = [], []
+        rule_batch, leaves = klein._rule_batch, klein._leaves
+        monkeypatch.setattr(klein, "_rule_batch", lambda tris: batches.append(len(tris)) or rule_batch(tris))
+        monkeypatch.setattr(klein, "_leaves", lambda tris, values: passes.append(len(tris)) or leaves(tris, values))
+        monkeypatch.setattr(klein, "RULE_BATCH", 8)
+        assert [_outcome(kt, tol) for kt, tol in cases] == expected
+        assert max(batches) == 8 and len(batches) > 3 * len(passes)
+        assert max(passes) > 100
 
     @pytest.mark.kernel_independent
     def test_rule_bits_do_not_depend_on_batch_size(self):
@@ -556,6 +594,29 @@ class TestSchlafli:
         assert classify(t).kind is TetraKind.FINITE
         with pytest.raises(GeometryDomainError, match="even after shrinking h"):
             schlafli_residual(t, 1e-5)
+
+
+@pytest.mark.kernel_independent
+def test_an_oracle_op_evaluates_its_source_class_numbers_once(monkeypatch):
+    # the benchmark's oracle op on the first 40 inputs of the `oracle` stream
+    # for seeds 1-3: classify (through klein_vertices) and the Schlafli
+    # stencil's margin read one evaluation of the source's three class
+    # numbers, and a source whose steps are certified evaluates no other
+    evaluated = []
+    evaluate = tetra._class_numbers
+    monkeypatch.setattr(tetra, "_class_numbers", lambda t: evaluated.append(t.as_tuple()) or evaluate(t))
+    oracle = _perfbench_module("ops").oracle
+    certified = 0
+    for row in _stream_rows(2, 0.9, 40):
+        evaluated.clear()
+        oracle(np.array(row))
+        seen = list(evaluated)
+        assert seen.count(row) == 1, row
+        t = TetAngles(*row)
+        if classify(t).kind is TetraKind.FINITE and 2 * klein.SCHLAFLI_STEP < _finite_margin(t):
+            certified += 1
+            assert seen == [row], row
+    assert certified > 60
 
 
 def _ref_schlafli_residual(t, h):

@@ -250,7 +250,7 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
     def bindings():
         return (tetra._classify, octahedron._solve_holonomy, scissors._decompose, scissors.decompose,
                 reggescissors.suite.decompose, reggescissors.decompose, series._lobachevsky_float,
-                octahedron._lobachevsky_float, scissors._lobachevsky_float)
+                octahedron._lobachevsky_float, scissors._lobachevsky_float, reggescissors.klein._rule_batch)
 
     def hook(frame, event, arg):
         pass
@@ -264,16 +264,18 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
         sys.setprofile(previous)
     assert bindings() == originals
     assert bench_record.count_work() == first  # counts, not times: they repeat
-    # the counts that a counter wrapping every package binding of the four
-    # functions also reads on this configuration
+    # the counts that a counter wrapping every package binding of the five
+    # functions (and summing the triangles given to _rule_batch) also reads
+    # on this configuration
     assert first == {
         "formula": {"ops": 3, "failed": 0, "_classify": 1.0, "_solve_holonomy": 9.0, "decompose": 5.0,
-                    "series_calls": 168.0},
+                    "series_calls": 168.0, "_rule_batch": 0.0, "rule_triangles": 0.0},
         "oracle": {"ops": 2, "failed": 0, "_classify": 1.0, "_solve_holonomy": 13.0, "decompose": 0.0,
-                   "series_calls": 216.0},
-        "suite": {"_classify": 47, "_solve_holonomy": 155, "decompose": 30, "series_calls": 10189},
+                   "series_calls": 216.0, "_rule_batch": 1.0, "rule_triangles": 20.0},
+        "suite": {"_classify": 47, "_solve_holonomy": 155, "decompose": 30, "series_calls": 10189,
+                  "_rule_batch": 5, "rule_triangles": 100},
     }
-    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls"]
+    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls", "_rule_batch", "rule_triangles"]
     assert list(first) == ["formula", "oracle", "suite"]
     assert [list(row) for row in first.values()] == [["ops", "failed", *keys]] * 2 + [keys]
 
@@ -306,8 +308,9 @@ def test_bench_record_counts_a_call_by_its_code_object(small_bench_record, monke
     monkeypatch.setattr(reggescissors.suite, "run_suite", lambda config: classify(of([1.2] * 6)))
     assert bench_record.count_work() == {
         "formula": {"ops": 2, "failed": 0, "_classify": 1.0, "_solve_holonomy": 0.0, "decompose": 0.0,
-                    "series_calls": 0.0},
-        "suite": {"_classify": 1, "_solve_holonomy": 0, "decompose": 0, "series_calls": 0},
+                    "series_calls": 0.0, "_rule_batch": 0.0, "rule_triangles": 0.0},
+        "suite": {"_classify": 1, "_solve_holonomy": 0, "decompose": 0, "series_calls": 0, "_rule_batch": 0,
+                  "rule_triangles": 0},
     }
 
 
@@ -377,7 +380,7 @@ def test_stream_digests_keep_their_bytes(output_digest):
     formula = output_digest.stream_digest("formula", 1, 30, output_digest.ANGLE_COMMANDS)
     assert formula == "2630ca752ca8f5d919f08bd46f353d8218b865baeabcbfca7b72368ac3557fd4"
     oracle = output_digest.stream_digest("oracle", 1, 5, [("oracle",)])
-    assert oracle == "6ffee803a80d6869ae3e82a21ed512f8c6ba05126c3508550713381a890397da"
+    assert oracle == "a0f8c8a7d18e126ae9650974f1c2700c9cee0ed1e0fde6a208eaceba722fa717"
 
 
 # the first 30 inputs of the benchmark's `formula` stream for seed 1, frozen
