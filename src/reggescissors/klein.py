@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryDomainError, QuadratureError
-from .octahedron import _keep_remainder, tet_volume
+from .octahedron import _finite_volume, _keep_remainder, _step_remainder
 from .tetra import (
     _FACES_OF,
     TetAngles,
     TetraKind,
-    _certify_finite,
     _finite_margin,
     classify,
     edge_lengths,
@@ -303,12 +302,13 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
     lengths on the other this couples every piece of the pipeline.  If a
     perturbation leaves the Finite class, h is shrunk once before failing.
 
-    Each step t +- h e_i is solved on its own but re-evaluates only what it
-    moves.  When 2h is below tetra._finite_margin(t) (a step in one angle
-    moves a link cofactor by at most 8h, an edge cofactor by at most 3h and
-    det G by at most 10.4h), every step is Finite and takes the class
-    _classify would give it, with no cofactor evaluated; other steps, and
-    the retry's, are classified.  A step moves 8 of the 16 series arguments
+    A step t +- h e_i is six floats, whose volume tet_volume's own routines
+    give (octahedron._finite_volume) with no instance built.  Its class is
+    certified or classified: when 2h is below tetra._finite_margin(t) (a
+    step in one angle moves a link cofactor by at most 8h, an edge cofactor
+    by at most 3h and det G by at most 10.4h), every step is Finite, as
+    _classify would call it; other steps, and the retry's, are classified
+    through a fresh TetAngles.  A step moves 8 of the 16 series arguments
     of volume_remainder and reads the other 8 values from t's, which t
     keeps as its remainder (octahedron._keep_remainder).  Every residual
     keeps its bits.
@@ -323,16 +323,11 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
         lengths = edge_lengths(t)
         out = np.empty(6)
         for i, x in enumerate(base):
-            tu = TetAngles(*base[:i], x + step, *base[i + 1:])
-            td = TetAngles(*base[:i], x - step, *base[i + 1:])
-            if certified:
-                _certify_finite(tu)
-                _certify_finite(td)
-            elif classify(tu).kind is not TetraKind.FINITE or classify(td).kind is not TetraKind.FINITE:
+            up, dn = ([*base[:i], x + d, *base[i + 1:]] for d in (step, -step))
+            if not (certified or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
                 return None
-            _keep_remainder(tu, near)
-            _keep_remainder(td, near)
-            deriv = (tet_volume(tu) - tet_volume(td)) / (2 * step)
+            deriv = (_finite_volume(up, _step_remainder(up, near))
+                     - _finite_volume(dn, _step_remainder(dn, near))) / (2 * step)
             out[i] = abs(deriv + lengths[i] / 2)
         return out
 

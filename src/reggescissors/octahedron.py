@@ -138,7 +138,10 @@ def base_angles(t: TetAngles) -> tuple[float, ...]:
 def bar_solution(t: TetAngles) -> tuple[float, ...]:
     """A particular solution of the linear constraints (the slots at Z = 0),
     in SLOT_ORDER."""
-    A, B, C, Ap, Bp, Cp = t.as_tuple()
+    return _bars(*t.as_tuple())
+
+
+def _bars(A: float, B: float, C: float, Ap: float, Bp: float, Cp: float) -> tuple[float, ...]:
     return ((A + Ap + 2 * Bp) / 4, (_TWO_PI + A - Ap + 2 * Cp) / 4,
             (A + Ap - 2 * Bp) / 4, (_TWO_PI - A + Ap - 2 * C) / 4,
             (-A - Ap - 2 * B) / 4, (_TWO_PI - A + Ap + 2 * C) / 4,
@@ -216,23 +219,24 @@ def volume_remainder(t: TetAngles) -> float:
     at the 16 _remainder_args of t's angles, summed with the signs of
     _remainder_sum.  Each angle enters 8 of the 16 arguments, so a step in
     one angle leaves the other 8 arguments and their series values as they
-    were (_keep_remainder)."""
+    were (_step_remainder)."""
     return _remainder_sum(list(map(_lobachevsky_float, _remainder_args(*t.as_tuple()))))
 
 
-def _keep_remainder(t: TetAngles, near=None) -> tuple[tuple[float, ...], list[float]]:
+def _keep_remainder(t: TetAngles) -> tuple[tuple[float, ...], list[float]]:
     """Keep volume_remainder(t) on t as tet_volume does, and return the
-    _remainder_args of t's angles with the series values there.  near is
-    such a pair for nearby angles: where t's argument equals near's, the
-    value is read, not evaluated.  Equal doubles give the series equal
-    values, so the remainder keeps its bits."""
+    _remainder_args of t's angles with the series values there."""
     args = _remainder_args(*t.as_tuple())
-    if near is None:
-        values = list(map(_lobachevsky_float, args))
-    else:
-        values = [v if x == y else _lobachevsky_float(x) for x, y, v in zip(args, *near)]
+    values = list(map(_lobachevsky_float, args))
     _memo(t, "_volume_remainder", lambda t: _remainder_sum(values))
     return args, values
+
+
+def _step_remainder(x, near) -> float:
+    """volume_remainder at the six angles x, reading the series value from
+    near, a source's _keep_remainder, where the arguments are equal doubles,
+    so the remainder keeps its bits."""
+    return _remainder_sum([v if a == b else _lobachevsky_float(a) for a, b, v in zip(_remainder_args(*x), *near)])
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
@@ -252,11 +256,18 @@ def solve_holonomy(t: TetAngles) -> HolonomyRoots:
     A TetAngles keeps its roots, solved on the first call, as it keeps its
     class (see tetra._memo).
     """
-    return _memo(t, "_holonomy_roots", lambda t: _solve_holonomy(t, bar_solution(t)))
+    return _memo(t, "_holonomy_roots", _holonomy_roots)
 
 
-def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
+def _holonomy_roots(t: TetAngles) -> HolonomyRoots:
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL, TetraKind.HYPERIDEAL).kind
+    bars = bar_solution(t)
+    return HolonomyRoots(bars, *_solve_holonomy(bars, kind))
+
+
+def _solve_holonomy(bars: tuple[float, ...], kind: TetraKind) -> tuple[float, float, complex, float]:
+    """(Z_minus, Z_plus, discriminant, unit_defect) of the holonomy quadratic
+    of bars, gated as solve_holonomy says; a NonUnitRootError reports kind."""
     _, q2, q1, q0, _ = holonomy_polynomial(bars)
     scale = max(abs(q2), abs(q1), abs(q0))
     if scale < 1e-12 or abs(q2) < 1e-13 * max(1.0, scale):
@@ -281,8 +292,7 @@ def _solve_holonomy(t: TetAngles, bars: tuple[float, ...]) -> HolonomyRoots:
     Z0 = cmath.phase(_divide(w0, complex(r0))) / 2
     Z1 = cmath.phase(_divide(w1, complex(r1))) / 2
     # the root -q1 - 4i sqrt(-det G) over 2 q2 (module docstring)
-    Z_minus, Z_plus = (Z1, Z0) if sq.imag > 0 else (Z0, Z1)
-    return HolonomyRoots(bars=bars, Z_minus=Z_minus, Z_plus=Z_plus, discriminant=disc, unit_defect=defect)
+    return (Z1, Z0, disc, defect) if sq.imag > 0 else (Z0, Z1, disc, defect)
 
 
 def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
@@ -373,10 +383,24 @@ def tet_volume(t: TetAngles, root: str = "minus") -> float:
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind
     roots = solve_holonomy(t)
     remainder = _memo(t, "_volume_remainder", volume_remainder)
-    volume = _memo(t, "_tet_volume", lambda t: _slot_sum(roots.bars, roots.Z_minus) + remainder)
+    volume = _memo(t, "_tet_volume", lambda t: _gated_volume(roots.bars, roots.Z_minus, remainder, kind))
+    return volume if root == "minus" else _slot_sum(roots.bars, roots.Z_plus) + remainder
+
+
+def _gated_volume(bars: tuple[float, ...], Z_minus: float, remainder: float, kind: TetraKind) -> float:
+    """The slot sum at Z_minus plus remainder, gated as tet_volume says."""
+    volume = _slot_sum(bars, Z_minus) + remainder
     if volume < -1e-12:
         raise DegenerateSystemError(
             "the labeled holonomy root yields a negative volume",
             {"volume": volume, "class": kind.value},
         )
-    return volume if root == "minus" else _slot_sum(roots.bars, roots.Z_plus) + remainder
+    return volume
+
+
+def _finite_volume(x, remainder: float) -> float:
+    """tet_volume of the six angles x, Finite by the caller's word, given
+    volume_remainder there: its bars, roots, sum and gates, with no
+    instance, class or memo, so the volume keeps its bits."""
+    bars = _bars(*x)
+    return _gated_volume(bars, _solve_holonomy(bars, TetraKind.FINITE)[0], remainder, TetraKind.FINITE)

@@ -288,13 +288,6 @@ def _finite_margin(t: TetAngles) -> float:
                (-det - IDEAL_COFACTOR_TOL) / 10.4)
 
 
-def _certify_finite(t: TetAngles) -> None:
-    """Keep on t the class _classify gives it when a step from a Finite source
-    stays within the source's _finite_margin: Finite, with det G of t's own
-    cosines.  No cofactor is evaluated."""
-    _inherit_class(t, TetraClass(TetraKind.FINITE, _gram_det([math.cos(v) for v in t.as_tuple()])))
-
-
 def _inherit_class(t: TetAngles, cls: TetraClass) -> None:
     """Keep cls on t as its class (see _memo)."""
     object.__setattr__(t, "_tetra_class", cls)

@@ -6,8 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from reggescissors import klein, tetra
-from reggescissors.exceptions import GeometryDomainError, QuadratureError
+from reggescissors import klein, octahedron, tetra
+from reggescissors.exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError, QuadratureError
 from reggescissors.klein import (
     KleinTetra,
     dihedral_angles,
@@ -388,11 +388,13 @@ class TestBatchedQuadratureMatchesReference:
         angles = _klein_uniform_angles(60)
         return angles, [klein_vertices(t) for t in angles]
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-7])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_klein_uniform(self, uniform, tol):
+        # no input here takes a pass at 1e-6 (nor at 1e-7); 45 of the 60 take
+        # one or two at 1e-12
         outcomes = [_volume_outcome(kt, t, tol) for t, kt in zip(*uniform)]
         assert _digest(outcomes) == {1e-6: "3f462309ea058c381d3255dda4f0677f6b71d135729a127937236aa40d8daf73",
-                                     1e-7: "3f462309ea058c381d3255dda4f0677f6b71d135729a127937236aa40d8daf73"}[tol]
+                                     1e-12: "3b2a22a06023440aebeabd15326f0c2435b42fbfde412220622f19a5cd83cf95"}[tol]
 
     def test_fixtures(self, finite_batch, generic, equiangular):
         tiny = KleinTetra(1e-3 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -571,23 +573,43 @@ class TestSchlafli:
         res = schlafli_residual(t, 1e-5)
         assert res.tobytes() == schlafli_residual(t, 1e-5 / 10).tobytes()
 
-    def test_keeps_the_bits_of_array_steps(self, slivers):
-        # the first 120 inputs of the `oracle` stream for seed 1, the input
-        # whose step is retried at h / 10, the `oracle` slivers 2:215, 2:262,
-        # 4:14 and 10:231 and five `formula` slivers; the reference classifies
-        # and assembles every step afresh, so it pins the certified steps and
-        # the classified ones alike (classify calls the slivers Ideal, so both
-        # raise on them until it calls them Finite)
+    @pytest.fixture
+    def stencil_inputs(self, slivers):
+        """The first 120 inputs of the `oracle` stream for seed 1, the input
+        whose step is retried at h / 10, the `oracle` slivers 2:215, 2:262,
+        4:14 and 10:231 and five `formula` slivers."""
         stream = _perfbench_module("inputs").TetStream
         angles, _ = stream(1, 2, 0.9).take(120)
         inputs = [tuple(a.tolist()) for a in angles] + [(math.pi / 3 + 2e-6,) * 6]
-        inputs += [tuple(stream(seed, 2, 0.9).take(k + 1)[0][k].tolist())
-                   for seed, k in ((2, 215), (2, 262), (4, 14), (10, 231))] + slivers[:5]
-        margins = [_finite_margin(TetAngles(*row)) for row in inputs]
+        return inputs + [tuple(stream(seed, 2, 0.9).take(k + 1)[0][k].tolist())
+                         for seed, k in ((2, 215), (2, 262), (4, 14), (10, 231))] + slivers[:5]
+
+    @pytest.mark.kernel_independent
+    def test_keeps_the_bits_of_array_steps(self, stencil_inputs):
+        # the reference classifies and assembles every step afresh, so it pins
+        # the certified steps and the classified ones alike (classify calls
+        # the slivers Ideal, so both raise on them until it calls them Finite)
+        margins = [_finite_margin(TetAngles(*row)) for row in stencil_inputs]
         assert sum(m > 2e-5 for m in margins) > 60 and sum(0 < m <= 2e-5 for m in margins) > 10
-        for row in inputs:
+        for row in stencil_inputs:
             got, expected = (_schlafli_outcome(f, TetAngles(*row)) for f in (schlafli_residual, _ref_schlafli_residual))
             assert got == expected, row
+
+    @pytest.mark.kernel_independent
+    @pytest.mark.parametrize("name,value,error", [("UNIT_ROOT_TOL", -1.0, NonUnitRootError),
+                                                  ("_remainder_sum", lambda values: -10.0, DegenerateSystemError)],
+                             ids=["unit_root", "negative_volume"])
+    def test_a_step_keeps_every_gate(self, stencil_inputs, monkeypatch, name, value, error):
+        # with no unit defect tolerated, every step's roots are off the unit
+        # circle; with a remainder of -10, every step's volume is negative:
+        # certified and classified steps alike raise, as the reference's
+        # fresh instances do, and the sources that are not Finite still
+        # raise on their class
+        monkeypatch.setattr(octahedron, name, value)
+        for row in stencil_inputs:
+            got, expected = (_schlafli_outcome(f, TetAngles(*row)) for f in (schlafli_residual, _ref_schlafli_residual))
+            finite = classify(TetAngles(*row)).kind is TetraKind.FINITE
+            assert got == expected == (error if finite else GeometryDomainError).__name__, row
 
     def test_retry_that_still_leaves_finite_raises(self):
         t = TetAngles(*(math.pi / 3 + 2e-7,) * 6)
@@ -650,11 +672,11 @@ def _ref_schlafli_residual(t, h):
 
 
 def _schlafli_outcome(residual, t, h=1e-5):
-    """The bytes of residual(t, h), or "raised" when it raises."""
+    """The bytes of residual(t, h), or the name of the package error it raises."""
     try:
         return residual(t, h).tobytes()
-    except GeometryDomainError:
-        return "raised"
+    except (GeometryDomainError, ArithmeticError) as error:
+        return type(error).__name__
 
 
 class TestThreeQuarterOracle:

@@ -179,8 +179,8 @@ class TestHolonomy:
         c1 = np.array([canonical_angle(x) for x in a1])
         for delta in (-0.4, 0.17, 0.9):
             shifted = slots(bars, delta)
-            roots = _solve_holonomy(generic, shifted)
-            c2 = np.array([canonical_angle(x) for x in slots(shifted, roots.Z_minus)])
+            Z_minus = _solve_holonomy(shifted, TetraKind.FINITE)[0]
+            c2 = np.array([canonical_angle(x) for x in slots(shifted, Z_minus)])
             assert np.max(np.abs(c1 - c2)) < 1e-10
 
     def test_invalid_input_rejected(self):
@@ -535,9 +535,8 @@ class TestSolveOnce:
     def uncached(self, monkeypatch):
         """Counts the holonomy solves that are computed, not read back."""
         calls = []
-        compute = octahedron._solve_holonomy
-        monkeypatch.setattr(octahedron, "_solve_holonomy",
-                            lambda t, bars: calls.append(t) or compute(t, bars))
+        compute = octahedron._holonomy_roots
+        monkeypatch.setattr(octahedron, "_holonomy_roots", lambda t: calls.append(t) or compute(t))
         return calls
 
     def test_every_reader_shares_one_solve(self, uncached):
@@ -558,15 +557,15 @@ class TestSolveOnce:
     @pytest.mark.parametrize("error", [DegenerateSystemError, NonUnitRootError])
     def test_raised_error_is_not_kept(self, monkeypatch, error):
         calls = []
-        compute = octahedron._solve_holonomy
+        compute = octahedron._holonomy_roots
 
-        def fail_once(t, bars):
+        def fail_once(t):
             calls.append(t)
             if len(calls) == 1:
                 raise error("injected")
-            return compute(t, bars)
+            return compute(t)
 
-        monkeypatch.setattr(octahedron, "_solve_holonomy", fail_once)
+        monkeypatch.setattr(octahedron, "_holonomy_roots", fail_once)
         t = TetAngles(*self.ANGLES)
         with pytest.raises(error):
             solve_holonomy(t)
@@ -627,10 +626,10 @@ def _ref_volume_remainder(t):
 
 @pytest.mark.kernel_independent
 def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles, monkeypatch):
-    # volume_remainder, and the remainder _keep_remainder keeps on angles one
-    # step of 1e-5 or 1e-6 away in one angle, from the terms of the source,
-    # against the literal: bit for bit, and the step evaluates the series at
-    # the 8 arguments it moves
+    # volume_remainder, the remainder _keep_remainder keeps on the source,
+    # and _step_remainder on angles one step of 1e-5 or 1e-6 away in one
+    # angle, from the terms of the source, against the literal: bit for bit,
+    # and the step evaluates the series at the 8 arguments it moves
     evaluated = []
     monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
     for angles in stream_angles[::5]:
@@ -639,10 +638,10 @@ def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles,
         near = octahedron._keep_remainder(t)
         assert t._volume_remainder.hex() == _ref_volume_remainder(t).hex(), angles
         for i, h in itertools.product(range(6), (1e-5, -1e-6)):
-            step = TetAngles(*angles[:i], angles[i] + h, *angles[i + 1:])
+            step = [*angles[:i], angles[i] + h, *angles[i + 1:]]
             evaluated.clear()
-            octahedron._keep_remainder(step, near)
-            assert step._volume_remainder.hex() == _ref_volume_remainder(step).hex(), (angles, i)
+            remainder = octahedron._step_remainder(step, near)
+            assert remainder.hex() == _ref_volume_remainder(TetAngles(*step)).hex(), (angles, i)
             assert len(evaluated) == 8, (angles, i)
 
 

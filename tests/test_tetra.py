@@ -20,7 +20,6 @@ from reggescissors.tetra import (
     SWAP_AB_PAIRS,
     TetAngles,
     TetraKind,
-    _certify_finite,
     _classify,
     _edge_cofactors,
     _finite_margin,
@@ -377,7 +376,7 @@ def _steps(t, h):
 class TestFiniteMargin:
     """tetra._finite_margin bounds how far one angle of a Finite tetrahedron
     can move before _classify could call it anything else; within half of it
-    the Schlafli stencil gives each step the certified class."""
+    the Schlafli stencil takes each step as Finite without classifying it."""
 
     @pytest.fixture(scope="class")
     def rows(self, stream_angles):
@@ -393,12 +392,24 @@ class TestFiniteMargin:
                 continue
             assert classify(t).kind is TetraKind.FINITE, angles
             for step in _steps(t, h):
-                _certify_finite(step)
-                fresh = _classify(TetAngles(*step.as_tuple()))
-                assert classify(step).kind is fresh.kind is TetraKind.FINITE, step
-                assert classify(step).det.hex() == fresh.det.hex(), step
+                assert _classify(step).kind is TetraKind.FINITE, step
                 certified += 1
         assert certified > 12 * len(rows) // 2
+
+    def test_the_stencil_builds_no_step_of_a_certified_source(self, rows, monkeypatch):
+        # a certified step is six floats: no TetAngles is made for it, while
+        # a classified source makes a fresh one per step it classifies
+        sources = [t for t in map(TetAngles.of, rows[:100]) if 2 * SCHLAFLI_STEP < _finite_margin(t)]
+        built, init = [], TetAngles.__post_init__
+        monkeypatch.setattr(TetAngles, "__post_init__", lambda s: built.append(s.as_tuple()) or init(s))
+        for t in sources:
+            schlafli_residual(t, SCHLAFLI_STEP)
+        assert len(sources) > 50 and built == []
+        t = TetAngles(*(PI / 3 + 2e-6,) * 6)
+        classified = [s.as_tuple() for s in _steps(t, SCHLAFLI_STEP)[:2] + _steps(t, SCHLAFLI_STEP / 10)]
+        built.clear()
+        schlafli_residual(t, SCHLAFLI_STEP)
+        assert built == classified
 
     def test_the_stencil_classifies_no_step_of_a_certified_source(self, rows, monkeypatch):
         from reggescissors import tetra
@@ -484,9 +495,8 @@ class TestClassifyOnce:
         """The angles of each holonomy solve that is computed, not read back."""
         from reggescissors import octahedron
 
-        calls, solve = [], octahedron._solve_holonomy
-        monkeypatch.setattr(octahedron, "_solve_holonomy",
-                            lambda t, bars: calls.append(t.as_tuple()) or solve(t, bars))
+        calls, solve = [], octahedron._holonomy_roots
+        monkeypatch.setattr(octahedron, "_holonomy_roots", lambda t: calls.append(t.as_tuple()) or solve(t))
         return calls
 
     @pytest.mark.parametrize(
