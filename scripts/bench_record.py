@@ -133,7 +133,7 @@ WORK_OPS = {"formula": 240, "oracle": 360}
 #: "decompose" counts the decompositions computed, since a TetAngles keeps its decomposition.
 WORK_CALLS = {"_classify": ("tetra", "_classify"), "_solve_holonomy": ("octahedron", "_solve_holonomy"),
               "decompose": ("scissors", "_decompose"), "series_calls": ("lobachevsky", "_lobachevsky_float"),
-              "_rule_batch": ("klein", "_rule_batch")}
+              "_relabels_onto": ("scissors", "_relabels_onto"), "_rule_batch": ("klein", "_rule_batch")}
 
 
 def run_workload(workload: str, seed: int) -> tuple[dict, dict]:

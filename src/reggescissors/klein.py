@@ -304,30 +304,32 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
 
     A step t +- h e_i is six floats, whose volume tet_volume's own routines
     give (octahedron._finite_volume) with no instance built.  Its class is
-    certified or classified: when 2h is below tetra._finite_margin(t) (a
-    step in one angle moves a link cofactor by at most 8h, an edge cofactor
-    by at most 3h and det G by at most 10.4h), every step is Finite, as
+    certified or classified: when 2h is below tetra._finite_margin(t)
+    (which bounds how far a step of at most 1e-3 in one angle moves each
+    link cofactor, edge cofactor and det G), every step is Finite, as
     _classify would call it; other steps, and the retry's, are classified
-    through a fresh TetAngles.  A step moves 8 of the 16 series arguments
-    of volume_remainder and reads the other 8 values from t's, which t
-    keeps as its remainder (octahedron._keep_remainder).  Every residual
-    keeps its bits.
+    through a fresh TetAngles.  A step in angle i moves the 8 series
+    arguments of volume_remainder that angle enters and reads the other 8
+    values from t's, which t keeps as its remainder
+    (octahedron._keep_remainder, octahedron._step_remainder).  Every
+    residual keeps its bits.
     """
     if not 1e-7 <= h <= 1e-3:
         raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
     require_kind(t, TetraKind.FINITE)
     base = [float(x) for x in t.as_tuple()]
-    near = _keep_remainder(t)
+    values = _keep_remainder(t)
 
     def try_residuals(step: float, certified: bool) -> np.ndarray | None:
         lengths = edge_lengths(t)
         out = np.empty(6)
         for i, x in enumerate(base):
-            up, dn = ([*base[:i], x + d, *base[i + 1:]] for d in (step, -step))
+            up, dn = base.copy(), base.copy()
+            up[i], dn[i] = x + step, x - step
             if not (certified or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
                 return None
-            deriv = (_finite_volume(up, _step_remainder(up, near))
-                     - _finite_volume(dn, _step_remainder(dn, near))) / (2 * step)
+            deriv = (_finite_volume(up, _step_remainder(up, i, values))
+                     - _finite_volume(dn, _step_remainder(dn, i, values))) / (2 * step)
             out[i] = abs(deriv + lengths[i] / 2)
         return out
 

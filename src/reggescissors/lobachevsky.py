@@ -34,6 +34,9 @@ __all__ = [
 
 _PI = math.pi
 _HALF_PI = _PI / 2
+# bound at import for _lobachevsky_float, which reads them on every call
+_MINUS_HALF_PI = -_HALF_PI
+_log, _isfinite = math.log, math.isfinite
 
 # Coefficients zeta(2m) / (m (2m+1)) of the reduced series.  Direct summation
 # of the Fourier series converges like 1/N; splitting off the logarithmic
@@ -165,9 +168,9 @@ def _lobachevsky_float(theta: float) -> float:
     bound, the bits beside every band edge against the 48-step loop, and
     the chains against the loop over groups of four that they replace.
     """
-    if -_HALF_PI < theta < _HALF_PI:
+    if _MINUS_HALF_PI < theta < _HALF_PI:
         r = theta
-    elif math.isfinite(theta):
+    elif _isfinite(theta):
         r = theta - _PI * round(theta / _PI)
         if r <= -_HALF_PI:
             r += _PI
@@ -177,7 +180,7 @@ def _lobachevsky_float(theta: float) -> float:
     if x == 0.0:
         return 0.0
     q = (x / _PI) ** 2
-    val = x * (1.0 - math.log(2.0 * x)) + x * q * _horner(q)
+    val = x * (1.0 - _log(2.0 * x)) + x * q * _horner(q)
     return val if r > 0 else -val
 
 

@@ -31,19 +31,23 @@ branch is reported, never relabeled.
 
 The solve runs on Python complex and loads no numpy.  Its two divisions,
 the roots (-q1 +- sqrt(disc)) / (2 q2) and their projection w / |w| onto
-the unit circle, copy numpy's complex division (_divide), so each root
-keeps the bits it had when the solve ran on numpy's complex scalars.
+the unit circle, are numpy's complex division written out in the solve:
+Smith's method (R. L. Smith, "Algorithm 116: Complex division", Commun.
+ACM 5(8), 1962) times the reciprocal of its denominator, one reciprocal for
+both roots.  Python's a / b divides by that denominator instead, which
+moves last bits, and w * (1 / |w|) gives -0.0 where the division gives
+0.0, a sign the phase reads; so each root keeps the bits it had when the
+solve ran on numpy's complex scalars.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import _lobachevsky_float, _sum_in_order, lobachevsky
-from .tetra import TetAngles, TetraKind, _memo, require_kind
+from .tetra import TetAngles, TetraKind, _memo, _record, require_kind
 
 __all__ = [
     "DUAL_SIDE",
@@ -95,7 +99,7 @@ def slots(bars, Z: float) -> tuple[float, ...]:
             bars[4] + Z, bars[5] - Z, bars[6] + Z, bars[7] - Z)
 
 
-@dataclass(frozen=True)
+@_record
 class HolonomyRoots:
     """The solved angle system of one tetrahedron: the bar solution and both
     roots of the holonomy quadratic with semantic labels.
@@ -114,7 +118,7 @@ class HolonomyRoots:
     unit_defect: float
 
 
-@dataclass(frozen=True)
+@_record
 class OctAngles:
     """Solved slot angles of one octahedron (O or its dual), in SLOT_ORDER and
     each in (-pi, pi], with the base angles a..h of that octahedron
@@ -157,13 +161,8 @@ def holonomy_polynomial(bars: tuple[float, ...]) -> tuple[complex, ...]:
     Straight-line: the elementary symmetric sums of the squared plus and
     minus phases take each product and addition in itertools.combinations
     order from 0j.  cmath.exp is read at call time, so that sympy can stand
-    in for it (tests/test_certificates.py).
-
-    The solve divides these coefficients by numpy's complex division
-    (_divide), Smith's method times a reciprocal, not by Python's, and
-    projects a root w by dividing it by complex(|w|) the same way:
-    w * (1 / |w|) gives -0.0 where that division gives 0.0, and the
-    phase of the projection reads that sign.
+    in for it (tests/test_certificates.py).  The solve divides these
+    coefficients as numpy would (module docstring).
     """
     exp = cmath.exp
     p0, p1, p2, p3 = exp(1j * bars[0]), exp(1j * bars[2]), exp(1j * bars[4]), exp(1j * bars[6])
@@ -178,23 +177,6 @@ def holonomy_polynomial(bars: tuple[float, ...]) -> tuple[complex, ...]:
     b2 = 0j + v0 * v1 + v0 * v2 + v0 * v3 + v1 * v2 + v1 * v3 + v2 * v3
     b3 = 0j + v0 * v1 * v2 + v0 * v1 * v3 + v0 * v2 * v3 + v1 * v2 * v3
     return (pa - 1 / pb, b1 / pb - a3 / pa, a2 / pa - b2 / pb, b3 / pb - a1 / pa, 1 / pa - pb)
-
-
-def _divide(a: complex, b: complex) -> complex:
-    """a / b by numpy's complex division, copied literally: Smith's method
-    (R. L. Smith, "Algorithm 116: Complex division", Commun. ACM 5(8), 1962)
-    multiplied by the reciprocal of its denominator.  Python's a / b divides
-    by that denominator instead, which moves last bits, so the roots keep
-    numpy's bits only through this copy.  b is never 0 here (the solve's
-    collapse gate)."""
-    br, bi = b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
 def _remainder_args(A: float, B: float, C: float, Ap: float, Bp: float, Cp: float) -> tuple[float, ...]:
@@ -214,29 +196,38 @@ def _remainder_sum(v) -> float:
                   + v[8] - v[9] - v[10] + v[11] - v[12] + v[13] + v[14] + v[15])
 
 
+#: as_tuple() index -> the 8 positions of _remainder_args that angle enters
+_REMAINDER_TERMS_OF = ((0, 1, 2, 4, 9, 10, 11, 15), (0, 1, 2, 4, 8, 12, 13, 14), (0, 1, 2, 3, 4, 5, 6, 7),
+                       (3, 5, 6, 7, 8, 12, 13, 14), (3, 5, 6, 7, 9, 10, 11, 15), (8, 9, 10, 11, 12, 13, 14, 15))
+
+
 def volume_remainder(t: TetAngles) -> float:
     """The Z-independent half-sum completing the volume formula: the series
     at the 16 _remainder_args of t's angles, summed with the signs of
-    _remainder_sum.  Each angle enters 8 of the 16 arguments, so a step in
-    one angle leaves the other 8 arguments and their series values as they
-    were (_step_remainder)."""
+    _remainder_sum.  Each angle enters 8 of the 16 arguments
+    (_REMAINDER_TERMS_OF), so a step in one angle leaves the other 8
+    arguments and their series values as they were (_step_remainder)."""
     return _remainder_sum(list(map(_lobachevsky_float, _remainder_args(*t.as_tuple()))))
 
 
-def _keep_remainder(t: TetAngles) -> tuple[tuple[float, ...], list[float]]:
+def _keep_remainder(t: TetAngles) -> list[float]:
     """Keep volume_remainder(t) on t as tet_volume does, and return the
-    _remainder_args of t's angles with the series values there."""
-    args = _remainder_args(*t.as_tuple())
-    values = list(map(_lobachevsky_float, args))
+    series values at the _remainder_args of t's angles."""
+    values = list(map(_lobachevsky_float, _remainder_args(*t.as_tuple())))
     _memo(t, "_volume_remainder", lambda t: _remainder_sum(values))
-    return args, values
+    return values
 
 
-def _step_remainder(x, near) -> float:
-    """volume_remainder at the six angles x, reading the series value from
-    near, a source's _keep_remainder, where the arguments are equal doubles,
-    so the remainder keeps its bits."""
-    return _remainder_sum([v if a == b else _lobachevsky_float(a) for a, b, v in zip(_remainder_args(*x), *near)])
+def _step_remainder(x, i: int, values: list[float]) -> float:
+    """volume_remainder at the six angles x, one step in angle i from a
+    source with the series values values (_keep_remainder): the 8 arguments
+    angle i enters are evaluated afresh, and the other 8, equal doubles
+    computed from equal angles, are read from values, so the remainder
+    keeps its bits."""
+    args, v = _remainder_args(*x), values.copy()
+    for k in _REMAINDER_TERMS_OF[i]:
+        v[k] = _lobachevsky_float(args[k])
+    return _remainder_sum(v)
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
@@ -267,7 +258,8 @@ def _holonomy_roots(t: TetAngles) -> HolonomyRoots:
 
 def _solve_holonomy(bars: tuple[float, ...], kind: TetraKind) -> tuple[float, float, complex, float]:
     """(Z_minus, Z_plus, discriminant, unit_defect) of the holonomy quadratic
-    of bars, gated as solve_holonomy says; a NonUnitRootError reports kind."""
+    of bars, gated as solve_holonomy says; a NonUnitRootError reports kind.
+    Both divisions are numpy's, written out (module docstring)."""
     _, q2, q1, q0, _ = holonomy_polynomial(bars)
     scale = max(abs(q2), abs(q1), abs(q0))
     if scale < 1e-12 or abs(q2) < 1e-13 * max(1.0, scale):
@@ -278,7 +270,19 @@ def _solve_holonomy(bars: tuple[float, ...], kind: TetraKind) -> tuple[float, fl
     disc = q1 * q1 - 4 * q2 * q0
     sq = cmath.sqrt(disc)
     d = 2 * q2
-    w0, w1 = _divide(-q1 + sq, d), _divide(-q1 - sq, d)
+    # the roots w = (-q1 +- sq) / d, Smith's branch chosen by d
+    dr, di, ar, ai, sr, si = d.real, d.imag, -q1.real, -q1.imag, sq.real, sq.imag
+    ur, ui, vr, vi = ar + sr, ai + si, ar - sr, ai - si
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        w0 = complex((ur + ui * rat) * scl, (ui - ur * rat) * scl)
+        w1 = complex((vr + vi * rat) * scl, (vi - vr * rat) * scl)
+    else:
+        rat = dr / di
+        scl = 1.0 / (di + dr * rat)
+        w0 = complex((ur * rat + ui) * scl, (ui * rat - ur) * scl)
+        w1 = complex((vr * rat + vi) * scl, (vi * rat - vr) * scl)
     r0, r1 = abs(w0), abs(w1)
     defect = max(abs(math.sqrt(r0) - 1.0), abs(math.sqrt(r1) - 1.0))
     if defect > UNIT_ROOT_TOL:
@@ -287,12 +291,13 @@ def _solve_holonomy(bars: tuple[float, ...], kind: TetraKind) -> tuple[float, fl
             "no real angle offset exists",
             {"unit_defect": defect, "class": kind.value},
         )
-    # project onto the unit circle, the defect kept as a diagnostic; not as
-    # w * (1 / |w|), which moves the sign of a zero part (holonomy_polynomial)
-    Z0 = cmath.phase(_divide(w0, complex(r0))) / 2
-    Z1 = cmath.phase(_divide(w1, complex(r1))) / 2
+    # project onto the unit circle, the defect kept as a diagnostic: w over
+    # r + 0i by Smith's first branch, whose ratio is 0.0 and scale 1 / r
+    s0, s1 = 1.0 / r0, 1.0 / r1
+    Z0 = math.atan2((w0.imag - w0.real * 0.0) * s0, (w0.real + w0.imag * 0.0) * s0) / 2
+    Z1 = math.atan2((w1.imag - w1.real * 0.0) * s1, (w1.real + w1.imag * 0.0) * s1) / 2
     # the root -q1 - 4i sqrt(-det G) over 2 q2 (module docstring)
-    return (Z1, Z0, disc, defect) if sq.imag > 0 else (Z0, Z1, disc, defect)
+    return (Z1, Z0, disc, defect) if si > 0 else (Z0, Z1, disc, defect)
 
 
 def octahedron_angles(t: TetAngles, which: str = O_SIDE) -> OctAngles:
@@ -378,6 +383,8 @@ def tet_volume(t: TetAngles, root: str = "minus") -> float:
 
     A TetAngles keeps its volume and its remainder, assembled on the first
     call, as it keeps its roots (see tetra._memo)."""
+    if root == "minus" and (volume := t.__dict__.get("_tet_volume")) is not None:
+        return volume  # kept only once the gates below have passed
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind

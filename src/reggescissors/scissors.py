@@ -22,11 +22,11 @@ relabeling, and R_a is checked on pair-swapped relabelings (_CHECKS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .exceptions import DegenerateSystemError, GeometryDomainError
 from .lobachevsky import _lobachevsky_float, _sum_in_order
-from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, tet_volume, wrap_angle
+from .octahedron import DUAL_SIDE, O_SIDE, SLOT_ORDER, slots, solve_holonomy, tet_volume
 from .tetra import (
     _RELABEL_ROWS,
     SWAP_AB_PAIRS,
@@ -34,6 +34,7 @@ from .tetra import (
     TetraKind,
     _inherit_class,
     _memo,
+    _record,
     classify,
     relabel,
     require_kind,
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_HALF_PI = _PI / 2
 
 #: Vertex relabeling of the R_b image that aligns its default octahedron
 #: construction with the permuted construction of the source: the crossed
@@ -122,15 +124,19 @@ def canonical_angle(x: float) -> float:
 
     The piece with canonical angle theta has signed volume lob(theta);
     printed minus signs are folded in through oddness before calling this.
-    Values within NULL_PIECE_TOL of zero collapse to exactly 0.0.
+    Values within NULL_PIECE_TOL of zero collapse to exactly 0.0.  The
+    reduction is octahedron.wrap_angle's floor formula with period pi,
+    written out here because every piece of every decomposition takes it.
     """
-    r = wrap_angle(x, _PI)
+    r = x - _PI * math.floor(x / _PI + 0.5)
+    if r <= -_HALF_PI:
+        r += _PI
     if abs(r) < NULL_PIECE_TOL:
         return 0.0
     return r
 
 
-@dataclass(frozen=True)
+@_record
 class Decomposition:
     """The sixteen-piece decomposition of two copies of the source tetrahedron.
 
@@ -178,7 +184,7 @@ def permute_for_regge_b(d: Decomposition) -> Decomposition:
     return Decomposition(tuple(d.raw_angles[k] for k in _REGGE_B_EXCHANGE))
 
 
-@dataclass(frozen=True)
+@_record
 class ScissorsReport:
     """Outcome of one scissors-congruence check.
 
@@ -253,8 +259,11 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     return ScissorsReport(which, tol, transformed, failure=failure, **measured)
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitResult:
+    """The members of a Regge orbit up to relabeling, in regge_orbit's word
+    order, and the volume of each (nan for one neither Finite nor Ideal)."""
+
     members: tuple[TetAngles, ...]
     volumes: tuple[float, ...]
 
@@ -266,14 +275,11 @@ _ROWS_FROM = tuple(tuple(r for r in _RELABEL_ROWS.values() if r[0] == j) for j i
 
 
 def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
-    """True when some relabeling of the angles x is within ORBIT_MATCH_TOL of m.
-
-    A relabeling permutes the six angles, so one within the tolerance in
-    max-norm puts the two minimum angles within it too (float subtraction
-    is monotone): the rows are tried only where the minima are that close."""
-    return abs(min(x) - min(m)) < ORBIT_MATCH_TOL and any(
-        all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m))
-        for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
+    """True when some relabeling of the angles x is within ORBIT_MATCH_TOL of m
+    in max-norm: the rows are tried only where they bring an angle of x
+    that close to m's position 0."""
+    return any(all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m))
+               for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
 
 
 def regge_orbit(t: TetAngles) -> OrbitResult:
@@ -282,13 +288,23 @@ def regge_orbit(t: TetAngles) -> OrbitResult:
     The moves and the 24 relabelings generate S3 x S4, so the orbit is the six words
     t, R_a t, R_b t, R_c t, R_b R_a t, R_c R_a t (proved in tests/test_certificates.py),
     each kept unless a relabeling of it matches an earlier member: at most six members.
+    A word goes to _relabels_onto only against a member whose sorted angles are
+    within ORBIT_MATCH_TOL of its own, entry by entry.  That loses no match: a
+    relabeling permutes the angles, sorting is 1-Lipschitz in max-norm, and float
+    subtraction is monotone, so a relabeling within the tolerance puts the sorted
+    angles within it too.
     Each word is regge's image, kept on its source with the class of t when t is Finite
     or Ideal: after verify_scissors(t, w) the orbit solves R_w t no more."""
     ra = regge(t, "a")
     members: list[TetAngles] = []
+    seen: list[tuple[tuple[float, ...], list[float]]] = []  # each member's angles, as they are and sorted
     for word in (t, ra, regge(t, "b"), regge(t, "c"), regge(ra, "b"), regge(ra, "c")):
-        if not any(_relabels_onto(word.as_tuple(), m.as_tuple()) for m in members):
+        x = word.as_tuple()
+        ordered = sorted(x)
+        if not any(max(map(abs, map(operator.sub, ordered, m_ordered))) < ORBIT_MATCH_TOL and _relabels_onto(x, m)
+                   for m, m_ordered in seen):
             members.append(word)
+            seen.append((x, ordered))
     volumes = []
     for m in members:
         kind = classify(m).kind

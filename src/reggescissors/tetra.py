@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from .exceptions import GeometryDomainError
@@ -108,7 +108,28 @@ _GRAM_ANGLES = tuple(_ANGLE_ORDER.index(name) for pair in itertools.combinations
 GramMatrix = "numpy.ndarray"
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """cls as a frozen dataclass whose __init__ is generated here, with the
+    same signature, defaults and __post_init__ call, so the same ==, hash,
+    repr and dataclasses.replace.  It sets each field through
+    object.__setattr__ bound once, where the dataclass one looks up a
+    global and its __setattr__ for every field.  Filling the instance dict
+    in one update instead is no faster per op and gives each instance a
+    dict of its own, about half again the bytes of a solved TetAngles."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _set(self, {n!r}, {n})\n" for n in names) + post, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class TetAngles:
     """Six dihedral angles with the opposite-pair labeling (A,A'), (B,B'), (C,C').
 
@@ -124,16 +145,17 @@ class TetAngles:
     Cp: float
 
     def __post_init__(self):
-        for name in _ANGLE_ORDER:
-            if not math.isfinite(getattr(self, name)):
-                raise GeometryDomainError(f"angle {name} must be finite")
+        x = self.as_tuple()
+        if not all(map(math.isfinite, x)):
+            name = next(name for name, v in zip(_ANGLE_ORDER, x) if not math.isfinite(v))
+            raise GeometryDomainError(f"angle {name} must be finite")
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.A, self.B, self.C, self.Ap, self.Bp, self.Cp)
 
     @classmethod
     def of(cls, values) -> "TetAngles":
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
         if len(vals) != 6:
             raise GeometryDomainError("expected six angles (A, B, C, A', B', C')")
         return cls(*vals)
@@ -151,7 +173,7 @@ class TetraKind(Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
+@_record
 class TetraClass:
     """The class of the angle data and the number behind its signature.
 
@@ -230,10 +252,10 @@ def _memo(t: TetAngles, key: str, compute):
     """compute(t), kept on the frozen instance after the first call, outside
     its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
     A raised error is not kept: the next call computes again."""
-    value = t.__dict__.get(key)
+    kept = t.__dict__
+    value = kept.get(key)
     if value is None:
-        value = compute(t)
-        object.__setattr__(t, key, value)
+        value = kept[key] = compute(t)
     return value
 
 
@@ -245,19 +267,20 @@ def classify(t: TetAngles) -> TetraClass:
     return _memo(t, "_tetra_class", _classify)
 
 
-def _class_numbers(t: TetAngles) -> tuple[float, float, float]:
-    """det G, the smallest link cofactor and the smallest edge cofactor of
-    t: what _classify decides by and _finite_margin bounds.  Both keep them
-    on t (see _memo), so a source that is classified and then given a
-    margin evaluates them once."""
+def _class_numbers(t: TetAngles) -> tuple[float, float, float, float]:
+    """det G, the smallest link cofactor, the smallest edge cofactor and the
+    largest edge cofactor in size, of t: what _classify decides by and
+    _finite_margin bounds.  Both keep them on t (see _memo), so a source
+    that is classified and then given a margin evaluates them once."""
     x = t.as_tuple()
     cosines = [math.cos(v) for v in x]
+    edges = _edge_cofactors(x, cosines)
     return (_gram_det(cosines), min(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES),
-            min(_edge_cofactors(x, cosines)))
+            min(edges), max(map(abs, edges)))
 
 
 def _classify(t: TetAngles) -> TetraClass:
-    det, low, edge = _memo(t, "_class_numbers", _class_numbers)
+    det, low, edge, _ = _memo(t, "_class_numbers", _class_numbers)
     if not t.in_range() or edge < -IDEAL_COFACTOR_TOL or not _signature_31(t, det):
         kind = TetraKind.INVALID
     elif low > IDEAL_COFACTOR_TOL:
@@ -270,27 +293,50 @@ def _classify(t: TetAngles) -> TetraClass:
 
 
 def _finite_margin(t: TetAngles) -> float:
-    """The largest step in one angle that provably keeps t Finite; at most 0
-    when t is not Finite.  It bounds _classify's rule: change both together.
+    """A step d in one angle with |d| below both this margin and 1e-3 keeps
+    t Finite; at most 0 when t is not Finite.  It bounds _classify's rule:
+    change both together.
 
-    A step d in one angle moves each link cofactor by at most 8|d| (four
-    cosines, each by at most |d|/2), each edge cofactor by at most 3|d| (its
-    partial derivatives are at most 3, 1 and 2 in size; see _edge_cofactors)
-    and det G by at most 2 max|3x3 minor| |d| <= 10.4|d| (Hadamard: entries
-    in [-1, 1]).  Within the margin the angles stay in (0, pi), the link
-    cofactors above IDEAL_COFACTOR_TOL, the edge cofactors at or above
-    -IDEAL_COFACTOR_TOL and det G below -IDEAL_COFACTOR_TOL, where its sign
-    decides the signature.  Callers keep 2x headroom for the rounding of
-    the step and of each cofactor."""
+    Link cofactors.  Vertex v's is -4 c0 c1 c2 c3, the cosines of S, S - a,
+    S - b and S - c (_link_cofactor).  A step d in one of a, b, c moves each
+    of the four arguments by |d|/2, so each cosine by e_j with
+    |e_j| <= |d|/2 <= 5e-4.  Telescoping, prod(c_j + e_j) - prod(c_j) is
+    sum_j e_j prod_{k<j} (c_k + e_k) prod_{k>j} c_k, so the cofactor moves
+    by at most 2|d| sum_j prod_{k!=j} (|c_k| + 5e-4), the constant of v's
+    term; a step in an angle away from v does not move it.
+
+    Edge cofactors.  Each moves by at most 3|d|: its partial derivatives are
+    at most 3, 1 and 2 in size (see _edge_cofactors).
+
+    det G.  The angle on the edge shared by faces k and l enters G as
+    g = -cos of it at (k, l) and (l, k), so det G is quadratic in g:
+    det(g + delta) = det + 2 delta C - delta^2 sin^2 y.  Here C, the
+    cofactor of G at (k, l), is the edge cofactor of the opposite edge,
+    whose angle is y, and -sin^2 y = -(1 - cos^2 y) is minus the determinant
+    of the complementary 2x2 block.  With |delta| <= |d| <= 1e-3,
+    |d det| <= 2|d| |C| + d^2 <= (2 max|C| + 1e-3) |d| over the six edge
+    cofactors.
+
+    Within the margin the angles stay in (0, pi), the link cofactors above
+    IDEAL_COFACTOR_TOL, the edge cofactors at or above -IDEAL_COFACTOR_TOL
+    and det G below -IDEAL_COFACTOR_TOL, where its sign decides the
+    signature.  Callers keep 2x headroom for the rounding of the step and of
+    each cofactor."""
     x = t.as_tuple()
-    det, low, edge = _memo(t, "_class_numbers", _class_numbers)
-    return min(min(x), _PI - max(x), (low - IDEAL_COFACTOR_TOL) / 8, (edge + IDEAL_COFACTOR_TOL) / 3,
-               (-det - IDEAL_COFACTOR_TOL) / 10.4)
+    det, _, edge, top = _memo(t, "_class_numbers", _class_numbers)
+    link_terms = []
+    for i, j, k in _VERTEX_ANGLES:
+        s = (x[i] + x[j] + x[k]) / 2
+        c0, c1, c2, c3 = (abs(math.cos(s - y)) + 5e-4 for y in (0.0, x[i], x[j], x[k]))
+        lipschitz = 2 * (c1 * c2 * c3 + c0 * c2 * c3 + c0 * c1 * c3 + c0 * c1 * c2)
+        link_terms.append((_link_cofactor(x[i], x[j], x[k]) - IDEAL_COFACTOR_TOL) / lipschitz)
+    return min(min(x), _PI - max(x), *link_terms, (edge + IDEAL_COFACTOR_TOL) / 3,
+               (-det - IDEAL_COFACTOR_TOL) / (2 * top + 1e-3))
 
 
 def _inherit_class(t: TetAngles, cls: TetraClass) -> None:
     """Keep cls on t as its class (see _memo)."""
-    object.__setattr__(t, "_tetra_class", cls)
+    t.__dict__["_tetra_class"] = cls
 
 
 def _signature_31(t: TetAngles, det: float) -> bool:

@@ -573,13 +573,13 @@ class TestSchlafli:
         res = schlafli_residual(t, 1e-5)
         assert res.tobytes() == schlafli_residual(t, 1e-5 / 10).tobytes()
 
-    @pytest.fixture
+    @pytest.fixture(scope="class")
     def stencil_inputs(self, slivers):
-        """The first 120 inputs of the `oracle` stream for seed 1, the input
+        """The first 240 inputs of the `oracle` stream for seed 1, the input
         whose step is retried at h / 10, the `oracle` slivers 2:215, 2:262,
         4:14 and 10:231 and five `formula` slivers."""
         stream = _perfbench_module("inputs").TetStream
-        angles, _ = stream(1, 2, 0.9).take(120)
+        angles, _ = stream(1, 2, 0.9).take(240)
         inputs = [tuple(a.tolist()) for a in angles] + [(math.pi / 3 + 2e-6,) * 6]
         return inputs + [tuple(stream(seed, 2, 0.9).take(k + 1)[0][k].tolist())
                          for seed, k in ((2, 215), (2, 262), (4, 14), (10, 231))] + slivers[:5]

@@ -281,8 +281,9 @@ class TestOctahedronLayerBits:
 
 
 class TestOneReducerKeepsBits:
-    """wrap_angle and canonical_angle against the separate floor formulas they
-    replaced, bit for bit (float.hex, which also tells -0.0 from 0.0)."""
+    """wrap_angle and canonical_angle, which reduces in its own body by the
+    same floor formula, against the separate floor formulas they replaced,
+    bit for bit (float.hex, which also tells -0.0 from 0.0)."""
 
     @staticmethod
     def old_wrap_angle(x):
@@ -392,21 +393,122 @@ class TestLabelRule:
         assert {abs(d.real) >= abs(d.imag) for d in divisors} == {True, False}
 
 
+def _ref_holonomy_polynomial(bars):
+    """holonomy_polynomial as the divide route's solve read it: the bit
+    reference of the solve's coefficients."""
+    p0, p1, p2, p3 = (cmath.exp(1j * bars[k]) for k in (0, 2, 4, 6))
+    m0, m1, m2, m3 = (cmath.exp(1j * bars[k]) for k in (1, 3, 5, 7))
+    pa, pb = p0 * p1 * p2 * p3, m0 * m1 * m2 * m3
+    u0, u1, u2, u3 = p0 * p0, p1 * p1, p2 * p2, p3 * p3
+    v0, v1, v2, v3 = m0 * m0, m1 * m1, m2 * m2, m3 * m3
+    a1 = 0j + u0 + u1 + u2 + u3
+    a2 = 0j + u0 * u1 + u0 * u2 + u0 * u3 + u1 * u2 + u1 * u3 + u2 * u3
+    a3 = 0j + u0 * u1 * u2 + u0 * u1 * u3 + u0 * u2 * u3 + u1 * u2 * u3
+    b1 = 0j + v0 + v1 + v2 + v3
+    b2 = 0j + v0 * v1 + v0 * v2 + v0 * v3 + v1 * v2 + v1 * v3 + v2 * v3
+    b3 = 0j + v0 * v1 * v2 + v0 * v1 * v3 + v0 * v2 * v3 + v1 * v2 * v3
+    return (pa - 1 / pb, b1 / pb - a3 / pa, a2 / pa - b2 / pb, b3 / pb - a1 / pa, 1 / pa - pb)
+
+
+def _ref_divide(a, b):
+    """numpy's complex division as a function of its own: Smith's method
+    times the reciprocal of its denominator."""
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _ref_solve_holonomy(bars, kind):
+    """_solve_holonomy by the divide route: each division a call of
+    _ref_divide, the projection w / complex(|w|) too."""
+    _, q2, q1, q0, _ = _ref_holonomy_polynomial(bars)
+    scale = max(abs(q2), abs(q1), abs(q0))
+    if scale < 1e-12 or abs(q2) < 1e-13 * max(1.0, scale):
+        raise DegenerateSystemError("holonomy quadratic collapsed")
+    disc = q1 * q1 - 4 * q2 * q0
+    sq = cmath.sqrt(disc)
+    d = 2 * q2
+    w0, w1 = _ref_divide(-q1 + sq, d), _ref_divide(-q1 - sq, d)
+    r0, r1 = abs(w0), abs(w1)
+    defect = max(abs(math.sqrt(r0) - 1.0), abs(math.sqrt(r1) - 1.0))
+    if defect > octahedron.UNIT_ROOT_TOL:
+        raise NonUnitRootError("holonomy root off the unit circle", {"class": kind.value})
+    Z0 = cmath.phase(_ref_divide(w0, complex(r0))) / 2
+    Z1 = cmath.phase(_ref_divide(w1, complex(r1))) / 2
+    return (Z1, Z0, disc, defect) if sq.imag > 0 else (Z0, Z1, disc, defect)
+
+
+def _solve_outcome(solve, bars, kind):
+    """float.hex of each part of solve(bars, kind), or the name of the error it raises."""
+    try:
+        Z_minus, Z_plus, disc, defect = solve(bars, kind)
+    except (GeometryDomainError, ArithmeticError) as error:
+        return type(error).__name__
+    return Z_minus.hex(), Z_plus.hex(), disc.real.hex(), disc.imag.hex(), defect.hex()
+
+
 @pytest.mark.kernel_independent
-def test_divide_is_numpys_complex_division():
-    # bit for bit on both of its branches and on signed zeros, where Python's
-    # division, and the projection as w * (1 / |w|), would differ
+def test_the_written_out_solve_keeps_the_bits_of_the_divide_route(stream_angles, slivers):
+    # on the stream rows, the 70 slivers and uniform (0, pi)^6 draws, whose
+    # roots are often off the unit circle, as their class: the same floats,
+    # or the same error, on both of Smith's branches
+    uniform = [tuple(x) for x in np.random.default_rng(53).uniform(0.0, PI, size=(300, 6)).tolist()]
+    outcomes, branches = set(), set()
+    for x in [*stream_angles, *slivers, *uniform]:
+        t = TetAngles(*x)
+        bars, kind = bar_solution(t), classify(t).kind
+        got = _solve_outcome(_solve_holonomy, bars, kind)
+        assert got == _solve_outcome(_ref_solve_holonomy, bars, kind), x
+        outcomes.add(got if isinstance(got, str) else "solved")
+        q2 = _ref_holonomy_polynomial(bars)[1]
+        branches.add(abs(q2.real) >= abs(q2.imag))
+    assert outcomes == {"solved", "NonUnitRootError"} and branches == {True, False}
+
+
+def _numpy_roots(q2, q1, q0):
+    """The offsets (Z_minus, Z_plus) of the quadratic q2 w^2 + q1 w + q0 in
+    numpy's complex scalars, labeled by the branch of sqrt(disc) as the
+    solve labels them, and the two roots w."""
+    q2, q1, q0 = map(np.complex128, (q2, q1, q0))
+    sq = cmath.sqrt(q1 * q1 - 4 * q2 * q0)
+    ws = ((-q1 + sq) / (2 * q2), (-q1 - sq) / (2 * q2))
+    Z0, Z1 = (cmath.phase(w / abs(w)) / 2 for w in ws)
+    return ((Z1, Z0) if sq.imag > 0 else (Z0, Z1)), ws
+
+
+@pytest.mark.kernel_independent
+def test_the_solve_divides_as_numpy(monkeypatch):
+    # the roots over 2 q2 and their projection w / |w|, bit for bit against
+    # numpy's complex scalars, on both of Smith's branches: quadratics with
+    # two unit roots at random phases, q2 over 17 decades
+    monkeypatch.setattr(octahedron, "holonomy_polynomial", lambda q: (0j, *q, 0j))
     rng = np.random.default_rng(43)
-    parts = rng.normal(size=(20_000, 4)) * 10.0 ** rng.integers(-8, 9, size=(20_000, 4))
-    pairs = [(complex(a, b), complex(c, d)) for a, b, c, d in parts.tolist()]
-    pairs += [(complex(x, y), complex(r)) for x in (-2.0, 2.0) for y in (-0.0, 0.0) for r in (0.5, 3.0)]
-    hexes = lambda z: (float(z.real).hex(), float(z.imag).hex())
-    assert [hexes(octahedron._divide(a, b)) for a, b in pairs] == [
-        hexes(np.complex128(a) / np.complex128(b)) for a, b in pairs]
-    assert {abs(b.real) >= abs(b.imag) for _, b in pairs} == {True, False}
-    assert sum(hexes(a / b) != hexes(octahedron._divide(a, b)) for a, b in pairs) > 1000
-    w = complex(-2.0, -0.0)
-    assert cmath.phase(octahedron._divide(w, complex(abs(w)))) == PI == -cmath.phase(w * (1 / abs(w)))
+    parts = rng.normal(size=(5_000, 2)) * 10.0 ** rng.integers(-8, 9, size=(5_000, 1))
+    phases = rng.uniform(-PI, PI, size=(5_000, 2))
+    branches, python_differs = set(), 0
+    for (a, b), (f, g) in zip(parts.tolist(), phases.tolist()):
+        q2, w0, w1 = complex(a, b), cmath.exp(1j * f), cmath.exp(1j * g)
+        q = (q2, -q2 * (w0 + w1), q2 * w0 * w1)
+        Z_minus, Z_plus, _, _ = _solve_holonomy(q, TetraKind.FINITE)
+        expected, ws = _numpy_roots(*q)
+        assert (Z_minus.hex(), Z_plus.hex()) == tuple(Z.hex() for Z in expected), q
+        branches.add(abs(q2.real) >= abs(q2.imag))
+        sq = cmath.sqrt(q[1] * q[1] - 4 * q2 * q[2])
+        python_differs += (-q[1] + sq) / (2 * q2) != complex(ws[0])
+    assert branches == {True, False} and python_differs > 1000
+    # the double root -1 over d = -1 + 0i comes out as -1 - 0i; divided by
+    # |w| as numpy divides, its phase is pi, where w * (1 / |w|) gives -pi
+    q = (complex(-0.5, 0.0), complex(-1.0, 0.0), complex(-0.5, 0.0))
+    expected, ws = _numpy_roots(*q)
+    w = complex(ws[0])
+    assert (w.real, math.copysign(1.0, w.imag)) == (-1.0, -1.0)
+    assert cmath.phase(w * (1 / abs(w))) == -PI
+    assert _solve_holonomy(q, TetraKind.FINITE)[:2] == expected == (PI / 2, PI / 2)
 
 
 _BUILTIN_SUM = builtins.sum
@@ -628,21 +730,24 @@ def _ref_volume_remainder(t):
 def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles, monkeypatch):
     # volume_remainder, the remainder _keep_remainder keeps on the source,
     # and _step_remainder on angles one step of 1e-5 or 1e-6 away in one
-    # angle, from the terms of the source, against the literal: bit for bit,
-    # and the step evaluates the series at the 8 arguments it moves
+    # angle, from the series values of the source, against the literal: bit
+    # for bit, and the step evaluates the series at the 8 arguments it moves
     evaluated = []
     monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
     for angles in stream_angles[::5]:
         t = TetAngles(*angles)
         assert volume_remainder(t).hex() == _ref_volume_remainder(t).hex(), angles
-        near = octahedron._keep_remainder(t)
+        values = octahedron._keep_remainder(t)
         assert t._volume_remainder.hex() == _ref_volume_remainder(t).hex(), angles
+        args = octahedron._remainder_args(*angles)
         for i, h in itertools.product(range(6), (1e-5, -1e-6)):
-            step = [*angles[:i], angles[i] + h, *angles[i + 1:]]
+            step = list(angles)
+            step[i] += h
             evaluated.clear()
-            remainder = octahedron._step_remainder(step, near)
+            remainder = octahedron._step_remainder(step, i, values)
             assert remainder.hex() == _ref_volume_remainder(TetAngles(*step)).hex(), (angles, i)
-            assert len(evaluated) == 8, (angles, i)
+            moved = {a for a, b in zip(octahedron._remainder_args(*step), args) if a != b}
+            assert len(evaluated) == 8 and moved <= set(evaluated), (angles, i)
 
 
 class TestNegativeVolumeGuard:

@@ -373,6 +373,11 @@ class TestOrbitDedupMatchesPairwise:
         TetAngles(*(1.1,) * 6),  # regular
         TetAngles(1.1, 1.15, 1.2, 1.25, 1.2, 1.15),  # A+A' = B+B' = C+C'
     )
+    #: (t, orbit size): regular but for A, 2 delta above the other five.
+    #: R_b t is within delta of a relabeling of t in max-norm and no closer,
+    #: so delta just inside ORBIT_MATCH_TOL drops it, and delta just outside keeps it
+    NEAR_REGULAR = tuple((TetAngles(x + 2 * delta, *(x,) * 5), size) for x in (1.2, 1.1)
+                         for delta, size in ((0.99e-10, 1), (1.01e-10, 2)))
 
     @pytest.fixture(scope="class")
     def cases(self, generic):
@@ -380,7 +385,11 @@ class TestOrbitDedupMatchesPairwise:
         # these are Hyperideal, and the orbit takes any angles
         uniform = np.random.default_rng(78).uniform(0.0, PI, size=(200, 6))
         return [*_klein_uniform(np.random.default_rng(77), 50), *map(TetAngles.of, uniform),
-                *self.SYMMETRIC, generic]
+                *self.SYMMETRIC, generic, *(t for t, _ in self.NEAR_REGULAR)]
+
+    def test_near_regular_members_straddle_the_tolerance(self):
+        for t, size in self.NEAR_REGULAR:
+            assert len(regge_orbit(t).members) == size, t
 
     @pytest.mark.parametrize("max_size", [64, 7, 6, 5, 2, 1])
     def test_members_and_flag_equal(self, max_size, cases):
@@ -422,9 +431,10 @@ def _ulps_from(x, k):
 
 class TestOrbitPredicateAtItsTolerance:
     """The plain-float predicate looks only at the relabelings that bring an
-    angle within the tolerance of the member's position 0, and only where
-    the two minimum angles are that close, so its edge is swept at position
-    0, at position 5 and at the smallest angle, against the numpy predicate."""
+    angle within the tolerance of the member's position 0, and regge_orbit
+    calls it only where the sorted angles are that close, so its edge is
+    swept at position 0, at position 5 and at the smallest angle, against
+    the numpy predicate."""
 
     @pytest.mark.parametrize("position", [0, 5, "smallest"])
     def test_agrees_with_numpy_across_the_edge(self, position, generic):

@@ -243,7 +243,7 @@ def test_bench_record_repeats_passes_until_a_layer_spans_ten_periods(small_bench
 
 def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_record, monkeypatch):
     bench_record = small_bench_record
-    monkeypatch.setattr(bench_record, "WORK_OPS", {"formula": 3, "oracle": 2})
+    monkeypatch.setattr(bench_record, "WORK_OPS", {"formula": 3, "oracle": 9})
     tetra, octahedron, scissors = reggescissors.tetra, reggescissors.octahedron, reggescissors.scissors
     series = sys.modules["reggescissors.lobachevsky"]
 
@@ -264,18 +264,23 @@ def test_bench_record_counts_work_exactly_and_restores_the_package(small_bench_r
         sys.setprofile(previous)
     assert bindings() == originals
     assert bench_record.count_work() == first  # counts, not times: they repeat
-    # the counts that a counter wrapping every package binding of the five
+    # the counts that a counter wrapping every package binding of the six
     # functions (and summing the triangles given to _rule_batch) also reads
-    # on this configuration
+    # on this configuration.  Of the 9 oracle sources, row 4 is a sliver
+    # that classify calls Ideal (the op fails), and row 5's margin is below
+    # 0, so its 12 Schlafli steps are classified; the other 7 classify the
+    # source alone.  Row 8's steps were classified too (33 in all) when the
+    # margin's link and det constants were 8 and 10.4
     assert first == {
         "formula": {"ops": 3, "failed": 0, "_classify": 1.0, "_solve_holonomy": 9.0, "decompose": 5.0,
-                    "series_calls": 168.0, "_rule_batch": 0.0, "rule_triangles": 0.0},
-        "oracle": {"ops": 2, "failed": 0, "_classify": 1.0, "_solve_holonomy": 13.0, "decompose": 0.0,
-                   "series_calls": 216.0, "_rule_batch": 1.0, "rule_triangles": 20.0},
+                    "series_calls": 168.0, "_relabels_onto": 0.0, "_rule_batch": 0.0, "rule_triangles": 0.0},
+        "oracle": {"ops": 9, "failed": 1, "_classify": 21 / 9, "_solve_holonomy": 104 / 9, "decompose": 0.0,
+                   "series_calls": 192.0, "_relabels_onto": 0.0, "_rule_batch": 8 / 9, "rule_triangles": 160 / 9},
         "suite": {"_classify": 47, "_solve_holonomy": 155, "decompose": 30, "series_calls": 10189,
-                  "_rule_batch": 5, "rule_triangles": 100},
+                  "_relabels_onto": 0, "_rule_batch": 5, "rule_triangles": 100},
     }
-    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls", "_rule_batch", "rule_triangles"]
+    keys = ["_classify", "_solve_holonomy", "decompose", "series_calls", "_relabels_onto", "_rule_batch",
+            "rule_triangles"]
     assert list(first) == ["formula", "oracle", "suite"]
     assert [list(row) for row in first.values()] == [["ops", "failed", *keys]] * 2 + [keys]
 
@@ -308,9 +313,9 @@ def test_bench_record_counts_a_call_by_its_code_object(small_bench_record, monke
     monkeypatch.setattr(reggescissors.suite, "run_suite", lambda config: classify(of([1.2] * 6)))
     assert bench_record.count_work() == {
         "formula": {"ops": 2, "failed": 0, "_classify": 1.0, "_solve_holonomy": 0.0, "decompose": 0.0,
-                    "series_calls": 0.0, "_rule_batch": 0.0, "rule_triangles": 0.0},
-        "suite": {"_classify": 1, "_solve_holonomy": 0, "decompose": 0, "series_calls": 0, "_rule_batch": 0,
-                  "rule_triangles": 0},
+                    "series_calls": 0.0, "_relabels_onto": 0.0, "_rule_batch": 0.0, "rule_triangles": 0.0},
+        "suite": {"_classify": 1, "_solve_holonomy": 0, "decompose": 0, "series_calls": 0, "_relabels_onto": 0,
+                  "_rule_batch": 0, "rule_triangles": 0},
     }
 
 

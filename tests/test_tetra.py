@@ -356,14 +356,29 @@ class TestSlivers:
         assert all(classify(TetAngles(*angles)).kind is TetraKind.FINITE for angles in slivers)
 
 
+def _link_lipschitz(x):
+    """For each vertex, in _VERTEX_ANGLES order: 2 sum_j prod_{k!=j} (|c_k| + 5e-4)
+    over the cosines c of S, S - a, S - b and S - c of its angles (a, b, c)."""
+    out = []
+    for i, j, k in _VERTEX_ANGLES:
+        s = (x[i] + x[j] + x[k]) / 2
+        c = [abs(math.cos(s - y)) + 5e-4 for y in (0.0, x[i], x[j], x[k])]
+        p = [math.prod(c[:m] + c[m + 1:]) for m in range(4)]
+        out.append(2 * (p[0] + p[1] + p[2] + p[3]))
+    return out
+
+
 def _margin_terms(t):
     """The four terms of _finite_margin, restated: the angle margin, then the
-    link, edge and det G terms with the Lipschitz constants 8, 3 and 10.4."""
+    smallest link term (each vertex with its own constant, _link_lipschitz),
+    the edge term with the constant 3 and the det G term with the constant
+    2 max|C| + 1e-3 over the edge cofactors C."""
     x = t.as_tuple()
     cosines = [math.cos(v) for v in x]
-    return (min(min(x), PI - max(x)), (min(vertex_cofactors(t)) - IDEAL_COFACTOR_TOL) / 8,
-            (min(_edge_cofactors(x, cosines)) + IDEAL_COFACTOR_TOL) / 3,
-            (-_gram_det(cosines) - IDEAL_COFACTOR_TOL) / 10.4)
+    edges = _edge_cofactors(x, cosines)
+    links = [(c - IDEAL_COFACTOR_TOL) / k for c, k in zip(vertex_cofactors(t), _link_lipschitz(x))]
+    return (min(min(x), PI - max(x)), min(links), (min(edges) + IDEAL_COFACTOR_TOL) / 3,
+            (-_gram_det(cosines) - IDEAL_COFACTOR_TOL) / (2 * max(abs(c) for c in edges) + 1e-3))
 
 
 def _steps(t, h):
@@ -438,25 +453,41 @@ class TestFiniteMargin:
         assert {1, 2, 3} <= binding
 
     def test_lipschitz_bounds_hold_on_single_angle_steps(self, rows):
-        # a step d in one angle moves a link cofactor by at most 8|d|, an edge
-        # cofactor by at most 3|d| and det G by at most 10.4|d|; 1e-14 covers
-        # the rounding of the two evaluations
+        # a step d in one angle, |d| <= 1e-3, moves vertex v's link cofactor
+        # by at most _link_lipschitz(x)[v] |d|, an edge cofactor by at most
+        # 3|d| and det G by at most (2 max|C| + 1e-3) |d|, and by no more
+        # than the global bounds 8|d| and 10.4|d|; 1e-14 covers the
+        # rounding of the two evaluations
         rng = np.random.default_rng(50)
         for x in rows[::4]:
             links, edges, det = self._quantities(x)
+            link_bounds = [min(k, 8) for k in _link_lipschitz(x)]
+            det_bound = min(2 * max(abs(c) for c in edges) + 1e-3, 10.4)
             for i in range(6):
                 y = x[:i] + (x[i] + float(rng.uniform(-1e-3, 1e-3)),) + x[i + 1:]
                 d = abs(y[i] - x[i])
                 links2, edges2, det2 = self._quantities(y)
-                assert all(abs(a - b) <= 8 * d + 1e-14 for a, b in zip(links, links2)), (x, i)
+                assert all(abs(a - b) <= k * d + 1e-14 for a, b, k in zip(links, links2, link_bounds)), (x, i)
                 assert all(abs(a - b) <= 3 * d + 1e-14 for a, b in zip(edges, edges2)), (x, i)
-                assert abs(det - det2) <= 10.4 * d + 1e-14, (x, i)
+                assert abs(det - det2) <= det_bound * d + 1e-14, (x, i)
 
     @staticmethod
     def _quantities(x):
         """The link cofactors, edge cofactors and det G of the angles x."""
         cosines = [math.cos(v) for v in x]
         return vertex_cofactors(TetAngles(*x)), _edge_cofactors(x, cosines), _gram_det(cosines)
+
+    def test_det_g_moves_by_twice_the_opposite_edge_cofactor(self, rows):
+        # the first-order term of the det G bound: d det / dx = 2 sin x C,
+        # C the edge cofactor of the edge opposite x's, against a central
+        # difference, whose error at this step is far below 1e-7
+        for x in rows[::16]:
+            _, edges, _ = self._quantities(x)
+            for i in range(6):
+                up, dn = (x[:i] + (x[i] + d,) + x[i + 1:] for d in (1e-6, -1e-6))
+                slope = (self._quantities(up)[2] - self._quantities(dn)[2]) / 2e-6
+                opposite = (i + 3) % 6
+                assert slope == pytest.approx(2 * math.sin(x[i]) * edges[opposite], abs=1e-7), (x, i)
 
     def test_a_source_within_2h_of_its_margin_is_classified_step_by_step(self, slivers, monkeypatch):
         from reggescissors import tetra
