@@ -9,13 +9,14 @@ starts (`python -m reggescissors volume` on the README angles, each a fresh
 subprocess; with `--before`, as many on the other checkout, alternating as
 the timing processes below do), the per-call timings, the suite criteria,
 the work counts and the tier-1 test command once, all from the root of the
-checkout (about 2 minutes).  Writes BENCH_<pr>.json there with, per
-workload, the median, q1 and q3 of every end-to-end metric over the seeds
-and each run's `attempted`, `failed` and `correct`; the median, q1 and q3
-of the cold-start wall times (with `--before`, the other checkout's beside
+checkout (about 2 minutes), and sizes the modules under `src/`.  Writes
+BENCH_<pr>.json there with, per workload, the median, q1 and q3 of every
+end-to-end metric over the seeds and each run's `attempted`, `failed` and
+`correct`; the median, q1 and q3 of the cold-start wall times (with `--before`, the other checkout's beside
 them as `before_median`, `before_q1` and `before_q3`, and `wins`); the
-per-call means; the suite criteria seconds; the work counts; and the
-tier-1 wall time, exit code and summary line.
+per-call means; the suite criteria seconds; the work counts; the lines
+and bytes of each module under `src/`; and the tier-1 wall time, exit code
+and summary line.
 Times of the workloads are perfbench's, scaled to its reference machine
 speed.  The per-call and suite criteria times are scaled the same way: each
 timing process samples `perfbench/machine.Ticker` and records
@@ -53,6 +54,11 @@ profile hook counts each call by its function's code object, whatever name
 the caller reaches it by.  They come from one fresh process, and with
 `--before` from one more on the other checkout, whose counts each row
 records as `before_<count>`.
+
+`src` gives the lines (newlines, as `wc -l` counts them) and bytes of each
+module under `src/`, and their total; with `--before`, the other
+checkout's beside them as `before_lines` and `before_bytes`, so the
+trajectory shows what each change added to the package or took from it.
 
 The per_call and suite_criteria sections come from the same SUITE_RUNS
 fresh processes, each of which times the suite criteria and then every
@@ -301,12 +307,39 @@ def run_work(before: Path | None) -> dict:
     rows = json.loads(fresh(ROOT, "--work"))
     stamp = {}
     if before is not None:
-        parent = json.loads(fresh(before, "--work"))
-        for section, row in rows.items():
-            row.update({f"before_{key}": value for key, value in parent[section].items()})
+        put_beside(rows, json.loads(fresh(before, "--work")))
         stamp = {"before_src_sha256": src_digest(before)}
     return {"ops": WORK_OPS, "seed": 1, "suite": "suite --count 100 --seed 7, in total",
             "counts": rows, **stamp}
+
+
+def put_beside(rows: dict[str, dict], parent: dict[str, dict]) -> None:
+    """Add each count of each row of parent to the row of the same name in
+    rows, as `before_<count>`; a row rows lacks is added."""
+    for name, row in parent.items():
+        rows.setdefault(name, {}).update({f"before_{key}": value for key, value in row.items()})
+
+
+def src_sizes(checkout: Path) -> dict[str, dict[str, int]]:
+    """The lines (newlines) and bytes of each module under the checkout's
+    src/, by its path there, and their total."""
+    rows = {}
+    for path in sorted((checkout / "src").rglob("*.py")):
+        data = path.read_bytes()
+        rows[path.relative_to(checkout / "src").as_posix()] = {"lines": data.count(b"\n"), "bytes": len(data)}
+    rows["total"] = {key: sum(row[key] for row in rows.values()) for key in ("lines", "bytes")}
+    return rows
+
+
+def run_src(before: Path | None) -> dict:
+    """The `src` section: src_sizes of this checkout and, when given, of the
+    checkout `before`, beside them as `before_lines` and `before_bytes`."""
+    rows = src_sizes(ROOT)
+    stamp = {}
+    if before is not None:
+        put_beside(rows, src_sizes(before))
+        stamp = {"before_src_sha256": src_digest(before)}
+    return {"modules": rows, **stamp}
 
 
 def fresh(checkout: Path, *args: str) -> str:
@@ -421,6 +454,7 @@ def main() -> int:
     entry["cli_cold_start"] = run_cold_start(args.before)
     entry["per_call"], entry["suite_criteria"] = run_in_process(args.before)
     entry["tier1"] = {"command": "python " + " ".join(TIER1), **run_tier1()}
+    entry["src"] = run_src(args.before)
 
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryDomainError, QuadratureError
-from .octahedron import _finite_volume, _keep_remainder, _step_remainder
+from .octahedron import _keep_remainder, _step_volume
 from .tetra import (
     _FACES_OF,
     TetAngles,
@@ -302,43 +302,33 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
     lengths on the other this couples every piece of the pipeline.  If a
     perturbation leaves the Finite class, h is shrunk once before failing.
 
-    A step t +- h e_i is six floats, whose volume tet_volume's own routines
-    give (octahedron._finite_volume) with no instance built.  Its class is
-    certified or classified: when 2h is below tetra._finite_margin(t)
-    (which bounds how far a step of at most 1e-3 in one angle moves each
-    link cofactor, edge cofactor and det G), every step is Finite, as
-    _classify would call it; other steps, and the retry's, are classified
-    through a fresh TetAngles.  A step in angle i moves the 8 series
-    arguments of volume_remainder that angle enters and reads the other 8
-    values from t's, which t keeps as its remainder
-    (octahedron._keep_remainder, octahedron._step_remainder).  Every
-    residual keeps its bits.
+    A step t +- s e_i, at s = h and at the retry's h / 10, is six floats
+    whose volume tet_volume's own routines give (octahedron._step_volume),
+    with no instance built.  A step is classified, through a fresh
+    TetAngles, unless 2s is below tetra._finite_margin(t), which bounds how
+    far a step of at most 1e-3 in one angle moves each link cofactor, edge
+    cofactor and det G: then every step is Finite, as _classify would call
+    it.  A step in angle i moves the 8 series arguments of volume_remainder
+    that angle enters and reads the other 8 values from t's, which t keeps
+    as its remainder (octahedron._keep_remainder).  Every residual keeps
+    its bits.
     """
     if not 1e-7 <= h <= 1e-3:
         raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
     require_kind(t, TetraKind.FINITE)
     base = [float(x) for x in t.as_tuple()]
-    values = _keep_remainder(t)
-
-    def try_residuals(step: float, certified: bool) -> np.ndarray | None:
-        lengths = edge_lengths(t)
+    values, margin, lengths = _keep_remainder(t), _finite_margin(t), edge_lengths(t)
+    for step in (h, h / 10):
         out = np.empty(6)
         for i, x in enumerate(base):
             up, dn = base.copy(), base.copy()
             up[i], dn[i] = x + step, x - step
-            if not (certified or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
-                return None
-            deriv = (_finite_volume(up, _step_remainder(up, i, values))
-                     - _finite_volume(dn, _step_remainder(dn, i, values))) / (2 * step)
-            out[i] = abs(deriv + lengths[i] / 2)
-        return out
-
-    res = try_residuals(h, 2 * h < _finite_margin(t))
-    if res is None:
-        res = try_residuals(h / 10, False)
-    if res is None:
-        raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
-    return res
+            if not (2 * step < margin or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
+                break
+            out[i] = abs((_step_volume(up, i, values) - _step_volume(dn, i, values)) / (2 * step) + lengths[i] / 2)
+        else:
+            return out
+    raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
 
 
 def schlafli_max_relative(t: TetAngles, residuals) -> float:

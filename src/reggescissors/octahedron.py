@@ -84,11 +84,11 @@ O_SIDE = "O"
 DUAL_SIDE = "O'"
 
 
-def wrap_angle(x: float, period: float = _TWO_PI) -> float:
-    """Reduce mod period into (-period/2, period/2]."""
-    r = x - period * math.floor(x / period + 0.5)
-    if r <= -period / 2:
-        r += period
+def wrap_angle(x: float) -> float:
+    """Reduce mod 2*pi into (-pi, pi]."""
+    r = x - _TWO_PI * math.floor(x / _TWO_PI + 0.5)
+    if r <= -_PI:
+        r += _TWO_PI
     return r
 
 
@@ -206,28 +206,16 @@ def volume_remainder(t: TetAngles) -> float:
     at the 16 _remainder_args of t's angles, summed with the signs of
     _remainder_sum.  Each angle enters 8 of the 16 arguments
     (_REMAINDER_TERMS_OF), so a step in one angle leaves the other 8
-    arguments and their series values as they were (_step_remainder)."""
+    arguments and their series values as they were (_step_volume)."""
     return _remainder_sum(list(map(_lobachevsky_float, _remainder_args(*t.as_tuple()))))
 
 
 def _keep_remainder(t: TetAngles) -> list[float]:
     """Keep volume_remainder(t) on t as tet_volume does, and return the
-    series values at the _remainder_args of t's angles."""
+    series values at t's _remainder_args, as _step_volume reads them."""
     values = list(map(_lobachevsky_float, _remainder_args(*t.as_tuple())))
     _memo(t, "_volume_remainder", lambda t: _remainder_sum(values))
     return values
-
-
-def _step_remainder(x, i: int, values: list[float]) -> float:
-    """volume_remainder at the six angles x, one step in angle i from a
-    source with the series values values (_keep_remainder): the 8 arguments
-    angle i enters are evaluated afresh, and the other 8, equal doubles
-    computed from equal angles, are read from values, so the remainder
-    keeps its bits."""
-    args, v = _remainder_args(*x), values.copy()
-    for k in _REMAINDER_TERMS_OF[i]:
-        v[k] = _lobachevsky_float(args[k])
-    return _remainder_sum(v)
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
@@ -383,15 +371,21 @@ def tet_volume(t: TetAngles, root: str = "minus") -> float:
 
     A TetAngles keeps its volume and its remainder, assembled on the first
     call, as it keeps its roots (see tetra._memo)."""
-    if root == "minus" and (volume := t.__dict__.get("_tet_volume")) is not None:
-        return volume  # kept only once the gates below have passed
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
+    volume = _memo(t, "_tet_volume", _tet_volume)
+    if root == "minus":
+        return volume
+    roots = solve_holonomy(t)
+    return _slot_sum(roots.bars, roots.Z_plus) + _memo(t, "_volume_remainder", volume_remainder)
+
+
+def _tet_volume(t: TetAngles) -> float:
+    """The volume at Z_minus, behind tet_volume's class gate and its
+    negative-volume gate."""
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind
     roots = solve_holonomy(t)
-    remainder = _memo(t, "_volume_remainder", volume_remainder)
-    volume = _memo(t, "_tet_volume", lambda t: _gated_volume(roots.bars, roots.Z_minus, remainder, kind))
-    return volume if root == "minus" else _slot_sum(roots.bars, roots.Z_plus) + remainder
+    return _gated_volume(roots.bars, roots.Z_minus, _memo(t, "_volume_remainder", volume_remainder), kind)
 
 
 def _gated_volume(bars: tuple[float, ...], Z_minus: float, remainder: float, kind: TetraKind) -> float:
@@ -405,9 +399,14 @@ def _gated_volume(bars: tuple[float, ...], Z_minus: float, remainder: float, kin
     return volume
 
 
-def _finite_volume(x, remainder: float) -> float:
-    """tet_volume of the six angles x, Finite by the caller's word, given
-    volume_remainder there: its bars, roots, sum and gates, with no
-    instance, class or memo, so the volume keeps its bits."""
+def _step_volume(x, i: int, values: list[float]) -> float:
+    """tet_volume of the six angles x, Finite by the caller's word, one step
+    in angle i from a source whose series values are `values`: the 8
+    remainder terms angle i enters are evaluated afresh, the other 8 (equal
+    doubles of equal angles) read from values; then its bars, roots, sum and
+    gates, with no instance, class or memo, so the volume keeps its bits."""
+    args, v = _remainder_args(*x), values.copy()
+    for k in _REMAINDER_TERMS_OF[i]:
+        v[k] = _lobachevsky_float(args[k])
     bars = _bars(*x)
-    return _gated_volume(bars, _solve_holonomy(bars, TetraKind.FINITE)[0], remainder, TetraKind.FINITE)
+    return _gated_volume(bars, _solve_holonomy(bars, TetraKind.FINITE)[0], _remainder_sum(v), TetraKind.FINITE)

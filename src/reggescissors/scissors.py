@@ -125,7 +125,7 @@ def canonical_angle(x: float) -> float:
     The piece with canonical angle theta has signed volume lob(theta);
     printed minus signs are folded in through oddness before calling this.
     Values within NULL_PIECE_TOL of zero collapse to exactly 0.0.  The
-    reduction is octahedron.wrap_angle's floor formula with period pi,
+    reduction is octahedron.wrap_angle's floor formula with pi for 2 pi,
     written out here because every piece of every decomposition takes it.
     """
     r = x - _PI * math.floor(x / _PI + 0.5)
@@ -270,16 +270,12 @@ class OrbitResult:
 
 #: Orbit members this close (max-norm) after some relabeling are the same.
 ORBIT_MATCH_TOL = 1e-10
-#: Entry j: the relabel() rows (tetra._RELABEL_ROWS) that read angle j into position 0.
-_ROWS_FROM = tuple(tuple(r for r in _RELABEL_ROWS.values() if r[0] == j) for j in range(6))
 
 
 def _relabels_onto(x: tuple[float, ...], m: tuple[float, ...]) -> bool:
-    """True when some relabeling of the angles x is within ORBIT_MATCH_TOL of m
-    in max-norm: the rows are tried only where they bring an angle of x
-    that close to m's position 0."""
-    return any(all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m))
-               for j in range(6) if abs(x[j] - m[0]) < ORBIT_MATCH_TOL for row in _ROWS_FROM[j])
+    """True when some relabeling of the angles x (a row of tetra._RELABEL_ROWS)
+    is within ORBIT_MATCH_TOL of m in max-norm."""
+    return any(all(abs(x[k] - mk) < ORBIT_MATCH_TOL for k, mk in zip(row, m)) for row in _RELABEL_ROWS.values())
 
 
 def regge_orbit(t: TetAngles) -> OrbitResult:

@@ -728,12 +728,16 @@ def _ref_volume_remainder(t):
 
 @pytest.mark.kernel_independent
 def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles, monkeypatch):
-    # volume_remainder, the remainder _keep_remainder keeps on the source,
-    # and _step_remainder on angles one step of 1e-5 or 1e-6 away in one
-    # angle, from the series values of the source, against the literal: bit
-    # for bit, and the step evaluates the series at the 8 arguments it moves
+    # volume_remainder and the remainder _keep_remainder keeps on the source
+    # against the literal, bit for bit; then _step_volume on each Finite
+    # step of 1e-5 or 1e-6 in one angle, from the series values of the
+    # source, against tet_volume of a fresh instance, bit for bit: it makes
+    # 16 series evaluations, first the 8 remainder terms the stepped angle
+    # enters, which include every argument the step moves, then the 8 slot
+    # terms at the step's Z_minus
     evaluated = []
     monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
+    stepped = 0
     for angles in stream_angles[::5]:
         t = TetAngles(*angles)
         assert volume_remainder(t).hex() == _ref_volume_remainder(t).hex(), angles
@@ -743,11 +747,21 @@ def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles,
         for i, h in itertools.product(range(6), (1e-5, -1e-6)):
             step = list(angles)
             step[i] += h
+            fresh = TetAngles(*step)
+            if classify(fresh).kind is not TetraKind.FINITE:
+                continue
             evaluated.clear()
-            remainder = octahedron._step_remainder(step, i, values)
-            assert remainder.hex() == _ref_volume_remainder(TetAngles(*step)).hex(), (angles, i)
-            moved = {a for a, b in zip(octahedron._remainder_args(*step), args) if a != b}
-            assert len(evaluated) == 8 and moved <= set(evaluated), (angles, i)
+            volume = octahedron._step_volume(step, i, values)
+            terms, slot_terms = evaluated[:8], evaluated[8:]
+            step_args = octahedron._remainder_args(*step)
+            moved = {a for a, b in zip(step_args, args) if a != b}
+            assert terms == [step_args[k] for k in octahedron._REMAINDER_TERMS_OF[i]], (angles, i)
+            assert len(evaluated) == 16 and moved <= set(terms), (angles, i)
+            roots = solve_holonomy(fresh)
+            assert slot_terms == list(slots(roots.bars, roots.Z_minus)), (angles, i)
+            assert volume.hex() == tet_volume(fresh).hex(), (angles, i)
+            stepped += 1
+    assert stepped > 12 * len(stream_angles[::5]) * 9 // 10
 
 
 class TestNegativeVolumeGuard:

@@ -430,11 +430,10 @@ def _ulps_from(x, k):
 
 
 class TestOrbitPredicateAtItsTolerance:
-    """The plain-float predicate looks only at the relabelings that bring an
-    angle within the tolerance of the member's position 0, and regge_orbit
-    calls it only where the sorted angles are that close, so its edge is
-    swept at position 0, at position 5 and at the smallest angle, against
-    the numpy predicate."""
+    """The plain-float predicate tries the 24 relabelings, and regge_orbit
+    calls it only where the sorted angles are within the tolerance, so its
+    edge is swept at position 0, at position 5 and at the smallest angle,
+    against the numpy predicate."""
 
     @pytest.mark.parametrize("position", [0, 5, "smallest"])
     def test_agrees_with_numpy_across_the_edge(self, position, generic):

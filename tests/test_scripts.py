@@ -332,6 +332,28 @@ def test_bench_record_puts_the_parent_counts_beside_each_count(bench_record, mon
     assert "before_src_sha256" not in bench_record.run_work(None)
 
 
+def test_bench_record_sizes_each_module_beside_the_parent(bench_record, monkeypatch, tmp_path):
+    # lines are newlines, as wc -l counts them; a module that one side lacks
+    # has only the other side's counts
+    here, parent = tmp_path / "here", tmp_path / "parent"
+    for checkout, files in ((here, {"pkg/a.py": "x = 1\n\ny = 2\n", "pkg/b.py": "z = 3"}),
+                            (parent, {"pkg/a.py": "x = 1\n", "pkg/old.py": "w = 4\n"})):
+        for name, text in files.items():
+            path = checkout / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    monkeypatch.setattr(bench_record, "ROOT", here)
+    section = bench_record.run_src(parent)
+    assert section["modules"] == {
+        "pkg/a.py": {"lines": 3, "bytes": 13, "before_lines": 1, "before_bytes": 6},
+        "pkg/b.py": {"lines": 0, "bytes": 5},
+        "total": {"lines": 3, "bytes": 18, "before_lines": 2, "before_bytes": 12},
+        "pkg/old.py": {"before_lines": 1, "before_bytes": 6},
+    }
+    assert section["before_src_sha256"] == bench_record.src_digest(parent)
+    assert bench_record.run_src(None) == {"modules": bench_record.src_sizes(here)}
+
+
 def test_bench_record_marks_the_in_process_timings_scaled(bench_record, monkeypatch):
     # time_in_process records perfbench's reference_seconds, for both sections
     monkeypatch.setattr(bench_record, "fresh",

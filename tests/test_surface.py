@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +26,9 @@ def test_all_resolves(module):
 @pytest.mark.parametrize("module", [reggescissors, *MODULES], ids=lambda m: m.__name__)
 def test_no_test_only_names(module):
     assert [name for name in TEST_ONLY if hasattr(module, name)] == []
+
+
+def test_only_tetra_touches_an_instance_dict():
+    # tetra._memo owns the per-instance memo, so how a TetAngles keeps it is
+    # one module's decision: no other module reads or writes a __dict__
+    assert [m.__name__ for m in MODULES if "__dict__" in Path(m.__file__).read_text()] == ["reggescissors.tetra"]

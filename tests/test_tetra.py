@@ -36,7 +36,7 @@ from reggescissors.tetra import (
     require_kind,
 )
 
-from conftest import IDEAL_BESIDE_HYPERIDEAL
+from conftest import IDEAL_BESIDE_HYPERIDEAL, _stream_rows
 from oracles import (
     angles_from_gram,
     classify_by_inverse,
@@ -400,16 +400,25 @@ class TestFiniteMargin:
         return [t.as_tuple() for t in batch] + stream_angles
 
     def test_certified_steps_take_the_class_classify_gives(self, rows):
-        h, certified = SCHLAFLI_STEP, 0
-        for angles in rows:
-            t = TetAngles(*angles)
-            if not 2 * h < _finite_margin(t):
+        # the steps at h of every row whose margin exceeds 2h, and the
+        # retry's steps at h / 10 of every row whose margin lies in
+        # (2h / 10, 2h], here and on the first 240 `oracle` rows of seeds
+        # 1-3 (25 of them lie there)
+        h, certified = SCHLAFLI_STEP, {SCHLAFLI_STEP: 0, SCHLAFLI_STEP / 10: 0}
+        oracle_rows = _stream_rows(2, 0.9, 240)
+        margins = {angles: _finite_margin(TetAngles(*angles)) for angles in rows + oracle_rows}
+        for angles, margin in margins.items():
+            step = next((s for s in (h, h / 10) if 2 * s < margin), None)
+            if step is None:
                 continue
+            t = TetAngles(*angles)
             assert classify(t).kind is TetraKind.FINITE, angles
-            for step in _steps(t, h):
-                assert _classify(step).kind is TetraKind.FINITE, step
-                certified += 1
-        assert certified > 12 * len(rows) // 2
+            for s in _steps(t, step):
+                assert _classify(s).kind is TetraKind.FINITE, s
+                certified[step] += 1
+        assert certified[h] > 12 * len(rows) // 2
+        retried = sum(2 * h / 10 < margins[angles] <= 2 * h for angles in oracle_rows)
+        assert retried == 25 and certified[h / 10] >= 12 * retried
 
     def test_the_stencil_builds_no_step_of_a_certified_source(self, rows, monkeypatch):
         # a certified step is six floats: no TetAngles is made for it, while
@@ -420,8 +429,11 @@ class TestFiniteMargin:
         for t in sources:
             schlafli_residual(t, SCHLAFLI_STEP)
         assert len(sources) > 50 and built == []
+        # a margin of 5.97e-6: the 2 steps at h that end the first pass are
+        # classified, and the retry's steps at h / 10 are certified
         t = TetAngles(*(PI / 3 + 2e-6,) * 6)
-        classified = [s.as_tuple() for s in _steps(t, SCHLAFLI_STEP)[:2] + _steps(t, SCHLAFLI_STEP / 10)]
+        assert 2 * SCHLAFLI_STEP / 10 < _finite_margin(t) < 2 * SCHLAFLI_STEP
+        classified = [s.as_tuple() for s in _steps(t, SCHLAFLI_STEP)[:2]]
         built.clear()
         schlafli_residual(t, SCHLAFLI_STEP)
         assert built == classified
@@ -492,17 +504,23 @@ class TestFiniteMargin:
     def test_a_source_within_2h_of_its_margin_is_classified_step_by_step(self, slivers, monkeypatch):
         from reggescissors import tetra
 
-        # Finite, within 1e-5 of the ideal equiangular pi/3: the first step
-        # down leaves the Finite class, and the retry at h / 10 is classified
-        # step by step too
+        # Finite, within 1e-6 of the ideal equiangular pi/3 (a margin of
+        # 5.9e-7): the first step down leaves the Finite class at h, and at
+        # h / 10, whose 2 steps are above the margin too, so the retry is
+        # classified step by step and raises; within 1e-5 (a margin of
+        # 5.97e-6), the retry is certified and no step of it is classified
         h = SCHLAFLI_STEP
-        t = TetAngles(*(PI / 3 + 2e-6,) * 6)
-        assert classify(t).kind is TetraKind.FINITE
-        assert 0 < _finite_margin(t) < 2 * h
+        near, nearer = TetAngles(*(PI / 3 + 2e-6,) * 6), TetAngles(*(PI / 3 + 2e-7,) * 6)
+        assert classify(near).kind is classify(nearer).kind is TetraKind.FINITE
+        assert 0 < _finite_margin(nearer) < 2 * h / 10 < _finite_margin(near) < 2 * h
         classified, compute = [], tetra._classify
         monkeypatch.setattr(tetra, "_classify", lambda s: classified.append(s.as_tuple()) or compute(s))
-        schlafli_residual(t, h)
-        assert classified == [s.as_tuple() for s in _steps(t, h)[:2] + _steps(t, h / 10)]
+        with pytest.raises(GeometryDomainError, match="even after shrinking h"):
+            schlafli_residual(nearer, h)
+        assert classified == [s.as_tuple() for s in _steps(nearer, h)[:2] + _steps(nearer, h / 10)[:2]]
+        classified.clear()
+        schlafli_residual(near, h)
+        assert classified == [s.as_tuple() for s in _steps(near, h)[:2]]
         # the slivers are not Finite for classify, so no step of theirs is certified
         for angles in slivers:
             assert _finite_margin(TetAngles(*angles)) <= 0 < 2 * h, angles
