@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import _lobachevsky_float, _sum_in_order, lobachevsky
-from .tetra import TetAngles, TetraKind, _memo, _record, require_kind
+from .tetra import TetAngles, TetraKind, _memo, require_kind
 
 __all__ = [
     "DUAL_SIDE",
@@ -99,7 +100,7 @@ def slots(bars, Z: float) -> tuple[float, ...]:
             bars[4] + Z, bars[5] - Z, bars[6] + Z, bars[7] - Z)
 
 
-@_record
+@dataclass(frozen=True)
 class HolonomyRoots:
     """The solved angle system of one tetrahedron: the bar solution and both
     roots of the holonomy quadratic with semantic labels.
@@ -118,7 +119,7 @@ class HolonomyRoots:
     unit_defect: float
 
 
-@_record
+@dataclass(frozen=True)
 class OctAngles:
     """Solved slot angles of one octahedron (O or its dual), in SLOT_ORDER and
     each in (-pi, pi], with the base angles a..h of that octahedron
@@ -196,9 +197,11 @@ def _remainder_sum(v) -> float:
                   + v[8] - v[9] - v[10] + v[11] - v[12] + v[13] + v[14] + v[15])
 
 
-#: as_tuple() index -> the 8 positions of _remainder_args that angle enters
-_REMAINDER_TERMS_OF = ((0, 1, 2, 4, 9, 10, 11, 15), (0, 1, 2, 4, 8, 12, 13, 14), (0, 1, 2, 3, 4, 5, 6, 7),
-                       (3, 5, 6, 7, 8, 12, 13, 14), (3, 5, 6, 7, 9, 10, 11, 15), (8, 9, 10, 11, 12, 13, 14, 15))
+#: as_tuple() index -> the 8 positions of _remainder_args that angle enters:
+#: those a unit step in it moves from the arguments at zero angles
+_REMAINDER_TERMS_OF = tuple(
+    tuple(k for k, (a, b) in enumerate(zip(_remainder_args(*[0.0] * 6), _remainder_args(*step))) if a != b)
+    for step in ([float(j == i) for j in range(6)] for i in range(6)))
 
 
 def volume_remainder(t: TetAngles) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 
 from .exceptions import DegenerateSystemError, GeometryDomainError
 from .lobachevsky import _lobachevsky_float, _sum_in_order
@@ -34,7 +35,6 @@ from .tetra import (
     TetraKind,
     _inherit_class,
     _memo,
-    _record,
     classify,
     relabel,
     require_kind,
@@ -136,7 +136,7 @@ def canonical_angle(x: float) -> float:
     return r
 
 
-@_record
+@dataclass(frozen=True)
 class Decomposition:
     """The sixteen-piece decomposition of two copies of the source tetrahedron.
 
@@ -147,6 +147,8 @@ class Decomposition:
     """
 
     raw_angles: tuple[float, ...]
+    #: What tetra._memo keeps on the instance: None, then a dict.  Not a field.
+    _kept = None
 
     def canonical_angles(self) -> tuple[float, ...]:
         """canonical_angle of each raw angle, reduced on the first call and
@@ -184,7 +186,7 @@ def permute_for_regge_b(d: Decomposition) -> Decomposition:
     return Decomposition(tuple(d.raw_angles[k] for k in _REGGE_B_EXCHANGE))
 
 
-@_record
+@dataclass(frozen=True)
 class ScissorsReport:
     """Outcome of one scissors-congruence check.
 
@@ -259,7 +261,7 @@ def verify_scissors(t: TetAngles, which: str, tol: float = 1e-9) -> ScissorsRepo
     return ScissorsReport(which, tol, transformed, failure=failure, **measured)
 
 
-@_record
+@dataclass(frozen=True)
 class OrbitResult:
     """The members of a Regge orbit up to relabeling, in regge_orbit's word
     order, and the volume of each (nan for one neither Finite nor Ideal)."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 from .exceptions import GeometryDomainError
@@ -108,28 +108,7 @@ _GRAM_ANGLES = tuple(_ANGLE_ORDER.index(name) for pair in itertools.combinations
 GramMatrix = "numpy.ndarray"
 
 
-def _record(cls):
-    """cls as a frozen dataclass whose __init__ is generated here, with the
-    same signature, defaults and __post_init__ call, so the same ==, hash,
-    repr and dataclasses.replace.  It sets each field through
-    object.__setattr__ bound once, where the dataclass one looks up a
-    global and its __setattr__ for every field.  Filling the instance dict
-    in one update instead is no faster per op and gives each instance a
-    dict of its own, about half again the bytes of a solved TetAngles."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
-    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-    namespace = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(names)}):\n"
-         + "".join(f"    _set(self, {n!r}, {n})\n" for n in names) + post, namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
-
-@_record
+@dataclass(frozen=True)
 class TetAngles:
     """Six dihedral angles with the opposite-pair labeling (A,A'), (B,B'), (C,C').
 
@@ -143,6 +122,8 @@ class TetAngles:
     Ap: float
     Bp: float
     Cp: float
+    #: What _memo keeps on the instance: None, then a dict.  Not a field.
+    _kept = None
 
     def __post_init__(self):
         x = self.as_tuple()
@@ -173,7 +154,7 @@ class TetraKind(Enum):
     INVALID = "Invalid"
 
 
-@_record
+@dataclass(frozen=True)
 class TetraClass:
     """The class of the angle data and the number behind its signature.
 
@@ -248,11 +229,16 @@ def gram_matrix(t: TetAngles) -> GramMatrix:
     return G
 
 
-def _memo(t: TetAngles, key: str, compute):
-    """compute(t), kept on the frozen instance after the first call, outside
-    its dataclass fields: ==, hash, repr and dataclasses.replace ignore it.
-    A raised error is not kept: the next call computes again."""
-    kept = t.__dict__
+def _memo(t, key: str, compute):
+    """compute(t), kept on the frozen instance after the first call, in its
+    one non-field attribute _kept: ==, hash, repr and dataclasses.replace
+    ignore it.  A raised error is not kept: the next call computes again.
+    The dict is set before compute runs, so the values compute keeps on t
+    land in it too."""
+    kept = t._kept
+    if kept is None:
+        kept = {}
+        object.__setattr__(t, "_kept", kept)
     value = kept.get(key)
     if value is None:
         value = kept[key] = compute(t)
@@ -335,8 +321,9 @@ def _finite_margin(t: TetAngles) -> float:
 
 
 def _inherit_class(t: TetAngles, cls: TetraClass) -> None:
-    """Keep cls on t as its class (see _memo)."""
-    t.__dict__["_tetra_class"] = cls
+    """Keep cls as the class of t, an instance that has kept nothing yet:
+    its memo (see _memo) starts with it."""
+    object.__setattr__(t, "_kept", {"_tetra_class": cls})
 
 
 def _signature_31(t: TetAngles, det: float) -> bool:
@@ -443,8 +430,9 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
     """Relabel angles by a vertex permutation: new angle at edge e is the old
     angle at edge sigma(e).  A bijection; relabel(relabel(t, s), s^-1) == t.
 
-    The relabeling of a classified t shares its class object (_inherit_class):
-    the same det G, and vertex v's link has the angles of vertex sigma(v)'s.
+    The relabeling of a classified t shares its class object, read from t's
+    memo (_inherit_class): the same det G, and vertex v's link has the
+    angles of vertex sigma(v)'s.
     """
     sigma = tuple(sigma)
     try:
@@ -453,6 +441,6 @@ def relabel(t: TetAngles, sigma) -> TetAngles:
         raise GeometryDomainError(f"not a vertex permutation: {sigma!r}") from None
     x = t.as_tuple()
     out = TetAngles(x[row[0]], x[row[1]], x[row[2]], x[row[3]], x[row[4]], x[row[5]])
-    if (cls := t.__dict__.get("_tetra_class")) is not None:
+    if t._kept is not None and (cls := t._kept.get("_tetra_class")) is not None:
         _inherit_class(out, cls)
     return out

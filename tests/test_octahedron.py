@@ -34,7 +34,15 @@ from reggescissors.octahedron import (
 )
 from reggescissors.scissors import canonical_angle, decompose, regge_orbit, verify_scissors
 from reggescissors.suite import SuiteConfig, criterion_4
-from reggescissors.tetra import _VERTEX_ANGLES, TetAngles, TetraKind, classify, prism_volume, prism_volume_by_tetrahedra
+from reggescissors.tetra import (
+    _VERTEX_ANGLES,
+    TetAngles,
+    TetraKind,
+    _memo,
+    classify,
+    prism_volume,
+    prism_volume_by_tetrahedra,
+)
 
 from oracles import full_dihedral_angles, murakami_yano_volume, tetra_symmetries
 
@@ -728,13 +736,13 @@ def _ref_volume_remainder(t):
 
 @pytest.mark.kernel_independent
 def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles, monkeypatch):
-    # volume_remainder and the remainder _keep_remainder keeps on the source
-    # against the literal, bit for bit; then _step_volume on each Finite
-    # step of 1e-5 or 1e-6 in one angle, from the series values of the
-    # source, against tet_volume of a fresh instance, bit for bit: it makes
-    # 16 series evaluations, first the 8 remainder terms the stepped angle
-    # enters, which include every argument the step moves, then the 8 slot
-    # terms at the step's Z_minus
+    # volume_remainder and the remainder _keep_remainder keeps on the source,
+    # read back through tetra._memo, against the literal, bit for bit; then
+    # _step_volume on each Finite step of 1e-5 or 1e-6 in one angle, from the
+    # series values of the source, against tet_volume of a fresh instance,
+    # bit for bit: it makes 16 series evaluations, first the 8 remainder
+    # terms the stepped angle enters, which include every argument the step
+    # moves, then the 8 slot terms at the step's Z_minus
     evaluated = []
     monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
     stepped = 0
@@ -742,7 +750,8 @@ def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles,
         t = TetAngles(*angles)
         assert volume_remainder(t).hex() == _ref_volume_remainder(t).hex(), angles
         values = octahedron._keep_remainder(t)
-        assert t._volume_remainder.hex() == _ref_volume_remainder(t).hex(), angles
+        kept = _memo(t, "_volume_remainder", lambda t: pytest.fail(f"no remainder kept on {t}"))
+        assert kept.hex() == _ref_volume_remainder(t).hex(), angles
         args = octahedron._remainder_args(*angles)
         for i, h in itertools.product(range(6), (1e-5, -1e-6)):
             step = list(angles)
