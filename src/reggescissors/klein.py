@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryDomainError, QuadratureError
-from .octahedron import _keep_remainder, _step_volume
+from .octahedron import _step_volume
 from .tetra import (
     _FACES_OF,
     TetAngles,
@@ -309,15 +309,15 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
     far a step of at most 1e-3 in one angle moves each link cofactor, edge
     cofactor and det G: then every step is Finite, as _classify would call
     it.  A step in angle i moves the 8 series arguments of volume_remainder
-    that angle enters and reads the other 8 values from t's, which t keeps
-    as its remainder (octahedron._keep_remainder).  Every residual keeps
-    its bits.
+    that angle enters and reads the other 8 values from those t keeps
+    (octahedron._remainder_values), evaluated once whichever of tet_volume(t)
+    and this function runs first.  Every residual keeps its bits.
     """
     if not 1e-7 <= h <= 1e-3:
         raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
     require_kind(t, TetraKind.FINITE)
     base = [float(x) for x in t.as_tuple()]
-    values, margin, lengths = _keep_remainder(t), _finite_margin(t), edge_lengths(t)
+    margin, lengths = _finite_margin(t), edge_lengths(t)
     for step in (h, h / 10):
         out = np.empty(6)
         for i, x in enumerate(base):
@@ -325,7 +325,7 @@ def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
             up[i], dn[i] = x + step, x - step
             if not (2 * step < margin or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
                 break
-            out[i] = abs((_step_volume(up, i, values) - _step_volume(dn, i, values)) / (2 * step) + lengths[i] / 2)
+            out[i] = abs((_step_volume(up, i, t) - _step_volume(dn, i, t)) / (2 * step) + lengths[i] / 2)
         else:
             return out
     raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")

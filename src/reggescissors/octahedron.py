@@ -205,20 +205,19 @@ _REMAINDER_TERMS_OF = tuple(
 
 
 def volume_remainder(t: TetAngles) -> float:
-    """The Z-independent half-sum completing the volume formula: the series
-    at the 16 _remainder_args of t's angles, summed with the signs of
-    _remainder_sum.  Each angle enters 8 of the 16 arguments
-    (_REMAINDER_TERMS_OF), so a step in one angle leaves the other 8
-    arguments and their series values as they were (_step_volume)."""
-    return _remainder_sum(list(map(_lobachevsky_float, _remainder_args(*t.as_tuple()))))
+    """The Z-independent half-sum completing the volume formula: the 16
+    series values t keeps (_remainder_values), summed with the signs of
+    _remainder_sum."""
+    return _remainder_sum(_remainder_values(t))
 
 
-def _keep_remainder(t: TetAngles) -> list[float]:
-    """Keep volume_remainder(t) on t as tet_volume does, and return the
-    series values at t's _remainder_args, as _step_volume reads them."""
-    values = list(map(_lobachevsky_float, _remainder_args(*t.as_tuple())))
-    _memo(t, "_volume_remainder", lambda t: _remainder_sum(values))
-    return values
+def _remainder_values(t: TetAngles) -> list[float]:
+    """The series values at t's 16 _remainder_args, kept on t (see
+    tetra._memo) as a list that readers copy before they write: CPython
+    keeps up to 2000 freed 16-tuples, which raised the `formula` benchmark's
+    peak RSS by 0.2 MB.  Each angle enters 8 of the 16 arguments
+    (_REMAINDER_TERMS_OF), so a step in one angle keeps the other 8 values."""
+    return _memo(t, "_remainder_values", lambda t: list(map(_lobachevsky_float, _remainder_args(*t.as_tuple()))))
 
 
 def _slot_sum(bars: tuple[float, ...], Z: float) -> float:
@@ -372,15 +371,15 @@ def tet_volume(t: TetAngles, root: str = "minus") -> float:
     others raise, and so does a volume below -1e-12 at Z_minus
     (DegenerateSystemError, for either root).
 
-    A TetAngles keeps its volume and its remainder, assembled on the first
-    call, as it keeps its roots (see tetra._memo)."""
+    A TetAngles keeps its volume and the series values of its remainder,
+    assembled on the first call, as it keeps its roots (see tetra._memo)."""
     if root not in ("minus", "plus"):
         raise GeometryDomainError(f"root must be 'minus' or 'plus', got {root!r}")
     volume = _memo(t, "_tet_volume", _tet_volume)
     if root == "minus":
         return volume
     roots = solve_holonomy(t)
-    return _slot_sum(roots.bars, roots.Z_plus) + _memo(t, "_volume_remainder", volume_remainder)
+    return _slot_sum(roots.bars, roots.Z_plus) + volume_remainder(t)
 
 
 def _tet_volume(t: TetAngles) -> float:
@@ -388,7 +387,7 @@ def _tet_volume(t: TetAngles) -> float:
     negative-volume gate."""
     kind = require_kind(t, TetraKind.FINITE, TetraKind.IDEAL).kind
     roots = solve_holonomy(t)
-    return _gated_volume(roots.bars, roots.Z_minus, _memo(t, "_volume_remainder", volume_remainder), kind)
+    return _gated_volume(roots.bars, roots.Z_minus, volume_remainder(t), kind)
 
 
 def _gated_volume(bars: tuple[float, ...], Z_minus: float, remainder: float, kind: TetraKind) -> float:
@@ -402,13 +401,13 @@ def _gated_volume(bars: tuple[float, ...], Z_minus: float, remainder: float, kin
     return volume
 
 
-def _step_volume(x, i: int, values: list[float]) -> float:
+def _step_volume(x, i: int, source: TetAngles) -> float:
     """tet_volume of the six angles x, Finite by the caller's word, one step
-    in angle i from a source whose series values are `values`: the 8
-    remainder terms angle i enters are evaluated afresh, the other 8 (equal
-    doubles of equal angles) read from values; then its bars, roots, sum and
-    gates, with no instance, class or memo, so the volume keeps its bits."""
-    args, v = _remainder_args(*x), values.copy()
+    in angle i from source: the 8 remainder terms angle i enters are
+    evaluated afresh, the other 8 (equal doubles of equal angles) read from
+    _remainder_values(source); then its bars, roots, sum and gates, with no
+    instance, class or memo, so the volume keeps its bits."""
+    args, v = _remainder_args(*x), _remainder_values(source).copy()
     for k in _REMAINDER_TERMS_OF[i]:
         v[k] = _lobachevsky_float(args[k])
     bars = _bars(*x)

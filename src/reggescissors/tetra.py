@@ -253,21 +253,21 @@ def classify(t: TetAngles) -> TetraClass:
     return _memo(t, "_tetra_class", _classify)
 
 
-def _class_numbers(t: TetAngles) -> tuple[float, float, float, float]:
-    """det G, the smallest link cofactor, the smallest edge cofactor and the
-    largest edge cofactor in size, of t: what _classify decides by and
-    _finite_margin bounds.  Both keep them on t (see _memo), so a source
-    that is classified and then given a margin evaluates them once."""
+def _class_numbers(t: TetAngles) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """(det, links, edges) of t: det G, the four link cofactors by vertex and
+    the six edge cofactors in _ANGLE_ORDER, unreduced.  _classify decides by
+    them and _finite_margin bounds them; both keep them on t (see _memo), so
+    a source that is classified and then given a margin evaluates them once."""
     x = t.as_tuple()
     cosines = [math.cos(v) for v in x]
-    edges = _edge_cofactors(x, cosines)
-    return (_gram_det(cosines), min(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES),
-            min(edges), max(map(abs, edges)))
+    return (_gram_det(cosines), tuple(_link_cofactor(x[i], x[j], x[k]) for i, j, k in _VERTEX_ANGLES),
+            _edge_cofactors(x, cosines))
 
 
 def _classify(t: TetAngles) -> TetraClass:
-    det, low, edge, _ = _memo(t, "_class_numbers", _class_numbers)
-    if not t.in_range() or edge < -IDEAL_COFACTOR_TOL or not _signature_31(t, det):
+    det, links, edges = _memo(t, "_class_numbers", _class_numbers)
+    low = min(links)
+    if not t.in_range() or min(edges) < -IDEAL_COFACTOR_TOL or not _signature_31(t, det):
         kind = TetraKind.INVALID
     elif low > IDEAL_COFACTOR_TOL:
         kind = TetraKind.FINITE
@@ -309,15 +309,15 @@ def _finite_margin(t: TetAngles) -> float:
     signature.  Callers keep 2x headroom for the rounding of the step and of
     each cofactor."""
     x = t.as_tuple()
-    det, _, edge, top = _memo(t, "_class_numbers", _class_numbers)
+    det, links, edges = _memo(t, "_class_numbers", _class_numbers)
     link_terms = []
-    for i, j, k in _VERTEX_ANGLES:
+    for (i, j, k), link in zip(_VERTEX_ANGLES, links):
         s = (x[i] + x[j] + x[k]) / 2
         c0, c1, c2, c3 = (abs(math.cos(s - y)) + 5e-4 for y in (0.0, x[i], x[j], x[k]))
         lipschitz = 2 * (c1 * c2 * c3 + c0 * c2 * c3 + c0 * c1 * c3 + c0 * c1 * c2)
-        link_terms.append((_link_cofactor(x[i], x[j], x[k]) - IDEAL_COFACTOR_TOL) / lipschitz)
-    return min(min(x), _PI - max(x), *link_terms, (edge + IDEAL_COFACTOR_TOL) / 3,
-               (-det - IDEAL_COFACTOR_TOL) / (2 * top + 1e-3))
+        link_terms.append((link - IDEAL_COFACTOR_TOL) / lipschitz)
+    return min(min(x), _PI - max(x), *link_terms, (min(edges) + IDEAL_COFACTOR_TOL) / 3,
+               (-det - IDEAL_COFACTOR_TOL) / (2 * max(map(abs, edges)) + 1e-3))
 
 
 def _inherit_class(t: TetAngles, cls: TetraClass) -> None:

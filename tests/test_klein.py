@@ -15,7 +15,7 @@ from reggescissors.klein import (
     schlafli_residual,
     volume_numeric,
 )
-from reggescissors.lobachevsky import lobachevsky
+from reggescissors.lobachevsky import _lobachevsky_float, lobachevsky
 from reggescissors.octahedron import (
     bar_solution,
     solve_holonomy,
@@ -623,22 +623,44 @@ def test_an_oracle_op_evaluates_its_source_class_numbers_once(monkeypatch):
     # the benchmark's oracle op on the first 40 inputs of the `oracle` stream
     # for seeds 1-3: classify (through klein_vertices) and the Schlafli
     # stencil's margin read one evaluation of the source's three class
-    # numbers, and a source whose steps are certified evaluates no other
-    evaluated = []
-    evaluate = tetra._class_numbers
+    # numbers, and a source whose steps are certified evaluates no other:
+    # its four link cofactors, which the margin reads from that evaluation
+    evaluated, links = [], []
+    evaluate, link_cofactor = tetra._class_numbers, tetra._link_cofactor
     monkeypatch.setattr(tetra, "_class_numbers", lambda t: evaluated.append(t.as_tuple()) or evaluate(t))
+    monkeypatch.setattr(tetra, "_link_cofactor", lambda *x: links.append(x) or link_cofactor(*x))
     oracle = _perfbench_module("ops").oracle
     certified = 0
     for row in _stream_rows(2, 0.9, 40):
         evaluated.clear()
+        links.clear()
         oracle(np.array(row))
-        seen = list(evaluated)
+        seen, seen_links = list(evaluated), len(links)
         assert seen.count(row) == 1, row
         t = TetAngles(*row)
         if classify(t).kind is TetraKind.FINITE and 2 * klein.SCHLAFLI_STEP < _finite_margin(t):
             certified += 1
-            assert seen == [row], row
+            assert seen == [row] and seen_links == 4, row
     assert certified > 60
+
+
+@pytest.mark.kernel_independent
+def test_a_volume_then_its_stencil_evaluate_the_remainder_once(monkeypatch):
+    # tet_volume(t) then schlafli_residual(t), as the oracle command and the
+    # suite's Schlafli criterion call them, on the Finite inputs among the
+    # first 15 of the `oracle` stream for seeds 1-3: each of t's 16
+    # remainder arguments is evaluated as often as it occurs among them, once
+    evaluated = []
+    monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
+    sources = [TetAngles(*row) for row in _stream_rows(2, 0.9, 15)]
+    sources = [t for t in sources if classify(t).kind is TetraKind.FINITE]
+    assert len(sources) > 40
+    for t in sources:
+        evaluated.clear()
+        tet_volume(t)
+        schlafli_residual(t)
+        args = octahedron._remainder_args(*t.as_tuple())
+        assert [evaluated.count(a) for a in args] == [args.count(a) for a in args], t
 
 
 def _ref_schlafli_residual(t, h):

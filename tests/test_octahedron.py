@@ -736,22 +736,23 @@ def _ref_volume_remainder(t):
 
 @pytest.mark.kernel_independent
 def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles, monkeypatch):
-    # volume_remainder and the remainder _keep_remainder keeps on the source,
-    # read back through tetra._memo, against the literal, bit for bit; then
-    # _step_volume on each Finite step of 1e-5 or 1e-6 in one angle, from the
-    # series values of the source, against tet_volume of a fresh instance,
-    # bit for bit: it makes 16 series evaluations, first the 8 remainder
-    # terms the stepped angle enters, which include every argument the step
-    # moves, then the 8 slot terms at the step's Z_minus
+    # volume_remainder, and the sum of the series values it keeps on the
+    # source, read back through tetra._memo, against the literal, bit for
+    # bit; then _step_volume on each Finite step of 1e-5 or 1e-6 in one
+    # angle, from the source's kept values, against tet_volume of a fresh
+    # instance, bit for bit: it makes 16 series evaluations, first the 8
+    # remainder terms the stepped angle enters, which include every argument
+    # the step moves, then the 8 slot terms at the step's Z_minus; and the
+    # steps leave the source's kept values as they were
     evaluated = []
     monkeypatch.setattr(octahedron, "_lobachevsky_float", lambda x: evaluated.append(x) or _lobachevsky_float(x))
     stepped = 0
     for angles in stream_angles[::5]:
         t = TetAngles(*angles)
         assert volume_remainder(t).hex() == _ref_volume_remainder(t).hex(), angles
-        values = octahedron._keep_remainder(t)
-        kept = _memo(t, "_volume_remainder", lambda t: pytest.fail(f"no remainder kept on {t}"))
-        assert kept.hex() == _ref_volume_remainder(t).hex(), angles
+        values = _memo(t, "_remainder_values", lambda t: pytest.fail(f"no series values kept on {t}"))
+        assert values is octahedron._remainder_values(t) and len(values) == 16, angles
+        assert octahedron._remainder_sum(values).hex() == _ref_volume_remainder(t).hex(), angles
         args = octahedron._remainder_args(*angles)
         for i, h in itertools.product(range(6), (1e-5, -1e-6)):
             step = list(angles)
@@ -760,7 +761,7 @@ def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles,
             if classify(fresh).kind is not TetraKind.FINITE:
                 continue
             evaluated.clear()
-            volume = octahedron._step_volume(step, i, values)
+            volume = octahedron._step_volume(step, i, t)
             terms, slot_terms = evaluated[:8], evaluated[8:]
             step_args = octahedron._remainder_args(*step)
             moved = {a for a, b in zip(step_args, args) if a != b}
@@ -770,6 +771,7 @@ def test_remainder_keeps_its_bits_and_steps_read_half_their_terms(stream_angles,
             assert slot_terms == list(slots(roots.bars, roots.Z_minus)), (angles, i)
             assert volume.hex() == tet_volume(fresh).hex(), (angles, i)
             stepped += 1
+        assert octahedron._remainder_sum(values).hex() == _ref_volume_remainder(t).hex(), angles
     assert stepped > 12 * len(stream_angles[::5]) * 9 // 10
 
 
