@@ -25,8 +25,9 @@ times are not scaled.
 
 `per_call` gives, for each layer in PER_CALL, the mean scaled microseconds
 of one call over the first 200 Finite inputs of its stream for seed 1
-(PER_CALL_STREAM: the `oracle` workload's for the three Klein layers, the
-`formula` workload's for the rest), each on a fresh TetAngles, so no
+(PER_CALL_STREAM: the `oracle` workload's for the three layers it runs,
+`klein_vertices`, `volume_numeric` and `schlafli_residual`, the `formula`
+workload's for the rest), each on a fresh TetAngles, so no
 per-instance memo is warm; the median of SUITE_RUNS processes as `us`, with
 its quartiles as `us_q1` and `us_q3`.  Each layer makes one untimed
 warm-up call, on the next Finite input, then passes until its timed calls
@@ -124,7 +125,9 @@ PER_CALL = {
 }
 #: The untimed argument of a PER_CALL layer that does not take the TetAngles itself.
 PER_CALL_ARG = {"volume_numeric": lambda m, t: m.klein.klein_vertices(t)}
-#: The perfbench stream of each PER_CALL layer's inputs: the one its workload runs.
+#: The perfbench stream of each PER_CALL layer's inputs: the one its workload
+#: runs (`oracle` for the Klein oracle and the Schlafli check, which it reaches
+#: as klein.schlafli_residual).
 PER_CALL_STREAM = {name: "oracle" if name in ("schlafli_residual", "klein_vertices", "volume_numeric")
                    else "formula" for name in PER_CALL}
 #: The SuiteConfig that `suite --count 100 --seed 7` runs.

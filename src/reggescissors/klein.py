@@ -1,5 +1,4 @@
-"""Coordinate oracle: Klein-model realization, direct volume quadrature, and
-the Schlafli differential check.
+"""Coordinate oracle: Klein-model realization and direct volume quadrature.
 
 Everything here is independent of the Lobachevsky-sum volume formulas.  A
 tetrahedron is realized from its Gram matrix inside the projective ball
@@ -11,8 +10,7 @@ integral over s is closed-form.  The cones are signed by det[a, b, c], so
 the origin need not lie inside the tetrahedron.  A 12-point collapsed-square
 Gauss-Legendre rule integrates each face triangle; the leaves start at the
 four faces and are refined in passes, each splitting a batch of the worst
-leaves at once.  The derivative of the formula volume is compared against
-edge lengths through dV = -1/2 sum l_i d(theta_i).
+leaves at once.  The Schlafli check lives in octahedron; klein binds it.
 """
 
 from __future__ import annotations
@@ -23,17 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryDomainError, QuadratureError
-from .octahedron import _step_volume
-from .tetra import (
-    _FACES_OF,
-    TetAngles,
-    TetraKind,
-    _finite_margin,
-    classify,
-    edge_lengths,
-    gram_matrix,
-    require_kind,
-)
+from .octahedron import SCHLAFLI_STEP, schlafli_max_relative, schlafli_residual
+from .tetra import _FACES_OF, TetAngles, TetraKind, gram_matrix, require_kind
 
 __all__ = [
     "KleinTetra",
@@ -59,14 +48,11 @@ class KleinTetra:
     def __post_init__(self):
         if np.shape(self.vertices) != (4, 3):
             raise GeometryDomainError(f"vertices must have shape (4, 3), got {np.shape(self.vertices)}")
-
-
-def _ball_vertices(kt: KleinTetra) -> np.ndarray:
-    """The vertices of kt as floats, each strictly inside the unit ball."""
-    verts = np.asarray(kt.vertices, dtype=float)
-    if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
-        raise GeometryDomainError("vertices must lie strictly inside the unit ball")
-    return verts
+        verts = np.array(self.vertices, dtype=float)  # a copy, read-only: checked once, it stays checked
+        verts.flags.writeable = False
+        if not np.all(np.linalg.norm(verts, axis=1) < 1.0 - 1e-12):
+            raise GeometryDomainError("vertices must lie strictly inside the unit ball")
+        object.__setattr__(self, "vertices", verts)
 
 
 def _hyperboloid_lift(klein_pts: np.ndarray) -> np.ndarray:
@@ -99,7 +85,7 @@ def _face_normals(lift: np.ndarray) -> np.ndarray:
 
 def dihedral_angles(kt: KleinTetra) -> TetAngles:
     """Recompute the six dihedral angles from coordinates."""
-    lift = _hyperboloid_lift(_ball_vertices(kt))
+    lift = _hyperboloid_lift(kt.vertices)
     normals = _face_normals(lift)
 
     def ang(i: int, j: int) -> float:
@@ -267,7 +253,7 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
     """
     if not 0 < tol < math.inf:
         raise GeometryDomainError("tol must be positive and finite")
-    verts = _ball_vertices(kt)
+    verts = kt.vertices
     kids, fine, errs = _leaves(verts[_FACES], None)
     while (total_err := float(errs.sum())) >= tol / 2:
         fits = (MAX_LEAVES - len(errs)) // 3
@@ -286,52 +272,3 @@ def volume_numeric(kt: KleinTetra, tol: float = 1e-6) -> float:
         kids, fine, errs = (np.concatenate([a, b[:, 1:].reshape(-1, *a.shape[1:])])
                             for a, b in ((kids, k), (fine, f), (errs, e)))
     return float(np.sign(np.linalg.det(verts[1:] - verts[0])) * fine.sum())
-
-
-# --- Schlafli differential check --------------------------------------------
-
-#: The central-difference step of schlafli_residual, echoed by the oracle command.
-SCHLAFLI_STEP = 1e-5
-
-
-def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> np.ndarray:
-    """|central-difference dV/d(theta_i) + l_i / 2| for all six edges.
-
-    The volume differential of a family of tetrahedra is -1/2 sum l_i
-    d(theta_i); with the formula volume on one side and Gram-cofactor edge
-    lengths on the other this couples every piece of the pipeline.  If a
-    perturbation leaves the Finite class, h is shrunk once before failing.
-
-    A step t +- s e_i, at s = h and at the retry's h / 10, is six floats
-    whose volume tet_volume's own routines give (octahedron._step_volume),
-    with no instance built.  A step is classified, through a fresh
-    TetAngles, unless 2s is below tetra._finite_margin(t), which bounds how
-    far a step of at most 1e-3 in one angle moves each link cofactor, edge
-    cofactor and det G: then every step is Finite, as _classify would call
-    it.  A step in angle i moves the 8 series arguments of volume_remainder
-    that angle enters and reads the other 8 values from those t keeps
-    (octahedron._remainder_values), evaluated once whichever of tet_volume(t)
-    and this function runs first.  Every residual keeps its bits.
-    """
-    if not 1e-7 <= h <= 1e-3:
-        raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
-    require_kind(t, TetraKind.FINITE)
-    base = [float(x) for x in t.as_tuple()]
-    margin, lengths = _finite_margin(t), edge_lengths(t)
-    for step in (h, h / 10):
-        out = np.empty(6)
-        for i, x in enumerate(base):
-            up, dn = base.copy(), base.copy()
-            up[i], dn[i] = x + step, x - step
-            if not (2 * step < margin or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
-                break
-            out[i] = abs((_step_volume(up, i, t) - _step_volume(dn, i, t)) / (2 * step) + lengths[i] / 2)
-        else:
-            return out
-    raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
-
-
-def schlafli_max_relative(t: TetAngles, residuals) -> float:
-    """max_i residuals[i] / (l_i / 2) over the edge lengths l_i of t: the
-    relative Schlafli residual that the oracle command and the suite report."""
-    return float(max(r / (l / 2) for r, l in zip(residuals, edge_lengths(t))))

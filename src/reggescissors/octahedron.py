@@ -37,7 +37,8 @@ ACM 5(8), 1962) times the reciprocal of its denominator, one reciprocal for
 both roots.  Python's a / b divides by that denominator instead, which
 moves last bits, and w * (1 / |w|) gives -0.0 where the division gives
 0.0, a sign the phase reads; so each root keeps the bits it had when the
-solve ran on numpy's complex scalars.
+solve ran on numpy's complex scalars.  The Schlafli check steps this volume
+through its own routines (schlafli_residual).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 from .exceptions import DegenerateSystemError, GeometryDomainError, NonUnitRootError
 from .lobachevsky import _lobachevsky_float, _sum_in_order, lobachevsky
-from .tetra import TetAngles, TetraKind, _memo, require_kind
+from .tetra import TetAngles, TetraKind, _finite_margin, _memo, classify, edge_lengths, require_kind
 
 __all__ = [
     "DUAL_SIDE",
@@ -63,6 +64,8 @@ __all__ = [
     "linear_residuals",
     "octahedron_angles",
     "octahedron_volume",
+    "schlafli_max_relative",
+    "schlafli_residual",
     "slots",
     "solve_holonomy",
     "tet_volume",
@@ -402,13 +405,60 @@ def _gated_volume(bars: tuple[float, ...], Z_minus: float, remainder: float, kin
 
 
 def _step_volume(x, i: int, source: TetAngles) -> float:
-    """tet_volume of the six angles x, Finite by the caller's word, one step
-    in angle i from source: the 8 remainder terms angle i enters are
-    evaluated afresh, the other 8 (equal doubles of equal angles) read from
-    _remainder_values(source); then its bars, roots, sum and gates, with no
-    instance, class or memo, so the volume keeps its bits."""
+    """tet_volume of the six angles x, one step in angle i from source and
+    Finite as schlafli_residual certifies: the 8 remainder terms angle i
+    enters are evaluated afresh, the other 8 (equal doubles of equal angles)
+    read from _remainder_values(source); then its bars, roots, sum and
+    gates, with no instance, class or memo, so the volume keeps its bits."""
     args, v = _remainder_args(*x), _remainder_values(source).copy()
     for k in _REMAINDER_TERMS_OF[i]:
         v[k] = _lobachevsky_float(args[k])
     bars = _bars(*x)
     return _gated_volume(bars, _solve_holonomy(bars, TetraKind.FINITE)[0], _remainder_sum(v), TetraKind.FINITE)
+
+
+# --- Schlafli differential check --------------------------------------------
+
+#: The central-difference step of schlafli_residual, echoed by the oracle command.
+SCHLAFLI_STEP = 1e-5
+
+
+def schlafli_residual(t: TetAngles, h: float = SCHLAFLI_STEP) -> "numpy.ndarray":
+    """|central-difference dV/d(theta_i) + l_i / 2| for all six edges.
+
+    The volume differential of a family of tetrahedra is -1/2 sum l_i
+    d(theta_i); with the formula volume on one side and Gram-cofactor edge
+    lengths on the other this couples every piece of the pipeline.  If a
+    perturbation leaves the Finite class, h is shrunk once before failing.
+
+    Each step t +- s e_i, at s = h and at the retry's h / 10, goes to
+    _step_volume.  A step is classified, through a fresh TetAngles, unless
+    2s is below tetra._finite_margin(t), which bounds how far a step of at
+    most 1e-3 in one angle moves each link cofactor, edge cofactor and
+    det G: then every step is Finite, as _classify would call it.  Every
+    residual keeps its bits.
+    """
+    import numpy as np  # here, not at the top: the angle commands load no numpy
+
+    if not 1e-7 <= h <= 1e-3:
+        raise GeometryDomainError("h must lie in [1e-7, 1e-3]")
+    require_kind(t, TetraKind.FINITE)
+    base = [float(x) for x in t.as_tuple()]
+    margin, lengths = _finite_margin(t), edge_lengths(t)
+    for step in (h, h / 10):
+        out = np.empty(6)
+        for i, x in enumerate(base):
+            up, dn = base.copy(), base.copy()
+            up[i], dn[i] = x + step, x - step
+            if not (2 * step < margin or all(classify(TetAngles(*s)).kind is TetraKind.FINITE for s in (up, dn))):
+                break
+            out[i] = abs((_step_volume(up, i, t) - _step_volume(dn, i, t)) / (2 * step) + lengths[i] / 2)
+        else:
+            return out
+    raise GeometryDomainError("perturbation leaves the Finite class even after shrinking h")
+
+
+def schlafli_max_relative(t: TetAngles, residuals) -> float:
+    """max_i residuals[i] / (l_i / 2) over the edge lengths l_i of t: the
+    relative Schlafli residual that the oracle command and the suite report."""
+    return float(max(r / (l / 2) for r, l in zip(residuals, edge_lengths(t))))

@@ -306,8 +306,8 @@ def _finite_margin(t: TetAngles) -> float:
     Within the margin the angles stay in (0, pi), the link cofactors above
     IDEAL_COFACTOR_TOL, the edge cofactors at or above -IDEAL_COFACTOR_TOL
     and det G below -IDEAL_COFACTOR_TOL, where its sign decides the
-    signature.  Callers keep 2x headroom for the rounding of the step and of
-    each cofactor."""
+    signature.  Its caller, octahedron.schlafli_residual, keeps 2x headroom
+    for the rounding of the step and of each cofactor."""
     x = t.as_tuple()
     det, links, edges = _memo(t, "_class_numbers", _class_numbers)
     link_terms = []

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -107,17 +109,26 @@ class TestRealization:
             call(KleinTetra(verts))
         assert str(exc.value) == f"vertices must have shape (4, 3), got {shape}"
 
-    @pytest.mark.parametrize("verts", [
-        [[0.0, 0, 0], [1.2, 0, 0], [0, 0.5, 0], [0, 0, 0.5]],
-        [[0.0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, math.nan]],
-    ], ids=["outside", "nan"])
-    @pytest.mark.parametrize("call", [volume_numeric, dihedral_angles], ids=["volume_numeric", "dihedral_angles"])
-    def test_rejects_vertices_not_strictly_inside_the_ball(self, verts, call):
-        # no RuntimeWarning from the hyperboloid lift, and no LinAlgError from the SVD
+    @pytest.mark.kernel_independent
+    @pytest.mark.parametrize("x", [1.2, 1.0, 1.0 - 1e-13, math.nan], ids=["outside", "on", "within_1e-12", "nan"])
+    def test_rejects_vertices_not_strictly_inside_the_ball(self, x):
+        # checked once, when the KleinTetra is made, so no call that reads
+        # the vertices checks them again; and with no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryDomainError, match="^vertices must lie strictly inside the unit ball$"):
-                call(KleinTetra(np.array(verts)))
+                KleinTetra(np.array([[0.0, 0, 0], [x, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]))
+
+    @pytest.mark.kernel_independent
+    def test_vertices_are_kept_as_a_read_only_float_copy(self):
+        # so that no write to them, or to the array they came from, gets
+        # past the check made at construction
+        given = np.array([[0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]])
+        kt = KleinTetra(given)
+        given[1, 0] = 2.0
+        assert kt.vertices.dtype == np.float64 and kt.vertices[1, 0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            kt.vertices[1, 0] = 2.0
 
     def test_realization_makes_two_svd_calls(self, generic, monkeypatch):
         # one stacked SVD of the four 3x4 systems for the vertices, and one
@@ -661,6 +672,25 @@ def test_a_volume_then_its_stencil_evaluate_the_remainder_once(monkeypatch):
         schlafli_residual(t)
         args = octahedron._remainder_args(*t.as_tuple())
         assert [evaluated.count(a) for a in args] == [args.count(a) for a in args], t
+
+
+@pytest.mark.kernel_independent
+def test_klein_binds_the_stencil_of_octahedron():
+    # the stencil lives beside _step_volume; the oracle command, the suite
+    # and the benchmark reach it as klein.schlafli_residual
+    for name in ("schlafli_residual", "schlafli_max_relative", "SCHLAFLI_STEP"):
+        assert getattr(klein, name) is getattr(octahedron, name), name
+
+
+@pytest.mark.kernel_independent
+def test_klein_imports_no_private_formula_name():
+    # read from the source, so that a name bound later by a test is not seen
+    imported = {}
+    for node in ast.walk(ast.parse(Path(klein.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    private = {module: sorted(n for n in names if n.startswith("_")) for module, names in imported.items()}
+    assert private.get("octahedron", []) == [] and private.get("tetra", []) == ["_FACES_OF"]
 
 
 def _ref_schlafli_residual(t, h):
